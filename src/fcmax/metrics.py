@@ -195,7 +195,11 @@ def student_t_p_value(t: float, df: int) -> float:
         raise MetricsError(f"degrees of freedom must be >= 1, got {df}")
     if math.isinf(t):
         return 0.0
-    return regularized_incomplete_beta(df / (df + t * t), df / 2.0, 0.5)
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    if y < x:
+        # Near x = 1, I_x(df/2, 1/2) would form 1 - x by cancellation; y is 1 - x without it.
+        return 1.0 - regularized_incomplete_beta(y, 0.5, df / 2.0)
+    return regularized_incomplete_beta(x, df / 2.0, 0.5)
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:

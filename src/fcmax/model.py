@@ -1,10 +1,13 @@
 """A small attention encoder-decoder over discrete symbol sequences.
 
 The decoder is a single tanh recurrence with bilinear attention over encoder
-states.  The forward pass exposes per-step log output distributions; the
-backward pass accepts externally supplied gradients with respect to those
-log outputs, so sequence-level training objectives can be composed without
-knowing anything about the network internals.  All arithmetic is float64.
+states.  The forward pass exposes per-step log output distributions along a
+token trajectory (see ``trajectory``); the backward pass takes one target
+token and one weight per step and returns the gradient of the weighted sum
+of the targets' log probabilities.  Likelihood training puts weight 1 on the
+reference path and consistency training puts one coefficient on each N-best
+path, so sequence-level objectives are composed without knowing anything
+about the network internals.  All arithmetic is float64.
 
 Shapes (d is the hidden width, row-vector convention):
     encoder states   H[t]   = tanh(src_emb[x_t] @ enc_proj)
@@ -85,12 +88,6 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return ModelParams(**{k: np.zeros_like(v) for k, v in self.matrices().items()})
 
-    def allclose(self, other: "ModelParams", atol: float = 0.0) -> bool:
-        return all(
-            np.allclose(v, getattr(other, k), rtol=0.0, atol=atol)
-            for k, v in self.matrices().items()
-        )
-
 
 def init_params(d: int, source_vocab_size: int, target_vocab_size: int, seed: int) -> ModelParams:
     """Uniform init in [-0.08, 0.08], deterministic in the seed."""
@@ -135,23 +132,19 @@ class ForwardTrace:
         return self.log_probs.shape[0]
 
 
-@dataclass(frozen=True)
-class StepGradient:
-    """Sparse gradients with respect to log outputs: (step, token, value)."""
+def trajectory(tokens, finished: bool, bos_id: int, eos_id: int):
+    """The (conditioning, target) token pair sequences of a decoded path.
 
-    entries: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for n, i, g in self.entries:
-            if (n, i) in seen:
-                raise ModelError(f"duplicate StepGradient cell ({n}, {i})")
-            seen.add((n, i))
-            if not np.isfinite(g):
-                raise ModelError(f"non-finite StepGradient value at ({n}, {i})")
-
-    def scaled(self, factor: float) -> "StepGradient":
-        return StepGradient(tuple((n, i, g * factor) for n, i, g in self.entries))
+    Step n consumes cond[n] and is scored on targets[n].  A finished path
+    ends with an EOS target; an unfinished one (cut at the length cap) has
+    no EOS step, so its last token conditions nothing.
+    """
+    tokens = tuple(int(t) for t in tokens)
+    if finished:
+        return (bos_id,) + tokens, tokens + (eos_id,)
+    if not tokens:
+        raise ModelError("an unfinished trajectory needs at least one token")
+    return (bos_id,) + tokens[:-1], tokens
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
@@ -214,7 +207,7 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     """Teacher-forced forward pass along a conditioning token sequence.
 
     Row n of the trace is the log distribution produced after consuming
-    target_ids[n]; callers prepend BOS themselves.
+    target_ids[n], the conditioning half of a ``trajectory``.
     """
     cond = np.asarray(target_ids, dtype=np.int64)
     if cond.size == 0:
@@ -241,59 +234,60 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     )
 
 
-def backward(params: ModelParams, trace: ForwardTrace, grad: StepGradient) -> ModelParams:
-    """Parameter gradients of F = sum of g[n,i] * log_output[n,i].
+def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
+    """Parameter gradients of F = sum over steps n of w[n] * log_output[n, targets[n]].
 
-    Linear in the supplied gradient values; the log-softmax Jacobian and the
-    backward recurrence through time are applied here.
+    targets holds one token per trace row, the target half of a
+    ``trajectory``; weights is one float for every step or an (N,) array.
+    At each step the log-softmax Jacobian gives dF/dz = w * (onehot - p),
+    which is then carried back through attention and the recurrence.
     """
-    g = params.zeros_like()
-    if not grad.entries:
-        return g
     n_steps, v = trace.log_probs.shape
-    dense = np.zeros((n_steps, v))
-    for n, i, value in grad.entries:
-        if not (0 <= n < n_steps and 0 <= i < v):
-            raise ModelError(f"StepGradient cell ({n}, {i}) outside trace of shape {(n_steps, v)}")
-        dense[n, i] = value
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n_steps,):
+        raise ModelError(f"{targets.size} targets for a trace of {n_steps} steps")
+    _check_ids(targets, v, "target")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape not in ((), (n_steps,)):
+        raise ModelError(f"{w.size} weights for a trace of {n_steps} steps")
+    if not np.all(np.isfinite(w)):
+        raise ModelError("non-finite gradient weight")
+    w = np.broadcast_to(w, (n_steps,))
 
+    g = params.zeros_like()
     H = trace.enc_states
     dH = np.zeros_like(H)
     ds_next = np.zeros(params.d)
     for n in range(n_steps - 1, -1, -1):
-        row = dense[n]
         s = trace.states[n]
         c = trace.contexts[n]
         alpha = trace.attn_weights[n]
-        if row.any() or ds_next.any():
-            p = np.exp(trace.log_probs[n])
-            dz = row - p * row.sum()
-            g.out_proj += np.outer(s + c, dz)
-            g.out_bias += dz
-            dsc = params.out_proj @ dz
-            dc = dsc
-            ds = dsc + ds_next
-            # attention: c = alpha @ H, a_t = h_t @ attn @ s
-            dalpha = H @ dc
-            dH += np.outer(alpha, dc)
-            da = alpha * (dalpha - alpha @ dalpha)
-            ds = ds + (H @ params.attn).T @ da
-            g.attn += np.outer(H.T @ da, s)
-            dH += np.outer(da, params.attn @ s)
-            # recurrence: s = tanh(u @ dec_in + s_prev @ dec_state)
-            dq = ds * (1.0 - s * s)
-            u = params.tgt_emb[trace.cond_tokens[n]]
-            s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
-            g.dec_in += np.outer(u, dq)
-            g.dec_state += np.outer(s_prev, dq)
-            np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
-            ds_next = dq @ params.dec_state.T
-        else:
-            ds_next = np.zeros(params.d)
-    if dH.any():
-        dq_enc = dH * (1.0 - H * H)
-        g.enc_proj += params.src_emb[trace.input_ids].T @ dq_enc
-        np.add.at(g.src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
+        p = np.exp(trace.log_probs[n])
+        dz = -w[n] * p
+        dz[targets[n]] += w[n]
+        g.out_proj += np.outer(s + c, dz)
+        g.out_bias += dz
+        dsc = params.out_proj @ dz
+        dc = dsc
+        ds = dsc + ds_next
+        # attention: c = alpha @ H, a_t = h_t @ attn @ s
+        dalpha = H @ dc
+        dH += np.outer(alpha, dc)
+        da = alpha * (dalpha - alpha @ dalpha)
+        ds = ds + (H @ params.attn).T @ da
+        g.attn += np.outer(H.T @ da, s)
+        dH += np.outer(da, params.attn @ s)
+        # recurrence: s = tanh(u @ dec_in + s_prev @ dec_state)
+        dq = ds * (1.0 - s * s)
+        u = params.tgt_emb[trace.cond_tokens[n]]
+        s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
+        g.dec_in += np.outer(u, dq)
+        g.dec_state += np.outer(s_prev, dq)
+        np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
+        ds_next = dq @ params.dec_state.T
+    dq_enc = dH * (1.0 - H * H)
+    g.enc_proj += params.src_emb[trace.input_ids].T @ dq_enc
+    np.add.at(g.src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
     return g
 
 

@@ -9,12 +9,13 @@ typically case and punctuation sensitive.
 
 from __future__ import annotations
 
+import http.client
 import json
+import urllib.error
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
-
-import requests
 
 from .corpus import normalize_text
 
@@ -120,17 +121,28 @@ def post_json(url: str, payload: dict, timeout: float) -> dict:
     Shared by the scorer and summarizer clients; raises the distinct wire
     errors this package reports.
     """
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
     try:
-        resp = requests.post(url, json=payload, timeout=timeout)
-    except requests.exceptions.Timeout as exc:
-        raise RemoteTimeoutError(f"request to {url} timed out") from exc
-    except requests.exceptions.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise RemoteProtocolError(f"{url} returned HTTP {exc.code}") from exc
+    except OSError as exc:
+        # A timeout surfaces raw while the response is read, wrapped while connecting.
+        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+            raise RemoteTimeoutError(f"request to {url} timed out") from exc
         raise RemoteNetworkError(f"cannot reach {url}: {exc}") from exc
-    if resp.status_code != 200:
-        raise RemoteProtocolError(f"{url} returned HTTP {resp.status_code}")
+    except http.client.HTTPException as exc:
+        raise RemoteProtocolError(f"{url} sent a malformed HTTP response: {exc}") from exc
+    if status != 200:
+        raise RemoteProtocolError(f"{url} returned HTTP {status}")
     try:
-        doc = resp.json()
-    except (ValueError, json.JSONDecodeError) as exc:
+        doc = json.loads(body)
+    except ValueError as exc:
         raise RemoteProtocolError(f"{url} returned invalid JSON") from exc
     if not isinstance(doc, dict):
         raise RemoteProtocolError(f"{url} returned a non-object JSON document")

@@ -1,13 +1,16 @@
 """Training loops: likelihood pretraining and consistency fine-tuning.
 
 Both loops are plain gradient ascent with a linear-decay learning rate and a
-seeded shuffle, so identical inputs give bit-identical checkpoints.  The
-consistency loop decodes each batch sample, scores the N-best list, turns
-the expectation's derivative into sparse per-step gradients, backpropagates
-them per hypothesis and sums.  Two safeguards bound it: a hard iteration cap
-(fine-tuning starts from a well-trained likelihood model and runs briefly)
-and a deletion tripwire that halts the run if dev deletions grow past a
-limit, returning the best previously-passing checkpoint instead.
+seeded shuffle, so identical inputs give bit-identical checkpoints.  Both
+gradients are a weight on every step of a token trajectory: the likelihood
+loop puts weight 1 on the reference path, and the consistency loop decodes
+each batch sample, scores the N-best list and puts each hypothesis's
+expected-score coefficient on that hypothesis's path.  Two safeguards bound
+the consistency loop: a hard iteration cap (fine-tuning starts from a
+well-trained likelihood model and runs briefly) and a deletion tripwire
+that halts the run if dev deletions grow past a limit, returning the best
+previously-passing checkpoint instead, or the starting model when no
+checkpoint ever passed.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import numpy as np
 
 from .beam import beam_decode
 from .corpus import Corpus
-from .fcm import expected_consistency, fcm_step_gradients
-from .metrics import EditBreakdown, avg_consistency, corpus_wer
+from .fcm import (
+    FcmError, ScoredNBest, expected_consistency, fcm_coefficients, fcm_corpus_objective,
+)
+from .metrics import EditBreakdown, corpus_wer
 from .model import (
-    ModelParams, StepGradient, accumulate, apply_update, backward, forward_teacher,
+    ModelParams, accumulate, apply_update, backward, forward_teacher, trajectory,
 )
 from .scorers import ConsistencyScorer
 
@@ -40,7 +45,6 @@ class TrainingSchedule:
     max_len: int = 24
     seed: int = 0
     checkpoint_every: int = 100
-    lr_decay: str = "linear"
 
     def validate(self) -> None:
         if self.total_iterations < 0:
@@ -55,8 +59,6 @@ class TrainingSchedule:
             )
         if min(self.beam_size, self.nbest_size, self.max_len, self.checkpoint_every) < 1:
             raise TrainerError("beam_size, nbest_size, max_len, checkpoint_every must be >= 1")
-        if self.lr_decay != "linear":
-            raise TrainerError(f"unsupported lr_decay {self.lr_decay!r}")
 
 
 @dataclass(frozen=True)
@@ -106,29 +108,23 @@ def _batch_iterator(rng: np.random.Generator, n: int, batch_size: int):
             chunk = order[at:at + batch_size]
             if len(chunk) == batch_size:
                 yield [int(i) for i in chunk]
-        # a short final chunk is folded into the next epoch's first batch
+        # a short final chunk is dropped; the next epoch reshuffles all n
 
 
 def _ce_gradient(params: ModelParams, corpus: Corpus, sample) -> tuple[ModelParams, float]:
     """Log-likelihood ascent gradient for one sample, plus its NLL."""
-    ref_ids = corpus.reference_ids(sample)
-    cond = [corpus.bos_id] + ref_ids
-    targets = ref_ids + [corpus.eos_id]
+    cond, targets = trajectory(corpus.reference_ids(sample), True, corpus.bos_id, corpus.eos_id)
     trace = forward_teacher(params, sample.input, cond)
-    grad = StepGradient(tuple((n, tok, 1.0) for n, tok in enumerate(targets)))
     nll = -float(sum(trace.log_probs[n, tok] for n, tok in enumerate(targets)))
-    return backward(params, trace, grad), nll
+    return backward(params, trace, targets, 1.0), nll
 
 
-def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
-    """Total teacher-forced negative log likelihood over a corpus."""
-    total = 0.0
-    for sample in corpus.samples:
-        ref_ids = corpus.reference_ids(sample)
-        trace = forward_teacher(params, sample.input, [corpus.bos_id] + ref_ids)
-        targets = ref_ids + [corpus.eos_id]
-        total -= float(sum(trace.log_probs[n, tok] for n, tok in enumerate(targets)))
-    return total
+def _scored_nbest(params: ModelParams, corpus: Corpus, sample, scorer: ConsistencyScorer,
+                  beam_size: int, nbest_size: int, max_len: int) -> ScoredNBest:
+    """Decode one sample, keep the top nbest_size hypotheses and score them."""
+    nbest = beam_decode(params, sample.input, beam_size, max_len,
+                        bos_id=corpus.bos_id, eos_id=corpus.eos_id)
+    return expected_consistency(nbest.top(nbest_size), sample, scorer, corpus.token_vocab)
 
 
 def decode_corpus_top1(params: ModelParams, corpus: Corpus, beam_size: int, max_len: int) -> list[str]:
@@ -142,20 +138,27 @@ def decode_corpus_top1(params: ModelParams, corpus: Corpus, beam_size: int, max_
 
 def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
                 beam_size: int, nbest_size: int, max_len: int) -> dict:
-    """Dev-set metrics: pooled WER, deletion rate, mean consistency, objective."""
-    from .fcm import fcm_corpus_objective
+    """Dev-set metrics: pooled WER, deletion rate, mean consistency, objective.
 
-    texts = decode_corpus_top1(params, corpus, beam_size, max_len)
-    pairs = [(t, s.reference) for t, s in zip(texts, corpus.samples)]
-    breakdown = corpus_wer(pairs)
-    mean_consistency, _ = avg_consistency(pairs, scorer)
-    objective = fcm_corpus_objective(corpus, params, scorer, beam_size, max_len,
-                                     nbest_size=nbest_size)
+    Each sample is decoded once: the top hypothesis of its scored N-best
+    list gives the text (for WER) and its consistency, and the list's
+    expectation adds to the objective.
+    """
+    scored = []
+    for sample in corpus.samples:
+        try:
+            scored.append(_scored_nbest(params, corpus, sample, scorer,
+                                        beam_size, nbest_size, max_len))
+        except Exception as exc:
+            raise FcmError(f"sample {sample.id!r}: {exc}") from exc
+    tops = [one.hypotheses[0] for one in scored]
+    breakdown = corpus_wer([(top.text, s.reference) for top, s in zip(tops, corpus.samples)])
+    scores = [top.consistency for top in tops]
     return {
         "dev_wer": breakdown.wer,
         "dev_del_rate": breakdown.deletion_rate,
-        "dev_avg_consistency": mean_consistency,
-        "dev_fcm_objective": objective,
+        "dev_avg_consistency": sum(scores) / len(scores),
+        "dev_fcm_objective": fcm_corpus_objective(scored),
         "_breakdown": breakdown,
     }
 
@@ -213,18 +216,15 @@ def train_ce(
 def _fcm_sample_gradient(params: ModelParams, corpus: Corpus, sample,
                          scorer: ConsistencyScorer, schedule: TrainingSchedule,
                          ce_weight: float) -> ModelParams:
-    nbest = beam_decode(params, sample.input, schedule.beam_size, schedule.max_len,
-                        bos_id=corpus.bos_id, eos_id=corpus.eos_id)
-    nbest = nbest.top(schedule.nbest_size)
-    scored = expected_consistency(nbest, sample, scorer, corpus.token_vocab)
-    step_grads = fcm_step_gradients(scored, corpus.eos_id)
+    scored = _scored_nbest(params, corpus, sample, scorer, schedule.beam_size,
+                           schedule.nbest_size, schedule.max_len)
     total = params.zeros_like()
-    for hyp, grad in zip(scored.hypotheses, step_grads):
-        if not grad.entries:
-            continue
-        cond = (corpus.bos_id,) + hyp.tokens
+    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
+        if coeff == 0.0:
+            continue  # its backward would add exact zeros
+        cond, targets = trajectory(hyp.tokens, hyp.finished, corpus.bos_id, corpus.eos_id)
         trace = forward_teacher(params, sample.input, cond)
-        accumulate(total, backward(params, trace, grad), 1.0 - ce_weight)
+        accumulate(total, backward(params, trace, targets, coeff), 1.0 - ce_weight)
     if ce_weight > 0.0:
         ce_grad, _ = _ce_gradient(params, corpus, sample)
         accumulate(total, ce_grad, ce_weight)
@@ -245,8 +245,10 @@ def train_fcm(
     dev corpus is given, dev metrics are logged every dev_check_every
     iterations and the deletion tripwire is checked; a trip ends training and
     the result carries the best passing checkpoint (highest dev objective)
-    together with a report.  The returned checkpoint never has a dev deletion
-    rate above the limit.
+    together with a report.  A tripped run never returns a checkpoint whose
+    dev deletion rate was above the limit, except when no checkpoint passed
+    at all, the starting model included: then the starting model is returned
+    and the report says so and gives its dev deletion rate.
     """
     schedule.validate()
     safeguard.validate()
@@ -265,14 +267,9 @@ def train_fcm(
         metrics = evaluate_on(params, dev, scorer, schedule.beam_size,
                               schedule.nbest_size, schedule.max_len)
         log.append(_log_entry(0, schedule.initial_lr, metrics))
+        start_del_rate = metrics["dev_del_rate"]
         if not deletion_guard(metrics["_breakdown"], limit):
             best_params, best_objective = params.copy(), metrics["dev_fcm_objective"]
-
-    def finish(current: ModelParams, tripped: bool, report: str | None) -> TrainResult:
-        if not tripped:
-            return TrainResult(params=current, log=log)
-        fallback = best_params if best_params is not None else params
-        return TrainResult(params=fallback, log=log, guard_tripped=True, guard_report=report)
 
     current = params
     for it in range(total_iters):
@@ -294,13 +291,19 @@ def train_fcm(
                                   schedule.nbest_size, schedule.max_len)
             log.append(_log_entry(it + 1, lr, metrics))
             if deletion_guard(metrics["_breakdown"], limit):
+                if best_params is None:
+                    fallback, returning = params, (
+                        f"no checkpoint passed the guard; returning the starting model "
+                        f"(dev deletion rate {start_del_rate:.4f})")
+                else:
+                    fallback, returning = best_params, "returning best passing checkpoint"
                 report = (
                     f"deletion guard tripped at iteration {it + 1}: dev deletion rate "
-                    f"{metrics['dev_del_rate']:.4f} > limit {limit:.4f}; "
-                    f"returning best passing checkpoint"
+                    f"{metrics['dev_del_rate']:.4f} > limit {limit:.4f}; {returning}"
                 )
-                return finish(current, True, report)
+                return TrainResult(params=fallback, log=log, guard_tripped=True,
+                                   guard_report=report)
             if metrics["dev_fcm_objective"] > best_objective:
                 best_params = current.copy()
                 best_objective = metrics["dev_fcm_objective"]
-    return finish(current, False, None)
+    return TrainResult(params=current, log=log)

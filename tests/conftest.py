@@ -1,5 +1,7 @@
 """Shared fixtures: random models, gradient-check harness, a fitted two-way
-ambiguity fixture, and a scriptable in-process HTTP server for wire tests."""
+ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
+the reference helpers (parameter comparison, N-best consistency check,
+corpus NLL) that only tests use."""
 
 from __future__ import annotations
 
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fcmax.beam import sequence_log_prob
 from fcmax.corpus import BOS, EOS, Corpus, Sample
 from fcmax.model import (
-    ModelParams, StepGradient, accumulate, apply_update, backward, forward_teacher,
+    ModelParams, accumulate, apply_update, backward, forward_teacher, trajectory,
 )
 
 settings.register_profile(
@@ -38,14 +41,69 @@ def random_params(d: int, src_vocab: int, tgt_vocab: int, seed: int,
     )
 
 
+def params_allclose(a: ModelParams, b: ModelParams) -> bool:
+    return all(
+        np.allclose(mat, getattr(b, name), rtol=0.0, atol=0.0)
+        for name, mat in a.matrices().items()
+    )
+
+
+def validate_scored(scored) -> None:
+    """A scored N-best list's posteriors sum to 1 and give its expectation."""
+    posteriors = np.array([h.posterior for h in scored.hypotheses])
+    assert abs(posteriors.sum() - 1.0) <= 1e-9 and np.all(posteriors > 0), (
+        "normalized posteriors must be positive and sum to 1")
+    expected = float(sum(h.posterior * h.scaled_score for h in scored.hypotheses))
+    assert abs(expected - scored.expected_score) <= 1e-9, (
+        f"expected score {scored.expected_score} inconsistent with hypothesis set "
+        f"(recomputed {expected})")
+
+
+def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
+    """Total teacher-forced negative log likelihood over a corpus."""
+    return -sum(
+        sequence_log_prob(params, s.input, corpus.reference_ids(s), corpus.bos_id, corpus.eos_id)
+        for s in corpus.samples
+    )
+
+
+def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:
+    """Write {step: {token: weight}} as a sum of (targets, weights) terms.
+
+    backward takes one target per step, so the k-th cell of every step goes
+    into term k; a step with fewer cells gets weight 0 in the later terms.
+    """
+    per_step = [sorted(cells.get(n, {}).items()) for n in range(n_steps)]
+    terms = []
+    for k in range(max(map(len, per_step))):
+        picked = [cs[k] if k < len(cs) else (0, 0.0) for cs in per_step]
+        terms.append(([t for t, _ in picked], np.array([w for _, w in picked])))
+    return terms
+
+
+def terms_backward(params: ModelParams, trace, terms) -> ModelParams:
+    total = params.zeros_like()
+    for targets, weights in terms:
+        accumulate(total, backward(params, trace, targets, weights))
+    return total
+
+
+def terms_objective(trace, terms) -> float:
+    """The function terms_backward differentiates: sum of w[n] * log L[n, t[n]]."""
+    return sum(
+        float(w) * trace.log_probs[n, t]
+        for targets, weights in terms
+        for n, (t, w) in enumerate(zip(targets, np.broadcast_to(weights, len(targets))))
+    )
+
+
 def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
-                            grad: StepGradient, eps: float = 1e-5) -> float:
+                            terms, eps: float = 1e-5) -> float:
     """Max relative error between backward() and central differences."""
-    analytic = backward(params, forward_teacher(params, input_ids, cond_tokens), grad)
+    analytic = terms_backward(params, forward_teacher(params, input_ids, cond_tokens), terms)
 
     def objective(p):
-        trace = forward_teacher(p, input_ids, cond_tokens)
-        return sum(v * trace.log_probs[n, i] for n, i, v in grad.entries)
+        return terms_objective(forward_teacher(p, input_ids, cond_tokens), terms)
 
     worst = 0.0
     for name, mat in params.matrices().items():
@@ -76,12 +134,7 @@ def fit_step_targets(params: ModelParams, input_ids, target_rows,
         total = params.zeros_like()
         for cond, rowspec in target_rows:
             trace = forward_teacher(params, input_ids, cond)
-            entries = tuple(
-                (n, tok, pstar)
-                for n, dist in rowspec.items()
-                for tok, pstar in dist.items()
-            )
-            accumulate(total, backward(params, trace, StepGradient(entries)))
+            accumulate(total, terms_backward(params, trace, cell_terms(len(cond), rowspec)))
         params = apply_update(params, total, lr)
     return params
 
@@ -121,10 +174,11 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
     Consistency scores are constants; only the renormalized posteriors depend
     on the parameters.  The finite-difference oracle recomputes the raw
     sequence log probabilities and their softmax for every perturbation and
-    is compared against composing the sparse step gradients with backward().
+    is compared against backward() along each hypothesis's trajectory,
+    weighted by its coefficient.
     """
-    from fcmax.beam import beam_decode, sequence_log_prob
-    from fcmax.fcm import expected_consistency, fcm_step_gradients, normalize_posteriors
+    from fcmax.beam import beam_decode
+    from fcmax.fcm import expected_consistency, fcm_coefficients, normalize_posteriors
 
     nbest = beam_decode(params, sample.input, beam_size, max_len,
                         bos_id=corpus.bos_id, eos_id=corpus.eos_id)
@@ -133,9 +187,10 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
     hyps = [(h.tokens, h.finished) for h in scored.hypotheses]
 
     analytic = params.zeros_like()
-    for hyp, grad in zip(scored.hypotheses, fcm_step_gradients(scored, corpus.eos_id)):
-        trace = forward_teacher(params, sample.input, (corpus.bos_id,) + hyp.tokens)
-        accumulate(analytic, backward(params, trace, grad))
+    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
+        cond, targets = trajectory(hyp.tokens, hyp.finished, corpus.bos_id, corpus.eos_id)
+        trace = forward_teacher(params, sample.input, cond)
+        accumulate(analytic, backward(params, trace, targets, coeff))
 
     def objective(p):
         logps = [

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import AMBIG_VOCAB, DUNNO, KNOW, fcm_fixed_nbest_check, random_params
+from conftest import (
+    AMBIG_VOCAB, DUNNO, KNOW, fcm_fixed_nbest_check, random_params, validate_scored,
+)
 from fcmax.beam import Hypothesis, NBestList
 from fcmax.corpus import BOS, EOS, Corpus, Sample, SynthConfig, generate_synthetic_corpus
 from fcmax.fcm import (
-    FcmError, ScoredHypothesis, ScoredNBest, expected_consistency,
-    fcm_corpus_objective, fcm_step_gradients, normalize_posteriors,
+    FcmError, ScoredHypothesis, ScoredNBest, expected_consistency, fcm_coefficients,
+    fcm_corpus_objective, normalize_posteriors,
 )
+from fcmax.model import trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
+from fcmax.trainer import evaluate_on
 
 
 def constant_scorer(value: float) -> ConsistencyScorer:
@@ -72,7 +76,7 @@ def test_constant_scorer_gives_ref_word_count():
     scored = expected_consistency(_two_way_nbest(), _sample(5), constant_scorer(1.0),
                                   AMBIG_VOCAB)
     assert scored.expected_score == pytest.approx(5.0, abs=1e-12)
-    scored.validate()
+    validate_scored(scored)
 
 
 def test_single_hypothesis_expectation():
@@ -95,8 +99,7 @@ def test_single_hypothesis_gradient_vanishes():
     nbest = NBestList([Hypothesis(tokens=(KNOW,), log_prob=-0.5)], beam_size=1)
     scored = expected_consistency(nbest, _sample(4), table_scorer({"know": 0.3}),
                                   AMBIG_VOCAB)
-    (grad,) = fcm_step_gradients(scored, eos_id=1)
-    assert all(g == 0.0 for _, _, g in grad.entries)
+    assert fcm_coefficients(scored).tolist() == [0.0]
 
 
 def test_hand_computed_gradient_coefficients():
@@ -104,9 +107,9 @@ def test_hand_computed_gradient_coefficients():
         _two_way_nbest(), _sample(3), table_scorer({"know": 0.2, "dunno": 0.9}),
         AMBIG_VOCAB,
     )
-    g_know, g_dunno = fcm_step_gradients(scored, eos_id=1)
-    assert g_know.entries[0][2] == pytest.approx(-0.336, abs=1e-12)
-    assert g_dunno.entries[0][2] == pytest.approx(0.336, abs=1e-12)
+    c_know, c_dunno = fcm_coefficients(scored)
+    assert c_know == pytest.approx(-0.336, abs=1e-12)
+    assert c_dunno == pytest.approx(0.336, abs=1e-12)
 
 
 def test_gradient_cells_cover_trajectory_and_eos():
@@ -120,11 +123,13 @@ def test_gradient_cells_cover_trajectory_and_eos():
     scored = expected_consistency(nbest, _sample(2),
                                   table_scorer({"know dunno": 0.9, "dunno know": 0.1}),
                                   AMBIG_VOCAB)
-    finished_grad, truncated_grad = fcm_step_gradients(scored, eos_id=1)
-    assert [(n, i) for n, i, _ in finished_grad.entries] == [(0, KNOW), (1, DUNNO), (2, 1)]
-    assert [(n, i) for n, i, _ in truncated_grad.entries] == [(0, DUNNO), (1, KNOW)]
-    coeffs = {g for _, _, g in finished_grad.entries}
-    assert len(coeffs) == 1  # identical value at every step
+    finished, truncated = scored.hypotheses
+    # one coefficient per hypothesis, the weight on every step of its trajectory
+    assert fcm_coefficients(scored).shape == (2,)
+    assert trajectory(finished.tokens, finished.finished, 0, 1) == (
+        (0, KNOW, DUNNO), (KNOW, DUNNO, 1))
+    assert trajectory(truncated.tokens, truncated.finished, 0, 1) == (
+        (0, DUNNO), (DUNNO, KNOW))
 
 
 def _random_scored(rng) -> ScoredNBest:
@@ -150,17 +155,14 @@ def test_zero_sum_over_random_fixtures():
     rng = np.random.default_rng(5)
     for _ in range(200):
         scored = _random_scored(rng)
-        grads = fcm_step_gradients(scored, eos_id=1)
-        total = sum(g.entries[0][2] for g in grads)
-        assert abs(total) <= 1e-9
+        assert abs(sum(fcm_coefficients(scored))) <= 1e-9
 
 
 def test_sign_structure():
     rng = np.random.default_rng(6)
     for _ in range(50):
         scored = _random_scored(rng)
-        for hyp, grad in zip(scored.hypotheses, fcm_step_gradients(scored, eos_id=1)):
-            coeff = grad.entries[0][2]
+        for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
             if hyp.scaled_score > scored.expected_score:
                 assert coeff > 0
             elif hyp.scaled_score < scored.expected_score:
@@ -184,16 +186,16 @@ def test_scale_equivariance_exact_for_power_of_two():
     rng = np.random.default_rng(7)
     for _ in range(50):
         scored = _random_scored(rng)
-        base = [g.entries[0][2] for g in fcm_step_gradients(scored, eos_id=1)]
-        doubled = [g.entries[0][2] for g in fcm_step_gradients(_scale_scores(scored, 2.0), eos_id=1)]
-        assert doubled == [2.0 * g for g in base]
+        base = fcm_coefficients(scored)
+        doubled = fcm_coefficients(_scale_scores(scored, 2.0))
+        assert doubled.tolist() == (2.0 * base).tolist()
 
 
 def test_scale_equivariance_general_factor():
     rng = np.random.default_rng(8)
     scored = _random_scored(rng)
-    base = [g.entries[0][2] for g in fcm_step_gradients(scored, eos_id=1)]
-    scaled = [g.entries[0][2] for g in fcm_step_gradients(_scale_scores(scored, 0.37), eos_id=1)]
+    base = fcm_coefficients(scored)
+    scaled = fcm_coefficients(_scale_scores(scored, 0.37))
     for got, want in zip(scaled, base):
         assert got == pytest.approx(0.37 * want, rel=1e-12, abs=1e-15)
 
@@ -202,16 +204,18 @@ def _tiny_corpus(n: int, seed: int) -> Corpus:
     return generate_synthetic_corpus(SynthConfig(n_samples=n, seed=seed))
 
 
+def _dev_objective(corpus, params, scorer) -> float:
+    return evaluate_on(params, corpus, scorer, 2, 2, 4)["dev_fcm_objective"]
+
+
 def test_corpus_objective_empty():
-    corpus = _tiny_corpus(0, 1)
-    params = random_params(3, corpus.source_vocab_size, len(corpus.token_vocab), seed=1)
-    assert fcm_corpus_objective(corpus, params, constant_scorer(0.5), 2, 4) == 0.0
+    assert fcm_corpus_objective([]) == 0.0
 
 
 def test_corpus_objective_single_sample_constant_scorer():
     corpus = _tiny_corpus(1, 2)
     params = random_params(3, corpus.source_vocab_size, len(corpus.token_vocab), seed=2)
-    total = fcm_corpus_objective(corpus, params, constant_scorer(1.0), 2, 4)
+    total = _dev_objective(corpus, params, constant_scorer(1.0))
     assert total == pytest.approx(corpus.samples[0].ref_word_count, abs=1e-9)
 
 
@@ -220,10 +224,9 @@ def test_corpus_objective_is_additive():
     params = random_params(3, corpus.source_vocab_size, len(corpus.token_vocab), seed=3)
     scorer = weighted_f1_scorer()
     one, two = corpus.split(1, 1)
-    total = fcm_corpus_objective(corpus, params, scorer, 2, 4)
+    total = _dev_objective(corpus, params, scorer)
     assert total == pytest.approx(
-        fcm_corpus_objective(one, params, scorer, 2, 4)
-        + fcm_corpus_objective(two, params, scorer, 2, 4),
+        _dev_objective(one, params, scorer) + _dev_objective(two, params, scorer),
         abs=1e-12,
     )
 
@@ -233,7 +236,7 @@ def test_corpus_objective_attaches_sample_id():
     params = random_params(3, corpus.source_vocab_size, len(corpus.token_vocab), seed=4)
     failing = ConsistencyScorer(name="boom", fn=lambda h, r: 1 / 0)
     with pytest.raises(FcmError, match=corpus.samples[0].id):
-        fcm_corpus_objective(corpus, params, failing, 2, 4)
+        _dev_objective(corpus, params, failing)
 
 
 def test_fixed_nbest_gradient_check(ambiguity_fixture):
@@ -261,5 +264,5 @@ def test_scored_nbest_validation():
                                      scaled_score=2.0, finished=True)],
         ref_word_count=2, expected_score=1.4,
     )
-    with pytest.raises(FcmError, match="sum to 1"):
-        bad.validate()
+    with pytest.raises(AssertionError, match="sum to 1"):
+        validate_scored(bad)

@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
 
 from fcmax.metrics import (
@@ -219,6 +219,7 @@ def test_p_value_monotone_in_t(df, t, bump):
 
 
 @given(st.floats(min_value=-12.0, max_value=12.0), st.integers(min_value=1, max_value=80))
+@example(t=5.960464477539063e-08, df=32)  # t*t is lost in df + t*t
 def test_p_value_matches_reference_distribution(t, df):
     ours = student_t_p_value(t, df)
     reference = 2.0 * scipy_stats.t.sf(abs(t), df)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, random_params
+from conftest import (
+    cell_terms, finite_difference_check, params_allclose, random_params, terms_objective,
+)
 from fcmax.model import (
-    ModelError, ModelParams, StepGradient, accumulate, apply_update, backward,
-    forward_step, forward_teacher, init_decode_state, init_params,
-    load_checkpoint, save_checkpoint,
+    ModelError, ModelParams, accumulate, apply_update, backward, forward_step,
+    forward_teacher, init_decode_state, init_params, load_checkpoint, save_checkpoint,
+    trajectory,
 )
 
 
@@ -96,7 +98,7 @@ def test_forward_perturbation_is_first_order():
     inp, cond = [1, 2, 0], [0, 3, 2]
     cell = (1, 4)
     analytic = backward(
-        p, forward_teacher(p, inp, cond), StepGradient(((cell[0], cell[1], 1.0),))
+        p, forward_teacher(p, inp, cond), [0, 4, 0], np.array([0.0, 1.0, 0.0])
     ).dec_in[2, 1]
 
     def value(eps):
@@ -138,32 +140,38 @@ def test_forward_step_rejects_mismatched_state():
         forward_step(p, state, 0)
 
 
+def test_trajectory_layout():
+    assert trajectory([5, 6], True, bos_id=0, eos_id=1) == ((0, 5, 6), (5, 6, 1))
+    assert trajectory((5, 6), False, bos_id=0, eos_id=1) == ((0, 5), (5, 6))
+    assert trajectory((), True, bos_id=0, eos_id=1) == ((0,), (1,))
+    with pytest.raises(ModelError, match="unfinished"):
+        trajectory((), False, bos_id=0, eos_id=1)
+
+
 def test_backward_empty_gradient_is_zero():
     p = random_params(4, 5, 6, seed=4)
     trace = forward_teacher(p, [1, 2], [0, 3])
-    g = backward(p, trace, StepGradient(()))
+    g = backward(p, trace, [3, 2], 0.0)
     assert all(not mat.any() for mat in g.matrices().values())
 
 
 def test_backward_single_cell_matches_finite_differences():
     p = random_params(4, 5, 6, seed=6)
-    grad = StepGradient(((0, 3, 1.0),))
-    assert finite_difference_check(p, [1, 2, 4], [0], grad, eps=1e-5) <= 1e-4
+    assert finite_difference_check(p, [1, 2, 4], [0], [([3], 1.0)], eps=1e-5) <= 1e-4
 
 
 def test_backward_is_linear_in_the_gradient():
     p = random_params(3, 4, 5, seed=7)
     inp, cond = [1, 3], [0, 2, 4]
     trace = forward_teacher(p, inp, cond)
-    g1 = StepGradient(((0, 1, 0.7), (2, 3, -0.2)))
-    g2 = StepGradient(((1, 4, 1.1), (2, 3, 0.5)))
+    targets = [1, 4, 3]
+    w1, w2 = np.array([0.7, 0.0, -0.2]), np.array([0.0, 1.1, 0.5])
     a, b = 2.0, 3.0
-    combined = StepGradient(((0, 1, a * 0.7), (1, 4, b * 1.1), (2, 3, a * -0.2 + b * 0.5)))
-    lhs = backward(p, trace, combined)
-    rhs = backward(p, trace, g1)
+    lhs = backward(p, trace, targets, a * w1 + b * w2)
+    rhs = backward(p, trace, targets, w1)
     for name, mat in rhs.matrices().items():
         mat *= a
-    accumulate(rhs, backward(p, trace, g2), b)
+    accumulate(rhs, backward(p, trace, targets, w2), b)
     for name, mat in lhs.matrices().items():
         np.testing.assert_allclose(mat, getattr(rhs, name), atol=1e-8)
 
@@ -171,9 +179,9 @@ def test_backward_is_linear_in_the_gradient():
 def test_backward_doubled_gradient_doubles_exactly():
     p = random_params(3, 4, 5, seed=7)
     trace = forward_teacher(p, [1, 3], [0, 2, 4])
-    g1 = StepGradient(((0, 1, 0.7), (2, 3, -0.2)))
-    doubled = backward(p, trace, g1.scaled(2.0))
-    base = backward(p, trace, g1)
+    w = np.array([0.7, 0.0, -0.2])
+    doubled = backward(p, trace, [1, 4, 3], 2.0 * w)
+    base = backward(p, trace, [1, 4, 3], w)
     for name, mat in doubled.matrices().items():
         assert np.array_equal(mat, 2.0 * getattr(base, name))
 
@@ -191,22 +199,30 @@ def test_backward_random_models_match_finite_differences():
         cells = set()
         while len(cells) < n_cells:
             cells.add((int(rng.integers(len(cond))), int(rng.integers(tv))))
-        grad = StepGradient(tuple((n, i, float(rng.normal())) for n, i in cells))
-        assert finite_difference_check(p, inp, cond, grad) <= 1e-4
+        rows: dict[int, dict[int, float]] = {}
+        for n, i in cells:
+            rows.setdefault(n, {})[i] = float(rng.normal())
+        assert finite_difference_check(p, inp, cond, cell_terms(len(cond), rows)) <= 1e-4
 
 
 def test_backward_rejects_out_of_trace_cells():
     p = random_params(3, 4, 5, seed=9)
     trace = forward_teacher(p, [1], [0])
-    with pytest.raises(ModelError, match="outside trace"):
-        backward(p, trace, StepGradient(((1, 0, 1.0),)))
+    with pytest.raises(ModelError, match="2 targets for a trace of 1 steps"):
+        backward(p, trace, [0, 1], 1.0)
+    with pytest.raises(ModelError, match="out of range"):
+        backward(p, trace, [5], 1.0)
+    with pytest.raises(ModelError, match="1 steps"):
+        backward(p, trace, [0], np.ones(2))
 
 
-def test_step_gradient_rejects_duplicates_and_nonfinite():
-    with pytest.raises(ModelError, match="duplicate"):
-        StepGradient(((0, 1, 1.0), (0, 1, 2.0)))
+def test_backward_rejects_nonfinite_weights():
+    p = random_params(3, 4, 5, seed=9)
+    trace = forward_teacher(p, [1], [0, 2])
     with pytest.raises(ModelError, match="non-finite"):
-        StepGradient(((0, 1, float("nan")),))
+        backward(p, trace, [2, 1], np.array([1.0, np.nan]))
+    with pytest.raises(ModelError, match="non-finite"):
+        backward(p, trace, [2, 1], np.inf)
 
 
 def test_apply_update_zero_lr_keeps_params():
@@ -214,7 +230,7 @@ def test_apply_update_zero_lr_keeps_params():
     g = p.zeros_like()
     g.out_bias += 1.0
     q = apply_update(p, g, 0.0)
-    assert p.allclose(q)
+    assert params_allclose(p, q)
 
 
 def test_apply_update_unit_step():
@@ -228,13 +244,12 @@ def test_apply_update_unit_step():
 def test_ascent_step_increases_objective():
     p = random_params(4, 5, 6, seed=12)
     inp, cond = [1, 2, 3], [0, 2, 4]
-    grad = StepGradient(((0, 2, 1.0), (1, 4, 1.0), (2, 1, 1.0)))
+    terms = [([2, 4, 1], 1.0)]
 
     def objective(params):
-        trace = forward_teacher(params, inp, cond)
-        return sum(v * trace.log_probs[n, i] for n, i, v in grad.entries)
+        return terms_objective(forward_teacher(params, inp, cond), terms)
 
-    g = backward(p, forward_teacher(p, inp, cond), grad)
+    g = backward(p, forward_teacher(p, inp, cond), *terms[0])
     q = apply_update(p, g, 1e-3)
     assert objective(q) > objective(p)
 

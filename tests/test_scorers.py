@@ -142,6 +142,12 @@ def test_remote_score_http_error(wire_server):
         remote_score(wire_server.url, "h", "r")
 
 
+def test_remote_score_timeout(wire_server):
+    wire_server.respond({"consistency": 0.4}, delay=0.5)
+    with pytest.raises(RemoteTimeoutError, match="timed out"):
+        remote_score(wire_server.url, "h", "r", timeout=0.1)
+
+
 def test_remote_score_unreachable_names_endpoint():
     with pytest.raises(RemoteNetworkError, match="127.0.0.1:1"):
         remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)

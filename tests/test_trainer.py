@@ -5,16 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import corpus_nll, params_allclose
 from fcmax.beam import beam_decode
-from fcmax.corpus import BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus
-from fcmax.fcm import expected_consistency, fcm_corpus_objective, fcm_step_gradients, normalize_posteriors
+from fcmax.corpus import BOS, EOS, Corpus, Sample, detokenize
+from fcmax.fcm import expected_consistency, fcm_coefficients, normalize_posteriors
 from fcmax.metrics import EditBreakdown
 from fcmax.model import init_params
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
-    SafeguardConfig, TrainerError, TrainingSchedule, corpus_nll, deletion_guard,
-    evaluate_on, linear_decay_lr, train_ce, train_fcm,
+    SafeguardConfig, TrainerError, TrainingSchedule, deletion_guard, evaluate_on,
+    linear_decay_lr, train_ce, train_fcm,
 )
 
 LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_avg_consistency",
@@ -61,7 +61,7 @@ def test_zero_iterations_leaves_params_unchanged():
     corpus = _toy_corpus()
     params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=2)
     result = train_ce(params, corpus, _toy_schedule(total_iterations=0))
-    assert params.allclose(result.params)
+    assert params_allclose(params, result.params)
 
 
 def test_ce_training_lowers_nll():
@@ -105,8 +105,6 @@ def test_schedule_validation():
         TrainingSchedule(total_iterations=1, initial_lr=0.1, beam_size=2, nbest_size=3).validate()
     with pytest.raises(TrainerError, match="initial_lr"):
         TrainingSchedule(total_iterations=1, initial_lr=0.0).validate()
-    with pytest.raises(TrainerError, match="lr_decay"):
-        TrainingSchedule(total_iterations=1, initial_lr=0.1, lr_decay="cosine").validate()
     with pytest.raises(TrainerError, match="ce_interpolation_weight"):
         SafeguardConfig(ce_interpolation_weight=1.0).validate()
 
@@ -148,11 +146,11 @@ def test_fcm_steering_flips_the_ambiguous_sample(ambiguity_fixture):
 def test_fcm_improves_dev_objective(ambiguity_fixture):
     corpus, params = ambiguity_fixture
     scorer = exact_match_scorer()
-    before = fcm_corpus_objective(corpus, params, scorer, 4, 4, nbest_size=4)
+    before = evaluate_on(params, corpus, scorer, 4, 4, 4)["dev_fcm_objective"]
     schedule = TrainingSchedule(total_iterations=100, initial_lr=0.3, beam_size=4,
                                 nbest_size=4, max_len=4, seed=0)
     result = train_fcm(params, corpus, scorer, schedule)
-    after = fcm_corpus_objective(corpus, result.params, scorer, 4, 4, nbest_size=4)
+    after = evaluate_on(result.params, corpus, scorer, 4, 4, 4)["dev_fcm_objective"]
     assert after >= before
 
 
@@ -175,9 +173,7 @@ def test_exact_match_coefficient_positive_on_two_way_fixture(ambiguity_fixture):
     nbest = beam_decode(params, sample.input, 4, 4, bos_id=corpus.bos_id,
                         eos_id=corpus.eos_id)
     scored = expected_consistency(nbest, sample, exact_match_scorer(), corpus.token_vocab)
-    grads = fcm_step_gradients(scored, corpus.eos_id)
-    for hyp, grad in zip(scored.hypotheses, grads):
-        coeff = grad.entries[0][2]
+    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
         if hyp.text == sample.reference:
             assert coeff > 0
         else:
@@ -213,8 +209,29 @@ def test_deletion_guard_trips_and_returns_passing_checkpoint():
                        dev=corpus)
     assert result.guard_tripped
     assert "deletion" in result.guard_report
+    assert "returning best passing checkpoint" in result.guard_report
     final = evaluate_on(result.params, corpus, weighted_f1_scorer(), 4, 4, 8)
     assert final["dev_del_rate"] <= 0.25
+
+
+def test_deletion_guard_without_a_passing_checkpoint_returns_the_start_model():
+    corpus = _toy_corpus(6, seed=3)
+    params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=6)
+    start = evaluate_on(params, corpus, weighted_f1_scorer(), 4, 4, 8)
+    limit = start["dev_del_rate"] / 2
+    assert limit > 0  # the start model is already over the limit
+    schedule = _toy_schedule(total_iterations=4, initial_lr=1e-4, batch_size=1,
+                             beam_size=4, nbest_size=4)
+    safeguard = SafeguardConfig(max_fcm_iterations=4, deletion_rate_limit=limit,
+                                dev_check_every=2)
+    result = train_fcm(params, corpus, weighted_f1_scorer(), schedule, safeguard,
+                       dev=corpus)
+    assert result.guard_tripped
+    assert "returning best passing checkpoint" not in result.guard_report
+    assert (f"no checkpoint passed the guard; returning the starting model "
+            f"(dev deletion rate {start['dev_del_rate']:.4f})") in result.guard_report
+    for name, mat in result.params.matrices().items():
+        assert np.array_equal(mat, getattr(params, name))
 
 
 def test_fcm_respects_hard_iteration_cap():
