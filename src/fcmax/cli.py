@@ -1,9 +1,13 @@
 """Command-line front end for the full workflow.
 
 Subcommands: gen-data, train-ce, train-fcm, decode, eval-utt, eval-sum,
-ttest.  Options may come from a JSON config file (--config); flags win over
-config values.  Outputs are written atomically.  Exit status: 0 success,
-1 usage error, 2 runtime error.
+ttest.  Each is one ``COMMANDS`` entry: handler, help, file and label flags
+(required or not) and tunables with their defaults, from which
+``build_parser`` makes the flags.  Tunables may also come from a JSON config
+file (--config): flag beats config beats default, and a config key that is
+not a tunable of the subcommand is rejected.  A checkpoint is evaluated by
+``decode`` then ``eval-utt --hyp``.  Outputs are written atomically.  Exit
+status: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
@@ -23,10 +29,11 @@ from .fcm import normalize_posteriors
 from .scorers import (
     ConsistencyScorer, exact_match_scorer, lcs_scorer, remote_scorer, weighted_f1_scorer,
 )
-from .trainer import SafeguardConfig, TrainingSchedule, train_ce, train_fcm
+from .trainer import SafeguardConfig, TrainingSchedule, TrainResult, train_ce, train_fcm
 
 SCORER_URL_ENV = "FCM_SCORER_URL"
 SUMMARIZER_URL_ENV = "FCM_SUMMARIZER_URL"
+SCORERS = ("exact", "weighted-f1", "lcs", "remote")
 
 
 class UsageError(Exception):
@@ -40,200 +47,108 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return cfg
+def _options(args: argparse.Namespace, defaults: dict) -> dict:
+    """Resolve tunables: flag beats config beats default; reject unknown config keys."""
+    config = {}
+    if getattr(args, "config", None) is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+        unknown = set(config) - set(defaults)
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    opts = {}
+    for key, default in defaults.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None:
+            value = config.get(key, default)
+        opts[key] = value if value is None or default is None else type(default)(value)
+    return opts
 
 
-def _merge(args: argparse.Namespace, config: dict, known: dict) -> dict:
-    """Resolve option values: flag beats config beats default; reject unknowns."""
-    unknown = set(config) - set(known)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, default in known.items():
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            out[key] = flag
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = default
-    return out
+def _from_options(cls, opts: dict, **renamed: str):
+    """A dataclass whose fields take the tunables named like them (dashes for underscores).
+
+    ``renamed`` maps a field to a differently named tunable; a field with no
+    tunable in ``opts`` keeps its default.
+    """
+    names = {f.name: renamed.get(f.name, f.name.replace("_", "-")) for f in fields(cls)}
+    return cls(**{field: opts[key] for field, key in names.items() if key in opts})
 
 
-def _build_scorer(name: str | None, url: str | None, synth: SynthConfig) -> ConsistencyScorer:
-    if name is None:
-        raise UsageError("a --scorer is required (exact|weighted-f1|lcs|remote)")
-    if name == "exact":
-        return exact_match_scorer()
-    if name == "weighted-f1":
-        return weighted_f1_scorer(default_token_weights(synth))
-    if name == "lcs":
-        return lcs_scorer()
+def _scorer(opts: dict) -> ConsistencyScorer:
+    """The scorer the options name; weighted-F1 (train-ce's only scorer) by default."""
+    name = opts.get("scorer", "weighted-f1")
+    if name not in SCORERS:
+        raise UsageError(f"a --scorer is required, one of {'|'.join(SCORERS)}"
+                         + ("" if name is None else f"; got {name!r}"))
     if name == "remote":
-        endpoint = url or os.environ.get(SCORER_URL_ENV)
+        endpoint = opts["scorer-url"] or os.environ.get(SCORER_URL_ENV)
         if not endpoint:
-            raise UsageError(
-                f"--scorer remote needs --scorer-url or ${SCORER_URL_ENV}"
-            )
+            raise UsageError(f"--scorer remote needs --scorer-url or ${SCORER_URL_ENV}")
         return remote_scorer(endpoint)
-    raise UsageError(f"unknown scorer {name!r} (use exact|weighted-f1|lcs|remote)")
-
-
-def _write_metrics_log(path: str | None, log: list[dict]) -> None:
-    if path is None:
-        return
-    atomic_write_text(path, "".join(json.dumps(entry) + "\n" for entry in log))
-
-
-def _synth_config(opts: dict) -> SynthConfig:
-    return SynthConfig(
-        n_samples=int(opts["n"]),
-        seed=int(opts["seed"]),
-        min_len=int(opts["min-len"]),
-        max_len=int(opts["max-len"]),
-        negation_drop_rate=float(opts["negation-drop-rate"]),
-        content_weight=float(opts["content-weight"]),
-        filler_weight=float(opts["filler-weight"]),
-    )
-
-
-_SYNTH_DEFAULTS = {
-    "n": 1000, "seed": 0, "min-len": 5, "max-len": 12,
-    "negation-drop-rate": 0.3, "content-weight": 3.0, "filler-weight": 0.5,
-}
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--negation-drop-rate", type=float)
-    p.add_argument("--content-weight", type=float)
-    p.add_argument("--filler-weight", type=float)
-
-
-def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _merge(args, cfg, dict(_SYNTH_DEFAULTS))
-    corpus = corpus_mod.generate_synthetic_corpus(_synth_config(opts))
-    corpus_mod.save_corpus(corpus, args.out)
-    print(f"wrote {len(corpus.samples)} samples to {args.out}")
-    return 0
-
-
-_TRAIN_DEFAULTS = {
-    "iters": 2000, "lr": 1e-3, "batch-size": 4, "beam-size": 4, "nbest-size": 4,
-    "max-len": 24, "seed": 0, "checkpoint-every": 200, "d": 32,
-    "content-weight": 3.0, "filler-weight": 0.5,
-}
-
-
-def _schedule(opts: dict) -> TrainingSchedule:
-    return TrainingSchedule(
-        total_iterations=int(opts["iters"]),
-        initial_lr=float(opts["lr"]),
-        batch_size=int(opts["batch-size"]),
-        beam_size=int(opts["beam-size"]),
-        nbest_size=int(opts["nbest-size"]),
-        max_len=int(opts["max-len"]),
-        seed=int(opts["seed"]),
-        checkpoint_every=int(opts["checkpoint-every"]),
-    )
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dev")
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics-out")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--beam-size", type=int)
-    p.add_argument("--nbest-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--content-weight", type=float)
-    p.add_argument("--filler-weight", type=float)
-
-
-def _cmd_train_ce(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _merge(args, cfg, dict(_TRAIN_DEFAULTS))
-    corpus = corpus_mod.load_corpus(args.corpus)
-    dev = corpus_mod.load_corpus(args.dev) if args.dev else None
-    if args.init:
-        params = model_mod.load_checkpoint(args.init)
-    else:
-        params = model_mod.init_params(
-            int(opts["d"]), corpus.source_vocab_size, len(corpus.token_vocab),
-            seed=int(opts["seed"]),
-        )
-    scorer = weighted_f1_scorer(default_token_weights(SynthConfig(
+    if name != "weighted-f1":
+        return {"exact": exact_match_scorer, "lcs": lcs_scorer}[name]()
+    return weighted_f1_scorer(default_token_weights(SynthConfig(
         n_samples=0,
-        content_weight=float(opts["content-weight"]),
-        filler_weight=float(opts["filler-weight"]),
+        content_weight=opts["content-weight"],
+        filler_weight=opts["filler-weight"],
     )))
-    result = train_ce(params, corpus, _schedule(opts), dev=dev, scorer=scorer)
+
+
+def _save_trained(args, result: TrainResult) -> int:
     model_mod.save_checkpoint(result.params, args.out)
-    _write_metrics_log(args.metrics_out, result.log)
-    print(f"wrote checkpoint to {args.out}")
-    return 0
-
-
-_FCM_DEFAULTS = dict(_TRAIN_DEFAULTS)
-_FCM_DEFAULTS.update({
-    "iters": 500, "lr": 1e-4, "batch-size": 1, "checkpoint-every": 50,
-    "max-fcm-iters": 500, "deletion-rate-limit": 0.25, "dev-check-every": 50,
-    "ce-weight": 0.0, "scorer": None, "scorer-url": None,
-})
-
-
-def _cmd_train_fcm(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _merge(args, cfg, dict(_FCM_DEFAULTS))
-    synth = SynthConfig(
-        n_samples=0,
-        content_weight=float(opts["content-weight"]),
-        filler_weight=float(opts["filler-weight"]),
-    )
-    scorer = _build_scorer(opts["scorer"], opts["scorer-url"], synth)
-    corpus = corpus_mod.load_corpus(args.corpus)
-    dev = corpus_mod.load_corpus(args.dev) if args.dev else None
-    params = model_mod.load_checkpoint(args.init)
-    safeguard = SafeguardConfig(
-        max_fcm_iterations=int(opts["max-fcm-iters"]),
-        deletion_rate_limit=float(opts["deletion-rate-limit"]),
-        dev_check_every=int(opts["dev-check-every"]),
-        ce_interpolation_weight=float(opts["ce-weight"]),
-    )
-    result = train_fcm(params, corpus, scorer, _schedule(opts), safeguard, dev=dev)
-    model_mod.save_checkpoint(result.params, args.out)
-    _write_metrics_log(args.metrics_out, result.log)
+    if args.metrics_out:
+        atomic_write_text(args.metrics_out, "".join(json.dumps(row) + "\n" for row in result.log))
     if result.guard_tripped:
         print(result.guard_report)
     print(f"wrote checkpoint to {args.out}")
     return 0
 
 
-def _cmd_decode(args) -> int:
+def _cmd_gen_data(args, opts: dict) -> int:
+    corpus = corpus_mod.generate_synthetic_corpus(_from_options(SynthConfig, opts, n_samples="n"))
+    corpus_mod.save_corpus(corpus, args.out)
+    print(f"wrote {len(corpus.samples)} samples to {args.out}")
+    return 0
+
+
+def _schedule(opts: dict) -> TrainingSchedule:
+    return _from_options(TrainingSchedule, opts, total_iterations="iters", initial_lr="lr")
+
+
+def _cmd_train_ce(args, opts: dict) -> int:
+    corpus = corpus_mod.load_corpus(args.corpus)
+    dev = corpus_mod.load_corpus(args.dev) if args.dev else None
+    if args.init:
+        params = model_mod.load_checkpoint(args.init)
+    else:
+        params = model_mod.init_params(
+            opts["d"], corpus.source_vocab_size, len(corpus.token_vocab), seed=opts["seed"],
+        )
+    return _save_trained(args, train_ce(params, corpus, _schedule(opts), dev=dev,
+                                        scorer=_scorer(opts)))
+
+
+def _cmd_train_fcm(args, opts: dict) -> int:
+    scorer = _scorer(opts)
+    corpus = corpus_mod.load_corpus(args.corpus)
+    dev = corpus_mod.load_corpus(args.dev) if args.dev else None
+    params = model_mod.load_checkpoint(args.init)
+    safeguard = _from_options(SafeguardConfig, opts, max_fcm_iterations="max-fcm-iters",
+                              ce_interpolation_weight="ce-weight")
+    return _save_trained(args, train_fcm(params, corpus, scorer, _schedule(opts), safeguard,
+                                         dev=dev))
+
+
+def _cmd_decode(args, opts: dict) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     params = model_mod.load_checkpoint(args.checkpoint)
-    beam_size = args.beam_size if args.beam_size is not None else 4
-    max_len = args.max_len if args.max_len is not None else 24
     lines = []
     utterances = []
     for sample in corpus.samples:
-        nbest = beam_decode(params, sample.input, beam_size, max_len,
+        nbest = beam_decode(params, sample.input, opts["beam-size"], opts["max-len"],
                             bos_id=corpus.bos_id, eos_id=corpus.eos_id)
         posteriors = normalize_posteriors([h.log_prob for h in nbest.hypotheses])
         entry = {
@@ -272,35 +187,17 @@ def _load_hyp_texts(path: str) -> dict[str, str]:
     return out
 
 
-def _cmd_eval_utt(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _merge(args, cfg, {"threshold": 0.5, "content-weight": 3.0,
-                              "filler-weight": 0.5, "scorer": "weighted-f1",
-                              "scorer-url": None})
+def _cmd_eval_utt(args, opts: dict) -> int:
+    scorer = _scorer(opts)
     corpus = corpus_mod.load_corpus(args.corpus)
-    synth = SynthConfig(
-        n_samples=0,
-        content_weight=float(opts["content-weight"]),
-        filler_weight=float(opts["filler-weight"]),
-    )
-    scorer = _build_scorer(opts["scorer"], opts["scorer-url"], synth)
-    if args.hyp:
-        by_id = _load_hyp_texts(args.hyp)
-        missing = [s.id for s in corpus.samples if s.id not in by_id]
-        if missing:
-            raise ValueError(f"hypothesis file lacks ids: {missing[:5]}")
-        texts = [by_id[s.id] for s in corpus.samples]
-    elif args.checkpoint:
-        from .trainer import decode_corpus_top1
-
-        params = model_mod.load_checkpoint(args.checkpoint)
-        texts = decode_corpus_top1(params, corpus, 4, 24)
-    else:
-        raise UsageError("eval-utt needs --hyp or --checkpoint")
-    pairs = [(t, s.reference) for t, s in zip(texts, corpus.samples)]
+    by_id = _load_hyp_texts(args.hyp)
+    missing = [s.id for s in corpus.samples if s.id not in by_id]
+    if missing:
+        raise ValueError(f"hypothesis file lacks ids: {missing[:5]}")
+    pairs = [(by_id[s.id], s.reference) for s in corpus.samples]
     breakdown = metrics_mod.corpus_wer(pairs)
     mean_c, scores = metrics_mod.avg_consistency(pairs, scorer)
-    ratio = metrics_mod.consistent_ratio(pairs, scorer, float(opts["threshold"]))
+    ratio = metrics_mod.consistent_ratio(pairs, scorer, opts["threshold"])
     n = len(pairs)
     rows = [
         ("wer", breakdown.wer, n),
@@ -314,17 +211,11 @@ def _cmd_eval_utt(args) -> int:
         atomic_write_text(args.out, metrics_mod.csv_report(rows))
     if args.scores_out:
         atomic_write_text(args.scores_out, json.dumps(scores) + "\n")
-    label = args.label or (args.hyp or args.checkpoint)
-    print(metrics_mod.markdown_report([(label, breakdown, mean_c, ratio)]))
+    print(metrics_mod.markdown_report([(args.label or args.hyp, breakdown, mean_c, ratio)]))
     return 0
 
 
-def _cmd_eval_sum(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _merge(args, cfg, {"chunk-seconds": 60.0, "content-weight": 3.0,
-                              "filler-weight": 0.5, "temperature": 0.0,
-                              "top-p": 1.0, "max-tokens": 200,
-                              "scorer": "weighted-f1", "scorer-url": None})
+def _cmd_eval_sum(args, opts: dict) -> int:
     if args.ref_utts:
         refs = summeval_mod.load_utterances(args.ref_utts)
     elif args.ref_corpus:
@@ -333,20 +224,11 @@ def _cmd_eval_sum(args) -> int:
         raise UsageError("eval-sum needs --ref-utts or --ref-corpus")
     hyps = summeval_mod.load_utterances(args.hyp_utts)
     endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
-    params = summeval_mod.SummarizerParams(
-        temperature=float(opts["temperature"]),
-        top_p=float(opts["top-p"]),
-        max_tokens=int(opts["max-tokens"]),
-    )
-    synth = SynthConfig(
-        n_samples=0,
-        content_weight=float(opts["content-weight"]),
-        filler_weight=float(opts["filler-weight"]),
-    )
-    scorer = _build_scorer(opts["scorer"], opts["scorer-url"], synth)
-    summarizer = summeval_mod.make_summarizer(endpoint, params)
+    scorer = _scorer(opts)
+    summarizer = summeval_mod.make_summarizer(
+        endpoint, _from_options(summeval_mod.SummarizerParams, opts))
     scores, mean = summeval_mod.evaluate_summaries(
-        refs, hyps, summarizer, scorer, chunk_seconds=float(opts["chunk-seconds"]),
+        refs, hyps, summarizer, scorer, chunk_seconds=opts["chunk-seconds"],
     )
     if args.scores_out:
         atomic_write_text(args.scores_out, json.dumps(scores) + "\n")
@@ -368,7 +250,7 @@ def _load_score_vector(path: str) -> list[float]:
     return [float(x) for x in doc]
 
 
-def _cmd_ttest(args) -> int:
+def _cmd_ttest(args, opts: dict) -> int:
     a = _load_score_vector(args.a)
     b = _load_score_vector(args.b)
     result = metrics_mod.paired_t_test(a, b)
@@ -387,83 +269,66 @@ def _cmd_ttest(args) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """One subcommand: handler, help, file/label flags (name -> required), tunables."""
+
+    fn: Callable[[argparse.Namespace, dict], int]
+    help: str
+    files: dict[str, bool]
+    options: dict[str, object]
+
+
+_WEIGHTS = {"content-weight": 3.0, "filler-weight": 0.5}
+_SCORING = {"scorer": "weighted-f1", "scorer-url": None, **_WEIGHTS}
+_DECODING = {"beam-size": 4, "max-len": 24}
+_TRAINING = {"batch-size": 4, "nbest-size": 4, **_DECODING, "seed": 0, **_WEIGHTS}
+_TRAIN_FILES = {"corpus": True, "dev": False, "out": True, "metrics-out": False}
+
+COMMANDS: dict[str, Command] = {
+    "gen-data": Command(_cmd_gen_data, "generate a synthetic corpus", {"out": True}, {
+        "n": 1000, "seed": 0, "min-len": 5, "max-len": 12,
+        "negation-drop-rate": 0.3, **_WEIGHTS,
+    }),
+    "train-ce": Command(_cmd_train_ce, "likelihood pretraining",
+                        {**_TRAIN_FILES, "init": False}, {
+        "iters": 2000, "lr": 1e-3, **_TRAINING, "checkpoint-every": 200, "d": 32,
+    }),
+    "train-fcm": Command(_cmd_train_fcm, "consistency fine-tuning",
+                         {**_TRAIN_FILES, "init": True}, {
+        "iters": 500, "lr": 1e-4, **_TRAINING, "batch-size": 1,
+        "max-fcm-iters": 500, "deletion-rate-limit": 0.25, "dev-check-every": 50,
+        "ce-weight": 0.0, **_SCORING, "scorer": None,
+    }),
+    "decode": Command(_cmd_decode, "emit N-best hypotheses with posteriors", {
+        "corpus": True, "checkpoint": True, "out": True, "utterances-out": False,
+    }, _DECODING),
+    "eval-utt": Command(_cmd_eval_utt, "edit error and consistency tables", {
+        "corpus": True, "hyp": True, "label": False, "out": False, "scores-out": False,
+    }, {"threshold": 0.5, **_SCORING}),
+    "eval-sum": Command(_cmd_eval_sum, 'chunked summarization consistency '
+                        '(--summarizer: service base URL or "mock")', {
+        "ref-utts": False, "ref-corpus": False, "hyp-utts": True, "summarizer": False,
+        "out": False, "scores-out": False,
+    }, {"chunk-seconds": 60.0, "temperature": 0.0, "top-p": 1.0, "max-tokens": 200,
+        **_SCORING}),
+    "ttest": Command(_cmd_ttest, "paired t-test between two score vectors",
+                     {"a": True, "b": True, "out": False}, {}),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fcmax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    _add_synth_flags(p)
-    p.set_defaults(fn=_cmd_gen_data)
-
-    p = sub.add_parser("train-ce", help="likelihood pretraining")
-    p.add_argument("--config")
-    p.add_argument("--init", help="optional starting checkpoint")
-    p.add_argument("--d", type=int)
-    _add_train_flags(p)
-    p.set_defaults(fn=_cmd_train_ce)
-
-    p = sub.add_parser("train-fcm", help="consistency fine-tuning")
-    p.add_argument("--config")
-    p.add_argument("--init", required=True, help="checkpoint of the likelihood-trained model")
-    p.add_argument("--scorer", choices=["exact", "weighted-f1", "lcs", "remote"])
-    p.add_argument("--scorer-url")
-    p.add_argument("--max-fcm-iters", type=int)
-    p.add_argument("--deletion-rate-limit", type=float)
-    p.add_argument("--dev-check-every", type=int)
-    p.add_argument("--ce-weight", type=float)
-    _add_train_flags(p)
-    p.set_defaults(fn=_cmd_train_fcm)
-
-    p = sub.add_parser("decode", help="emit N-best hypotheses with posteriors")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--utterances-out", help="also write top-1 texts as utterance JSONL")
-    p.add_argument("--beam-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.set_defaults(fn=_cmd_decode)
-
-    p = sub.add_parser("eval-utt", help="edit error and consistency tables")
-    p.add_argument("--config")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--hyp", help="decode output JSONL")
-    p.add_argument("--checkpoint", help="decode on the fly instead of --hyp")
-    p.add_argument("--scorer", choices=["exact", "weighted-f1", "lcs", "remote"])
-    p.add_argument("--scorer-url")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--content-weight", type=float)
-    p.add_argument("--filler-weight", type=float)
-    p.add_argument("--label")
-    p.add_argument("--out", help="CSV report path")
-    p.add_argument("--scores-out", help="per-utterance score vector (JSON)")
-    p.set_defaults(fn=_cmd_eval_utt)
-
-    p = sub.add_parser("eval-sum", help="chunked summarization consistency")
-    p.add_argument("--config")
-    p.add_argument("--ref-utts")
-    p.add_argument("--ref-corpus")
-    p.add_argument("--hyp-utts", required=True)
-    p.add_argument("--summarizer", help='service base URL or "mock"')
-    p.add_argument("--scorer", choices=["exact", "weighted-f1", "lcs", "remote"])
-    p.add_argument("--scorer-url")
-    p.add_argument("--chunk-seconds", type=float)
-    p.add_argument("--content-weight", type=float)
-    p.add_argument("--filler-weight", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--top-p", type=float)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--out", help="CSV report path")
-    p.add_argument("--scores-out", help="per-chunk score vector (JSON)")
-    p.set_defaults(fn=_cmd_eval_sum)
-
-    p = sub.add_parser("ttest", help="paired t-test between two score vectors")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_ttest)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, required in command.files.items():
+            p.add_argument(f"--{flag}", required=required)
+        if command.options:
+            p.add_argument("--config", help="JSON object of tunables")
+        for flag, default in command.options.items():
+            p.add_argument(f"--{flag}", type=str if default is None else type(default),
+                           choices=SCORERS if flag == "scorer" else None,
+                           help=None if default is None else f"default {default}")
     return parser
 
 
@@ -475,7 +340,7 @@ def run(argv) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        return COMMANDS[args.command].fn(args, _options(args, COMMANDS[args.command].options))
     except UsageError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

@@ -174,11 +174,10 @@ def remote_score(endpoint: str, hyp: str, ref: str, timeout: float = 10.0) -> fl
 
 @dataclass(frozen=True)
 class ConsistencyScorer:
-    """A named scoring capability; pure scorers are referentially transparent."""
+    """A named scoring function whose scores are checked to lie in [0, 1]."""
 
     name: str
     fn: Callable[[str, str], float]
-    pure: bool = True
 
     def __call__(self, hyp: str, ref: str) -> float:
         score = self.fn(hyp, ref)
@@ -206,5 +205,4 @@ def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:
     return ConsistencyScorer(
         name=f"remote({endpoint})",
         fn=lambda hyp, ref: remote_score(endpoint, hyp, ref, timeout),
-        pure=False,
     )

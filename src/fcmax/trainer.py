@@ -63,6 +63,9 @@ class TrainingSchedule:
 
 @dataclass(frozen=True)
 class SafeguardConfig:
+    """Bounds on consistency fine-tuning.  max_fcm_iterations caps the updates
+    but not the lr decay over total_iterations, so a lower cap never anneals."""
+
     max_fcm_iterations: int = 500
     deletion_rate_limit: float = 0.25
     dev_check_every: int = 50
@@ -241,14 +244,16 @@ def train_fcm(
 ) -> TrainResult:
     """Consistency fine-tuning of an already likelihood-trained model.
 
-    Runs at most min(total_iterations, max_fcm_iterations) updates.  When a
-    dev corpus is given, dev metrics are logged every dev_check_every
-    iterations and the deletion tripwire is checked; a trip ends training and
-    the result carries the best passing checkpoint (highest dev objective)
-    together with a report.  A tripped run never returns a checkpoint whose
-    dev deletion rate was above the limit, except when no checkpoint passed
-    at all, the starting model included: then the starting model is returned
-    and the report says so and gives its dev deletion rate.
+    Runs at most min(total_iterations, max_fcm_iterations) updates, but the
+    learning rate decays linearly over total_iterations: a cap below it ends
+    the run before the rate anneals.  When a dev corpus is given, dev
+    metrics are logged every dev_check_every iterations and the deletion
+    tripwire is checked; a trip ends training and the result carries the
+    best passing checkpoint (highest dev objective) together with a report.
+    A tripped run never returns a checkpoint whose dev deletion rate was
+    above the limit, except when no checkpoint passed at all, the starting
+    model included: then the starting model is returned and the report says
+    so and gives its dev deletion rate.
     """
     schedule.validate()
     safeguard.validate()

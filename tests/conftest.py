@@ -251,7 +251,9 @@ class ScriptedServer:
         self.httpd.requests = []
         self.httpd.delay = 0.0
         self.httpd.script = lambda path, body: (200, {}, None)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll interval keeps shutdown() (one poll at most) fast
+        self.thread = threading.Thread(target=self.httpd.serve_forever, args=(0.05,),
+                                       daemon=True)
         self.thread.start()
 
     @property

@@ -65,11 +65,33 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    train_fcm = ["train-fcm", "--corpus", "x.jsonl", "--out", "y.json", "--init", "z.json",
+                 "--scorer", "weighted-f1"]
+    cases = [
+        (["gen-data", "--out", str(tmp_path / "c.jsonl")], {"wat": 1}),
+        # train-fcm has no model size and no checkpoint interval
+        (train_fcm, {"d": 12}),
+        (train_fcm, {"checkpoint-every": 5}),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"wat": 1}))
-    code = run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl")])
+    for argv, config in cases:
+        cfg.write_text(json.dumps(config))
+        assert run([*argv, "--config", str(cfg)]) == 1, config
+        assert "unknown config keys" in capsys.readouterr().err, config
+
+
+@pytest.mark.parametrize("config, flags, named", [
+    ({"scorer": "bogus"}, [], "bogus"),
+    ({}, ["--scorer", "remote"], "FCM_SCORER_URL"),
+], ids=["scorer-outside-choices", "remote-without-url"])
+def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, flags, named):
+    monkeypatch.delenv("FCM_SCORER_URL", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl",
+                "--config", str(cfg), *flags])
     assert code == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +139,18 @@ def test_metrics_log_schema(workflow):
                               "dev_avg_consistency", "dev_fcm_objective"}
 
 
+def test_decode_reads_config(workflow, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beam-size": 1}))
+    out = tmp_path / "decoded.jsonl"
+    code, _ = _run(capsys, "decode", "--config", str(cfg), "--corpus", str(workflow / "dev.jsonl"),
+                   "--checkpoint", str(workflow / "fcm.json"), "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 40
+    assert all(len(json.loads(line)["nbest"]) == 1 for line in lines)
+
+
 def test_eval_utt_reports(workflow, capsys):
     csv_path = workflow / "report.csv"
     scores_path = workflow / "scores.json"
@@ -146,9 +180,11 @@ def test_eval_sum_runs_mock_pipeline(workflow, capsys):
 
 
 def test_eval_sum_feeds_ttest(workflow, tmp_path, capsys):
-    a = workflow / "sum_scores.json"
-    if not a.exists():
-        pytest.skip("depends on eval-sum test order")
+    a = tmp_path / "sum_scores.json"
+    code, _ = _run(capsys, "eval-sum", "--ref-corpus", str(workflow / "dev.jsonl"),
+                   "--hyp-utts", str(workflow / "hyp_utts.jsonl"),
+                   "--summarizer", "mock", "--scores-out", str(a))
+    assert code == 0
     code, out = _run(capsys, "ttest", "--a", str(a), "--b", str(a))
     assert code == 0
     assert "significant_at_95=no" in out

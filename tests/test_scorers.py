@@ -153,9 +153,7 @@ def test_remote_score_unreachable_names_endpoint():
         remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)
 
 
-def test_remote_scorer_is_impure_wrapper(wire_server):
+def test_remote_scorer_passes_the_service_score_through(wire_server):
     wire_server.respond({"consistency": 0.25})
-    scorer = ConsistencyScorer(name="r", fn=lambda h, r: remote_score(wire_server.url, h, r),
-                               pure=False)
-    assert not scorer.pure
+    scorer = ConsistencyScorer(name="r", fn=lambda h, r: remote_score(wire_server.url, h, r))
     assert scorer("a", "b") == 0.25
