@@ -11,8 +11,8 @@ from .metrics import (
     paired_t_test, wer,
 )
 from .model import (
-    ForwardTrace, ModelParams, apply_update, backward, forward_step, forward_teacher,
-    init_decode_state, init_params, load_checkpoint, save_checkpoint, trajectory,
+    ForwardTrace, ModelParams, apply_update, backward, forward_teacher, init_params,
+    load_checkpoint, save_checkpoint, trajectory,
 )
 from .scorers import (
     ConsistencyScorer, TokenWeights, exact_match_score, exact_match_scorer,

@@ -6,7 +6,14 @@ the model defines a proper distribution over variable-length sequences.
 Hypotheses that hit the length cap without emitting EOS are kept and marked
 unfinished.  Ties are broken by lexicographic token order so results are
 deterministic across platforms.
-"""
+
+Each round advances every live prefix with one row-batched decoder step,
+giving a (live, V) array of candidate scores.  Only candidates at or above
+the beam_size-th largest score can survive, so the exact (-score, tokens)
+sort runs over the finished hypotheses plus that shortlist.  The shortlist
+is widened to every candidate tied with the cut-off (a zero-parameter model
+ties them all), so order, tie-break and beam 1 = greedy are those of
+sorting every candidate."""
 
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, forward_teacher, init_decode_state, trajectory, _step
+from .model import ModelParams, encode, forward_teacher, trajectory, _step
 
 
 class BeamError(ValueError):
@@ -71,40 +78,47 @@ def beam_decode(
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise BeamError(f"max length must be >= 1, got {max_len}")
-    state0 = init_decode_state(params, input_ids)
+    enc = encode(params, input_ids)
 
-    # (tokens, log_prob, recurrent state); all live prefixes share enc_states.
-    live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 0.0, state0.state)]
+    # live prefix i: decoder state states[i], score log_probs[i], tokens prefixes[i]
+    states = np.zeros((1, params.d))
+    log_probs = np.zeros(1)
+    prefixes: list[tuple[int, ...]] = [()]
     done: list[tuple[float, tuple[int, ...]]] = []
-    vocab = params.target_vocab_size
 
     for _ in range(max_len):
-        if not live:
+        if not prefixes:
             break
-        candidates: list[tuple[float, tuple[int, ...], np.ndarray | None, bool]] = [
-            (lp, toks, None, True) for lp, toks in done
-        ]
-        for toks, lp, s in live:
-            prev = toks[-1] if toks else bos_id
-            logp, s_new, _, _ = _step(params, state0.enc_states, s, prev)
-            for tok in range(vocab):
-                if tok == bos_id:
-                    continue
-                score = lp + logp[tok]
-                if tok == eos_id:
-                    candidates.append((score, toks, None, True))
-                else:
-                    candidates.append((score, toks + (tok,), s_new, False))
+        last = [toks[-1] if toks else bos_id for toks in prefixes]
+        logp, s_new, _, _ = _step(params, enc, states, last)
+        scores = log_probs[:, None] + logp
+        scores[:, bos_id] = -np.inf  # BOS is never emitted
+        flat = scores.ravel()
+        # only scores at or above the beam_size-th best can survive; >= keeps ties
+        k = min(beam_size, flat.size)
+        cut = np.partition(flat, flat.size - k)[flat.size - k]
+        shortlist = scores >= cut
+        shortlist[:, bos_id] = False  # the cut is -inf with fewer than k real candidates
+        rows, cols = np.nonzero(shortlist)
+        # (score, tokens, live row or -1 when finished), ordered exactly
+        candidates = [(lp, toks, -1) for lp, toks in done]
+        for lp, r, tok in zip(scores[rows, cols].tolist(), rows.tolist(), cols.tolist()):
+            if tok == eos_id:
+                candidates.append((lp, prefixes[r], -1))
+            else:
+                candidates.append((lp, prefixes[r] + (tok,), r))
         candidates.sort(key=lambda c: (-c[0], c[1]))
         kept = candidates[:beam_size]
-        done = [(lp, toks) for lp, toks, _, fin in kept if fin]
-        live = [(toks, lp, s) for lp, toks, s, fin in kept if not fin]
+        done = [(lp, toks) for lp, toks, r in kept if r < 0]
+        live = [c for c in kept if c[2] >= 0]
+        states = s_new[[r for _, _, r in live]]
+        log_probs = np.array([lp for lp, _, _ in live])
+        prefixes = [toks for _, toks, _ in live]
 
-    final: list[Hypothesis] = [
-        Hypothesis(tokens=toks, log_prob=lp, finished=True) for lp, toks in done
-    ]
+    final = [Hypothesis(tokens=toks, log_prob=lp, finished=True) for lp, toks in done]
     final.extend(
-        Hypothesis(tokens=toks, log_prob=lp, finished=False) for toks, lp, _ in live
+        Hypothesis(tokens=toks, log_prob=lp, finished=False)
+        for lp, toks in zip(log_probs.tolist(), prefixes)
     )
     final.sort(key=lambda h: (-h.log_prob, h.tokens))
     return NBestList(final[:beam_size], beam_size=beam_size)
@@ -115,4 +129,4 @@ def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_i
     """Raw log posterior of a token sequence, EOS step included by default."""
     cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
     trace = forward_teacher(params, input_ids, cond)
-    return float(sum(trace.log_probs[n, tok] for n, tok in enumerate(targets)))
+    return float(trace.log_probs[np.arange(len(targets)), targets].sum())

@@ -161,46 +161,27 @@ def encode(params: ModelParams, input_ids) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def _step(params: ModelParams, enc_states: np.ndarray, s_prev: np.ndarray, token: int):
-    """One decoder step; returns (log_probs, s, alpha, context)."""
-    u = params.tgt_emb[token]
+def _step(params: ModelParams, enc_states: np.ndarray, s_prev: np.ndarray, tokens):
+    """One decoder step; returns (log_probs, s, alpha, context).
+
+    Works on one prefix (s_prev of shape (d,), tokens an int; outputs of shape
+    (V,), (d,), (T,), (d,)) or on B prefixes at once (s_prev (B, d), tokens
+    (B,); every output gains a leading B axis).  Teacher forcing uses the
+    first form, beam search the second.
+    """
+    u = params.tgt_emb[tokens]
     s = np.tanh(u @ params.dec_in + s_prev @ params.dec_state)
-    scores = enc_states @ (params.attn @ s)
-    scores = scores - scores.max()
+    scores = (enc_states @ (params.attn @ s.T)).T
+    scores = scores - scores.max(axis=-1, keepdims=True)
     alpha = np.exp(scores)
-    alpha /= alpha.sum()
+    alpha /= alpha.sum(axis=-1, keepdims=True)
     context = alpha @ enc_states
     logits = (s + context) @ params.out_proj + params.out_bias
     return _log_softmax(logits), s, alpha, context
-
-
-@dataclass
-class DecodeState:
-    """Incremental decoding state: encoder states plus the recurrent vector."""
-
-    enc_states: np.ndarray
-    state: np.ndarray
-
-
-def init_decode_state(params: ModelParams, input_ids) -> DecodeState:
-    enc = encode(params, input_ids)
-    return DecodeState(enc_states=enc, state=np.zeros(params.d))
-
-
-def forward_step(params: ModelParams, state: DecodeState, token: int):
-    """Advance one step; returns (log distribution over tokens, new state)."""
-    if state.enc_states.ndim != 2 or state.enc_states.shape[1] != params.d:
-        raise ModelError(
-            f"decode state width {state.enc_states.shape} does not match model d={params.d}"
-        )
-    if not 0 <= token < params.target_vocab_size:
-        raise ModelError(f"token index {token} out of range")
-    logp, s, _, _ = _step(params, state.enc_states, state.state, token)
-    return logp, DecodeState(enc_states=state.enc_states, state=s)
 
 
 def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
@@ -256,6 +237,7 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
 
     g = params.zeros_like()
     H = trace.enc_states
+    HA = H @ params.attn
     dH = np.zeros_like(H)
     ds_next = np.zeros(params.d)
     for n in range(n_steps - 1, -1, -1):
@@ -265,24 +247,24 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
         p = np.exp(trace.log_probs[n])
         dz = -w[n] * p
         dz[targets[n]] += w[n]
-        g.out_proj += np.outer(s + c, dz)
+        g.out_proj += (s + c)[:, None] * dz
         g.out_bias += dz
         dsc = params.out_proj @ dz
         dc = dsc
         ds = dsc + ds_next
         # attention: c = alpha @ H, a_t = h_t @ attn @ s
         dalpha = H @ dc
-        dH += np.outer(alpha, dc)
+        dH += alpha[:, None] * dc
         da = alpha * (dalpha - alpha @ dalpha)
-        ds = ds + (H @ params.attn).T @ da
-        g.attn += np.outer(H.T @ da, s)
-        dH += np.outer(da, params.attn @ s)
+        ds = ds + HA.T @ da
+        g.attn += (H.T @ da)[:, None] * s
+        dH += da[:, None] * (params.attn @ s)
         # recurrence: s = tanh(u @ dec_in + s_prev @ dec_state)
         dq = ds * (1.0 - s * s)
         u = params.tgt_emb[trace.cond_tokens[n]]
         s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
-        g.dec_in += np.outer(u, dq)
-        g.dec_state += np.outer(s_prev, dq)
+        g.dec_in += u[:, None] * dq
+        g.dec_state += s_prev[:, None] * dq
         np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
         ds_next = dq @ params.dec_state.T
     dq_enc = dH * (1.0 - H * H)

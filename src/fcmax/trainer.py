@@ -118,7 +118,7 @@ def _ce_gradient(params: ModelParams, corpus: Corpus, sample) -> tuple[ModelPara
     """Log-likelihood ascent gradient for one sample, plus its NLL."""
     cond, targets = trajectory(corpus.reference_ids(sample), True, corpus.bos_id, corpus.eos_id)
     trace = forward_teacher(params, sample.input, cond)
-    nll = -float(sum(trace.log_probs[n, tok] for n, tok in enumerate(targets)))
+    nll = -float(trace.log_probs[np.arange(len(targets)), targets].sum())
     return backward(params, trace, targets, 1.0), nll
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: random models, gradient-check harness, a fitted two-way
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, N-best consistency check,
-corpus NLL) that only tests use."""
+corpus NLL, per-prefix beam search) that only tests use."""
 
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fcmax.beam import sequence_log_prob
+from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import BOS, EOS, Corpus, Sample
 from fcmax.model import (
-    ModelParams, accumulate, apply_update, backward, forward_teacher, trajectory,
+    ModelParams, _step, accumulate, apply_update, backward, encode, forward_teacher,
+    trajectory,
 )
 
 settings.register_profile(
@@ -65,6 +66,38 @@ def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
         sequence_log_prob(params, s.input, corpus.reference_ids(s), corpus.bos_id, corpus.eos_id)
         for s in corpus.samples
     )
+
+
+def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_len: int,
+                          bos_id: int, eos_id: int) -> NBestList:
+    """Per-prefix beam search: one 1-D decoder step per live prefix, and every
+    (score, tokens) candidate of the round sorted in full.  The oracle for
+    the row-batched ``beam_decode``."""
+    enc = encode(params, input_ids)
+    live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 0.0, np.zeros(params.d))]
+    done: list[tuple[float, tuple[int, ...]]] = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = [(lp, toks, None, True) for lp, toks in done]
+        for toks, lp, s in live:
+            logp, s_new, _, _ = _step(params, enc, s, toks[-1] if toks else bos_id)
+            for tok in range(params.target_vocab_size):
+                if tok == bos_id:
+                    continue
+                if tok == eos_id:
+                    candidates.append((lp + logp[tok], toks, None, True))
+                else:
+                    candidates.append((lp + logp[tok], toks + (tok,), s_new, False))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        kept = candidates[:beam_size]
+        done = [(lp, toks) for lp, toks, _, fin in kept if fin]
+        live = [(toks, lp, s) for lp, toks, s, fin in kept if not fin]
+    final = [Hypothesis(tokens=toks, log_prob=float(lp)) for lp, toks in done]
+    final.extend(Hypothesis(tokens=toks, log_prob=float(lp), finished=False)
+                 for toks, lp, _ in live)
+    final.sort(key=lambda h: (-h.log_prob, h.tokens))
+    return NBestList(final[:beam_size], beam_size=beam_size)
 
 
 def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:

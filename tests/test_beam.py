@@ -7,30 +7,27 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import random_params, reference_beam_decode
 from fcmax.beam import BeamError, Hypothesis, NBestList, beam_decode, sequence_log_prob
 from fcmax.fcm import normalize_posteriors
-from fcmax.model import forward_step, init_decode_state, init_params
+from fcmax.model import forward_teacher, init_params
 
 BOS_ID, EOS_ID = 0, 1
 
 
 def greedy_decode(params, input_ids, max_len):
-    """Independent greedy reference: follow the argmax until EOS or the cap."""
-    state = init_decode_state(params, input_ids)
+    """Independent greedy reference: follow the argmax until EOS or the cap,
+    replaying the growing prefix with teacher forcing at every step."""
     tokens: list[int] = []
     log_prob = 0.0
-    prev = BOS_ID
     for _ in range(max_len):
-        logp, state = forward_step(params, state, prev)
-        logp = logp.copy()
+        logp = forward_teacher(params, input_ids, [BOS_ID] + tokens).log_probs[-1].copy()
         logp[BOS_ID] = -np.inf
         tok = int(np.argmax(logp))
         log_prob += float(logp[tok])
         if tok == EOS_ID:
             return tokens, log_prob, True
         tokens.append(tok)
-        prev = tok
     return tokens, log_prob, False
 
 
@@ -79,6 +76,30 @@ def test_exhaustive_width_equals_enumeration(tv, max_len):
         assert got.log_prob == pytest.approx(want.log_prob, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["random", "large-scale", "zero"])
+def test_batched_beam_matches_per_prefix_reference(kind):
+    """500 seeded utterances per model kind, each decoded at beam 1, 2, 4 and 8."""
+    rng = np.random.default_rng({"random": 1, "large-scale": 2, "zero": 3}[kind])
+    for utt in range(500):
+        if utt % 10 == 0:
+            d, sv, tv = (int(x) for x in rng.integers([2, 3, 3], [9, 9, 12]))
+            p = random_params(d, sv, tv, seed=int(rng.integers(1 << 30)),
+                              scale={"random": 0.8, "large-scale": 3.0, "zero": 0.0}[kind])
+            # BOS and EOS anywhere in the vocabulary, so ties between an EOS
+            # extension and a content extension need the lexicographic order
+            bos, eos = (int(t) for t in rng.choice(tv, size=2, replace=False))
+        input_ids = rng.integers(0, sv, size=int(rng.integers(1, 7)))
+        max_len = int(rng.integers(1, 7))
+        for beam in (1, 2, 4, 8):
+            got = beam_decode(p, input_ids, beam, max_len, bos_id=bos, eos_id=eos)
+            want = reference_beam_decode(p, input_ids, beam, max_len, bos, eos)
+            assert [(h.tokens, h.finished) for h in got.hypotheses] == \
+                [(h.tokens, h.finished) for h in want.hypotheses], (kind, utt, beam)
+            for g, w in zip(got.hypotheses, want.hypotheses):
+                assert type(g.log_prob) is float
+                assert abs(g.log_prob - w.log_prob) <= 1e-12, (kind, utt, beam)
+
+
 def test_posterior_fixture_ranks_dominant_first(ambiguity_fixture):
     corpus, params = ambiguity_fixture
     sample = corpus.samples[0]
@@ -112,13 +133,10 @@ def test_uniform_model_sequence_log_prob():
 def test_sequence_log_prob_matches_manual_accumulation():
     p = random_params(5, 6, 7, seed=9, scale=0.8)
     tokens = [3, 5, 2]
-    state = init_decode_state(p, [1, 4])
     manual = 0.0
-    prev = BOS_ID
-    for tok in tokens + [EOS_ID]:
-        logp, state = forward_step(p, state, prev)
+    for n, tok in enumerate(tokens + [EOS_ID]):
+        logp = forward_teacher(p, [1, 4], [BOS_ID] + tokens[:n]).log_probs[-1]
         manual += float(logp[tok])
-        prev = tok
     assert sequence_log_prob(p, [1, 4], tokens, BOS_ID, EOS_ID) == pytest.approx(manual, abs=1e-12)
 
 

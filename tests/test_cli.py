@@ -7,6 +7,7 @@ import json
 import pytest
 
 from fcmax.cli import run
+from fcmax.corpus import normalize_text
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -96,15 +97,22 @@ def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, fla
 
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
-    """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below."""
+    """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below.
+
+    Short sentences let 200 CE iterations reach a start model whose dev
+    deletion rate (about 0.1) passes the guard, so train-fcm returns a
+    fine-tuned model and decode emits real words.
+    """
     root = tmp_path_factory.mktemp("workflow")
     corpus = root / "train.jsonl"
     dev = root / "dev.jsonl"
-    assert run(["gen-data", "--seed", "11", "--n", "30", "--out", str(corpus)]) == 0
-    assert run(["gen-data", "--seed", "12", "--n", "40", "--out", str(dev)]) == 0
+    assert run(["gen-data", "--seed", "11", "--n", "30", "--max-len", "6",
+                "--out", str(corpus)]) == 0
+    assert run(["gen-data", "--seed", "12", "--n", "40", "--max-len", "6",
+                "--out", str(dev)]) == 0
     ce = root / "ce.json"
     assert run(["train-ce", "--corpus", str(corpus), "--out", str(ce),
-                "--iters", "120", "--lr", "0.12", "--batch-size", "4",
+                "--iters", "200", "--lr", "0.3", "--batch-size", "4",
                 "--d", "12", "--seed", "1"]) == 0
     fcm = root / "fcm.json"
     assert run(["train-fcm", "--corpus", str(corpus), "--dev", str(dev),
@@ -128,6 +136,8 @@ def test_decode_output_schema(workflow):
     for h in entry["nbest"]:
         assert set(h) == {"text", "tokens", "log_prob", "posterior", "finished"}
         assert h["log_prob"] <= 0.0
+    tops = [json.loads(line)["nbest"][0]["text"] for line in lines]
+    assert any(normalize_text(text) for text in tops)
 
 
 def test_metrics_log_schema(workflow):
@@ -137,6 +147,8 @@ def test_metrics_log_schema(workflow):
         entry = json.loads(line)
         assert set(entry) == {"iter", "lr", "dev_wer", "dev_del_rate",
                               "dev_avg_consistency", "dev_fcm_objective"}
+    # the start model passes the deletion guard, so every FCM iteration runs
+    assert json.loads(lines[-1])["iter"] == 10
 
 
 def test_decode_reads_config(workflow, tmp_path, capsys):

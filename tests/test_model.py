@@ -9,9 +9,8 @@ from conftest import (
     cell_terms, finite_difference_check, params_allclose, random_params, terms_objective,
 )
 from fcmax.model import (
-    ModelError, ModelParams, accumulate, apply_update, backward, forward_step,
-    forward_teacher, init_decode_state, init_params, load_checkpoint, save_checkpoint,
-    trajectory,
+    ModelError, ModelParams, _step, accumulate, apply_update, backward, encode,
+    forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
 
@@ -112,32 +111,39 @@ def test_forward_perturbation_is_first_order():
     assert res1 / res2 == pytest.approx(4.0, rel=0.35)  # halving eps quarters the residual
 
 
-def test_forward_step_replays_teacher():
+def test_step_replays_teacher_and_batches_rows():
     p = random_params(5, 6, 7, seed=3, scale=0.9)
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
     trace = forward_teacher(p, inp, cond)
-    state = init_decode_state(p, inp)
+    enc = encode(p, inp)
+    # a 1-D step loop is forward_teacher, bit for bit
+    s = np.zeros(p.d)
+    rows = []
     for n, tok in enumerate(cond):
-        logp, state = forward_step(p, state, tok)
-        assert np.max(np.abs(logp - trace.log_probs[n])) <= 1e-10
+        logp, s, alpha, context = _step(p, enc, s, tok)
+        assert np.array_equal(logp, trace.log_probs[n])
+        assert np.array_equal(s, trace.states[n])
+        assert np.array_equal(alpha, trace.attn_weights[n])
+        assert np.array_equal(context, trace.contexts[n])
+        rows.append(s)
+    # stacked (B, d) rows give the per-row 1-D results, up to gemm rounding
+    states = np.stack(rows)
+    tokens = np.array([3, 0, 6, 6, 1])
+    batched = _step(p, enc, states, tokens)
+    for b in range(len(tokens)):
+        for got, want in zip(batched, _step(p, enc, states[b], int(tokens[b]))):
+            assert np.max(np.abs(got[b] - want)) <= 1e-12
 
 
-def test_forward_step_deterministic_and_uniform_for_zero_params():
+def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
-    s1 = init_decode_state(p, [1, 2])
-    s2 = init_decode_state(p, [1, 2])
-    l1, _ = forward_step(p, s1, 0)
-    l2, _ = forward_step(p, s2, 0)
+    enc = encode(p, [1, 2])
+    l1 = _step(p, enc, np.zeros(p.d), 0)[0]
+    l2 = _step(p, enc, np.zeros(p.d), 0)[0]
     assert np.array_equal(l1, l2)
     assert np.allclose(l1, -np.log(4.0))
-
-
-def test_forward_step_rejects_mismatched_state():
-    p = random_params(4, 5, 6, seed=3)
-    other = random_params(7, 5, 6, seed=3)
-    state = init_decode_state(other, [1, 2])
-    with pytest.raises(ModelError, match="decode state"):
-        forward_step(p, state, 0)
+    batched = _step(p, enc, np.zeros((3, p.d)), np.array([0, 2, 3]))[0]
+    assert np.array_equal(batched, np.broadcast_to(l1, (3, 4)))
 
 
 def test_trajectory_layout():
