@@ -15,7 +15,7 @@ from pathlib import Path
 
 from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus, save_corpus
 from fcmax.metrics import corpus_wer, avg_consistency, consistent_ratio, markdown_report, paired_t_test
-from fcmax.model import init_params, load_checkpoint, save_checkpoint
+from fcmax.model import init_params, save_checkpoint
 from fcmax.scorers import weighted_f1_scorer
 from fcmax.summeval import corpus_to_utterances, evaluate_summaries, make_summarizer
 from fcmax.trainer import (
@@ -45,9 +45,9 @@ def eval_system(label, texts, corpus, scorer):
     pairs = [(t, s.reference) for t, s in zip(texts, corpus.samples)]
     breakdown = corpus_wer(pairs)
     mean, scores = avg_consistency(pairs, scorer)
-    ratio = consistent_ratio(pairs, scorer, 0.5)
-    return {"label": label, "breakdown": breakdown, "mean": mean, "ratio": ratio,
-            "scores": scores}
+    ratio = consistent_ratio(scores, 0.5)
+    return {"label": label, "texts": texts, "breakdown": breakdown, "mean": mean,
+            "ratio": ratio, "scores": scores}
 
 
 def main():
@@ -126,7 +126,7 @@ def main():
     ref_utts = corpus_to_utterances(test)
     sum_rows = []
     for label in ("ce", "fcm"):
-        texts = decode_corpus_top1(load_checkpoint(out / f"{label}.json"), test, 4, 24)
+        texts = by_label[label]["texts"]
         hyp_utts = corpus_to_utterances(test, {s.id: t for s, t in zip(test.samples, texts)})
         scores, mean = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
         (out / f"sum_scores_{label}.json").write_text(json.dumps(scores))

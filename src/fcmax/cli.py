@@ -197,7 +197,7 @@ def _cmd_eval_utt(args, opts: dict) -> int:
     pairs = [(by_id[s.id], s.reference) for s in corpus.samples]
     breakdown = metrics_mod.corpus_wer(pairs)
     mean_c, scores = metrics_mod.avg_consistency(pairs, scorer)
-    ratio = metrics_mod.consistent_ratio(pairs, scorer, opts["threshold"])
+    ratio = metrics_mod.consistent_ratio(scores, opts["threshold"])
     n = len(pairs)
     rows = [
         ("wer", breakdown.wer, n),

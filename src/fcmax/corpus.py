@@ -399,7 +399,6 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
 
 
 NEGATION_TOKENS: tuple[str, ...] = _NEGATIONS
-CONTENT_TOKENS: frozenset[str] = _CONTENT_TOKENS
 
 
 def default_token_weights(config: SynthConfig):
@@ -452,24 +451,23 @@ def _parse_line(line: str, lineno: int) -> Sample:
     )
 
 
-def load_corpus(path, token_vocab: tuple[str, ...] | None = None) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load a JSONL corpus; the word count is always recomputed, never trusted.
 
-    The JSONL file carries samples only.  The token vocabulary defaults to the
-    canonical generator vocabulary; pass token_vocab for corpora generated
-    with a customized confusion table.
+    The JSONL file carries samples only; the token vocabulary is the
+    canonical generator vocabulary.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    vocab = tuple(token_vocab) if token_vocab is not None else DEFAULT_TOKEN_VOCAB
     samples = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
             samples.append(_parse_line(line, lineno))
-    return Corpus(samples=samples, source_vocab_size=len(vocab), token_vocab=vocab)
+    return Corpus(samples=samples, source_vocab_size=len(DEFAULT_TOKEN_VOCAB),
+                  token_vocab=DEFAULT_TOKEN_VOCAB)
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:

@@ -110,15 +110,12 @@ def avg_consistency(
     return sum(scores) / len(scores), scores
 
 
-def consistent_ratio(
-    pairs: Sequence[tuple[str, str]],
-    scorer: Callable[[str, str], float],
-    threshold: float = 0.5,
-) -> float:
-    """Fraction of pairs whose score reaches the threshold (boundary inclusive)."""
+def consistent_ratio(scores: Sequence[float], threshold: float = 0.5) -> float:
+    """Fraction of avg_consistency's per-pair scores that reach the threshold (inclusive)."""
     if not 0.0 <= threshold <= 1.0:
         raise MetricsError(f"threshold must be in [0, 1], got {threshold}")
-    _, scores = avg_consistency(pairs, scorer)
+    if not scores:
+        raise MetricsError("consistent_ratio needs at least one score")
     return sum(1 for s in scores if s >= threshold) / len(scores)
 
 

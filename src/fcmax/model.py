@@ -9,6 +9,10 @@ reference path and consistency training puts one coefficient on each N-best
 path, so sequence-level objectives are composed without knowing anything
 about the network internals.  All arithmetic is float64.
 
+Only the recurrence loops over steps.  The readout (attention, context,
+output) depends only on the states and H, so it runs on a whole trace or on
+all live beam prefixes at once, and backward carries only ds step by step.
+
 Shapes (d is the hidden width, row-vector convention):
     encoder states   H[t]   = tanh(src_emb[x_t] @ enc_proj)
     decoder state    s_n    = tanh(tgt_emb[y_n] @ dec_in + s_{n-1} @ dec_state)
@@ -165,45 +169,48 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def _step(params: ModelParams, enc_states: np.ndarray, s_prev: np.ndarray, tokens):
-    """One decoder step; returns (log_probs, s, alpha, context).
-
-    Works on one prefix (s_prev of shape (d,), tokens an int; outputs of shape
-    (V,), (d,), (T,), (d,)) or on B prefixes at once (s_prev (B, d), tokens
-    (B,); every output gains a leading B axis).  Teacher forcing uses the
-    first form, beam search the second.
-    """
-    u = params.tgt_emb[tokens]
-    s = np.tanh(u @ params.dec_in + s_prev @ params.dec_state)
-    scores = (enc_states @ (params.attn @ s.T)).T
+def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray):
+    """Attention, context and output of (N, d) decoder states; returns
+    (log_probs, alpha, context) of shapes (N, V), (N, T), (N, d)."""
+    scores = (enc_states @ (params.attn @ states.T)).T
     scores = scores - scores.max(axis=-1, keepdims=True)
     alpha = np.exp(scores)
     alpha /= alpha.sum(axis=-1, keepdims=True)
     context = alpha @ enc_states
-    logits = (s + context) @ params.out_proj + params.out_bias
-    return _log_softmax(logits), s, alpha, context
+    logits = (states + context) @ params.out_proj + params.out_bias
+    return _log_softmax(logits), alpha, context
+
+
+def _step(params: ModelParams, enc_states: np.ndarray, s_prev: np.ndarray, tokens):
+    """One decoder step of B prefixes; returns (log_probs, s, alpha, context).
+
+    s_prev is (B, d) and tokens (B,); the outputs are (B, V), (B, d), (B, T)
+    and (B, d).
+    """
+    s = np.tanh(params.tgt_emb[tokens] @ params.dec_in + s_prev @ params.dec_state)
+    log_probs, alpha, context = _readout(params, enc_states, s)
+    return log_probs, s, alpha, context
 
 
 def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     """Teacher-forced forward pass along a conditioning token sequence.
 
     Row n of the trace is the log distribution produced after consuming
-    target_ids[n], the conditioning half of a ``trajectory``.
+    target_ids[n], the conditioning half of a ``trajectory``.  Only the
+    recurrence runs step by step; the whole trace is read out at once.
     """
     cond = np.asarray(target_ids, dtype=np.int64)
     if cond.size == 0:
         raise ModelError("empty conditioning sequence")
     _check_ids(cond, params.target_vocab_size, "target")
     enc = encode(params, input_ids)
-    n, d, v = cond.size, params.d, params.target_vocab_size
-    log_probs = np.empty((n, v))
-    states = np.empty((n, d))
-    alphas = np.empty((n, enc.shape[0]))
-    contexts = np.empty((n, d))
-    s = np.zeros(d)
-    for step in range(n):
-        log_probs[step], s, alphas[step], contexts[step] = _step(params, enc, s, int(cond[step]))
-        states[step] = s
+    emb = params.tgt_emb[cond]
+    states = np.empty_like(emb)
+    s = np.zeros(params.d)
+    for step in range(cond.size):
+        # input term per step: a whole-trace product reorders sums the recurrence amplifies
+        s = states[step] = np.tanh(emb[step] @ params.dec_in + s @ params.dec_state)
+    log_probs, alphas, contexts = _readout(params, enc, states)
     return ForwardTrace(
         log_probs=log_probs,
         cond_tokens=cond,
@@ -220,8 +227,9 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
 
     targets holds one token per trace row, the target half of a
     ``trajectory``; weights is one float for every step or an (N,) array.
-    At each step the log-softmax Jacobian gives dF/dz = w * (onehot - p),
-    which is then carried back through attention and the recurrence.
+    At each step the log-softmax Jacobian gives dF/dz = w * (onehot - p).
+    The readout's gradients are formed over the whole trace at once; only
+    the state gradient is carried back step by step through the recurrence.
     """
     n_steps, v = trace.log_probs.shape
     targets = np.asarray(targets, dtype=np.int64)
@@ -235,42 +243,34 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
         raise ModelError("non-finite gradient weight")
     w = np.broadcast_to(w, (n_steps,))
 
-    g = params.zeros_like()
-    H = trace.enc_states
-    HA = H @ params.attn
-    dH = np.zeros_like(H)
+    H, S, A = trace.enc_states, trace.states, trace.attn_weights
+    dz = -w[:, None] * np.exp(trace.log_probs)
+    dz[np.arange(n_steps), targets] += w
+    # readout: z = (s + c) @ out_proj + out_bias, c = alpha @ H, a_t = h_t @ attn @ s
+    dc = dz @ params.out_proj.T
+    dalpha = dc @ H.T
+    da = A * (dalpha - (A * dalpha).sum(axis=1, keepdims=True))
+    ds_readout = dc + da @ (H @ params.attn)
+    # recurrence: s_n = tanh(u_n @ dec_in + s_{n-1} @ dec_state), carried back to front
+    gate = 1.0 - S * S
+    dq = np.empty_like(S)
     ds_next = np.zeros(params.d)
     for n in range(n_steps - 1, -1, -1):
-        s = trace.states[n]
-        c = trace.contexts[n]
-        alpha = trace.attn_weights[n]
-        p = np.exp(trace.log_probs[n])
-        dz = -w[n] * p
-        dz[targets[n]] += w[n]
-        g.out_proj += (s + c)[:, None] * dz
-        g.out_bias += dz
-        dsc = params.out_proj @ dz
-        dc = dsc
-        ds = dsc + ds_next
-        # attention: c = alpha @ H, a_t = h_t @ attn @ s
-        dalpha = H @ dc
-        dH += alpha[:, None] * dc
-        da = alpha * (dalpha - alpha @ dalpha)
-        ds = ds + HA.T @ da
-        g.attn += (H.T @ da)[:, None] * s
-        dH += da[:, None] * (params.attn @ s)
-        # recurrence: s = tanh(u @ dec_in + s_prev @ dec_state)
-        dq = ds * (1.0 - s * s)
-        u = params.tgt_emb[trace.cond_tokens[n]]
-        s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
-        g.dec_in += u[:, None] * dq
-        g.dec_state += s_prev[:, None] * dq
-        np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
-        ds_next = dq @ params.dec_state.T
+        dq[n] = (ds_readout[n] + ds_next) * gate[n]
+        ds_next = dq[n] @ params.dec_state.T
+    s_prev = np.vstack([np.zeros((1, params.d)), S[:-1]])
+    dH = A.T @ dc + da.T @ (S @ params.attn.T)
     dq_enc = dH * (1.0 - H * H)
-    g.enc_proj += params.src_emb[trace.input_ids].T @ dq_enc
-    np.add.at(g.src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
-    return g
+    tgt_emb = np.zeros_like(params.tgt_emb)
+    np.add.at(tgt_emb, trace.cond_tokens, dq @ params.dec_in.T)
+    src_emb = np.zeros_like(params.src_emb)
+    np.add.at(src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
+    return ModelParams(
+        src_emb=src_emb, tgt_emb=tgt_emb,
+        enc_proj=params.src_emb[trace.input_ids].T @ dq_enc,
+        dec_in=params.tgt_emb[trace.cond_tokens].T @ dq, dec_state=s_prev.T @ dq,
+        attn=(da @ H).T @ S, out_proj=(S + trace.contexts).T @ dz, out_bias=dz.sum(axis=0),
+    )
 
 
 def accumulate(total: ModelParams, part: ModelParams, scale: float = 1.0) -> None:

@@ -1,7 +1,8 @@
 """Shared fixtures: random models, gradient-check harness, a fitted two-way
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, N-best consistency check,
-corpus NLL, per-prefix beam search) that only tests use."""
+corpus NLL, per-prefix beam search, per-step teacher forcing and backward)
+that only tests use."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, settings
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import BOS, EOS, Corpus, Sample
 from fcmax.model import (
-    ModelParams, _step, accumulate, apply_update, backward, encode, forward_teacher,
-    trajectory,
+    ForwardTrace, ModelParams, _log_softmax, _step, accumulate, apply_update, backward,
+    encode, forward_teacher, trajectory,
 )
 
 settings.register_profile(
@@ -81,7 +82,8 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
             break
         candidates = [(lp, toks, None, True) for lp, toks in done]
         for toks, lp, s in live:
-            logp, s_new, _, _ = _step(params, enc, s, toks[-1] if toks else bos_id)
+            logp, s_new, _, _ = _step(params, enc, s[None], [toks[-1] if toks else bos_id])
+            logp, s_new = logp[0], s_new[0]
             for tok in range(params.target_vocab_size):
                 if tok == bos_id:
                     continue
@@ -98,6 +100,64 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
                  for toks, lp, _ in live)
     final.sort(key=lambda h: (-h.log_prob, h.tokens))
     return NBestList(final[:beam_size], beam_size=beam_size)
+
+
+def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
+    """Per-step teacher forcing: the recurrence and the readout of one 1-D
+    state at a time.  The oracle for the whole-trace ``forward_teacher``."""
+    cond = np.asarray(target_ids, dtype=np.int64)
+    enc = encode(params, input_ids)
+    n, d, v = cond.size, params.d, params.target_vocab_size
+    log_probs, states = np.empty((n, v)), np.empty((n, d))
+    alphas, contexts = np.empty((n, enc.shape[0])), np.empty((n, d))
+    s = np.zeros(d)
+    for step in range(n):
+        s = np.tanh(params.tgt_emb[cond[step]] @ params.dec_in + s @ params.dec_state)
+        scores = enc @ (params.attn @ s)
+        alpha = np.exp(scores - scores.max())
+        alpha /= alpha.sum()
+        context = alpha @ enc
+        log_probs[step] = _log_softmax((s + context) @ params.out_proj + params.out_bias)
+        states[step], alphas[step], contexts[step] = s, alpha, context
+    return ForwardTrace(log_probs=log_probs, cond_tokens=cond,
+                        input_ids=np.asarray(input_ids, dtype=np.int64), enc_states=enc,
+                        states=states, attn_weights=alphas, contexts=contexts)
+
+
+def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
+    """Per-step backward: every gradient term accumulated one step at a time,
+    back to front.  The oracle for the whole-trace ``backward``."""
+    n_steps = trace.log_probs.shape[0]
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_steps,))
+    g = params.zeros_like()
+    H = trace.enc_states
+    HA = H @ params.attn
+    dH = np.zeros_like(H)
+    ds_next = np.zeros(params.d)
+    for n in range(n_steps - 1, -1, -1):
+        s, c, alpha = trace.states[n], trace.contexts[n], trace.attn_weights[n]
+        dz = -w[n] * np.exp(trace.log_probs[n])
+        dz[targets[n]] += w[n]
+        g.out_proj += (s + c)[:, None] * dz
+        g.out_bias += dz
+        dc = params.out_proj @ dz
+        dalpha = H @ dc
+        dH += alpha[:, None] * dc
+        da = alpha * (dalpha - alpha @ dalpha)
+        ds = dc + ds_next + HA.T @ da
+        g.attn += (H.T @ da)[:, None] * s
+        dH += da[:, None] * (params.attn @ s)
+        dq = ds * (1.0 - s * s)
+        u = params.tgt_emb[trace.cond_tokens[n]]
+        s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
+        g.dec_in += u[:, None] * dq
+        g.dec_state += s_prev[:, None] * dq
+        np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
+        ds_next = dq @ params.dec_state.T
+    dq_enc = dH * (1.0 - H * H)
+    g.enc_proj += params.src_emb[trace.input_ids].T @ dq_enc
+    np.add.at(g.src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
+    return g
 
 
 def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:

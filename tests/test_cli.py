@@ -95,6 +95,20 @@ def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, fla
     assert named in capsys.readouterr().err
 
 
+def test_eval_utt_remote_scores_each_pair_once(tmp_path, capsys, wire_server):
+    corpus = tmp_path / "corpus.jsonl"
+    assert run(["gen-data", "--seed", "3", "--n", "6", "--out", str(corpus)]) == 0
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "nbest": [{"text": "a b"}]}) + "\n"
+        for line in corpus.read_text().splitlines()))
+    wire_server.respond({"consistency": 0.75})
+    code, out = _run(capsys, "eval-utt", "--corpus", str(corpus), "--hyp", str(hyp),
+                     "--scorer", "remote", "--scorer-url", wire_server.url)
+    assert code == 0 and "| 0.750 | 1.000 |" in out
+    assert [path for path, _ in wire_server.requests] == ["/score"] * 6
+
+
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
     """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below.

@@ -154,15 +154,15 @@ def test_avg_consistency_reports_failing_pair():
 
 
 def test_consistent_ratio_boundaries():
-    scores = {"a": 0.4, "b": 0.6, "c": 0.9}
-    pairs = [(k, "r") for k in scores]
-    scorer = lambda h, r: scores[h]
-    assert consistent_ratio(pairs, scorer, 0.0) == 1.0
-    assert consistent_ratio(pairs, scorer, 1.0) < 1.0
-    assert consistent_ratio(pairs, scorer, 0.5) == pytest.approx(2 / 3)
-    assert consistent_ratio(pairs, scorer, 0.6) == pytest.approx(2 / 3)  # inclusive
+    scores = [0.4, 0.6, 0.9]
+    assert consistent_ratio(scores, 0.0) == 1.0
+    assert consistent_ratio(scores, 1.0) < 1.0
+    assert consistent_ratio(scores, 0.5) == pytest.approx(2 / 3)
+    assert consistent_ratio(scores, 0.6) == pytest.approx(2 / 3)  # inclusive
     with pytest.raises(MetricsError):
-        consistent_ratio(pairs, scorer, 1.5)
+        consistent_ratio(scores, 1.5)
+    with pytest.raises(MetricsError):
+        consistent_ratio([], 0.5)
 
 
 def test_t_test_identical_vectors():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    cell_terms, finite_difference_check, params_allclose, random_params, terms_objective,
+    cell_terms, finite_difference_check, params_allclose, random_params,
+    reference_backward, reference_forward_teacher, terms_objective,
 )
 from fcmax.model import (
     ModelError, ModelParams, _step, accumulate, apply_update, backward, encode,
@@ -116,30 +117,59 @@ def test_step_replays_teacher_and_batches_rows():
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
     trace = forward_teacher(p, inp, cond)
     enc = encode(p, inp)
-    # a 1-D step loop is forward_teacher, bit for bit
-    s = np.zeros(p.d)
+    # a loop of one-row steps replays forward_teacher, up to gemm rounding
+    s = np.zeros((1, p.d))
     rows = []
     for n, tok in enumerate(cond):
-        logp, s, alpha, context = _step(p, enc, s, tok)
-        assert np.array_equal(logp, trace.log_probs[n])
-        assert np.array_equal(s, trace.states[n])
-        assert np.array_equal(alpha, trace.attn_weights[n])
-        assert np.array_equal(context, trace.contexts[n])
-        rows.append(s)
-    # stacked (B, d) rows give the per-row 1-D results, up to gemm rounding
+        logp, s, alpha, context = _step(p, enc, s, np.array([tok]))
+        want_rows = (trace.log_probs[n], trace.states[n], trace.attn_weights[n],
+                     trace.contexts[n])
+        for got, want in zip((logp, s, alpha, context), want_rows):
+            assert got.shape == (1,) + want.shape
+            assert np.max(np.abs(got[0] - want)) <= 1e-12
+        rows.append(s[0])
+    # stacked (B, d) rows give the one-row results, up to gemm rounding
     states = np.stack(rows)
     tokens = np.array([3, 0, 6, 6, 1])
     batched = _step(p, enc, states, tokens)
     for b in range(len(tokens)):
-        for got, want in zip(batched, _step(p, enc, states[b], int(tokens[b]))):
-            assert np.max(np.abs(got[b] - want)) <= 1e-12
+        for got, want in zip(batched, _step(p, enc, states[b:b + 1], tokens[b:b + 1])):
+            assert np.max(np.abs(got[b] - want[0])) <= 1e-12
+
+
+def test_whole_trace_forward_and_backward_match_per_step_reference():
+    """Whole-trace readout and backward against the per-step oracles.
+
+    The recurrence is the same per-step arithmetic, so states agree bit for
+    bit; the readout's dot products are summed in another order, so log-probs
+    agree within 1e-12 of max(1, the largest |log-prob|) (logits reach a few
+    hundred at scale 12) and gradients within 1e-12 of the largest entry.
+    """
+    rng = np.random.default_rng(5150)
+    for case in range(500):
+        d, sv, tv = int(rng.integers(1, 33)), int(rng.integers(1, 9)), int(rng.integers(2, 40))
+        p = random_params(d, sv, tv, seed=case, scale=float(rng.uniform(0.05, 12.0)))
+        inp = rng.integers(0, sv, size=int(rng.integers(1, 16)))
+        cond = rng.integers(0, tv, size=int(rng.integers(1, 15)))
+        targets = rng.integers(0, tv, size=cond.size)
+        weights = rng.normal(size=cond.size) * (rng.random(cond.size) < 0.7)
+        got = forward_teacher(p, inp, cond)
+        want = reference_forward_teacher(p, inp, cond)
+        assert np.array_equal(got.states, want.states), case
+        lp_scale = max(1.0, np.max(np.abs(want.log_probs)))
+        assert np.max(np.abs(got.log_probs - want.log_probs)) <= 1e-12 * lp_scale, case
+        g = backward(p, got, targets, weights)
+        ref = reference_backward(p, want, targets, weights)
+        scale = max(np.max(np.abs(m)) for m in ref.matrices().values())
+        for name, mat in g.matrices().items():
+            assert np.max(np.abs(mat - getattr(ref, name))) <= 1e-12 * scale, (case, name)
 
 
 def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
     enc = encode(p, [1, 2])
-    l1 = _step(p, enc, np.zeros(p.d), 0)[0]
-    l2 = _step(p, enc, np.zeros(p.d), 0)[0]
+    l1 = _step(p, enc, np.zeros((1, p.d)), np.array([0]))[0]
+    l2 = _step(p, enc, np.zeros((1, p.d)), np.array([0]))[0]
     assert np.array_equal(l1, l2)
     assert np.allclose(l1, -np.log(4.0))
     batched = _step(p, enc, np.zeros((3, p.d)), np.array([0, 2, 3]))[0]
