@@ -23,13 +23,14 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from . import summeval as summeval_mod
-from .beam import beam_decode
 from .corpus import SynthConfig, atomic_write_text, default_token_weights
 from .fcm import normalize_posteriors
 from .scorers import (
     ConsistencyScorer, exact_match_scorer, lcs_scorer, remote_scorer, weighted_f1_scorer,
 )
-from .trainer import SafeguardConfig, TrainingSchedule, TrainResult, train_ce, train_fcm
+from .trainer import (
+    SafeguardConfig, TrainingSchedule, TrainResult, decode_samples, train_ce, train_fcm,
+)
 
 SCORER_URL_ENV = "FCM_SCORER_URL"
 SUMMARIZER_URL_ENV = "FCM_SUMMARIZER_URL"
@@ -147,9 +148,8 @@ def _cmd_decode(args, opts: dict) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     lines = []
     utterances = []
-    for sample in corpus.samples:
-        nbest = beam_decode(params, sample.input, opts["beam-size"], opts["max-len"],
-                            bos_id=corpus.bos_id, eos_id=corpus.eos_id)
+    nbests = decode_samples(params, corpus, corpus.samples, opts["beam-size"], opts["max-len"])
+    for sample, nbest in zip(corpus.samples, nbests):
         posteriors = normalize_posteriors([h.log_prob for h in nbest.hypotheses])
         entry = {
             "id": sample.id,

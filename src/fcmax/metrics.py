@@ -41,6 +41,10 @@ class EditBreakdown:
     def deletion_rate(self) -> float:
         return self.deletions / self.ref_words
 
+    @property
+    def insertion_rate(self) -> float:
+        return self.insertions / self.ref_words
+
 
 def align_counts(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> tuple[int, int, int]:
     """Minimum-edit alignment counts (substitutions, insertions, deletions).

@@ -169,10 +169,11 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray):
-    """Attention, context and output of (N, d) decoder states; returns
-    (log_probs, alpha, context) of shapes (N, V), (N, T), (N, d)."""
-    scores = (enc_states @ (params.attn @ states.T)).T
+def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray,
+             scores: np.ndarray):
+    """Attention over (..., N, T) scores, context and output of (..., N, d)
+    decoder states; returns (log_probs, alpha, context) of shapes
+    (..., N, V), (..., N, T), (..., N, d)."""
     scores = scores - scores.max(axis=-1, keepdims=True)
     alpha = np.exp(scores)
     alpha /= alpha.sum(axis=-1, keepdims=True)
@@ -181,15 +182,51 @@ def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray):
     return _log_softmax(logits), alpha, context
 
 
-def _step(params: ModelParams, enc_states: np.ndarray, s_prev: np.ndarray, tokens):
-    """One decoder step of B prefixes; returns (log_probs, s, alpha, context).
+class _Decoder:
+    """Decoder steps for a group of encoded inputs, B prefixes per input.
 
-    s_prev is (B, d) and tokens (B,); the outputs are (B, V), (B, d), (B, T)
-    and (B, d).
+    A group of several inputs pads their encoder states to the longest,
+    (G, T, d), and src_bias puts -inf on the attention scores of padded
+    positions, so they get exactly zero weight; a group of one keeps its
+    (T, d) states.  The input term of every token (tgt_emb @ dec_in) and each
+    input's attention keys (H @ attn) are formed once for all steps.
     """
-    s = np.tanh(params.tgt_emb[tokens] @ params.dec_in + s_prev @ params.dec_state)
-    log_probs, alpha, context = _readout(params, enc_states, s)
-    return log_probs, s, alpha, context
+
+    def __init__(self, params: ModelParams, encoded: list[np.ndarray]) -> None:
+        self.params = params
+        self.inputs = params.tgt_emb @ params.dec_in
+        self.src_bias = None
+        if len(encoded) == 1:
+            self.values = encoded[0]
+        else:
+            lengths = [len(enc) for enc in encoded]
+            self.values = np.zeros((len(encoded), max(lengths), params.d))
+            for g, enc in enumerate(encoded):
+                self.values[g, :len(enc)] = enc
+            if min(lengths) < max(lengths):
+                valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+                self.src_bias = np.where(valid, 0.0, -np.inf)[:, None, :]
+        self.keys = (self.values @ params.attn).swapaxes(-1, -2)
+
+    def select(self, rows: list[int]) -> None:
+        """Keep only the given inputs of a group of several."""
+        self.values, self.keys = self.values[rows], self.keys[rows]
+        if self.src_bias is not None:
+            self.src_bias = self.src_bias[rows]
+
+    def step(self, s_prev: np.ndarray, tokens):
+        """One step; returns (log_probs, s, alpha, context).
+
+        s_prev is (B, d) and tokens (B,) for a group of one, (G, B, d) and
+        (G, B) otherwise; the outputs are (..., B, V), (..., B, d),
+        (..., B, T) and (..., B, d).
+        """
+        s = np.tanh(self.inputs[tokens] + s_prev @ self.params.dec_state)
+        scores = s @ self.keys
+        if self.src_bias is not None:
+            scores = scores + self.src_bias
+        log_probs, alpha, context = _readout(self.params, self.values, s, scores)
+        return log_probs, s, alpha, context
 
 
 def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
@@ -210,7 +247,10 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     for step in range(cond.size):
         # input term per step: a whole-trace product reorders sums the recurrence amplifies
         s = states[step] = np.tanh(emb[step] @ params.dec_in + s @ params.dec_state)
-    log_probs, alphas, contexts = _readout(params, enc, states)
+    # attention scores as H @ (attn @ s), the summation order likelihood
+    # training has always used; decoding reuses H @ attn across steps instead
+    log_probs, alphas, contexts = _readout(params, enc, states,
+                                           (enc @ (params.attn @ states.T)).T)
     return ForwardTrace(
         log_probs=log_probs,
         cond_tokens=cond,

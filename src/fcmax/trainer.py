@@ -4,13 +4,13 @@ Both loops are plain gradient ascent with a linear-decay learning rate and a
 seeded shuffle, so identical inputs give bit-identical checkpoints.  Both
 gradients are a weight on every step of a token trajectory: the likelihood
 loop puts weight 1 on the reference path, and the consistency loop decodes
-each batch sample, scores the N-best list and puts each hypothesis's
-expected-score coefficient on that hypothesis's path.  Two safeguards bound
-the consistency loop: a hard iteration cap (fine-tuning starts from a
-well-trained likelihood model and runs briefly) and a deletion tripwire
-that halts the run if dev deletions grow past a limit, returning the best
-previously-passing checkpoint instead, or the starting model when no
-checkpoint ever passed.
+the batch's samples together, scores each N-best list and puts each
+hypothesis's expected-score coefficient on that hypothesis's path.  Two
+safeguards bound the consistency loop: a hard iteration cap (fine-tuning
+starts from a well-trained likelihood model and runs briefly) and a
+deletion tripwire that halts the run if dev deletions grow past a limit,
+returning the best previously-passing checkpoint instead, or the starting
+model when no checkpoint ever passed.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import beam_decode
+from .beam import BeamInputError, NBestList, beam_decode_batch
 from .corpus import Corpus
 from .fcm import (
-    FcmError, ScoredNBest, expected_consistency, fcm_coefficients, fcm_corpus_objective,
+    FcmError, expected_consistency, fcm_coefficients, fcm_corpus_objective,
 )
 from .metrics import EditBreakdown, corpus_wer
 from .model import (
@@ -122,36 +122,38 @@ def _ce_gradient(params: ModelParams, corpus: Corpus, sample) -> tuple[ModelPara
     return backward(params, trace, targets, 1.0), nll
 
 
-def _scored_nbest(params: ModelParams, corpus: Corpus, sample, scorer: ConsistencyScorer,
-                  beam_size: int, nbest_size: int, max_len: int) -> ScoredNBest:
-    """Decode one sample, keep the top nbest_size hypotheses and score them."""
-    nbest = beam_decode(params, sample.input, beam_size, max_len,
-                        bos_id=corpus.bos_id, eos_id=corpus.eos_id)
-    return expected_consistency(nbest.top(nbest_size), sample, scorer, corpus.token_vocab)
+def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
+                   max_len: int) -> list[NBestList]:
+    """The N-best list of every sample, decoded together by one batched beam
+    search; an input that cannot be encoded raises FcmError naming its sample."""
+    try:
+        return beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
+                                 bos_id=corpus.bos_id, eos_id=corpus.eos_id)
+    except BeamInputError as exc:
+        raise FcmError(f"sample {samples[exc.index].id!r}: {exc}") from exc
 
 
 def decode_corpus_top1(params: ModelParams, corpus: Corpus, beam_size: int, max_len: int) -> list[str]:
-    texts = []
-    for sample in corpus.samples:
-        nbest = beam_decode(params, sample.input, beam_size, max_len,
-                            bos_id=corpus.bos_id, eos_id=corpus.eos_id)
-        texts.append(corpus.decode_ids(nbest.hypotheses[0].tokens))
-    return texts
+    """The top hypothesis of every sample's beam search, as text, in corpus order."""
+    return [corpus.decode_ids(nbest.hypotheses[0].tokens)
+            for nbest in decode_samples(params, corpus, corpus.samples, beam_size, max_len)]
 
 
 def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
                 beam_size: int, nbest_size: int, max_len: int) -> dict:
-    """Dev-set metrics: pooled WER, deletion rate, mean consistency, objective.
+    """Dev-set metrics: pooled WER, deletion and insertion rates, mean
+    consistency, objective, and the share of top hypotheses cut at max_len.
 
-    Each sample is decoded once: the top hypothesis of its scored N-best
-    list gives the text (for WER) and its consistency, and the list's
-    expectation adds to the objective.
+    The whole corpus is decoded first, each sample once; then the top
+    hypothesis of each scored N-best list gives the text (for WER) and its
+    consistency, and the list's expectation adds to the objective.
     """
     scored = []
-    for sample in corpus.samples:
+    for sample, nbest in zip(corpus.samples,
+                             decode_samples(params, corpus, corpus.samples, beam_size, max_len)):
         try:
-            scored.append(_scored_nbest(params, corpus, sample, scorer,
-                                        beam_size, nbest_size, max_len))
+            scored.append(expected_consistency(nbest.top(nbest_size), sample, scorer,
+                                               corpus.token_vocab))
         except Exception as exc:
             raise FcmError(f"sample {sample.id!r}: {exc}") from exc
     tops = [one.hypotheses[0] for one in scored]
@@ -160,6 +162,8 @@ def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
     return {
         "dev_wer": breakdown.wer,
         "dev_del_rate": breakdown.deletion_rate,
+        "dev_ins_rate": breakdown.insertion_rate,
+        "dev_unfinished_top1": sum(not top.finished for top in tops) / len(tops),
         "dev_avg_consistency": sum(scores) / len(scores),
         "dev_fcm_objective": fcm_corpus_objective(scored),
         "_breakdown": breakdown,
@@ -216,11 +220,11 @@ def train_ce(
     return TrainResult(params=params, log=log)
 
 
-def _fcm_sample_gradient(params: ModelParams, corpus: Corpus, sample,
+def _fcm_sample_gradient(params: ModelParams, corpus: Corpus, sample, nbest: NBestList,
                          scorer: ConsistencyScorer, schedule: TrainingSchedule,
                          ce_weight: float) -> ModelParams:
-    scored = _scored_nbest(params, corpus, sample, scorer, schedule.beam_size,
-                           schedule.nbest_size, schedule.max_len)
+    scored = expected_consistency(nbest.top(schedule.nbest_size), sample, scorer,
+                                  corpus.token_vocab)
     total = params.zeros_like()
     for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
         if coeff == 0.0:
@@ -279,16 +283,20 @@ def train_fcm(
     current = params
     for it in range(total_iters):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
-        batch = next(batches)
+        samples = [corpus.samples[idx] for idx in next(batches)]
+        try:
+            nbests = decode_samples(current, corpus, samples, schedule.beam_size,
+                                    schedule.max_len)
+        except FcmError as exc:  # names the sample
+            raise TrainerError(f"iteration {it}, {exc}") from exc
         total = current.zeros_like()
-        for idx in batch:
-            sample = corpus.samples[idx]
+        for sample, nbest in zip(samples, nbests):
             try:
-                grad = _fcm_sample_gradient(current, corpus, sample, scorer, schedule,
+                grad = _fcm_sample_gradient(current, corpus, sample, nbest, scorer, schedule,
                                             safeguard.ce_interpolation_weight)
             except Exception as exc:
                 raise TrainerError(f"iteration {it}, sample {sample.id!r}: {exc}") from exc
-            accumulate(total, grad, 1.0 / len(batch))
+            accumulate(total, grad, 1.0 / len(samples))
         current = apply_update(current, total, lr)
         if dev is not None and ((it + 1) % safeguard.dev_check_every == 0
                                 or it + 1 == total_iters):

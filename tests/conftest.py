@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, settings
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import BOS, EOS, Corpus, Sample
 from fcmax.model import (
-    ForwardTrace, ModelParams, _log_softmax, _step, accumulate, apply_update, backward,
+    ForwardTrace, ModelParams, _Decoder, _log_softmax, accumulate, apply_update, backward,
     encode, forward_teacher, trajectory,
 )
 
@@ -73,8 +73,8 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
                           bos_id: int, eos_id: int) -> NBestList:
     """Per-prefix beam search: one 1-D decoder step per live prefix, and every
     (score, tokens) candidate of the round sorted in full.  The oracle for
-    the row-batched ``beam_decode``."""
-    enc = encode(params, input_ids)
+    the batched ``beam_decode_batch``."""
+    decoder = _Decoder(params, [encode(params, input_ids)])
     live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 0.0, np.zeros(params.d))]
     done: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(max_len):
@@ -82,7 +82,7 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
             break
         candidates = [(lp, toks, None, True) for lp, toks in done]
         for toks, lp, s in live:
-            logp, s_new, _, _ = _step(params, enc, s[None], [toks[-1] if toks else bos_id])
+            logp, s_new, _, _ = decoder.step(s[None], [toks[-1] if toks else bos_id])
             logp, s_new = logp[0], s_new[0]
             for tok in range(params.target_vocab_size):
                 if tok == bos_id:

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import random_params, reference_beam_decode
-from fcmax.beam import BeamError, Hypothesis, NBestList, beam_decode, sequence_log_prob
+from fcmax.beam import (
+    GROUP_SIZE, BeamError, BeamInputError, Hypothesis, NBestList, beam_decode,
+    beam_decode_batch, sequence_log_prob,
+)
 from fcmax.fcm import normalize_posteriors
 from fcmax.model import forward_teacher, init_params
 
@@ -98,6 +101,55 @@ def test_batched_beam_matches_per_prefix_reference(kind):
             for g, w in zip(got.hypotheses, want.hypotheses):
                 assert type(g.log_prob) is float
                 assert abs(g.log_prob - w.log_prob) <= 1e-12, (kind, utt, beam)
+
+
+@pytest.mark.parametrize("kind", ["random", "large-scale", "zero"])
+def test_batch_decoding_matches_per_prefix_reference(kind):
+    """Batches of ragged inputs (one input, three, more than one group) at
+    beam 1, 2, 4 and 8, each utterance against the per-prefix oracle and
+    against its own decode alone; some models have fewer tokens than beams,
+    and some make EOS so unlikely that max_len cuts every hypothesis."""
+    rng = np.random.default_rng({"random": 11, "large-scale": 12, "zero": 13}[kind])
+    scale = {"random": 0.8, "large-scale": 3.0, "zero": 0.0}[kind]
+    unfinished = 0
+    for case in range(36):
+        d, sv = (int(x) for x in rng.integers([2, 3], [9, 9]))
+        # V < beam 4 and 8; or enough tokens to fill beam 8 without EOS
+        tv = {0: 3, 1: 11}.get(case % 4, int(rng.integers(4, 12)))
+        p = random_params(d, sv, tv, seed=int(rng.integers(1 << 30)), scale=scale)
+        bos, eos = (int(t) for t in rng.choice(tv, size=2, replace=False))
+        max_len = int(rng.integers(1, 6))
+        if case % 4 == 1:  # EOS never wins: every hypothesis is cut at max_len
+            p.out_bias[eos] -= 1e3
+            max_len = int(rng.integers(1, 3))
+        n_utts = (1, 3, GROUP_SIZE + 5)[case % 3]
+        inputs = [rng.integers(0, sv, size=int(rng.integers(1, 8))) for _ in range(n_utts)]
+        for beam in (1, 2, 4, 8):
+            got = beam_decode_batch(p, inputs, beam, max_len, bos_id=bos, eos_id=eos)
+            assert len(got) == n_utts
+            for u, (nbest, input_ids) in enumerate(zip(got, inputs)):
+                alone = beam_decode(p, input_ids, beam, max_len, bos_id=bos, eos_id=eos)
+                want = reference_beam_decode(p, input_ids, beam, max_len, bos, eos)
+                for other in (alone, want):
+                    assert [(h.tokens, h.finished) for h in nbest.hypotheses] == \
+                        [(h.tokens, h.finished) for h in other.hypotheses], (kind, case, beam, u)
+                    for g, w in zip(nbest.hypotheses, other.hypotheses):
+                        assert abs(g.log_prob - w.log_prob) <= 1e-12, (kind, case, beam, u)
+                if case % 4 == 1:
+                    assert not any(h.finished for h in nbest.hypotheses)
+                unfinished += sum(not h.finished for h in nbest.hypotheses)
+    assert unfinished > 0
+
+
+def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
+    p = random_params(3, 4, 5, seed=1)
+    assert beam_decode_batch(p, [], 2, 3, bos_id=BOS_ID, eos_id=EOS_ID) == []
+    inputs = [[1, 2]] * (GROUP_SIZE + 3)
+    for bad, ids in ((2, [1, 4]), (GROUP_SIZE + 1, [])):
+        with pytest.raises(BeamInputError, match="out of range|empty input") as err:
+            beam_decode_batch(p, inputs[:bad] + [ids] + inputs[bad + 1:], 2, 3,
+                              bos_id=BOS_ID, eos_id=EOS_ID)
+        assert err.value.index == bad
 
 
 def test_posterior_fixture_ranks_dominant_first(ambiguity_fixture):

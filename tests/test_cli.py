@@ -159,8 +159,9 @@ def test_metrics_log_schema(workflow):
     assert lines
     for line in lines:
         entry = json.loads(line)
-        assert set(entry) == {"iter", "lr", "dev_wer", "dev_del_rate",
-                              "dev_avg_consistency", "dev_fcm_objective"}
+        assert set(entry) == {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate",
+                              "dev_unfinished_top1", "dev_avg_consistency",
+                              "dev_fcm_objective"}
     # the start model passes the deletion guard, so every FCM iteration runs
     assert json.loads(lines[-1])["iter"] == 10
 

@@ -10,7 +10,7 @@ from conftest import (
     reference_backward, reference_forward_teacher, terms_objective,
 )
 from fcmax.model import (
-    ModelError, ModelParams, _step, accumulate, apply_update, backward, encode,
+    ModelError, ModelParams, _Decoder, accumulate, apply_update, backward, encode,
     forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
@@ -116,12 +116,12 @@ def test_step_replays_teacher_and_batches_rows():
     p = random_params(5, 6, 7, seed=3, scale=0.9)
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
     trace = forward_teacher(p, inp, cond)
-    enc = encode(p, inp)
+    decoder = _Decoder(p, [encode(p, inp)])
     # a loop of one-row steps replays forward_teacher, up to gemm rounding
     s = np.zeros((1, p.d))
     rows = []
     for n, tok in enumerate(cond):
-        logp, s, alpha, context = _step(p, enc, s, np.array([tok]))
+        logp, s, alpha, context = decoder.step(s, np.array([tok]))
         want_rows = (trace.log_probs[n], trace.states[n], trace.attn_weights[n],
                      trace.contexts[n])
         for got, want in zip((logp, s, alpha, context), want_rows):
@@ -131,10 +131,27 @@ def test_step_replays_teacher_and_batches_rows():
     # stacked (B, d) rows give the one-row results, up to gemm rounding
     states = np.stack(rows)
     tokens = np.array([3, 0, 6, 6, 1])
-    batched = _step(p, enc, states, tokens)
+    batched = decoder.step(states, tokens)
     for b in range(len(tokens)):
-        for got, want in zip(batched, _step(p, enc, states[b:b + 1], tokens[b:b + 1])):
+        for got, want in zip(batched, decoder.step(states[b:b + 1], tokens[b:b + 1])):
             assert np.max(np.abs(got[b] - want[0])) <= 1e-12
+
+
+def test_grouped_steps_match_each_input_alone():
+    """A group pads ragged inputs; the mask gives padded positions exactly
+    zero attention, so each input's rows are those of its decoder alone."""
+    p = random_params(5, 6, 7, seed=4, scale=0.9)
+    inputs = [[2, 5, 0, 1], [3], [4, 4, 1]]
+    group = _Decoder(p, [encode(p, ids) for ids in inputs])
+    rng = np.random.default_rng(0)
+    states = rng.uniform(-1, 1, size=(3, 2, p.d))
+    tokens = rng.integers(0, 7, size=(3, 2))
+    grouped = group.step(states, tokens)
+    for g, ids in enumerate(inputs):
+        alone = _Decoder(p, [encode(p, ids)]).step(states[g], tokens[g])
+        for got, want in zip(grouped, alone):
+            assert np.max(np.abs(got[g][..., :want.shape[-1]] - want)) <= 1e-12
+        assert not grouped[2][g][:, len(ids):].any()  # padded attention weights
 
 
 def test_whole_trace_forward_and_backward_match_per_step_reference():
@@ -167,12 +184,12 @@ def test_whole_trace_forward_and_backward_match_per_step_reference():
 
 def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
-    enc = encode(p, [1, 2])
-    l1 = _step(p, enc, np.zeros((1, p.d)), np.array([0]))[0]
-    l2 = _step(p, enc, np.zeros((1, p.d)), np.array([0]))[0]
+    decoder = _Decoder(p, [encode(p, [1, 2])])
+    l1 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
+    l2 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
     assert np.array_equal(l1, l2)
     assert np.allclose(l1, -np.log(4.0))
-    batched = _step(p, enc, np.zeros((3, p.d)), np.array([0, 2, 3]))[0]
+    batched = decoder.step(np.zeros((3, p.d)), np.array([0, 2, 3]))[0]
     assert np.array_equal(batched, np.broadcast_to(l1, (3, 4)))
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import corpus_nll, params_allclose
+from conftest import corpus_nll, params_allclose, random_params
 from fcmax.beam import beam_decode
-from fcmax.corpus import BOS, EOS, Corpus, Sample, detokenize
-from fcmax.fcm import expected_consistency, fcm_coefficients, normalize_posteriors
+from fcmax.corpus import (
+    BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
+)
+from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
 from fcmax.metrics import EditBreakdown
 from fcmax.model import init_params
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
@@ -17,8 +19,8 @@ from fcmax.trainer import (
     linear_decay_lr, train_ce, train_fcm,
 )
 
-LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_avg_consistency",
-            "dev_fcm_objective"}
+LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate", "dev_unfinished_top1",
+            "dev_avg_consistency", "dev_fcm_objective"}
 
 
 def test_linear_decay_examples():
@@ -243,3 +245,23 @@ def test_fcm_respects_hard_iteration_cap():
                        dev=corpus)
     assert result.log[-1]["iter"] == 4
     assert set(result.log[0]) == LOG_KEYS
+
+
+def test_decode_failures_name_the_sample():
+    """A checkpoint whose source vocabulary lacks one sample's symbol: the
+    batched decode of evaluate_on and of an FCM minibatch names that sample."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=6, seed=4))
+    bad = corpus.samples[3]
+    limit = max(max(s.input) for s in corpus.samples if s is not bad) + 1
+    assert limit < corpus.source_vocab_size
+    samples = list(corpus.samples)
+    samples[3] = Sample(id=bad.id, input=bad.input + (limit,), reference=bad.reference,
+                        ref_word_count=bad.ref_word_count)
+    corpus = Corpus(samples, corpus.source_vocab_size, corpus.token_vocab)
+    params = random_params(3, limit, len(corpus.token_vocab), seed=5)
+    with pytest.raises(FcmError, match=f"{bad.id!r}.*out of range"):
+        evaluate_on(params, corpus, weighted_f1_scorer(), 2, 2, 4)
+    schedule = TrainingSchedule(total_iterations=1, initial_lr=0.1, batch_size=6, beam_size=2,
+                                nbest_size=2, max_len=4)
+    with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}.*out of range"):
+        train_fcm(params, corpus, weighted_f1_scorer(), schedule)
