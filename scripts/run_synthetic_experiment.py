@@ -139,7 +139,9 @@ def main():
 
     report = {
         "systems": [
-            {"label": s["label"], "wer": s["breakdown"].wer, "mean_consistency": s["mean"],
+            {"label": s["label"], "wer": s["breakdown"].wer,
+             "ins_rate": s["breakdown"].insertion_rate,
+             "del_rate": s["breakdown"].deletion_rate, "mean_consistency": s["mean"],
              "consistent_ratio": s["ratio"]} for s in systems
         ],
         "utt_ttest_fcm_vs_ce": {"t": ttest.t_statistic, "p": ttest.p_value_two_tailed},

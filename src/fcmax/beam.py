@@ -205,5 +205,5 @@ def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_i
                       include_eos: bool = True) -> float:
     """Raw log posterior of a token sequence, EOS step included by default."""
     cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
-    trace = forward_teacher(params, input_ids, cond)
-    return float(trace.log_probs[np.arange(len(targets)), targets].sum())
+    trace = forward_teacher(params, [input_ids], [cond])
+    return float(trace.log_probs[0, np.arange(len(targets)), targets].sum())

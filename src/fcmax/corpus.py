@@ -128,6 +128,7 @@ class Corpus:
     source_vocab_size: int
     token_vocab: tuple[str, ...]
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _reference_ids: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.token_vocab = tuple(self.token_vocab)
@@ -140,6 +141,7 @@ class Corpus:
             ids.add(s.id)
             s.validate(self.source_vocab_size)
         self._token_to_id = {tok: i for i, tok in enumerate(self.token_vocab)}
+        self._reference_ids = {}
 
     @property
     def bos_id(self) -> int:
@@ -163,7 +165,12 @@ class Corpus:
         return detokenize(self.token_vocab[i] for i in ids)
 
     def reference_ids(self, sample: Sample) -> list[int]:
-        return self.encode_text(sample.reference)
+        """The reference's token ids; each reference text is tokenized once,
+        since training draws every sample many times."""
+        ids = self._reference_ids.get(sample.reference)
+        if ids is None:
+            ids = self._reference_ids[sample.reference] = tuple(self.encode_text(sample.reference))
+        return list(ids)
 
     def split(self, *sizes: int) -> list["Corpus"]:
         """Partition samples by position into consecutive sub-corpora."""

@@ -240,13 +240,15 @@ def csv_report(rows: Sequence[tuple[str, float, int]]) -> str:
 
 
 def markdown_report(systems: Sequence[tuple[str, EditBreakdown, float, float]]) -> str:
-    """One table row per system: WER %, mean consistency, consistent ratio."""
+    """One table row per system: WER %, insertions per reference word %,
+    mean consistency, consistent ratio."""
     lines = [
-        "| System | WER (%) | Avg consistency | Consistent ratio |",
-        "| --- | --- | --- | --- |",
+        "| System | WER (%) | Ins (%) | Avg consistency | Consistent ratio |",
+        "| --- | --- | --- | --- | --- |",
     ]
     for name, breakdown, avg, ratio in systems:
         lines.append(
-            f"| {name} | {100.0 * breakdown.wer:.1f} | {avg:.3f} | {ratio:.3f} |"
+            f"| {name} | {100.0 * breakdown.wer:.1f} | {100.0 * breakdown.insertion_rate:.1f} "
+            f"| {avg:.3f} | {ratio:.3f} |"
         )
     return "\n".join(lines) + "\n"

@@ -1,17 +1,19 @@
 """A small attention encoder-decoder over discrete symbol sequences.
 
 The decoder is a single tanh recurrence with bilinear attention over encoder
-states.  The forward pass exposes per-step log output distributions along a
-token trajectory (see ``trajectory``); the backward pass takes one target
-token and one weight per step and returns the gradient of the weighted sum
-of the targets' log probabilities.  Likelihood training puts weight 1 on the
-reference path and consistency training puts one coefficient on each N-best
-path, so sequence-level objectives are composed without knowing anything
-about the network internals.  All arithmetic is float64.
+states.  The forward pass exposes per-step log output distributions along
+token trajectories (see ``trajectory``); the backward pass takes one target
+token and one weight per step of each trajectory and returns the gradient of
+the weighted sum of the targets' log probabilities.  Likelihood training
+puts a weight on each reference path and consistency training puts one
+coefficient on each N-best path, so sequence-level objectives are composed
+without knowing anything about the network internals.  All arithmetic is
+float64.
 
 Only the recurrence loops over steps.  The readout (attention, context,
-output) depends only on the states and H, so it runs on a whole trace or on
-all live beam prefixes at once, and backward carries only ds step by step.
+output) depends only on the states and H, so it runs on a whole batch of
+traces or on all live beam prefixes at once, and backward carries only ds
+step by step.
 
 Shapes (d is the hidden width, row-vector convention):
     encoder states   H[t]   = tanh(src_emb[x_t] @ enc_proj)
@@ -19,6 +21,16 @@ Shapes (d is the hidden width, row-vector convention):
     attention score  a_t    = h_t @ attn @ s_n
     context          c_n    = softmax(a) @ H
     log outputs      L[n]   = log_softmax((s_n + c_n) @ out_proj + out_bias)
+
+``forward_teacher`` and ``backward`` take a batch of U trajectories, each
+with its own input, conditioning tokens, targets and weights.  Inputs are
+padded at the end to the longest, T, and trajectories to the longest, N:
+input ids are (U, T), encoder states (U, T, d), log outputs (U, N, V),
+decoder states and contexts (U, N, d) and attention weights (U, N, T).
+Padding rule: padded source positions get a -inf attention score before the
+softmax, so they get exactly zero attention; padded steps get weight 0, so
+backward writes exact zeros for them.  A single trajectory, given as flat id
+sequences, is a batch of one.
 """
 
 from __future__ import annotations
@@ -121,19 +133,17 @@ def init_params(d: int, source_vocab_size: int, target_vocab_size: int, seed: in
 
 @dataclass
 class ForwardTrace:
-    """Per-step log distributions plus the activations backward needs."""
+    """Per-step log distributions of U padded trajectories plus the
+    activations backward needs."""
 
-    log_probs: np.ndarray      # (N, V), rows are log-softmax outputs
-    cond_tokens: np.ndarray    # (N,), token that conditioned each step
-    input_ids: np.ndarray      # (T,)
-    enc_states: np.ndarray     # (T, d)
-    states: np.ndarray         # (N, d), post-tanh decoder states
-    attn_weights: np.ndarray   # (N, T)
-    contexts: np.ndarray       # (N, d)
-
-    @property
-    def n_steps(self) -> int:
-        return self.log_probs.shape[0]
+    log_probs: np.ndarray      # (U, N, V), rows are log-softmax outputs
+    cond_tokens: np.ndarray    # (U, N), token that conditioned each step, 0 when padded
+    lengths: np.ndarray        # (U,), the real steps of each trajectory
+    input_ids: np.ndarray      # (U, T), 0 when padded
+    enc_states: np.ndarray     # (U, T, d)
+    states: np.ndarray         # (U, N, d), post-tanh decoder states
+    attn_weights: np.ndarray   # (U, N, T), exactly 0 on padded source positions
+    contexts: np.ndarray       # (U, N, d)
 
 
 def trajectory(tokens, finished: bool, bos_id: int, eos_id: int):
@@ -156,7 +166,44 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
         raise ModelError(f"{what} index out of range for vocabulary of size {size}")
 
 
+def check_trajectory(params: ModelParams, input_ids, cond, targets) -> None:
+    """Raise ModelError unless one trajectory fits the model: a non-empty
+    input over the source vocabulary, and conditioning and target tokens over
+    the target vocabulary.  Plain Python, so a caller can check each
+    trajectory of a batch cheaply before building it."""
+    if not len(input_ids):
+        raise ModelError("empty input sequence")
+    for ids, size, what in ((input_ids, params.source_vocab_size, "source"),
+                            (cond, params.target_vocab_size, "target"),
+                            (targets, params.target_vocab_size, "target")):
+        if len(ids) and (min(ids) < 0 or max(ids) >= size):
+            raise ModelError(f"{what} index out of range for vocabulary of size {size}")
+
+
+def _padded(seqs) -> tuple[np.ndarray, list[int], bool]:
+    """U id sequences as a (U, L) int64 array padded with 0 at the end, their
+    lengths, and whether seqs was one flat sequence (a batch of one)."""
+    seqs = list(seqs)
+    single = bool(seqs) and np.isscalar(seqs[0])
+    if single:
+        seqs = [seqs]
+    lengths = [len(ids) for ids in seqs]
+    width = max(lengths, default=0)
+    rows = [list(ids) + [0] * (width - n) for ids, n in zip(seqs, lengths)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width), lengths, single
+
+
+def _source_bias(lengths: list[int]) -> np.ndarray | None:
+    """(U, 1, T) attention-score bias, -inf on the padded source positions of
+    U inputs of the given lengths; None when no input is padded."""
+    if min(lengths) == max(lengths):
+        return None
+    valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    return np.where(valid, 0.0, -np.inf)[:, None, :]
+
+
 def encode(params: ModelParams, input_ids) -> np.ndarray:
+    """Encoder states of one input, (T, d), or of a padded (U, T) batch, (U, T, d)."""
     ids = np.asarray(input_ids, dtype=np.int64)
     if ids.size == 0:
         raise ModelError("empty input sequence")
@@ -203,9 +250,7 @@ class _Decoder:
             self.values = np.zeros((len(encoded), max(lengths), params.d))
             for g, enc in enumerate(encoded):
                 self.values[g, :len(enc)] = enc
-            if min(lengths) < max(lengths):
-                valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
-                self.src_bias = np.where(valid, 0.0, -np.inf)[:, None, :]
+            self.src_bias = _source_bias(lengths)
         self.keys = (self.values @ params.attn).swapaxes(-1, -2)
 
     def select(self, rows: list[int]) -> None:
@@ -230,93 +275,132 @@ class _Decoder:
 
 
 def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
-    """Teacher-forced forward pass along a conditioning token sequence.
+    """Teacher-forced forward pass of U trajectories at once.
 
-    Row n of the trace is the log distribution produced after consuming
-    target_ids[n], the conditioning half of a ``trajectory``.  Only the
-    recurrence runs step by step; the whole trace is read out at once.
+    input_ids holds the U inputs and target_ids the U conditioning sequences,
+    the conditioning halves of ``trajectory``; two flat id sequences are one
+    trajectory.  Row n of trajectory u is the log distribution produced after
+    consuming target_ids[u][n].  The recurrence runs step by step on (U, d)
+    rows; the whole batch is read out at once (see the padding rule above).
     """
-    cond = np.asarray(target_ids, dtype=np.int64)
-    if cond.size == 0:
+    src, src_lengths, _ = _padded(input_ids)
+    cond, lengths, _ = _padded(target_ids)
+    if len(lengths) != len(src_lengths):
+        raise ModelError(f"{len(src_lengths)} inputs for {len(lengths)} trajectories")
+    if not lengths:
+        raise ModelError("no trajectories")
+    if not min(lengths):
         raise ModelError("empty conditioning sequence")
+    if not min(src_lengths):
+        raise ModelError("empty input sequence")
     _check_ids(cond, params.target_vocab_size, "target")
-    enc = encode(params, input_ids)
-    emb = params.tgt_emb[cond]
+    enc = encode(params, src)
+    # time-major, so that every step reads and writes contiguous (U, d) rows
+    emb = params.tgt_emb[cond.T]
     states = np.empty_like(emb)
-    s = np.zeros(params.d)
-    for step in range(cond.size):
+    s = np.zeros((len(lengths), params.d))
+    for emb_n, out in zip(emb, states):
         # input term per step: a whole-trace product reorders sums the recurrence amplifies
-        s = states[step] = np.tanh(emb[step] @ params.dec_in + s @ params.dec_state)
+        x = emb_n @ params.dec_in
+        x += s @ params.dec_state
+        s = np.tanh(x, out=out)
+    states = states.swapaxes(0, 1)
     # attention scores as H @ (attn @ s), the summation order likelihood
     # training has always used; decoding reuses H @ attn across steps instead
-    log_probs, alphas, contexts = _readout(params, enc, states,
-                                           (enc @ (params.attn @ states.T)).T)
-    return ForwardTrace(
-        log_probs=log_probs,
-        cond_tokens=cond,
-        input_ids=np.asarray(input_ids, dtype=np.int64),
-        enc_states=enc,
-        states=states,
-        attn_weights=alphas,
-        contexts=contexts,
-    )
+    scores = (enc @ (params.attn @ states.swapaxes(1, 2))).swapaxes(1, 2)
+    bias = _source_bias(src_lengths)
+    if bias is not None:
+        scores += bias
+    log_probs, alphas, contexts = _readout(params, enc, states, scores)
+    return ForwardTrace(log_probs=log_probs, cond_tokens=cond, lengths=np.array(lengths),
+                        input_ids=src, enc_states=enc, states=states, attn_weights=alphas,
+                        contexts=contexts)
+
+
+def _step_weights(weights, lengths: list[int], single: bool) -> np.ndarray:
+    """(U, N) step weights, 0 past each trajectory's end, from one entry per
+    trajectory (a float for all its steps or one per step); a single
+    trajectory's entry is weights itself."""
+    weights = [weights] if single else list(weights)
+    if len(weights) != len(lengths):
+        raise ModelError(f"{len(weights)} weights for {len(lengths)} trajectories")
+    out = np.zeros((len(lengths), max(lengths)))
+    for row, w, n in zip(out, weights, lengths):
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape not in ((), (n,)):
+            raise ModelError(f"{w.size} weights for a trajectory of {n} steps")
+        row[:n] = w
+    if not np.all(np.isfinite(out)):
+        raise ModelError("non-finite gradient weight")
+    return out
+
+
+def _id_sums(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """(size, d) sums of the (..., d) rows that share an id in the matching
+    (...) ids, as one one-hot product."""
+    onehot = np.zeros((size, ids.size))
+    onehot[ids.ravel(), np.arange(ids.size)] = 1.0
+    return onehot @ rows.reshape(ids.size, -1)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
-    """Parameter gradients of F = sum over steps n of w[n] * log_output[n, targets[n]].
+    """Gradients of F = sum over trajectories u and their steps n of
+    w[u][n] * log_output[u, n, targets[u][n]], summed over the batch.
 
-    targets holds one token per trace row, the target half of a
-    ``trajectory``; weights is one float for every step or an (N,) array.
-    At each step the log-softmax Jacobian gives dF/dz = w * (onehot - p).
-    The readout's gradients are formed over the whole trace at once; only
-    the state gradient is carried back step by step through the recurrence.
+    targets holds one target sequence per trajectory of the trace, the target
+    halves of ``trajectory``, and weights one entry per trajectory: a float
+    for every step or an array with one weight per step (for a flat
+    single-trajectory call, targets and weights are that trajectory's).
+    Padded steps get weight 0.  At each step the log-softmax Jacobian gives
+    dF/dz = w * (onehot - p).  The readout's gradients are formed over the
+    whole batch at once; only the state gradient is carried back step by step
+    through the recurrence, on (U, d) rows.
     """
-    n_steps, v = trace.log_probs.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (n_steps,):
-        raise ModelError(f"{targets.size} targets for a trace of {n_steps} steps")
-    _check_ids(targets, v, "target")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape not in ((), (n_steps,)):
-        raise ModelError(f"{w.size} weights for a trace of {n_steps} steps")
-    if not np.all(np.isfinite(w)):
-        raise ModelError("non-finite gradient weight")
-    w = np.broadcast_to(w, (n_steps,))
+    n_traj, _, v = trace.log_probs.shape
+    tgt, lengths, single = _padded(targets)
+    if len(lengths) != n_traj:
+        raise ModelError(f"{len(lengths)} target sequences for {n_traj} trajectories")
+    for n, want in zip(lengths, trace.lengths.tolist()):
+        if n != want:
+            raise ModelError(f"{n} targets for a trace of {want} steps")
+    _check_ids(tgt, v, "target")
+    w = _step_weights(weights, lengths, single)
 
+    d = params.d
     H, S, A = trace.enc_states, trace.states, trace.attn_weights
-    dz = -w[:, None] * np.exp(trace.log_probs)
-    dz[np.arange(n_steps), targets] += w
+    dz = np.exp(trace.log_probs)
+    dz *= -w[..., None]
+    dz.reshape(-1, v)[np.arange(w.size), tgt.ravel()] += w.ravel()
     # readout: z = (s + c) @ out_proj + out_bias, c = alpha @ H, a_t = h_t @ attn @ s
     dc = dz @ params.out_proj.T
-    dalpha = dc @ H.T
-    da = A * (dalpha - (A * dalpha).sum(axis=1, keepdims=True))
+    dalpha = dc @ H.swapaxes(1, 2)
+    da = A * (dalpha - (A * dalpha).sum(axis=-1, keepdims=True))
     ds_readout = dc + da @ (H @ params.attn)
-    # recurrence: s_n = tanh(u_n @ dec_in + s_{n-1} @ dec_state), carried back to front
-    gate = 1.0 - S * S
-    dq = np.empty_like(S)
-    ds_next = np.zeros(params.d)
-    for n in range(n_steps - 1, -1, -1):
-        dq[n] = (ds_readout[n] + ds_next) * gate[n]
-        ds_next = dq[n] @ params.dec_state.T
-    s_prev = np.vstack([np.zeros((1, params.d)), S[:-1]])
-    dH = A.T @ dc + da.T @ (S @ params.attn.T)
+    # recurrence: s_n = tanh(u_n @ dec_in + s_{n-1} @ dec_state), carried back
+    # to front over time-major (N, U, d) arrays, so every step is contiguous
+    states_t = S.swapaxes(0, 1)
+    gate = 1.0 - states_t * states_t
+    dq = np.empty_like(gate)
+    ds_next = np.zeros((n_traj, d))
+    dec_state_t = params.dec_state.T
+    for ds, g, q in zip(np.ascontiguousarray(ds_readout.swapaxes(0, 1))[::-1], gate[::-1],
+                        dq[::-1]):
+        np.add(ds, ds_next, out=q)
+        q *= g
+        ds_next = q @ dec_state_t
+    dH = A.swapaxes(1, 2) @ dc + da.swapaxes(1, 2) @ (S @ params.attn.T)
     dq_enc = dH * (1.0 - H * H)
-    tgt_emb = np.zeros_like(params.tgt_emb)
-    np.add.at(tgt_emb, trace.cond_tokens, dq @ params.dec_in.T)
-    src_emb = np.zeros_like(params.src_emb)
-    np.add.at(src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
+    # sums of the step and source-position terms by token id
+    g_tgt = _id_sums(trace.cond_tokens.T, dq, params.target_vocab_size)
+    g_src = _id_sums(trace.input_ids, dq_enc, params.source_vocab_size)
+    dz = dz.reshape(-1, v)
     return ModelParams(
-        src_emb=src_emb, tgt_emb=tgt_emb,
-        enc_proj=params.src_emb[trace.input_ids].T @ dq_enc,
-        dec_in=params.tgt_emb[trace.cond_tokens].T @ dq, dec_state=s_prev.T @ dq,
-        attn=(da @ H).T @ S, out_proj=(S + trace.contexts).T @ dz, out_bias=dz.sum(axis=0),
+        src_emb=g_src @ params.enc_proj.T, tgt_emb=g_tgt @ params.dec_in.T,
+        enc_proj=params.src_emb.T @ g_src, dec_in=params.tgt_emb.T @ g_tgt,
+        dec_state=states_t[:-1].reshape(-1, d).T @ dq[1:].reshape(-1, d),
+        attn=(da @ H).reshape(-1, d).T @ S.reshape(-1, d),
+        out_proj=(S + trace.contexts).reshape(-1, d).T @ dz, out_bias=dz.sum(axis=0),
     )
-
-
-def accumulate(total: ModelParams, part: ModelParams, scale: float = 1.0) -> None:
-    """In-place total += scale * part over every matrix."""
-    for name, mat in total.matrices().items():
-        mat += scale * getattr(part, name)
 
 
 def apply_update(params: ModelParams, gradients: ModelParams, learning_rate: float) -> ModelParams:

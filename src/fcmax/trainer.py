@@ -5,7 +5,9 @@ seeded shuffle, so identical inputs give bit-identical checkpoints.  Both
 gradients are a weight on every step of a token trajectory: the likelihood
 loop puts weight 1 on the reference path, and the consistency loop decodes
 the batch's samples together, scores each N-best list and puts each
-hypothesis's expected-score coefficient on that hypothesis's path.  Two
+hypothesis's expected-score coefficient on that hypothesis's path.  Either
+way an iteration's trajectories go through one batched forward and one
+backward call (``_minibatch_gradient``).  Two
 safeguards bound the consistency loop: a hard iteration cap (fine-tuning
 starts from a well-trained likelihood model and runs briefly) and a
 deletion tripwire that halts the run if dev deletions grow past a limit,
@@ -26,7 +28,8 @@ from .fcm import (
 )
 from .metrics import EditBreakdown, corpus_wer
 from .model import (
-    ModelParams, accumulate, apply_update, backward, forward_teacher, trajectory,
+    ModelError, ModelParams, apply_update, backward, check_trajectory, forward_teacher,
+    trajectory,
 )
 from .scorers import ConsistencyScorer
 
@@ -114,12 +117,41 @@ def _batch_iterator(rng: np.random.Generator, n: int, batch_size: int):
         # a short final chunk is dropped; the next epoch reshuffles all n
 
 
-def _ce_gradient(params: ModelParams, corpus: Corpus, sample) -> tuple[ModelParams, float]:
-    """Log-likelihood ascent gradient for one sample, plus its NLL."""
-    cond, targets = trajectory(corpus.reference_ids(sample), True, corpus.bos_id, corpus.eos_id)
-    trace = forward_teacher(params, sample.input, cond)
-    nll = -float(trace.log_probs[np.arange(len(targets)), targets].sum())
-    return backward(params, trace, targets, 1.0), nll
+def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, paths,
+                        ce_weight: float) -> ModelParams:
+    """The ascent gradient of one iteration, from one forward and one backward
+    call over all of its trajectories.
+
+    paths[i] holds (hypothesis, coefficient) pairs of samples[i].  With B
+    samples, each pair with a nonzero coefficient is a trajectory of weight
+    (1 - ce_weight) * coefficient / B, and when ce_weight > 0 the sample's
+    reference is a trajectory of weight ce_weight / B; likelihood training is
+    ce_weight 1 and no hypotheses.  Every trajectory is checked against the
+    model before the batch is built, so a failure names its sample.
+    """
+    scale = 1.0 / len(samples)
+    inputs, conds, targets, weights = [], [], [], []
+    for sample, pairs in zip(samples, paths):
+        weighted = [(hyp.tokens, hyp.finished, (1.0 - ce_weight) * coeff * scale)
+                    for hyp, coeff in pairs if coeff != 0.0]  # zero adds exact zeros
+        if ce_weight > 0.0:
+            weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
+        for tokens, finished, weight in weighted:
+            cond, target = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
+            try:
+                check_trajectory(params, sample.input, cond, target)
+            except ModelError as exc:
+                raise TrainerError(f"iteration {it}, sample {sample.id!r}: {exc}") from exc
+            inputs.append(sample.input)
+            conds.append(cond)
+            targets.append(target)
+            weights.append(weight)
+    if not inputs:  # every coefficient was zero, as for N-best lists of one
+        return params.zeros_like()
+    trace = forward_teacher(params, inputs, conds)
+    if not np.all(np.isfinite(trace.log_probs)):
+        raise TrainerError(f"non-finite loss at iteration {it}")
+    return backward(params, trace, targets, weights)
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -204,38 +236,15 @@ def train_ce(
     log: list[dict] = []
     for it in range(schedule.total_iterations):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
-        total = params.zeros_like()
-        batch = next(batches)
-        for idx in batch:
-            grad, nll = _ce_gradient(params, corpus, corpus.samples[idx])
-            if not np.isfinite(nll):
-                raise TrainerError(f"non-finite loss at iteration {it}")
-            accumulate(total, grad, 1.0 / len(batch))
-        params = apply_update(params, total, lr)
+        samples = [corpus.samples[idx] for idx in next(batches)]
+        grad = _minibatch_gradient(params, corpus, it, samples, [()] * len(samples), 1.0)
+        params = apply_update(params, grad, lr)
         if dev is not None and ((it + 1) % schedule.checkpoint_every == 0
                                 or it + 1 == schedule.total_iterations):
             metrics = evaluate_on(params, dev, scorer, schedule.beam_size,
                                   schedule.nbest_size, schedule.max_len)
             log.append(_log_entry(it + 1, lr, metrics))
     return TrainResult(params=params, log=log)
-
-
-def _fcm_sample_gradient(params: ModelParams, corpus: Corpus, sample, nbest: NBestList,
-                         scorer: ConsistencyScorer, schedule: TrainingSchedule,
-                         ce_weight: float) -> ModelParams:
-    scored = expected_consistency(nbest.top(schedule.nbest_size), sample, scorer,
-                                  corpus.token_vocab)
-    total = params.zeros_like()
-    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
-        if coeff == 0.0:
-            continue  # its backward would add exact zeros
-        cond, targets = trajectory(hyp.tokens, hyp.finished, corpus.bos_id, corpus.eos_id)
-        trace = forward_teacher(params, sample.input, cond)
-        accumulate(total, backward(params, trace, targets, coeff), 1.0 - ce_weight)
-    if ce_weight > 0.0:
-        ce_grad, _ = _ce_gradient(params, corpus, sample)
-        accumulate(total, ce_grad, ce_weight)
-    return total
 
 
 def train_fcm(
@@ -289,15 +298,17 @@ def train_fcm(
                                     schedule.max_len)
         except FcmError as exc:  # names the sample
             raise TrainerError(f"iteration {it}, {exc}") from exc
-        total = current.zeros_like()
+        paths = []
         for sample, nbest in zip(samples, nbests):
             try:
-                grad = _fcm_sample_gradient(current, corpus, sample, nbest, scorer, schedule,
-                                            safeguard.ce_interpolation_weight)
+                scored = expected_consistency(nbest.top(schedule.nbest_size), sample, scorer,
+                                              corpus.token_vocab)
+                paths.append(zip(scored.hypotheses, fcm_coefficients(scored)))
             except Exception as exc:
                 raise TrainerError(f"iteration {it}, sample {sample.id!r}: {exc}") from exc
-            accumulate(total, grad, 1.0 / len(samples))
-        current = apply_update(current, total, lr)
+        grad = _minibatch_gradient(current, corpus, it, samples, paths,
+                                   safeguard.ce_interpolation_weight)
+        current = apply_update(current, grad, lr)
         if dev is not None and ((it + 1) % safeguard.dev_check_every == 0
                                 or it + 1 == total_iters):
             metrics = evaluate_on(current, dev, scorer, schedule.beam_size,

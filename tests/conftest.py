@@ -1,8 +1,8 @@
 """Shared fixtures: random models, gradient-check harness, a fitted two-way
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
-the reference helpers (parameter comparison, N-best consistency check,
-corpus NLL, per-prefix beam search, per-step teacher forcing and backward)
-that only tests use."""
+the reference helpers (parameter comparison, gradient accumulation, N-best
+consistency check, corpus NLL, per-prefix beam search, per-trajectory
+per-step teacher forcing and backward) that only tests use."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, settings
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import BOS, EOS, Corpus, Sample
 from fcmax.model import (
-    ForwardTrace, ModelParams, _Decoder, _log_softmax, accumulate, apply_update, backward,
-    encode, forward_teacher, trajectory,
+    ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
+    forward_teacher, trajectory,
 )
 
 settings.register_profile(
@@ -48,6 +48,12 @@ def params_allclose(a: ModelParams, b: ModelParams) -> bool:
         np.allclose(mat, getattr(b, name), rtol=0.0, atol=0.0)
         for name, mat in a.matrices().items()
     )
+
+
+def accumulate(total: ModelParams, part: ModelParams, scale: float = 1.0) -> None:
+    """In-place total += scale * part over every matrix."""
+    for name, mat in total.matrices().items():
+        mat += scale * getattr(part, name)
 
 
 def validate_scored(scored) -> None:
@@ -103,8 +109,9 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
 
 
 def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
-    """Per-step teacher forcing: the recurrence and the readout of one 1-D
-    state at a time.  The oracle for the whole-trace ``forward_teacher``."""
+    """Per-step teacher forcing of one trajectory: the recurrence and the
+    readout of one 1-D state at a time, returned as a batch of one.  The
+    oracle for each trajectory of the batched ``forward_teacher``."""
     cond = np.asarray(target_ids, dtype=np.int64)
     enc = encode(params, input_ids)
     n, d, v = cond.size, params.d, params.target_vocab_size
@@ -119,24 +126,29 @@ def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> For
         context = alpha @ enc
         log_probs[step] = _log_softmax((s + context) @ params.out_proj + params.out_bias)
         states[step], alphas[step], contexts[step] = s, alpha, context
-    return ForwardTrace(log_probs=log_probs, cond_tokens=cond,
-                        input_ids=np.asarray(input_ids, dtype=np.int64), enc_states=enc,
-                        states=states, attn_weights=alphas, contexts=contexts)
+    return ForwardTrace(log_probs=log_probs[None], cond_tokens=cond[None],
+                        lengths=np.array([n]),
+                        input_ids=np.asarray(input_ids, dtype=np.int64)[None],
+                        enc_states=enc[None], states=states[None],
+                        attn_weights=alphas[None], contexts=contexts[None])
 
 
 def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
-    """Per-step backward: every gradient term accumulated one step at a time,
-    back to front.  The oracle for the whole-trace ``backward``."""
-    n_steps = trace.log_probs.shape[0]
+    """Per-step backward of a one-trajectory trace: every gradient term
+    accumulated one step at a time, back to front.  The oracle for each
+    trajectory of the batched ``backward``."""
+    log_probs, states, contexts = trace.log_probs[0], trace.states[0], trace.contexts[0]
+    cond_tokens, input_ids = trace.cond_tokens[0], trace.input_ids[0]
+    n_steps = log_probs.shape[0]
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_steps,))
     g = params.zeros_like()
-    H = trace.enc_states
+    H = trace.enc_states[0]
     HA = H @ params.attn
     dH = np.zeros_like(H)
     ds_next = np.zeros(params.d)
     for n in range(n_steps - 1, -1, -1):
-        s, c, alpha = trace.states[n], trace.contexts[n], trace.attn_weights[n]
-        dz = -w[n] * np.exp(trace.log_probs[n])
+        s, c, alpha = states[n], contexts[n], trace.attn_weights[0, n]
+        dz = -w[n] * np.exp(log_probs[n])
         dz[targets[n]] += w[n]
         g.out_proj += (s + c)[:, None] * dz
         g.out_bias += dz
@@ -148,15 +160,15 @@ def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weight
         g.attn += (H.T @ da)[:, None] * s
         dH += da[:, None] * (params.attn @ s)
         dq = ds * (1.0 - s * s)
-        u = params.tgt_emb[trace.cond_tokens[n]]
-        s_prev = trace.states[n - 1] if n > 0 else np.zeros(params.d)
+        u = params.tgt_emb[cond_tokens[n]]
+        s_prev = states[n - 1] if n > 0 else np.zeros(params.d)
         g.dec_in += u[:, None] * dq
         g.dec_state += s_prev[:, None] * dq
-        np.add.at(g.tgt_emb, trace.cond_tokens[n], dq @ params.dec_in.T)
+        np.add.at(g.tgt_emb, cond_tokens[n], dq @ params.dec_in.T)
         ds_next = dq @ params.dec_state.T
     dq_enc = dH * (1.0 - H * H)
-    g.enc_proj += params.src_emb[trace.input_ids].T @ dq_enc
-    np.add.at(g.src_emb, trace.input_ids, dq_enc @ params.enc_proj.T)
+    g.enc_proj += params.src_emb[input_ids].T @ dq_enc
+    np.add.at(g.src_emb, input_ids, dq_enc @ params.enc_proj.T)
     return g
 
 
@@ -174,36 +186,33 @@ def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:
     return terms
 
 
-def terms_backward(params: ModelParams, trace, terms) -> ModelParams:
-    total = params.zeros_like()
-    for targets, weights in terms:
-        accumulate(total, backward(params, trace, targets, weights))
-    return total
+def terms_gradient(params: ModelParams, rows) -> ModelParams:
+    """One batched forward and backward over rows of (input_ids, cond_tokens,
+    terms): every (targets, weights) term is a trajectory of its row."""
+    inputs, conds, targets, weights = zip(*(
+        (input_ids, cond, term_targets, term_weights)
+        for input_ids, cond, terms in rows for term_targets, term_weights in terms))
+    return backward(params, forward_teacher(params, inputs, conds), targets, weights)
 
 
 def terms_objective(trace, terms) -> float:
-    """The function terms_backward differentiates: sum of w[n] * log L[n, t[n]]."""
+    """The function terms_gradient differentiates, for a one-trajectory trace:
+    sum of w[n] * log L[n, t[n]]."""
     return sum(
-        float(w) * trace.log_probs[n, t]
+        float(w) * trace.log_probs[0, n, t]
         for targets, weights in terms
         for n, (t, w) in enumerate(zip(targets, np.broadcast_to(weights, len(targets))))
     )
 
 
-def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
-                            terms, eps: float = 1e-5) -> float:
-    """Max relative error between backward() and central differences."""
-    analytic = terms_backward(params, forward_teacher(params, input_ids, cond_tokens), terms)
-
-    def objective(p):
-        return terms_objective(forward_teacher(p, input_ids, cond_tokens), terms)
-
+def central_difference_error(params: ModelParams, objective, analytic: ModelParams,
+                             eps: float = 1e-5, floor: float = 1e-8) -> float:
+    """Max relative error between analytic gradients and central differences
+    of objective(params), perturbing one parameter at a time in place."""
     worst = 0.0
     for name, mat in params.matrices().items():
         amat = getattr(analytic, name)
-        it = np.nditer(mat, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(mat.shape):
             orig = mat[idx]
             mat[idx] = orig + eps
             fp = objective(params)
@@ -211,9 +220,19 @@ def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
             fm = objective(params)
             mat[idx] = orig
             fd = (fp - fm) / (2 * eps)
-            rel = abs(fd - amat[idx]) / max(abs(fd), abs(amat[idx]), 1e-8)
-            worst = max(worst, rel)
+            worst = max(worst, abs(fd - amat[idx]) / max(abs(fd), abs(amat[idx]), floor))
     return worst
+
+
+def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
+                            terms, eps: float = 1e-5) -> float:
+    """Max relative error between backward() and central differences."""
+    analytic = terms_gradient(params, [(input_ids, cond_tokens, terms)])
+
+    def objective(p):
+        return terms_objective(forward_teacher(p, input_ids, cond_tokens), terms)
+
+    return central_difference_error(params, objective, analytic, eps)
 
 
 def fit_step_targets(params: ModelParams, input_ids, target_rows,
@@ -222,13 +241,12 @@ def fit_step_targets(params: ModelParams, input_ids, target_rows,
 
     target_rows is a list of (cond_tokens, {step: {token: prob}}); each row's
     probabilities must sum to 1 so the fitted optimum is the target itself.
+    Each iteration is one batched forward and backward over every cell term
+    of every row.
     """
+    rows = [(input_ids, cond, cell_terms(len(cond), rowspec)) for cond, rowspec in target_rows]
     for _ in range(iters):
-        total = params.zeros_like()
-        for cond, rowspec in target_rows:
-            trace = forward_teacher(params, input_ids, cond)
-            accumulate(total, terms_backward(params, trace, cell_terms(len(cond), rowspec)))
-        params = apply_update(params, total, lr)
+        params = apply_update(params, terms_gradient(params, rows), lr)
     return params
 
 
@@ -279,11 +297,10 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
     scaled = [h.scaled_score for h in scored.hypotheses]
     hyps = [(h.tokens, h.finished) for h in scored.hypotheses]
 
-    analytic = params.zeros_like()
-    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
-        cond, targets = trajectory(hyp.tokens, hyp.finished, corpus.bos_id, corpus.eos_id)
-        trace = forward_teacher(params, sample.input, cond)
-        accumulate(analytic, backward(params, trace, targets, coeff))
+    conds, targets = zip(*(trajectory(h.tokens, h.finished, corpus.bos_id, corpus.eos_id)
+                           for h in scored.hypotheses))
+    trace = forward_teacher(params, [sample.input] * len(conds), conds)
+    analytic = backward(params, trace, targets, list(fcm_coefficients(scored)))
 
     def objective(p):
         logps = [
@@ -294,22 +311,7 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
         posts = normalize_posteriors(logps)
         return float(sum(q * s for q, s in zip(posts, scaled)))
 
-    worst = 0.0
-    for name, mat in params.matrices().items():
-        amat = getattr(analytic, name)
-        it = np.nditer(mat, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = mat[idx]
-            mat[idx] = orig + eps
-            fp = objective(params)
-            mat[idx] = orig - eps
-            fm = objective(params)
-            mat[idx] = orig
-            fd = (fp - fm) / (2 * eps)
-            rel = abs(fd - amat[idx]) / max(abs(fd), abs(amat[idx]), 1e-7)
-            worst = max(worst, rel)
-    return worst
+    return central_difference_error(params, objective, analytic, eps, floor=1e-7)
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):

@@ -24,7 +24,7 @@ def greedy_decode(params, input_ids, max_len):
     tokens: list[int] = []
     log_prob = 0.0
     for _ in range(max_len):
-        logp = forward_teacher(params, input_ids, [BOS_ID] + tokens).log_probs[-1].copy()
+        logp = forward_teacher(params, input_ids, [BOS_ID] + tokens).log_probs[0, -1].copy()
         logp[BOS_ID] = -np.inf
         tok = int(np.argmax(logp))
         log_prob += float(logp[tok])
@@ -187,7 +187,7 @@ def test_sequence_log_prob_matches_manual_accumulation():
     tokens = [3, 5, 2]
     manual = 0.0
     for n, tok in enumerate(tokens + [EOS_ID]):
-        logp = forward_teacher(p, [1, 4], [BOS_ID] + tokens[:n]).log_probs[-1]
+        logp = forward_teacher(p, [1, 4], [BOS_ID] + tokens[:n]).log_probs[0, -1]
         manual += float(logp[tok])
     assert sequence_log_prob(p, [1, 4], tokens, BOS_ID, EOS_ID) == pytest.approx(manual, abs=1e-12)
 

@@ -106,6 +106,7 @@ def test_eval_utt_remote_scores_each_pair_once(tmp_path, capsys, wire_server):
     code, out = _run(capsys, "eval-utt", "--corpus", str(corpus), "--hyp", str(hyp),
                      "--scorer", "remote", "--scorer-url", wire_server.url)
     assert code == 0 and "| 0.750 | 1.000 |" in out
+    assert "| Ins (%) |" in out
     assert [path for path, _ in wire_server.requests] == ["/score"] * 6
 
 
@@ -188,6 +189,11 @@ def test_eval_utt_reports(workflow, capsys):
     assert code == 0
     assert "| fcm |" in out
     header, *rows = csv_path.read_text().strip().splitlines()
+    value = {r.split(",")[0]: float(r.split(",")[1]) for r in rows}
+    edits = value["substitutions"] + value["insertions"] + value["deletions"]
+    ins_rate = value["insertions"] * value["wer"] / edits if edits else 0.0
+    row = next(line for line in out.splitlines() if line.startswith("| fcm |"))
+    assert row.split("|")[3].strip() == f"{100.0 * ins_rate:.1f}"  # the Ins (%) column
     assert header == "metric,value,n"
     metrics = {r.split(",")[0] for r in rows}
     assert {"wer", "avg_consistency", "consistent_ratio"} <= metrics

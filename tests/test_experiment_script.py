@@ -28,5 +28,7 @@ def test_tiny_experiment_writes_its_report(tmp_path):
     }
     assert [s["label"] for s in report["systems"]] == ["random-init", "ce", "fcm"]
     for system in report["systems"]:
-        assert set(system) == {"label", "wer", "mean_consistency", "consistent_ratio"}
+        assert set(system) == {"label", "wer", "ins_rate", "del_rate", "mean_consistency",
+                               "consistent_ratio"}
+        assert 0.0 <= system["del_rate"] <= 1.0 and system["ins_rate"] >= 0.0
     assert set(report["summary_means"]) == {"ce", "fcm"}

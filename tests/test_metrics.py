@@ -240,5 +240,8 @@ def test_reports_render():
     csv = csv_report([("wer", b.wer, 2)])
     assert csv.startswith("metric,value,n\n")
     assert "wer,0.333333,2" in csv
-    table = markdown_report([("ce", b, 0.812, 0.9)])
-    assert "| ce | 33.3 | 0.812 | 0.900 |" in table
+    table = markdown_report([("ce", b, 0.812, 0.9),
+                             ("fcm", EditBreakdown(0, 3, 0, 8), 0.5, 0.25)])
+    assert table.startswith("| System | WER (%) | Ins (%) | Avg consistency |")
+    assert "| ce | 33.3 | 0.0 | 0.812 | 0.900 |" in table
+    assert "| fcm | 37.5 | 37.5 | 0.500 | 0.250 |" in table

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import (
-    cell_terms, finite_difference_check, params_allclose, random_params,
-    reference_backward, reference_forward_teacher, terms_objective,
+    accumulate, cell_terms, central_difference_error, finite_difference_check,
+    params_allclose, random_params, reference_backward, reference_forward_teacher,
+    terms_objective,
 )
 from fcmax.model import (
-    ModelError, ModelParams, _Decoder, accumulate, apply_update, backward, encode,
-    forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
+    ModelError, ModelParams, _Decoder, apply_update, backward, encode, forward_teacher,
+    init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
 
@@ -59,9 +60,9 @@ def _zero_params(d, sv, tv):
 
 def test_single_bos_row_normalized():
     p = random_params(4, 5, 6, seed=1)
-    trace = forward_teacher(p, [1, 2], [0])
-    assert trace.log_probs.shape == (1, 6)
-    assert abs(np.exp(trace.log_probs[0]).sum() - 1.0) < 1e-12
+    trace = forward_teacher(p, [[1, 2]], [[0]])
+    assert trace.log_probs.shape == (1, 1, 6)
+    assert abs(np.exp(trace.log_probs[0, 0]).sum() - 1.0) < 1e-12
 
 
 def test_zero_params_uniform_rows():
@@ -74,15 +75,15 @@ def test_rows_normalized_random_models():
     for seed in range(5):
         p = random_params(6, 5, 7, seed=seed, scale=1.2)
         trace = forward_teacher(p, [0, 4, 2], [0, 1, 2, 3, 4])
-        sums = np.exp(trace.log_probs).sum(axis=1)
+        sums = np.exp(trace.log_probs).sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-6)
 
 
 def test_steps_match_conditioning_length():
     p = random_params(4, 5, 6, seed=2)
     trace = forward_teacher(p, [1], [0, 3, 2, 1])
-    assert trace.n_steps == 4
-    assert list(trace.cond_tokens) == [0, 3, 2, 1]
+    assert trace.lengths.tolist() == [4]
+    assert trace.cond_tokens.tolist() == [[0, 3, 2, 1]]
 
 
 def test_out_of_range_token_rejected():
@@ -96,7 +97,7 @@ def test_out_of_range_token_rejected():
 def test_forward_perturbation_is_first_order():
     p = random_params(4, 5, 6, seed=8)
     inp, cond = [1, 2, 0], [0, 3, 2]
-    cell = (1, 4)
+    cell = (0, 1, 4)
     analytic = backward(
         p, forward_teacher(p, inp, cond), [0, 4, 0], np.array([0.0, 1.0, 0.0])
     ).dec_in[2, 1]
@@ -122,8 +123,8 @@ def test_step_replays_teacher_and_batches_rows():
     rows = []
     for n, tok in enumerate(cond):
         logp, s, alpha, context = decoder.step(s, np.array([tok]))
-        want_rows = (trace.log_probs[n], trace.states[n], trace.attn_weights[n],
-                     trace.contexts[n])
+        want_rows = (trace.log_probs[0, n], trace.states[0, n], trace.attn_weights[0, n],
+                     trace.contexts[0, n])
         for got, want in zip((logp, s, alpha, context), want_rows):
             assert got.shape == (1,) + want.shape
             assert np.max(np.abs(got[0] - want)) <= 1e-12
@@ -180,6 +181,116 @@ def test_whole_trace_forward_and_backward_match_per_step_reference():
         scale = max(np.max(np.abs(m)) for m in ref.matrices().values())
         for name, mat in g.matrices().items():
             assert np.max(np.abs(mat - getattr(ref, name))) <= 1e-12 * scale, (case, name)
+
+
+def _ragged_batch(rng, sv: int, tv: int, shared: bool):
+    """2-6 trajectories with 1-7 input symbols and 1-9 steps each, and
+    scalar, per-step or zero weights; with shared=True they share one input,
+    as the hypotheses of one FCM sample do."""
+    n_traj = int(rng.integers(2, 7))
+    one_input = rng.integers(0, sv, size=int(rng.integers(1, 8))).tolist()
+    batch = []
+    for _ in range(n_traj):
+        inp = one_input if shared else rng.integers(0, sv, size=int(rng.integers(1, 8))).tolist()
+        n = int(rng.integers(1, 10))
+        kind = rng.integers(3)
+        weight = (float(rng.normal()), rng.normal(size=n), 0.0)[kind]
+        batch.append((inp, rng.integers(0, tv, size=n).tolist(),
+                      rng.integers(0, tv, size=n).tolist(), weight))
+    return batch
+
+
+def test_batched_pass_matches_per_trajectory_oracles():
+    """U trajectories of ragged inputs and lengths in one call, against the
+    per-trajectory oracles: each trajectory's real steps have the oracle's
+    log-probs and its padded source positions exactly zero attention, and the
+    batch gradient is the sum of the oracle gradients."""
+    rng = np.random.default_rng(77)
+    for case in range(200):
+        d, sv, tv = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 30))
+        p = random_params(d, sv, tv, seed=case, scale=float(rng.uniform(0.05, 3.0)))
+        batch = _ragged_batch(rng, sv, tv, shared=case % 3 == 0)
+        if case % 10 == 0:
+            batch = batch[:1]  # U = 1
+        inputs, conds, targets, weights = zip(*batch)
+        got = forward_teacher(p, inputs, conds)
+        assert got.log_probs.shape == (len(batch), max(map(len, conds)), tv)
+        total = p.zeros_like()
+        for u, (inp, cond, tgt, w) in enumerate(batch):
+            want = reference_forward_teacher(p, inp, cond)
+            n = len(cond)
+            lp_scale = max(1.0, np.max(np.abs(want.log_probs)))
+            assert np.max(np.abs(got.log_probs[u, :n] - want.log_probs[0])) <= 1e-12 * lp_scale
+            assert np.max(np.abs(got.attn_weights[u, :n, :len(inp)]
+                                 - want.attn_weights[0])) <= 1e-12
+            assert not got.attn_weights[u, :, len(inp):].any(), (case, u)
+            accumulate(total, reference_backward(p, want, tgt, w))
+        g = backward(p, got, targets, weights)
+        scale = max(1e-300, max(np.max(np.abs(m)) for m in total.matrices().values()))
+        for name, mat in g.matrices().items():
+            assert np.max(np.abs(mat - getattr(total, name))) <= 1e-12 * scale, (case, name)
+
+
+def test_padded_steps_and_zero_weights_give_exact_zeros():
+    rng = np.random.default_rng(8)
+    p = random_params(5, 6, 7, seed=3)
+    batch = _ragged_batch(rng, 6, 7, shared=False)
+    inputs, conds, targets, _ = zip(*batch)
+    trace = forward_teacher(p, inputs, conds)
+    g = backward(p, trace, targets, [0.0] * len(batch))
+    assert all(not mat.any() for mat in g.matrices().values())
+    # the short trajectory alone, or padded next to a zero-weight long one
+    alone = backward(p, forward_teacher(p, [[1, 2]], [[0]]), [[3]], [1.0])
+    padded = backward(p, forward_teacher(p, [[1, 2], [4, 0, 5]], [[0], [0, 3, 6, 2]]),
+                      [[3], [1, 1, 1, 1]], [1.0, 0.0])
+    for name, mat in alone.matrices().items():
+        assert np.max(np.abs(mat - getattr(padded, name))) <= 1e-12 * np.max(np.abs(mat))
+
+
+def test_flat_sequences_are_a_batch_of_one():
+    p = random_params(4, 5, 6, seed=21)
+    flat = forward_teacher(p, [1, 2, 4], [0, 3, 5])
+    batched = forward_teacher(p, [(1, 2, 4)], [(0, 3, 5)])
+    assert np.array_equal(flat.log_probs, batched.log_probs)
+    weights = np.array([0.5, -1.0, 2.0])
+    for name, mat in backward(p, flat, [3, 5, 1], weights).matrices().items():
+        assert np.array_equal(mat, getattr(backward(p, batched, [[3, 5, 1]], [weights]), name))
+
+
+def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
+    p = random_params(3, 4, 5, seed=31, scale=0.7)
+    inputs = [[1, 3], [0], [2, 1, 3, 0]]
+    conds = [[0, 2, 4], [0], [0, 1]]
+    targets = [[2, 4, 1], [3], [4, 2]]
+    weights = [0.7, np.array([-1.3]), np.array([0.4, 1.1])]
+    analytic = backward(p, forward_teacher(p, inputs, conds), targets, weights)
+
+    def objective(q):
+        log_probs = forward_teacher(q, inputs, conds).log_probs
+        return sum(float(w) * log_probs[u, n, t]
+                   for u, (tgt, ws) in enumerate(zip(targets, weights))
+                   for n, (t, w) in enumerate(zip(tgt, np.broadcast_to(ws, len(tgt)))))
+
+    assert central_difference_error(p, objective, analytic) <= 1e-4
+
+
+def test_batch_errors_name_the_mismatch():
+    p = random_params(3, 4, 5, seed=9)
+    with pytest.raises(ModelError, match="2 inputs for 1 trajectories"):
+        forward_teacher(p, [[1], [2]], [[0]])
+    with pytest.raises(ModelError, match="no trajectories"):
+        forward_teacher(p, [], [])
+    with pytest.raises(ModelError, match="empty input"):
+        forward_teacher(p, [[1], []], [[0], [0]])
+    trace = forward_teacher(p, [[1], [2]], [[0], [0, 1]])
+    with pytest.raises(ModelError, match="1 target sequences for 2 trajectories"):
+        backward(p, trace, [[1]], [1.0])
+    with pytest.raises(ModelError, match="1 targets for a trace of 2 steps"):
+        backward(p, trace, [[1], [1]], [1.0, 1.0])
+    with pytest.raises(ModelError, match="1 weights for 2 trajectories"):
+        backward(p, trace, [[1], [1, 2]], [1.0])
+    with pytest.raises(ModelError, match="3 weights for a trajectory of 2 steps"):
+        backward(p, trace, [[1], [1, 2]], [1.0, np.ones(3)])
 
 
 def test_step_deterministic_and_uniform_for_zero_params():

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import corpus_nll, params_allclose, random_params
+from conftest import (
+    accumulate, corpus_nll, params_allclose, random_params, reference_backward,
+    reference_forward_teacher,
+)
 from fcmax.beam import beam_decode
 from fcmax.corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
 from fcmax.metrics import EditBreakdown
-from fcmax.model import init_params
+from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
     SafeguardConfig, TrainerError, TrainingSchedule, deletion_guard, evaluate_on,
@@ -265,3 +268,56 @@ def test_decode_failures_name_the_sample():
                                 nbest_size=2, max_len=4)
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}.*out of range"):
         train_fcm(params, corpus, weighted_f1_scorer(), schedule)
+
+
+def test_ce_failures_name_the_iteration_and_the_sample():
+    """An input symbol or a reference token the model does not have: train_ce
+    names the iteration and the sample before the batched pass runs."""
+    corpus = _toy_corpus(6)
+    bad = corpus.samples[4]
+    samples = list(corpus.samples)
+    samples[4] = Sample(id=bad.id, input=bad.input + (8,), reference=bad.reference,
+                        ref_word_count=bad.ref_word_count)
+    params = random_params(3, 8, len(corpus.token_vocab), seed=5)  # source ids 0..7
+    schedule = _toy_schedule(total_iterations=3, batch_size=6)
+    with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: source index out"):
+        train_ce(params, Corpus(samples, 9, corpus.token_vocab), schedule)
+    # token "." (id 7) ends every reference; a sample without it is the only one that fits
+    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."),
+                      ref_word_count=len(s.reference.rstrip(" .").split()))
+               if s is not bad else s for s in corpus.samples]
+    params = random_params(3, 8, 7, seed=5)  # target ids 0..6
+    with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: target index out"):
+        train_ce(params, Corpus(samples, 8, corpus.token_vocab), schedule)
+
+
+def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
+    """One FCM iteration over a whole-corpus batch with ce_interpolation_weight
+    0.3: the batched update equals the per-trajectory oracle gradients of
+    every hypothesis (weight 0.7 * coefficient / B) and every reference
+    (weight 0.3 / B), summed."""
+    corpus = _toy_corpus(3, seed=2)
+    params = random_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=8)
+    schedule = _toy_schedule(total_iterations=1, initial_lr=0.05, batch_size=3)
+    safeguard = SafeguardConfig(max_fcm_iterations=1, ce_interpolation_weight=0.3)
+    got = train_fcm(params, corpus, weighted_f1_scorer(), schedule, safeguard).params
+
+    total = params.zeros_like()
+    n_paths = 0
+    for sample in corpus.samples:
+        nbest = beam_decode(params, sample.input, 2, 8, bos_id=corpus.bos_id,
+                            eos_id=corpus.eos_id)
+        scored = expected_consistency(nbest, sample, weighted_f1_scorer(), corpus.token_vocab)
+        paths = [(h.tokens, h.finished, 0.7 * c / 3)
+                 for h, c in zip(scored.hypotheses, fcm_coefficients(scored))]
+        paths.append((corpus.reference_ids(sample), True, 0.3 / 3))
+        for tokens, finished, weight in paths:
+            cond, targets = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
+            trace = reference_forward_teacher(params, sample.input, cond)
+            accumulate(total, reference_backward(params, trace, targets, weight))
+            n_paths += weight != 0.0
+    assert n_paths > 3  # hypotheses with nonzero coefficients, not only references
+    want = apply_update(params, total, 0.05)
+    for name, mat in got.matrices().items():
+        scale = np.max(np.abs(getattr(total, name)))
+        assert np.max(np.abs(mat - getattr(want, name))) <= 1e-12 * max(scale, 1.0), name
