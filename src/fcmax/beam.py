@@ -8,21 +8,21 @@ unfinished.  Ties are broken by lexicographic token order so results are
 deterministic across platforms.
 
 ``beam_decode_batch`` decodes its inputs GROUP_SIZE at a time, and
-``beam_decode`` is its call on one input.  A group pads the encoder states
-of its utterances to the longest one and sets the attention scores of the
-padded positions to -inf before the softmax, so every utterance attends to
-exactly its own states (``model._Decoder``).  Each utterance owns beam_size
-slots of the group's (G, beam_size, d) state array, and each round advances
-every live prefix of every utterance with one batched decoder step, giving
-(G, beam_size, V) candidate scores in which BOS and unused slots score -inf.
-Per utterance, only candidates at or above its beam_size-th largest score
-(one np.partition along each utterance's row) can survive, so the exact
-(-score, tokens) sort runs over its finished hypotheses plus that
-shortlist.  The shortlist is widened to every candidate tied with the
-cut-off (a zero-parameter model ties them all), so order, tie-break and
-beam 1 = greedy are those of sorting every candidate.  An utterance whose
-prefixes have all finished leaves the group, so the arrays shrink as the
-group decodes."""
+``beam_decode`` is its call on one input.  A group checks each input, pads
+the inputs to the longest one and encodes them in one call, and sets the
+attention scores of the padded positions to -inf before the softmax, so
+every utterance attends to exactly its own states (``model._Decoder``).
+Each utterance owns beam_size slots of the group's (G, beam_size, d) state
+array, and each round advances every live prefix of every utterance with
+one batched decoder step, giving (G, beam_size, V) candidate scores in
+which BOS and unused slots score -inf.  Per utterance, only candidates at
+or above its beam_size-th largest score (one np.partition along each
+utterance's row) can survive, so the exact (-score, tokens) sort runs over
+its finished hypotheses plus that shortlist.  The shortlist is widened to
+every candidate tied with the cut-off (a zero-parameter model ties them
+all), so order, tie-break and beam 1 = greedy are those of sorting every
+candidate.  An utterance whose prefixes have all finished leaves the group,
+so the arrays shrink as the group decodes."""
 
 from __future__ import annotations
 
@@ -31,7 +31,9 @@ from math import inf
 
 import numpy as np
 
-from .model import ModelError, ModelParams, encode, forward_teacher, trajectory, _Decoder
+from .model import (
+    ModelError, ModelParams, check_trajectory, forward_teacher, trajectory, _Decoder,
+)
 
 
 # Utterances decoded together.  Each round's arrays hold GROUP_SIZE *
@@ -123,14 +125,14 @@ def beam_decode_batch(
 
 
 def _encode_group(params: ModelParams, inputs, at: int) -> _Decoder:
-    """The decoder of inputs[at:at + GROUP_SIZE]."""
-    encoded = []
-    for index, ids in enumerate(inputs[at:at + GROUP_SIZE], start=at):
+    """The decoder of inputs[at:at + GROUP_SIZE], each input checked first."""
+    group = inputs[at:at + GROUP_SIZE]
+    for index, ids in enumerate(group, start=at):
         try:
-            encoded.append(encode(params, ids))
+            check_trajectory(params, ids)
         except ModelError as exc:
             raise BeamInputError(index, str(exc)) from exc
-    return _Decoder(params, encoded)
+    return _Decoder(params, group)
 
 
 def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,

@@ -281,12 +281,13 @@ _EDGE_APOSTROPHE_RE = re.compile(r"(?<!\w)'|'(?!\w)")
 
 
 def normalize_text(text: str) -> list[str]:
-    """Lowercased token list used for edit-error scoring.
+    """Lowercased token list used for edit-error scoring and by the proxy
+    consistency scorers (weighted token F1, LCS ratio).
 
     Lowercases, deletes underscores inside words, replaces the punctuation
     characters . , ? ! ; : " ( ) and hyphens with spaces, drops apostrophes
-    that are not embedded inside a word, and collapses whitespace.
-    Consistency scoring never uses this; it sees the raw text.
+    that are not embedded inside a word, and collapses whitespace.  Only the
+    remote scorer sends the raw text.
     """
     t = text.lower().replace("_", "")
     t = _STRIP_RE.sub(" ", t)

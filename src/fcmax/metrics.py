@@ -4,7 +4,13 @@ paired significance tests.
 Word error rates are computed on normalized token lists with a canonical
 alignment: among minimum-edit alignments the one with fewer substitutions is
 preferred, then the one with fewer deletions, so the error breakdown that
-feeds the deletion tripwire is deterministic.  The paired t-test evaluates
+feeds the deletion tripwire is deterministic.  A corpus is aligned in one
+DP over all its pairs, vectorised across pairs and reference positions.
+Each cell's (edits, substitutions, deletions) cost is packed into one int64
+as edits * 2**42 + substitutions * 2**21 + deletions, so the plain minimum
+is the canonical tie-break; a pair of m hypothesis and n reference tokens
+needs m + n < 2**21 (ALIGN_TOKEN_LIMIT), so no field carries into the next,
+and a longer pair is refused.  The paired t-test evaluates
 its two-tailed p-value through the regularized incomplete beta function,
 implemented here with the standard continued-fraction expansion.
 """
@@ -13,7 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .corpus import normalize_text
 
@@ -46,56 +55,89 @@ class EditBreakdown:
         return self.insertions / self.ref_words
 
 
-def align_counts(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> tuple[int, int, int]:
-    """Minimum-edit alignment counts (substitutions, insertions, deletions).
+# packed costs of one insertion, substitution and deletion (see the module docstring)
+_FIELD = 1 << 21
+_INS = _FIELD * _FIELD
+_SUB = _INS + _FIELD
+_DEL = _INS + 1
+ALIGN_TOKEN_LIMIT = _FIELD
 
-    Cell costs are lexicographic (edits, substitutions, deletions) triples,
-    which realizes the canonical tie-break without a backtrace.
+
+def _align_batch(hyps: Sequence[Sequence[str]],
+                 refs: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(substitutions, insertions, deletions) arrays of the canonical
+    alignment of every (hypothesis, reference) token-list pair.
+
+    Tokens are interned to ids and padded, hypotheses with -1 and references
+    with -2, so a pad never matches and every cell is an alignment cost of
+    the padded sequences.  The DP runs one hypothesis position at a time
+    over the rows of every pair: a cell takes the smaller of its diagonal
+    (match or substitution) and upper (insertion) costs, then the deletion
+    chain along the row is one running minimum.  Pair p's counts are read
+    at row len(hyp_p), column len(ref_p); no cell past them feeds that cell.
     """
-    m, n = len(hyp_tokens), len(ref_tokens)
-    # row j=0..n over ref; prev[j] aligns hyp[:i] with ref[:j]
-    prev = [(j, 0, j) for j in range(n + 1)]
-    for i in range(1, m + 1):
-        cur = [(i, 0, 0)]
-        h = hyp_tokens[i - 1]
-        for j in range(1, n + 1):
-            pd = prev[j - 1]
-            if h == ref_tokens[j - 1]:
-                diag = pd
-            else:
-                diag = (pd[0] + 1, pd[1] + 1, pd[2])
-            up = (prev[j][0] + 1, prev[j][1], prev[j][2])        # insertion
-            left = (cur[j - 1][0] + 1, cur[j - 1][1], cur[j - 1][2] + 1)  # deletion
-            cur.append(min(diag, up, left))
-        prev = cur
-    edits, subs, dels = prev[n]
+    m = np.fromiter(map(len, hyps), dtype=np.int64, count=len(hyps))
+    n = np.fromiter(map(len, refs), dtype=np.int64, count=len(refs))
+    over = np.flatnonzero(m + n >= ALIGN_TOKEN_LIMIT)
+    if over.size:
+        idx = over[0]
+        raise MetricsError(f"pair {idx}: {m[idx]} + {n[idx]} tokens reach the "
+                           f"alignment limit of {ALIGN_TOKEN_LIMIT}")
+    tokens = list(chain.from_iterable(hyps)) + list(chain.from_iterable(refs))
+    ids = {tok: i for i, tok in enumerate(set(tokens))}
+    codes = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    hyp_ids = np.full((len(hyps), int(m.max(initial=0))), -1, dtype=np.int64)
+    ref_ids = np.full((len(refs), int(n.max(initial=0))), -2, dtype=np.int64)
+    hyp_ids[np.arange(hyp_ids.shape[1]) < m[:, None]] = codes[:m.sum()]
+    ref_ids[np.arange(ref_ids.shape[1]) < n[:, None]] = codes[m.sum():]
+    ramp = np.arange(ref_ids.shape[1] + 1, dtype=np.int64) * _DEL
+    cost = np.tile(ramp, (len(hyps), 1))  # row 0: the first j reference tokens are deleted
+    # pairs in order of hypothesis length, so those that end at row i are one slice
+    order = np.argsort(m)
+    ends = np.searchsorted(m[order], np.arange(hyp_ids.shape[1] + 2))
+    packed = np.empty(len(hyps), dtype=np.int64)
+    for i in range(hyp_ids.shape[1] + 1):
+        if i:
+            base = np.empty_like(cost)
+            base[:, 0] = i * _INS
+            np.minimum(cost[:, :-1] + np.where(hyp_ids[:, i - 1, None] == ref_ids, 0, _SUB),
+                       cost[:, 1:] + _INS, out=base[:, 1:])
+            cost = np.minimum.accumulate(base - ramp, axis=1) + ramp
+        done = order[ends[i]:ends[i + 1]]
+        packed[done] = cost[done, n[done]]
+    edits, subs, dels = packed // _INS, packed // _FIELD % _FIELD, packed % _FIELD
     return subs, edits - subs - dels, dels
 
 
+def align_counts(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> tuple[int, int, int]:
+    """Minimum-edit alignment counts (substitutions, insertions, deletions)
+    of one token-list pair: ``_align_batch`` over a batch of one."""
+    return tuple(int(c[0]) for c in _align_batch([hyp_tokens], [ref_tokens]))
+
+
 def wer(hyp: str, ref: str) -> EditBreakdown:
-    """Edit-error breakdown on normalized tokens; the reference must be non-empty."""
-    hyp_tokens = normalize_text(hyp)
-    ref_tokens = normalize_text(ref)
-    if not ref_tokens:
-        raise MetricsError(f"reference normalizes to zero tokens: {ref!r}")
-    subs, ins, dels = align_counts(hyp_tokens, ref_tokens)
-    return EditBreakdown(
-        substitutions=subs, insertions=ins, deletions=dels, ref_words=len(ref_tokens),
-    )
+    """Edit-error breakdown on normalized tokens; the reference must be
+    non-empty.  ``corpus_wer`` over a batch of one."""
+    return corpus_wer([(hyp, ref)])
 
 
 def corpus_wer(pairs: Sequence[tuple[str, str]]) -> EditBreakdown:
-    """Pooled-count error rate: sum the edit counts, then divide once."""
+    """Pooled-count error rate: sum the edit counts, then divide once.
+
+    Every pair is normalized once and all pairs are aligned together; a
+    reference that normalizes to zero tokens is refused with its pair index.
+    """
     if not pairs:
         raise MetricsError("corpus_wer needs at least one (hypothesis, reference) pair")
-    subs = ins = dels = words = 0
-    for hyp, ref in pairs:
-        b = wer(hyp, ref)
-        subs += b.substitutions
-        ins += b.insertions
-        dels += b.deletions
-        words += b.ref_words
-    return EditBreakdown(substitutions=subs, insertions=ins, deletions=dels, ref_words=words)
+    hyps = [normalize_text(hyp) for hyp, _ in pairs]
+    refs = [normalize_text(ref) for _, ref in pairs]
+    for idx, tokens in enumerate(refs):
+        if not tokens:
+            raise MetricsError(
+                f"pair {idx}: reference normalizes to zero tokens: {pairs[idx][1]!r}")
+    subs, ins, dels = (int(c.sum()) for c in _align_batch(hyps, refs))
+    return EditBreakdown(substitutions=subs, insertions=ins, deletions=dels,
+                         ref_words=sum(len(r) for r in refs))
 
 
 def avg_consistency(

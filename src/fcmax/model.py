@@ -166,11 +166,12 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
         raise ModelError(f"{what} index out of range for vocabulary of size {size}")
 
 
-def check_trajectory(params: ModelParams, input_ids, cond, targets) -> None:
+def check_trajectory(params: ModelParams, input_ids, cond=(), targets=()) -> None:
     """Raise ModelError unless one trajectory fits the model: a non-empty
     input over the source vocabulary, and conditioning and target tokens over
-    the target vocabulary.  Plain Python, so a caller can check each
-    trajectory of a batch cheaply before building it."""
+    the target vocabulary (none checks the input alone).  Plain Python, so a
+    caller can check each trajectory or input of a batch cheaply before
+    padding it."""
     if not len(input_ids):
         raise ModelError("empty input sequence")
     for ids, size, what in ((input_ids, params.source_vocab_size, "source"),
@@ -230,27 +231,26 @@ def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray,
 
 
 class _Decoder:
-    """Decoder steps for a group of encoded inputs, B prefixes per input.
+    """Decoder steps for a group of inputs, B prefixes per input.
 
-    A group of several inputs pads their encoder states to the longest,
-    (G, T, d), and src_bias puts -inf on the attention scores of padded
-    positions, so they get exactly zero weight; a group of one keeps its
-    (T, d) states.  The input term of every token (tgt_emb @ dec_in) and each
-    input's attention keys (H @ attn) are formed once for all steps.
+    The inputs are padded to the longest, T, and encoded in one call; the
+    padded rows of the (G, T, d) states are exact zeros, and src_bias puts
+    -inf on the attention scores of padded positions, so they get exactly
+    zero weight.  A group of one keeps its (T, d) states.  The input term of
+    every token (tgt_emb @ dec_in) and each input's attention keys (H @ attn)
+    are formed once for all steps.
     """
 
-    def __init__(self, params: ModelParams, encoded: list[np.ndarray]) -> None:
+    def __init__(self, params: ModelParams, inputs) -> None:
         self.params = params
         self.inputs = params.tgt_emb @ params.dec_in
-        self.src_bias = None
-        if len(encoded) == 1:
-            self.values = encoded[0]
-        else:
-            lengths = [len(enc) for enc in encoded]
-            self.values = np.zeros((len(encoded), max(lengths), params.d))
-            for g, enc in enumerate(encoded):
-                self.values[g, :len(enc)] = enc
-            self.src_bias = _source_bias(lengths)
+        src, lengths, _ = _padded(inputs)
+        self.values = encode(params, src)
+        self.src_bias = _source_bias(lengths)
+        if len(lengths) == 1:
+            self.values = self.values[0]
+        elif self.src_bias is not None:
+            self.values[self.src_bias[:, 0] < 0] = 0.0
         self.keys = (self.values @ params.attn).swapaxes(-1, -2)
 
     def select(self, rows: list[int]) -> None:

@@ -56,9 +56,6 @@ class TokenWeights:
             if w <= 0:
                 raise ValueError(f"weight for token {tok!r} must be > 0, got {w}")
 
-    def weight(self, token: str) -> float:
-        return self.weights.get(token, self.default)
-
 
 UNIFORM_WEIGHTS = TokenWeights()
 
@@ -84,13 +81,14 @@ def weighted_token_f1(hyp: str, ref: str, weights: TokenWeights = UNIFORM_WEIGHT
         return 0.0
     hyp_counts = Counter(hyp_tokens)
     ref_counts = Counter(ref_tokens)
+    weight, default = weights.weights.get, weights.default
     matched = sum(
-        min(c, ref_counts[tok]) * weights.weight(tok)
+        min(c, ref_counts[tok]) * weight(tok, default)
         for tok, c in hyp_counts.items()
         if tok in ref_counts
     )
-    hyp_total = sum(c * weights.weight(tok) for tok, c in hyp_counts.items())
-    ref_total = sum(c * weights.weight(tok) for tok, c in ref_counts.items())
+    hyp_total = sum(c * weight(tok, default) for tok, c in hyp_counts.items())
+    ref_total = sum(c * weight(tok, default) for tok, c in ref_counts.items())
     precision = matched / hyp_total
     recall = matched / ref_total
     if precision + recall == 0.0:

@@ -1,8 +1,8 @@
 """Shared fixtures: random models, gradient-check harness, a fitted two-way
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
-consistency check, corpus NLL, per-prefix beam search, per-trajectory
-per-step teacher forcing and backward) that only tests use."""
+consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
+per-trajectory per-step teacher forcing and backward) that only tests use."""
 
 from __future__ import annotations
 
@@ -75,12 +75,36 @@ def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
     )
 
 
+def reference_align_counts(hyp_tokens, ref_tokens) -> tuple[int, int, int]:
+    """Per-pair, per-cell tuple DP of the canonical alignment: cell costs are
+    lexicographic (edits, substitutions, deletions) triples.  The oracle for
+    the batched ``metrics._align_batch``."""
+    m, n = len(hyp_tokens), len(ref_tokens)
+    # row j=0..n over ref; prev[j] aligns hyp[:i] with ref[:j]
+    prev = [(j, 0, j) for j in range(n + 1)]
+    for i in range(1, m + 1):
+        cur = [(i, 0, 0)]
+        h = hyp_tokens[i - 1]
+        for j in range(1, n + 1):
+            pd = prev[j - 1]
+            if h == ref_tokens[j - 1]:
+                diag = pd
+            else:
+                diag = (pd[0] + 1, pd[1] + 1, pd[2])
+            up = (prev[j][0] + 1, prev[j][1], prev[j][2])        # insertion
+            left = (cur[j - 1][0] + 1, cur[j - 1][1], cur[j - 1][2] + 1)  # deletion
+            cur.append(min(diag, up, left))
+        prev = cur
+    edits, subs, dels = prev[n]
+    return subs, edits - subs - dels, dels
+
+
 def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_len: int,
                           bos_id: int, eos_id: int) -> NBestList:
     """Per-prefix beam search: one 1-D decoder step per live prefix, and every
     (score, tokens) candidate of the round sorted in full.  The oracle for
     the batched ``beam_decode_batch``."""
-    decoder = _Decoder(params, [encode(params, input_ids)])
+    decoder = _Decoder(params, [input_ids])
     live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 0.0, np.zeros(params.d))]
     done: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(max_len):

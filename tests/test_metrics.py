@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import reference_align_counts
+from fcmax import metrics
 from fcmax.metrics import (
     EditBreakdown, MetricsError, align_counts, avg_consistency, consistent_ratio,
     corpus_wer, csv_report, markdown_report, paired_t_test,
@@ -97,6 +100,58 @@ def test_align_counts_against_brute_force_small():
 def test_align_counts_brute_force_property(hyp, ref):
     subs, ins, dels = align_counts(hyp, ref)
     assert subs + ins + dels == brute_force_edit_distance(hyp, ref)
+
+
+def _ragged_pairs(rng, n_pairs: int, empty_hyps: bool) -> list[tuple[list[str], list[str]]]:
+    """Token-list pairs of 0-30 hypothesis and 1-30 reference tokens over 2-4
+    symbols, so that tied alignments are common."""
+    pairs = []
+    for _ in range(n_pairs):
+        symbols = "abcd"[:int(rng.integers(2, 5))]
+        m = 0 if empty_hyps and rng.random() < 0.2 else int(rng.integers(0, 31))
+        pairs.append((list(rng.choice(list(symbols), size=m)),
+                      list(rng.choice(list(symbols), size=int(rng.integers(1, 31))))))
+    return pairs
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 7, 150])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_alignment_matches_per_pair_oracle(n_pairs, seed):
+    """Every pair of a ragged batch gets exactly the oracle's (subs, ins,
+    dels), and corpus_wer pools exactly the oracle's counts."""
+    pairs = _ragged_pairs(np.random.default_rng(seed), n_pairs, empty_hyps=seed > 0)
+    want = [reference_align_counts(hyp, ref) for hyp, ref in pairs]
+    hyps, refs = zip(*pairs)
+    assert list(zip(*(c.tolist() for c in metrics._align_batch(hyps, refs)))) == want
+    assert [align_counts(hyp, ref) for hyp, ref in pairs] == want
+    pooled = corpus_wer([(" ".join(hyp), " ".join(ref)) for hyp, ref in pairs])
+    assert (pooled.substitutions, pooled.insertions, pooled.deletions) == tuple(
+        map(sum, zip(*want)))
+    assert pooled.ref_words == sum(len(ref) for _, ref in pairs)
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abc"), max_size=8),
+                          st.lists(st.sampled_from("abc"), max_size=8)),
+                min_size=1, max_size=6))
+def test_batched_alignment_oracle_property(pairs):
+    hyps, refs = zip(*pairs)
+    got = list(zip(*(c.tolist() for c in metrics._align_batch(hyps, refs))))
+    assert got == [reference_align_counts(hyp, ref) for hyp, ref in pairs]
+
+
+def test_alignment_limit_names_the_pair(monkeypatch):
+    monkeypatch.setattr(metrics, "ALIGN_TOKEN_LIMIT", 6)
+    ok = ("a b", "a b c")  # 5 tokens, one under the limit
+    assert corpus_wer([ok, ok]).deletions == 2
+    with pytest.raises(MetricsError, match="pair 2: 3 \\+ 3 tokens"):
+        corpus_wer([ok, ok, ("a b c", "a b c")])
+    with pytest.raises(MetricsError, match="pair 0: 6 \\+ 0 tokens"):
+        align_counts(list("abcdef"), [])
+
+
+def test_corpus_wer_names_the_pair_with_an_empty_reference():
+    with pytest.raises(MetricsError, match="pair 1: reference normalizes to zero tokens: '...'"):
+        corpus_wer([("a", "a"), ("hello", "..."), ("b", "b")])
 
 
 def test_corpus_wer_single_pair():

@@ -117,7 +117,7 @@ def test_step_replays_teacher_and_batches_rows():
     p = random_params(5, 6, 7, seed=3, scale=0.9)
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
     trace = forward_teacher(p, inp, cond)
-    decoder = _Decoder(p, [encode(p, inp)])
+    decoder = _Decoder(p, [inp])
     # a loop of one-row steps replays forward_teacher, up to gemm rounding
     s = np.zeros((1, p.d))
     rows = []
@@ -143,16 +143,37 @@ def test_grouped_steps_match_each_input_alone():
     zero attention, so each input's rows are those of its decoder alone."""
     p = random_params(5, 6, 7, seed=4, scale=0.9)
     inputs = [[2, 5, 0, 1], [3], [4, 4, 1]]
-    group = _Decoder(p, [encode(p, ids) for ids in inputs])
+    group = _Decoder(p, inputs)
     rng = np.random.default_rng(0)
     states = rng.uniform(-1, 1, size=(3, 2, p.d))
     tokens = rng.integers(0, 7, size=(3, 2))
     grouped = group.step(states, tokens)
     for g, ids in enumerate(inputs):
-        alone = _Decoder(p, [encode(p, ids)]).step(states[g], tokens[g])
+        alone = _Decoder(p, [ids]).step(states[g], tokens[g])
         for got, want in zip(grouped, alone):
             assert np.max(np.abs(got[g][..., :want.shape[-1]] - want)) <= 1e-12
         assert not grouped[2][g][:, len(ids):].any()  # padded attention weights
+
+
+def test_group_encodes_padded_inputs_as_each_input_alone():
+    """One padded encode of a ragged group gives each input's own encoder
+    states bit for bit, and exact zeros on the padded rows.  A one-token
+    input alone is a (1, d) @ (d, d) product, which numpy computes as a
+    vector-matrix product; in a group it is a row of a matrix product, so
+    its states agree within rounding only."""
+    p = random_params(5, 6, 7, seed=5, scale=0.9)
+    inputs = [[2, 5, 0, 1, 3], [3], [4, 4, 1], [0, 1, 2, 3, 4], [5, 2]]
+    group = _Decoder(p, inputs)
+    assert group.values.shape == (5, 5, p.d)
+    for g, ids in enumerate(inputs):
+        alone = encode(p, ids)
+        if len(ids) > 1:
+            assert np.array_equal(group.values[g, :len(ids)], alone)
+        else:
+            assert np.max(np.abs(group.values[g, :1] - alone)) <= 1e-15
+        assert np.array_equal(group.values[g, len(ids):], np.zeros((5 - len(ids), p.d)))
+    for ids in inputs:
+        assert np.array_equal(_Decoder(p, [ids]).values, encode(p, ids))
 
 
 def test_whole_trace_forward_and_backward_match_per_step_reference():
@@ -295,7 +316,7 @@ def test_batch_errors_name_the_mismatch():
 
 def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
-    decoder = _Decoder(p, [encode(p, [1, 2])])
+    decoder = _Decoder(p, [[1, 2]])
     l1 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
     l2 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
     assert np.array_equal(l1, l2)

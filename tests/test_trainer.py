@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from conftest import (
-    accumulate, corpus_nll, params_allclose, random_params, reference_backward,
-    reference_forward_teacher,
+    accumulate, corpus_nll, params_allclose, random_params, reference_align_counts,
+    reference_backward, reference_forward_teacher,
 )
 from fcmax.beam import beam_decode
 from fcmax.corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
+    normalize_text,
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
 from fcmax.metrics import EditBreakdown
 from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
-    SafeguardConfig, TrainerError, TrainingSchedule, deletion_guard, evaluate_on,
-    linear_decay_lr, train_ce, train_fcm,
+    SafeguardConfig, TrainerError, TrainingSchedule, decode_corpus_top1, deletion_guard,
+    evaluate_on, linear_decay_lr, train_ce, train_fcm,
 )
 
 LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate", "dev_unfinished_top1",
@@ -183,6 +184,21 @@ def test_exact_match_coefficient_positive_on_two_way_fixture(ambiguity_fixture):
             assert coeff > 0
         else:
             assert coeff <= 0
+
+
+def test_evaluate_on_breakdown_pools_the_per_pair_oracle():
+    """A seeded corpus of more than one decode group, decoded by a random
+    model into ragged top hypotheses: the dev breakdown is the pooled sum of
+    the per-pair oracle's counts."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=40, seed=5))
+    params = random_params(8, corpus.source_vocab_size, len(corpus.token_vocab), seed=2)
+    tops = decode_corpus_top1(params, corpus, 2, 16)
+    want = [reference_align_counts(normalize_text(top), normalize_text(s.reference))
+            for top, s in zip(tops, corpus.samples)]
+    assert len({len(normalize_text(top)) for top in tops}) > 3
+    got = evaluate_on(params, corpus, weighted_f1_scorer(), 2, 2, 16)["_breakdown"]
+    assert (got.substitutions, got.insertions, got.deletions) == tuple(map(sum, zip(*want)))
+    assert got.ref_words == sum(len(normalize_text(s.reference)) for s in corpus.samples)
 
 
 def test_deletion_guard_examples():
