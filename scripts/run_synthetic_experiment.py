@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus, save_corpus
@@ -55,17 +57,25 @@ def main():
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    stage_s = defaultdict(float)
+
+    @contextmanager
+    def stage(name):
+        start = time.perf_counter()
+        yield
+        stage_s[name] += time.perf_counter() - start
 
     cfg = SynthConfig(
         n_samples=args.n_train + args.n_dev + args.n_test,
         seed=args.seed,
         negation_drop_rate=args.negation_drop_rate,
     )
-    full = generate_synthetic_corpus(cfg)
-    train, dev, test = full.split(args.n_train, args.n_dev, args.n_test)
-    save_corpus(train, out / "train.jsonl")
-    save_corpus(dev, out / "dev.jsonl")
-    save_corpus(test, out / "test.jsonl")
+    with stage("corpus"):
+        full = generate_synthetic_corpus(cfg)
+        train, dev, test = full.split(args.n_train, args.n_dev, args.n_test)
+        save_corpus(train, out / "train.jsonl")
+        save_corpus(dev, out / "dev.jsonl")
+        save_corpus(test, out / "test.jsonl")
     scorer = weighted_f1_scorer(default_token_weights(cfg))
 
     def log(msg):
@@ -77,8 +87,9 @@ def main():
     systems = []
 
     log("evaluating random-init model")
-    texts = decode_corpus_top1(random_model, test, 4, 24)
-    systems.append(eval_system("random-init", texts, test, scorer))
+    with stage("test_eval"):
+        texts = decode_corpus_top1(random_model, test, 4, 24)
+        systems.append(eval_system("random-init", texts, test, scorer))
 
     log(f"likelihood training: {args.ce_iters} iterations at lr {args.ce_lr}")
     ce_schedule = TrainingSchedule(
@@ -86,11 +97,13 @@ def main():
         beam_size=4, nbest_size=4, max_len=24, seed=args.seed,
         checkpoint_every=max(1, args.ce_iters // 4),
     )
-    ce = train_ce(random_model, train, ce_schedule, dev=dev, scorer=scorer)
-    save_checkpoint(ce.params, out / "ce.json")
+    with stage("ce_train"):
+        ce = train_ce(random_model, train, ce_schedule, dev=dev, scorer=scorer)
+        save_checkpoint(ce.params, out / "ce.json")
     log("evaluating likelihood model")
-    texts = decode_corpus_top1(ce.params, test, 4, 24)
-    systems.append(eval_system("ce", texts, test, scorer))
+    with stage("test_eval"):
+        texts = decode_corpus_top1(ce.params, test, 4, 24)
+        systems.append(eval_system("ce", texts, test, scorer))
 
     log(f"consistency fine-tuning: {args.fcm_iters} iterations at lr {args.fcm_lr}")
     fcm_schedule = TrainingSchedule(
@@ -100,15 +113,17 @@ def main():
     )
     safeguard = SafeguardConfig(max_fcm_iterations=args.fcm_iters,
                                 deletion_rate_limit=0.25, dev_check_every=50)
-    fcm = train_fcm(ce.params, train, scorer, fcm_schedule, safeguard, dev=dev)
-    save_checkpoint(fcm.params, out / "fcm.json")
-    (out / "fcm_metrics.jsonl").write_text(
-        "".join(json.dumps(e) + "\n" for e in fcm.log))
+    with stage("fcm_train"):
+        fcm = train_fcm(ce.params, train, scorer, fcm_schedule, safeguard, dev=dev)
+        save_checkpoint(fcm.params, out / "fcm.json")
+        (out / "fcm_metrics.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in fcm.log))
     if fcm.guard_tripped:
         log(f"NOTE: {fcm.guard_report}")
     log("evaluating fine-tuned model")
-    texts = decode_corpus_top1(fcm.params, test, 4, 24)
-    systems.append(eval_system("fcm", texts, test, scorer))
+    with stage("test_eval"):
+        texts = decode_corpus_top1(fcm.params, test, 4, 24)
+        systems.append(eval_system("fcm", texts, test, scorer))
 
     table = markdown_report([(s["label"], s["breakdown"], s["mean"], s["ratio"])
                              for s in systems])
@@ -122,16 +137,17 @@ def main():
     print(f"wer delta (fcm - ce): {wer_delta:+.2f} points")
 
     log("summarization comparison (mock summarizer)")
-    summarizer = make_summarizer("mock")
-    ref_utts = corpus_to_utterances(test)
-    sum_rows = []
-    for label in ("ce", "fcm"):
-        texts = by_label[label]["texts"]
-        hyp_utts = corpus_to_utterances(test, {s.id: t for s, t in zip(test.samples, texts)})
-        scores, mean = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
-        (out / f"sum_scores_{label}.json").write_text(json.dumps(scores))
-        sum_rows.append((label, scores, mean))
-    gt_scores, gt_mean = evaluate_summaries(ref_utts, ref_utts, summarizer, scorer)
+    with stage("summaries"):
+        summarizer = make_summarizer("mock")
+        ref_utts = corpus_to_utterances(test)
+        sum_rows = []
+        for label in ("ce", "fcm"):
+            texts = by_label[label]["texts"]
+            hyp_utts = corpus_to_utterances(test, {s.id: t for s, t in zip(test.samples, texts)})
+            scores, mean = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
+            (out / f"sum_scores_{label}.json").write_text(json.dumps(scores))
+            sum_rows.append((label, scores, mean))
+        gt_scores, gt_mean = evaluate_summaries(ref_utts, ref_utts, summarizer, scorer)
     print(f"summary consistency: ce={sum_rows[0][2]:.4f} fcm={sum_rows[1][2]:.4f} "
           f"ground-truth={gt_mean:.4f} ({len(gt_scores)} chunks)")
     st = paired_t_test(sum_rows[1][1], sum_rows[0][1])
@@ -150,6 +166,7 @@ def main():
         "summary_means": {label: mean for label, _, mean in sum_rows},
         "summary_mean_ground_truth": gt_mean,
         "runtime_s": time.time() - t0,
+        "stage_s": dict(stage_s),
     }
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     log("done")

@@ -7,14 +7,25 @@ through a stochastic confusion channel.  The channel can replace content
 words with confusable words and can drop the acoustic evidence for negation
 words, so a decoder working from the input alone faces hypotheses whose edit
 error and whose semantic fidelity rank in opposite orders.
+
+Draw contract: one seeded ``numpy.random.Generator`` serves the whole
+corpus, and each sample makes its draws in a fixed order (negation flag,
+length, sentence grammar, channel, start time, speaker).  The channel makes
+one uniform draw per negation token and one per confusable token; the latter
+is inverted through the CDF that ``Generator.choice(p=...)`` would build from
+the word's weights, with the same right-side search, so it picks what
+``choice`` would have picked.  Any change to a draw changes every seeded
+corpus, and with it every checkpoint and benchmark quality number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,6 +196,17 @@ class Corpus:
         return out
 
 
+def _positive_finite(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _keep_and_confusion_weights(options: list[tuple[str, float]]) -> tuple[np.ndarray, float]:
+    """A confusable word's pick weights, keep weight 1.0 first, and their sum."""
+    weights = np.array([1.0] + [w for _, w in options])
+    with np.errstate(over="ignore"):
+        return weights, weights.sum()
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic noisy-transcription generator."""
@@ -226,22 +248,28 @@ class SynthConfig:
                 f"max_len must be >= {_MIN_SENTENCE_WORDS + 1} so negated sentences fit, "
                 f"got {self.max_len}"
             )
-        if self.content_weight <= 0 or self.filler_weight <= 0:
+        if not (_positive_finite(self.content_weight) and _positive_finite(self.filler_weight)):
             raise CorpusError(
-                f"token weights must be > 0, got content={self.content_weight} "
+                f"token weights must be finite and > 0, got content={self.content_weight} "
                 f"filler={self.filler_weight}"
             )
         for word, options in self.confusion_table.items():
             for alt, weight in options:
-                if weight <= 0:
+                if not _positive_finite(weight):
                     raise CorpusError(
-                        f"confusion weight for {word!r}->{alt!r} must be > 0, got {weight}"
+                        f"confusion weight for {word!r}->{alt!r} must be finite and > 0, "
+                        f"got {weight}"
                     )
                 if alt in _NEGATIONS:
                     raise CorpusError(
                         f"confusable {alt!r} for {word!r} is a negation token; "
                         "the channel may not fabricate negation evidence"
                     )
+            if options and not np.isfinite(_keep_and_confusion_weights(options)[1]):
+                raise CorpusError(
+                    f"confusion weights for {word!r}, keep weight 1.0 included, "
+                    "sum to a non-finite value"
+                )
 
     def token_vocab(self) -> tuple[str, ...]:
         return tuple(_base_vocab(self.confusion_table))
@@ -353,23 +381,42 @@ def _build_sentence(rng: np.random.Generator, target_words: int, negated: bool) 
     return toks
 
 
-def _channel(rng, tokens: list[str], cfg: SynthConfig, token_to_id: dict[str, int]) -> list[int]:
-    """Pass reference tokens through the confusion channel, yielding input symbols."""
+def _pick_tables(confusion_table: dict[str, list[tuple[str, float]]],
+                 token_to_id: dict[str, int]) -> dict[str, tuple[list[float], list[int]]]:
+    """For each confusable word, the CDF that ``Generator.choice(p=...)``
+    builds from its weights (keep weight 1.0 first) and the token id each
+    pick emits."""
+    tables = {}
+    for word, options in confusion_table.items():
+        if not options:
+            continue
+        weights, total = _keep_and_confusion_weights(options)
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        emits = [token_to_id[word]] + [token_to_id[alt] for alt, _ in options]
+        tables[word] = (cdf.tolist(), emits)
+    return tables
+
+
+def _channel(rng, tokens: list[str], negation_drop_rate: float,
+             picks: dict[str, tuple[list[float], list[int]]],
+             token_to_id: dict[str, int]) -> list[int]:
+    """Pass reference tokens through the confusion channel, yielding input
+    symbols.  A confusable token draws one uniform and emits the pick whose
+    CDF entry is the first one above it, as ``Generator.choice`` does."""
     out: list[int] = []
     for tok in tokens:
         if tok in _NEGATIONS:
-            if rng.random() < cfg.negation_drop_rate:
+            if rng.random() < negation_drop_rate:
                 continue
             out.append(token_to_id[tok])
             continue
-        options = cfg.confusion_table.get(tok)
-        if options:
-            weights = np.array([1.0] + [w for _, w in options])
-            pick = int(rng.choice(len(weights), p=weights / weights.sum()))
-            emitted = tok if pick == 0 else options[pick - 1][0]
-            out.append(token_to_id[emitted])
-        else:
+        pick = picks.get(tok)
+        if pick is None:
             out.append(token_to_id[tok])
+        else:
+            cdf, emits = pick
+            out.append(emits[bisect_right(cdf, rng.random())])
     return out
 
 
@@ -379,10 +426,17 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     Every tenth sample is forced to contain a negation word so the corpus
     always carries sentences where a dropped negation makes the short, low
     edit-error hypothesis the semantically wrong one.
+
+    Each sample makes its draws in a fixed order, with one uniform per
+    confusable token inverted through the CDF that ``Generator.choice(p=...)``
+    would build (see the module docstring).  Any change to a draw changes
+    every seeded corpus, and with it every checkpoint and benchmark quality
+    number.
     """
     config.validate()
     vocab = config.token_vocab()
     token_to_id = {tok: i for i, tok in enumerate(vocab)}
+    picks = _pick_tables(config.confusion_table, token_to_id)
     rng = np.random.default_rng(np.uint64(config.seed))
     samples: list[Sample] = []
     for i in range(config.n_samples):
@@ -392,7 +446,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
             target = max(target, _MIN_SENTENCE_WORDS + 1)
         tokens = _build_sentence(rng, target, negated)
         reference = detokenize(tokens)
-        input_ids = _channel(rng, tokens, config, token_to_id)
+        input_ids = _channel(rng, tokens, config.negation_drop_rate, picks, token_to_id)
         start = round(float(i % 50) * 4.0 + float(rng.random()) * 2.0, 3)
         samples.append(Sample(
             id=f"synth-{config.seed}-{i:06d}",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -50,11 +51,11 @@ class TokenWeights:
     default: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.default <= 0:
-            raise ValueError(f"default token weight must be > 0, got {self.default}")
+        if not (math.isfinite(self.default) and self.default > 0):
+            raise ValueError(f"default token weight must be finite and > 0, got {self.default}")
         for tok, w in self.weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for token {tok!r} must be > 0, got {w}")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"weight for token {tok!r} must be finite and > 0, got {w}")
 
 
 UNIFORM_WEIGHTS = TokenWeights()

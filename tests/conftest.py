@@ -2,7 +2,8 @@
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
-per-trajectory per-step teacher forcing and backward) that only tests use."""
+per-trajectory per-step teacher forcing and backward, per-token confusion
+channel) that only tests use."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
-from fcmax.corpus import BOS, EOS, Corpus, Sample
+from fcmax.corpus import BOS, EOS, NEGATION_TOKENS, Corpus, Sample, SynthConfig
 from fcmax.model import (
     ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
     forward_teacher, trajectory,
@@ -97,6 +98,29 @@ def reference_align_counts(hyp_tokens, ref_tokens) -> tuple[int, int, int]:
         prev = cur
     edits, subs, dels = prev[n]
     return subs, edits - subs - dels, dels
+
+
+def reference_channel(rng, tokens: list[str], cfg: SynthConfig,
+                      token_to_id: dict[str, int]) -> list[int]:
+    """Per-token confusion channel: each confusable token builds its weight
+    array and picks with ``Generator.choice(p=...)``.  The oracle for the
+    table-inverting ``corpus._channel``."""
+    out: list[int] = []
+    for tok in tokens:
+        if tok in NEGATION_TOKENS:
+            if rng.random() < cfg.negation_drop_rate:
+                continue
+            out.append(token_to_id[tok])
+            continue
+        options = cfg.confusion_table.get(tok)
+        if options:
+            weights = np.array([1.0] + [w for _, w in options])
+            pick = int(rng.choice(len(weights), p=weights / weights.sum()))
+            emitted = tok if pick == 0 else options[pick - 1][0]
+            out.append(token_to_id[emitted])
+        else:
+            out.append(token_to_id[tok])
+    return out
 
 
 def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_len: int,

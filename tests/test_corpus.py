@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_channel
+from fcmax import corpus as corpus_module
 from fcmax.corpus import (
-    BOS, EOS, NEGATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
+    BOS, DEFAULT_TOKEN_VOCAB, EOS, NEGATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
     corpus_to_jsonl, detokenize, generate_synthetic_corpus, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
@@ -85,10 +89,82 @@ def test_length_bounds_respected():
     (dict(n_samples=1, min_len=9, max_len=8), "min_len"),
     (dict(n_samples=1, min_len=2, max_len=8), "min_len"),
     (dict(n_samples=1, content_weight=0.0), "weights"),
+    (dict(n_samples=1, content_weight=float("nan")), "weights"),
+    (dict(n_samples=1, filler_weight=float("inf")), "weights"),
+    (dict(n_samples=1, confusion_table={"plan": [("plant", float("nan"))]}), "'plan'"),
+    (dict(n_samples=1, confusion_table={"plan": [("plant", float("inf"))]}), "'plan'"),
+    (dict(n_samples=1, confusion_table={"know": [("owe", 0.5), ("no", -float("inf"))]}),
+     "'know'"),
+    (dict(n_samples=1, confusion_table={"budget": [("bucket", 1e308), ("budge", 1e308)]}),
+     "'budget'.*non-finite"),
 ])
 def test_invalid_config_reports_bound(bad, message):
     with pytest.raises(CorpusError, match=message):
         generate_synthetic_corpus(SynthConfig(**bad))
+
+
+def _reference_corpus(cfg: SynthConfig) -> Corpus:
+    """The corpus the per-token ``Generator.choice`` channel makes from cfg."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_channel",
+                   lambda rng, tokens, _rate, _picks, token_to_id:
+                   reference_channel(rng, tokens, cfg, token_to_id))
+        return generate_synthetic_corpus(cfg)
+
+
+def _custom_confusion_table() -> dict[str, list[tuple[str, float]]]:
+    """1-3 alternatives for most grammar words, weights log-uniform in [1e-6, 1e6]."""
+    rng = np.random.default_rng(2302)
+    words = [t for t in DEFAULT_TOKEN_VOCAB[6:] if t not in NEGATION_TOKENS][:30]
+    table = {}
+    for k, word in enumerate(words):
+        n_alt = 1 + k % 3
+        table[word] = [(f"{word}-{j}", float(10.0 ** rng.uniform(-6, 6))) for j in range(n_alt)]
+    return table
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["default-table", "custom-table"])
+@pytest.mark.parametrize("drop", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 123])
+def test_channel_matches_per_token_choice_oracle(seed, drop, custom):
+    extra = dict(confusion_table=_custom_confusion_table()) if custom else {}
+    cfg = SynthConfig(n_samples=300, seed=seed, negation_drop_rate=drop, **extra)
+    assert corpus_to_jsonl(generate_synthetic_corpus(cfg)) == corpus_to_jsonl(
+        _reference_corpus(cfg))
+
+
+def test_pick_table_draws_what_choice_draws():
+    weights_rng = np.random.default_rng(5)
+    for seed in range(40):
+        options = [(f"alt{j}", float(10.0 ** weights_rng.uniform(-6, 6)))
+                   for j in range(1 + seed % 3)]
+        (cdf, emits), = corpus_module._pick_tables(
+            {"w": options}, {"w": 0, "alt0": 1, "alt1": 2, "alt2": 3}).values()
+        weights = np.array([1.0] + [w for _, w in options])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert emits[bisect_right(cdf, a.random())] == int(
+                b.choice(len(weights), p=weights / weights.sum()))
+        assert a.random() == b.random()  # both streams consumed one double per draw
+
+
+class _FixedUniform:
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_channel_draw_on_a_cdf_step_takes_the_next_pick():
+    token_to_id = {"plan": 0, "plant": 1}
+    picks = corpus_module._pick_tables({"plan": [("plant", 1.0)]}, token_to_id)
+    assert picks["plan"] == ([0.5, 1.0], [0, 1])
+    # searchsorted(side='right'), as Generator.choice uses, puts u == 0.5 past the step
+    assert int(np.searchsorted([0.5, 1.0], 0.5, side="right")) == 1
+    assert corpus_module._channel(_FixedUniform(0.5), ["plan"], 0.0, picks, token_to_id) == [1]
+    assert corpus_module._channel(
+        _FixedUniform(np.nextafter(0.5, 0.0)), ["plan"], 0.0, picks, token_to_id) == [0]
 
 
 def test_load_empty_file(tmp_path):

@@ -24,8 +24,11 @@ def test_tiny_experiment_writes_its_report(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {
         "systems", "utt_ttest_fcm_vs_ce", "wer_delta_points", "guard_tripped",
-        "summary_means", "summary_mean_ground_truth", "runtime_s",
+        "summary_means", "summary_mean_ground_truth", "runtime_s", "stage_s",
     }
+    assert set(report["stage_s"]) == {"corpus", "ce_train", "fcm_train", "test_eval",
+                                      "summaries"}
+    assert all(t >= 0.0 for t in report["stage_s"].values())
     assert [s["label"] for s in report["systems"]] == ["random-init", "ce", "fcm"]
     for system in report["systems"]:
         assert set(system) == {"label", "wer", "ins_rate", "del_rate", "mean_consistency",

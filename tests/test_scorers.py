@@ -60,6 +60,11 @@ def test_token_weights_validation():
         TokenWeights(weights={"x": 0.0})
     with pytest.raises(ValueError):
         TokenWeights(default=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="'x'"):
+            TokenWeights(weights={"x": bad})
+        with pytest.raises(ValueError, match="default"):
+            TokenWeights(default=bad)
 
 
 def test_lcs_examples():
