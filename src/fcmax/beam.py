@@ -138,17 +138,16 @@ def _encode_group(params: ModelParams, inputs, at: int) -> _Decoder:
 def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
                   eos_id: int) -> list[NBestList]:
     vocab, d = decoder.params.target_vocab_size, decoder.params.d
-    lead = decoder.values.shape[:-2]  # (G,), or () for a lone utterance
 
     # Group row g decodes utterance owner[g] in `slots` slots (one for the
     # empty prefix in the first round, beam_size after): slot
     # r = g * slots + b holds prefix prefixes[r], state states[g, b], score
     # log_probs[g, b] and last token last[g, b].  Unused slots score -inf.
-    owner = list(range(lead[0] if lead else 1))
+    owner = list(range(len(decoder.values)))
     slots = 1
-    states = np.zeros(lead + (1, d))
-    log_probs = np.zeros(lead + (1, 1))  # trailing axis broadcasts over the vocabulary
-    last = np.zeros(lead + (1,), dtype=np.int64) + bos_id
+    states = np.zeros((len(owner), 1, d))
+    log_probs = np.zeros((len(owner), 1, 1))  # trailing axis broadcasts over the vocabulary
+    last = np.zeros((len(owner), 1), dtype=np.int64) + bos_id
     prefixes: list[tuple[int, ...]] = [()] * len(owner)
     # Per utterance, the latest ranking of (-score, tokens, index into that
     # round's scores, or -1 once finished): tuple order is the beam's order,
@@ -190,7 +189,7 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
             owner = [owner[g] for g in keep]
             decoder.select(keep)
         slots = beam_size
-        shape = decoder.values.shape[:-2] + (slots,)
+        shape = (len(owner), slots)
         picked = np.array(picked)
         log_probs = scores.ravel()[picked].reshape(shape + (1,))
         rows, tokens = np.divmod(picked, vocab)

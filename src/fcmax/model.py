@@ -31,12 +31,18 @@ Padding rule: padded source positions get a -inf attention score before the
 softmax, so they get exactly zero attention; padded steps get weight 0, so
 backward writes exact zeros for them.  A single trajectory, given as flat id
 sequences, is a batch of one.
+
+The parameters are one contiguous float64 vector, and ``ModelParams`` names
+the eight matrices above as views into it, in MATRIX_NAMES order.  Gradients
+are the same type: backward writes into the views of one zero vector, and an
+update, copy or finiteness check is one operation on the whole vector.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,85 +56,64 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass
+def _shapes(d: int, source_vocab_size: int, target_vocab_size: int):
+    """The shape of each matrix, in MATRIX_NAMES order: the layout of the flat vector."""
+    sv, tv = source_vocab_size, target_vocab_size
+    return (sv, d), (tv, d), (d, d), (d, d), (d, d), (d, d), (d, tv), (tv,)
+
+
+def param_count(d: int, source_vocab_size: int, target_vocab_size: int) -> int:
+    """Length of the flat parameter vector of a model of these sizes."""
+    if min(d, source_vocab_size, target_vocab_size) < 1:
+        raise ModelError(f"hidden width and vocabulary sizes must be >= 1, got d={d} "
+                         f"source={source_vocab_size} target={target_vocab_size}")
+    return sum(math.prod(shape) for shape in _shapes(d, source_vocab_size, target_vocab_size))
+
+
 class ModelParams:
-    """Parameter set; also used as the container for parameter gradients."""
+    """Parameters, or parameter gradients: the float64 vector ``flat`` and the
+    eight matrices as views into it, in MATRIX_NAMES order, with the shapes
+    that ``sizes`` (d and the source and target vocabulary sizes) fix."""
 
-    src_emb: np.ndarray
-    tgt_emb: np.ndarray
-    enc_proj: np.ndarray
-    dec_in: np.ndarray
-    dec_state: np.ndarray
-    attn: np.ndarray
-    out_proj: np.ndarray
-    out_bias: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.enc_proj.shape[0]
-
-    @property
-    def source_vocab_size(self) -> int:
-        return self.src_emb.shape[0]
-
-    @property
-    def target_vocab_size(self) -> int:
-        return self.tgt_emb.shape[0]
+    def __init__(self, flat: np.ndarray, d: int, source_vocab_size: int,
+                 target_vocab_size: int) -> None:
+        size = param_count(d, source_vocab_size, target_vocab_size)
+        if flat.shape != (size,):
+            raise ModelError(f"flat parameter vector has shape {flat.shape}, expected ({size},)")
+        self.flat = flat
+        self.sizes = (d, source_vocab_size, target_vocab_size)
+        self.d, self.source_vocab_size, self.target_vocab_size = self.sizes
+        start = 0
+        for name, shape in zip(MATRIX_NAMES, _shapes(d, source_vocab_size, target_vocab_size)):
+            stop = start + math.prod(shape)
+            setattr(self, name, flat[start:stop].reshape(shape))
+            start = stop
 
     def matrices(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in MATRIX_NAMES}
+
+    def _like(self, flat: np.ndarray) -> "ModelParams":
+        return ModelParams(flat, *self.sizes)
 
     def validate(self) -> None:
-        d = self.d
-        expected = {
-            "src_emb": (self.source_vocab_size, d),
-            "tgt_emb": (self.target_vocab_size, d),
-            "enc_proj": (d, d),
-            "dec_in": (d, d),
-            "dec_state": (d, d),
-            "attn": (d, d),
-            "out_proj": (d, self.target_vocab_size),
-            "out_bias": (self.target_vocab_size,),
-        }
-        for name, mat in self.matrices().items():
-            if mat.shape != expected[name]:
-                raise ModelError(
-                    f"matrix {name} has shape {mat.shape}, expected {expected[name]}"
-                )
-            if not np.all(np.isfinite(mat)):
-                raise ModelError(f"matrix {name} contains non-finite entries")
+        """Raise ModelError naming the first matrix with a non-finite entry."""
+        if not np.isfinite(self.flat).all():
+            bad = next(name for name, mat in self.matrices().items() if not np.isfinite(mat).all())
+            raise ModelError(f"non-finite entries in matrix {bad}")
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.matrices().items()})
+        return self._like(self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(**{k: np.zeros_like(v) for k, v in self.matrices().items()})
+        return self._like(np.zeros_like(self.flat))
 
 
 def init_params(d: int, source_vocab_size: int, target_vocab_size: int, seed: int) -> ModelParams:
     """Uniform init in [-0.08, 0.08], deterministic in the seed."""
-    if d < 1:
-        raise ModelError(f"hidden width must be >= 1, got {d}")
-    if source_vocab_size < 1 or target_vocab_size < 1:
-        raise ModelError(
-            f"vocabulary sizes must be >= 1, got source={source_vocab_size} "
-            f"target={target_vocab_size}"
-        )
     rng = np.random.default_rng(np.uint64(seed))
-
-    def u(*shape):
-        return rng.uniform(-0.08, 0.08, size=shape)
-
-    return ModelParams(
-        src_emb=u(source_vocab_size, d),
-        tgt_emb=u(target_vocab_size, d),
-        enc_proj=u(d, d),
-        dec_in=u(d, d),
-        dec_state=u(d, d),
-        attn=u(d, d),
-        out_proj=u(d, target_vocab_size),
-        out_bias=u(target_vocab_size),
-    )
+    size = param_count(d, source_vocab_size, target_vocab_size)
+    return ModelParams(rng.uniform(-0.08, 0.08, size=size), d, source_vocab_size,
+                       target_vocab_size)
 
 
 @dataclass
@@ -236,9 +221,8 @@ class _Decoder:
     The inputs are padded to the longest, T, and encoded in one call; the
     padded rows of the (G, T, d) states are exact zeros, and src_bias puts
     -inf on the attention scores of padded positions, so they get exactly
-    zero weight.  A group of one keeps its (T, d) states.  The input term of
-    every token (tgt_emb @ dec_in) and each input's attention keys (H @ attn)
-    are formed once for all steps.
+    zero weight.  The input term of every token (tgt_emb @ dec_in) and each
+    input's attention keys (H @ attn) are formed once for all steps.
     """
 
     def __init__(self, params: ModelParams, inputs) -> None:
@@ -247,14 +231,12 @@ class _Decoder:
         src, lengths, _ = _padded(inputs)
         self.values = encode(params, src)
         self.src_bias = _source_bias(lengths)
-        if len(lengths) == 1:
-            self.values = self.values[0]
-        elif self.src_bias is not None:
+        if self.src_bias is not None:
             self.values[self.src_bias[:, 0] < 0] = 0.0
         self.keys = (self.values @ params.attn).swapaxes(-1, -2)
 
     def select(self, rows: list[int]) -> None:
-        """Keep only the given inputs of a group of several."""
+        """Keep only the given inputs of the group."""
         self.values, self.keys = self.values[rows], self.keys[rows]
         if self.src_bias is not None:
             self.src_bias = self.src_bias[rows]
@@ -262,9 +244,8 @@ class _Decoder:
     def step(self, s_prev: np.ndarray, tokens):
         """One step; returns (log_probs, s, alpha, context).
 
-        s_prev is (B, d) and tokens (B,) for a group of one, (G, B, d) and
-        (G, B) otherwise; the outputs are (..., B, V), (..., B, d),
-        (..., B, T) and (..., B, d).
+        s_prev is (G, B, d) and tokens (G, B); the outputs are (G, B, V),
+        (G, B, d), (G, B, T) and (G, B, d).
         """
         s = np.tanh(self.inputs[tokens] + s_prev @ self.params.dec_state)
         scores = s @ self.keys
@@ -394,30 +375,33 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
     g_tgt = _id_sums(trace.cond_tokens.T, dq, params.target_vocab_size)
     g_src = _id_sums(trace.input_ids, dq_enc, params.source_vocab_size)
     dz = dz.reshape(-1, v)
-    return ModelParams(
-        src_emb=g_src @ params.enc_proj.T, tgt_emb=g_tgt @ params.dec_in.T,
-        enc_proj=params.src_emb.T @ g_src, dec_in=params.tgt_emb.T @ g_tgt,
-        dec_state=states_t[:-1].reshape(-1, d).T @ dq[1:].reshape(-1, d),
-        attn=(da @ H).reshape(-1, d).T @ S.reshape(-1, d),
-        out_proj=(S + trace.contexts).reshape(-1, d).T @ dz, out_bias=dz.sum(axis=0),
-    )
+    g = params.zeros_like()
+    np.matmul(g_src, params.enc_proj.T, out=g.src_emb)
+    np.matmul(g_tgt, params.dec_in.T, out=g.tgt_emb)
+    np.matmul(params.src_emb.T, g_src, out=g.enc_proj)
+    np.matmul(params.tgt_emb.T, g_tgt, out=g.dec_in)
+    np.matmul(states_t[:-1].reshape(-1, d).T, dq[1:].reshape(-1, d), out=g.dec_state)
+    np.matmul((da @ H).reshape(-1, d).T, S.reshape(-1, d), out=g.attn)
+    np.matmul((S + trace.contexts).reshape(-1, d).T, dz, out=g.out_proj)
+    dz.sum(axis=0, out=g.out_bias)
+    return g
 
 
 def apply_update(params: ModelParams, gradients: ModelParams, learning_rate: float) -> ModelParams:
-    """Gradient-ascent step: theta + lr * grad, refusing non-finite gradients."""
-    if learning_rate < 0:
-        raise ModelError(f"learning rate must be >= 0, got {learning_rate}")
-    new = {}
-    for name, mat in params.matrices().items():
-        gmat = getattr(gradients, name)
-        if gmat.shape != mat.shape:
-            raise ModelError(
-                f"gradient matrix {name} has shape {gmat.shape}, expected {mat.shape}"
-            )
-        if not np.all(np.isfinite(gmat)):
-            raise ModelError(f"non-finite gradient entries in matrix {name}")
-        new[name] = mat + learning_rate * gmat
-    return ModelParams(**new)
+    """Gradient-ascent step: theta + lr * grad, refusing a negative or
+    non-finite learning rate and non-finite gradients.  Neither input changes."""
+    if not 0 <= learning_rate < math.inf:
+        raise ModelError(f"learning rate must be finite and >= 0, got {learning_rate}")
+    if gradients.sizes != params.sizes:
+        raise ModelError(f"gradients of (d, source, target) sizes {gradients.sizes} for "
+                         f"parameters of sizes {params.sizes}")
+    gradients.validate()
+    return params._like(params.flat + learning_rate * gradients.flat)
+
+
+def _file_shape(shape: tuple[int, ...]) -> list[int]:
+    """A matrix's shape as a checkpoint stores it: the bias vector is one row."""
+    return list(shape) if len(shape) == 2 else [1, shape[0]]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -431,10 +415,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "target": params.target_vocab_size,
         },
         "matrices": {
-            name: {
-                "shape": list(mat.shape) if mat.ndim == 2 else [1, mat.shape[0]],
-                "data": [float(x) for x in mat.reshape(-1)],
-            }
+            name: {"shape": _file_shape(mat.shape), "data": mat.ravel().tolist()}
             for name, mat in params.matrices().items()
         },
     }
@@ -442,17 +423,34 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Parameters from a checkpoint whose header (d and the vocabulary sizes)
+    fixes every matrix's shape; a mismatch raises ModelError naming the field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError(f"checkpoint must be a JSON object, got a JSON {type(doc).__name__}")
     if doc.get("version") != 1:
         raise ModelError(f"unsupported checkpoint version {doc.get('version')!r}")
-    mats = {}
-    for name in MATRIX_NAMES:
-        entry = doc["matrices"][name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if name == "out_bias":
-            arr = arr.reshape(-1)
-        mats[name] = arr
-    params = ModelParams(**mats)
+    vocab = doc["vocab_sizes"] if isinstance(doc.get("vocab_sizes"), dict) else {}
+    header = {"d": doc.get("d"), "vocab_sizes.source": vocab.get("source"),
+              "vocab_sizes.target": vocab.get("target")}
+    for field, value in header.items():
+        if type(value) is not int:
+            raise ModelError(f"checkpoint field {field} must be an integer, got {value!r}")
+    d, sv, tv = header.values()
+    matrices = doc.get("matrices")
+    params = ModelParams(np.empty(param_count(d, sv, tv)), d, sv, tv)
+    for name, view in params.matrices().items():
+        entry = matrices.get(name) if isinstance(matrices, dict) else None
+        if not isinstance(entry, dict):
+            raise ModelError(f"checkpoint has no matrix {name}")
+        want = _file_shape(view.shape)
+        if entry.get("shape") != want:
+            raise ModelError(f"matrix {name} has shape {entry.get('shape')!r}, but a header of "
+                             f"d={d}, source={sv}, target={tv} needs {want}")
+        data = entry.get("data")
+        if not isinstance(data, list) or len(data) != view.size:
+            raise ModelError(f"matrix {name} must have a data list of {view.size} entries")
+        view.reshape(-1)[:] = data
     params.validate()
     return params

@@ -52,8 +52,8 @@ class TrainingSchedule:
     def validate(self) -> None:
         if self.total_iterations < 0:
             raise TrainerError(f"total_iterations must be >= 0, got {self.total_iterations}")
-        if self.initial_lr <= 0:
-            raise TrainerError(f"initial_lr must be > 0, got {self.initial_lr}")
+        if not 0 < self.initial_lr < np.inf:
+            raise TrainerError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.nbest_size > self.beam_size:

@@ -20,7 +20,7 @@ from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import BOS, EOS, NEGATION_TOKENS, Corpus, Sample, SynthConfig
 from fcmax.model import (
     ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
-    forward_teacher, trajectory,
+    forward_teacher, param_count, trajectory,
 )
 
 settings.register_profile(
@@ -33,28 +33,17 @@ def random_params(d: int, src_vocab: int, tgt_vocab: int, seed: int,
                   scale: float = 0.6) -> ModelParams:
     """Random weights big enough that every parameter visibly moves the output."""
     rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    return ModelParams(
-        src_emb=u(src_vocab, d), tgt_emb=u(tgt_vocab, d),
-        enc_proj=u(d, d), dec_in=u(d, d), dec_state=u(d, d), attn=u(d, d),
-        out_proj=u(d, tgt_vocab), out_bias=u(tgt_vocab),
-    )
+    flat = rng.uniform(-scale, scale, size=param_count(d, src_vocab, tgt_vocab))
+    return ModelParams(flat, d, src_vocab, tgt_vocab)
 
 
 def params_allclose(a: ModelParams, b: ModelParams) -> bool:
-    return all(
-        np.allclose(mat, getattr(b, name), rtol=0.0, atol=0.0)
-        for name, mat in a.matrices().items()
-    )
+    return bool(np.array_equal(a.flat, b.flat))
 
 
 def accumulate(total: ModelParams, part: ModelParams, scale: float = 1.0) -> None:
     """In-place total += scale * part over every matrix."""
-    for name, mat in total.matrices().items():
-        mat += scale * getattr(part, name)
+    total.flat += scale * part.flat
 
 
 def validate_scored(scored) -> None:
@@ -136,8 +125,8 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
             break
         candidates = [(lp, toks, None, True) for lp, toks in done]
         for toks, lp, s in live:
-            logp, s_new, _, _ = decoder.step(s[None], [toks[-1] if toks else bos_id])
-            logp, s_new = logp[0], s_new[0]
+            logp, s_new, _, _ = decoder.step(s[None, None], [[toks[-1] if toks else bos_id]])
+            logp, s_new = logp[0, 0], s_new[0, 0]
             for tok in range(params.target_vocab_size):
                 if tok == bos_id:
                     continue

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,8 @@ from conftest import (
     terms_objective,
 )
 from fcmax.model import (
-    ModelError, ModelParams, _Decoder, apply_update, backward, encode, forward_teacher,
-    init_params, load_checkpoint, save_checkpoint, trajectory,
+    MATRIX_NAMES, ModelError, ModelParams, _Decoder, apply_update, backward, encode,
+    forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
 
@@ -34,6 +37,16 @@ def test_init_shapes_minimal():
     assert p.out_proj.shape == (1, 2)
     assert p.out_bias.shape == (2,)
     p.validate()
+
+
+def test_matrices_are_views_of_the_flat_vector_in_name_order():
+    p = init_params(4, 5, 6, seed=1)
+    mats = p.matrices()
+    assert tuple(mats) == MATRIX_NAMES
+    assert all(np.shares_memory(mat, p.flat) for mat in mats.values())
+    assert np.array_equal(np.concatenate([mat.ravel() for mat in mats.values()]), p.flat)
+    p.attn[1, 2] = 7.0
+    assert 7.0 in p.flat
 
 
 def test_init_seeds_differ():
@@ -119,23 +132,23 @@ def test_step_replays_teacher_and_batches_rows():
     trace = forward_teacher(p, inp, cond)
     decoder = _Decoder(p, [inp])
     # a loop of one-row steps replays forward_teacher, up to gemm rounding
-    s = np.zeros((1, p.d))
+    s = np.zeros((1, 1, p.d))
     rows = []
     for n, tok in enumerate(cond):
-        logp, s, alpha, context = decoder.step(s, np.array([tok]))
+        logp, s, alpha, context = decoder.step(s, np.array([[tok]]))
         want_rows = (trace.log_probs[0, n], trace.states[0, n], trace.attn_weights[0, n],
                      trace.contexts[0, n])
         for got, want in zip((logp, s, alpha, context), want_rows):
-            assert got.shape == (1,) + want.shape
-            assert np.max(np.abs(got[0] - want)) <= 1e-12
-        rows.append(s[0])
+            assert got.shape == (1, 1) + want.shape
+            assert np.max(np.abs(got[0, 0] - want)) <= 1e-12
+        rows.append(s[0, 0])
     # stacked (B, d) rows give the one-row results, up to gemm rounding
-    states = np.stack(rows)
-    tokens = np.array([3, 0, 6, 6, 1])
+    states = np.stack(rows)[None]
+    tokens = np.array([[3, 0, 6, 6, 1]])
     batched = decoder.step(states, tokens)
-    for b in range(len(tokens)):
-        for got, want in zip(batched, decoder.step(states[b:b + 1], tokens[b:b + 1])):
-            assert np.max(np.abs(got[b] - want[0])) <= 1e-12
+    for b in range(tokens.shape[1]):
+        for got, want in zip(batched, decoder.step(states[:, b:b + 1], tokens[:, b:b + 1])):
+            assert np.max(np.abs(got[0, b] - want[0, 0])) <= 1e-12
 
 
 def test_grouped_steps_match_each_input_alone():
@@ -173,7 +186,7 @@ def test_group_encodes_padded_inputs_as_each_input_alone():
             assert np.max(np.abs(group.values[g, :1] - alone)) <= 1e-15
         assert np.array_equal(group.values[g, len(ids):], np.zeros((5 - len(ids), p.d)))
     for ids in inputs:
-        assert np.array_equal(_Decoder(p, [ids]).values, encode(p, ids))
+        assert np.array_equal(_Decoder(p, [ids]).values[0], encode(p, ids))
 
 
 def test_whole_trace_forward_and_backward_match_per_step_reference():
@@ -317,12 +330,12 @@ def test_batch_errors_name_the_mismatch():
 def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
     decoder = _Decoder(p, [[1, 2]])
-    l1 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
-    l2 = decoder.step(np.zeros((1, p.d)), np.array([0]))[0]
+    l1 = decoder.step(np.zeros((1, 1, p.d)), np.array([[0]]))[0]
+    l2 = decoder.step(np.zeros((1, 1, p.d)), np.array([[0]]))[0]
     assert np.array_equal(l1, l2)
     assert np.allclose(l1, -np.log(4.0))
-    batched = decoder.step(np.zeros((3, p.d)), np.array([0, 2, 3]))[0]
-    assert np.array_equal(batched, np.broadcast_to(l1, (3, 4)))
+    batched = decoder.step(np.zeros((1, 3, p.d)), np.array([[0, 2, 3]]))[0]
+    assert np.array_equal(batched, np.broadcast_to(l1, (1, 3, 4)))
 
 
 def test_trajectory_layout():
@@ -420,7 +433,7 @@ def test_apply_update_zero_lr_keeps_params():
 
 def test_apply_update_unit_step():
     p = random_params(3, 4, 5, seed=11)
-    ones = ModelParams(**{k: np.ones_like(v) for k, v in p.matrices().items()})
+    ones = ModelParams(np.ones_like(p.flat), *p.sizes)
     q = apply_update(p, ones, 1.0)
     for name, mat in q.matrices().items():
         assert np.array_equal(mat, getattr(p, name) + 1.0)
@@ -439,9 +452,21 @@ def test_ascent_step_increases_objective():
     assert objective(q) > objective(p)
 
 
+def test_apply_update_leaves_its_inputs_untouched():
+    p = random_params(3, 4, 5, seed=12)
+    g = random_params(3, 4, 5, seed=13)
+    p_before, g_before = p.flat.copy(), g.flat.copy()
+    q = apply_update(p, g, 0.5)
+    assert not np.shares_memory(q.flat, p.flat)
+    assert np.array_equal(p.flat, p_before) and np.array_equal(g.flat, g_before)
+
+
 def test_apply_update_refuses_nonfinite_and_names_matrix():
     p = random_params(3, 4, 5, seed=13)
     g = p.zeros_like()
+    for lr in (-0.1, np.nan, np.inf):
+        with pytest.raises(ModelError, match="learning rate"):
+            apply_update(p, g, lr)
     g.attn[0, 0] = np.inf
     with pytest.raises(ModelError, match="attn"):
         apply_update(p, g, 0.1)
@@ -454,5 +479,56 @@ def test_checkpoint_round_trip(tmp_path):
     q = load_checkpoint(path)
     for name, mat in p.matrices().items():
         assert np.array_equal(mat, getattr(q, name))
-    doc_keys = set(__import__("json").loads(path.read_text()))
+    doc_keys = set(json.loads(path.read_text()))
     assert doc_keys == {"version", "d", "vocab_sizes", "matrices"}
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_params(8, 11, 13, seed=3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a53565df09049c7f479b6b1888f72114fca4e04bfc441e28f81695161520048b")
+
+
+def _drop_attn(doc):
+    del doc["matrices"]["attn"]
+
+
+def _short_attn(doc):
+    doc["matrices"]["attn"]["data"].pop()
+
+
+def _bias_as_matrix(doc):
+    doc["matrices"]["out_bias"] = {"shape": [2, 3], "data": [0.0] * 6}
+
+
+def _set_d(doc):
+    doc["d"] = 99
+
+
+def _set_target(doc):
+    doc["vocab_sizes"]["target"] = 99
+
+
+def _as_array(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_attn, "no matrix attn"),
+    (_short_attn, "matrix attn must have a data list of 16 entries"),
+    (_bias_as_matrix, r"matrix out_bias has shape \[2, 3\]"),
+    (_set_d, "d=99"),
+    (_set_target, "target=99"),
+    (_as_array, "JSON object"),
+], ids=["missing-matrix", "short-data", "bias-shape", "header-d", "header-target",
+        "json-array"])
+def test_load_checkpoint_refuses_a_document_that_does_not_fit_its_header(
+        tmp_path, corrupt, match):
+    path = tmp_path / "model.json"
+    save_checkpoint(random_params(4, 5, 6, seed=15), path)
+    doc = json.loads(path.read_text())
+    doc = corrupt(doc) or doc
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=match):
+        load_checkpoint(path)

@@ -109,8 +109,9 @@ def test_ce_logs_dev_metrics_schema():
 def test_schedule_validation():
     with pytest.raises(TrainerError, match="nbest_size"):
         TrainingSchedule(total_iterations=1, initial_lr=0.1, beam_size=2, nbest_size=3).validate()
-    with pytest.raises(TrainerError, match="initial_lr"):
-        TrainingSchedule(total_iterations=1, initial_lr=0.0).validate()
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(TrainerError, match="initial_lr"):
+            TrainingSchedule(total_iterations=1, initial_lr=lr).validate()
     with pytest.raises(TrainerError, match="ce_interpolation_weight"):
         SafeguardConfig(ce_interpolation_weight=1.0).validate()
 
