@@ -281,13 +281,9 @@ def detokenize(tokens) -> str:
     Word tokens are joined by single spaces; punctuation tokens attach to the
     preceding word without a space.
     """
-    out: list[str] = []
-    for tok in tokens:
-        if tok in PUNCTUATION_TOKENS or not out:
-            out.append(tok)
-        else:
-            out.append(" " + tok)
-    return "".join(out)
+    rest = iter(tokens)
+    first = next(rest, "")
+    return "".join([first, *[tok if tok in PUNCTUATION_TOKENS else " " + tok for tok in rest]])
 
 
 def surface_tokens(text: str) -> list[str]:
@@ -304,8 +300,10 @@ def surface_tokens(text: str) -> list[str]:
     return toks
 
 
-_STRIP_RE = re.compile(r"[.,?!;:\"()\-]")
-_EDGE_APOSTROPHE_RE = re.compile(r"(?<!\w)'|'(?!\w)")
+# Punctuation, and apostrophes not embedded in a word.  Every character the
+# pattern replaces is a non-word character, and so is the space it becomes,
+# so one pass sees the same apostrophe neighbours as stripping first would.
+_STRIP_RE = re.compile(r"[.,?!;:\"()\-]|(?<!\w)'|'(?!\w)")
 
 
 def normalize_text(text: str) -> list[str]:
@@ -317,10 +315,7 @@ def normalize_text(text: str) -> list[str]:
     that are not embedded inside a word, and collapses whitespace.  Only the
     remote scorer sends the raw text.
     """
-    t = text.lower().replace("_", "")
-    t = _STRIP_RE.sub(" ", t)
-    t = _EDGE_APOSTROPHE_RE.sub(" ", t)
-    return t.split()
+    return _STRIP_RE.sub(" ", text.lower().replace("_", "")).split()
 
 
 def _allocate(rng: np.random.Generator, needed: int, caps: list[int]) -> list[int]:

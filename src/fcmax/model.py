@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,6 +452,13 @@ def load_checkpoint(path) -> ModelParams:
         data = entry.get("data")
         if not isinstance(data, list) or len(data) != view.size:
             raise ModelError(f"matrix {name} must have a data list of {view.size} entries")
+        # JSON numbers load as int or float; a bool is an int to numpy, so check
+        # the type, and an int past the float range would overflow numpy's copy
+        bad = next((i for i, v in enumerate(data) if type(v) is not float
+                    and (type(v) is not int or abs(v) > sys.float_info.max)), None)
+        if bad is not None:
+            raise ModelError(f"matrix {name} entry {bad} must be a number in float range, "
+                             f"got {data[bad]!r}")
         view.reshape(-1)[:] = data
     params.validate()
     return params

@@ -4,16 +4,16 @@ Deterministic proxy scorers keep training and tests hermetic; a small HTTP
 client lets a real learned evaluator be plugged in behind the same
 interface.  The proxies normalize text before scoring; the remote scorer
 sends the raw cased, punctuated strings because learned evaluators are
-typically case and punctuation sensitive.
+typically case and punctuation sensitive.  The wire client's modules
+(``urllib.request``, ``http.client`` and, through them, ``ssl`` and
+``email``) load on the first remote call, so local scoring never pays for
+them.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -74,27 +74,61 @@ def weighted_token_f1(hyp: str, ref: str, weights: TokenWeights = UNIFORM_WEIGHT
     earns no extra credit.  Two empty texts score 1.0, exactly one empty
     scores 0.0.
     """
-    hyp_tokens = normalize_text(hyp)
-    ref_tokens = normalize_text(ref)
-    if not hyp_tokens and not ref_tokens:
-        return 1.0
-    if not hyp_tokens or not ref_tokens:
-        return 0.0
-    hyp_counts = Counter(hyp_tokens)
-    ref_counts = Counter(ref_tokens)
+    return _f1_against(hyp, _reference_side(ref, weights), weights)
+
+
+def _reference_side(ref: str, weights: TokenWeights) -> tuple[str, Counter, float]:
+    """(ref, its normalized token counts, their total weight)."""
+    ref_counts = Counter(normalize_text(ref))
     weight, default = weights.weights.get, weights.default
-    matched = sum(
-        min(c, ref_counts[tok]) * weight(tok, default)
-        for tok, c in hyp_counts.items()
-        if tok in ref_counts
-    )
-    hyp_total = sum(c * weight(tok, default) for tok, c in hyp_counts.items())
-    ref_total = sum(c * weight(tok, default) for tok, c in ref_counts.items())
-    precision = matched / hyp_total
+    return ref, ref_counts, sum(c * weight(tok, default) for tok, c in ref_counts.items())
+
+
+def _f1_against(hyp: str, reference: tuple[str, Counter, float], weights: TokenWeights) -> float:
+    _, ref_counts, ref_total = reference
+    hyp_counts = Counter(normalize_text(hyp))
+    if not hyp_counts and not ref_counts:
+        return 1.0
+    if not hyp_counts or not ref_counts:
+        return 0.0
+    weight, default = weights.weights.get, weights.default
+    # One pass collects the terms in first-occurrence order, and sum() adds
+    # them as a sum() per side did: from Python 3.12 sum() compensates float
+    # rounding, so a running += would change the last bits there.
+    matched_terms: list[float] = []
+    hyp_terms: list[float] = []
+    for tok, c in hyp_counts.items():
+        w = weight(tok, default)
+        hyp_terms.append(c * w)
+        if tok in ref_counts:
+            matched_terms.append(min(c, ref_counts[tok]) * w)
+    matched = sum(matched_terms)
+    precision = matched / sum(hyp_terms)
     recall = matched / ref_total
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+class _ReferenceReusingF1:
+    """weighted_token_f1 that keeps the reference side of its last call.
+
+    The hypotheses of an N-best list are scored one after another against
+    one reference, so its normalization and total weight are made once.
+    Only the last reference is kept, as one tuple replaced in a single
+    assignment, so memory stays flat and a concurrent caller never sees a
+    reference paired with another one's counts.
+    """
+
+    def __init__(self, weights: TokenWeights) -> None:
+        self.weights = weights
+        self.last: tuple[str, Counter, float] | None = None
+
+    def __call__(self, hyp: str, ref: str) -> float:
+        last = self.last
+        if last is None or last[0] != ref:
+            last = self.last = _reference_side(ref, self.weights)
+        return _f1_against(hyp, last, self.weights)
 
 
 def lcs_ratio(hyp: str, ref: str) -> float:
@@ -118,8 +152,13 @@ def post_json(url: str, payload: dict, timeout: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
     Shared by the scorer and summarizer clients; raises the distinct wire
-    errors this package reports.
+    errors this package reports.  The HTTP client modules load on the first
+    call, so a process that only scores locally never imports them.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"},
@@ -151,10 +190,11 @@ def post_json(url: str, payload: dict, timeout: float) -> dict:
 def _validate_score(raw, source: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise RemoteProtocolError(f"{source} returned a non-numeric consistency value")
-    score = float(raw)
-    if score < -SCORE_CLAMP_SLACK or score > 1.0 + SCORE_CLAMP_SLACK:
-        raise ScoreRangeError(f"{source} returned out-of-range consistency {score}")
-    return min(1.0, max(0.0, score))
+    # Compared before float(): NaN fails every comparison, and an integer too
+    # large for a float compares exactly instead of overflowing.
+    if not -SCORE_CLAMP_SLACK <= raw <= 1.0 + SCORE_CLAMP_SLACK:
+        raise ScoreRangeError(f"{source} returned out-of-range consistency {raw}")
+    return min(1.0, max(0.0, float(raw)))
 
 
 def remote_score(endpoint: str, hyp: str, ref: str, timeout: float = 10.0) -> float:
@@ -190,10 +230,7 @@ def exact_match_scorer() -> ConsistencyScorer:
 
 
 def weighted_f1_scorer(weights: TokenWeights = UNIFORM_WEIGHTS) -> ConsistencyScorer:
-    return ConsistencyScorer(
-        name="weighted-f1",
-        fn=lambda hyp, ref: weighted_token_f1(hyp, ref, weights),
-    )
+    return ConsistencyScorer(name="weighted-f1", fn=_ReferenceReusingF1(weights))
 
 
 def lcs_scorer() -> ConsistencyScorer:

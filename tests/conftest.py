@@ -3,13 +3,16 @@ ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
 per-trajectory per-step teacher forcing and backward, per-token confusion
-channel) that only tests use."""
+channel, two-pass text normalization, three-sum weighted F1, per-token
+detokenization) that only tests use."""
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -17,7 +20,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
-from fcmax.corpus import BOS, EOS, NEGATION_TOKENS, Corpus, Sample, SynthConfig
+from fcmax.corpus import (
+    BOS, EOS, NEGATION_TOKENS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
+)
 from fcmax.model import (
     ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
     forward_teacher, param_count, trajectory,
@@ -87,6 +92,56 @@ def reference_align_counts(hyp_tokens, ref_tokens) -> tuple[int, int, int]:
         prev = cur
     edits, subs, dels = prev[n]
     return subs, edits - subs - dels, dels
+
+
+_REFERENCE_STRIP_RE = re.compile(r"[.,?!;:\"()\-]")
+_REFERENCE_EDGE_APOSTROPHE_RE = re.compile(r"(?<!\w)'|'(?!\w)")
+
+
+def reference_normalize_text(text: str) -> list[str]:
+    """Two regex passes, punctuation first and edge apostrophes second: the
+    oracle for the one-pass ``corpus.normalize_text``."""
+    t = text.lower().replace("_", "")
+    t = _REFERENCE_STRIP_RE.sub(" ", t)
+    t = _REFERENCE_EDGE_APOSTROPHE_RE.sub(" ", t)
+    return t.split()
+
+
+def reference_weighted_token_f1(hyp: str, ref: str, weights) -> float:
+    """One generator sum each for matched, hypothesis and reference weight:
+    the oracle for the one-pass ``scorers.weighted_token_f1``."""
+    hyp_tokens = reference_normalize_text(hyp)
+    ref_tokens = reference_normalize_text(ref)
+    if not hyp_tokens and not ref_tokens:
+        return 1.0
+    if not hyp_tokens or not ref_tokens:
+        return 0.0
+    hyp_counts = Counter(hyp_tokens)
+    ref_counts = Counter(ref_tokens)
+    weight, default = weights.weights.get, weights.default
+    matched = sum(
+        min(c, ref_counts[tok]) * weight(tok, default)
+        for tok, c in hyp_counts.items()
+        if tok in ref_counts
+    )
+    hyp_total = sum(c * weight(tok, default) for tok, c in hyp_counts.items())
+    ref_total = sum(c * weight(tok, default) for tok, c in ref_counts.items())
+    precision = matched / hyp_total
+    recall = matched / ref_total
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def reference_detokenize(tokens) -> str:
+    """Per-token appends: the oracle for ``corpus.detokenize``."""
+    out: list[str] = []
+    for tok in tokens:
+        if tok in PUNCTUATION_TOKENS or not out:
+            out.append(tok)
+        else:
+            out.append(" " + tok)
+    return "".join(out)
 
 
 def reference_channel(rng, tokens: list[str], cfg: SynthConfig,

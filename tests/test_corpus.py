@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_channel
+from conftest import reference_channel, reference_detokenize, reference_normalize_text
 from fcmax import corpus as corpus_module
 from fcmax.corpus import (
-    BOS, DEFAULT_TOKEN_VOCAB, EOS, NEGATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
+    BOS, DEFAULT_TOKEN_VOCAB, EOS, NEGATION_TOKENS, PUNCTUATION_TOKENS, Corpus, CorpusError,
+    Sample, SynthConfig,
     corpus_to_jsonl, detokenize, generate_synthetic_corpus, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
@@ -242,6 +243,28 @@ def test_normalize_hyphens_and_quote_marks():
 def test_normalize_idempotent(text):
     once = normalize_text(text)
     assert normalize_text(" ".join(once)) == once
+
+
+# Apostrophes next to letters, underscores, punctuation and non-ASCII letters
+# (ß, and İ, whose lowercase form grows a combining dot), mixed with any
+# other character.
+normalize_texts = st.text(
+    alphabet=st.one_of(st.sampled_from("ab'_.,?!;:\"()- \tßİ9"), st.characters()),
+    max_size=40,
+)
+
+
+@given(normalize_texts)
+def test_normalize_matches_the_two_pass_reference(text):
+    assert normalize_text(text) == reference_normalize_text(text)
+
+
+@given(st.lists(st.one_of(st.sampled_from(["", "I", "know", "don't", *PUNCTUATION_TOKENS]),
+                          st.text(max_size=3)), max_size=12))
+def test_detokenize_matches_the_per_token_reference(tokens):
+    want = reference_detokenize(tokens)
+    assert detokenize(tokens) == want
+    assert detokenize(iter(tokens)) == want
 
 
 def test_detokenize_surface_round_trip():

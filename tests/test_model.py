@@ -514,6 +514,12 @@ def _as_array(doc):
     return [doc]
 
 
+def _attn_entry(value):
+    def corrupt(doc):
+        doc["matrices"]["attn"]["data"][5] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_drop_attn, "no matrix attn"),
     (_short_attn, "matrix attn must have a data list of 16 entries"),
@@ -521,8 +527,13 @@ def _as_array(doc):
     (_set_d, "d=99"),
     (_set_target, "target=99"),
     (_as_array, "JSON object"),
+    (_attn_entry("x"), "matrix attn entry 5 must be a number in float range, got 'x'"),
+    (_attn_entry([1.0]), r"matrix attn entry 5 .*, got \[1.0\]"),
+    (_attn_entry(True), "matrix attn entry 5 .*, got True"),
+    (_attn_entry(None), "matrix attn entry 5 .*, got None"),
+    (_attn_entry(10 ** 400), "matrix attn entry 5 .*, got 1000"),
 ], ids=["missing-matrix", "short-data", "bias-shape", "header-d", "header-target",
-        "json-array"])
+        "json-array", "string-entry", "list-entry", "bool-entry", "null-entry", "huge-int-entry"])
 def test_load_checkpoint_refuses_a_document_that_does_not_fit_its_header(
         tmp_path, corrupt, match):
     path = tmp_path / "model.json"

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_weighted_token_f1
 from fcmax.scorers import (
-    ConsistencyScorer, RemoteNetworkError, RemoteProtocolError, RemoteTimeoutError,
-    ScoreRangeError, TokenWeights, exact_match_score, exact_match_scorer,
+    UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError, RemoteProtocolError,
+    RemoteTimeoutError, ScoreRangeError, TokenWeights, exact_match_score, exact_match_scorer,
     lcs_ratio, lcs_scorer, remote_score, weighted_f1_scorer, weighted_token_f1,
 )
 
@@ -53,6 +61,87 @@ def test_weighted_f1_weights_shift_the_score():
     heavy = weighted_token_f1("I know.", "I don't know.", weights)
     uniform = weighted_token_f1("I know.", "I don't know.")
     assert heavy < uniform  # missing a heavy token hurts recall more
+
+
+# Non-dyadic weights, so that adding the terms in another order changes bits.
+ODD_WEIGHTS = TokenWeights(weights={"a": 0.1, "b": 1 / 3, "don't": 0.7}, default=0.1)
+f1_texts = st.lists(
+    st.sampled_from(["a", "b", "c", "don't", "A.", "b,", "'c'", "x_y", "?"]), max_size=8,
+).map(" ".join)
+
+
+@given(f1_texts, f1_texts, st.sampled_from([UNIFORM_WEIGHTS, ODD_WEIGHTS]))
+def test_weighted_f1_matches_the_three_sum_reference(hyp, ref, weights):
+    want = reference_weighted_token_f1(hyp, ref, weights)
+    assert weighted_token_f1(hyp, ref, weights).hex() == float(want).hex()
+    assert weighted_f1_scorer(weights)(hyp, ref).hex() == float(want).hex()
+
+
+@given(st.lists(st.tuples(f1_texts, st.sampled_from(["a b c", "b b don't", "", "c a."])),
+                max_size=12))
+def test_weighted_f1_scorer_reuse_matches_fresh_calls(pairs):
+    # alternating and repeated references: a kept reference side must never
+    # be applied to another reference
+    scorer = weighted_f1_scorer(ODD_WEIGHTS)
+    got = [scorer(hyp, ref) for hyp, ref in pairs]
+    assert got == [weighted_f1_scorer(ODD_WEIGHTS)(hyp, ref) for hyp, ref in pairs]
+
+
+def test_weighted_f1_scorer_shared_by_threads_matches_fresh_calls():
+    refs = ["a b c", "b b don't", "c a.", "don't a"]
+    hyps = ["a b", "b don't b", "c", "a don't x_y"]
+    want = {(h, r): weighted_token_f1(h, r, ODD_WEIGHTS) for h in hyps for r in refs}
+    scorer = weighted_f1_scorer(ODD_WEIGHTS)
+    wrong = []
+
+    def work(offset):
+        for i in range(1500):
+            pair = (hyps[(i + offset) % 4], refs[(i // 3 + offset) % 4])
+            if scorer(*pair) != want[pair]:
+                wrong.append(pair)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_local_work_does_not_load_the_wire_client():
+    # In a fresh interpreter: this process has http.server loaded by conftest.
+    script = textwrap.dedent("""
+        import sys
+        from fcmax import corpus_wer, evaluate_summaries, remote_score, weighted_f1_scorer
+        from fcmax.scorers import RemoteNetworkError
+        from fcmax.summeval import Utterance, make_summarizer
+
+        wire = ("http.client", "urllib.request", "ssl")
+        scorer = weighted_f1_scorer()
+        assert scorer("I know.", "I don't know.") > 0.0
+        assert corpus_wer([("I know.", "I don't know.")]).deletions == 1
+        utts = [Utterance(0, 0.0, "I know. It is late."), Utterance(1, 3.0, "We plan.")]
+        evaluate_summaries(utts, utts, make_summarizer("mock"), scorer)
+        print(sorted(m for m in wire if m in sys.modules))
+        try:
+            remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)
+        except RemoteNetworkError:
+            pass
+        print(sorted(m for m in wire if m in sys.modules))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['http.client', 'ssl', 'urllib.request']"]
 
 
 def test_token_weights_validation():
@@ -126,6 +215,15 @@ def test_remote_score_clamps_serialization_noise(wire_server):
 def test_remote_score_out_of_range(wire_server):
     wire_server.respond({"consistency": 1.2})
     with pytest.raises(ScoreRangeError):
+        remote_score(wire_server.url, "h", "r")
+
+
+@pytest.mark.parametrize("value", [b"NaN", b"1" + b"0" * 400], ids=["nan", "huge-int"])
+def test_remote_score_refuses_nan_and_huge_values(wire_server, value):
+    # Python's json reads the NaN token, which must not become 0.0, and
+    # integers of any size, which must not overflow float()
+    wire_server.respond_raw(b'{"consistency": ' + value + b"}")
+    with pytest.raises(ScoreRangeError, match="out-of-range"):
         remote_score(wire_server.url, "h", "r")
 
 
