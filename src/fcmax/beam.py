@@ -8,10 +8,11 @@ unfinished.  Ties are broken by lexicographic token order so results are
 deterministic across platforms.
 
 ``beam_decode_batch`` decodes its inputs GROUP_SIZE at a time, and
-``beam_decode`` is its call on one input.  A group checks each input, pads
-the inputs to the longest one and encodes them in one call, and sets the
-attention scores of the padded positions to -inf before the softmax, so
-every utterance attends to exactly its own states (``model._Decoder``).
+``beam_decode`` is its call on one input.  A group pads the inputs to the
+longest one, checks and encodes them in one call, and sets the attention
+scores of the padded positions to -inf before the softmax, so every
+utterance attends to exactly its own states (``model._Decoder``); an input
+that cannot be encoded fails the batch with a ModelError naming its row.
 Each utterance owns beam_size slots of the group's (G, beam_size, d) state
 array, and each round advances every live prefix of every utterance with
 one batched decoder step, giving (G, beam_size, V) candidate scores in
@@ -31,9 +32,7 @@ from math import inf
 
 import numpy as np
 
-from .model import (
-    ModelError, ModelParams, check_trajectory, forward_teacher, trajectory, _Decoder,
-)
+from .model import ModelError, ModelParams, forward_teacher, trajectory, _Decoder
 
 
 # Utterances decoded together.  Each round's arrays hold GROUP_SIZE *
@@ -44,14 +43,6 @@ GROUP_SIZE = 24
 
 class BeamError(ValueError):
     pass
-
-
-class BeamInputError(BeamError):
-    """An input of a batch that cannot be encoded; ``index`` is its position."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,9 @@ def beam_decode_batch(
     emitted; EOS finishes a prefix) and the union of finished and live
     hypotheses is pruned to beam_size, so beam_size=1 reproduces greedy
     decoding exactly.  Prefixes still live after max_len tokens are returned
-    unfinished.  The inputs are decoded GROUP_SIZE at a time; an input that
-    cannot be encoded raises ``BeamInputError`` carrying its position.
+    unfinished.  The inputs are decoded GROUP_SIZE at a time; an empty input
+    or an out-of-range id raises ``ModelError`` whose ``row`` is the input's
+    position in ``inputs``.
     """
     if beam_size < 1:
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
@@ -119,20 +111,12 @@ def beam_decode_batch(
         raise BeamError(f"max length must be >= 1, got {max_len}")
     out: list[NBestList] = []
     for at in range(0, len(inputs), GROUP_SIZE):
-        out.extend(_decode_group(_encode_group(params, inputs, at), beam_size, max_len,
-                                 bos_id, eos_id))
-    return out
-
-
-def _encode_group(params: ModelParams, inputs, at: int) -> _Decoder:
-    """The decoder of inputs[at:at + GROUP_SIZE], each input checked first."""
-    group = inputs[at:at + GROUP_SIZE]
-    for index, ids in enumerate(group, start=at):
         try:
-            check_trajectory(params, ids)
-        except ModelError as exc:
-            raise BeamInputError(index, str(exc)) from exc
-    return _Decoder(params, group)
+            decoder = _Decoder(params, inputs[at:at + GROUP_SIZE])
+        except ModelError as exc:  # a group's row is never None
+            raise ModelError(str(exc), exc.row + at) from exc
+        out.extend(_decode_group(decoder, beam_size, max_len, bos_id, eos_id))
+    return out
 
 
 def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,

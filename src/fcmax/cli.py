@@ -179,11 +179,12 @@ def _cmd_decode(args, opts: dict) -> int:
 def _load_hyp_texts(path: str) -> dict[str, str]:
     """Top-1 texts from a decode output file, keyed by sample id."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                out[obj["id"]] = obj["nbest"][0]["text"]
+    for lineno, obj in corpus_mod.read_jsonl(path, {"id": str, "nbest": list}, ValueError):
+        top = obj["nbest"][0] if obj["nbest"] else None
+        if not isinstance(top, dict) or not isinstance(top.get("text"), str):
+            raise ValueError(f"{path}, line {lineno}: field 'nbest' must start with an "
+                             f"object holding a string 'text'")
+        out[obj["id"]] = top["text"]
     return out
 
 
@@ -247,6 +248,12 @@ def _load_score_vector(path: str) -> list[float]:
         doc = doc["scores"]
     if not isinstance(doc, list):
         raise ValueError(f"{path} must hold a JSON array of scores")
+    # a bool is an int to Python, and an int past the float range cannot convert;
+    # paired_t_test refuses a non-finite float
+    bad = next((i for i, x in enumerate(doc) if type(x) is not float
+                and (type(x) is not int or abs(x) > sys.float_info.max)), None)
+    if bad is not None:
+        raise ValueError(f"{path} entry {bad} must be a number in float range, got {doc[bad]!r}")
     return [float(x) for x in doc]
 
 
@@ -278,7 +285,7 @@ class Command(NamedTuple):
     options: dict[str, object]
 
 
-_WEIGHTS = {"content-weight": 3.0, "filler-weight": 0.5}
+_WEIGHTS = {"content-weight": 3.0, "filler-weight": 0.5}  # weighted-F1 scorer weights
 _SCORING = {"scorer": "weighted-f1", "scorer-url": None, **_WEIGHTS}
 _DECODING = {"beam-size": 4, "max-len": 24}
 _TRAINING = {"batch-size": 4, "nbest-size": 4, **_DECODING, "seed": 0, **_WEIGHTS}
@@ -287,7 +294,7 @@ _TRAIN_FILES = {"corpus": True, "dev": False, "out": True, "metrics-out": False}
 COMMANDS: dict[str, Command] = {
     "gen-data": Command(_cmd_gen_data, "generate a synthetic corpus", {"out": True}, {
         "n": 1000, "seed": 0, "min-len": 5, "max-len": 12,
-        "negation-drop-rate": 0.3, **_WEIGHTS,
+        "negation-drop-rate": 0.3,
     }),
     "train-ce": Command(_cmd_train_ce, "likelihood pretraining",
                         {**_TRAIN_FILES, "init": False}, {

@@ -473,7 +473,7 @@ def default_token_weights(config: SynthConfig):
     return TokenWeights(weights=weights, default=config.filler_weight)
 
 
-_REQUIRED_FIELDS = {
+_SAMPLE_FIELDS = {
     "id": str,
     "input": list,
     "reference": str,
@@ -483,29 +483,32 @@ _REQUIRED_FIELDS = {
 }
 
 
-def _parse_line(line: str, lineno: int) -> Sample:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {lineno}: expected a JSON object")
-    for name, typ in _REQUIRED_FIELDS.items():
-        if name not in obj:
-            raise CorpusError(f"line {lineno}: missing field {name!r}")
-        if not isinstance(obj[name], typ) or isinstance(obj[name], bool):
-            raise CorpusError(f"line {lineno}: field {name!r} has wrong type")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in obj["input"]):
-        raise CorpusError(f"line {lineno}: field 'input' must be a list of integers")
-    return Sample(
-        id=obj["id"],
-        input=tuple(obj["input"]),
-        reference=obj["reference"],
-        ref_word_count=len(obj["reference"].split()),
-        speaker=obj["speaker"],
-        start_s=float(obj["start_s"]),
-        session=obj["session"],
-    )
+def read_jsonl(path, fields: dict, error: type[Exception]):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+
+    Each line must be a JSON object holding every field of ``fields`` with a
+    value of that field's type or types, where a bool is never a number.  A
+    missing file or a bad line raises ``error`` naming the file and the line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"file not found: {path}")
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise error(f"{path}, line {lineno}: expected a JSON object")
+            for name, typ in fields.items():
+                if name not in obj:
+                    raise error(f"{path}, line {lineno}: missing field {name!r}")
+                if not isinstance(obj[name], typ) or isinstance(obj[name], bool):
+                    raise error(f"{path}, line {lineno}: field {name!r} has wrong type")
+            yield lineno, obj
 
 
 def load_corpus(path) -> Corpus:
@@ -514,15 +517,19 @@ def load_corpus(path) -> Corpus:
     The JSONL file carries samples only; the token vocabulary is the
     canonical generator vocabulary.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
     samples = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            samples.append(_parse_line(line, lineno))
+    for lineno, obj in read_jsonl(path, _SAMPLE_FIELDS, CorpusError):
+        if not all(type(x) is int for x in obj["input"]):
+            raise CorpusError(f"{path}, line {lineno}: field 'input' must be a list of integers")
+        samples.append(Sample(
+            id=obj["id"],
+            input=tuple(obj["input"]),
+            reference=obj["reference"],
+            ref_word_count=len(obj["reference"].split()),
+            speaker=obj["speaker"],
+            start_s=float(obj["start_s"]),
+            session=obj["session"],
+        ))
     return Corpus(samples=samples, source_vocab_size=len(DEFAULT_TOKEN_VOCAB),
                   token_vocab=DEFAULT_TOKEN_VOCAB)
 

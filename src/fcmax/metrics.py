@@ -249,13 +249,18 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Classical paired Student's t on the differences a - b.
 
     Zero-variance differences degenerate: all-zero gives t=0, p=1; a constant
-    nonzero difference gives t of the appropriate infinite sign and p=0.
+    nonzero difference gives t of the appropriate infinite sign and p=0.  A
+    NaN or infinite score raises MetricsError naming its vector and index.
     """
     if len(a) != len(b):
         raise MetricsError(f"paired vectors differ in length: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise MetricsError(f"paired t-test needs n >= 2, got {n}")
+    for name, vec in (("a", a), ("b", b)):
+        bad = next((i for i, x in enumerate(vec) if not math.isfinite(x)), None)
+        if bad is not None:
+            raise MetricsError(f"score vector {name} entry {bad} is not finite: {vec[bad]!r}")
     diffs = [x - y for x, y in zip(a, b)]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)

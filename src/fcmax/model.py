@@ -30,7 +30,8 @@ decoder states and contexts (U, N, d) and attention weights (U, N, T).
 Padding rule: padded source positions get a -inf attention score before the
 softmax, so they get exactly zero attention; padded steps get weight 0, so
 backward writes exact zeros for them.  A single trajectory, given as flat id
-sequences, is a batch of one.
+sequences, is a batch of one.  Ids are checked once, on the padded arrays,
+and a ``ModelError`` about one trajectory or input names its batch row.
 
 The parameters are one contiguous float64 vector, and ``ModelParams`` names
 the eight matrices above as views into it, in MATRIX_NAMES order.  Gradients
@@ -54,7 +55,12 @@ MATRIX_NAMES = (
 
 
 class ModelError(ValueError):
-    pass
+    """Parameters or a batch the model cannot use; ``row`` is the batch row at
+    fault, or None when no single row is."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 def _shapes(d: int, source_vocab_size: int, target_vocab_size: int):
@@ -148,23 +154,10 @@ def trajectory(tokens, finished: bool, bos_id: int, eos_id: int):
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
+    """Refuse an id outside [0, size); of a (U, L) batch, name the first bad row."""
     if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise ModelError(f"{what} index out of range for vocabulary of size {size}")
-
-
-def check_trajectory(params: ModelParams, input_ids, cond=(), targets=()) -> None:
-    """Raise ModelError unless one trajectory fits the model: a non-empty
-    input over the source vocabulary, and conditioning and target tokens over
-    the target vocabulary (none checks the input alone).  Plain Python, so a
-    caller can check each trajectory or input of a batch cheaply before
-    padding it."""
-    if not len(input_ids):
-        raise ModelError("empty input sequence")
-    for ids, size, what in ((input_ids, params.source_vocab_size, "source"),
-                            (cond, params.target_vocab_size, "target"),
-                            (targets, params.target_vocab_size, "target")):
-        if len(ids) and (min(ids) < 0 or max(ids) >= size):
-            raise ModelError(f"{what} index out of range for vocabulary of size {size}")
+        row = int(((ids < 0) | (ids >= size)).any(axis=-1).argmax()) if ids.ndim == 2 else None
+        raise ModelError(f"{what} index out of range for vocabulary of size {size}", row)
 
 
 def _padded(seqs) -> tuple[np.ndarray, list[int], bool]:
@@ -223,13 +216,16 @@ class _Decoder:
     padded rows of the (G, T, d) states are exact zeros, and src_bias puts
     -inf on the attention scores of padded positions, so they get exactly
     zero weight.  The input term of every token (tgt_emb @ dec_in) and each
-    input's attention keys (H @ attn) are formed once for all steps.
+    input's attention keys (H @ attn) are formed once for all steps.  An
+    empty input or an out-of-range id raises ModelError naming its row.
     """
 
     def __init__(self, params: ModelParams, inputs) -> None:
         self.params = params
         self.inputs = params.tgt_emb @ params.dec_in
         src, lengths, _ = _padded(inputs)
+        if not min(lengths):
+            raise ModelError("empty input sequence", lengths.index(0))
         self.values = encode(params, src)
         self.src_bias = _source_bias(lengths)
         if self.src_bias is not None:
@@ -272,9 +268,9 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     if not lengths:
         raise ModelError("no trajectories")
     if not min(lengths):
-        raise ModelError("empty conditioning sequence")
+        raise ModelError("empty conditioning sequence", lengths.index(0))
     if not min(src_lengths):
-        raise ModelError("empty input sequence")
+        raise ModelError("empty input sequence", src_lengths.index(0))
     _check_ids(cond, params.target_vocab_size, "target")
     enc = encode(params, src)
     # time-major, so that every step reads and writes contiguous (U, d) rows
@@ -307,11 +303,11 @@ def _step_weights(weights, lengths: list[int], single: bool) -> np.ndarray:
     if len(weights) != len(lengths):
         raise ModelError(f"{len(weights)} weights for {len(lengths)} trajectories")
     out = np.zeros((len(lengths), max(lengths)))
-    for row, w, n in zip(out, weights, lengths):
+    for row, (w, n) in enumerate(zip(weights, lengths)):
         w = np.asarray(w, dtype=np.float64)
         if w.shape not in ((), (n,)):
-            raise ModelError(f"{w.size} weights for a trajectory of {n} steps")
-        row[:n] = w
+            raise ModelError(f"{w.size} weights for a trajectory of {n} steps", row)
+        out[row, :n] = w
     if not np.all(np.isfinite(out)):
         raise ModelError("non-finite gradient weight")
     return out
@@ -342,9 +338,9 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
     tgt, lengths, single = _padded(targets)
     if len(lengths) != n_traj:
         raise ModelError(f"{len(lengths)} target sequences for {n_traj} trajectories")
-    for n, want in zip(lengths, trace.lengths.tolist()):
+    for row, (n, want) in enumerate(zip(lengths, trace.lengths.tolist())):
         if n != want:
-            raise ModelError(f"{n} targets for a trace of {want} steps")
+            raise ModelError(f"{n} targets for a trace of {want} steps", row)
     _check_ids(tgt, v, "target")
     w = _step_weights(weights, lengths, single)
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import Corpus, atomic_write_text
+from .corpus import Corpus, atomic_write_text, read_jsonl
 from .scorers import ConsistencyScorer, RemoteProtocolError, post_json
 
 MOCK_SUMMARIZER = "mock"
@@ -248,30 +247,14 @@ def corpus_to_utterances(corpus: Corpus, texts: dict[str, str] | None = None) ->
     return out
 
 
+_UTTERANCE_FIELDS = {"speaker": int, "start_s": (int, float), "session": str, "text": str}
+
+
 def load_utterances(path) -> list[Utterance]:
     """Read the utterance JSONL (corpus schema plus a "text" field)."""
-    path = Path(path)
-    if not path.exists():
-        raise SummEvalError(f"utterance file not found: {path}")
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SummEvalError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            for name in ("speaker", "start_s", "session", "text"):
-                if name not in obj:
-                    raise SummEvalError(f"line {lineno}: missing field {name!r}")
-            out.append(Utterance(
-                speaker=int(obj["speaker"]),
-                start_s=float(obj["start_s"]),
-                text=str(obj["text"]),
-                session=str(obj["session"]),
-            ))
-    return out
+    return [Utterance(speaker=obj["speaker"], start_s=float(obj["start_s"]), text=obj["text"],
+                      session=obj["session"])
+            for _, obj in read_jsonl(path, _UTTERANCE_FIELDS, SummEvalError)]
 
 
 def save_utterances(utterances: Sequence[Utterance], path) -> None:

@@ -21,16 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import BeamInputError, NBestList, beam_decode_batch
+from .beam import NBestList, beam_decode_batch
 from .corpus import Corpus
 from .fcm import (
-    FcmError, expected_consistency, fcm_coefficients, fcm_corpus_objective,
+    FcmError, ScoredNBest, expected_consistency, fcm_coefficients, fcm_corpus_objective,
 )
 from .metrics import EditBreakdown, corpus_wer
-from .model import (
-    ModelError, ModelParams, apply_update, backward, check_trajectory, forward_teacher,
-    trajectory,
-)
+from .model import ModelError, ModelParams, apply_update, backward, forward_teacher, trajectory
 from .scorers import ConsistencyScorer
 
 
@@ -126,11 +123,11 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, p
     samples, each pair with a nonzero coefficient is a trajectory of weight
     (1 - ce_weight) * coefficient / B, and when ce_weight > 0 the sample's
     reference is a trajectory of weight ce_weight / B; likelihood training is
-    ce_weight 1 and no hypotheses.  Every trajectory is checked against the
-    model before the batch is built, so a failure names its sample.
+    ce_weight 1 and no hypotheses.  The model checks the ids of the padded
+    batch; a failing batch row is mapped back to the sample that owns it.
     """
     scale = 1.0 / len(samples)
-    inputs, conds, targets, weights = [], [], [], []
+    owners, inputs, conds, targets, weights = [], [], [], [], []
     for sample, pairs in zip(samples, paths):
         weighted = [(hyp.tokens, hyp.finished, (1.0 - ce_weight) * coeff * scale)
                     for hyp, coeff in pairs if coeff != 0.0]  # zero adds exact zeros
@@ -138,20 +135,21 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, p
             weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
         for tokens, finished, weight in weighted:
             cond, target = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
-            try:
-                check_trajectory(params, sample.input, cond, target)
-            except ModelError as exc:
-                raise TrainerError(f"iteration {it}, sample {sample.id!r}: {exc}") from exc
+            owners.append(sample)
             inputs.append(sample.input)
             conds.append(cond)
             targets.append(target)
             weights.append(weight)
     if not inputs:  # every coefficient was zero, as for N-best lists of one
         return params.zeros_like()
-    trace = forward_teacher(params, inputs, conds)
-    if not np.all(np.isfinite(trace.log_probs)):
-        raise TrainerError(f"non-finite loss at iteration {it}")
-    return backward(params, trace, targets, weights)
+    try:
+        trace = forward_teacher(params, inputs, conds)
+        if not np.all(np.isfinite(trace.log_probs)):
+            raise TrainerError(f"non-finite loss at iteration {it}")
+        return backward(params, trace, targets, weights)
+    except ModelError as exc:
+        where = "" if exc.row is None else f", sample {owners[exc.row].id!r}"
+        raise TrainerError(f"iteration {it}{where}: {exc}") from exc
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -161,14 +159,28 @@ def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
     try:
         return beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
                                  bos_id=corpus.bos_id, eos_id=corpus.eos_id)
-    except BeamInputError as exc:
-        raise FcmError(f"sample {samples[exc.index].id!r}: {exc}") from exc
+    except ModelError as exc:
+        raise FcmError(f"sample {samples[exc.row].id!r}: {exc}") from exc
 
 
 def decode_corpus_top1(params: ModelParams, corpus: Corpus, beam_size: int, max_len: int) -> list[str]:
     """The top hypothesis of every sample's beam search, as text, in corpus order."""
     return [corpus.decode_ids(nbest.hypotheses[0].tokens)
             for nbest in decode_samples(params, corpus, corpus.samples, beam_size, max_len)]
+
+
+def _decode_and_score(params: ModelParams, corpus: Corpus, samples, scorer: ConsistencyScorer,
+                      beam_size: int, nbest_size: int, max_len: int) -> list[ScoredNBest]:
+    """Each sample's top nbest_size hypotheses, decoded together and scored
+    (``expected_consistency``); a failure raises FcmError naming its sample."""
+    scored = []
+    for sample, nbest in zip(samples, decode_samples(params, corpus, samples, beam_size, max_len)):
+        try:
+            scored.append(expected_consistency(nbest.top(nbest_size), sample, scorer,
+                                               corpus.token_vocab))
+        except Exception as exc:
+            raise FcmError(f"sample {sample.id!r}: {exc}") from exc
+    return scored
 
 
 def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
@@ -180,14 +192,8 @@ def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
     hypothesis of each scored N-best list gives the text (for WER) and its
     consistency, and the list's expectation adds to the objective.
     """
-    scored = []
-    for sample, nbest in zip(corpus.samples,
-                             decode_samples(params, corpus, corpus.samples, beam_size, max_len)):
-        try:
-            scored.append(expected_consistency(nbest.top(nbest_size), sample, scorer,
-                                               corpus.token_vocab))
-        except Exception as exc:
-            raise FcmError(f"sample {sample.id!r}: {exc}") from exc
+    scored = _decode_and_score(params, corpus, corpus.samples, scorer, beam_size, nbest_size,
+                               max_len)
     tops = [one.hypotheses[0] for one in scored]
     breakdown = corpus_wer([(top.text, s.reference) for top, s in zip(tops, corpus.samples)])
     scores = [top.consistency for top in tops]
@@ -294,18 +300,11 @@ def train_fcm(
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
         samples = [corpus.samples[idx] for idx in next(batches)]
         try:
-            nbests = decode_samples(current, corpus, samples, schedule.beam_size,
-                                    schedule.max_len)
+            scored = _decode_and_score(current, corpus, samples, scorer, schedule.beam_size,
+                                       schedule.nbest_size, schedule.max_len)
         except FcmError as exc:  # names the sample
             raise TrainerError(f"iteration {it}, {exc}") from exc
-        paths = []
-        for sample, nbest in zip(samples, nbests):
-            try:
-                scored = expected_consistency(nbest.top(schedule.nbest_size), sample, scorer,
-                                              corpus.token_vocab)
-                paths.append(zip(scored.hypotheses, fcm_coefficients(scored)))
-            except Exception as exc:
-                raise TrainerError(f"iteration {it}, sample {sample.id!r}: {exc}") from exc
+        paths = [zip(one.hypotheses, fcm_coefficients(one)) for one in scored]
         grad = _minibatch_gradient(current, corpus, it, samples, paths,
                                    safeguard.ce_interpolation_weight)
         current = apply_update(current, grad, lr)

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import random_params, reference_beam_decode
 from fcmax.beam import (
-    GROUP_SIZE, BeamError, BeamInputError, Hypothesis, NBestList, beam_decode,
+    GROUP_SIZE, BeamError, Hypothesis, NBestList, beam_decode,
     beam_decode_batch, sequence_log_prob,
 )
 from fcmax.fcm import normalize_posteriors
-from fcmax.model import forward_teacher, init_params
+from fcmax.model import ModelError, forward_teacher, init_params
 
 BOS_ID, EOS_ID = 0, 1
 
@@ -145,11 +145,11 @@ def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
     p = random_params(3, 4, 5, seed=1)
     assert beam_decode_batch(p, [], 2, 3, bos_id=BOS_ID, eos_id=EOS_ID) == []
     inputs = [[1, 2]] * (GROUP_SIZE + 3)
-    for bad, ids in ((2, [1, 4]), (GROUP_SIZE + 1, [])):
-        with pytest.raises(BeamInputError, match="out of range|empty input") as err:
+    for bad, ids in ((2, [1, 4]), (GROUP_SIZE + 1, []), (GROUP_SIZE + 2, [-1, 1]), (0, [])):
+        with pytest.raises(ModelError, match="out of range|empty input") as err:
             beam_decode_batch(p, inputs[:bad] + [ids] + inputs[bad + 1:], 2, 3,
                               bos_id=BOS_ID, eos_id=EOS_ID)
-        assert err.value.index == bad
+        assert err.value.row == bad
 
 
 def test_posterior_fixture_ranks_dominant_first(ambiguity_fixture):

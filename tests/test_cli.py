@@ -35,6 +35,37 @@ def test_ttest_equal_vectors(tmp_path, capsys):
     assert "t=0.0000" in out and "p=1.0000" in out
 
 
+@pytest.mark.parametrize("scores, named", [
+    ("[0.5, NaN, 0.7]", "vector a entry 1 is not finite"),
+    ("[0.5, 0.6, Infinity]", "vector a entry 2 is not finite"),
+    ("[0.5, true, 0.7]", "entry 1 must be a number"),
+    ('[0.5, 0.6, "0.7"]', "entry 2 must be a number"),
+    ("[null, 0.6, 0.7]", "entry 0 must be a number"),
+    ("[0.5, 1e400, 0.7]", "vector a entry 1 is not finite"),
+    ("[0.5, 0.6, 1" + "0" * 400 + "]", "entry 2 must be a number in float range"),
+], ids=["nan", "infinity", "bool", "string", "null", "float-overflow", "huge-int"])
+def test_ttest_refuses_a_score_that_is_not_a_finite_number(tmp_path, capsys, scores, named):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(scores)
+    b.write_text(json.dumps([0.5, 0.6, 0.7]))
+    assert run(["ttest", "--a", str(a), "--b", str(b)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_gen_data_has_no_scorer_weights(tmp_path, capsys):
+    """The content and filler weights belong to the weighted-F1 scorer; the
+    corpus generator never reads them, so gen-data refuses both forms."""
+    out = str(tmp_path / "c.jsonl")
+    assert run(["gen-data", "--out", out, "--content-weight", "9"]) == 1
+    assert "--content-weight" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filler-weight": 0.1}))
+    assert run(["gen-data", "--out", out, "--config", str(cfg)]) == 1
+    assert "filler-weight" in capsys.readouterr().err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_train_fcm_requires_scorer(tmp_path, capsys):
     code = run(["train-fcm", "--corpus", "x.jsonl", "--out", "y.json",
                 "--init", "z.json"])

@@ -11,12 +11,14 @@ from hypothesis import given, strategies as st
 
 from conftest import reference_channel, reference_detokenize, reference_normalize_text
 from fcmax import corpus as corpus_module
+from fcmax.cli import _load_hyp_texts
 from fcmax.corpus import (
     BOS, DEFAULT_TOKEN_VOCAB, EOS, NEGATION_TOKENS, PUNCTUATION_TOKENS, Corpus, CorpusError,
     Sample, SynthConfig,
     corpus_to_jsonl, detokenize, generate_synthetic_corpus, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
+from fcmax.summeval import SummEvalError, load_utterances
 
 
 def test_empty_corpus_has_populated_vocab():
@@ -188,6 +190,42 @@ def test_load_malformed_line_reports_line_number(tmp_path):
     path.write_text(good + "\n{not json\n")
     with pytest.raises(CorpusError, match="line 2"):
         load_corpus(path)
+
+
+_UTT = {"speaker": 1, "start_s": 0.5, "session": "s", "text": "Hi."}
+_HYP = {"id": "a", "nbest": [{"text": "hi"}]}
+
+
+@pytest.mark.parametrize("reader, line, message", [
+    ("utterances", "5", "line 2: expected a JSON object"),
+    ("utterances", json.dumps({**_UTT, "speaker": "x"}), "line 2: field 'speaker' has wrong type"),
+    ("utterances", json.dumps({**_UTT, "speaker": True, "text": 7}),
+     "line 2: field 'speaker' has wrong type"),
+    ("utterances", json.dumps({**_UTT, "text": 7}), "line 2: field 'text' has wrong type"),
+    ("utterances", json.dumps({**_UTT, "start_s": "0"}), "line 2: field 'start_s' has wrong type"),
+    ("utterances", json.dumps({**_UTT, "session": None}), "line 2: field 'session' has wrong"),
+    ("hyp", json.dumps({"id": "b"}), "line 2: missing field 'nbest'"),
+    ("hyp", "[1]", "line 2: expected a JSON object"),
+    ("hyp", json.dumps({"id": 2, "nbest": [{"text": "hi"}]}), "line 2: field 'id' has wrong"),
+    ("hyp", json.dumps({"id": "b", "nbest": {"text": "hi"}}), "line 2: field 'nbest' has wrong"),
+    ("hyp", json.dumps({"id": "b", "nbest": []}), "line 2: field 'nbest' must start with"),
+    ("hyp", json.dumps({"id": "b", "nbest": ["hi"]}), "line 2: field 'nbest' must start with"),
+    ("hyp", json.dumps({"id": "b", "nbest": [{"text": 7}]}), "line 2: field 'nbest' must start"),
+], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
+        "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
+        "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int"])
+def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
+    """The utterance and hypothesis readers share the corpus reader's line
+    checks: each bad line raises the reader's error naming the line, instead
+    of a bare TypeError, KeyError or a silently coerced value."""
+    load, good, error = {"utterances": (load_utterances, _UTT, SummEvalError),
+                         "hyp": (_load_hyp_texts, _HYP, ValueError)}[reader]
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(good) + "\n" + line + "\n")
+    with pytest.raises(error, match=message):
+        load(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert len(load(path)) == 1
 
 
 def test_load_duplicate_id(tmp_path):

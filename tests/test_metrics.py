@@ -252,6 +252,11 @@ def test_t_test_errors():
         paired_t_test([1, 2], [1, 2, 3])
     with pytest.raises(MetricsError, match="n >= 2"):
         paired_t_test([1], [2])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MetricsError, match="vector a entry 1 is not finite"):
+            paired_t_test([0.1, bad, 0.3], [0.2, 0.2, 0.2])
+        with pytest.raises(MetricsError, match="vector b entry 2 is not finite"):
+            paired_t_test([0.1, 0.2, 0.3], [0.2, 0.2, bad])
 
 
 vectors = st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=12)

@@ -309,22 +309,32 @@ def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
 
 
 def test_batch_errors_name_the_mismatch():
+    """Each batch error names what does not fit and, when one trajectory or
+    input is at fault, its row: the first bad row of the padded arrays."""
     p = random_params(3, 4, 5, seed=9)
-    with pytest.raises(ModelError, match="2 inputs for 1 trajectories"):
-        forward_teacher(p, [[1], [2]], [[0]])
-    with pytest.raises(ModelError, match="no trajectories"):
-        forward_teacher(p, [], [])
-    with pytest.raises(ModelError, match="empty input"):
-        forward_teacher(p, [[1], []], [[0], [0]])
-    trace = forward_teacher(p, [[1], [2]], [[0], [0, 1]])
-    with pytest.raises(ModelError, match="1 target sequences for 2 trajectories"):
-        backward(p, trace, [[1]], [1.0])
-    with pytest.raises(ModelError, match="1 targets for a trace of 2 steps"):
-        backward(p, trace, [[1], [1]], [1.0, 1.0])
-    with pytest.raises(ModelError, match="1 weights for 2 trajectories"):
-        backward(p, trace, [[1], [1, 2]], [1.0])
-    with pytest.raises(ModelError, match="3 weights for a trajectory of 2 steps"):
-        backward(p, trace, [[1], [1, 2]], [1.0, np.ones(3)])
+    trace = forward_teacher(p, [[1], [2], [3]], [[0], [0, 1], [2]])
+    cases = [
+        (lambda: forward_teacher(p, [[1], [2]], [[0]]), "2 inputs for 1 trajectories", None),
+        (lambda: forward_teacher(p, [], []), "no trajectories", None),
+        (lambda: forward_teacher(p, [[1], []], [[0], [0]]), "empty input", 1),
+        (lambda: forward_teacher(p, [[1], [2]], [[0, 1], []]), "empty conditioning", 1),
+        (lambda: forward_teacher(p, [[1], [2, 4], [4]], [[0]] * 3), "source index out", 1),
+        (lambda: forward_teacher(p, [[1], [2], [3]], [[0], [0], [-1, 5]]),
+         "target index out", 2),
+        (lambda: backward(p, trace, [[1]], [1.0]), "1 target sequences for 3 trajectories",
+         None),
+        (lambda: backward(p, trace, [[1], [1], [1]], [1.0] * 3),
+         "1 targets for a trace of 2 steps", 1),
+        (lambda: backward(p, trace, [[1], [1, 5], [5]], [1.0] * 3), "target index out", 1),
+        (lambda: backward(p, trace, [[1], [1, 2], [3]], [1.0]), "1 weights for 3 trajectories",
+         None),
+        (lambda: backward(p, trace, [[1], [1, 2], [3]], [1.0, np.ones(3), 1.0]),
+         "3 weights for a trajectory of 2 steps", 1),
+    ]
+    for call, match, row in cases:
+        with pytest.raises(ModelError, match=match) as err:
+            call()
+        assert err.value.row == row, match
 
 
 def test_step_deterministic_and_uniform_for_zero_params():

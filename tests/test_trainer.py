@@ -9,7 +9,7 @@ from conftest import (
     accumulate, corpus_nll, params_allclose, random_params, reference_align_counts,
     reference_backward, reference_forward_teacher,
 )
-from fcmax.beam import beam_decode
+from fcmax.beam import Hypothesis, beam_decode
 from fcmax.corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
     normalize_text,
@@ -19,8 +19,8 @@ from fcmax.metrics import EditBreakdown
 from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
-    SafeguardConfig, TrainerError, TrainingSchedule, decode_corpus_top1, deletion_guard,
-    evaluate_on, linear_decay_lr, train_ce, train_fcm,
+    SafeguardConfig, TrainerError, TrainingSchedule, _minibatch_gradient, decode_corpus_top1,
+    deletion_guard, evaluate_on, linear_decay_lr, train_ce, train_fcm,
 )
 
 LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate", "dev_unfinished_top1",
@@ -306,6 +306,30 @@ def test_ce_failures_name_the_iteration_and_the_sample():
     params = random_params(3, 8, 7, seed=5)  # target ids 0..6
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: target index out"):
         train_ce(params, Corpus(samples, 8, corpus.token_vocab), schedule)
+
+
+def test_minibatch_failures_name_the_sample_that_owns_the_row():
+    """An FCM minibatch with hypotheses and references of several samples: the
+    padded batch row of a bad hypothesis or a bad reference is traced back to
+    its sample, past a zero-coefficient hypothesis that adds no row."""
+    corpus = _toy_corpus(4)
+    # token "." (id 7) ends every reference; only the sample keeping it fails
+    bad_ref = corpus.samples[3]
+    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."),
+                      ref_word_count=len(s.reference.rstrip(" .").split()))
+               if s is not bad_ref else s for s in corpus.samples]
+    corpus = Corpus(samples, 8, corpus.token_vocab)
+    params = random_params(3, 8, 7, seed=5)  # target ids 0..6
+    fine = [(Hypothesis((2, 3), -1.0), 0.5), (Hypothesis((4,), -2.0, finished=False), -0.5)]
+    unused = [(Hypothesis((7,), -3.0), 0.0)]  # out of range, but a zero coefficient
+    bad_hyp = [(Hypothesis((2, 7), -1.0), 0.5), (Hypothesis((4,), -2.0), -0.5)]
+    for paths, ce_weight, bad in (
+        ([unused + fine, fine, bad_hyp, fine], 0.0, samples[2]),
+        ([unused + fine, fine, fine, fine], 0.3, bad_ref),
+    ):
+        with pytest.raises(TrainerError,
+                           match=f"iteration 7, sample {bad.id!r}: target index out"):
+            _minibatch_gradient(params, corpus, 7, samples, paths, ce_weight)
 
 
 def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
