@@ -48,8 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+_CONFIG_TYPES = {  # a tunable's type -> (what its config value must be, the test)
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number in float range", corpus_mod.is_json_float),
+    str: ("a string", lambda v: type(v) is str),
+}
+
+
 def _options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve tunables: flag beats config beats default; reject unknown config keys."""
+    """Resolve tunables: flag beats config beats default.  A config key that
+    is not a tunable, or whose JSON type does not fit it, is refused."""
     config = {}
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -59,6 +67,11 @@ def _options(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(config) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in config.items():
+            default = defaults[key]  # a tunable with no default is a string, or null for unset
+            want, fits = _CONFIG_TYPES[str if default is None else type(default)]
+            if not (fits(value) or (value is None and default is None)):
+                raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
     opts = {}
     for key, default in defaults.items():
         value = getattr(args, key.replace("-", "_"))
@@ -248,10 +261,8 @@ def _load_score_vector(path: str) -> list[float]:
         doc = doc["scores"]
     if not isinstance(doc, list):
         raise ValueError(f"{path} must hold a JSON array of scores")
-    # a bool is an int to Python, and an int past the float range cannot convert;
     # paired_t_test refuses a non-finite float
-    bad = next((i for i, x in enumerate(doc) if type(x) is not float
-                and (type(x) is not int or abs(x) > sys.float_info.max)), None)
+    bad = next((i for i, x in enumerate(doc) if not corpus_mod.is_json_float(x)), None)
     if bad is not None:
         raise ValueError(f"{path} entry {bad} must be a number in float range, got {doc[bad]!r}")
     return [float(x) for x in doc]

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -473,12 +474,20 @@ def default_token_weights(config: SynthConfig):
     return TokenWeights(weights=weights, default=config.filler_weight)
 
 
+def is_json_float(value) -> bool:
+    """Whether a loaded JSON value is a number float() takes: an int or a
+    float, never a bool, and an int only inside the float range."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+NUMBER = (int, float)  # a read_jsonl field type: a finite number in float range
+
 _SAMPLE_FIELDS = {
     "id": str,
     "input": list,
     "reference": str,
     "speaker": int,
-    "start_s": (int, float),
+    "start_s": NUMBER,
     "session": str,
 }
 
@@ -487,8 +496,9 @@ def read_jsonl(path, fields: dict, error: type[Exception]):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
     Each line must be a JSON object holding every field of ``fields`` with a
-    value of that field's type or types, where a bool is never a number.  A
-    missing file or a bad line raises ``error`` naming the file and the line.
+    value of that field's type or types, where a bool is never a number and
+    a ``NUMBER`` is finite and in float range.  A missing file or a bad line
+    raises ``error`` naming the file and the line.
     """
     path = Path(path)
     if not path.exists():
@@ -506,8 +516,12 @@ def read_jsonl(path, fields: dict, error: type[Exception]):
             for name, typ in fields.items():
                 if name not in obj:
                     raise error(f"{path}, line {lineno}: missing field {name!r}")
-                if not isinstance(obj[name], typ) or isinstance(obj[name], bool):
+                value = obj[name]
+                if not isinstance(value, typ) or isinstance(value, bool):
                     raise error(f"{path}, line {lineno}: field {name!r} has wrong type")
+                if typ is NUMBER and not (is_json_float(value) and math.isfinite(value)):
+                    raise error(f"{path}, line {lineno}: field {name!r} must be a finite "
+                                f"number in float range, got {value!r}")
             yield lineno, obj
 
 

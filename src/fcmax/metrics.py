@@ -169,35 +169,25 @@ _BETA_FPMIN = 1e-300
 _BETA_EPS = 1e-15
 
 
+def _clamp_away_from_zero(v: float) -> float:
+    return _BETA_FPMIN if abs(v) < _BETA_FPMIN else v
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Lentz's evaluation of I_x(a, b)'s continued fraction, an even and an
+    odd coefficient per round."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _clamp_away_from_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _clamp_away_from_zero(1.0 + aa * d)
+            c = _clamp_away_from_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             break
     return h

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import atomic_write_text, is_json_float
 
 MATRIX_NAMES = (
     "src_emb", "tgt_emb", "enc_proj", "dec_in", "dec_state",
@@ -402,8 +403,6 @@ def _file_shape(shape: tuple[int, ...]) -> list[int]:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    from .corpus import atomic_write_text
-
     doc = {
         "version": 1,
         "d": params.d,
@@ -448,10 +447,9 @@ def load_checkpoint(path) -> ModelParams:
         data = entry.get("data")
         if not isinstance(data, list) or len(data) != view.size:
             raise ModelError(f"matrix {name} must have a data list of {view.size} entries")
-        # JSON numbers load as int or float; a bool is an int to numpy, so check
-        # the type, and an int past the float range would overflow numpy's copy
-        bad = next((i for i, v in enumerate(data) if type(v) is not float
-                    and (type(v) is not int or abs(v) > sys.float_info.max)), None)
+        # a bool is an int to numpy, and an int past the float range would
+        # overflow numpy's copy
+        bad = next((i for i, v in enumerate(data) if not is_json_float(v)), None)
         if bad is not None:
             raise ModelError(f"matrix {name} entry {bad} must be a number in float range, "
                              f"got {data[bad]!r}")

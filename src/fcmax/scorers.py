@@ -12,6 +12,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -77,15 +78,15 @@ def weighted_token_f1(hyp: str, ref: str, weights: TokenWeights = UNIFORM_WEIGHT
     return _f1_against(hyp, _reference_side(ref, weights), weights)
 
 
-def _reference_side(ref: str, weights: TokenWeights) -> tuple[str, Counter, float]:
-    """(ref, its normalized token counts, their total weight)."""
+def _reference_side(ref: str, weights: TokenWeights) -> tuple[Counter, float]:
+    """(ref's normalized token counts, their total weight)."""
     ref_counts = Counter(normalize_text(ref))
     weight, default = weights.weights.get, weights.default
-    return ref, ref_counts, sum(c * weight(tok, default) for tok, c in ref_counts.items())
+    return ref_counts, sum(c * weight(tok, default) for tok, c in ref_counts.items())
 
 
-def _f1_against(hyp: str, reference: tuple[str, Counter, float], weights: TokenWeights) -> float:
-    _, ref_counts, ref_total = reference
+def _f1_against(hyp: str, reference: tuple[Counter, float], weights: TokenWeights) -> float:
+    ref_counts, ref_total = reference
     hyp_counts = Counter(normalize_text(hyp))
     if not hyp_counts and not ref_counts:
         return 1.0
@@ -108,27 +109,6 @@ def _f1_against(hyp: str, reference: tuple[str, Counter, float], weights: TokenW
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-class _ReferenceReusingF1:
-    """weighted_token_f1 that keeps the reference side of its last call.
-
-    The hypotheses of an N-best list are scored one after another against
-    one reference, so its normalization and total weight are made once.
-    Only the last reference is kept, as one tuple replaced in a single
-    assignment, so memory stays flat and a concurrent caller never sees a
-    reference paired with another one's counts.
-    """
-
-    def __init__(self, weights: TokenWeights) -> None:
-        self.weights = weights
-        self.last: tuple[str, Counter, float] | None = None
-
-    def __call__(self, hyp: str, ref: str) -> float:
-        last = self.last
-        if last is None or last[0] != ref:
-            last = self.last = _reference_side(ref, self.weights)
-        return _f1_against(hyp, last, self.weights)
 
 
 def lcs_ratio(hyp: str, ref: str) -> float:
@@ -230,7 +210,11 @@ def exact_match_scorer() -> ConsistencyScorer:
 
 
 def weighted_f1_scorer(weights: TokenWeights = UNIFORM_WEIGHTS) -> ConsistencyScorer:
-    return ConsistencyScorer(name="weighted-f1", fn=_ReferenceReusingF1(weights))
+    """weighted_token_f1 that keeps its last reference's counts and total weight:
+    the hypotheses of an N-best list are scored one after another against one."""
+    reference_side = functools.lru_cache(maxsize=1)(lambda ref: _reference_side(ref, weights))
+    return ConsistencyScorer(name="weighted-f1",
+                             fn=lambda hyp, ref: _f1_against(hyp, reference_side(ref), weights))
 
 
 def lcs_scorer() -> ConsistencyScorer:

@@ -1,11 +1,12 @@
 """Chunked summarization evaluation over speaker-attributed transcripts.
 
 Session recordings are cut into fixed non-overlapping windows (60 s by
-default) by utterance start time.  Each window's hypothesis utterances are
-rendered as "Speaker N: text" lines in start-time order, wrapped in a
-summarization prompt, summarized, and the summary is scored for consistency
-against the window's ground-truth transcript formatted the same way.  The
-per-window score vector feeds paired significance tests between systems.
+default) by utterance start time, and each side of a comparison is grouped
+by (session, window) once.  Each window's hypothesis utterances become
+"Speaker N: text" lines in start-time order, are wrapped in a summarization
+prompt and summarized, and the summary is scored for consistency against the
+window's ground-truth transcript formatted the same way.  The per-window
+score vector feeds paired significance tests between systems.
 
 A deterministic built-in mock summarizer (first sentence spoken by each
 speaker, in speaker order) keeps the whole pipeline offline and
@@ -16,11 +17,12 @@ as a remote summarizer.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .corpus import Corpus, atomic_write_text, read_jsonl
+from .corpus import NUMBER, Corpus, atomic_write_text, read_jsonl
 from .scorers import ConsistencyScorer, RemoteProtocolError, post_json
 
 MOCK_SUMMARIZER = "mock"
@@ -39,8 +41,8 @@ class Utterance:
     session: str = ""
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise SummEvalError(f"utterance start time must be >= 0, got {self.start_s}")
+        if not (math.isfinite(self.start_s) and self.start_s >= 0):
+            raise SummEvalError(f"utterance start time must be finite and >= 0, got {self.start_s}")
         if self.speaker < 0:
             raise SummEvalError(f"speaker index must be >= 0, got {self.speaker}")
 
@@ -76,32 +78,32 @@ class SummarizerParams:
             raise SummEvalError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
+def _windows(utterances: Sequence[Utterance], chunk_seconds: float) -> dict[tuple[str, int], list]:
+    """Utterances grouped by (session, window index), each group in input order."""
+    if chunk_seconds <= 0:
+        raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
+    windows: dict[tuple[str, int], list[Utterance]] = {}
+    for u in utterances:
+        windows.setdefault((u.session, int(u.start_s // chunk_seconds)), []).append(u)
+    return windows
+
+
+def _chunk(windows: dict, key: tuple[str, int], chunk_seconds: float) -> SessionChunk:
+    session, k = key
+    return SessionChunk(session, k * chunk_seconds, (k + 1) * chunk_seconds, windows.get(key, []))
+
+
 def chunk_session(utterances: Sequence[Utterance], chunk_seconds: float = 60.0) -> list[SessionChunk]:
     """Assign utterances to [0, w), [w, 2w), ... windows by start time.
 
     Empty windows are omitted; a trailing partial window is kept.  All
     utterances must belong to one session.
     """
-    if chunk_seconds <= 0:
-        raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
-    if not utterances:
-        return []
-    sessions = {u.session for u in utterances}
+    windows = _windows(utterances, chunk_seconds)
+    sessions = sorted({session for session, _ in windows})
     if len(sessions) > 1:
-        raise SummEvalError(f"chunk_session got utterances from sessions {sorted(sessions)}")
-    session = utterances[0].session
-    buckets: dict[int, list[Utterance]] = {}
-    for u in utterances:
-        buckets.setdefault(int(u.start_s // chunk_seconds), []).append(u)
-    return [
-        SessionChunk(
-            session=session,
-            start=idx * chunk_seconds,
-            end=(idx + 1) * chunk_seconds,
-            utterances=buckets[idx],
-        )
-        for idx in sorted(buckets)
-    ]
+        raise SummEvalError(f"chunk_session got utterances from sessions {sessions}")
+    return [_chunk(windows, key, chunk_seconds) for key in sorted(windows)]
 
 
 def format_speaker_attributed(chunk: SessionChunk) -> str:
@@ -177,13 +179,6 @@ def make_summarizer(
     return lambda prompt: summarize(endpoint, prompt, params, timeout)
 
 
-def _group_by_session(utterances: Sequence[Utterance]) -> dict[str, list[Utterance]]:
-    groups: dict[str, list[Utterance]] = {}
-    for u in utterances:
-        groups.setdefault(u.session, []).append(u)
-    return groups
-
-
 def evaluate_summaries(
     reference_utterances: Sequence[Utterance],
     hypothesis_utterances: Sequence[Utterance],
@@ -200,35 +195,21 @@ def evaluate_summaries(
     Returns the per-chunk score vector (chunk order: session, then window)
     and its mean.
     """
-    ref_groups = _group_by_session(reference_utterances)
-    hyp_groups = _group_by_session(hypothesis_utterances)
-    if set(hyp_groups) - set(ref_groups):
-        extra = sorted(set(hyp_groups) - set(ref_groups))
+    refs = _windows(reference_utterances, chunk_seconds)
+    hyps = _windows(hypothesis_utterances, chunk_seconds)
+    extra = sorted({session for session, _ in hyps} - {session for session, _ in refs})
+    if extra:
         raise SummEvalError(f"hypothesis sessions {extra} have no reference side")
+    for session, k in sorted(hyps, key=lambda key: key[0]):  # stable: input order in a session
+        if (session, k) not in refs:
+            raise SummEvalError(f"session {session!r}: hypothesis utterance at "
+                                f"{hyps[session, k][0].start_s}s falls in window {k}, "
+                                f"which has no reference chunk")
     scores: list[float] = []
-    for session in sorted(ref_groups):
-        ref_chunks = chunk_session(ref_groups[session], chunk_seconds)
-        windows = {int(c.start // chunk_seconds) for c in ref_chunks}
-        hyp_buckets: dict[int, list[Utterance]] = {w: [] for w in windows}
-        for u in hyp_groups.get(session, []):
-            w = int(u.start_s // chunk_seconds)
-            if w not in windows:
-                raise SummEvalError(
-                    f"session {session!r}: hypothesis utterance at {u.start_s}s falls in "
-                    f"window {w}, which has no reference chunk"
-                )
-            hyp_buckets[w].append(u)
-        for ref_chunk in ref_chunks:
-            w = int(ref_chunk.start // chunk_seconds)
-            hyp_chunk = SessionChunk(
-                session=session,
-                start=ref_chunk.start,
-                end=ref_chunk.end,
-                utterances=hyp_buckets[w],
-            )
-            prompt = build_prompt(format_speaker_attributed(hyp_chunk))
-            summary = summarizer(prompt)
-            scores.append(scorer(summary, format_speaker_attributed(ref_chunk)))
+    for key in sorted(refs):
+        hyp_text = format_speaker_attributed(_chunk(hyps, key, chunk_seconds))
+        summary = summarizer(build_prompt(hyp_text))
+        scores.append(scorer(summary, format_speaker_attributed(_chunk(refs, key, chunk_seconds))))
     if not scores:
         raise SummEvalError("no chunks to evaluate")
     return scores, sum(scores) / len(scores)
@@ -247,7 +228,7 @@ def corpus_to_utterances(corpus: Corpus, texts: dict[str, str] | None = None) ->
     return out
 
 
-_UTTERANCE_FIELDS = {"speaker": int, "start_s": (int, float), "session": str, "text": str}
+_UTTERANCE_FIELDS = {"speaker": int, "start_s": NUMBER, "session": str, "text": str}
 
 
 def load_utterances(path) -> list[Utterance]:
@@ -258,11 +239,7 @@ def load_utterances(path) -> list[Utterance]:
 
 
 def save_utterances(utterances: Sequence[Utterance], path) -> None:
-    lines = [
-        json.dumps({
-            "speaker": u.speaker, "start_s": u.start_s,
-            "session": u.session, "text": u.text,
-        }, ensure_ascii=False)
-        for u in utterances
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_text(path, "".join(
+        json.dumps({"speaker": u.speaker, "start_s": u.start_s, "session": u.session,
+                    "text": u.text}, ensure_ascii=False) + "\n"
+        for u in utterances))

@@ -4,7 +4,8 @@ the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
 per-trajectory per-step teacher forcing and backward, per-token confusion
 channel, two-pass text normalization, three-sum weighted F1, per-token
-detokenization) that only tests use."""
+detokenization, per-session summary evaluation, the incomplete beta's
+continued fraction with written-out half-steps) that only tests use."""
 
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ from fcmax.corpus import (
 from fcmax.model import (
     ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
     forward_teacher, param_count, trajectory,
+)
+from fcmax.summeval import (
+    SessionChunk, SummEvalError, build_prompt, format_speaker_attributed,
 )
 
 settings.register_profile(
@@ -142,6 +146,102 @@ def reference_detokenize(tokens) -> str:
         else:
             out.append(" " + tok)
     return "".join(out)
+
+
+def _reference_chunk_session(utterances, chunk_seconds: float) -> list[SessionChunk]:
+    if chunk_seconds <= 0:
+        raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
+    if not utterances:
+        return []
+    sessions = {u.session for u in utterances}
+    if len(sessions) > 1:
+        raise SummEvalError(f"chunk_session got utterances from sessions {sorted(sessions)}")
+    session = utterances[0].session
+    buckets: dict = {}
+    for u in utterances:
+        buckets.setdefault(int(u.start_s // chunk_seconds), []).append(u)
+    return [SessionChunk(session=session, start=idx * chunk_seconds,
+                         end=(idx + 1) * chunk_seconds, utterances=buckets[idx])
+            for idx in sorted(buckets)]
+
+
+def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, summarizer,
+                                 scorer, chunk_seconds: float = 60.0):
+    """Groups each side by session, chunks each reference session on its own
+    and buckets the hypotheses by window by hand: the oracle for
+    ``summeval.evaluate_summaries``, which groups each side by (session,
+    window) once."""
+    ref_groups: dict = {}
+    for u in reference_utterances:
+        ref_groups.setdefault(u.session, []).append(u)
+    hyp_groups: dict = {}
+    for u in hypothesis_utterances:
+        hyp_groups.setdefault(u.session, []).append(u)
+    if set(hyp_groups) - set(ref_groups):
+        extra = sorted(set(hyp_groups) - set(ref_groups))
+        raise SummEvalError(f"hypothesis sessions {extra} have no reference side")
+    scores: list[float] = []
+    for session in sorted(ref_groups):
+        ref_chunks = _reference_chunk_session(ref_groups[session], chunk_seconds)
+        windows = {int(c.start // chunk_seconds) for c in ref_chunks}
+        hyp_buckets: dict = {w: [] for w in windows}
+        for u in hyp_groups.get(session, []):
+            w = int(u.start_s // chunk_seconds)
+            if w not in windows:
+                raise SummEvalError(
+                    f"session {session!r}: hypothesis utterance at {u.start_s}s falls in "
+                    f"window {w}, which has no reference chunk"
+                )
+            hyp_buckets[w].append(u)
+        for ref_chunk in ref_chunks:
+            w = int(ref_chunk.start // chunk_seconds)
+            hyp_chunk = SessionChunk(session=session, start=ref_chunk.start,
+                                     end=ref_chunk.end, utterances=hyp_buckets[w])
+            summary = summarizer(build_prompt(format_speaker_attributed(hyp_chunk)))
+            scores.append(scorer(summary, format_speaker_attributed(ref_chunk)))
+    if not scores:
+        raise SummEvalError("no chunks to evaluate")
+    return scores, sum(scores) / len(scores)
+
+
+_REFERENCE_BETA_FPMIN = 1e-300
+_REFERENCE_BETA_EPS = 1e-15
+
+
+def reference_beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Lentz's method with the even and odd half-steps and each clamp written
+    out: the oracle for ``metrics._beta_continued_fraction``."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _REFERENCE_BETA_FPMIN:
+        d = _REFERENCE_BETA_FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _REFERENCE_BETA_FPMIN:
+            d = _REFERENCE_BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _REFERENCE_BETA_FPMIN:
+            c = _REFERENCE_BETA_FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _REFERENCE_BETA_FPMIN:
+            d = _REFERENCE_BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _REFERENCE_BETA_FPMIN:
+            c = _REFERENCE_BETA_FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _REFERENCE_BETA_EPS:
+            break
+    return h
 
 
 def reference_channel(rng, tokens: list[str], cfg: SynthConfig,

@@ -88,7 +88,7 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 10, "seed": 3}))
+    cfg.write_text(json.dumps({"n": 10, "seed": 3, "negation-drop-rate": 1}))  # int for a float
     out = tmp_path / "c.jsonl"
     code, _ = _run(capsys, "gen-data", "--config", str(cfg), "--out", str(out),
                    "--n", "4")
@@ -110,6 +110,35 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         cfg.write_text(json.dumps(config))
         assert run([*argv, "--config", str(cfg)]) == 1, config
         assert "unknown config keys" in capsys.readouterr().err, config
+
+
+_TRAIN_CE = ["train-ce", "--corpus", "x.jsonl", "--out", "y.json"]
+_EVAL_SUM = ["eval-sum", "--ref-utts", "r.jsonl", "--hyp-utts", "h.jsonl"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (_TRAIN_CE, {"iters": 2.7}, "config key 'iters' must be an integer, got 2.7"),
+    (_TRAIN_CE, {"iters": 2.0}, "config key 'iters' must be an integer, got 2.0"),
+    (_TRAIN_CE, {"d": True}, "config key 'd' must be an integer, got true"),
+    (_TRAIN_CE, {"seed": "3"}, "config key 'seed' must be an integer, got \"3\""),
+    (_TRAIN_CE, {"batch-size": None}, "config key 'batch-size' must be an integer, got null"),
+    (_TRAIN_CE, {"lr": "0.1"}, "config key 'lr' must be a number in float range, got \"0.1\""),
+    (_TRAIN_CE, {"lr": False}, "config key 'lr' must be a number in float range, got false"),
+    (_TRAIN_CE, {"lr": 10 ** 400}, "config key 'lr' must be a number in float range, got 1000"),
+    (_EVAL_SUM, {"chunk-seconds": [60]}, "config key 'chunk-seconds' must be a number"),
+    (_EVAL_SUM, {"scorer-url": 5}, "config key 'scorer-url' must be a string, got 5"),
+], ids=["int-gets-float", "int-gets-integral-float", "int-gets-bool", "int-gets-string",
+        "int-gets-null", "float-gets-string", "float-gets-bool", "float-gets-huge-int",
+        "float-gets-list", "string-gets-int"])
+def test_config_value_must_fit_the_tunable_type(tmp_path, capsys, argv, config, named):
+    """A config value is checked as its flag form is, never coerced: a bool is
+    never a number, an int tunable takes only an int, a float tunable an int
+    or a float, a string tunable only a string (or null when it has no
+    default).  The refusal comes before any file is read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(cfg)]) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags, named", [

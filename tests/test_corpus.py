@@ -194,6 +194,9 @@ def test_load_malformed_line_reports_line_number(tmp_path):
 
 _UTT = {"speaker": 1, "start_s": 0.5, "session": "s", "text": "Hi."}
 _HYP = {"id": "a", "nbest": [{"text": "hi"}]}
+_SAMPLE = {"id": "a", "input": [1], "reference": "Hi.", "speaker": 0, "start_s": 0.0,
+           "session": "s"}
+_HUGE = "1" + "0" * 400  # an integer past the float range
 
 
 @pytest.mark.parametrize("reader, line, message", [
@@ -211,15 +214,31 @@ _HYP = {"id": "a", "nbest": [{"text": "hi"}]}
     ("hyp", json.dumps({"id": "b", "nbest": []}), "line 2: field 'nbest' must start with"),
     ("hyp", json.dumps({"id": "b", "nbest": ["hi"]}), "line 2: field 'nbest' must start with"),
     ("hyp", json.dumps({"id": "b", "nbest": [{"text": 7}]}), "line 2: field 'nbest' must start"),
+    ("utterances", '{"speaker": 1, "start_s": NaN, "session": "s", "text": "Hi."}',
+     "line 2: field 'start_s' must be a finite number in float range, got nan"),
+    ("utterances", '{"speaker": 1, "start_s": Infinity, "session": "s", "text": "Hi."}',
+     "line 2: field 'start_s' must be a finite number in float range, got inf"),
+    ("utterances", '{"speaker": 1, "start_s": ' + _HUGE + ', "session": "s", "text": "Hi."}',
+     "line 2: field 'start_s' must be a finite number in float range, got 1000"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", "-Infinity"),
+     "line 2: field 'start_s' must be a finite number in float range, got -inf"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", _HUGE),
+     "line 2: field 'start_s' must be a finite number in float range"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": "0"}),
+     "line 2: field 'start_s' has wrong type"),
 ], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
         "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
-        "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int"])
+        "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "utt-start-nan", "utt-start-inf",
+        "utt-start-huge-int", "corpus-start-minus-inf", "corpus-start-huge-int",
+        "corpus-start-str"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
-    """The utterance and hypothesis readers share the corpus reader's line
-    checks: each bad line raises the reader's error naming the line, instead
-    of a bare TypeError, KeyError or a silently coerced value."""
+    """The utterance, hypothesis and corpus readers share the corpus reader's
+    line checks: each bad line raises the reader's error naming the line,
+    instead of a bare TypeError, KeyError, OverflowError or a silently coerced
+    or non-finite value."""
     load, good, error = {"utterances": (load_utterances, _UTT, SummEvalError),
-                         "hyp": (_load_hyp_texts, _HYP, ValueError)}[reader]
+                         "hyp": (_load_hyp_texts, _HYP, ValueError),
+                         "corpus": (lambda p: load_corpus(p).samples, _SAMPLE, CorpusError)}[reader]
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(good) + "\n" + line + "\n")
     with pytest.raises(error, match=message):

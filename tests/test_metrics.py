@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import reference_align_counts
+from conftest import reference_align_counts, reference_beta_continued_fraction
 from fcmax import metrics
 from fcmax.metrics import (
     EditBreakdown, MetricsError, align_counts, avg_consistency, consistent_ratio,
@@ -293,6 +293,26 @@ def test_incomplete_beta_matches_reference(x, a, b):
     assert regularized_incomplete_beta(x, a, b) == pytest.approx(
         scipy_stats.beta.cdf(x, a, b), abs=1e-8
     )
+
+
+_BETA_SHAPES = (0.05, 0.5, 1.0, 2.5, 30.0, 500.0, 1e4)
+_BETA_XS = (1e-300, 1e-12, 1e-3, 0.3, 0.5, 0.7, 1 - 1e-3, 1 - 1e-12, 1 - 2**-53)
+
+
+@pytest.mark.parametrize("a", _BETA_SHAPES)
+def test_beta_continued_fraction_matches_the_written_out_reference(a):
+    """One loop over the even and odd coefficients gives the written-out
+    half-steps' bits, for shapes of 0.5 (the t-test's) and x near 0 and 1."""
+    for b, x in itertools.product(_BETA_SHAPES, _BETA_XS):
+        ours = metrics._beta_continued_fraction(a, b, x)
+        assert ours.hex() == reference_beta_continued_fraction(a, b, x).hex(), (a, b, x)
+
+
+@given(st.floats(min_value=0.01, max_value=1e3), st.floats(min_value=0.01, max_value=1e3),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_beta_continued_fraction_matches_the_reference_anywhere(a, b, x):
+    ours = metrics._beta_continued_fraction(a, b, x)
+    assert ours.hex() == reference_beta_continued_fraction(a, b, x).hex()
 
 
 def test_reports_render():

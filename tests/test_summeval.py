@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_evaluate_summaries
+from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus
 from fcmax.scorers import RemoteNetworkError, RemoteProtocolError, weighted_f1_scorer
 from fcmax.summeval import (
     SessionChunk, SummarizerParams, SummEvalError, Utterance, build_prompt,
-    chunk_session, evaluate_summaries, format_speaker_attributed, load_utterances,
-    make_summarizer, mock_summarize, parse_speaker_attributed, save_utterances,
-    summarize,
+    chunk_session, corpus_to_utterances, evaluate_summaries, format_speaker_attributed,
+    load_utterances, make_summarizer, mock_summarize, parse_speaker_attributed,
+    save_utterances, summarize,
 )
 
 THREE_UTTS = [
@@ -50,6 +54,22 @@ def test_chunk_rejects_mixed_sessions():
             Utterance(speaker=0, start_s=1, text="b", session="s2")]
     with pytest.raises(SummEvalError, match="sessions"):
         chunk_session(utts)
+
+
+@pytest.mark.parametrize("chunk_seconds", [0.0, -60.0])
+def test_non_positive_window_is_refused(chunk_seconds):
+    refs = [Utterance(speaker=0, start_s=1.0, text="Words.")]
+    with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
+        chunk_session(refs, chunk_seconds)
+    with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
+        evaluate_summaries(refs, refs, make_summarizer("mock"), weighted_f1_scorer(),
+                           chunk_seconds)
+
+
+@pytest.mark.parametrize("start_s", [-1.0, float("nan"), float("inf")])
+def test_utterance_refuses_a_start_time_that_is_not_finite_and_non_negative(start_s):
+    with pytest.raises(SummEvalError, match="start time must be finite and >= 0"):
+        Utterance(speaker=0, start_s=start_s, text="x")
 
 
 def test_formatting_matches_template():
@@ -162,13 +182,20 @@ def _session_utts(session: str, texts: dict[float, str], speaker: int = 0):
 
 
 def test_evaluate_summaries_reference_input_reproduces_exactly():
-    refs = _session_utts("s", {1.0: "We know the plan.", 70.0: "They trust the budget."})
+    """The second case is a window whose start, 9244 * 0.7, floors back to
+    window 9243: each utterance's window is its own start time's, never one
+    recomputed from a chunk's start."""
     summarizer = make_summarizer("mock")
     scorer = weighted_f1_scorer()
-    scores, mean = evaluate_summaries(refs, refs, summarizer, scorer)
-    again, mean_again = evaluate_summaries(refs, refs, summarizer, scorer)
-    assert scores == again and mean == mean_again
-    assert len(scores) == 2
+    for texts, chunk_seconds, n_chunks in [
+        ({1.0: "We know the plan.", 70.0: "They trust the budget."}, 60.0, 2),
+        ({6471.0: "We know the plan.", 6471.4: "They trust the budget."}, 0.7, 1),
+    ]:
+        refs = _session_utts("s", texts)
+        scores, mean = evaluate_summaries(refs, refs, summarizer, scorer, chunk_seconds)
+        again, mean_again = evaluate_summaries(refs, refs, summarizer, scorer, chunk_seconds)
+        assert scores == again and mean == mean_again
+        assert len(scores) == n_chunks
 
 
 def test_evaluate_summaries_corruption_scores_lower():
@@ -187,18 +214,65 @@ def test_evaluate_summaries_no_chunks_is_error():
         evaluate_summaries([], [], make_summarizer("mock"), weighted_f1_scorer())
 
 
-def test_evaluate_summaries_rejects_unmatched_windows():
-    refs = _session_utts("s", {1.0: "Early words."})
-    hyps = _session_utts("s", {100.0: "Late words."})
-    with pytest.raises(SummEvalError, match="window"):
+def _same_error(refs, hyps, match: str) -> None:
+    """evaluate_summaries and the per-session reference raise the same message."""
+    with pytest.raises(SummEvalError, match=match) as ours:
         evaluate_summaries(refs, hyps, make_summarizer("mock"), weighted_f1_scorer())
+    with pytest.raises(SummEvalError) as reference:
+        reference_evaluate_summaries(refs, hyps, make_summarizer("mock"), weighted_f1_scorer())
+    assert str(ours.value) == str(reference.value)
+
+
+def test_evaluate_summaries_rejects_unmatched_windows():
+    """The message names the first such session by name and, in it, the first
+    such utterance in input order."""
+    _same_error(_session_utts("s", {1.0: "Early words."}),
+                _session_utts("s", {100.0: "Late words."}), "window 1, which has no reference")
+    refs = _session_utts("b", {1.0: "B."}) + _session_utts("a", {1.0: "A."})
+    hyps = [Utterance(speaker=0, start_s=t, text="x", session=s)
+            for s, t in [("b", 300.0), ("a", 1.0), ("a", 200.0), ("a", 100.0)]]
+    _same_error(refs, hyps, "session 'a': hypothesis utterance at 200.0s falls in window 3")
 
 
 def test_evaluate_summaries_rejects_unknown_session():
-    refs = _session_utts("s", {1.0: "Words."})
-    hyps = _session_utts("other", {1.0: "Words."})
-    with pytest.raises(SummEvalError, match="other"):
-        evaluate_summaries(refs, hyps, make_summarizer("mock"), weighted_f1_scorer())
+    _same_error(_session_utts("s", {1.0: "Words."}), _session_utts("other", {1.0: "Words."}),
+                "other")
+
+
+def _corrupted(text: str, rng: random.Random) -> str:
+    words = text.split()
+    rng.shuffle(words)
+    return " ".join(words[: max(1, len(words) - rng.randrange(3))])
+
+
+@pytest.mark.parametrize("chunk_seconds", [60.0, 37.5])
+def test_evaluate_summaries_matches_the_per_session_reference(chunk_seconds):
+    """Five sessions of a seeded corpus, hypotheses in shuffled order with
+    corrupted texts, one utterance dropped and one window with no hypothesis
+    utterance: the prompts and every chunk score equal those of the
+    per-session reference, bit for bit."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=220, seed=5))
+    refs = corpus_to_utterances(corpus)
+    rng = random.Random(5)
+    hyps = [Utterance(u.speaker, u.start_s, _corrupted(u.text, rng) if i % 3 else u.text,
+                      u.session)
+            for i, u in enumerate(refs)
+            if i != 7 and not (u.session == "session-001" and u.start_s // chunk_seconds == 2)]
+    rng.shuffle(hyps)
+    assert len({u.session for u in refs}) == 5
+    scorer = weighted_f1_scorer(default_token_weights(SynthConfig(n_samples=0)))
+    ours_prompts: list[str] = []
+    reference_prompts: list[str] = []
+    ours, mean = evaluate_summaries(
+        refs, hyps, lambda p: ours_prompts.append(p) or mock_summarize(p), scorer, chunk_seconds)
+    reference, reference_mean = reference_evaluate_summaries(
+        refs, hyps, lambda p: reference_prompts.append(p) or mock_summarize(p), scorer,
+        chunk_seconds)
+    assert [s.hex() for s in ours] == [s.hex() for s in reference]
+    assert mean.hex() == reference_mean.hex()
+    assert ours_prompts == reference_prompts
+    assert build_prompt("") in ours_prompts  # the window with no hypothesis side
+    assert 0.0 < mean < 1.0
 
 
 def test_empty_hypothesis_chunk_still_summarized():
