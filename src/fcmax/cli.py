@@ -160,7 +160,7 @@ def _cmd_decode(args, opts: dict) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     params = model_mod.load_checkpoint(args.checkpoint)
     lines = []
-    utterances = []
+    top1 = {}
     nbests = decode_samples(params, corpus, corpus.samples, opts["beam-size"], opts["max-len"])
     for sample, nbest in zip(corpus.samples, nbests):
         posteriors = normalize_posteriors([h.log_prob for h in nbest.hypotheses])
@@ -178,13 +178,11 @@ def _cmd_decode(args, opts: dict) -> int:
             ],
         }
         lines.append(json.dumps(entry))
-        utterances.append(summeval_mod.Utterance(
-            speaker=sample.speaker, start_s=sample.start_s,
-            text=entry["nbest"][0]["text"], session=sample.session,
-        ))
+        top1[sample.id] = entry["nbest"][0]["text"]
     atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     if args.utterances_out:
-        summeval_mod.save_utterances(utterances, args.utterances_out)
+        summeval_mod.save_utterances(summeval_mod.corpus_to_utterances(corpus, top1),
+                                     args.utterances_out)
     print(f"decoded {len(lines)} samples to {args.out}")
     return 0
 

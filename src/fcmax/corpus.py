@@ -456,9 +456,6 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     return Corpus(samples=samples, source_vocab_size=len(vocab), token_vocab=vocab)
 
 
-NEGATION_TOKENS: tuple[str, ...] = _NEGATIONS
-
-
 def default_token_weights(config: SynthConfig):
     """TokenWeights matching the generator: content words heavy, fillers light.
 

@@ -70,21 +70,27 @@ class SummarizerParams:
     max_tokens: int = 200
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise SummEvalError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise SummEvalError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise SummEvalError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.max_tokens < 1:
-            raise SummEvalError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not (isinstance(self.max_tokens, int) and self.max_tokens >= 1):
+            raise SummEvalError(f"max_tokens must be an integer >= 1, got {self.max_tokens}")
 
 
 def _windows(utterances: Sequence[Utterance], chunk_seconds: float) -> dict[tuple[str, int], list]:
-    """Utterances grouped by (session, window index), each group in input order."""
-    if chunk_seconds <= 0:
-        raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
+    """Utterances grouped by (session, window index), each group in input order.
+
+    Window k is [k * w, (k + 1) * w) in floats, the bounds ``_chunk`` checks;
+    where start // w rounds to a neighbour, k steps to the one holding the start.
+    """
+    if not (math.isfinite(chunk_seconds) and chunk_seconds > 0):
+        raise SummEvalError(f"chunk_seconds must be > 0 and finite, got {chunk_seconds}")
     windows: dict[tuple[str, int], list[Utterance]] = {}
     for u in utterances:
-        windows.setdefault((u.session, int(u.start_s // chunk_seconds)), []).append(u)
+        k = int(u.start_s // chunk_seconds)
+        k += (u.start_s >= (k + 1) * chunk_seconds) - (u.start_s < k * chunk_seconds)
+        windows.setdefault((u.session, k), []).append(u)
     return windows
 
 

@@ -4,8 +4,7 @@ the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
 per-trajectory per-step teacher forcing and backward, per-token confusion
 channel, two-pass text normalization, three-sum weighted F1, per-token
-detokenization, per-session summary evaluation, the incomplete beta's
-continued fraction with written-out half-steps) that only tests use."""
+detokenization, per-session summary evaluation) that only tests use."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from hypothesis import HealthCheck, settings
 
 from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
 from fcmax.corpus import (
-    BOS, EOS, NEGATION_TOKENS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
+    _NEGATIONS as NEGATION_TOKENS, BOS, EOS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
 )
 from fcmax.model import (
     ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
@@ -202,46 +201,6 @@ def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, su
     if not scores:
         raise SummEvalError("no chunks to evaluate")
     return scores, sum(scores) / len(scores)
-
-
-_REFERENCE_BETA_FPMIN = 1e-300
-_REFERENCE_BETA_EPS = 1e-15
-
-
-def reference_beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz's method with the even and odd half-steps and each clamp written
-    out: the oracle for ``metrics._beta_continued_fraction``."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _REFERENCE_BETA_FPMIN:
-        d = _REFERENCE_BETA_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _REFERENCE_BETA_FPMIN:
-            d = _REFERENCE_BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _REFERENCE_BETA_FPMIN:
-            c = _REFERENCE_BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _REFERENCE_BETA_FPMIN:
-            d = _REFERENCE_BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _REFERENCE_BETA_FPMIN:
-            c = _REFERENCE_BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _REFERENCE_BETA_EPS:
-            break
-    return h
 
 
 def reference_channel(rng, tokens: list[str], cfg: SynthConfig,

@@ -13,8 +13,8 @@ from conftest import reference_channel, reference_detokenize, reference_normaliz
 from fcmax import corpus as corpus_module
 from fcmax.cli import _load_hyp_texts
 from fcmax.corpus import (
-    BOS, DEFAULT_TOKEN_VOCAB, EOS, NEGATION_TOKENS, PUNCTUATION_TOKENS, Corpus, CorpusError,
-    Sample, SynthConfig,
+    _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_TOKEN_VOCAB, EOS, PUNCTUATION_TOKENS, Corpus,
+    CorpusError, Sample, SynthConfig,
     corpus_to_jsonl, detokenize, generate_synthetic_corpus, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )

@@ -56,7 +56,7 @@ def test_chunk_rejects_mixed_sessions():
         chunk_session(utts)
 
 
-@pytest.mark.parametrize("chunk_seconds", [0.0, -60.0])
+@pytest.mark.parametrize("chunk_seconds", [0.0, -60.0, float("nan"), float("inf")])
 def test_non_positive_window_is_refused(chunk_seconds):
     refs = [Utterance(speaker=0, start_s=1.0, text="Words.")]
     with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
@@ -64,6 +64,21 @@ def test_non_positive_window_is_refused(chunk_seconds):
     with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
         evaluate_summaries(refs, refs, make_summarizer("mock"), weighted_f1_scorer(),
                            chunk_seconds)
+
+
+@pytest.mark.parametrize("start_s, chunk_seconds", [(1623.5, 0.1), (922.8, 0.3),
+                                                     (9244 * 0.7, 0.7)])
+def test_start_on_a_rounded_window_bound_joins_the_window_that_holds_it(start_s, chunk_seconds):
+    """start // w floors to the window before the one whose float bounds
+    [k * w, (k + 1) * w) hold the start; both chunkers use the bounds."""
+    utts = [Utterance(speaker=0, start_s=start_s, text="We know the plan.")]
+    (chunk,) = chunk_session(utts, chunk_seconds)
+    assert chunk.start <= start_s < chunk.end
+    assert chunk.utterances == utts
+    at_zero = [Utterance(speaker=0, start_s=0.0, text="We know the plan.")]
+    summarizer, scorer = make_summarizer("mock"), weighted_f1_scorer()
+    assert (evaluate_summaries(utts, utts, summarizer, scorer, chunk_seconds)
+            == evaluate_summaries(at_zero, at_zero, summarizer, scorer, chunk_seconds))
 
 
 @pytest.mark.parametrize("start_s", [-1.0, float("nan"), float("inf")])
@@ -170,6 +185,11 @@ def test_summarize_unreachable_names_endpoint():
 def test_summarizer_params_validation():
     with pytest.raises(SummEvalError):
         SummarizerParams(temperature=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SummEvalError, match="temperature must be finite"):
+            SummarizerParams(temperature=bad)
+        with pytest.raises(SummEvalError, match="max_tokens must be an integer"):
+            SummarizerParams(max_tokens=bad)
     with pytest.raises(SummEvalError):
         SummarizerParams(top_p=0.0)
     with pytest.raises(SummEvalError):
