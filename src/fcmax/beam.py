@@ -36,8 +36,13 @@ from .model import ModelError, ModelParams, forward_teacher, trajectory, _Decode
 
 
 # Utterances decoded together.  Each round's arrays hold GROUP_SIZE *
-# beam_size prefixes, so peak memory grows with it; on the synthetic corpus
-# 24 decodes as fast per utterance as 32 or 200, and 16 is slower.
+# beam_size prefixes, so peak memory grows with it.  The size is fixed
+# because it is part of the result: a group pads its inputs to its longest,
+# and the attention reductions run over that padded width, so another size
+# regroups the inputs and can change log-prob bits (on the seed-7 dev set at
+# beam 1, groups of 256 and 24 decode the same tokens with different
+# log-prob bits).  It is not the fastest size: on 200 seed-7 test
+# utterances, groups of 256 decode faster at beam 1 and 4.
 GROUP_SIZE = 24
 
 

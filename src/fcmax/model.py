@@ -29,9 +29,16 @@ input ids are (U, T), encoder states (U, T, d), log outputs (U, N, V),
 decoder states and contexts (U, N, d) and attention weights (U, N, T).
 Padding rule: padded source positions get a -inf attention score before the
 softmax, so they get exactly zero attention; padded steps get weight 0, so
-backward writes exact zeros for them.  A single trajectory, given as flat id
-sequences, is a batch of one.  Ids are checked once, on the padded arrays,
-and a ``ModelError`` about one trajectory or input names its batch row.
+backward writes exact zeros for them.
+
+The padded form, ``PaddedIds`` (a (U, L) id array and the U lengths), is
+the one input the batch code works on.  A caller that draws batches from a
+fixed set of sequences, as likelihood training does from its corpus, pads
+them once and passes ``take(rows)`` of each batch.  Two other call forms are
+converted to it once, on entry: a list of U ragged id sequences, and one
+flat id sequence (with flat targets and weights in ``backward``), which is
+a batch of one.  Ids are checked on every call, on the padded arrays, and a
+``ModelError`` about one trajectory or input names its batch row.
 
 The parameters are one contiguous float64 vector, and ``ModelParams`` names
 the eight matrices above as views into it, in MATRIX_NAMES order.  Gradients
@@ -41,6 +48,7 @@ update, copy or finiteness check is one operation on the whole vector.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -64,18 +72,27 @@ class ModelError(ValueError):
         self.row = row
 
 
-def _shapes(d: int, source_vocab_size: int, target_vocab_size: int):
-    """The shape of each matrix, in MATRIX_NAMES order: the layout of the flat vector."""
+@functools.lru_cache(maxsize=None)
+def _layout(d: int, source_vocab_size: int, target_vocab_size: int):
+    """The layout of the flat vector: its length, and each matrix's (name,
+    start, stop, shape) in MATRIX_NAMES order.  Formed once per sizes, since
+    every gradient and update builds a ``ModelParams``."""
+    if min(d, source_vocab_size, target_vocab_size) < 1:
+        raise ModelError(f"hidden width and vocabulary sizes must be >= 1, got d={d} "
+                         f"source={source_vocab_size} target={target_vocab_size}")
     sv, tv = source_vocab_size, target_vocab_size
-    return (sv, d), (tv, d), (d, d), (d, d), (d, d), (d, d), (d, tv), (tv,)
+    shapes = (sv, d), (tv, d), (d, d), (d, d), (d, d), (d, d), (d, tv), (tv,)
+    views, start = [], 0
+    for name, shape in zip(MATRIX_NAMES, shapes):
+        stop = start + math.prod(shape)
+        views.append((name, start, stop, shape))
+        start = stop
+    return start, tuple(views)
 
 
 def param_count(d: int, source_vocab_size: int, target_vocab_size: int) -> int:
     """Length of the flat parameter vector of a model of these sizes."""
-    if min(d, source_vocab_size, target_vocab_size) < 1:
-        raise ModelError(f"hidden width and vocabulary sizes must be >= 1, got d={d} "
-                         f"source={source_vocab_size} target={target_vocab_size}")
-    return sum(math.prod(shape) for shape in _shapes(d, source_vocab_size, target_vocab_size))
+    return _layout(d, source_vocab_size, target_vocab_size)[0]
 
 
 class ModelParams:
@@ -85,17 +102,14 @@ class ModelParams:
 
     def __init__(self, flat: np.ndarray, d: int, source_vocab_size: int,
                  target_vocab_size: int) -> None:
-        size = param_count(d, source_vocab_size, target_vocab_size)
+        size, views = _layout(d, source_vocab_size, target_vocab_size)
         if flat.shape != (size,):
             raise ModelError(f"flat parameter vector has shape {flat.shape}, expected ({size},)")
         self.flat = flat
         self.sizes = (d, source_vocab_size, target_vocab_size)
         self.d, self.source_vocab_size, self.target_vocab_size = self.sizes
-        start = 0
-        for name, shape in zip(MATRIX_NAMES, _shapes(d, source_vocab_size, target_vocab_size)):
-            stop = start + math.prod(shape)
+        for name, start, stop, shape in views:
             setattr(self, name, flat[start:stop].reshape(shape))
-            start = stop
 
     def matrices(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in MATRIX_NAMES}
@@ -156,30 +170,66 @@ def trajectory(tokens, finished: bool, bos_id: int, eos_id: int):
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
     """Refuse an id outside [0, size); of a (U, L) batch, name the first bad row."""
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
+    # as uint64 a negative int64 id is above any size, so one max checks both ends
+    if ids.size and ids.view(np.uint64).max() >= size:
         row = int(((ids < 0) | (ids >= size)).any(axis=-1).argmax()) if ids.ndim == 2 else None
         raise ModelError(f"{what} index out of range for vocabulary of size {size}", row)
 
 
-def _padded(seqs) -> tuple[np.ndarray, list[int], bool]:
-    """U id sequences as a (U, L) int64 array padded with 0 at the end, their
-    lengths, and whether seqs was one flat sequence (a batch of one)."""
+@dataclass(frozen=True)
+class PaddedIds:
+    """U id sequences as one (U, L) int64 array, padded with 0 at the end to
+    the longest, L, and their (U,) int64 lengths.  Arrays that do not fit
+    that shape raise ModelError; ``of`` and ``take`` build ones that do."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self) -> None:
+        lengths = self.lengths.tolist()
+        if (self.ids.dtype != np.int64 or self.lengths.dtype != np.int64
+                or self.ids.shape != (len(lengths), max(lengths, default=0))
+                or min(lengths, default=0) < 0):
+            raise ModelError("padded ids must be a (U, L) int64 array and U int64 lengths >= 0 "
+                             "whose longest is L")
+
+    @classmethod
+    def of(cls, seqs) -> "PaddedIds":
+        """Pad a list of U id sequences."""
+        seqs = list(seqs)
+        lengths = [len(ids) for ids in seqs]
+        width = max(lengths, default=0)
+        rows = [list(ids) + [0] * (width - n) for ids, n in zip(seqs, lengths)]
+        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), width),
+                   np.array(lengths, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, rows) -> "PaddedIds":
+        """The given rows, cut to the longest of them: the arrays ``of``
+        builds from those rows' sequences."""
+        lengths = self.lengths[rows]
+        return PaddedIds(self.ids[rows, :max(lengths.tolist(), default=0)], lengths)
+
+
+def _padded(seqs) -> tuple[PaddedIds, bool]:
+    """seqs as a PaddedIds, and whether it was one flat sequence (a batch of
+    one).  A PaddedIds is used as it is."""
+    if isinstance(seqs, PaddedIds):
+        return seqs, False
     seqs = list(seqs)
     single = bool(seqs) and np.isscalar(seqs[0])
-    if single:
-        seqs = [seqs]
-    lengths = [len(ids) for ids in seqs]
-    width = max(lengths, default=0)
-    rows = [list(ids) + [0] * (width - n) for ids, n in zip(seqs, lengths)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width), lengths, single
+    return PaddedIds.of([seqs] if single else seqs), single
 
 
-def _source_bias(lengths: list[int]) -> np.ndarray | None:
+def _source_bias(src: PaddedIds) -> np.ndarray | None:
     """(U, 1, T) attention-score bias, -inf on the padded source positions of
-    U inputs of the given lengths; None when no input is padded."""
-    if min(lengths) == max(lengths):
+    U padded inputs; None when no input is padded."""
+    width = src.ids.shape[1]
+    if src.lengths.min() == width:
         return None
-    valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    valid = np.arange(width) < src.lengths[:, None]
     return np.where(valid, 0.0, -np.inf)[:, None, :]
 
 
@@ -224,11 +274,11 @@ class _Decoder:
     def __init__(self, params: ModelParams, inputs) -> None:
         self.params = params
         self.inputs = params.tgt_emb @ params.dec_in
-        src, lengths, _ = _padded(inputs)
-        if not min(lengths):
-            raise ModelError("empty input sequence", lengths.index(0))
-        self.values = encode(params, src)
-        self.src_bias = _source_bias(lengths)
+        src, _ = _padded(inputs)
+        if not src.lengths.all():
+            raise ModelError("empty input sequence", int(src.lengths.argmin()))
+        self.values = encode(params, src.ids)
+        self.src_bias = _source_bias(src)
         if self.src_bias is not None:
             self.values[self.src_bias[:, 0] < 0] = 0.0
         self.keys = (self.values @ params.attn).swapaxes(-1, -2)
@@ -257,58 +307,73 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     """Teacher-forced forward pass of U trajectories at once.
 
     input_ids holds the U inputs and target_ids the U conditioning sequences,
-    the conditioning halves of ``trajectory``; two flat id sequences are one
-    trajectory.  Row n of trajectory u is the log distribution produced after
-    consuming target_ids[u][n].  The recurrence runs step by step on (U, d)
-    rows; the whole batch is read out at once (see the padding rule above).
+    the conditioning halves of ``trajectory``, each padded (``PaddedIds``) or
+    as a list of sequences; two flat id sequences are one trajectory.  Row n
+    of trajectory u is the log distribution produced after consuming
+    target_ids[u][n].  The recurrence runs step by step on (U, d) rows; the
+    whole batch is read out at once (see the padding rule above).
     """
-    src, src_lengths, _ = _padded(input_ids)
-    cond, lengths, _ = _padded(target_ids)
-    if len(lengths) != len(src_lengths):
-        raise ModelError(f"{len(src_lengths)} inputs for {len(lengths)} trajectories")
-    if not lengths:
+    src, _ = _padded(input_ids)
+    cond, _ = _padded(target_ids)
+    if len(cond) != len(src):
+        raise ModelError(f"{len(src)} inputs for {len(cond)} trajectories")
+    if not len(cond):
         raise ModelError("no trajectories")
-    if not min(lengths):
-        raise ModelError("empty conditioning sequence", lengths.index(0))
-    if not min(src_lengths):
-        raise ModelError("empty input sequence", src_lengths.index(0))
-    _check_ids(cond, params.target_vocab_size, "target")
-    enc = encode(params, src)
-    # time-major, so that every step reads and writes contiguous (U, d) rows
-    emb = params.tgt_emb[cond.T]
-    states = np.empty_like(emb)
-    s = np.zeros((len(lengths), params.d))
-    for emb_n, out in zip(emb, states):
-        # input term per step: a whole-trace product reorders sums the recurrence amplifies
-        x = emb_n @ params.dec_in
-        x += s @ params.dec_state
-        s = np.tanh(x, out=out)
+    # argmin of lengths >= 0 is the first empty row
+    if not cond.lengths.all():
+        raise ModelError("empty conditioning sequence", int(cond.lengths.argmin()))
+    if not src.lengths.all():
+        raise ModelError("empty input sequence", int(src.lengths.argmin()))
+    _check_ids(cond.ids, params.target_vocab_size, "target")
+    enc = encode(params, src.ids)
+    # Time-major, so that every step reads and writes contiguous (U, d) rows.
+    # The input terms of all steps are one stacked (N, U, d) @ (d, d) product,
+    # which numpy runs as the same (U, d) @ (d, d) product per step that a
+    # per-step call makes; one flat (N * U, d) product would reorder sums
+    # that the recurrence amplifies.
+    inputs = params.tgt_emb[cond.ids.T] @ params.dec_in
+    states = np.empty_like(inputs)
+    s = np.zeros((len(cond), params.d))
+    for x, out in zip(inputs, states):
+        np.matmul(s, params.dec_state, out=out)
+        out += x
+        s = np.tanh(out, out=out)
     states = states.swapaxes(0, 1)
     # attention scores as H @ (attn @ s), the summation order likelihood
     # training has always used; decoding reuses H @ attn across steps instead
     scores = (enc @ (params.attn @ states.swapaxes(1, 2))).swapaxes(1, 2)
-    bias = _source_bias(src_lengths)
+    bias = _source_bias(src)
     if bias is not None:
         scores += bias
     log_probs, alphas, contexts = _readout(params, enc, states, scores)
-    return ForwardTrace(log_probs=log_probs, cond_tokens=cond, lengths=np.array(lengths),
-                        input_ids=src, enc_states=enc, states=states, attn_weights=alphas,
+    return ForwardTrace(log_probs=log_probs, cond_tokens=cond.ids, lengths=cond.lengths,
+                        input_ids=src.ids, enc_states=enc, states=states, attn_weights=alphas,
                         contexts=contexts)
 
 
-def _step_weights(weights, lengths: list[int], single: bool) -> np.ndarray:
+def _step_weights(weights, lengths: np.ndarray, single: bool) -> np.ndarray:
     """(U, N) step weights, 0 past each trajectory's end, from one entry per
     trajectory (a float for all its steps or one per step); a single
-    trajectory's entry is weights itself."""
+    trajectory's entry is weights itself.  One float per trajectory, as both
+    training loops give, is spread over the real steps in one array
+    operation; per-step entries are copied row by row."""
     weights = [weights] if single else list(weights)
     if len(weights) != len(lengths):
         raise ModelError(f"{len(weights)} weights for {len(lengths)} trajectories")
-    out = np.zeros((len(lengths), max(lengths)))
-    for row, (w, n) in enumerate(zip(weights, lengths)):
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape not in ((), (n,)):
-            raise ModelError(f"{w.size} weights for a trajectory of {n} steps", row)
-        out[row, :n] = w
+    real = np.arange(lengths.max()) < lengths[:, None]
+    try:
+        per_trajectory = np.asarray(weights, dtype=np.float64)
+    except ValueError:  # ragged: some entries hold one weight per step
+        per_trajectory = None
+    if per_trajectory is not None and per_trajectory.shape == lengths.shape:
+        out = np.where(real, per_trajectory[:, None], 0.0)
+    else:
+        out = np.zeros(real.shape)
+        for row, (w, n) in enumerate(zip(weights, lengths.tolist())):
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape not in ((), (n,)):
+                raise ModelError(f"{w.size} weights for a trajectory of {n} steps", row)
+            out[row, :n] = w
     if not np.all(np.isfinite(out)):
         raise ModelError("non-finite gradient weight")
     return out
@@ -327,29 +392,32 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
     w[u][n] * log_output[u, n, targets[u][n]], summed over the batch.
 
     targets holds one target sequence per trajectory of the trace, the target
-    halves of ``trajectory``, and weights one entry per trajectory: a float
-    for every step or an array with one weight per step (for a flat
-    single-trajectory call, targets and weights are that trajectory's).
+    halves of ``trajectory``, padded (``PaddedIds``) or as a list, and weights
+    one entry per trajectory: a float for every step or an array with one
+    weight per step (for a flat single-trajectory call, targets and weights
+    are that trajectory's).
     Padded steps get weight 0.  At each step the log-softmax Jacobian gives
     dF/dz = w * (onehot - p).  The readout's gradients are formed over the
     whole batch at once; only the state gradient is carried back step by step
     through the recurrence, on (U, d) rows.
     """
     n_traj, _, v = trace.log_probs.shape
-    tgt, lengths, single = _padded(targets)
-    if len(lengths) != n_traj:
-        raise ModelError(f"{len(lengths)} target sequences for {n_traj} trajectories")
-    for row, (n, want) in enumerate(zip(lengths, trace.lengths.tolist())):
-        if n != want:
-            raise ModelError(f"{n} targets for a trace of {want} steps", row)
-    _check_ids(tgt, v, "target")
-    w = _step_weights(weights, lengths, single)
+    tgt, single = _padded(targets)
+    if len(tgt) != n_traj:
+        raise ModelError(f"{len(tgt)} target sequences for {n_traj} trajectories")
+    misfit = (tgt.lengths != trace.lengths).nonzero()[0]
+    if misfit.size:
+        row = int(misfit[0])
+        raise ModelError(f"{tgt.lengths[row]} targets for a trace of {trace.lengths[row]} steps",
+                         row)
+    _check_ids(tgt.ids, v, "target")
+    w = _step_weights(weights, tgt.lengths, single)
 
     d = params.d
     H, S, A = trace.enc_states, trace.states, trace.attn_weights
     dz = np.exp(trace.log_probs)
     dz *= -w[..., None]
-    dz.reshape(-1, v)[np.arange(w.size), tgt.ravel()] += w.ravel()
+    dz.reshape(-1, v)[np.arange(w.size), tgt.ids.ravel()] += w.ravel()
     # readout: z = (s + c) @ out_proj + out_bias, c = alpha @ H, a_t = h_t @ attn @ s
     dc = dz @ params.out_proj.T
     dalpha = dc @ H.swapaxes(1, 2)
@@ -366,14 +434,14 @@ def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> Mode
                         dq[::-1]):
         np.add(ds, ds_next, out=q)
         q *= g
-        ds_next = q @ dec_state_t
+        np.matmul(q, dec_state_t, out=ds_next)
     dH = A.swapaxes(1, 2) @ dc + da.swapaxes(1, 2) @ (S @ params.attn.T)
     dq_enc = dH * (1.0 - H * H)
     # sums of the step and source-position terms by token id
     g_tgt = _id_sums(trace.cond_tokens.T, dq, params.target_vocab_size)
     g_src = _id_sums(trace.input_ids, dq_enc, params.source_vocab_size)
     dz = dz.reshape(-1, v)
-    g = params.zeros_like()
+    g = params._like(np.empty_like(params.flat))  # every matrix is written below
     np.matmul(g_src, params.enc_proj.T, out=g.src_emb)
     np.matmul(g_tgt, params.dec_in.T, out=g.tgt_emb)
     np.matmul(params.src_emb.T, g_src, out=g.enc_proj)
@@ -394,7 +462,10 @@ def apply_update(params: ModelParams, gradients: ModelParams, learning_rate: flo
         raise ModelError(f"gradients of (d, source, target) sizes {gradients.sizes} for "
                          f"parameters of sizes {params.sizes}")
     gradients.validate()
-    return params._like(params.flat + learning_rate * gradients.flat)
+    # grad * lr + theta: the same bits as theta + lr * grad, one array fewer
+    step = gradients.flat * learning_rate
+    step += params.flat
+    return params._like(step)
 
 
 def _file_shape(shape: tuple[int, ...]) -> list[int]:

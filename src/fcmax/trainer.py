@@ -7,12 +7,14 @@ loop puts weight 1 on the reference path, and the consistency loop decodes
 the batch's samples together, scores each N-best list and puts each
 hypothesis's expected-score coefficient on that hypothesis's path.  Either
 way an iteration's trajectories go through one batched forward and one
-backward call (``_minibatch_gradient``).  Two
-safeguards bound the consistency loop: a hard iteration cap (fine-tuning
-starts from a well-trained likelihood model and runs briefly) and a
-deletion tripwire that halts the run if dev deletions grow past a limit,
-returning the best previously-passing checkpoint instead, or the starting
-model when no checkpoint ever passed.
+backward call (``_trajectory_gradient``).  The likelihood loop pads its
+corpus's reference trajectories once and takes each batch's rows from them;
+the consistency loop assembles each batch's trajectories anew
+(``_minibatch_gradient``).  Two safeguards bound the consistency loop: a
+hard iteration cap (fine-tuning starts from a well-trained likelihood model
+and runs briefly) and a deletion tripwire that halts the run if dev
+deletions grow past a limit, returning the best previously-passing
+checkpoint instead, or the starting model when no checkpoint ever passed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .fcm import (
     FcmError, ScoredNBest, expected_consistency, fcm_coefficients, fcm_corpus_objective,
 )
 from .metrics import EditBreakdown, corpus_wer
-from .model import ModelError, ModelParams, apply_update, backward, forward_teacher, trajectory
+from .model import (
+    ModelError, ModelParams, PaddedIds, apply_update, backward, forward_teacher, trajectory,
+)
 from .scorers import ConsistencyScorer
 
 
@@ -104,27 +108,42 @@ def linear_decay_lr(step: int, total: int, initial_lr: float) -> float:
 
 
 def _batch_iterator(rng: np.random.Generator, n: int, batch_size: int):
-    """Yield index batches forever, reshuffling at every epoch boundary."""
+    """Yield index batches, int64 arrays, forever, reshuffling at every epoch
+    boundary."""
     while True:
         order = rng.permutation(n)
         for at in range(0, n, batch_size):
             chunk = order[at:at + batch_size]
             if len(chunk) == batch_size:
-                yield [int(i) for i in chunk]
+                yield chunk
         # a short final chunk is dropped; the next epoch reshuffles all n
+
+
+def _trajectory_gradient(params: ModelParams, it: int, owners, inputs, conds, targets,
+                         weights) -> ModelParams:
+    """The ascent gradient of U trajectories, from one forward and one backward
+    call; owners[u] is the sample of trajectory u.  The model checks the ids
+    of the padded batch; a failing batch row is mapped back to its sample."""
+    try:
+        trace = forward_teacher(params, inputs, conds)
+        if not np.all(np.isfinite(trace.log_probs)):
+            raise TrainerError(f"non-finite loss at iteration {it}")
+        return backward(params, trace, targets, weights)
+    except ModelError as exc:
+        where = "" if exc.row is None else f", sample {owners[exc.row].id!r}"
+        raise TrainerError(f"iteration {it}{where}: {exc}") from exc
 
 
 def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, paths,
                         ce_weight: float) -> ModelParams:
-    """The ascent gradient of one iteration, from one forward and one backward
-    call over all of its trajectories.
+    """The ascent gradient of one consistency iteration.
 
     paths[i] holds (hypothesis, coefficient) pairs of samples[i].  With B
     samples, each pair with a nonzero coefficient is a trajectory of weight
     (1 - ce_weight) * coefficient / B, and when ce_weight > 0 the sample's
-    reference is a trajectory of weight ce_weight / B; likelihood training is
-    ce_weight 1 and no hypotheses.  The model checks the ids of the padded
-    batch; a failing batch row is mapped back to the sample that owns it.
+    reference is a trajectory of weight ce_weight / B.  The rows are
+    assembled per iteration, each sample's hypotheses then its reference,
+    since that row order is part of the gradient's summation order.
     """
     scale = 1.0 / len(samples)
     owners, inputs, conds, targets, weights = [], [], [], [], []
@@ -142,14 +161,7 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, p
             weights.append(weight)
     if not inputs:  # every coefficient was zero, as for N-best lists of one
         return params.zeros_like()
-    try:
-        trace = forward_teacher(params, inputs, conds)
-        if not np.all(np.isfinite(trace.log_probs)):
-            raise TrainerError(f"non-finite loss at iteration {it}")
-        return backward(params, trace, targets, weights)
-    except ModelError as exc:
-        where = "" if exc.row is None else f", sample {owners[exc.row].id!r}"
-        raise TrainerError(f"iteration {it}{where}: {exc}") from exc
+    return _trajectory_gradient(params, it, owners, inputs, conds, targets, weights)
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -229,7 +241,11 @@ def train_ce(
     dev: Corpus | None = None,
     scorer: ConsistencyScorer | None = None,
 ) -> TrainResult:
-    """Teacher-forced likelihood training (gradient ascent on log likelihood)."""
+    """Teacher-forced likelihood training (gradient ascent on log likelihood).
+
+    Every sample's input and reference trajectory is padded once; an
+    iteration takes its B samples' rows, each a trajectory of weight 1 / B.
+    """
     schedule.validate()
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
@@ -238,12 +254,21 @@ def train_ce(
         scorer = weighted_f1_scorer()
     params = params.copy()
     rng = np.random.default_rng(np.uint64(schedule.seed))
-    batches = _batch_iterator(rng, len(corpus.samples), min(schedule.batch_size, len(corpus.samples)))
+    batch_size = min(schedule.batch_size, len(corpus.samples))
+    batches = _batch_iterator(rng, len(corpus.samples), batch_size)
+    refs = [trajectory(corpus.reference_ids(s), True, corpus.bos_id, corpus.eos_id)
+            for s in corpus.samples]
+    inputs = PaddedIds.of(s.input for s in corpus.samples)
+    conds = PaddedIds.of(cond for cond, _ in refs)
+    targets = PaddedIds.of(target for _, target in refs)
+    weights = [1.0 / batch_size] * batch_size
     log: list[dict] = []
     for it in range(schedule.total_iterations):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
-        samples = [corpus.samples[idx] for idx in next(batches)]
-        grad = _minibatch_gradient(params, corpus, it, samples, [()] * len(samples), 1.0)
+        rows = next(batches)
+        grad = _trajectory_gradient(params, it, [corpus.samples[i] for i in rows],
+                                    inputs.take(rows), conds.take(rows), targets.take(rows),
+                                    weights)
         params = apply_update(params, grad, lr)
         if dev is not None and ((it + 1) % schedule.checkpoint_every == 0
                                 or it + 1 == schedule.total_iterations):

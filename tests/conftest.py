@@ -2,8 +2,8 @@
 ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
-per-trajectory per-step teacher forcing and backward, per-token confusion
-channel, two-pass text normalization, three-sum weighted F1, per-token
+per-trajectory per-step teacher forcing and backward, per-iteration ragged
+likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
 detokenization, per-session summary evaluation) that only tests use."""
 
 from __future__ import annotations
@@ -147,21 +147,37 @@ def reference_detokenize(tokens) -> str:
     return "".join(out)
 
 
-def _reference_chunk_session(utterances, chunk_seconds: float) -> list[SessionChunk]:
+def _reference_window(start_s: float, chunk_seconds: float) -> int:
+    """The k with k * w <= start_s < (k + 1) * w in floats, found by bisection
+    over k (k * w grows with k), not from start_s // w."""
+    lo, hi = 0, 1
+    while hi * chunk_seconds <= start_s:
+        hi *= 2
+    while hi - lo > 1:  # lo * w <= start_s < hi * w
+        mid = (lo + hi) // 2
+        if mid * chunk_seconds <= start_s:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _reference_chunk_session(utterances, chunk_seconds: float) -> dict[int, SessionChunk]:
+    """One session's chunks by window index, in index order."""
     if chunk_seconds <= 0:
         raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
     if not utterances:
-        return []
+        return {}
     sessions = {u.session for u in utterances}
     if len(sessions) > 1:
         raise SummEvalError(f"chunk_session got utterances from sessions {sorted(sessions)}")
     session = utterances[0].session
     buckets: dict = {}
     for u in utterances:
-        buckets.setdefault(int(u.start_s // chunk_seconds), []).append(u)
-    return [SessionChunk(session=session, start=idx * chunk_seconds,
-                         end=(idx + 1) * chunk_seconds, utterances=buckets[idx])
-            for idx in sorted(buckets)]
+        buckets.setdefault(_reference_window(u.start_s, chunk_seconds), []).append(u)
+    return {idx: SessionChunk(session=session, start=idx * chunk_seconds,
+                              end=(idx + 1) * chunk_seconds, utterances=buckets[idx])
+            for idx in sorted(buckets)}
 
 
 def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, summarizer,
@@ -182,18 +198,16 @@ def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, su
     scores: list[float] = []
     for session in sorted(ref_groups):
         ref_chunks = _reference_chunk_session(ref_groups[session], chunk_seconds)
-        windows = {int(c.start // chunk_seconds) for c in ref_chunks}
-        hyp_buckets: dict = {w: [] for w in windows}
+        hyp_buckets: dict = {w: [] for w in ref_chunks}
         for u in hyp_groups.get(session, []):
-            w = int(u.start_s // chunk_seconds)
-            if w not in windows:
+            w = _reference_window(u.start_s, chunk_seconds)
+            if w not in ref_chunks:
                 raise SummEvalError(
                     f"session {session!r}: hypothesis utterance at {u.start_s}s falls in "
                     f"window {w}, which has no reference chunk"
                 )
             hyp_buckets[w].append(u)
-        for ref_chunk in ref_chunks:
-            w = int(ref_chunk.start // chunk_seconds)
+        for w, ref_chunk in ref_chunks.items():
             hyp_chunk = SessionChunk(session=session, start=ref_chunk.start,
                                      end=ref_chunk.end, utterances=hyp_buckets[w])
             summary = summarizer(build_prompt(format_speaker_attributed(hyp_chunk)))
@@ -321,6 +335,36 @@ def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weight
     g.enc_proj += params.src_emb[input_ids].T @ dq_enc
     np.add.at(g.src_emb, input_ids, dq_enc @ params.enc_proj.T)
     return g
+
+
+def reference_train_ce(params: ModelParams, corpus: Corpus, schedule) -> ModelParams:
+    """Likelihood training without dev checks that assembles each iteration's
+    reference trajectories anew, as ragged lists the model pads: the oracle
+    for ``trainer.train_ce``, which pads the corpus once and takes each
+    batch's rows.  Same seeded shuffle (a short final chunk of an epoch is
+    dropped), weights 1 / B and linear-decay learning rate."""
+    rng = np.random.default_rng(np.uint64(schedule.seed))
+    n = len(corpus.samples)
+    batch_size = min(schedule.batch_size, n)
+    order: list[int] = []
+    for it in range(schedule.total_iterations):
+        if len(order) < batch_size:
+            perm = rng.permutation(n).tolist()
+            order = perm[:n - n % batch_size]
+        samples = [corpus.samples[i] for i in order[:batch_size]]
+        order = order[batch_size:]
+        inputs, conds, targets = [], [], []
+        for sample in samples:
+            cond, target = trajectory(corpus.reference_ids(sample), True, corpus.bos_id,
+                                      corpus.eos_id)
+            inputs.append(sample.input)
+            conds.append(cond)
+            targets.append(target)
+        trace = forward_teacher(params, inputs, conds)
+        grad = backward(params, trace, targets, [1.0 / len(samples)] * len(samples))
+        lr = schedule.initial_lr * (1.0 - it / schedule.total_iterations)
+        params = apply_update(params, grad, lr)
+    return params
 
 
 def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:

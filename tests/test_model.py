@@ -14,8 +14,8 @@ from conftest import (
     terms_objective,
 )
 from fcmax.model import (
-    MATRIX_NAMES, ModelError, ModelParams, _Decoder, apply_update, backward, encode,
-    forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
+    MATRIX_NAMES, ModelError, ModelParams, PaddedIds, _Decoder, _padded, apply_update, backward,
+    encode, forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
 
@@ -291,6 +291,23 @@ def test_flat_sequences_are_a_batch_of_one():
         assert np.array_equal(mat, getattr(backward(p, batched, [[3, 5, 1]], [weights]), name))
 
 
+def test_taken_rows_are_the_padding_of_their_sequences():
+    """Rows taken from a set of sequences padded once (in any order, repeated,
+    as a list or an array) are the arrays padding those rows' sequences
+    alone gives: same int64 ids cut to the longest taken row, same lengths."""
+    rng = np.random.default_rng(12)
+    seqs = [rng.integers(0, 9, size=int(rng.integers(1, 12))).tolist() for _ in range(20)]
+    padded = PaddedIds.of(seqs)
+    assert len(padded) == 20
+    for rows in ([3], [0, 19, 5], [7, 7, 2], list(range(20)), rng.permutation(20)[:6]):
+        got = padded.take(rows)
+        want, single = _padded([seqs[r] for r in rows])
+        assert not single and len(got) == len(rows)
+        assert got.ids.dtype == want.ids.dtype == np.int64
+        assert got.ids.shape == want.ids.shape and np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.lengths, want.lengths)
+
+
 def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
     p = random_params(3, 4, 5, seed=31, scale=0.7)
     inputs = [[1, 3], [0], [2, 1, 3, 0]]
@@ -330,6 +347,12 @@ def test_batch_errors_name_the_mismatch():
          None),
         (lambda: backward(p, trace, [[1], [1, 2], [3]], [1.0, np.ones(3), 1.0]),
          "3 weights for a trajectory of 2 steps", 1),
+        (lambda: PaddedIds(np.zeros((2, 3), dtype=np.int64), np.array([1, 2])),
+         "padded ids must be", None),
+        (lambda: PaddedIds(np.zeros((1, 2), dtype=np.int32), np.array([2])),
+         "padded ids must be", None),
+        (lambda: PaddedIds(np.zeros((2, 2), dtype=np.int64), np.array([-1, 2])),
+         "padded ids must be", None),
     ]
     for call, match, row in cases:
         with pytest.raises(ModelError, match=match) as err:

@@ -265,19 +265,30 @@ def _corrupted(text: str, rng: random.Random) -> str:
     return " ".join(words[: max(1, len(words) - rng.randrange(3))])
 
 
-@pytest.mark.parametrize("chunk_seconds", [60.0, 37.5])
+# start // w floors these to the window before the one whose bounds hold them
+_BOUND_STARTS = {0.7: 9244 * 0.7, 0.1: 1623.5}
+
+
+@pytest.mark.parametrize("chunk_seconds", [60.0, 37.5, 0.7, 0.1])
 def test_evaluate_summaries_matches_the_per_session_reference(chunk_seconds):
     """Five sessions of a seeded corpus, hypotheses in shuffled order with
     corrupted texts, one utterance dropped and one window with no hypothesis
     utterance: the prompts and every chunk score equal those of the
-    per-session reference, bit for bit."""
+    per-session reference, bit for bit.  At the widths that are not dyadic,
+    one more utterance starts on a window bound."""
     corpus = generate_synthetic_corpus(SynthConfig(n_samples=220, seed=5))
     refs = corpus_to_utterances(corpus)
+    if chunk_seconds in _BOUND_STARTS:
+        refs.append(Utterance(0, _BOUND_STARTS[chunk_seconds], "We know the plan.",
+                              "session-000"))
+    # every session-001 hypothesis in the window of its eleventh utterance is dropped
+    emptied = [u for u in refs if u.session == "session-001"][10].start_s // chunk_seconds
     rng = random.Random(5)
     hyps = [Utterance(u.speaker, u.start_s, _corrupted(u.text, rng) if i % 3 else u.text,
                       u.session)
             for i, u in enumerate(refs)
-            if i != 7 and not (u.session == "session-001" and u.start_s // chunk_seconds == 2)]
+            if i != 7 and not (u.session == "session-001"
+                               and u.start_s // chunk_seconds == emptied)]
     rng.shuffle(hyps)
     assert len({u.session for u in refs}) == 5
     scorer = weighted_f1_scorer(default_token_weights(SynthConfig(n_samples=0)))

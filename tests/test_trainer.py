@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (
     accumulate, corpus_nll, params_allclose, random_params, reference_align_counts,
-    reference_backward, reference_forward_teacher,
+    reference_backward, reference_forward_teacher, reference_train_ce,
 )
 from fcmax.beam import Hypothesis, beam_decode
 from fcmax.corpus import (
@@ -86,6 +86,23 @@ def test_ce_training_is_deterministic():
     b = train_ce(params, corpus, _toy_schedule(total_iterations=60))
     for name, mat in a.params.matrices().items():
         assert np.array_equal(mat, getattr(b.params, name))
+
+
+@pytest.mark.parametrize("n_samples, batch_size", [(5, 1), (7, 3), (4, 10)])
+def test_ce_batches_taken_from_the_padded_corpus_match_per_iteration_padding(n_samples,
+                                                                            batch_size):
+    """Rows taken from the corpus padded once give the parameters, bit for bit,
+    of padding each iteration's ragged reference trajectories anew: batches of
+    one, of three inputs of different lengths, and one larger than the corpus
+    (cut to the corpus), over several epochs."""
+    corpus = _toy_corpus(n_samples, seed=6)
+    assert len({len(s.input) for s in corpus.samples}) > 1
+    params = random_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=6)
+    schedule = _toy_schedule(total_iterations=12, initial_lr=0.3, batch_size=batch_size)
+    got = train_ce(params, corpus, schedule).params
+    want = reference_train_ce(params, corpus, schedule)
+    assert [x.hex() for x in got.flat.tolist()] == [x.hex() for x in want.flat.tolist()]
+    assert not np.array_equal(got.flat, params.flat)
 
 
 def test_ce_aborts_on_empty_corpus():
