@@ -109,7 +109,6 @@ def main():
     fcm_schedule = TrainingSchedule(
         total_iterations=args.fcm_iters, initial_lr=args.fcm_lr, batch_size=1,
         beam_size=4, nbest_size=4, max_len=24, seed=args.seed + 1,
-        checkpoint_every=50,
     )
     safeguard = SafeguardConfig(max_fcm_iterations=args.fcm_iters,
                                 deletion_rate_limit=0.25, dev_check_every=50)

@@ -32,7 +32,7 @@ from math import inf
 
 import numpy as np
 
-from .model import ModelError, ModelParams, forward_teacher, trajectory, _Decoder
+from .model import ModelError, ModelParams, PaddedIds, forward_teacher, trajectory, _Decoder
 
 
 # Utterances decoded together.  Each round's arrays hold GROUP_SIZE *
@@ -106,9 +106,9 @@ def beam_decode_batch(
     emitted; EOS finishes a prefix) and the union of finished and live
     hypotheses is pruned to beam_size, so beam_size=1 reproduces greedy
     decoding exactly.  Prefixes still live after max_len tokens are returned
-    unfinished.  The inputs are decoded GROUP_SIZE at a time; an empty input
-    or an out-of-range id raises ``ModelError`` whose ``row`` is the input's
-    position in ``inputs``.
+    unfinished.  The id sequences of inputs are padded and decoded GROUP_SIZE
+    at a time; an empty input or an out-of-range id raises ``ModelError``
+    whose ``row`` is the input's position in ``inputs``.
     """
     if beam_size < 1:
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
@@ -117,7 +117,7 @@ def beam_decode_batch(
     out: list[NBestList] = []
     for at in range(0, len(inputs), GROUP_SIZE):
         try:
-            decoder = _Decoder(params, inputs[at:at + GROUP_SIZE])
+            decoder = _Decoder(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
         except ModelError as exc:  # a group's row is never None
             raise ModelError(str(exc), exc.row + at) from exc
         out.extend(_decode_group(decoder, beam_size, max_len, bos_id, eos_id))
@@ -195,5 +195,5 @@ def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_i
                       include_eos: bool = True) -> float:
     """Raw log posterior of a token sequence, EOS step included by default."""
     cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
-    trace = forward_teacher(params, [input_ids], [cond])
+    trace = forward_teacher(params, PaddedIds.of([input_ids]), PaddedIds.of([cond]))
     return float(trace.log_probs[0, np.arange(len(targets)), targets].sum())

@@ -188,9 +188,11 @@ def _cmd_decode(args, opts: dict) -> int:
 
 
 def _load_hyp_texts(path: str) -> dict[str, str]:
-    """Top-1 texts from a decode output file, keyed by sample id."""
+    """Top-1 texts from a decode output file, keyed by sample id, which must not repeat."""
     out = {}
     for lineno, obj in corpus_mod.read_jsonl(path, {"id": str, "nbest": list}, ValueError):
+        if obj["id"] in out:
+            raise ValueError(f"{path}, line {lineno}: duplicate sample id {obj['id']!r}")
         top = obj["nbest"][0] if obj["nbest"] else None
         if not isinstance(top, dict) or not isinstance(top.get("text"), str):
             raise ValueError(f"{path}, line {lineno}: field 'nbest' must start with an "

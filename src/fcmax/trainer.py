@@ -2,14 +2,14 @@
 
 Both loops are plain gradient ascent with a linear-decay learning rate and a
 seeded shuffle, so identical inputs give bit-identical checkpoints.  Both
-gradients are a weight on every step of a token trajectory: the likelihood
-loop puts weight 1 on the reference path, and the consistency loop decodes
-the batch's samples together, scores each N-best list and puts each
+gradients are one weight on each whole token trajectory: the likelihood
+loop puts 1 / B on each of its B reference paths, and the consistency loop
+decodes the batch's samples together, scores each N-best list and puts each
 hypothesis's expected-score coefficient on that hypothesis's path.  Either
-way an iteration's trajectories go through one batched forward and one
-backward call (``_trajectory_gradient``).  The likelihood loop pads its
-corpus's reference trajectories once and takes each batch's rows from them;
-the consistency loop assembles each batch's trajectories anew
+way an iteration's U trajectories go, padded and with (U,) weights, through
+one forward and one backward call (``_trajectory_gradient``).  The
+likelihood loop pads its corpus's reference trajectories once and takes
+each batch's rows; the consistency loop pads each batch's trajectories anew
 (``_minibatch_gradient``).  Two safeguards bound the consistency loop: a
 hard iteration cap (fine-tuning starts from a well-trained likelihood model
 and runs briefly) and a deletion tripwire that halts the run if dev
@@ -41,6 +41,10 @@ class TrainerError(ValueError):
 
 @dataclass(frozen=True)
 class TrainingSchedule:
+    """Iterations, learning rate, batch and decoding sizes of a training run.
+    checkpoint_every is the cadence of ``train_ce``'s dev checks;
+    ``train_fcm`` reads ``SafeguardConfig.dev_check_every`` instead."""
+
     total_iterations: int
     initial_lr: float
     batch_size: int = 1
@@ -121,9 +125,9 @@ def _batch_iterator(rng: np.random.Generator, n: int, batch_size: int):
 
 def _trajectory_gradient(params: ModelParams, it: int, owners, inputs, conds, targets,
                          weights) -> ModelParams:
-    """The ascent gradient of U trajectories, from one forward and one backward
-    call; owners[u] is the sample of trajectory u.  The model checks the ids
-    of the padded batch; a failing batch row is mapped back to its sample."""
+    """The ascent gradient of U padded trajectories and their (U,) weights,
+    from one forward and one backward call; owners[u] is the sample of
+    trajectory u.  A failing batch row is mapped back to its sample."""
     try:
         trace = forward_teacher(params, inputs, conds)
         if not np.all(np.isfinite(trace.log_probs)):
@@ -141,27 +145,26 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, p
     paths[i] holds (hypothesis, coefficient) pairs of samples[i].  With B
     samples, each pair with a nonzero coefficient is a trajectory of weight
     (1 - ce_weight) * coefficient / B, and when ce_weight > 0 the sample's
-    reference is a trajectory of weight ce_weight / B.  The rows are
-    assembled per iteration, each sample's hypotheses then its reference,
-    since that row order is part of the gradient's summation order.
+    reference is a trajectory of weight ce_weight / B.  The rows are padded
+    per iteration, each sample's hypotheses then its reference, since that
+    row order is part of the gradient's summation order.
     """
     scale = 1.0 / len(samples)
-    owners, inputs, conds, targets, weights = [], [], [], [], []
+    owners, refs, weights = [], [], []
     for sample, pairs in zip(samples, paths):
         weighted = [(hyp.tokens, hyp.finished, (1.0 - ce_weight) * coeff * scale)
                     for hyp, coeff in pairs if coeff != 0.0]  # zero adds exact zeros
         if ce_weight > 0.0:
             weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
         for tokens, finished, weight in weighted:
-            cond, target = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
             owners.append(sample)
-            inputs.append(sample.input)
-            conds.append(cond)
-            targets.append(target)
+            refs.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
             weights.append(weight)
-    if not inputs:  # every coefficient was zero, as for N-best lists of one
+    if not owners:  # every coefficient was zero, as for N-best lists of one
         return params.zeros_like()
-    return _trajectory_gradient(params, it, owners, inputs, conds, targets, weights)
+    return _trajectory_gradient(params, it, owners, PaddedIds.of(s.input for s in owners),
+                                PaddedIds.of(cond for cond, _ in refs),
+                                PaddedIds.of(target for _, target in refs), np.array(weights))
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -245,13 +248,15 @@ def train_ce(
 
     Every sample's input and reference trajectory is padded once; an
     iteration takes its B samples' rows, each a trajectory of weight 1 / B.
+    Dev checks, every checkpoint_every iterations, score with scorer (no default).
     """
     schedule.validate()
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
-    if scorer is None:
-        from .scorers import weighted_f1_scorer
-        scorer = weighted_f1_scorer()
+    if dev is not None and not dev.samples:
+        raise TrainerError("dev corpus is empty")
+    if dev is not None and scorer is None:
+        raise TrainerError("a dev corpus needs a scorer for its dev checks")
     params = params.copy()
     rng = np.random.default_rng(np.uint64(schedule.seed))
     batch_size = min(schedule.batch_size, len(corpus.samples))
@@ -261,7 +266,7 @@ def train_ce(
     inputs = PaddedIds.of(s.input for s in corpus.samples)
     conds = PaddedIds.of(cond for cond, _ in refs)
     targets = PaddedIds.of(target for _, target in refs)
-    weights = [1.0 / batch_size] * batch_size
+    weights = np.full(batch_size, 1.0 / batch_size)
     log: list[dict] = []
     for it in range(schedule.total_iterations):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
@@ -303,6 +308,8 @@ def train_fcm(
     safeguard.validate()
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
+    if dev is not None and not dev.samples:
+        raise TrainerError("dev corpus is empty")
     params = params.copy()
     rng = np.random.default_rng(np.uint64(schedule.seed))
     batches = _batch_iterator(rng, len(corpus.samples), min(schedule.batch_size, len(corpus.samples)))

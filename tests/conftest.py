@@ -1,8 +1,9 @@
-"""Shared fixtures: random models, gradient-check harness, a fitted two-way
-ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
+"""Shared fixtures: random models, batches in the model's one padded form
+(per-step weights as prefix trajectories), gradient-check harness, a fitted
+two-way ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
-per-trajectory per-step teacher forcing and backward, per-iteration ragged
+per-trajectory per-step teacher forcing and backward, per-iteration padded
 likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
 detokenization, per-session summary evaluation) that only tests use."""
 
@@ -24,8 +25,8 @@ from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, EOS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
 )
 from fcmax.model import (
-    ForwardTrace, ModelParams, _Decoder, _log_softmax, apply_update, backward, encode,
-    forward_teacher, param_count, trajectory,
+    ForwardTrace, ModelParams, PaddedIds, _Decoder, _log_softmax, apply_update, backward,
+    encode, forward_teacher, param_count, trajectory,
 )
 from fcmax.summeval import (
     SessionChunk, SummEvalError, build_prompt, format_speaker_attributed,
@@ -43,6 +44,39 @@ def random_params(d: int, src_vocab: int, tgt_vocab: int, seed: int,
     rng = np.random.default_rng(seed)
     flat = rng.uniform(-scale, scale, size=param_count(d, src_vocab, tgt_vocab))
     return ModelParams(flat, d, src_vocab, tgt_vocab)
+
+
+def batch_of_one(*seqs) -> list[PaddedIds]:
+    """Each id sequence as a padded batch of one."""
+    return [PaddedIds.of([seq]) for seq in seqs]
+
+
+def step_weighted_batch(rows):
+    """Rows of (input_ids, cond, targets, weights) in the one batch form the
+    model takes: (inputs, conds, targets) padded and one weight per
+    trajectory.  A row's weights are one float, or one per step,
+    w[0..n-1]; per-step weights become the row's n prefix trajectories,
+    prefix k (its first k steps) of weight w[k-1] - w[k], with w[n] = 0.  A
+    prefix's steps are those of the whole trajectory, so the prefixes'
+    weighted log-likelihoods sum to sum_n w[n] * log L[n, targets[n]], and
+    backward on them gives the per-step weighted gradient."""
+    batch = []
+    for inp, cond, tgt, w in rows:
+        if np.ndim(w) == 0:
+            batch.append((inp, cond, tgt, float(w)))
+            continue
+        w = np.asarray(w, dtype=np.float64).tolist() + [0.0]
+        assert len(w) == len(cond) + 1 == len(tgt) + 1, "one weight per step"
+        batch += [(inp, cond[:k], tgt[:k], w[k - 1] - w[k]) for k in range(1, len(cond) + 1)]
+    inputs, conds, targets, weights = zip(*batch)
+    return PaddedIds.of(inputs), PaddedIds.of(conds), PaddedIds.of(targets), np.array(weights)
+
+
+def step_weighted_gradient(params: ModelParams, rows) -> ModelParams:
+    """backward over ``step_weighted_batch(rows)``: the gradient of the sum
+    over rows and steps of w[n] * log L[n, targets[n]]."""
+    inputs, conds, targets, weights = step_weighted_batch(rows)
+    return backward(params, forward_teacher(params, inputs, conds), targets, weights)
 
 
 def params_allclose(a: ModelParams, b: ModelParams) -> bool:
@@ -245,7 +279,7 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
     """Per-prefix beam search: one 1-D decoder step per live prefix, and every
     (score, tokens) candidate of the round sorted in full.  The oracle for
     the batched ``beam_decode_batch``."""
-    decoder = _Decoder(params, [input_ids])
+    decoder = _Decoder(params, PaddedIds.of([input_ids]))
     live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 0.0, np.zeros(params.d))]
     done: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(max_len):
@@ -278,7 +312,7 @@ def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> For
     readout of one 1-D state at a time, returned as a batch of one.  The
     oracle for each trajectory of the batched ``forward_teacher``."""
     cond = np.asarray(target_ids, dtype=np.int64)
-    enc = encode(params, input_ids)
+    enc = encode(params, PaddedIds.of([input_ids]))[0]
     n, d, v = cond.size, params.d, params.target_vocab_size
     log_probs, states = np.empty((n, v)), np.empty((n, d))
     alphas, contexts = np.empty((n, enc.shape[0])), np.empty((n, d))
@@ -338,11 +372,11 @@ def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weight
 
 
 def reference_train_ce(params: ModelParams, corpus: Corpus, schedule) -> ModelParams:
-    """Likelihood training without dev checks that assembles each iteration's
-    reference trajectories anew, as ragged lists the model pads: the oracle
-    for ``trainer.train_ce``, which pads the corpus once and takes each
-    batch's rows.  Same seeded shuffle (a short final chunk of an epoch is
-    dropped), weights 1 / B and linear-decay learning rate."""
+    """Likelihood training without dev checks that pads each iteration's
+    reference trajectories anew: the oracle for ``trainer.train_ce``, which
+    pads the corpus once and takes each batch's rows.  Same seeded shuffle
+    (a short final chunk of an epoch is dropped), weights 1 / B and
+    linear-decay learning rate."""
     rng = np.random.default_rng(np.uint64(schedule.seed))
     n = len(corpus.samples)
     batch_size = min(schedule.batch_size, n)
@@ -360,8 +394,9 @@ def reference_train_ce(params: ModelParams, corpus: Corpus, schedule) -> ModelPa
             inputs.append(sample.input)
             conds.append(cond)
             targets.append(target)
-        trace = forward_teacher(params, inputs, conds)
-        grad = backward(params, trace, targets, [1.0 / len(samples)] * len(samples))
+        trace = forward_teacher(params, PaddedIds.of(inputs), PaddedIds.of(conds))
+        grad = backward(params, trace, PaddedIds.of(targets),
+                        np.array([1.0 / len(samples)] * len(samples)))
         lr = schedule.initial_lr * (1.0 - it / schedule.total_iterations)
         params = apply_update(params, grad, lr)
     return params
@@ -383,11 +418,11 @@ def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:
 
 def terms_gradient(params: ModelParams, rows) -> ModelParams:
     """One batched forward and backward over rows of (input_ids, cond_tokens,
-    terms): every (targets, weights) term is a trajectory of its row."""
-    inputs, conds, targets, weights = zip(*(
+    terms): every (targets, weights) term is a step-weighted trajectory of
+    its row (``step_weighted_batch``)."""
+    return step_weighted_gradient(params, [
         (input_ids, cond, term_targets, term_weights)
-        for input_ids, cond, terms in rows for term_targets, term_weights in terms))
-    return backward(params, forward_teacher(params, inputs, conds), targets, weights)
+        for input_ids, cond, terms in rows for term_targets, term_weights in terms])
 
 
 def terms_objective(trace, terms) -> float:
@@ -425,7 +460,7 @@ def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
     analytic = terms_gradient(params, [(input_ids, cond_tokens, terms)])
 
     def objective(p):
-        return terms_objective(forward_teacher(p, input_ids, cond_tokens), terms)
+        return terms_objective(forward_teacher(p, *batch_of_one(input_ids, cond_tokens)), terms)
 
     return central_difference_error(params, objective, analytic, eps)
 
@@ -494,8 +529,9 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
 
     conds, targets = zip(*(trajectory(h.tokens, h.finished, corpus.bos_id, corpus.eos_id)
                            for h in scored.hypotheses))
-    trace = forward_teacher(params, [sample.input] * len(conds), conds)
-    analytic = backward(params, trace, targets, list(fcm_coefficients(scored)))
+    trace = forward_teacher(params, PaddedIds.of([sample.input] * len(conds)),
+                            PaddedIds.of(conds))
+    analytic = backward(params, trace, PaddedIds.of(targets), fcm_coefficients(scored))
 
     def objective(p):
         logps = [

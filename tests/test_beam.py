@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_params, reference_beam_decode
+from conftest import batch_of_one, random_params, reference_beam_decode
 from fcmax.beam import (
     GROUP_SIZE, BeamError, Hypothesis, NBestList, beam_decode,
     beam_decode_batch, sequence_log_prob,
@@ -24,7 +24,8 @@ def greedy_decode(params, input_ids, max_len):
     tokens: list[int] = []
     log_prob = 0.0
     for _ in range(max_len):
-        logp = forward_teacher(params, input_ids, [BOS_ID] + tokens).log_probs[0, -1].copy()
+        trace = forward_teacher(params, *batch_of_one(input_ids, [BOS_ID] + tokens))
+        logp = trace.log_probs[0, -1].copy()
         logp[BOS_ID] = -np.inf
         tok = int(np.argmax(logp))
         log_prob += float(logp[tok])
@@ -187,7 +188,7 @@ def test_sequence_log_prob_matches_manual_accumulation():
     tokens = [3, 5, 2]
     manual = 0.0
     for n, tok in enumerate(tokens + [EOS_ID]):
-        logp = forward_teacher(p, [1, 4], [BOS_ID] + tokens[:n]).log_probs[0, -1]
+        logp = forward_teacher(p, *batch_of_one([1, 4], [BOS_ID] + tokens[:n])).log_probs[0, -1]
         manual += float(logp[tok])
     assert sequence_log_prob(p, [1, 4], tokens, BOS_ID, EOS_ID) == pytest.approx(manual, abs=1e-12)
 

@@ -170,6 +170,21 @@ def test_eval_utt_remote_scores_each_pair_once(tmp_path, capsys, wire_server):
     assert [path for path, _ in wire_server.requests] == ["/score"] * 6
 
 
+def test_eval_utt_refuses_a_repeated_hypothesis_id(tmp_path, capsys):
+    """A later line that repeats a sample id would replace the earlier text:
+    here exact hypotheses plus a repeat of the first id reading "nothing"."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert run(["gen-data", "--seed", "3", "--n", "3", "--out", str(corpus)]) == 0
+    samples = [json.loads(line) for line in corpus.read_text().splitlines()]
+    lines = [{"id": s["id"], "nbest": [{"text": s["reference"]}]} for s in samples]
+    lines.append({"id": samples[0]["id"], "nbest": [{"text": "nothing"}]})
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert run(["eval-utt", "--corpus", str(corpus), "--hyp", str(hyp)]) == 2
+    assert (f"{hyp}, line 4: duplicate sample id {samples[0]['id']!r}"
+            in capsys.readouterr().err)
+
+
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
     """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below.

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import (
-    accumulate, cell_terms, central_difference_error, finite_difference_check,
+    accumulate, batch_of_one, cell_terms, central_difference_error, finite_difference_check,
     params_allclose, random_params, reference_backward, reference_forward_teacher,
-    terms_objective,
+    step_weighted_batch, step_weighted_gradient, terms_objective,
 )
 from fcmax.model import (
-    MATRIX_NAMES, ModelError, ModelParams, PaddedIds, _Decoder, _padded, apply_update, backward,
+    MATRIX_NAMES, ModelError, ModelParams, PaddedIds, _Decoder, apply_update, backward,
     encode, forward_teacher, init_params, load_checkpoint, save_checkpoint, trajectory,
 )
 
@@ -73,28 +73,28 @@ def _zero_params(d, sv, tv):
 
 def test_single_bos_row_normalized():
     p = random_params(4, 5, 6, seed=1)
-    trace = forward_teacher(p, [[1, 2]], [[0]])
+    trace = forward_teacher(p, PaddedIds.of([[1, 2]]), PaddedIds.of([[0]]))
     assert trace.log_probs.shape == (1, 1, 6)
     assert abs(np.exp(trace.log_probs[0, 0]).sum() - 1.0) < 1e-12
 
 
 def test_zero_params_uniform_rows():
     p = _zero_params(3, 4, 5)
-    trace = forward_teacher(p, [1, 2, 3], [0, 2, 4])
+    trace = forward_teacher(p, *batch_of_one([1, 2, 3], [0, 2, 4]))
     assert np.allclose(trace.log_probs, -np.log(5.0))
 
 
 def test_rows_normalized_random_models():
     for seed in range(5):
         p = random_params(6, 5, 7, seed=seed, scale=1.2)
-        trace = forward_teacher(p, [0, 4, 2], [0, 1, 2, 3, 4])
+        trace = forward_teacher(p, *batch_of_one([0, 4, 2], [0, 1, 2, 3, 4]))
         sums = np.exp(trace.log_probs).sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-6)
 
 
 def test_steps_match_conditioning_length():
     p = random_params(4, 5, 6, seed=2)
-    trace = forward_teacher(p, [1], [0, 3, 2, 1])
+    trace = forward_teacher(p, *batch_of_one([1], [0, 3, 2, 1]))
     assert trace.lengths.tolist() == [4]
     assert trace.cond_tokens.tolist() == [[0, 3, 2, 1]]
 
@@ -102,25 +102,23 @@ def test_steps_match_conditioning_length():
 def test_out_of_range_token_rejected():
     p = random_params(4, 5, 6, seed=2)
     with pytest.raises(ModelError, match="out of range"):
-        forward_teacher(p, [1], [0, 6])
+        forward_teacher(p, *batch_of_one([1], [0, 6]))
     with pytest.raises(ModelError, match="out of range"):
-        forward_teacher(p, [5], [0])
+        forward_teacher(p, *batch_of_one([5], [0]))
 
 
 def test_forward_perturbation_is_first_order():
     p = random_params(4, 5, 6, seed=8)
     inp, cond = [1, 2, 0], [0, 3, 2]
     cell = (0, 1, 4)
-    analytic = backward(
-        p, forward_teacher(p, inp, cond), [0, 4, 0], np.array([0.0, 1.0, 0.0])
-    ).dec_in[2, 1]
+    analytic = step_weighted_gradient(p, [(inp, cond, [0, 4, 0], [0.0, 1.0, 0.0])]).dec_in[2, 1]
 
     def value(eps):
         q = p.copy()
         q.dec_in[2, 1] += eps
-        return forward_teacher(q, inp, cond).log_probs[cell]
+        return forward_teacher(q, *batch_of_one(inp, cond)).log_probs[cell]
 
-    base = forward_teacher(p, inp, cond).log_probs[cell]
+    base = forward_teacher(p, *batch_of_one(inp, cond)).log_probs[cell]
     res1 = abs(value(1e-3) - base - 1e-3 * analytic)
     res2 = abs(value(5e-4) - base - 5e-4 * analytic)
     assert res1 / res2 == pytest.approx(4.0, rel=0.35)  # halving eps quarters the residual
@@ -129,8 +127,8 @@ def test_forward_perturbation_is_first_order():
 def test_step_replays_teacher_and_batches_rows():
     p = random_params(5, 6, 7, seed=3, scale=0.9)
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
-    trace = forward_teacher(p, inp, cond)
-    decoder = _Decoder(p, [inp])
+    trace = forward_teacher(p, *batch_of_one(inp, cond))
+    decoder = _Decoder(p, PaddedIds.of([inp]))
     # a loop of one-row steps replays forward_teacher, up to gemm rounding
     s = np.zeros((1, 1, p.d))
     rows = []
@@ -156,13 +154,13 @@ def test_grouped_steps_match_each_input_alone():
     zero attention, so each input's rows are those of its decoder alone."""
     p = random_params(5, 6, 7, seed=4, scale=0.9)
     inputs = [[2, 5, 0, 1], [3], [4, 4, 1]]
-    group = _Decoder(p, inputs)
+    group = _Decoder(p, PaddedIds.of(inputs))
     rng = np.random.default_rng(0)
     states = rng.uniform(-1, 1, size=(3, 2, p.d))
     tokens = rng.integers(0, 7, size=(3, 2))
     grouped = group.step(states, tokens)
     for g, ids in enumerate(inputs):
-        alone = _Decoder(p, [ids]).step(states[g], tokens[g])
+        alone = _Decoder(p, PaddedIds.of([ids])).step(states[g], tokens[g])
         for got, want in zip(grouped, alone):
             assert np.max(np.abs(got[g][..., :want.shape[-1]] - want)) <= 1e-12
         assert not grouped[2][g][:, len(ids):].any()  # padded attention weights
@@ -171,26 +169,28 @@ def test_grouped_steps_match_each_input_alone():
 def test_group_encodes_padded_inputs_as_each_input_alone():
     """One padded encode of a ragged group gives each input's own encoder
     states bit for bit, and exact zeros on the padded rows.  A one-token
-    input alone is a (1, d) @ (d, d) product, which numpy computes as a
+    input alone is a (1, 1, d) @ (d, d) product, which numpy computes as a
     vector-matrix product; in a group it is a row of a matrix product, so
     its states agree within rounding only."""
     p = random_params(5, 6, 7, seed=5, scale=0.9)
     inputs = [[2, 5, 0, 1, 3], [3], [4, 4, 1], [0, 1, 2, 3, 4], [5, 2]]
-    group = _Decoder(p, inputs)
+    group = _Decoder(p, PaddedIds.of(inputs))
     assert group.values.shape == (5, 5, p.d)
     for g, ids in enumerate(inputs):
-        alone = encode(p, ids)
+        alone = encode(p, PaddedIds.of([ids]))[0]
         if len(ids) > 1:
             assert np.array_equal(group.values[g, :len(ids)], alone)
         else:
             assert np.max(np.abs(group.values[g, :1] - alone)) <= 1e-15
         assert np.array_equal(group.values[g, len(ids):], np.zeros((5 - len(ids), p.d)))
     for ids in inputs:
-        assert np.array_equal(_Decoder(p, [ids]).values[0], encode(p, ids))
+        alone = PaddedIds.of([ids])
+        assert np.array_equal(_Decoder(p, alone).values, encode(p, alone))
 
 
 def test_whole_trace_forward_and_backward_match_per_step_reference():
-    """Whole-trace readout and backward against the per-step oracles.
+    """Whole-trace readout and backward of one weighted trajectory against
+    the per-step oracles.
 
     The recurrence is the same per-step arithmetic, so states agree bit for
     bit; the readout's dot products are summed in another order, so log-probs
@@ -204,14 +204,14 @@ def test_whole_trace_forward_and_backward_match_per_step_reference():
         inp = rng.integers(0, sv, size=int(rng.integers(1, 16)))
         cond = rng.integers(0, tv, size=int(rng.integers(1, 15)))
         targets = rng.integers(0, tv, size=cond.size)
-        weights = rng.normal(size=cond.size) * (rng.random(cond.size) < 0.7)
-        got = forward_teacher(p, inp, cond)
+        weight = float(rng.normal()) * (rng.random() < 0.7)
+        got = forward_teacher(p, *batch_of_one(inp, cond))
         want = reference_forward_teacher(p, inp, cond)
         assert np.array_equal(got.states, want.states), case
         lp_scale = max(1.0, np.max(np.abs(want.log_probs)))
         assert np.max(np.abs(got.log_probs - want.log_probs)) <= 1e-12 * lp_scale, case
-        g = backward(p, got, targets, weights)
-        ref = reference_backward(p, want, targets, weights)
+        g = backward(p, got, *batch_of_one(targets), np.array([weight]))
+        ref = reference_backward(p, want, targets, weight)
         scale = max(np.max(np.abs(m)) for m in ref.matrices().values())
         for name, mat in g.matrices().items():
             assert np.max(np.abs(mat - getattr(ref, name))) <= 1e-12 * scale, (case, name)
@@ -246,8 +246,8 @@ def test_batched_pass_matches_per_trajectory_oracles():
         batch = _ragged_batch(rng, sv, tv, shared=case % 3 == 0)
         if case % 10 == 0:
             batch = batch[:1]  # U = 1
-        inputs, conds, targets, weights = zip(*batch)
-        got = forward_teacher(p, inputs, conds)
+        inputs, conds, _, _ = zip(*batch)
+        got = forward_teacher(p, PaddedIds.of(inputs), PaddedIds.of(conds))
         assert got.log_probs.shape == (len(batch), max(map(len, conds)), tv)
         total = p.zeros_like()
         for u, (inp, cond, tgt, w) in enumerate(batch):
@@ -259,7 +259,7 @@ def test_batched_pass_matches_per_trajectory_oracles():
                                  - want.attn_weights[0])) <= 1e-12
             assert not got.attn_weights[u, :, len(inp):].any(), (case, u)
             accumulate(total, reference_backward(p, want, tgt, w))
-        g = backward(p, got, targets, weights)
+        g = step_weighted_gradient(p, batch)
         scale = max(1e-300, max(np.max(np.abs(m)) for m in total.matrices().values()))
         for name, mat in g.matrices().items():
             assert np.max(np.abs(mat - getattr(total, name))) <= 1e-12 * scale, (case, name)
@@ -269,26 +269,28 @@ def test_padded_steps_and_zero_weights_give_exact_zeros():
     rng = np.random.default_rng(8)
     p = random_params(5, 6, 7, seed=3)
     batch = _ragged_batch(rng, 6, 7, shared=False)
-    inputs, conds, targets, _ = zip(*batch)
+    inputs, conds, targets = (PaddedIds.of(seqs) for seqs in list(zip(*batch))[:3])
     trace = forward_teacher(p, inputs, conds)
-    g = backward(p, trace, targets, [0.0] * len(batch))
+    g = backward(p, trace, targets, np.zeros(len(batch)))
     assert all(not mat.any() for mat in g.matrices().values())
     # the short trajectory alone, or padded next to a zero-weight long one
-    alone = backward(p, forward_teacher(p, [[1, 2]], [[0]]), [[3]], [1.0])
-    padded = backward(p, forward_teacher(p, [[1, 2], [4, 0, 5]], [[0], [0, 3, 6, 2]]),
-                      [[3], [1, 1, 1, 1]], [1.0, 0.0])
+    alone = backward(p, forward_teacher(p, *batch_of_one([1, 2], [0])), *batch_of_one([3]),
+                     np.array([1.0]))
+    padded = backward(p, forward_teacher(p, PaddedIds.of([[1, 2], [4, 0, 5]]),
+                                         PaddedIds.of([[0], [0, 3, 6, 2]])),
+                      PaddedIds.of([[3], [1, 1, 1, 1]]), np.array([1.0, 0.0]))
     for name, mat in alone.matrices().items():
         assert np.max(np.abs(mat - getattr(padded, name))) <= 1e-12 * np.max(np.abs(mat))
 
 
 def test_flat_sequences_are_a_batch_of_one():
+    """forward_teacher's one form besides padded ids: one flat pair of id
+    sequences, as the benchmark's tracer test passes it."""
     p = random_params(4, 5, 6, seed=21)
     flat = forward_teacher(p, [1, 2, 4], [0, 3, 5])
-    batched = forward_teacher(p, [(1, 2, 4)], [(0, 3, 5)])
-    assert np.array_equal(flat.log_probs, batched.log_probs)
-    weights = np.array([0.5, -1.0, 2.0])
-    for name, mat in backward(p, flat, [3, 5, 1], weights).matrices().items():
-        assert np.array_equal(mat, getattr(backward(p, batched, [[3, 5, 1]], [weights]), name))
+    batched = forward_teacher(p, PaddedIds.of([(1, 2, 4)]), PaddedIds.of([(0, 3, 5)]))
+    for name in ("log_probs", "cond_tokens", "lengths", "input_ids", "states"):
+        assert np.array_equal(getattr(flat, name), getattr(batched, name)), name
 
 
 def test_taken_rows_are_the_padding_of_their_sequences():
@@ -301,8 +303,8 @@ def test_taken_rows_are_the_padding_of_their_sequences():
     assert len(padded) == 20
     for rows in ([3], [0, 19, 5], [7, 7, 2], list(range(20)), rng.permutation(20)[:6]):
         got = padded.take(rows)
-        want, single = _padded([seqs[r] for r in rows])
-        assert not single and len(got) == len(rows)
+        want = PaddedIds.of([seqs[r] for r in rows])
+        assert len(got) == len(rows)
         assert got.ids.dtype == want.ids.dtype == np.int64
         assert got.ids.shape == want.ids.shape and np.array_equal(got.ids, want.ids)
         assert np.array_equal(got.lengths, want.lengths)
@@ -314,10 +316,10 @@ def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
     conds = [[0, 2, 4], [0], [0, 1]]
     targets = [[2, 4, 1], [3], [4, 2]]
     weights = [0.7, np.array([-1.3]), np.array([0.4, 1.1])]
-    analytic = backward(p, forward_teacher(p, inputs, conds), targets, weights)
+    analytic = step_weighted_gradient(p, list(zip(inputs, conds, targets, weights)))
 
     def objective(q):
-        log_probs = forward_teacher(q, inputs, conds).log_probs
+        log_probs = forward_teacher(q, PaddedIds.of(inputs), PaddedIds.of(conds)).log_probs
         return sum(float(w) * log_probs[u, n, t]
                    for u, (tgt, ws) in enumerate(zip(targets, weights))
                    for n, (t, w) in enumerate(zip(tgt, np.broadcast_to(ws, len(tgt)))))
@@ -327,26 +329,41 @@ def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
 
 def test_batch_errors_name_the_mismatch():
     """Each batch error names what does not fit and, when one trajectory or
-    input is at fault, its row: the first bad row of the padded arrays."""
+    input is at fault, its row: the first bad row of the padded arrays.  Ids
+    come only as PaddedIds and weights only as a (U,) float64 array; any
+    other form is refused, naming the expected one."""
     p = random_params(3, 4, 5, seed=9)
-    trace = forward_teacher(p, [[1], [2], [3]], [[0], [0, 1], [2]])
+    P = PaddedIds.of
+    trace = forward_teacher(p, P([[1], [2], [3]]), P([[0], [0, 1], [2]]))
+    ones, targets = np.ones(3), P([[1], [1, 2], [3]])
+    padded_form = r"ids must be a PaddedIds \(PaddedIds.of pads a list of id sequences\)"
+    weight_form = r"weights must be a \(3,\) float64 array, one weight per trajectory"
     cases = [
-        (lambda: forward_teacher(p, [[1], [2]], [[0]]), "2 inputs for 1 trajectories", None),
-        (lambda: forward_teacher(p, [], []), "no trajectories", None),
-        (lambda: forward_teacher(p, [[1], []], [[0], [0]]), "empty input", 1),
-        (lambda: forward_teacher(p, [[1], [2]], [[0, 1], []]), "empty conditioning", 1),
-        (lambda: forward_teacher(p, [[1], [2, 4], [4]], [[0]] * 3), "source index out", 1),
-        (lambda: forward_teacher(p, [[1], [2], [3]], [[0], [0], [-1, 5]]),
+        (lambda: forward_teacher(p, P([[1], [2]]), P([[0]])), "2 inputs for 1 trajectories",
+         None),
+        (lambda: forward_teacher(p, P([]), P([])), "no trajectories", None),
+        (lambda: forward_teacher(p, P([[1], []]), P([[0], [0]])), "empty input", 1),
+        (lambda: forward_teacher(p, P([[1], [2]]), P([[0, 1], []])), "empty conditioning", 1),
+        (lambda: forward_teacher(p, P([[1], [2, 4], [4]]), P([[0]] * 3)), "source index out", 1),
+        (lambda: forward_teacher(p, P([[1], [2], [3]]), P([[0], [0], [-1, 5]])),
          "target index out", 2),
-        (lambda: backward(p, trace, [[1]], [1.0]), "1 target sequences for 3 trajectories",
+        (lambda: backward(p, trace, P([[1]]), ones), "1 target sequences for 3 trajectories",
          None),
-        (lambda: backward(p, trace, [[1], [1], [1]], [1.0] * 3),
+        (lambda: backward(p, trace, P([[1], [1], [1]]), ones),
          "1 targets for a trace of 2 steps", 1),
-        (lambda: backward(p, trace, [[1], [1, 5], [5]], [1.0] * 3), "target index out", 1),
-        (lambda: backward(p, trace, [[1], [1, 2], [3]], [1.0]), "1 weights for 3 trajectories",
+        (lambda: backward(p, trace, P([[1], [1, 5], [5]]), ones), "target index out", 1),
+        (lambda: forward_teacher(p, [[1], [2], [3, 1]], P([[0]] * 3)), "source " + padded_form,
          None),
-        (lambda: backward(p, trace, [[1], [1, 2], [3]], [1.0, np.ones(3), 1.0]),
-         "3 weights for a trajectory of 2 steps", 1),
+        (lambda: forward_teacher(p, P([[1]] * 3), [[0], [0, 1], [2]]), "target " + padded_form,
+         None),
+        (lambda: _Decoder(p, [[1], [2, 3]]), "source " + padded_form, None),
+        (lambda: backward(p, trace, [[1], [1, 2], [3]], ones), "target " + padded_form, None),
+        (lambda: backward(p, trace, targets, np.ones(1)), weight_form, None),
+        (lambda: backward(p, trace, targets, [1.0] * 3), weight_form, None),
+        (lambda: backward(p, trace, targets, 1.0), weight_form, None),
+        (lambda: backward(p, trace, targets, np.ones(3, dtype=np.int64)), weight_form, None),
+        (lambda: backward(p, trace, targets, [1.0, np.ones(2), 1.0]), weight_form, None),
+        (lambda: backward(p, trace, targets, np.ones((3, 2))), weight_form, None),
         (lambda: PaddedIds(np.zeros((2, 3), dtype=np.int64), np.array([1, 2])),
          "padded ids must be", None),
         (lambda: PaddedIds(np.zeros((1, 2), dtype=np.int32), np.array([2])),
@@ -362,7 +379,7 @@ def test_batch_errors_name_the_mismatch():
 
 def test_step_deterministic_and_uniform_for_zero_params():
     p = _zero_params(2, 3, 4)
-    decoder = _Decoder(p, [[1, 2]])
+    decoder = _Decoder(p, PaddedIds.of([[1, 2]]))
     l1 = decoder.step(np.zeros((1, 1, p.d)), np.array([[0]]))[0]
     l2 = decoder.step(np.zeros((1, 1, p.d)), np.array([[0]]))[0]
     assert np.array_equal(l1, l2)
@@ -381,8 +398,8 @@ def test_trajectory_layout():
 
 def test_backward_empty_gradient_is_zero():
     p = random_params(4, 5, 6, seed=4)
-    trace = forward_teacher(p, [1, 2], [0, 3])
-    g = backward(p, trace, [3, 2], 0.0)
+    trace = forward_teacher(p, *batch_of_one([1, 2], [0, 3]))
+    g = backward(p, trace, *batch_of_one([3, 2]), np.zeros(1))
     assert all(not mat.any() for mat in g.matrices().values())
 
 
@@ -394,25 +411,23 @@ def test_backward_single_cell_matches_finite_differences():
 def test_backward_is_linear_in_the_gradient():
     p = random_params(3, 4, 5, seed=7)
     inp, cond = [1, 3], [0, 2, 4]
-    trace = forward_teacher(p, inp, cond)
     targets = [1, 4, 3]
     w1, w2 = np.array([0.7, 0.0, -0.2]), np.array([0.0, 1.1, 0.5])
     a, b = 2.0, 3.0
-    lhs = backward(p, trace, targets, a * w1 + b * w2)
-    rhs = backward(p, trace, targets, w1)
+    lhs = step_weighted_gradient(p, [(inp, cond, targets, a * w1 + b * w2)])
+    rhs = step_weighted_gradient(p, [(inp, cond, targets, w1)])
     for name, mat in rhs.matrices().items():
         mat *= a
-    accumulate(rhs, backward(p, trace, targets, w2), b)
+    accumulate(rhs, step_weighted_gradient(p, [(inp, cond, targets, w2)]), b)
     for name, mat in lhs.matrices().items():
         np.testing.assert_allclose(mat, getattr(rhs, name), atol=1e-8)
 
 
 def test_backward_doubled_gradient_doubles_exactly():
     p = random_params(3, 4, 5, seed=7)
-    trace = forward_teacher(p, [1, 3], [0, 2, 4])
     w = np.array([0.7, 0.0, -0.2])
-    doubled = backward(p, trace, [1, 4, 3], 2.0 * w)
-    base = backward(p, trace, [1, 4, 3], w)
+    doubled = step_weighted_gradient(p, [([1, 3], [0, 2, 4], [1, 4, 3], 2.0 * w)])
+    base = step_weighted_gradient(p, [([1, 3], [0, 2, 4], [1, 4, 3], w)])
     for name, mat in doubled.matrices().items():
         assert np.array_equal(mat, 2.0 * getattr(base, name))
 
@@ -438,22 +453,21 @@ def test_backward_random_models_match_finite_differences():
 
 def test_backward_rejects_out_of_trace_cells():
     p = random_params(3, 4, 5, seed=9)
-    trace = forward_teacher(p, [1], [0])
+    trace = forward_teacher(p, *batch_of_one([1], [0]))
     with pytest.raises(ModelError, match="2 targets for a trace of 1 steps"):
-        backward(p, trace, [0, 1], 1.0)
+        backward(p, trace, *batch_of_one([0, 1]), np.ones(1))
     with pytest.raises(ModelError, match="out of range"):
-        backward(p, trace, [5], 1.0)
-    with pytest.raises(ModelError, match="1 steps"):
-        backward(p, trace, [0], np.ones(2))
+        backward(p, trace, *batch_of_one([5]), np.ones(1))
 
 
 def test_backward_rejects_nonfinite_weights():
     p = random_params(3, 4, 5, seed=9)
-    trace = forward_teacher(p, [1], [0, 2])
+    trace = forward_teacher(p, PaddedIds.of([[1], [1]]), PaddedIds.of([[0, 2], [0]]))
+    targets = PaddedIds.of([[2, 1], [3]])
     with pytest.raises(ModelError, match="non-finite"):
-        backward(p, trace, [2, 1], np.array([1.0, np.nan]))
+        backward(p, trace, targets, np.array([1.0, np.nan]))
     with pytest.raises(ModelError, match="non-finite"):
-        backward(p, trace, [2, 1], np.inf)
+        backward(p, trace, targets, np.array([np.inf, 1.0]))
 
 
 def test_apply_update_zero_lr_keeps_params():
@@ -478,9 +492,10 @@ def test_ascent_step_increases_objective():
     terms = [([2, 4, 1], 1.0)]
 
     def objective(params):
-        return terms_objective(forward_teacher(params, inp, cond), terms)
+        return terms_objective(forward_teacher(params, *batch_of_one(inp, cond)), terms)
 
-    g = backward(p, forward_teacher(p, inp, cond), *terms[0])
+    g = backward(p, forward_teacher(p, *batch_of_one(inp, cond)), *batch_of_one(terms[0][0]),
+                 np.array([terms[0][1]]))
     q = apply_update(p, g, 1e-3)
     assert objective(q) > objective(p)
 

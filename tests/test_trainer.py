@@ -117,10 +117,31 @@ def test_ce_logs_dev_metrics_schema():
     dev = _toy_corpus(4, seed=9)
     params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=5)
     result = train_ce(params, corpus, _toy_schedule(total_iterations=40, checkpoint_every=20),
-                      dev=dev)
+                      dev=dev, scorer=weighted_f1_scorer())
     assert len(result.log) == 2
     for entry in result.log:
         assert set(entry) == LOG_KEYS
+
+
+def test_ce_refuses_a_dev_corpus_without_a_scorer():
+    """Dev checks score with the scorer the caller passes; there is no default."""
+    corpus = _toy_corpus()
+    params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=5)
+    with pytest.raises(TrainerError, match="dev corpus needs a scorer"):
+        train_ce(params, corpus, _toy_schedule(total_iterations=1), dev=_toy_corpus(4, seed=9))
+
+
+@pytest.mark.parametrize("trainer", ["train_ce", "train_fcm"])
+def test_trainers_refuse_an_empty_dev_corpus_at_entry(trainer):
+    """An empty dev corpus is refused before any training, not at the first
+    dev check (after checkpoint_every iterations of train_ce)."""
+    corpus, dev = _toy_corpus(), _toy_corpus(0)
+    params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=5)
+    with pytest.raises(TrainerError, match="^dev corpus is empty$"):
+        if trainer == "train_ce":
+            train_ce(params, corpus, _toy_schedule(), dev=dev, scorer=weighted_f1_scorer())
+        else:
+            train_fcm(params, corpus, weighted_f1_scorer(), _toy_schedule(), dev=dev)
 
 
 def test_schedule_validation():
