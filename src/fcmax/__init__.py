@@ -5,7 +5,9 @@ from .corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, default_token_weights,
     generate_synthetic_corpus, load_corpus, normalize_text, save_corpus,
 )
-from .fcm import ScoredNBest, expected_consistency, fcm_coefficients, normalize_posteriors
+from .fcm import (
+    ScoredBatch, expected_consistency, fcm_coefficients, normalize_posteriors, score_batch,
+)
 from .metrics import (
     EditBreakdown, TTestResult, avg_consistency, consistent_ratio, corpus_wer,
     paired_t_test, wer,

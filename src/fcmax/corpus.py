@@ -20,6 +20,7 @@ corpus, and with it every checkpoint and benchmark quality number.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -174,7 +175,7 @@ class Corpus:
         return [self.token_id(t) for t in surface_tokens(text)]
 
     def decode_ids(self, ids) -> str:
-        return detokenize(self.token_vocab[i] for i in ids)
+        return id_renderer(self.token_vocab)(ids)
 
     def reference_ids(self, sample: Sample) -> list[int]:
         """The reference's token ids; each reference text is tokenized once,
@@ -285,6 +286,20 @@ def detokenize(tokens) -> str:
     rest = iter(tokens)
     first = next(rest, "")
     return "".join([first, *[tok if tok in PUNCTUATION_TOKENS else " " + tok for tok in rest]])
+
+
+@functools.lru_cache(maxsize=8)  # a process uses one vocabulary or a few
+def id_renderer(token_vocab: tuple[str, ...]):
+    """``detokenize`` over a sequence of ids of one vocabulary, from a table
+    built once per vocabulary: each token's surface string after another
+    token, with its joining space (none before punctuation), so a text is its
+    first token and one join of table entries."""
+    later = tuple(tok if tok in PUNCTUATION_TOKENS else " " + tok for tok in token_vocab)
+
+    def render(ids) -> str:
+        return "".join([token_vocab[ids[0]], *map(later.__getitem__, ids[1:])]) if len(ids) else ""
+
+    return render
 
 
 def surface_tokens(text: str) -> list[str]:

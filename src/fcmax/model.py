@@ -187,13 +187,18 @@ class PaddedIds:
 
     @classmethod
     def of(cls, seqs) -> "PaddedIds":
-        """Pad a list of U id sequences."""
+        """Pad a list of U id sequences; a sequence holding an item that is
+        not one id raises ModelError naming its row."""
         seqs = list(seqs)
         lengths = [len(ids) for ids in seqs]
         width = max(lengths, default=0)
         rows = [list(ids) + [0] * (width - n) for ids, n in zip(seqs, lengths)]
-        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), width),
-                   np.array(lengths, dtype=np.int64))
+        ids = _id_array(rows) if rows else np.zeros((0, 0), np.int64)
+        if ids is None or ids.shape != (len(rows), width):
+            row = next(i for i, items in enumerate(rows)
+                       if (one := _id_array(items)) is None or one.shape != (width,))
+            raise ModelError(f"id sequence {row} holds an item that is not an integer id", row)
+        return cls(ids, np.array(lengths, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -203,6 +208,14 @@ class PaddedIds:
         builds from those rows' sequences."""
         lengths = self.lengths[rows]
         return PaddedIds(self.ids[rows, :max(lengths.tolist(), default=0)], lengths)
+
+
+def _id_array(items) -> np.ndarray | None:
+    """items as an int64 array, or None when numpy cannot make one."""
+    try:
+        return np.array(items, dtype=np.int64)
+    except (TypeError, ValueError):
+        return None
 
 
 def _checked(batch, size: int, what: str) -> PaddedIds:
@@ -238,20 +251,28 @@ def encode(params: ModelParams, input_ids: PaddedIds) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+    """log_softmax over the last axis, written into z."""
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    shifted = z - m
+    lse = np.add.reduce(np.exp(shifted, out=shifted), axis=-1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    z -= lse
+    return z
 
 
 def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray,
              scores: np.ndarray):
     """Attention over (..., N, T) scores, context and output of (..., N, d)
     decoder states; returns (log_probs, alpha, context) of shapes
-    (..., N, V), (..., N, T), (..., N, d)."""
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    alpha = np.exp(scores)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    (..., N, V), (..., N, T), (..., N, d).  The scores become alpha in place."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
     context = alpha @ enc_states
-    logits = (states + context) @ params.out_proj + params.out_bias
+    hidden = states + context
+    logits = hidden @ params.out_proj
+    logits += params.out_bias
     return _log_softmax(logits), alpha, context
 
 
@@ -287,10 +308,12 @@ class _Decoder:
         s_prev is (G, B, d) and tokens (G, B); the outputs are (G, B, V),
         (G, B, d), (G, B, T) and (G, B, d).
         """
-        s = np.tanh(self.inputs[tokens] + s_prev @ self.params.dec_state)
+        s = s_prev @ self.params.dec_state
+        s += self.inputs[tokens]
+        np.tanh(s, out=s)
         scores = s @ self.keys
         if self.src_bias is not None:
-            scores = scores + self.src_bias
+            scores += self.src_bias
         log_probs, alpha, context = _readout(self.params, self.values, s, scores)
         return log_probs, s, alpha, context
 

@@ -4,17 +4,20 @@ Both loops are plain gradient ascent with a linear-decay learning rate and a
 seeded shuffle, so identical inputs give bit-identical checkpoints.  Both
 gradients are one weight on each whole token trajectory: the likelihood
 loop puts 1 / B on each of its B reference paths, and the consistency loop
-decodes the batch's samples together, scores each N-best list and puts each
-hypothesis's expected-score coefficient on that hypothesis's path.  Either
-way an iteration's U trajectories go, padded and with (U,) weights, through
-one forward and one backward call (``_trajectory_gradient``).  The
-likelihood loop pads its corpus's reference trajectories once and takes
-each batch's rows; the consistency loop pads each batch's trajectories anew
-(``_minibatch_gradient``).  Two safeguards bound the consistency loop: a
-hard iteration cap (fine-tuning starts from a well-trained likelihood model
-and runs briefly) and a deletion tripwire that halts the run if dev
-deletions grow past a limit, returning the best previously-passing
-checkpoint instead, or the starting model when no checkpoint ever passed.
+decodes the batch's samples together, scores their N-best lists as one
+batch (``fcm.score_batch``: (B, N) arrays of posteriors, scores and
+coefficients) and puts each hypothesis's coefficient on that hypothesis's
+path.  Either way an iteration's U trajectories go, padded and with (U,)
+weights, through one forward and one backward call
+(``_trajectory_gradient``).  The likelihood loop pads its corpus's
+reference trajectories once and takes each batch's rows; the consistency
+loop pads each batch's trajectories anew (``_minibatch_gradient``).  Dev
+checks score the whole dev set's lists as one batch in the same way.  Two
+safeguards bound the consistency loop: a hard iteration cap (fine-tuning
+starts from a well-trained likelihood model and runs briefly) and a
+deletion tripwire that halts the run if dev deletions grow past a limit,
+returning the best previously-passing checkpoint instead, or the starting
+model when no checkpoint ever passed.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import NBestList, beam_decode_batch
+from .beam import Hypothesis, NBestList, beam_decode_batch
 from .corpus import Corpus
-from .fcm import (
-    FcmError, ScoredNBest, expected_consistency, fcm_coefficients, fcm_corpus_objective,
-)
+from .fcm import FcmError, ScoredBatch, fcm_coefficients, fcm_corpus_objective, score_batch
 from .metrics import EditBreakdown, corpus_wer
 from .model import (
     ModelError, ModelParams, PaddedIds, apply_update, backward, forward_teacher, trajectory,
@@ -138,33 +139,36 @@ def _trajectory_gradient(params: ModelParams, it: int, owners, inputs, conds, ta
         raise TrainerError(f"iteration {it}{where}: {exc}") from exc
 
 
-def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, paths,
-                        ce_weight: float) -> ModelParams:
+def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, hypotheses,
+                        coefficients: np.ndarray, ce_weight: float) -> ModelParams:
     """The ascent gradient of one consistency iteration.
 
-    paths[i] holds (hypothesis, coefficient) pairs of samples[i].  With B
-    samples, each pair with a nonzero coefficient is a trajectory of weight
+    hypotheses[i] holds the hypotheses of samples[i], and coefficients[i, k]
+    is the coefficient of hypotheses[i][k] (``fcm_coefficients``; columns
+    past a row's hypotheses are ignored).  With B samples, each hypothesis
+    with a nonzero coefficient is a trajectory of weight
     (1 - ce_weight) * coefficient / B, and when ce_weight > 0 the sample's
     reference is a trajectory of weight ce_weight / B.  The rows are padded
     per iteration, each sample's hypotheses then its reference, since that
     row order is part of the gradient's summation order.
     """
     scale = 1.0 / len(samples)
-    owners, refs, weights = [], [], []
-    for sample, pairs in zip(samples, paths):
-        weighted = [(hyp.tokens, hyp.finished, (1.0 - ce_weight) * coeff * scale)
-                    for hyp, coeff in pairs if coeff != 0.0]  # zero adds exact zeros
+    weights = ((1.0 - ce_weight) * coefficients * scale).tolist()
+    owners, refs, kept = [], [], []
+    for sample, hyps, coeffs, row in zip(samples, hypotheses, coefficients.tolist(), weights):
+        weighted = [(h.tokens, h.finished, w) for h, c, w in zip(hyps, coeffs, row)
+                    if c != 0.0]  # zero adds exact zeros
         if ce_weight > 0.0:
             weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
         for tokens, finished, weight in weighted:
             owners.append(sample)
             refs.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
-            weights.append(weight)
+            kept.append(weight)
     if not owners:  # every coefficient was zero, as for N-best lists of one
         return params.zeros_like()
     return _trajectory_gradient(params, it, owners, PaddedIds.of(s.input for s in owners),
                                 PaddedIds.of(cond for cond, _ in refs),
-                                PaddedIds.of(target for _, target in refs), np.array(weights))
+                                PaddedIds.of(target for _, target in refs), np.array(kept))
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -185,17 +189,14 @@ def decode_corpus_top1(params: ModelParams, corpus: Corpus, beam_size: int, max_
 
 
 def _decode_and_score(params: ModelParams, corpus: Corpus, samples, scorer: ConsistencyScorer,
-                      beam_size: int, nbest_size: int, max_len: int) -> list[ScoredNBest]:
-    """Each sample's top nbest_size hypotheses, decoded together and scored
-    (``expected_consistency``); a failure raises FcmError naming its sample."""
-    scored = []
-    for sample, nbest in zip(samples, decode_samples(params, corpus, samples, beam_size, max_len)):
-        try:
-            scored.append(expected_consistency(nbest.top(nbest_size), sample, scorer,
-                                               corpus.token_vocab))
-        except Exception as exc:
-            raise FcmError(f"sample {sample.id!r}: {exc}") from exc
-    return scored
+                      beam_size: int, nbest_size: int, max_len: int
+                      ) -> tuple[list[list[Hypothesis]], ScoredBatch]:
+    """Each sample's top nbest_size hypotheses, decoded together, and their
+    scored batch (``score_batch``); a failure raises FcmError naming its
+    sample."""
+    hypotheses = [nbest.hypotheses[:nbest_size]
+                  for nbest in decode_samples(params, corpus, samples, beam_size, max_len)]
+    return hypotheses, score_batch(hypotheses, samples, scorer, corpus.token_vocab)
 
 
 def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
@@ -203,22 +204,24 @@ def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
     """Dev-set metrics: pooled WER, deletion and insertion rates, mean
     consistency, objective, and the share of top hypotheses cut at max_len.
 
-    The whole corpus is decoded first, each sample once; then the top
-    hypothesis of each scored N-best list gives the text (for WER) and its
-    consistency, and the list's expectation adds to the objective.
+    The whole corpus is decoded and scored as one batch, each sample once;
+    then the first column of each row gives the top hypothesis's text (for
+    WER) and its consistency, and each row's expectation adds to the
+    objective.
     """
-    scored = _decode_and_score(params, corpus, corpus.samples, scorer, beam_size, nbest_size,
-                               max_len)
-    tops = [one.hypotheses[0] for one in scored]
-    breakdown = corpus_wer([(top.text, s.reference) for top, s in zip(tops, corpus.samples)])
-    scores = [top.consistency for top in tops]
+    hypotheses, batch = _decode_and_score(params, corpus, corpus.samples, scorer, beam_size,
+                                          nbest_size, max_len)
+    firsts = (np.cumsum(batch.counts) - batch.counts).tolist()  # each row's top in texts
+    breakdown = corpus_wer([(batch.texts[at], s.reference)
+                            for at, s in zip(firsts, corpus.samples)])
+    scores = batch.consistency[:, 0].tolist()
     return {
         "dev_wer": breakdown.wer,
         "dev_del_rate": breakdown.deletion_rate,
         "dev_ins_rate": breakdown.insertion_rate,
-        "dev_unfinished_top1": sum(not top.finished for top in tops) / len(tops),
+        "dev_unfinished_top1": sum(not hyps[0].finished for hyps in hypotheses) / len(hypotheses),
         "dev_avg_consistency": sum(scores) / len(scores),
-        "dev_fcm_objective": fcm_corpus_objective(scored),
+        "dev_fcm_objective": fcm_corpus_objective(batch),
         "_breakdown": breakdown,
     }
 
@@ -332,13 +335,13 @@ def train_fcm(
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
         samples = [corpus.samples[idx] for idx in next(batches)]
         try:
-            scored = _decode_and_score(current, corpus, samples, scorer, schedule.beam_size,
-                                       schedule.nbest_size, schedule.max_len)
+            hypotheses, batch = _decode_and_score(current, corpus, samples, scorer,
+                                                  schedule.beam_size, schedule.nbest_size,
+                                                  schedule.max_len)
         except FcmError as exc:  # names the sample
             raise TrainerError(f"iteration {it}, {exc}") from exc
-        paths = [zip(one.hypotheses, fcm_coefficients(one)) for one in scored]
-        grad = _minibatch_gradient(current, corpus, it, samples, paths,
-                                   safeguard.ce_interpolation_weight)
+        grad = _minibatch_gradient(current, corpus, it, samples, hypotheses,
+                                   fcm_coefficients(batch), safeguard.ce_interpolation_weight)
         current = apply_update(current, grad, lr)
         if dev is not None and ((it + 1) % safeguard.dev_check_every == 0
                                 or it + 1 == total_iters):

@@ -2,7 +2,8 @@
 (per-step weights as prefix trajectories), gradient-check harness, a fitted
 two-way ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
-consistency check, corpus NLL, per-pair alignment, per-prefix beam search,
+consistency check, per-list N-best scoring and minibatch assembly, corpus NLL,
+per-pair alignment, per-prefix beam search,
 per-trajectory per-step teacher forcing and backward, per-iteration padded
 likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
 detokenization, per-session summary evaluation) that only tests use."""
@@ -14,6 +15,7 @@ import re
 import threading
 import time
 from collections import Counter
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -88,15 +90,86 @@ def accumulate(total: ModelParams, part: ModelParams, scale: float = 1.0) -> Non
     total.flat += scale * part.flat
 
 
-def validate_scored(scored) -> None:
-    """A scored N-best list's posteriors sum to 1 and give its expectation."""
-    posteriors = np.array([h.posterior for h in scored.hypotheses])
-    assert abs(posteriors.sum() - 1.0) <= 1e-9 and np.all(posteriors > 0), (
-        "normalized posteriors must be positive and sum to 1")
-    expected = float(sum(h.posterior * h.scaled_score for h in scored.hypotheses))
-    assert abs(expected - scored.expected_score) <= 1e-9, (
-        f"expected score {scored.expected_score} inconsistent with hypothesis set "
-        f"(recomputed {expected})")
+def validate_scored(batch) -> None:
+    """Each row of a scored batch: its posteriors are positive and sum to 1,
+    they give its expectation, and its pads are -inf log probs and zeros."""
+    for row, n in enumerate(batch.counts.tolist()):
+        posteriors, scaled = batch.posteriors[row, :n], batch.scaled[row, :n]
+        assert abs(posteriors.sum() - 1.0) <= 1e-9 and np.all(posteriors > 0), (
+            "normalized posteriors must be positive and sum to 1")
+        expected = float(sum(posteriors * scaled))
+        assert abs(expected - batch.expected[row]) <= 1e-9, (
+            f"expected score {batch.expected[row]} inconsistent with hypothesis set "
+            f"(recomputed {expected})")
+        assert np.all(batch.log_probs[row, n:] == -np.inf)
+        for pads in (batch.posteriors, batch.consistency, batch.scaled):
+            assert not pads[row, n:].any()
+
+
+def reference_posteriors(log_probs) -> np.ndarray:
+    """Softmax over one list's raw sequence log probabilities, max-subtracted,
+    on its own 1-D array: the oracle for the batch normalization."""
+    arr = np.asarray(log_probs, dtype=np.float64)
+    shifted = np.exp(arr - arr.max())
+    return shifted / shifted.sum()
+
+
+@dataclass
+class ReferenceScored:
+    """One list scored on its own: per hypothesis, in list order."""
+
+    texts: list
+    posteriors: list
+    consistency: list
+    scaled: list
+    expected: float
+    coefficients: np.ndarray
+
+
+def reference_expected_consistency(hypotheses, sample, scorer, token_vocab) -> ReferenceScored:
+    """Per-list, per-hypothesis scoring: texts by ``reference_detokenize``,
+    one scorer call per hypothesis, the expectation as a left-to-right +=
+    fold and the coefficients per hypothesis.  The oracle for
+    ``fcm.score_batch`` and ``fcm.fcm_coefficients``."""
+    posteriors = reference_posteriors([h.log_prob for h in hypotheses])
+    out = ReferenceScored([], [], [], [], 0.0, None)
+    for hyp, posterior in zip(hypotheses, posteriors):
+        text = reference_detokenize(token_vocab[t] for t in hyp.tokens)
+        consistency = scorer(text, sample.reference)
+        scaled = sample.ref_word_count * consistency
+        out.expected += float(posterior) * scaled
+        out.texts.append(text)
+        out.posteriors.append(float(posterior))
+        out.consistency.append(consistency)
+        out.scaled.append(scaled)
+    out.coefficients = np.array([p * (s - out.expected)
+                                 for p, s in zip(out.posteriors, out.scaled)])
+    return out
+
+
+def reference_minibatch_gradient(params: ModelParams, corpus: Corpus, samples, scored,
+                                 hypotheses, ce_weight: float) -> ModelParams:
+    """One consistency iteration's gradient from per-list oracle scores: the
+    rows of each sample's hypotheses with a nonzero coefficient, weight
+    (1 - ce_weight) * coefficient / B, then its reference, weight
+    ce_weight / B, padded in that order."""
+    scale = 1.0 / len(samples)
+    owners, refs, weights = [], [], []
+    for sample, one, hyps in zip(samples, scored, hypotheses):
+        weighted = [(h.tokens, h.finished, (1.0 - ce_weight) * c * scale)
+                    for h, c in zip(hyps, one.coefficients) if c != 0.0]
+        if ce_weight > 0.0:
+            weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
+        for tokens, finished, weight in weighted:
+            owners.append(sample)
+            refs.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
+            weights.append(weight)
+    if not owners:
+        return params.zeros_like()
+    trace = forward_teacher(params, PaddedIds.of(s.input for s in owners),
+                            PaddedIds.of(cond for cond, _ in refs))
+    return backward(params, trace, PaddedIds.of(target for _, target in refs),
+                    np.array(weights))
 
 
 def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
@@ -519,19 +592,20 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
     weighted by its coefficient.
     """
     from fcmax.beam import beam_decode
-    from fcmax.fcm import expected_consistency, fcm_coefficients, normalize_posteriors
+    from fcmax.fcm import expected_consistency, fcm_coefficients
 
     nbest = beam_decode(params, sample.input, beam_size, max_len,
                         bos_id=corpus.bos_id, eos_id=corpus.eos_id)
     scored = expected_consistency(nbest, sample, scorer, corpus.token_vocab)
-    scaled = [h.scaled_score for h in scored.hypotheses]
-    hyps = [(h.tokens, h.finished) for h in scored.hypotheses]
+    n = len(nbest.hypotheses)
+    scaled = scored.scaled[0, :n].tolist()
+    hyps = [(h.tokens, h.finished) for h in nbest.hypotheses]
 
     conds, targets = zip(*(trajectory(h.tokens, h.finished, corpus.bos_id, corpus.eos_id)
-                           for h in scored.hypotheses))
+                           for h in nbest.hypotheses))
     trace = forward_teacher(params, PaddedIds.of([sample.input] * len(conds)),
                             PaddedIds.of(conds))
-    analytic = backward(params, trace, PaddedIds.of(targets), fcm_coefficients(scored))
+    analytic = backward(params, trace, PaddedIds.of(targets), fcm_coefficients(scored)[0, :n])
 
     def objective(p):
         logps = [
@@ -539,7 +613,7 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
                               include_eos=fin)
             for toks, fin in hyps
         ]
-        posts = normalize_posteriors(logps)
+        posts = reference_posteriors(logps)
         return float(sum(q * s for q, s in zip(posts, scaled)))
 
     return central_difference_error(params, objective, analytic, eps, floor=1e-7)

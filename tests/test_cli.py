@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from conftest import reference_detokenize, reference_posteriors
 from fcmax.cli import run
-from fcmax.corpus import normalize_text
+from fcmax.corpus import load_corpus, normalize_text
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -228,6 +229,19 @@ def test_decode_output_schema(workflow):
         assert h["log_prob"] <= 0.0
     tops = [json.loads(line)["nbest"][0]["text"] for line in lines]
     assert any(normalize_text(text) for text in tops)
+
+
+def test_decode_posteriors_and_texts_are_the_per_list_oracle(workflow):
+    """Every posterior in the decode output is, in float hex, the per-list
+    softmax of its list's log probabilities, and every text the per-token
+    detokenization of its tokens."""
+    vocab = load_corpus(workflow / "dev.jsonl").token_vocab
+    for line in (workflow / "decoded.jsonl").read_text().splitlines():
+        nbest = json.loads(line)["nbest"]
+        want = reference_posteriors([h["log_prob"] for h in nbest])
+        assert [h["posterior"].hex() for h in nbest] == [p.hex() for p in want.tolist()]
+        for h in nbest:
+            assert h["text"] == reference_detokenize(vocab[t] for t in h["tokens"])
 
 
 def test_metrics_log_schema(workflow):

@@ -15,7 +15,7 @@ from fcmax.cli import _load_hyp_texts
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_TOKEN_VOCAB, EOS, PUNCTUATION_TOKENS, Corpus,
     CorpusError, Sample, SynthConfig,
-    corpus_to_jsonl, detokenize, generate_synthetic_corpus, load_corpus,
+    corpus_to_jsonl, detokenize, generate_synthetic_corpus, id_renderer, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
 from fcmax.summeval import SummEvalError, load_utterances
@@ -322,6 +322,15 @@ def test_detokenize_matches_the_per_token_reference(tokens):
     want = reference_detokenize(tokens)
     assert detokenize(tokens) == want
     assert detokenize(iter(tokens)) == want
+
+
+@given(st.lists(st.integers(0, len(DEFAULT_TOKEN_VOCAB) - 1), max_size=12))
+def test_id_renderer_is_detokenize_over_the_vocabulary(ids):
+    """The per-vocabulary surface table renders an id sequence (tuple, list
+    or array, punctuation first or repeated, empty) as detokenize does."""
+    want = reference_detokenize(DEFAULT_TOKEN_VOCAB[i] for i in ids)
+    for form in (tuple(ids), list(ids), np.array(ids, dtype=np.int64)):
+        assert id_renderer(DEFAULT_TOKEN_VOCAB)(form) == want
 
 
 def test_detokenize_surface_round_trip():

@@ -370,6 +370,12 @@ def test_batch_errors_name_the_mismatch():
          "padded ids must be", None),
         (lambda: PaddedIds(np.zeros((2, 2), dtype=np.int64), np.array([-1, 2])),
          "padded ids must be", None),
+        # items that are not one id each: one-element lists, ragged lists, None
+        (lambda: P([[[2], [3]]]), "id sequence 0 holds an item that is not an integer id", 0),
+        (lambda: P([[[2, 1], [3]]]), "id sequence 0 holds", 0),
+        (lambda: P([[1, 2], [3, [4]], [[5]]]), "id sequence 1 holds", 1),
+        (lambda: P([(1,), (2, None)]), "id sequence 1 holds", 1),
+        (lambda: forward_teacher(p, [0, 1], [[2], [3]]), "id sequence 0 holds", 0),
     ]
     for call, match, row in cases:
         with pytest.raises(ModelError, match=match) as err:

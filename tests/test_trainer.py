@@ -7,9 +7,10 @@ import pytest
 
 from conftest import (
     accumulate, corpus_nll, params_allclose, random_params, reference_align_counts,
-    reference_backward, reference_forward_teacher, reference_train_ce,
+    reference_backward, reference_expected_consistency, reference_forward_teacher,
+    reference_minibatch_gradient, reference_train_ce,
 )
-from fcmax.beam import Hypothesis, beam_decode
+from fcmax.beam import Hypothesis, beam_decode, beam_decode_batch
 from fcmax.corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
     normalize_text,
@@ -19,8 +20,8 @@ from fcmax.metrics import EditBreakdown
 from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
-    SafeguardConfig, TrainerError, TrainingSchedule, _minibatch_gradient, decode_corpus_top1,
-    deletion_guard, evaluate_on, linear_decay_lr, train_ce, train_fcm,
+    SafeguardConfig, TrainerError, TrainingSchedule, _batch_iterator, _minibatch_gradient,
+    decode_corpus_top1, deletion_guard, evaluate_on, linear_decay_lr, train_ce, train_fcm,
 )
 
 LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate", "dev_unfinished_top1",
@@ -218,8 +219,9 @@ def test_exact_match_coefficient_positive_on_two_way_fixture(ambiguity_fixture):
     nbest = beam_decode(params, sample.input, 4, 4, bos_id=corpus.bos_id,
                         eos_id=corpus.eos_id)
     scored = expected_consistency(nbest, sample, exact_match_scorer(), corpus.token_vocab)
-    for hyp, coeff in zip(scored.hypotheses, fcm_coefficients(scored)):
-        if hyp.text == sample.reference:
+    assert len(scored.texts) == len(nbest.hypotheses) > 1
+    for text, coeff in zip(scored.texts, fcm_coefficients(scored)[0]):
+        if text == sample.reference:
             assert coeff > 0
         else:
             assert coeff <= 0
@@ -365,9 +367,14 @@ def test_minibatch_failures_name_the_sample_that_owns_the_row():
         ([unused + fine, fine, bad_hyp, fine], 0.0, samples[2]),
         ([unused + fine, fine, fine, fine], 0.3, bad_ref),
     ):
+        # the coefficients padded to the longest row, as fcm_coefficients gives them
+        coefficients = np.zeros((len(paths), max(map(len, paths))))
+        for row, pairs in enumerate(paths):
+            coefficients[row, :len(pairs)] = [c for _, c in pairs]
+        hypotheses = [[h for h, _ in pairs] for pairs in paths]
         with pytest.raises(TrainerError,
                            match=f"iteration 7, sample {bad.id!r}: target index out"):
-            _minibatch_gradient(params, corpus, 7, samples, paths, ce_weight)
+            _minibatch_gradient(params, corpus, 7, samples, hypotheses, coefficients, ce_weight)
 
 
 def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
@@ -386,9 +393,10 @@ def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
     for sample in corpus.samples:
         nbest = beam_decode(params, sample.input, 2, 8, bos_id=corpus.bos_id,
                             eos_id=corpus.eos_id)
-        scored = expected_consistency(nbest, sample, weighted_f1_scorer(), corpus.token_vocab)
+        scored = reference_expected_consistency(nbest.hypotheses, sample, weighted_f1_scorer(),
+                                                corpus.token_vocab)
         paths = [(h.tokens, h.finished, 0.7 * c / 3)
-                 for h, c in zip(scored.hypotheses, fcm_coefficients(scored))]
+                 for h, c in zip(nbest.hypotheses, scored.coefficients)]
         paths.append((corpus.reference_ids(sample), True, 0.3 / 3))
         for tokens, finished, weight in paths:
             cond, targets = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
@@ -400,3 +408,39 @@ def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
     for name, mat in got.matrices().items():
         scale = np.max(np.abs(getattr(total, name)))
         assert np.max(np.abs(mat - getattr(want, name))) <= 1e-12 * max(scale, 1.0), name
+
+
+@pytest.mark.parametrize("ce_weight", [0.0, 0.3])
+@pytest.mark.parametrize("beam_size, nbest_size, max_len", [(4, 4, 3), (4, 2, 8), (8, 8, 1)])
+def test_fcm_iteration_is_the_per_list_oracle_update(ce_weight, beam_size, nbest_size,
+                                                     max_len):
+    """One FCM iteration over a whole-corpus batch: the updated parameters are,
+    bit for bit, those of scoring each list on its own (the per-list oracle)
+    and assembling the rows per sample.  The cases keep fewer hypotheses than
+    the beam, and short max_len leaves unfinished hypotheses; at max_len 1
+    the six tokens and the empty hypothesis are too few for beam 8, so the
+    lists are shorter than N."""
+    corpus = _toy_corpus(6, seed=3)
+    params = train_ce(init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=2),
+                      corpus, _toy_schedule(total_iterations=60)).params
+    scorer = weighted_f1_scorer()
+    schedule = TrainingSchedule(total_iterations=1, initial_lr=0.05, batch_size=6,
+                                beam_size=beam_size, nbest_size=nbest_size, max_len=max_len,
+                                seed=4)
+    got = train_fcm(params, corpus, scorer, schedule,
+                    SafeguardConfig(max_fcm_iterations=1, ce_interpolation_weight=ce_weight))
+
+    rows = next(_batch_iterator(np.random.default_rng(np.uint64(4)), 6, 6))
+    samples = [corpus.samples[i] for i in rows]
+    nbests = beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
+                               bos_id=corpus.bos_id, eos_id=corpus.eos_id)
+    hypotheses = [nbest.hypotheses[:nbest_size] for nbest in nbests]
+    scored = [reference_expected_consistency(hyps, s, scorer, corpus.token_vocab)
+              for hyps, s in zip(hypotheses, samples)]
+    grad = reference_minibatch_gradient(params, corpus, samples, scored, hypotheses, ce_weight)
+    want = apply_update(params, grad, 0.05)
+    assert got.params.flat.tobytes() == want.flat.tobytes()
+    if max_len < 8:
+        assert any(not h.finished for hyps in hypotheses for h in hyps)
+    if beam_size == 8:
+        assert all(len(hyps) < nbest_size for hyps in hypotheses)
