@@ -1,6 +1,6 @@
 """Consistency-maximization training and evaluation for small seq2seq models."""
 
-from .beam import Hypothesis, NBestList, beam_decode, beam_decode_batch, sequence_log_prob
+from .beam import Hypothesis, NBestList, beam_decode, beam_decode_batch
 from .corpus import (
     BOS, EOS, Corpus, Sample, SynthConfig, default_token_weights,
     generate_synthetic_corpus, load_corpus, normalize_text, save_corpus,

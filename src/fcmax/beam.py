@@ -7,23 +7,27 @@ Hypotheses that hit the length cap without emitting EOS are kept and marked
 unfinished.  Ties are broken by lexicographic token order so results are
 deterministic across platforms.
 
-``beam_decode_batch`` decodes its inputs GROUP_SIZE at a time, and
-``beam_decode`` is its call on one input.  A group pads the inputs to the
-longest one, checks and encodes them in one call, and sets the attention
-scores of the padded positions to -inf before the softmax, so every
-utterance attends to exactly its own states (``model._Decoder``); an input
-that cannot be encoded fails the batch with a ModelError naming its row.
-Each utterance owns beam_size slots of the group's (G, beam_size, d) state
-array, and each round advances every live prefix of every utterance with
-one batched decoder step, giving (G, beam_size, V) candidate scores in
-which BOS and unused slots score -inf.  Per utterance, only candidates at
-or above its beam_size-th largest score (one np.partition along each
-utterance's row) can survive, so the exact (-score, tokens) sort runs over
-its finished hypotheses plus that shortlist.  The shortlist is widened to
-every candidate tied with the cut-off (a zero-parameter model ties them
-all), so order, tie-break and beam 1 = greedy are those of sorting every
-candidate.  An utterance whose prefixes have all finished leaves the group,
-so the arrays shrink as the group decodes."""
+``beam_decode_batch`` cuts its inputs into blocks of GROUP_SIZE, in input
+order, and ``beam_decode`` is its call on one input.  A block's longest
+input is the padded width of all its inputs, and that width alone fixes an
+utterance's bits: blocks of one width decode together, in near-equal groups
+of whole blocks under a cap of GROUP_PREFIXES live prefixes, and the N-best
+lists come back in input order.  A group checks and encodes its padded
+inputs in one call and sets the attention scores of the padded positions to
+-inf before the softmax, so every utterance attends to exactly its own
+states (``model._Decoder``); an input that cannot be encoded fails the
+batch with a ModelError naming the first such input.  Each utterance owns
+beam_size slots of the group's (G, beam_size, d) state array, and each round
+advances every live prefix of every utterance with one batched decoder
+step, giving (G, beam_size, V) candidate scores in which BOS and unused
+slots score -inf.  Per utterance, only candidates at or above its
+beam_size-th largest score (one np.partition along each utterance's row)
+can survive, so the exact (-score, tokens) sort runs over its finished
+hypotheses plus that shortlist.  The shortlist is widened to every
+candidate tied with the cut-off (a zero-parameter model ties them all), so
+order, tie-break and beam 1 = greedy are those of sorting every candidate.
+An utterance whose prefixes have all finished leaves the group, so the
+arrays shrink as the group decodes."""
 
 from __future__ import annotations
 
@@ -32,18 +36,25 @@ from math import inf
 
 import numpy as np
 
-from .model import ModelError, ModelParams, PaddedIds, forward_teacher, trajectory, _Decoder
+from .model import ModelError, ModelParams, PaddedIds, _Decoder, encode
+# Not called here any more, but the benchmark's tracer test checks that its
+# wrapper replaces this binding too; it goes when that test is re-pointed.
+from .model import forward_teacher  # noqa: F401
 
 
-# Utterances decoded together.  Each round's arrays hold GROUP_SIZE *
-# beam_size prefixes, so peak memory grows with it.  The size is fixed
-# because it is part of the result: a group pads its inputs to its longest,
-# and the attention reductions run over that padded width, so another size
-# regroups the inputs and can change log-prob bits (on the seed-7 dev set at
-# beam 1, groups of 256 and 24 decode the same tokens with different
-# log-prob bits).  It is not the fastest size: on 200 seed-7 test
-# utterances, groups of 256 decode faster at beam 1 and 4.
+# Inputs padded together.  A block of GROUP_SIZE inputs, in input order, is
+# padded to its longest input, and the attention reductions run over that
+# padded width, so the blocks fix the result: another block size pads some
+# inputs to another width and can change log-prob bits (on the seed-7 dev
+# set at beam 1, blocks of 256 and 24 decode the same tokens with different
+# log-prob bits).  How many blocks of one width decode together does not
+# change a bit, so they share decoder rounds: a round's numpy calls cost
+# about 50 us whatever the group's size.
 GROUP_SIZE = 24
+# Live prefixes of one decode group: the per-round arrays hold this many
+# rows, so peak memory grows with it.  Blocks of one width merge while the
+# group stays under it (three blocks at beam 4); a block alone may exceed it.
+GROUP_PREFIXES = 288
 
 
 class BeamError(ValueError):
@@ -106,22 +117,57 @@ def beam_decode_batch(
     emitted; EOS finishes a prefix) and the union of finished and live
     hypotheses is pruned to beam_size, so beam_size=1 reproduces greedy
     decoding exactly.  Prefixes still live after max_len tokens are returned
-    unfinished.  The id sequences of inputs are padded and decoded GROUP_SIZE
-    at a time; an empty input or an out-of-range id raises ``ModelError``
-    whose ``row`` is the input's position in ``inputs``.
+    unfinished.  The inputs are padded in blocks of GROUP_SIZE and decoded in
+    groups of equal-width blocks (see the module docstring); an empty input or
+    an out-of-range id raises ``ModelError`` whose ``row`` is the position in
+    ``inputs`` of the first input at fault.
     """
     if beam_size < 1:
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise BeamError(f"max length must be >= 1, got {max_len}")
-    out: list[NBestList] = []
+    out: list = [None] * len(inputs)
+    try:
+        for rows, ids in _width_groups(inputs, beam_size):
+            decoder = _Decoder(params, ids)
+            for row, nbest in zip(rows, _decode_group(decoder, beam_size, max_len, bos_id,
+                                                      eos_id)):
+                out[row] = nbest
+    except ModelError:
+        # groups decode out of input order, so find the first input at fault
+        _raise_first_fault(params, inputs)
+        raise
+    return out
+
+
+def _width_groups(inputs, beam_size: int):
+    """(input positions, padded ids) of each decode group: the GROUP_SIZE
+    blocks of inputs by padded width, in order of each width's first block,
+    and the blocks of one width in near-equal runs of whole blocks, at most
+    GROUP_PREFIXES // (GROUP_SIZE * beam_size) blocks (and at least one) per
+    run.  Every block holds an input of its width, so a run pads to it."""
+    widths: dict[int, list[tuple[int, PaddedIds]]] = {}
+    for at in range(0, len(inputs), GROUP_SIZE):
+        block = PaddedIds.of(inputs[at:at + GROUP_SIZE])
+        widths.setdefault(block.ids.shape[1], []).append((at, block))
+    per_group = max(1, GROUP_PREFIXES // (GROUP_SIZE * beam_size))
+    for blocks in widths.values():
+        n_groups = -(-len(blocks) // per_group)
+        for g in range(n_groups):
+            run = blocks[g * len(blocks) // n_groups:(g + 1) * len(blocks) // n_groups]
+            yield ([at + i for at, block in run for i in range(len(block))],
+                   PaddedIds(np.concatenate([block.ids for _, block in run]),
+                             np.concatenate([block.lengths for _, block in run])))
+
+
+def _raise_first_fault(params: ModelParams, inputs) -> None:
+    """Raise the ModelError of the first input that cannot be padded or
+    encoded: the GROUP_SIZE blocks are checked in input order."""
     for at in range(0, len(inputs), GROUP_SIZE):
         try:
-            decoder = _Decoder(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
-        except ModelError as exc:  # a group's row is never None
+            encode(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
+        except ModelError as exc:  # a block's row is never None
             raise ModelError(str(exc), exc.row + at) from exc
-        out.extend(_decode_group(decoder, beam_size, max_len, bos_id, eos_id))
-    return out
 
 
 def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
@@ -144,14 +190,16 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
     ranking: list[list[tuple[float, tuple[int, ...], int]]] = [[] for _ in owner]
 
     for round_ in range(max_len):
-        scores, s_new, _, _ = decoder.step(states, last)
+        # only the scores and states: the rest of a step would live a round longer
+        scores, s_new = decoder.step(states, last)[:2]
         scores += log_probs
         scores[..., bos_id] = -np.inf  # BOS is never emitted
         # Per utterance, only scores at or above the beam_size-th best can
         # survive; >= keeps ties.
         per_row = scores.reshape(len(owner), -1)
         kth = max(per_row.shape[1] - beam_size, 0)
-        cut = np.partition(per_row, kth, axis=1)[:, kth]
+        # a copy, as a view would keep the whole partitioned copy alive
+        cut = np.partition(per_row, kth, axis=1)[:, kth].copy()
         shortlist = (per_row >= cut[:, None]).ravel().nonzero()[0]
         candidates: list[list] = [[] for _ in owner]
         for lp, at in zip(scores.ravel()[shortlist].tolist(), shortlist.tolist()):
@@ -184,16 +232,10 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
         rows, tokens = np.divmod(picked, vocab)
         states = s_new.reshape(-1, d)[rows].reshape(shape + (d,))
         last = tokens.reshape(shape)
+        del scores, per_row, s_new  # not held through the next step
 
     # the last ranking is in order; its live entries were cut at max_len
     return [NBestList([Hypothesis(tokens=toks, log_prob=-cost, finished=at < 0)
                        for cost, toks, at in hyps], beam_size=beam_size)
             for hyps in ranking]
 
-
-def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_id: int,
-                      include_eos: bool = True) -> float:
-    """Raw log posterior of a token sequence, EOS step included by default."""
-    cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
-    trace = forward_teacher(params, PaddedIds.of([input_ids]), PaddedIds.of([cond]))
-    return float(trace.log_probs[0, np.arange(len(targets)), targets].sum())

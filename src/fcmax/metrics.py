@@ -110,12 +110,6 @@ def _align_batch(hyps: Sequence[Sequence[str]],
     return subs, edits - subs - dels, dels
 
 
-def align_counts(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> tuple[int, int, int]:
-    """Minimum-edit alignment counts (substitutions, insertions, deletions)
-    of one token-list pair: ``_align_batch`` over a batch of one."""
-    return tuple(int(c[0]) for c in _align_batch([hyp_tokens], [ref_tokens]))
-
-
 def wer(hyp: str, ref: str) -> EditBreakdown:
     """Edit-error breakdown on normalized tokens; the reference must be
     non-empty.  ``corpus_wer`` over a batch of one."""

@@ -52,6 +52,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -188,17 +189,18 @@ class PaddedIds:
     @classmethod
     def of(cls, seqs) -> "PaddedIds":
         """Pad a list of U id sequences; a sequence holding an item that is
-        not one id raises ModelError naming its row."""
-        seqs = list(seqs)
+        not an integer id (a float, a bool, a list, None) raises ModelError
+        naming its row."""
+        seqs = [list(ids) for ids in seqs]
+        if not all(map(_is_id_type, set(map(type, chain.from_iterable(seqs))))):
+            row = next(i for i, ids in enumerate(seqs)
+                       if not all(_is_id_type(type(item)) for item in ids))
+            raise ModelError(f"id sequence {row} holds an item that is not an integer id", row)
         lengths = [len(ids) for ids in seqs]
         width = max(lengths, default=0)
-        rows = [list(ids) + [0] * (width - n) for ids, n in zip(seqs, lengths)]
-        ids = _id_array(rows) if rows else np.zeros((0, 0), np.int64)
-        if ids is None or ids.shape != (len(rows), width):
-            row = next(i for i, items in enumerate(rows)
-                       if (one := _id_array(items)) is None or one.shape != (width,))
-            raise ModelError(f"id sequence {row} holds an item that is not an integer id", row)
-        return cls(ids, np.array(lengths, dtype=np.int64))
+        rows = [ids + [0] * (width - n) for ids, n in zip(seqs, lengths)]
+        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), width),
+                   np.array(lengths, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -210,24 +212,31 @@ class PaddedIds:
         return PaddedIds(self.ids[rows, :max(lengths.tolist(), default=0)], lengths)
 
 
-def _id_array(items) -> np.ndarray | None:
-    """items as an int64 array, or None when numpy cannot make one."""
-    try:
-        return np.array(items, dtype=np.int64)
-    except (TypeError, ValueError):
-        return None
+def _is_id_type(kind: type) -> bool:
+    """Whether items of this type are integer ids: Python and numpy integers,
+    but not bool (numpy's bool is no numpy integer)."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
-def _checked(batch, size: int, what: str) -> PaddedIds:
+def _checked(batch, size: int, what: str, empty: str | None = None) -> PaddedIds:
     """batch, refused with a ModelError unless it is a PaddedIds whose ids are
-    all in [0, size); an out-of-range id names the first bad row."""
+    all in [0, size) and, when ``empty`` is the message for an empty
+    sequence, whose sequences are all non-empty; the error names the first
+    row at fault."""
     if not isinstance(batch, PaddedIds):
         raise ModelError(f"{what} ids must be a PaddedIds (PaddedIds.of pads a list of id "
                          f"sequences), got {type(batch).__name__}")
     # as uint64 a negative int64 id is above any size, so one max checks both ends
-    if batch.ids.size and batch.ids.view(np.uint64).max() >= size:
-        row = int(((batch.ids < 0) | (batch.ids >= size)).any(axis=1).argmax())
-        raise ModelError(f"{what} index out of range for vocabulary of size {size}", row)
+    if ((batch.ids.size and batch.ids.view(np.uint64).max() >= size)
+            or (empty and not batch.lengths.all())):
+        bad = ((batch.ids < 0) | (batch.ids >= size)).any(axis=1)
+        if empty:
+            bad |= batch.lengths == 0
+        row = int(bad.argmax())
+        # an empty row holds only padding, which is in range
+        if batch.lengths[row]:
+            raise ModelError(f"{what} index out of range for vocabulary of size {size}", row)
+        raise ModelError(empty, row)
     return batch
 
 
@@ -243,10 +252,8 @@ def _source_bias(src: PaddedIds) -> np.ndarray | None:
 
 def encode(params: ModelParams, input_ids: PaddedIds) -> np.ndarray:
     """Encoder states (U, T, d) of U padded inputs; an empty input or an
-    out-of-range id raises ModelError naming its row."""
-    src = _checked(input_ids, params.source_vocab_size, "source")
-    if not src.lengths.all():  # argmin of lengths >= 0 is the first empty row
-        raise ModelError("empty input sequence", int(src.lengths.argmin()))
+    out-of-range id raises ModelError naming the first such row."""
+    src = _checked(input_ids, params.source_vocab_size, "source", "empty input sequence")
     return np.tanh(params.src_emb[src.ids] @ params.enc_proj)
 
 
@@ -270,8 +277,7 @@ def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray,
     alpha = np.exp(scores, out=scores)
     alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
     context = alpha @ enc_states
-    hidden = states + context
-    logits = hidden @ params.out_proj
+    logits = (states + context) @ params.out_proj
     logits += params.out_bias
     return _log_softmax(logits), alpha, context
 

@@ -2,8 +2,9 @@
 (per-step weights as prefix trajectories), gradient-check harness, a fitted
 two-way ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
-consistency check, per-list N-best scoring and minibatch assembly, corpus NLL,
-per-pair alignment, per-prefix beam search,
+consistency check, per-list N-best scoring and minibatch assembly, sequence
+log-probabilities and corpus NLL, per-pair alignment, per-prefix and
+block-at-a-time beam search,
 per-trajectory per-step teacher forcing and backward, per-iteration padded
 likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
 detokenization, per-session summary evaluation) that only tests use."""
@@ -22,7 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fcmax.beam import Hypothesis, NBestList, sequence_log_prob
+from fcmax import metrics
+from fcmax.beam import GROUP_SIZE, Hypothesis, NBestList, _decode_group
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, EOS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
 )
@@ -172,12 +174,27 @@ def reference_minibatch_gradient(params: ModelParams, corpus: Corpus, samples, s
                     np.array(weights))
 
 
+def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_id: int,
+                      include_eos: bool = True) -> float:
+    """Raw log posterior of a token sequence, EOS step included by default:
+    one teacher-forced forward pass."""
+    cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
+    trace = forward_teacher(params, PaddedIds.of([input_ids]), PaddedIds.of([cond]))
+    return float(trace.log_probs[0, np.arange(len(targets)), targets].sum())
+
+
 def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
     """Total teacher-forced negative log likelihood over a corpus."""
     return -sum(
         sequence_log_prob(params, s.input, corpus.reference_ids(s), corpus.bos_id, corpus.eos_id)
         for s in corpus.samples
     )
+
+
+def align_counts(hyp_tokens, ref_tokens) -> tuple[int, int, int]:
+    """Minimum-edit alignment counts (substitutions, insertions, deletions)
+    of one token-list pair: ``metrics._align_batch`` over a batch of one."""
+    return tuple(int(c[0]) for c in metrics._align_batch([hyp_tokens], [ref_tokens]))
 
 
 def reference_align_counts(hyp_tokens, ref_tokens) -> tuple[int, int, int]:
@@ -378,6 +395,18 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
                  for toks, lp, _ in live)
     final.sort(key=lambda h: (-h.log_prob, h.tokens))
     return NBestList(final[:beam_size], beam_size=beam_size)
+
+
+def reference_beam_decode_blocks(params: ModelParams, inputs, beam_size: int, max_len: int,
+                                 bos_id: int, eos_id: int) -> list[NBestList]:
+    """Block-at-a-time batch decoding: each GROUP_SIZE block of inputs, in
+    input order, padded and decoded as one group.  The oracle for
+    ``beam_decode_batch``, which decodes equal-width blocks together."""
+    out: list[NBestList] = []
+    for at in range(0, len(inputs), GROUP_SIZE):
+        decoder = _Decoder(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
+        out.extend(_decode_group(decoder, beam_size, max_len, bos_id, eos_id))
+    return out
 
 
 def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:

@@ -7,13 +7,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import batch_of_one, random_params, reference_beam_decode
-from fcmax.beam import (
-    GROUP_SIZE, BeamError, Hypothesis, NBestList, beam_decode,
-    beam_decode_batch, sequence_log_prob,
+from conftest import (
+    batch_of_one, random_params, reference_beam_decode, reference_beam_decode_blocks,
+    sequence_log_prob,
 )
+from fcmax.beam import (
+    GROUP_SIZE, BeamError, Hypothesis, NBestList, beam_decode, beam_decode_batch,
+)
+from fcmax.corpus import SynthConfig, generate_synthetic_corpus
 from fcmax.fcm import normalize_posteriors
 from fcmax.model import ModelError, forward_teacher, init_params
+from fcmax.trainer import TrainingSchedule, train_ce
 
 BOS_ID, EOS_ID = 0, 1
 
@@ -142,6 +146,69 @@ def test_batch_decoding_matches_per_prefix_reference(kind):
     assert unfinished > 0
 
 
+def assert_same_bits(got, want, context) -> None:
+    """Two lists of N-best lists hold the same tokens, finished flags and
+    log-prob bits, hypothesis by hypothesis."""
+    assert len(got) == len(want), context
+    for u, (g, w) in enumerate(zip(got, want)):
+        assert [(h.tokens, h.finished, h.log_prob.hex()) for h in g.hypotheses] == \
+            [(h.tokens, h.finished, h.log_prob.hex()) for h in w.hypotheses], (context, u)
+
+
+def _block_widths(inputs) -> list[int]:
+    return [max(map(len, inputs[at:at + GROUP_SIZE])) for at in range(0, len(inputs), GROUP_SIZE)]
+
+
+@pytest.fixture(scope="module")
+def bench_start_model():
+    """The benchmark's seed-7 dev and test sets and its CE start model: split
+    1000/200/200, d 32, 1000 likelihood iterations at batch 4 and lr 0.15."""
+    train, dev, test = generate_synthetic_corpus(SynthConfig(n_samples=1400, seed=7)).split(
+        1000, 200, 200)
+    start = init_params(32, train.source_vocab_size, len(train.token_vocab), seed=7)
+    schedule = TrainingSchedule(total_iterations=1000, initial_lr=0.15, batch_size=4, seed=7,
+                                checkpoint_every=250)
+    return train_ce(start, train, schedule).params, dev, test
+
+
+@pytest.mark.parametrize("beam", [1, 4, 8])
+def test_width_groups_keep_the_bits_of_block_at_a_time_decoding(bench_start_model, beam):
+    """Decoding equal-width blocks together gives every hypothesis of the
+    seed-7 dev and test sets the bits that decoding one block at a time gives."""
+    params, dev, test = bench_start_model
+    for split in (dev, test):
+        inputs = [s.input for s in split.samples]
+        widths = _block_widths(inputs)
+        assert len(set(widths)) < len(widths), "some blocks share a width"
+        got = beam_decode_batch(params, inputs, beam, 24, split.bos_id, split.eos_id)
+        want = reference_beam_decode_blocks(params, inputs, beam, 24, split.bos_id,
+                                            split.eos_id)
+        assert_same_bits(got, want, (split.samples[0].id, beam))
+
+
+@pytest.mark.parametrize("widths, last", [
+    ((14, 13, 14), GROUP_SIZE),      # a width whose blocks are not adjacent
+    ((7, 9, 8, 7, 9, 8, 9), 5),      # widths on both sides of 8, a short last block
+    ((10,) * 18, 7),                 # more blocks of one width than one group holds
+])
+def test_width_groups_keep_the_bits_on_ragged_batches(widths, last):
+    """Ragged inputs whose blocks have the given padded widths (each block
+    holds an input of exactly its width), at beams 1, 4 and 8: every
+    hypothesis has the bits of block-at-a-time decoding."""
+    rng = np.random.default_rng(sum(widths) + last)
+    p = random_params(8, 12, 10, seed=int(rng.integers(1 << 30)), scale=0.8)
+    inputs = []
+    for k, width in enumerate(widths):
+        lengths = rng.integers(1, width + 1, size=last if k == len(widths) - 1 else GROUP_SIZE)
+        lengths[rng.integers(len(lengths))] = width
+        inputs += [rng.integers(0, 12, size=int(n)) for n in lengths]
+    assert _block_widths(inputs) == list(widths)
+    for beam in (1, 4, 8):
+        got = beam_decode_batch(p, inputs, beam, 6, bos_id=BOS_ID, eos_id=EOS_ID)
+        want = reference_beam_decode_blocks(p, inputs, beam, 6, BOS_ID, EOS_ID)
+        assert_same_bits(got, want, beam)
+
+
 def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
     p = random_params(3, 4, 5, seed=1)
     assert beam_decode_batch(p, [], 2, 3, bos_id=BOS_ID, eos_id=EOS_ID) == []
@@ -151,6 +218,22 @@ def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
             beam_decode_batch(p, inputs[:bad] + [ids] + inputs[bad + 1:], 2, 3,
                               bos_id=BOS_ID, eos_id=EOS_ID)
         assert err.value.row == bad
+    # Two bad inputs: the first is named, in one block or in blocks of
+    # different widths.  Blocks 0 and 2 (width 2) decode together, before
+    # block 1 (width 3).
+    inputs = [[1, 2]] * GROUP_SIZE + [[1, 2, 3]] * GROUP_SIZE + [[3, 2]] * GROUP_SIZE
+    for (first, one), (second, other), match in (
+            ((2, []), (5, [1, 4]), "empty input"),
+            ((2, [1, 4]), (5, []), "out of range"),
+            ((GROUP_SIZE + 1, [4, 2, 3]), (2 * GROUP_SIZE + 1, []), "out of range"),
+            ((GROUP_SIZE + 1, []), (2 * GROUP_SIZE + 1, [-1, 2]), "empty input"),
+            ((GROUP_SIZE + 1, [9]), (2 * GROUP_SIZE + 1, [2.0, 1]), "out of range")):
+        bad = list(inputs)
+        bad[first], bad[second] = one, other
+        assert _block_widths(bad) == [2, 3, 2]
+        with pytest.raises(ModelError, match=match) as err:
+            beam_decode_batch(p, bad, 2, 3, bos_id=BOS_ID, eos_id=EOS_ID)
+        assert err.value.row == first, (first, second)
 
 
 def test_posterior_fixture_ranks_dominant_first(ambiguity_fixture):

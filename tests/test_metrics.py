@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import reference_align_counts
+from conftest import align_counts, reference_align_counts
 from fcmax import metrics
 from fcmax.metrics import (
-    EditBreakdown, MetricsError, align_counts, avg_consistency, consistent_ratio,
+    EditBreakdown, MetricsError, avg_consistency, consistent_ratio,
     corpus_wer, csv_report, markdown_report, paired_t_test, student_t_p_value, wer,
 )
 from fcmax.scorers import exact_match_score, weighted_token_f1

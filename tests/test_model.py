@@ -376,6 +376,15 @@ def test_batch_errors_name_the_mismatch():
         (lambda: P([[1, 2], [3, [4]], [[5]]]), "id sequence 1 holds", 1),
         (lambda: P([(1,), (2, None)]), "id sequence 1 holds", 1),
         (lambda: forward_teacher(p, [0, 1], [[2], [3]]), "id sequence 0 holds", 0),
+        # floats and bools are not ids, in any mix; an empty sequence pads
+        (lambda: P([[2.7, 1.2]]), "id sequence 0 holds an item that is not an integer id", 0),
+        (lambda: P([[True, False]]), "id sequence 0 holds", 0),
+        (lambda: P([[1, 2], [3, True]]), "id sequence 1 holds", 1),
+        (lambda: P([[1], [], [2, np.float64(2.0)]]), "id sequence 2 holds", 2),
+        (lambda: P([np.array([1, 0], dtype=bool)]), "id sequence 0 holds", 0),
+        # the first bad input is named, whether it is empty or out of range
+        (lambda: encode(p, P([[1], [], [2, 4]])), "empty input", 1),
+        (lambda: encode(p, P([[1], [2, 4], []])), "source index out", 1),
     ]
     for call, match, row in cases:
         with pytest.raises(ModelError, match=match) as err:
