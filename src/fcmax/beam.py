@@ -7,27 +7,26 @@ Hypotheses that hit the length cap without emitting EOS are kept and marked
 unfinished.  Ties are broken by lexicographic token order so results are
 deterministic across platforms.
 
-``beam_decode_batch`` cuts its inputs into blocks of GROUP_SIZE, in input
-order, and ``beam_decode`` is its call on one input.  A block's longest
-input is the padded width of all its inputs, and that width alone fixes an
-utterance's bits: blocks of one width decode together, in near-equal groups
-of whole blocks under a cap of GROUP_PREFIXES live prefixes, and the N-best
-lists come back in input order.  A group checks and encodes its padded
-inputs in one call and sets the attention scores of the padded positions to
--inf before the softmax, so every utterance attends to exactly its own
-states (``model._Decoder``); an input that cannot be encoded fails the
-batch with a ModelError naming the first such input.  Each utterance owns
-beam_size slots of the group's (G, beam_size, d) state array, and each round
-advances every live prefix of every utterance with one batched decoder
-step, giving (G, beam_size, V) candidate scores in which BOS and unused
-slots score -inf.  Per utterance, only candidates at or above its
-beam_size-th largest score (one np.partition along each utterance's row)
-can survive, so the exact (-score, tokens) sort runs over its finished
-hypotheses plus that shortlist.  The shortlist is widened to every
-candidate tied with the cut-off (a zero-parameter model ties them all), so
-order, tie-break and beam 1 = greedy are those of sorting every candidate.
-An utterance whose prefixes have all finished leaves the group, so the
-arrays shrink as the group decodes."""
+``beam_decode_batch`` pads its inputs once and checks them in input order,
+so an input that cannot be decoded fails the batch with a ModelError naming
+the first such input; ``beam_decode`` is its call on one input.  The inputs
+are then sorted by length and cut into near-equal groups of at most
+GROUP_PREFIXES // beam_size, and the N-best lists come back in input order.
+A group is padded to its longest input, and that width alone fixes an
+utterance's bits; its padded positions get -inf attention scores before the
+softmax, so every utterance attends to exactly its own states
+(``model._Decoder``).  Each utterance owns beam_size slots of the group's
+(G, beam_size, d) state array, and each round advances every live prefix of
+every utterance with one batched decoder step, giving (G, beam_size, V)
+candidate scores in which BOS and unused slots score -inf.  Per utterance,
+only candidates at or above its beam_size-th largest score (one
+np.partition along each utterance's row) can survive, so the exact
+(-score, tokens) sort runs over its finished hypotheses plus that
+shortlist.  The shortlist is widened to every candidate tied with the
+cut-off (a zero-parameter model ties them all), so order, tie-break and
+beam 1 = greedy are those of sorting every candidate.  An utterance whose
+prefixes have all finished leaves the group, so the arrays shrink as the
+group decodes."""
 
 from __future__ import annotations
 
@@ -36,24 +35,18 @@ from math import inf
 
 import numpy as np
 
-from .model import ModelError, ModelParams, PaddedIds, _Decoder, encode
+from .model import ModelError, ModelParams, PaddedIds, _checked, _Decoder
 # Not called here any more, but the benchmark's tracer test checks that its
 # wrapper replaces this binding too; it goes when that test is re-pointed.
 from .model import forward_teacher  # noqa: F401
 
 
-# Inputs padded together.  A block of GROUP_SIZE inputs, in input order, is
-# padded to its longest input, and the attention reductions run over that
-# padded width, so the blocks fix the result: another block size pads some
-# inputs to another width and can change log-prob bits (on the seed-7 dev
-# set at beam 1, blocks of 256 and 24 decode the same tokens with different
-# log-prob bits).  How many blocks of one width decode together does not
-# change a bit, so they share decoder rounds: a round's numpy calls cost
-# about 50 us whatever the group's size.
-GROUP_SIZE = 24
-# Live prefixes of one decode group: the per-round arrays hold this many
-# rows, so peak memory grows with it.  Blocks of one width merge while the
-# group stays under it (three blocks at beam 4); a block alone may exceed it.
+# Live prefixes of one decode group.  The per-round arrays hold this many
+# rows, so peak memory grows with it, while a round's numpy calls cost about
+# 50 us whatever the group's size, so larger groups take fewer rounds.  A
+# group holds GROUP_PREFIXES // beam_size inputs (72 at beam 4), and at least
+# one.  Its padded width fixes its utterances' bits, so another cap can
+# change log-prob bits.
 GROUP_PREFIXES = 288
 
 
@@ -87,9 +80,6 @@ class NBestList:
                 raise BeamError(f"duplicate hypothesis tokens {h.tokens}")
             seen.add(h.tokens)
 
-    def top(self, n: int) -> "NBestList":
-        return NBestList(self.hypotheses[:n], beam_size=self.beam_size)
-
 
 def beam_decode(
     params: ModelParams,
@@ -117,57 +107,38 @@ def beam_decode_batch(
     emitted; EOS finishes a prefix) and the union of finished and live
     hypotheses is pruned to beam_size, so beam_size=1 reproduces greedy
     decoding exactly.  Prefixes still live after max_len tokens are returned
-    unfinished.  The inputs are padded in blocks of GROUP_SIZE and decoded in
-    groups of equal-width blocks (see the module docstring); an empty input or
-    an out-of-range id raises ``ModelError`` whose ``row`` is the position in
+    unfinished.  The inputs decode in groups of similar length (see the
+    module docstring); an input that holds a non-id, is empty or holds an
+    out-of-range id raises ``ModelError`` whose ``row`` is the position in
     ``inputs`` of the first input at fault.
     """
     if beam_size < 1:
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise BeamError(f"max length must be >= 1, got {max_len}")
-    out: list = [None] * len(inputs)
-    try:
-        for rows, ids in _width_groups(inputs, beam_size):
-            decoder = _Decoder(params, ids)
-            for row, nbest in zip(rows, _decode_group(decoder, beam_size, max_len, bos_id,
-                                                      eos_id)):
-                out[row] = nbest
-    except ModelError:
-        # groups decode out of input order, so find the first input at fault
-        _raise_first_fault(params, inputs)
-        raise
+    padded = _checked_inputs(params, inputs)
+    order = np.argsort(padded.lengths, kind="stable")
+    n_groups = -(-len(order) // max(1, GROUP_PREFIXES // beam_size))
+    out: list = [None] * len(order)
+    for g in range(n_groups):
+        rows = order[g * len(order) // n_groups:(g + 1) * len(order) // n_groups]
+        decoder = _Decoder(params, padded.take(rows))
+        for row, nbest in zip(rows.tolist(), _decode_group(decoder, beam_size, max_len, bos_id,
+                                                          eos_id)):
+            out[row] = nbest
     return out
 
 
-def _width_groups(inputs, beam_size: int):
-    """(input positions, padded ids) of each decode group: the GROUP_SIZE
-    blocks of inputs by padded width, in order of each width's first block,
-    and the blocks of one width in near-equal runs of whole blocks, at most
-    GROUP_PREFIXES // (GROUP_SIZE * beam_size) blocks (and at least one) per
-    run.  Every block holds an input of its width, so a run pads to it."""
-    widths: dict[int, list[tuple[int, PaddedIds]]] = {}
-    for at in range(0, len(inputs), GROUP_SIZE):
-        block = PaddedIds.of(inputs[at:at + GROUP_SIZE])
-        widths.setdefault(block.ids.shape[1], []).append((at, block))
-    per_group = max(1, GROUP_PREFIXES // (GROUP_SIZE * beam_size))
-    for blocks in widths.values():
-        n_groups = -(-len(blocks) // per_group)
-        for g in range(n_groups):
-            run = blocks[g * len(blocks) // n_groups:(g + 1) * len(blocks) // n_groups]
-            yield ([at + i for at, block in run for i in range(len(block))],
-                   PaddedIds(np.concatenate([block.ids for _, block in run]),
-                             np.concatenate([block.lengths for _, block in run])))
-
-
-def _raise_first_fault(params: ModelParams, inputs) -> None:
-    """Raise the ModelError of the first input that cannot be padded or
-    encoded: the GROUP_SIZE blocks are checked in input order."""
-    for at in range(0, len(inputs), GROUP_SIZE):
-        try:
-            encode(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
-        except ModelError as exc:  # a block's row is never None
-            raise ModelError(str(exc), exc.row + at) from exc
+def _checked_inputs(params: ModelParams, inputs) -> PaddedIds:
+    """The inputs padded together, refused with a ModelError naming the first
+    input, in input order, that holds a non-id, is empty or holds an
+    out-of-range id."""
+    try:
+        padded = PaddedIds.of(inputs)
+    except ModelError as exc:
+        _checked_inputs(params, inputs[:exc.row])  # an earlier input may be at fault
+        raise
+    return _checked(padded, params.source_vocab_size, "source", "empty input sequence")
 
 
 def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
@@ -190,8 +161,7 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
     ranking: list[list[tuple[float, tuple[int, ...], int]]] = [[] for _ in owner]
 
     for round_ in range(max_len):
-        # only the scores and states: the rest of a step would live a round longer
-        scores, s_new = decoder.step(states, last)[:2]
+        scores, s_new = decoder.step(states, last)
         scores += log_probs
         scores[..., bos_id] = -np.inf  # BOS is never emitted
         # Per utterance, only scores at or above the beam_size-th best can

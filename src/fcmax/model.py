@@ -10,15 +10,18 @@ coefficient on each N-best path, so sequence-level objectives are composed
 without knowing anything about the network internals.  All arithmetic is
 float64.
 
-Only the recurrence loops over steps.  The readout (attention, context,
-output) depends only on the states and H, so it runs on a whole batch of
-traces or on all live beam prefixes at once, and backward carries only ds
+Teacher forcing and beam search share one decoder, ``_Decoder``: its
+``recur`` is one recurrence step and its ``readout`` the attention, context
+and output of any number of states.  ``forward_teacher`` loops ``recur``
+and reads the whole batch out at once; a beam-search step is
+``readout(recur(...))`` on all live prefixes.  Backward carries only ds
 step by step.
 
 Shapes (d is the hidden width, row-vector convention):
     encoder states   H[t]   = tanh(src_emb[x_t] @ enc_proj)
-    decoder state    s_n    = tanh(tgt_emb[y_n] @ dec_in + s_{n-1} @ dec_state)
-    attention score  a_t    = h_t @ attn @ s_n
+    input terms      X      = tgt_emb @ dec_in
+    decoder state    s_n    = tanh(X[y_n] + s_{n-1} @ dec_state)
+    attention score  a_t    = (h_t @ attn) @ s_n
     context          c_n    = softmax(a) @ H
     log outputs      L[n]   = log_softmax((s_n + c_n) @ out_proj + out_bias)
 
@@ -148,7 +151,7 @@ class ForwardTrace:
     cond_tokens: np.ndarray    # (U, N), token that conditioned each step, 0 when padded
     lengths: np.ndarray        # (U,), the real steps of each trajectory
     input_ids: np.ndarray      # (U, T), 0 when padded
-    enc_states: np.ndarray     # (U, T, d)
+    enc_states: np.ndarray     # (U, T, d), exact zeros on padded source positions
     states: np.ndarray         # (U, N, d), post-tanh decoder states
     attn_weights: np.ndarray   # (U, N, T), exactly 0 on padded source positions
     contexts: np.ndarray       # (U, N, d)
@@ -189,8 +192,8 @@ class PaddedIds:
     @classmethod
     def of(cls, seqs) -> "PaddedIds":
         """Pad a list of U id sequences; a sequence holding an item that is
-        not an integer id (a float, a bool, a list, None) raises ModelError
-        naming its row."""
+        not an integer id (a float, a bool, a list, None) or an id outside
+        int64 raises ModelError naming its row."""
         seqs = [list(ids) for ids in seqs]
         if not all(map(_is_id_type, set(map(type, chain.from_iterable(seqs))))):
             row = next(i for i, ids in enumerate(seqs)
@@ -199,8 +202,13 @@ class PaddedIds:
         lengths = [len(ids) for ids in seqs]
         width = max(lengths, default=0)
         rows = [ids + [0] * (width - n) for ids, n in zip(seqs, lengths)]
-        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), width),
-                   np.array(lengths, dtype=np.int64))
+        try:
+            ids = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        except OverflowError:
+            row = next(i for i, seq in enumerate(seqs)
+                       if not all(-2**63 <= item < 2**63 for item in seq))
+            raise ModelError(f"id sequence {row} holds an id outside int64", row) from None
+        return cls(ids, np.array(lengths, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -240,16 +248,6 @@ def _checked(batch, size: int, what: str, empty: str | None = None) -> PaddedIds
     return batch
 
 
-def _source_bias(src: PaddedIds) -> np.ndarray | None:
-    """(U, 1, T) attention-score bias, -inf on the padded source positions of
-    U padded inputs; None when no input is padded."""
-    width = src.ids.shape[1]
-    if src.lengths.min() == width:
-        return None
-    valid = np.arange(width) < src.lengths[:, None]
-    return np.where(valid, 0.0, -np.inf)[:, None, :]
-
-
 def encode(params: ModelParams, input_ids: PaddedIds) -> np.ndarray:
     """Encoder states (U, T, d) of U padded inputs; an empty input or an
     out-of-range id raises ModelError naming the first such row."""
@@ -268,60 +266,62 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _readout(params: ModelParams, enc_states: np.ndarray, states: np.ndarray,
-             scores: np.ndarray):
-    """Attention over (..., N, T) scores, context and output of (..., N, d)
-    decoder states; returns (log_probs, alpha, context) of shapes
-    (..., N, V), (..., N, T), (..., N, d).  The scores become alpha in place."""
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-    alpha = np.exp(scores, out=scores)
-    alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
-    context = alpha @ enc_states
-    logits = (states + context) @ params.out_proj
-    logits += params.out_bias
-    return _log_softmax(logits), alpha, context
-
-
 class _Decoder:
-    """Decoder steps for a group of inputs, B prefixes per input.
-
-    The inputs come padded to the longest, T, and are encoded in one call; the
-    padded rows of the (G, T, d) states are exact zeros, and src_bias puts
-    -inf on the attention scores of padded positions, so they get exactly
-    zero weight.  The input term of every token (tgt_emb @ dec_in) and each
-    input's attention keys (H @ attn) are formed once for all steps.  An
-    empty input or an out-of-range id raises ModelError naming its row.
+    """The decoder of U padded inputs, formed once for all steps: the input-term
+    table, the (U, T, d) encoder states (values), exact zeros on padded
+    positions, the attention keys and the (U, 1, T) padding bias src_bias,
+    -inf on padded positions (None when no input is padded), so they get
+    exactly zero attention.  ``recur`` and ``readout`` take (U, N, d) states,
+    N trajectory steps or beam prefixes per input.  An empty input or an
+    out-of-range id raises ModelError naming its row.
     """
 
     def __init__(self, params: ModelParams, inputs: PaddedIds) -> None:
         self.params = params
         self.inputs = params.tgt_emb @ params.dec_in
         self.values = encode(params, inputs)
-        self.src_bias = _source_bias(inputs)
-        if self.src_bias is not None:
-            self.values[self.src_bias[:, 0] < 0] = 0.0
+        self.src_bias = None
+        width = inputs.ids.shape[1]
+        if inputs.lengths.min(initial=width) < width:
+            valid = np.arange(width) < inputs.lengths[:, None]
+            self.values[~valid] = 0.0
+            self.src_bias = np.where(valid, 0.0, -np.inf)[:, None, :]
         self.keys = (self.values @ params.attn).swapaxes(-1, -2)
 
     def select(self, rows: list[int]) -> None:
-        """Keep only the given inputs of the group."""
+        """Keep only the given inputs."""
         self.values, self.keys = self.values[rows], self.keys[rows]
         if self.src_bias is not None:
             self.src_bias = self.src_bias[rows]
 
-    def step(self, s_prev: np.ndarray, tokens):
-        """One step; returns (log_probs, s, alpha, context).
+    def recur(self, s_prev: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+        """The states tanh(x + s_prev @ dec_state) of one step, given its
+        input terms x (rows of ``inputs``), written into out when given."""
+        s = np.matmul(s_prev, self.params.dec_state, out=out)
+        s += x
+        return np.tanh(s, out=s)
 
-        s_prev is (G, B, d) and tokens (G, B); the outputs are (G, B, V),
-        (G, B, d), (G, B, T) and (G, B, d).
-        """
-        s = s_prev @ self.params.dec_state
-        s += self.inputs[tokens]
-        np.tanh(s, out=s)
-        scores = s @ self.keys
+    def readout(self, states: np.ndarray):
+        """(logits, alpha, context) of (U, N, d) states: attention over the
+        (U, N, T) scores states @ keys, its context and the output logits,
+        of shapes (U, N, V), (U, N, T) and (U, N, d)."""
+        scores = states @ self.keys
         if self.src_bias is not None:
             scores += self.src_bias
-        log_probs, alpha, context = _readout(self.params, self.values, s, scores)
-        return log_probs, s, alpha, context
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        alpha = np.exp(scores, out=scores)
+        alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
+        context = alpha @ self.values
+        logits = (states + context) @ self.params.out_proj
+        logits += self.params.out_bias
+        return logits, alpha, context
+
+    def step(self, s_prev: np.ndarray, tokens):
+        """One step from (G, B, d) states s_prev and (G, B) tokens; returns
+        the (G, B, V) log outputs and the (G, B, d) states.  The attention and
+        context are dropped before the log-softmax."""
+        s = self.recur(s_prev, self.inputs[tokens])
+        return _log_softmax(self.readout(s)[0]), s
 
 
 def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
@@ -330,44 +330,32 @@ def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     input_ids holds the U inputs and target_ids the U conditioning sequences,
     the conditioning halves of ``trajectory``, both padded.  Row n of
     trajectory u is the log distribution produced after consuming
-    target_ids[u][n].  The recurrence runs step by step on (U, d) rows; the
-    whole batch is read out at once (see the padding rule above).
+    target_ids[u][n].  The recurrence runs step by step on time-major (U, d)
+    rows, and the whole batch is read out at once, by the decoder that beam
+    search steps (see the padding rule above).
     """
     # one flat pair of id sequences is a batch of one: the benchmark's tracer test passes one
     if not isinstance(input_ids, PaddedIds) and all(map(np.isscalar, input_ids)):
         input_ids, target_ids = PaddedIds.of([input_ids]), PaddedIds.of([target_ids])
-    enc = encode(params, input_ids)
+    dec = _Decoder(params, input_ids)
     cond = _checked(target_ids, params.target_vocab_size, "target")
-    if len(cond) != len(enc):
-        raise ModelError(f"{len(enc)} inputs for {len(cond)} trajectories")
+    if len(cond) != len(dec.values):
+        raise ModelError(f"{len(dec.values)} inputs for {len(cond)} trajectories")
     if not len(cond):
         raise ModelError("no trajectories")
     # argmin of lengths >= 0 is the first empty row
     if not cond.lengths.all():
         raise ModelError("empty conditioning sequence", int(cond.lengths.argmin()))
-    # Time-major, so that every step reads and writes contiguous (U, d) rows.
-    # The input terms of all steps are one stacked (N, U, d) @ (d, d) product,
-    # which numpy runs as the same (U, d) @ (d, d) product per step that a
-    # per-step call makes; one flat (N * U, d) product would reorder sums
-    # that the recurrence amplifies.
-    inputs = params.tgt_emb[cond.ids.T] @ params.dec_in
+    inputs = dec.inputs[cond.ids.T]
     states = np.empty_like(inputs)
     s = np.zeros((len(cond), params.d))
     for x, out in zip(inputs, states):
-        np.matmul(s, params.dec_state, out=out)
-        out += x
-        s = np.tanh(out, out=out)
+        s = dec.recur(s, x, out=out)
     states = states.swapaxes(0, 1)
-    # attention scores as H @ (attn @ s), the summation order likelihood
-    # training has always used; decoding reuses H @ attn across steps instead
-    scores = (enc @ (params.attn @ states.swapaxes(1, 2))).swapaxes(1, 2)
-    bias = _source_bias(input_ids)
-    if bias is not None:
-        scores += bias
-    log_probs, alphas, contexts = _readout(params, enc, states, scores)
-    return ForwardTrace(log_probs=log_probs, cond_tokens=cond.ids, lengths=cond.lengths,
-                        input_ids=input_ids.ids, enc_states=enc, states=states, attn_weights=alphas,
-                        contexts=contexts)
+    logits, alphas, contexts = dec.readout(states)
+    return ForwardTrace(log_probs=_log_softmax(logits), cond_tokens=cond.ids,
+                        lengths=cond.lengths, input_ids=input_ids.ids, enc_states=dec.values,
+                        states=states, attn_weights=alphas, contexts=contexts)
 
 
 def _id_sums(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:

@@ -4,7 +4,7 @@ two-way ambiguity fixture, a scriptable in-process HTTP server for wire tests, a
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, per-list N-best scoring and minibatch assembly, sequence
 log-probabilities and corpus NLL, per-pair alignment, per-prefix and
-block-at-a-time beam search,
+padded one-input beam search,
 per-trajectory per-step teacher forcing and backward, per-iteration padded
 likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
 detokenization, per-session summary evaluation) that only tests use."""
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fcmax import metrics
-from fcmax.beam import GROUP_SIZE, Hypothesis, NBestList, _decode_group
+from fcmax.beam import Hypothesis, NBestList, _decode_group
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, EOS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
 )
@@ -377,7 +377,7 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
             break
         candidates = [(lp, toks, None, True) for lp, toks in done]
         for toks, lp, s in live:
-            logp, s_new, _, _ = decoder.step(s[None, None], [[toks[-1] if toks else bos_id]])
+            logp, s_new = decoder.step(s[None, None], [[toks[-1] if toks else bos_id]])
             logp, s_new = logp[0, 0], s_new[0, 0]
             for tok in range(params.target_vocab_size):
                 if tok == bos_id:
@@ -397,31 +397,33 @@ def reference_beam_decode(params: ModelParams, input_ids, beam_size: int, max_le
     return NBestList(final[:beam_size], beam_size=beam_size)
 
 
-def reference_beam_decode_blocks(params: ModelParams, inputs, beam_size: int, max_len: int,
-                                 bos_id: int, eos_id: int) -> list[NBestList]:
-    """Block-at-a-time batch decoding: each GROUP_SIZE block of inputs, in
-    input order, padded and decoded as one group.  The oracle for
-    ``beam_decode_batch``, which decodes equal-width blocks together."""
-    out: list[NBestList] = []
-    for at in range(0, len(inputs), GROUP_SIZE):
-        decoder = _Decoder(params, PaddedIds.of(inputs[at:at + GROUP_SIZE]))
-        out.extend(_decode_group(decoder, beam_size, max_len, bos_id, eos_id))
-    return out
+def reference_padded_decode(params: ModelParams, input_ids, width: int, beam_size: int,
+                            max_len: int, bos_id: int, eos_id: int) -> NBestList:
+    """Beam search of one input alone, padded to ``width``: it is encoded next
+    to a filler input of that width, which leaves the group before the first
+    step.  The oracle for ``beam_decode_batch``, which pads every input to
+    the longest of its decode group."""
+    decoder = _Decoder(params, PaddedIds.of([input_ids, [0] * width]))
+    decoder.select([0])
+    return _decode_group(decoder, beam_size, max_len, bos_id, eos_id)[0]
 
 
 def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
     """Per-step teacher forcing of one trajectory: the recurrence and the
-    readout of one 1-D state at a time, returned as a batch of one.  The
-    oracle for each trajectory of the batched ``forward_teacher``."""
+    readout of one 1-D state at a time, returned as a batch of one, with the
+    model's input terms (rows of tgt_emb @ dec_in) and attention keys
+    (H @ attn).  The oracle for each trajectory of the batched
+    ``forward_teacher``."""
     cond = np.asarray(target_ids, dtype=np.int64)
     enc = encode(params, PaddedIds.of([input_ids]))[0]
+    inputs, keys = params.tgt_emb @ params.dec_in, enc @ params.attn
     n, d, v = cond.size, params.d, params.target_vocab_size
     log_probs, states = np.empty((n, v)), np.empty((n, d))
     alphas, contexts = np.empty((n, enc.shape[0])), np.empty((n, d))
     s = np.zeros(d)
     for step in range(n):
-        s = np.tanh(params.tgt_emb[cond[step]] @ params.dec_in + s @ params.dec_state)
-        scores = enc @ (params.attn @ s)
+        s = np.tanh(inputs[cond[step]] + s @ params.dec_state)
+        scores = keys @ s
         alpha = np.exp(scores - scores.max())
         alpha /= alpha.sum()
         context = alpha @ enc

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import (
-    batch_of_one, random_params, reference_beam_decode, reference_beam_decode_blocks,
+    batch_of_one, random_params, reference_beam_decode, reference_padded_decode,
     sequence_log_prob,
 )
 from fcmax.beam import (
-    GROUP_SIZE, BeamError, Hypothesis, NBestList, beam_decode, beam_decode_batch,
+    GROUP_PREFIXES, BeamError, Hypothesis, NBestList, beam_decode, beam_decode_batch,
 )
 from fcmax.corpus import SynthConfig, generate_synthetic_corpus
 from fcmax.fcm import normalize_posteriors
@@ -110,7 +110,7 @@ def test_batched_beam_matches_per_prefix_reference(kind):
 
 @pytest.mark.parametrize("kind", ["random", "large-scale", "zero"])
 def test_batch_decoding_matches_per_prefix_reference(kind):
-    """Batches of ragged inputs (one input, three, more than one group) at
+    """Batches of ragged inputs (one input, three, two groups at beam 8) at
     beam 1, 2, 4 and 8, each utterance against the per-prefix oracle and
     against its own decode alone; some models have fewer tokens than beams,
     and some make EOS so unlikely that max_len cuts every hypothesis."""
@@ -127,7 +127,7 @@ def test_batch_decoding_matches_per_prefix_reference(kind):
         if case % 4 == 1:  # EOS never wins: every hypothesis is cut at max_len
             p.out_bias[eos] -= 1e3
             max_len = int(rng.integers(1, 3))
-        n_utts = (1, 3, GROUP_SIZE + 5)[case % 3]
+        n_utts = (1, 3, GROUP_PREFIXES // 8 + 5)[case % 3]  # two groups at beam 8
         inputs = [rng.integers(0, sv, size=int(rng.integers(1, 8))) for _ in range(n_utts)]
         for beam in (1, 2, 4, 8):
             got = beam_decode_batch(p, inputs, beam, max_len, bos_id=bos, eos_id=eos)
@@ -155,8 +155,27 @@ def assert_same_bits(got, want, context) -> None:
             [(h.tokens, h.finished, h.log_prob.hex()) for h in w.hypotheses], (context, u)
 
 
-def _block_widths(inputs) -> list[int]:
-    return [max(map(len, inputs[at:at + GROUP_SIZE])) for at in range(0, len(inputs), GROUP_SIZE)]
+def group_widths(inputs, beam: int) -> list[int]:
+    """Each input's padded width: the longest input of its decode group, when
+    the inputs, sorted by length (stable), are cut into near-equal groups of
+    at most GROUP_PREFIXES // beam."""
+    order = sorted(range(len(inputs)), key=lambda i: len(inputs[i]))
+    n_groups = -(-len(inputs) // max(1, GROUP_PREFIXES // beam))
+    widths = [0] * len(inputs)
+    for g in range(n_groups):
+        group = order[g * len(order) // n_groups:(g + 1) * len(order) // n_groups]
+        for i in group:
+            widths[i] = len(inputs[group[-1]])
+    return widths
+
+
+def assert_bits_of_padded_decoding(params, inputs, beam, max_len, bos_id, eos_id, context):
+    """Every hypothesis of the batch decode has the bits of decoding its input
+    alone, padded to its group's width."""
+    got = beam_decode_batch(params, inputs, beam, max_len, bos_id, eos_id)
+    want = [reference_padded_decode(params, ids, width, beam, max_len, bos_id, eos_id)
+            for ids, width in zip(inputs, group_widths(inputs, beam))]
+    assert_same_bits(got, want, context)
 
 
 @pytest.fixture(scope="module")
@@ -172,67 +191,60 @@ def bench_start_model():
 
 
 @pytest.mark.parametrize("beam", [1, 4, 8])
-def test_width_groups_keep_the_bits_of_block_at_a_time_decoding(bench_start_model, beam):
-    """Decoding equal-width blocks together gives every hypothesis of the
-    seed-7 dev and test sets the bits that decoding one block at a time gives."""
+def test_decode_groups_keep_the_bits_of_each_input_alone(bench_start_model, beam):
+    """Every hypothesis of the seed-7 dev and test sets has the bits of
+    decoding its input alone, padded to the width of its decode group."""
     params, dev, test = bench_start_model
     for split in (dev, test):
         inputs = [s.input for s in split.samples]
-        widths = _block_widths(inputs)
-        assert len(set(widths)) < len(widths), "some blocks share a width"
-        got = beam_decode_batch(params, inputs, beam, 24, split.bos_id, split.eos_id)
-        want = reference_beam_decode_blocks(params, inputs, beam, 24, split.bos_id,
-                                            split.eos_id)
-        assert_same_bits(got, want, (split.samples[0].id, beam))
+        assert_bits_of_padded_decoding(params, inputs, beam, 24, split.bos_id, split.eos_id,
+                                       (split.samples[0].id, beam))
 
 
-@pytest.mark.parametrize("widths, last", [
-    ((14, 13, 14), GROUP_SIZE),      # a width whose blocks are not adjacent
-    ((7, 9, 8, 7, 9, 8, 9), 5),      # widths on both sides of 8, a short last block
-    ((10,) * 18, 7),                 # more blocks of one width than one group holds
+@pytest.mark.parametrize("n_inputs, longest", [
+    (GROUP_PREFIXES // 8 + 1, 9),    # one input more than a group holds at beam 8
+    (100, 14),                       # groups of many widths at beams 4 and 8
+    (GROUP_PREFIXES + 12, 5),        # more than one group at beam 1; length ties across cuts
 ])
-def test_width_groups_keep_the_bits_on_ragged_batches(widths, last):
-    """Ragged inputs whose blocks have the given padded widths (each block
-    holds an input of exactly its width), at beams 1, 4 and 8: every
-    hypothesis has the bits of block-at-a-time decoding."""
-    rng = np.random.default_rng(sum(widths) + last)
+def test_decode_groups_keep_the_bits_on_ragged_batches(n_inputs, longest):
+    """Ragged inputs of 1 to ``longest`` symbols, at beams 1, 4 and 8: every
+    hypothesis has the bits of decoding its input alone, padded to its
+    group's width."""
+    rng = np.random.default_rng(n_inputs + longest)
     p = random_params(8, 12, 10, seed=int(rng.integers(1 << 30)), scale=0.8)
-    inputs = []
-    for k, width in enumerate(widths):
-        lengths = rng.integers(1, width + 1, size=last if k == len(widths) - 1 else GROUP_SIZE)
-        lengths[rng.integers(len(lengths))] = width
-        inputs += [rng.integers(0, 12, size=int(n)) for n in lengths]
-    assert _block_widths(inputs) == list(widths)
+    inputs = [rng.integers(0, 12, size=int(n)) for n in rng.integers(1, longest + 1, n_inputs)]
     for beam in (1, 4, 8):
-        got = beam_decode_batch(p, inputs, beam, 6, bos_id=BOS_ID, eos_id=EOS_ID)
-        want = reference_beam_decode_blocks(p, inputs, beam, 6, BOS_ID, EOS_ID)
-        assert_same_bits(got, want, beam)
+        assert_bits_of_padded_decoding(p, inputs, beam, 6, BOS_ID, EOS_ID, beam)
 
 
 def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
     p = random_params(3, 4, 5, seed=1)
     assert beam_decode_batch(p, [], 2, 3, bos_id=BOS_ID, eos_id=EOS_ID) == []
-    inputs = [[1, 2]] * (GROUP_SIZE + 3)
-    for bad, ids in ((2, [1, 4]), (GROUP_SIZE + 1, []), (GROUP_SIZE + 2, [-1, 1]), (0, [])):
-        with pytest.raises(ModelError, match="out of range|empty input") as err:
+    n = GROUP_PREFIXES // 2  # the inputs of one group at beam 2
+    inputs = [[1, 2]] * (n + 3)
+    for bad, ids in ((2, [1, 4]), (n + 1, []), (n + 2, [-1, 1]), (0, []),
+                     (n + 1, [1, 2**63])):
+        with pytest.raises(ModelError, match="out of range|empty input|outside int64") as err:
             beam_decode_batch(p, inputs[:bad] + [ids] + inputs[bad + 1:], 2, 3,
                               bos_id=BOS_ID, eos_id=EOS_ID)
         assert err.value.row == bad
-    # Two bad inputs: the first is named, in one block or in blocks of
-    # different widths.  Blocks 0 and 2 (width 2) decode together, before
-    # block 1 (width 3).
-    inputs = [[1, 2]] * GROUP_SIZE + [[1, 2, 3]] * GROUP_SIZE + [[3, 2]] * GROUP_SIZE
+    # Two bad inputs, of one kind or two: the first is named.  At beam 8 the
+    # inputs decode in two groups, shortest first, so a later input that is
+    # shorter decodes before an earlier one; the inputs are checked before.
+    inputs = [[1, 2]] * 24 + [[1, 2, 3]] * 24 + [[3, 2]] * 24
     for (first, one), (second, other), match in (
             ((2, []), (5, [1, 4]), "empty input"),
             ((2, [1, 4]), (5, []), "out of range"),
-            ((GROUP_SIZE + 1, [4, 2, 3]), (2 * GROUP_SIZE + 1, []), "out of range"),
-            ((GROUP_SIZE + 1, []), (2 * GROUP_SIZE + 1, [-1, 2]), "empty input"),
-            ((GROUP_SIZE + 1, [9]), (2 * GROUP_SIZE + 1, [2.0, 1]), "out of range")):
+            ((25, [4, 2, 3]), (49, []), "out of range"),
+            ((25, []), (49, [-1, 2]), "empty input"),
+            ((25, [9]), (49, [2.0, 1]), "out of range"),
+            ((25, [2.0, 1]), (49, [9]), "not an integer id"),
+            ((25, [2**64]), (49, [2.0, 1]), "outside int64"),
+            ((25, [1, 9]), (49, [-2**63 - 1]), "out of range")):
         bad = list(inputs)
         bad[first], bad[second] = one, other
-        assert _block_widths(bad) == [2, 3, 2]
         with pytest.raises(ModelError, match=match) as err:
-            beam_decode_batch(p, bad, 2, 3, bos_id=BOS_ID, eos_id=EOS_ID)
+            beam_decode_batch(p, bad, 8, 3, bos_id=BOS_ID, eos_id=EOS_ID)
         assert err.value.row == first, (first, second)
 
 

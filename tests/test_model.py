@@ -133,7 +133,8 @@ def test_step_replays_teacher_and_batches_rows():
     s = np.zeros((1, 1, p.d))
     rows = []
     for n, tok in enumerate(cond):
-        logp, s, alpha, context = decoder.step(s, np.array([[tok]]))
+        logp, s = decoder.step(s, np.array([[tok]]))
+        _, alpha, context = decoder.readout(s)
         want_rows = (trace.log_probs[0, n], trace.states[0, n], trace.attn_weights[0, n],
                      trace.contexts[0, n])
         for got, want in zip((logp, s, alpha, context), want_rows):
@@ -158,10 +159,12 @@ def test_grouped_steps_match_each_input_alone():
     rng = np.random.default_rng(0)
     states = rng.uniform(-1, 1, size=(3, 2, p.d))
     tokens = rng.integers(0, 7, size=(3, 2))
-    grouped = group.step(states, tokens)
+    log_probs, s = group.step(states, tokens)
+    grouped = (log_probs, s) + group.readout(s)[1:]
     for g, ids in enumerate(inputs):
-        alone = _Decoder(p, PaddedIds.of([ids])).step(states[g], tokens[g])
-        for got, want in zip(grouped, alone):
+        decoder = _Decoder(p, PaddedIds.of([ids]))
+        log_probs, s = decoder.step(states[g], tokens[g])
+        for got, want in zip(grouped, (log_probs, s) + decoder.readout(s)[1:]):
             assert np.max(np.abs(got[g][..., :want.shape[-1]] - want)) <= 1e-12
         assert not grouped[2][g][:, len(ids):].any()  # padded attention weights
 
@@ -382,6 +385,10 @@ def test_batch_errors_name_the_mismatch():
         (lambda: P([[1, 2], [3, True]]), "id sequence 1 holds", 1),
         (lambda: P([[1], [], [2, np.float64(2.0)]]), "id sequence 2 holds", 2),
         (lambda: P([np.array([1, 0], dtype=bool)]), "id sequence 0 holds", 0),
+        # ids outside int64, above or below, as Python or numpy integers
+        (lambda: P([[1], [2, 2**63]]), "id sequence 1 holds an id outside int64", 1),
+        (lambda: P([[1], [2], [-2**63 - 1]]), "id sequence 2 holds an id outside int64", 2),
+        (lambda: P([[np.uint64(2**64 - 1)]]), "id sequence 0 holds an id outside int64", 0),
         # the first bad input is named, whether it is empty or out of range
         (lambda: encode(p, P([[1], [], [2, 4]])), "empty input", 1),
         (lambda: encode(p, P([[1], [2, 4], []])), "source index out", 1),

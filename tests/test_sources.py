@@ -1,4 +1,5 @@
-"""Source checks that need no import: every file parses as Python 3.10."""
+"""Source checks that need no import: every file parses as Python 3.10, and
+every module-level import of the package is used."""
 
 from __future__ import annotations
 
@@ -29,3 +30,40 @@ def test_every_source_parses_with_the_minimum_grammar():
 def test_the_minimum_grammar_refuses_newer_syntax():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=MINIMUM)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that the module-level imports of a source bind and that no
+    expression of it reads, except on lines marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(name)
+    return unused
+
+
+def test_every_module_level_import_of_the_package_is_used():
+    """``__init__`` re-exports its imports, so only it is exempt."""
+    modules = sorted((ROOT / "src" / "fcmax").glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name != "__init__.py":
+            assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_the_import_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from .model import ModelError, encode\n"
+              "from .model import forward_teacher  # noqa: F401\n"
+              "def f(x: np.ndarray) -> None:\n    raise ModelError(os.sep)\n")
+    assert _unused_imports(source) == ["encode"]

@@ -21,7 +21,8 @@ from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
     SafeguardConfig, TrainerError, TrainingSchedule, _batch_iterator, _minibatch_gradient,
-    decode_corpus_top1, deletion_guard, evaluate_on, linear_decay_lr, train_ce, train_fcm,
+    decode_corpus_top1, decode_samples, deletion_guard, evaluate_on, linear_decay_lr, train_ce,
+    train_fcm,
 )
 
 LOG_KEYS = {"iter", "lr", "dev_wer", "dev_del_rate", "dev_ins_rate", "dev_unfinished_top1",
@@ -325,6 +326,11 @@ def test_decode_failures_name_the_sample():
                                 nbest_size=2, max_len=4)
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}.*out of range"):
         train_fcm(params, corpus, weighted_f1_scorer(), schedule)
+    # an id past int64 is named as well, after an in-range sample
+    huge = Sample(id=bad.id, input=(2**63,), reference=bad.reference,
+                  ref_word_count=bad.ref_word_count)
+    with pytest.raises(FcmError, match=f"sample {bad.id!r}: .*outside int64"):
+        decode_samples(params, corpus, [corpus.samples[0], huge], 2, 4)
 
 
 def test_ce_failures_name_the_iteration_and_the_sample():
