@@ -101,7 +101,10 @@ def _scorer(opts: dict) -> ConsistencyScorer:
         endpoint = opts["scorer-url"] or os.environ.get(SCORER_URL_ENV)
         if not endpoint:
             raise UsageError(f"--scorer remote needs --scorer-url or ${SCORER_URL_ENV}")
-        return remote_scorer(endpoint)
+        try:
+            return remote_scorer(endpoint)
+        except ValueError as exc:
+            raise UsageError(f"--scorer-url: {exc}") from None
     if name != "weighted-f1":
         return {"exact": exact_match_scorer, "lcs": lcs_scorer}[name]()
     return weighted_f1_scorer(default_token_weights(SynthConfig(
@@ -230,17 +233,20 @@ def _cmd_eval_utt(args, opts: dict) -> int:
 
 
 def _cmd_eval_sum(args, opts: dict) -> int:
-    if args.ref_utts:
-        refs = summeval_mod.load_utterances(args.ref_utts)
-    elif args.ref_corpus:
-        refs = summeval_mod.corpus_to_utterances(corpus_mod.load_corpus(args.ref_corpus))
-    else:
+    if not (args.ref_utts or args.ref_corpus):
         raise UsageError("eval-sum needs --ref-utts or --ref-corpus")
-    hyps = summeval_mod.load_utterances(args.hyp_utts)
     endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
     scorer = _scorer(opts)
-    summarizer = summeval_mod.make_summarizer(
-        endpoint, _from_options(summeval_mod.SummarizerParams, opts))
+    params = _from_options(summeval_mod.SummarizerParams, opts)
+    try:
+        summarizer = summeval_mod.make_summarizer(endpoint, params)
+    except ValueError as exc:
+        raise UsageError(f"--summarizer: {exc}") from None
+    if args.ref_utts:
+        refs = summeval_mod.load_utterances(args.ref_utts)
+    else:
+        refs = summeval_mod.corpus_to_utterances(corpus_mod.load_corpus(args.ref_corpus))
+    hyps = summeval_mod.load_utterances(args.hyp_utts)
     scores, mean = summeval_mod.evaluate_summaries(
         refs, hyps, summarizer, scorer, chunk_seconds=opts["chunk-seconds"],
     )

@@ -4,10 +4,17 @@ Deterministic proxy scorers keep training and tests hermetic; a small HTTP
 client lets a real learned evaluator be plugged in behind the same
 interface.  The proxies normalize text before scoring; the remote scorer
 sends the raw cased, punctuated strings because learned evaluators are
-typically case and punctuation sensitive.  The wire client's modules
-(``urllib.request``, ``http.client`` and, through them, ``ssl`` and
-``email``) load on the first remote call, so local scoring never pays for
-them.
+typically case and punctuation sensitive.
+
+The wire client sends each call as one HTTP/1.0 request on a new
+connection of the stdlib ``socket``, written with one send.  It reads the
+reply to its ``Content-Length``, or to the close when that header is
+absent, and refuses a chunked one.  ``ssl`` loads only for an https
+endpoint, and the ``*_proxy`` environment variables are not read.  An
+unreachable service or a timeout is retried twice, after 0.05 s and then
+0.1 s; a malformed reply, a bad status or an out-of-range score is not.
+An endpoint that is not an http(s) URL with a host (and a numeric port, if
+it names one) is refused when its scorer is built.
 """
 
 from __future__ import annotations
@@ -15,13 +22,21 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+from urllib.parse import urlsplit
 
 from .corpus import normalize_text
 
 SCORE_CLAMP_SLACK = 1e-9
+RETRY_PAUSES_S = (0.05, 0.1)  # the sleeps between a remote call's three attempts
+_URL_CHARS = re.compile(r"[!-~]+")  # printable ASCII, no space
+_HEADER_END = re.compile(rb"\r?\n\r?\n")
+_MAX_HEADER_BYTES = 65536
+_RECV_BYTES = 65536
 
 
 class ScorerError(Exception):
@@ -128,38 +143,151 @@ def lcs_ratio(hyp: str, ref: str) -> float:
     return 2.0 * prev[len(b)] / (len(a) + len(b))
 
 
+@dataclass(frozen=True)
+class _Target:
+    """Where one URL's request goes: a connection address and a request line."""
+
+    tls: bool
+    host: str
+    port: int
+    host_header: str
+    path: str
+
+
+def _target(url: str) -> _Target:
+    """The request target of an http(s) URL; ``ValueError`` names an unusable one."""
+    if not _URL_CHARS.fullmatch(url):
+        raise ValueError(f"endpoint {url!r} holds a space, control or non-ASCII character")
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL with a host")
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise ValueError(f"endpoint {url!r} has an invalid port: {exc}") from None
+    try:
+        parts.hostname.encode("idna")  # as the connect will
+    except UnicodeError:
+        raise ValueError(f"endpoint {url!r} has an invalid host name") from None
+    tls = parts.scheme == "https"
+    return _Target(tls, parts.hostname, (443 if tls else 80) if port is None else port,
+                   parts.netloc.rpartition("@")[2],
+                   (parts.path or "/") + (f"?{parts.query}" if parts.query else ""))
+
+
+def check_endpoint(endpoint: str) -> None:
+    """``ValueError`` naming ``endpoint`` unless it is an http(s) URL with a
+    valid host name, and a numeric port if it names one."""
+    _target(endpoint)
+
+
+@functools.lru_cache(maxsize=1)
+def _tls_context():
+    # Built once: loading the system's certificates takes tens of milliseconds.
+    import ssl
+
+    return ssl.create_default_context()
+
+
+class _Malformed(Exception):
+    """The reply breaks HTTP/1.x framing; post_json reports it with the URL."""
+
+
+def _read_reply(sock) -> tuple[int, bytes]:
+    """(status, body) of the HTTP/1.x reply on ``sock``: the body ends at its
+    ``Content-Length`` or, when the header is absent, where the server closes."""
+    buf = b""
+    while (end := _HEADER_END.search(buf)) is None:
+        if len(buf) > _MAX_HEADER_BYTES:
+            raise _Malformed(f"header longer than {_MAX_HEADER_BYTES} bytes")
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise _Malformed("the reply ended inside its header" if buf else "empty reply")
+        buf += chunk
+    status_line, *lines = buf[:end.start()].decode("latin-1").split("\n")
+    version, _, rest = status_line.rstrip("\r").partition(" ")
+    code = rest[:3]
+    if not (version.startswith("HTTP/1.") and code.isdigit() and rest[3:4] in ("", " ")):
+        raise _Malformed(f"bad status line {status_line[:80]!r}")
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _Malformed(f"bad header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding", "identity").lower() != "identity":
+        raise _Malformed(f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}")
+    body = buf[end.end():]
+    if "content-length" not in headers:
+        chunks = [body]
+        while chunk := sock.recv(_RECV_BYTES):
+            chunks.append(chunk)
+        return int(code), b"".join(chunks)
+    length = headers["content-length"]
+    if not length.isdigit():
+        raise _Malformed(f"bad Content-Length {length[:80]!r}")
+    want, chunks, have = int(length), [body], len(body)
+    while have < want:
+        chunk = sock.recv(max(_RECV_BYTES, want - have))
+        if not chunk:
+            raise _Malformed(f"the body ended after {have} of its {want} bytes")
+        chunks.append(chunk)
+        have += len(chunk)
+    return int(code), b"".join(chunks)[:want]
+
+
+def _exchange(target: _Target, request: bytes, timeout: float) -> tuple[int, bytes]:
+    """One connection: send ``request`` in one write and read the reply."""
+    import socket  # here, so that a process that only scores locally never loads it
+
+    sock = socket.create_connection((target.host, target.port), timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if target.tls:
+            sock = _tls_context().wrap_socket(sock, server_hostname=target.host)
+        sock.sendall(request)
+        return _read_reply(sock)
+    finally:
+        sock.close()
+
+
 def post_json(url: str, payload: dict, timeout: float) -> dict:
     """POST a JSON document and return the parsed JSON response.
 
     Shared by the scorer and summarizer clients; raises the distinct wire
-    errors this package reports.  The HTTP client modules load on the first
-    call, so a process that only scores locally never imports them.
+    errors this package reports, and ``ValueError`` for a URL that is not
+    http(s).  Each attempt is one HTTP/1.0 request on a new connection,
+    written with one send; the reply ends at its ``Content-Length``, or at
+    the close without one, and a chunked reply is refused.  ``ssl`` loads
+    only for an https URL, and ``*_proxy`` variables are not read.
+    ``timeout`` bounds each connect, send and receive.  A network error or
+    a timeout is retried after 0.05 s and then 0.1 s, three attempts in
+    all; a malformed reply or a bad status is not.
     """
-    import http.client
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            status, body = resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        raise RemoteProtocolError(f"{url} returned HTTP {exc.code}") from exc
-    except OSError as exc:
-        # A timeout surfaces raw while the response is read, wrapped while connecting.
-        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
-            raise RemoteTimeoutError(f"request to {url} timed out") from exc
-        raise RemoteNetworkError(f"cannot reach {url}: {exc}") from exc
-    except http.client.HTTPException as exc:
-        raise RemoteProtocolError(f"{url} sent a malformed HTTP response: {exc}") from exc
+    target = _target(url)
+    body = json.dumps(payload).encode("utf-8")
+    request = (f"POST {target.path} HTTP/1.0\r\nHost: {target.host_header}\r\n"
+               f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+               ).encode("ascii") + body
+    for attempt, pause in enumerate(RETRY_PAUSES_S + (None,), start=1):
+        try:
+            status, reply = _exchange(target, request, timeout)
+            break
+        except _Malformed as exc:
+            raise RemoteProtocolError(f"{url} sent a malformed HTTP response: {exc}") from exc
+        except TimeoutError as exc:
+            if pause is None:
+                raise RemoteTimeoutError(
+                    f"request to {url} timed out on all {attempt} attempts") from exc
+        except OSError as exc:
+            if pause is None:
+                raise RemoteNetworkError(
+                    f"cannot reach {url} after {attempt} attempts: {exc}") from exc
+        time.sleep(pause)
     if status != 200:
         raise RemoteProtocolError(f"{url} returned HTTP {status}")
     try:
-        doc = json.loads(body)
+        doc = json.loads(reply)
     except ValueError as exc:
         raise RemoteProtocolError(f"{url} returned invalid JSON") from exc
     if not isinstance(doc, dict):
@@ -222,6 +350,9 @@ def lcs_scorer() -> ConsistencyScorer:
 
 
 def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:
+    """Scores from the service at ``endpoint``; ``ValueError`` names an endpoint
+    that is not an http(s) URL with a host."""
+    check_endpoint(endpoint)
     return ConsistencyScorer(
         name=f"remote({endpoint})",
         fn=lambda hyp, ref: remote_score(endpoint, hyp, ref, timeout),

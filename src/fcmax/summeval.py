@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import NUMBER, Corpus, atomic_write_text, read_jsonl
-from .scorers import ConsistencyScorer, RemoteProtocolError, post_json
+from .scorers import ConsistencyScorer, RemoteProtocolError, check_endpoint, post_json
 
 MOCK_SUMMARIZER = "mock"
 PROMPT_INSTRUCTION = "\nSummarize the conversation above.\n"
@@ -182,6 +182,10 @@ def make_summarizer(
     params: SummarizerParams = SummarizerParams(),
     timeout: float = 30.0,
 ) -> Callable[[str], str]:
+    """``summarize`` bound to ``endpoint``; ``ValueError`` names an endpoint that
+    is neither "mock" nor an http(s) URL with a host."""
+    if endpoint != MOCK_SUMMARIZER:
+        check_endpoint(endpoint)
     return lambda prompt: summarize(endpoint, prompt, params, timeout)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: random models, batches in the model's one padded form
 (per-step weights as prefix trajectories), gradient-check harness, a fitted
-two-way ambiguity fixture, a scriptable in-process HTTP server for wire tests, and
+two-way ambiguity fixture, a scriptable in-process HTTP server and a raw-reply
+TCP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
 consistency check, per-list N-best scoring and minibatch assembly, sequence
 log-probabilities and corpus NLL, per-pair alignment, per-prefix and
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import json
 import re
+import socket
+import struct
 import threading
 import time
 from collections import Counter
@@ -714,3 +717,88 @@ def wire_server():
     server = ScriptedServer()
     yield server
     server.close()
+
+
+class RawReplyServer:
+    """Loopback TCP server that answers each connection with scripted raw bytes.
+
+    ``actions`` holds one action per connection, the last one repeating: a
+    list of byte segments, written one at a time after the request is read,
+    or ``RESET``, which closes the connection with a TCP reset instead.
+    With ``hold`` a connection stays open after its reply until the client
+    closes it.  ``requests`` holds the raw request of each connection.
+    """
+
+    RESET = "reset"
+
+    def __init__(self, *actions, hold: bool = False):
+        self.actions, self.hold, self.requests = actions, hold, []
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)  # so the accept loop sees close() within one poll
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self) -> str:
+        host, port = self.sock.getsockname()
+        return f"http://{host}:{port}"
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                try:
+                    self._answer(conn)
+                except OSError:
+                    pass  # the client gave up first
+
+    def _answer(self, conn):
+        conn.settimeout(5.0)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        action = self.actions[min(len(self.requests), len(self.actions) - 1)]
+        request = b""
+        while not self._complete(request):
+            chunk = conn.recv(65536)
+            if not chunk:
+                return
+            request += chunk
+        self.requests.append(request)
+        if action == self.RESET:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            return
+        for segment in action:
+            conn.sendall(segment)
+            if len(action) > 1:
+                time.sleep(0.001)  # lets each segment leave on its own
+        while self.hold and conn.recv(65536):
+            pass
+
+    @staticmethod
+    def _complete(request: bytes) -> bool:
+        head, end, body = request.partition(b"\r\n\r\n")
+        length = re.search(rb"(?i)content-length: *(\d+)", head)
+        return bool(end) and len(body) >= int(length.group(1) if length else 0)
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.sock.close()
+
+
+@pytest.fixture
+def raw_server():
+    """Builds ``RawReplyServer``s and closes each one after the test."""
+    servers = []
+
+    def make(*actions, hold: bool = False) -> RawReplyServer:
+        servers.append(RawReplyServer(*actions, hold=hold))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.close()

@@ -145,7 +145,9 @@ def test_config_value_must_fit_the_tunable_type(tmp_path, capsys, argv, config, 
 @pytest.mark.parametrize("config, flags, named", [
     ({"scorer": "bogus"}, [], "bogus"),
     ({}, ["--scorer", "remote"], "FCM_SCORER_URL"),
-], ids=["scorer-outside-choices", "remote-without-url"])
+    ({}, ["--scorer", "remote", "--scorer-url", "localhost:8000"],
+     "--scorer-url: endpoint 'localhost:8000' is not an http:// or https:// URL"),
+], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url"])
 def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, flags, named):
     monkeypatch.delenv("FCM_SCORER_URL", raising=False)
     cfg = tmp_path / "cfg.json"
@@ -153,6 +155,19 @@ def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, fla
     code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl",
                 "--config", str(cfg), *flags])
     assert code == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train-fcm", "--corpus", "x.jsonl", "--init", "m.json", "--out", "y.json",
+      "--scorer", "remote", "--scorer-url", "ftp://127.0.0.1/s"],
+     "--scorer-url: endpoint 'ftp://127.0.0.1/s'"),
+    ([*_EVAL_SUM, "--summarizer", "http://127.0.0.1:notaport"],
+     "--summarizer: endpoint 'http://127.0.0.1:notaport' has an invalid port"),
+], ids=["train-fcm-scorer-url", "eval-sum-summarizer"])
+def test_an_unusable_endpoint_is_a_usage_error(capsys, argv, named):
+    """Refused before any file is read, so before any training or request."""
+    assert run(argv) == 1
     assert named in capsys.readouterr().err
 
 

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_weighted_token_f1
+from conftest import RawReplyServer, reference_weighted_token_f1
 from fcmax.scorers import (
     UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError, RemoteProtocolError,
     RemoteTimeoutError, ScoreRangeError, TokenWeights, exact_match_score, exact_match_scorer,
-    lcs_ratio, lcs_scorer, remote_score, weighted_f1_scorer, weighted_token_f1,
+    lcs_ratio, lcs_scorer, remote_score, remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
 
 texts = st.text(
@@ -122,7 +124,7 @@ def test_local_work_does_not_load_the_wire_client():
         from fcmax.scorers import RemoteNetworkError
         from fcmax.summeval import Utterance, make_summarizer
 
-        wire = ("http.client", "urllib.request", "ssl")
+        wire = ("http.client", "urllib.request", "email.parser", "ssl")
         scorer = weighted_f1_scorer()
         assert scorer("I know.", "I don't know.") > 0.0
         assert corpus_wer([("I know.", "I don't know.")]).deletions == 1
@@ -141,7 +143,8 @@ def test_local_work_does_not_load_the_wire_client():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['http.client', 'ssl', 'urllib.request']"]
+    # an http:// call loads none of them either: the client is a plain socket
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_token_weights_validation():
@@ -216,6 +219,7 @@ def test_remote_score_out_of_range(wire_server):
     wire_server.respond({"consistency": 1.2})
     with pytest.raises(ScoreRangeError):
         remote_score(wire_server.url, "h", "r")
+    assert len(wire_server.requests) == 1, "an out-of-range score is not retried"
 
 
 @pytest.mark.parametrize("value", [b"NaN", b"1" + b"0" * 400], ids=["nan", "huge-int"])
@@ -243,6 +247,7 @@ def test_remote_score_http_error(wire_server):
     wire_server.respond({"consistency": 0.4}, status=500)
     with pytest.raises(RemoteProtocolError, match="500"):
         remote_score(wire_server.url, "h", "r")
+    assert len(wire_server.requests) == 1, "a bad status is not retried"
 
 
 def test_remote_score_timeout(wire_server):
@@ -254,6 +259,83 @@ def test_remote_score_timeout(wire_server):
 def test_remote_score_unreachable_names_endpoint():
     with pytest.raises(RemoteNetworkError, match="127.0.0.1:1"):
         remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)
+
+
+OK_BODY = b'{"consistency": 0.5}'
+
+
+def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 200 OK") -> bytes:
+    return b"\r\n".join([status, *headers, b"", body])
+
+
+@pytest.mark.parametrize("reply, named", [
+    (b"HTTP/1.0 OK\r\n\r\n{}", "bad status line"),
+    (b"", "empty reply"),
+    (_reply(b"Content-Length: 50"), "ended after 20 of its 50 bytes"),
+    (_reply(b"Transfer-Encoding: chunked", body=b"14\r\n" + OK_BODY + b"\r\n0\r\n\r\n"),
+     "Transfer-Encoding 'chunked'"),
+], ids=["bad-status-line", "empty", "short-body", "chunked"])
+def test_remote_score_refuses_a_malformed_reply(raw_server, reply, named):
+    server = raw_server([reply])
+    with pytest.raises(RemoteProtocolError, match=named):
+        remote_score(server.url, "h", "r", timeout=5.0)
+    assert len(server.requests) == 1, "a malformed reply is not retried"
+
+
+def test_remote_score_returns_at_the_content_length(raw_server):
+    """The body ends at its Content-Length, not where the server closes."""
+    server = raw_server([_reply(b"Content-Length: %d" % len(OK_BODY))], hold=True)
+    start = time.perf_counter()
+    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    assert time.perf_counter() - start < 2.0
+
+
+def test_remote_score_parses_a_reply_sent_byte_by_byte(raw_server):
+    reply = _reply(b"Content-Type: application/json")
+    server = raw_server([reply[k:k + 1] for k in range(len(reply))])
+    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    head, _, body = server.requests[0].partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0] == b"POST /score HTTP/1.0"
+    assert b"Content-Length: %d" % len(body) in head.split(b"\r\n")
+
+
+def test_remote_score_posts_under_the_endpoint_path(wire_server):
+    wire_server.respond({"consistency": 0.5})
+    assert remote_score(wire_server.url + "/api/", "h", "r") == 0.5
+    assert wire_server.requests[-1][0] == "/api/score"
+
+
+def test_remote_score_https_to_a_plain_http_server_names_it(wire_server):
+    url = wire_server.url.replace("http://", "https://")
+    with pytest.raises(RemoteNetworkError, match=re.escape(url)):
+        remote_score(url, "h", "r", timeout=2.0)
+
+
+def test_remote_score_retries_a_reset_connection(raw_server):
+    server = raw_server(RawReplyServer.RESET, [_reply()])
+    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    assert len(server.requests) == 2
+
+
+def test_remote_score_gives_up_after_three_attempts(raw_server):
+    server = raw_server(RawReplyServer.RESET)
+    start = time.perf_counter()
+    with pytest.raises(RemoteNetworkError,
+                       match=re.escape(f"{server.url}/score after 3 attempts")):
+        remote_score(server.url, "h", "r", timeout=5.0)
+    assert len(server.requests) == 3
+    assert time.perf_counter() - start >= 0.15, "backs off 0.05 s, then 0.1 s"
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000", "ftp://127.0.0.1/x", "http://127.0.0.1:notaport", "http://:80",
+    "http://127.0.0.1:80/a b", "http://a..b:80",
+])
+def test_an_unusable_endpoint_is_refused_before_any_request(endpoint):
+    with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+        remote_scorer(endpoint)
+    with pytest.raises(ValueError, match=re.escape(endpoint)):
+        remote_score(endpoint, "h", "r")
 
 
 def test_remote_scorer_passes_the_service_score_through(wire_server):

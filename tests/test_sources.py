@@ -1,5 +1,6 @@
-"""Source checks that need no import: every file parses as Python 3.10, and
-every module-level import of the package is used."""
+"""Source checks that need no import: every file parses as Python 3.10,
+every module-level import of the package is used, and the package imports no
+HTTP client library."""
 
 from __future__ import annotations
 
@@ -67,3 +68,37 @@ def test_the_import_check_finds_an_unused_import():
               "from .model import forward_teacher  # noqa: F401\n"
               "def f(x: np.ndarray) -> None:\n    raise ModelError(os.sep)\n")
     assert _unused_imports(source) == ["encode"]
+
+
+WIRE_LIBRARIES = ("urllib.request", "http.client", "requests")
+
+
+def _wire_imports(source: str) -> list[str]:
+    """The modules of ``WIRE_LIBRARIES`` (or their submodules) that a source
+    imports anywhere, in the order of ``ast.walk``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if any(name == lib or name.startswith(lib + ".") for lib in WIRE_LIBRARIES)]
+    return found
+
+
+def test_the_package_imports_no_http_client_library():
+    """The remote scorer is a plain socket: these libraries would put an
+    opener chain and an ``email`` header parser back into every call, and
+    load ``email`` and ``ssl`` into every remote run."""
+    for path in sorted((ROOT / "src" / "fcmax").glob("*.py")):
+        assert _wire_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_the_wire_import_check_finds_a_planted_import():
+    source = ("import json\nfrom urllib.parse import urlsplit\nfrom . import scorers\n"
+              "def post():\n    from urllib import request\n    import http.client as hc\n"
+              "    import requests.adapters\n")
+    assert _wire_imports(source) == ["urllib.request", "http.client", "requests.adapters"]

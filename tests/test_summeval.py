@@ -160,6 +160,11 @@ def test_summarize_mock_endpoint():
     assert summarize("mock", build_prompt(THREE_LINES)) == "Hello. Hi, how are you?"
 
 
+def test_make_summarizer_refuses_an_unusable_endpoint():
+    with pytest.raises(ValueError, match="'localhost:8000'"):
+        make_summarizer("localhost:8000")
+
+
 def test_summarize_remote_passthrough(wire_server):
     wire_server.respond({"summary": "SUMMARY"})
     params = SummarizerParams()
