@@ -52,6 +52,12 @@ def eval_system(label, texts, corpus, scorer):
             "ratio": ratio, "scores": scores}
 
 
+def paired_or_none(a, b):
+    """The paired t-test of a - b, or None where fewer than two pairs leave
+    it undefined (a small test split can have one summary window)."""
+    return paired_t_test(a, b) if len(a) >= 2 else None
+
+
 def main():
     args = parse_args()
     out = args.out_dir
@@ -128,10 +134,10 @@ def main():
                              for s in systems])
     print(table)
     by_label = {s["label"]: s for s in systems}
-    ttest = paired_t_test(by_label["fcm"]["scores"], by_label["ce"]["scores"])
-    print(f"fcm vs ce consistency: t={ttest.t_statistic:.3f} "
-          f"p={ttest.p_value_two_tailed:.5f} "
-          f"significant={'yes' if ttest.significant_at_95 else 'no'}")
+    ttest = paired_or_none(by_label["fcm"]["scores"], by_label["ce"]["scores"])
+    print("fcm vs ce consistency: " + ("n/a" if ttest is None else
+          f"t={ttest.t_statistic:.3f} p={ttest.p_value_two_tailed:.5f} "
+          f"significant={'yes' if ttest.significant_at_95 else 'no'}"))
     wer_delta = 100.0 * (by_label["fcm"]["breakdown"].wer - by_label["ce"]["breakdown"].wer)
     print(f"wer delta (fcm - ce): {wer_delta:+.2f} points")
 
@@ -149,8 +155,9 @@ def main():
         gt_scores, gt_mean = evaluate_summaries(ref_utts, ref_utts, summarizer, scorer)
     print(f"summary consistency: ce={sum_rows[0][2]:.4f} fcm={sum_rows[1][2]:.4f} "
           f"ground-truth={gt_mean:.4f} ({len(gt_scores)} chunks)")
-    st = paired_t_test(sum_rows[1][1], sum_rows[0][1])
-    print(f"summary fcm vs ce: t={st.t_statistic:.3f} p={st.p_value_two_tailed:.5f}")
+    st = paired_or_none(sum_rows[1][1], sum_rows[0][1])
+    print("summary fcm vs ce: " + ("n/a" if st is None else
+          f"t={st.t_statistic:.3f} p={st.p_value_two_tailed:.5f}"))
 
     report = {
         "systems": [
@@ -159,7 +166,8 @@ def main():
              "del_rate": s["breakdown"].deletion_rate, "mean_consistency": s["mean"],
              "consistent_ratio": s["ratio"]} for s in systems
         ],
-        "utt_ttest_fcm_vs_ce": {"t": ttest.t_statistic, "p": ttest.p_value_two_tailed},
+        "utt_ttest_fcm_vs_ce": None if ttest is None else {"t": ttest.t_statistic,
+                                                            "p": ttest.p_value_two_tailed},
         "wer_delta_points": wer_delta,
         "guard_tripped": fcm.guard_tripped,
         "summary_means": {label: mean for label, _, mean in sum_rows},

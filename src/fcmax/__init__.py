@@ -10,7 +10,7 @@ from .fcm import (
 )
 from .metrics import (
     EditBreakdown, TTestResult, avg_consistency, consistent_ratio, corpus_wer,
-    paired_t_test, wer,
+    paired_t_test,
 )
 from .model import (
     ForwardTrace, ModelParams, apply_update, backward, forward_teacher, init_params,
@@ -22,8 +22,8 @@ from .scorers import (
     weighted_token_f1,
 )
 from .summeval import (
-    SessionChunk, SummarizerParams, Utterance, build_prompt, chunk_session,
-    evaluate_summaries, format_speaker_attributed, summarize,
+    SessionChunk, SummarizerParams, Utterance, build_prompt, evaluate_summaries,
+    format_speaker_attributed, summarize,
 )
 from .trainer import (
     SafeguardConfig, TrainingSchedule, TrainResult, deletion_guard,

@@ -89,7 +89,8 @@ def beam_decode(
     bos_id: int,
     eos_id: int,
 ) -> NBestList:
-    """Beam search of one input: ``beam_decode_batch`` over a batch of one."""
+    """Beam search of one input: ``beam_decode_batch`` over a batch of one.
+    Kept only because the benchmark's layer trace records it by name."""
     return beam_decode_batch(params, [input_ids], beam_size, max_len, bos_id, eos_id)[0]
 
 

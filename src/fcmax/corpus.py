@@ -6,7 +6,10 @@ discrete "acoustic" input sequence produced by passing the reference tokens
 through a stochastic confusion channel.  The channel can replace content
 words with confusable words and can drop the acoustic evidence for negation
 words, so a decoder working from the input alone faces hypotheses whose edit
-error and whose semantic fidelity rank in opposite orders.
+error and whose semantic fidelity rank in opposite orders.  Its confusions
+are the fixed ``DEFAULT_CONFUSION_TABLE``, so every corpus shares
+``DEFAULT_TOKEN_VOCAB`` and ``load_corpus`` reads back what the generator
+wrote; only the negation drop rate is a setting.
 
 Draw contract: one seeded ``numpy.random.Generator`` serves the whole
 corpus, and each sample makes its draws in a fixed order (negation flag,
@@ -69,7 +72,10 @@ DEFAULT_CONFUSION_TABLE: dict[str, list[tuple[str, float]]] = {
     "trust": [("thrust", 0.5)],
 }
 
-_CONTENT_TOKENS = frozenset(_NEGATIONS) | frozenset(_VERBS) | frozenset(_NOUNS)
+_CONFUSABLES = frozenset(alt for options in DEFAULT_CONFUSION_TABLE.values() for alt, _ in options)
+# Confusable targets count as content so a hallucinated content word costs as
+# much as a dropped one.
+_CONTENT_TOKENS = frozenset(_NEGATIONS) | frozenset(_VERBS) | frozenset(_NOUNS) | _CONFUSABLES
 
 _MIN_SENTENCE_WORDS = 4
 _MAX_SENTENCE_WORDS = 15
@@ -79,30 +85,17 @@ class CorpusError(ValueError):
     """Raised for invalid corpus files or invalid generator configuration."""
 
 
-def _base_vocab(confusion_table: dict[str, list[tuple[str, float]]]) -> list[str]:
-    vocab: list[str] = [BOS, EOS]
-    vocab.extend(PUNCTUATION_TOKENS)
-    seen = set(vocab)
-    groups = (
-        _SUBJECTS, _SUBJECTS_CLAUSE2, _NEGATIONS, _VERBS, _ADVERBS,
-        _DETERMINERS, _NOUNS, _TAILS, (_CONJUNCTION,),
-    )
-    for group in groups:
-        for tok in group:
-            if tok not in seen:
-                vocab.append(tok)
-                seen.add(tok)
-    extras = []
-    for options in confusion_table.values():
-        for tok, _ in options:
-            if tok not in seen:
-                extras.append(tok)
-                seen.add(tok)
-    vocab.extend(sorted(set(extras)))
-    return vocab
+def _base_vocab() -> list[str]:
+    """BOS, EOS, punctuation and the grammar's words in first-use order, then
+    the confusable targets that are not grammar words, sorted."""
+    grammar = dict.fromkeys([
+        BOS, EOS, *PUNCTUATION_TOKENS, *_SUBJECTS, *_SUBJECTS_CLAUSE2, *_NEGATIONS, *_VERBS,
+        *_ADVERBS, *_DETERMINERS, *_NOUNS, *_TAILS, _CONJUNCTION,
+    ])
+    return [*grammar, *sorted(_CONFUSABLES - grammar.keys())]
 
 
-DEFAULT_TOKEN_VOCAB: tuple[str, ...] = tuple(_base_vocab(DEFAULT_CONFUSION_TABLE))
+DEFAULT_TOKEN_VOCAB: tuple[str, ...] = tuple(_base_vocab())
 
 
 @dataclass(frozen=True)
@@ -112,17 +105,17 @@ class Sample:
     id: str
     input: tuple[int, ...]
     reference: str
-    ref_word_count: int
     speaker: int = 0
     start_s: float = 0.0
     session: str = ""
 
+    @property
+    def ref_word_count(self) -> int:
+        return len(self.reference.split())
+
     def validate(self, source_vocab_size: int) -> None:
-        if self.ref_word_count != len(self.reference.split()) or self.ref_word_count < 1:
-            raise CorpusError(
-                f"sample {self.id!r}: ref_word_count {self.ref_word_count} does not match "
-                f"reference word count {len(self.reference.split())}"
-            )
+        if not self.reference.split():
+            raise CorpusError(f"sample {self.id!r}: reference has no words")
         if len(self.input) == 0:
             raise CorpusError(f"sample {self.id!r}: empty input sequence")
         for idx in self.input:
@@ -202,24 +195,17 @@ def _positive_finite(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
-def _keep_and_confusion_weights(options: list[tuple[str, float]]) -> tuple[np.ndarray, float]:
-    """A confusable word's pick weights, keep weight 1.0 first, and their sum."""
-    weights = np.array([1.0] + [w for _, w in options])
-    with np.errstate(over="ignore"):
-        return weights, weights.sum()
-
-
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic noisy-transcription generator."""
+    """Knobs for the synthetic noisy-transcription generator, whose confusions
+    are the fixed ``DEFAULT_CONFUSION_TABLE``.  ``content_weight`` and
+    ``filler_weight`` are not generator settings but the scorer weights that
+    ``default_token_weights`` reads."""
 
     n_samples: int
     seed: int = 0
     min_len: int = 5
     max_len: int = 12
-    confusion_table: dict[str, list[tuple[str, float]]] = field(
-        default_factory=lambda: {k: list(v) for k, v in DEFAULT_CONFUSION_TABLE.items()}
-    )
     negation_drop_rate: float = 0.3
     content_weight: float = 3.0
     filler_weight: float = 0.5
@@ -255,26 +241,6 @@ class SynthConfig:
                 f"token weights must be finite and > 0, got content={self.content_weight} "
                 f"filler={self.filler_weight}"
             )
-        for word, options in self.confusion_table.items():
-            for alt, weight in options:
-                if not _positive_finite(weight):
-                    raise CorpusError(
-                        f"confusion weight for {word!r}->{alt!r} must be finite and > 0, "
-                        f"got {weight}"
-                    )
-                if alt in _NEGATIONS:
-                    raise CorpusError(
-                        f"confusable {alt!r} for {word!r} is a negation token; "
-                        "the channel may not fabricate negation evidence"
-                    )
-            if options and not np.isfinite(_keep_and_confusion_weights(options)[1]):
-                raise CorpusError(
-                    f"confusion weights for {word!r}, keep weight 1.0 included, "
-                    "sum to a non-finite value"
-                )
-
-    def token_vocab(self) -> tuple[str, ...]:
-        return tuple(_base_vocab(self.confusion_table))
 
 
 def detokenize(tokens) -> str:
@@ -401,8 +367,8 @@ def _pick_tables(confusion_table: dict[str, list[tuple[str, float]]],
     for word, options in confusion_table.items():
         if not options:
             continue
-        weights, total = _keep_and_confusion_weights(options)
-        cdf = (weights / total).cumsum()
+        weights = np.array([1.0] + [w for _, w in options])
+        cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
         emits = [token_to_id[word]] + [token_to_id[alt] for alt, _ in options]
         tables[word] = (cdf.tolist(), emits)
@@ -445,9 +411,8 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     number.
     """
     config.validate()
-    vocab = config.token_vocab()
-    token_to_id = {tok: i for i, tok in enumerate(vocab)}
-    picks = _pick_tables(config.confusion_table, token_to_id)
+    token_to_id = {tok: i for i, tok in enumerate(DEFAULT_TOKEN_VOCAB)}
+    picks = _pick_tables(DEFAULT_CONFUSION_TABLE, token_to_id)
     rng = np.random.default_rng(np.uint64(config.seed))
     samples: list[Sample] = []
     for i in range(config.n_samples):
@@ -463,26 +428,20 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
             id=f"synth-{config.seed}-{i:06d}",
             input=tuple(input_ids),
             reference=reference,
-            ref_word_count=len(reference.split()),
             speaker=int(rng.integers(4)),
             start_s=start,
             session=f"session-{i // 50:03d}",
         ))
-    return Corpus(samples=samples, source_vocab_size=len(vocab), token_vocab=vocab)
+    return Corpus(samples=samples, source_vocab_size=len(DEFAULT_TOKEN_VOCAB),
+                  token_vocab=DEFAULT_TOKEN_VOCAB)
 
 
 def default_token_weights(config: SynthConfig):
-    """TokenWeights matching the generator: content words heavy, fillers light.
-
-    Confusable targets count as content so a hallucinated content word costs
-    as much as a dropped one.
-    """
+    """TokenWeights matching the generator: content words (confusable targets
+    included) heavy, fillers light."""
     from .scorers import TokenWeights
 
-    content = set(_CONTENT_TOKENS)
-    for options in config.confusion_table.values():
-        content.update(tok for tok, _ in options)
-    weights = {tok.lower(): config.content_weight for tok in content}
+    weights = {tok.lower(): config.content_weight for tok in _CONTENT_TOKENS}
     return TokenWeights(weights=weights, default=config.filler_weight)
 
 
@@ -538,10 +497,10 @@ def read_jsonl(path, fields: dict, error: type[Exception]):
 
 
 def load_corpus(path) -> Corpus:
-    """Load a JSONL corpus; the word count is always recomputed, never trusted.
+    """Load a JSONL corpus.
 
     The JSONL file carries samples only; the token vocabulary is the
-    canonical generator vocabulary.
+    generator's ``DEFAULT_TOKEN_VOCAB``.
     """
     samples = []
     for lineno, obj in read_jsonl(path, _SAMPLE_FIELDS, CorpusError):
@@ -551,7 +510,6 @@ def load_corpus(path) -> Corpus:
             id=obj["id"],
             input=tuple(obj["input"]),
             reference=obj["reference"],
-            ref_word_count=len(obj["reference"].split()),
             speaker=obj["speaker"],
             start_s=float(obj["start_s"]),
             session=obj["session"],

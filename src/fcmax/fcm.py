@@ -149,7 +149,8 @@ def expected_consistency(
     scorer: ConsistencyScorer,
     token_vocab: Sequence[str],
 ) -> ScoredBatch:
-    """Score one N-best list against the sample reference: a batch of one row."""
+    """Score one N-best list against the sample reference: a batch of one row.
+    Kept only because the benchmark's layer trace records it by name."""
     return score_batch([nbest.hypotheses], [sample], scorer, token_vocab)
 
 

@@ -110,12 +110,6 @@ def _align_batch(hyps: Sequence[Sequence[str]],
     return subs, edits - subs - dels, dels
 
 
-def wer(hyp: str, ref: str) -> EditBreakdown:
-    """Edit-error breakdown on normalized tokens; the reference must be
-    non-empty.  ``corpus_wer`` over a batch of one."""
-    return corpus_wer([(hyp, ref)])
-
-
 def corpus_wer(pairs: Sequence[tuple[str, str]]) -> EditBreakdown:
     """Pooled-count error rate: sum the edit counts, then divide once.
 

@@ -99,19 +99,6 @@ def _chunk(windows: dict, key: tuple[str, int], chunk_seconds: float) -> Session
     return SessionChunk(session, k * chunk_seconds, (k + 1) * chunk_seconds, windows.get(key, []))
 
 
-def chunk_session(utterances: Sequence[Utterance], chunk_seconds: float = 60.0) -> list[SessionChunk]:
-    """Assign utterances to [0, w), [w, 2w), ... windows by start time.
-
-    Empty windows are omitted; a trailing partial window is kept.  All
-    utterances must belong to one session.
-    """
-    windows = _windows(utterances, chunk_seconds)
-    sessions = sorted({session for session, _ in windows})
-    if len(sessions) > 1:
-        raise SummEvalError(f"chunk_session got utterances from sessions {sessions}")
-    return [_chunk(windows, key, chunk_seconds) for key in sorted(windows)]
-
-
 def format_speaker_attributed(chunk: SessionChunk) -> str:
     """Render "Speaker {index}: {text}" lines in start-time order."""
     return "".join(f"Speaker {u.speaker}: {u.text}\n" for u in chunk.utterances)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fcmax import metrics
+from fcmax import corpus as corpus_module, metrics
 from fcmax.beam import Hypothesis, NBestList, _decode_group
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, EOS, PUNCTUATION_TOKENS, Corpus, Sample, SynthConfig,
@@ -295,9 +295,6 @@ def _reference_chunk_session(utterances, chunk_seconds: float) -> dict[int, Sess
         raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
     if not utterances:
         return {}
-    sessions = {u.session for u in utterances}
-    if len(sessions) > 1:
-        raise SummEvalError(f"chunk_session got utterances from sessions {sorted(sessions)}")
     session = utterances[0].session
     buckets: dict = {}
     for u in utterances:
@@ -348,7 +345,7 @@ def reference_channel(rng, tokens: list[str], cfg: SynthConfig,
                       token_to_id: dict[str, int]) -> list[int]:
     """Per-token confusion channel: each confusable token builds its weight
     array and picks with ``Generator.choice(p=...)``.  The oracle for the
-    table-inverting ``corpus._channel``."""
+    table-inverting ``corpus._channel``, over the module's confusion table."""
     out: list[int] = []
     for tok in tokens:
         if tok in NEGATION_TOKENS:
@@ -356,7 +353,7 @@ def reference_channel(rng, tokens: list[str], cfg: SynthConfig,
                 continue
             out.append(token_to_id[tok])
             continue
-        options = cfg.confusion_table.get(tok)
+        options = corpus_module.DEFAULT_CONFUSION_TABLE.get(tok)
         if options:
             weights = np.array([1.0] + [w for _, w in options])
             pick = int(rng.choice(len(weights), p=weights / weights.sum()))
@@ -596,7 +593,7 @@ KNOW, DUNNO = 2, 3
 @pytest.fixture(scope="session")
 def ambiguity_fixture():
     corpus = Corpus(
-        samples=[Sample(id="ambig-0", input=(KNOW,), reference="dunno", ref_word_count=1)],
+        samples=[Sample(id="ambig-0", input=(KNOW,), reference="dunno")],
         source_vocab_size=len(AMBIG_VOCAB),
         token_vocab=AMBIG_VOCAB,
     )

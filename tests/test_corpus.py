@@ -13,8 +13,8 @@ from conftest import reference_channel, reference_detokenize, reference_normaliz
 from fcmax import corpus as corpus_module
 from fcmax.cli import _load_hyp_texts
 from fcmax.corpus import (
-    _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_TOKEN_VOCAB, EOS, PUNCTUATION_TOKENS, Corpus,
-    CorpusError, Sample, SynthConfig,
+    _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_CONFUSION_TABLE, DEFAULT_TOKEN_VOCAB, EOS,
+    PUNCTUATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
     corpus_to_jsonl, detokenize, generate_synthetic_corpus, id_renderer, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
@@ -74,10 +74,16 @@ def test_references_are_cased_and_punctuated():
 
 
 def test_clean_channel_reproduces_reference_tokens():
-    cfg = SynthConfig(n_samples=30, seed=9, negation_drop_rate=0.0, confusion_table={})
-    corpus = generate_synthetic_corpus(cfg)
+    """With no negation dropped, the channel emits each reference token or
+    one of its ``DEFAULT_CONFUSION_TABLE`` alternatives."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=30, seed=9, negation_drop_rate=0.0))
     for s in corpus.samples:
-        assert list(s.input) == corpus.reference_ids(s)
+        ref = corpus.reference_ids(s)
+        assert len(s.input) == len(ref)
+        for got, want in zip(s.input, ref):
+            word = corpus.token_vocab[want]
+            allowed = {word} | {alt for alt, _ in DEFAULT_CONFUSION_TABLE.get(word, [])}
+            assert corpus.token_vocab[got] in allowed
 
 
 def test_length_bounds_respected():
@@ -94,12 +100,6 @@ def test_length_bounds_respected():
     (dict(n_samples=1, content_weight=0.0), "weights"),
     (dict(n_samples=1, content_weight=float("nan")), "weights"),
     (dict(n_samples=1, filler_weight=float("inf")), "weights"),
-    (dict(n_samples=1, confusion_table={"plan": [("plant", float("nan"))]}), "'plan'"),
-    (dict(n_samples=1, confusion_table={"plan": [("plant", float("inf"))]}), "'plan'"),
-    (dict(n_samples=1, confusion_table={"know": [("owe", 0.5), ("no", -float("inf"))]}),
-     "'know'"),
-    (dict(n_samples=1, confusion_table={"budget": [("bucket", 1e308), ("budge", 1e308)]}),
-     "'budget'.*non-finite"),
 ])
 def test_invalid_config_reports_bound(bad, message):
     with pytest.raises(CorpusError, match=message):
@@ -129,9 +129,15 @@ def _custom_confusion_table() -> dict[str, list[tuple[str, float]]]:
 @pytest.mark.parametrize("custom", [False, True], ids=["default-table", "custom-table"])
 @pytest.mark.parametrize("drop", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 7, 11, 123])
-def test_channel_matches_per_token_choice_oracle(seed, drop, custom):
-    extra = dict(confusion_table=_custom_confusion_table()) if custom else {}
-    cfg = SynthConfig(n_samples=300, seed=seed, negation_drop_rate=drop, **extra)
+def test_channel_matches_per_token_choice_oracle(seed, drop, custom, monkeypatch):
+    """The custom table stands in for the module's fixed one, so the whole
+    generator is checked on extreme weights too."""
+    if custom:
+        table = _custom_confusion_table()
+        alts = sorted({alt for options in table.values() for alt, _ in options})
+        monkeypatch.setattr(corpus_module, "DEFAULT_CONFUSION_TABLE", table)
+        monkeypatch.setattr(corpus_module, "DEFAULT_TOKEN_VOCAB", (*DEFAULT_TOKEN_VOCAB, *alts))
+    cfg = SynthConfig(n_samples=300, seed=seed, negation_drop_rate=drop)
     assert corpus_to_jsonl(generate_synthetic_corpus(cfg)) == corpus_to_jsonl(
         _reference_corpus(cfg))
 
@@ -226,11 +232,12 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
      "line 2: field 'start_s' must be a finite number in float range"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": "0"}),
      "line 2: field 'start_s' has wrong type"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": " "}), "sample 'b': ref"),
 ], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
         "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
         "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "utt-start-nan", "utt-start-inf",
         "utt-start-huge-int", "corpus-start-minus-inf", "corpus-start-huge-int",
-        "corpus-start-str"])
+        "corpus-start-str", "corpus-reference-blank"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
     """The utterance, hypothesis and corpus readers share the corpus reader's
     line checks: each bad line raises the reader's error naming the line,
@@ -344,13 +351,19 @@ def test_detokenize_surface_round_trip():
 def test_sample_invariants_enforced():
     with pytest.raises(CorpusError, match="empty input"):
         Corpus(
-            samples=[Sample(id="x", input=(), reference="Hi.", ref_word_count=1)],
+            samples=[Sample(id="x", input=(), reference="Hi.")],
             source_vocab_size=4,
             token_vocab=(BOS, EOS, "Hi", "."),
         )
     with pytest.raises(CorpusError, match="outside source vocabulary"):
         Corpus(
-            samples=[Sample(id="x", input=(9,), reference="Hi.", ref_word_count=1)],
+            samples=[Sample(id="x", input=(9,), reference="Hi.")],
+            source_vocab_size=4,
+            token_vocab=(BOS, EOS, "Hi", "."),
+        )
+    with pytest.raises(CorpusError, match="sample 'x': ref"):
+        Corpus(
+            samples=[Sample(id="x", input=(2,), reference=" \t ")],
             source_vocab_size=4,
             token_vocab=(BOS, EOS, "Hi", "."),
         )

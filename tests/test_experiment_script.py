@@ -8,15 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tiny_experiment_writes_its_report(tmp_path):
+# At 5 test utterances there is one summary window, and at 1 one utterance
+# pair too: a t-test with fewer than two pairs prints n/a and reports null.
+@pytest.mark.parametrize("n_test", ["10", "5", "1"])
+def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
-         "--out-dir", str(tmp_path), "--n-train", "30", "--n-dev", "10", "--n-test", "10",
+         "--out-dir", str(tmp_path), "--n-train", "30", "--n-dev", "10", "--n-test", n_test,
          "--d", "8", "--ce-iters", "20", "--fcm-iters", "4", "--quiet"],
         capture_output=True, text=True, timeout=300, env=env,
     )
@@ -35,3 +40,5 @@ def test_tiny_experiment_writes_its_report(tmp_path):
                                "consistent_ratio"}
         assert 0.0 <= system["del_rate"] <= 1.0 and system["ins_rate"] >= 0.0
     assert set(report["summary_means"]) == {"ce", "fcm"}
+    assert ("summary fcm vs ce: n/a" in proc.stdout) == (n_test != "10")
+    assert (report["utt_ttest_fcm_vs_ce"] is None) == (n_test == "1")

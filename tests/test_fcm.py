@@ -75,8 +75,7 @@ def _two_way_nbest() -> NBestList:
 
 
 def _sample(words: int = 3) -> Sample:
-    return Sample(id="s", input=(KNOW,), reference=" ".join(["word"] * words),
-                  ref_word_count=words)
+    return Sample(id="s", input=(KNOW,), reference=" ".join(["word"] * words))
 
 
 def test_constant_scorer_gives_ref_word_count():
@@ -251,7 +250,7 @@ def test_fixed_nbest_gradient_check(ambiguity_fixture):
 def test_fixed_nbest_gradient_check_random_model():
     vocab = (BOS, EOS, "a", "b", "c")
     corpus = Corpus(
-        samples=[Sample(id="r", input=(2, 3), reference="a b", ref_word_count=2)],
+        samples=[Sample(id="r", input=(2, 3), reference="a b")],
         source_vocab_size=5, token_vocab=vocab,
     )
     params = random_params(4, 5, 5, seed=31, scale=0.8)

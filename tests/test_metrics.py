@@ -14,7 +14,7 @@ from conftest import align_counts, reference_align_counts
 from fcmax import metrics
 from fcmax.metrics import (
     EditBreakdown, MetricsError, avg_consistency, consistent_ratio,
-    corpus_wer, csv_report, markdown_report, paired_t_test, student_t_p_value, wer,
+    corpus_wer, csv_report, markdown_report, paired_t_test, student_t_p_value,
 )
 from fcmax.scorers import exact_match_score, weighted_token_f1
 
@@ -40,32 +40,32 @@ def brute_force_edit_distance(hyp, ref) -> int:
 
 
 def test_wer_deletion_example():
-    b = wer("I know.", "I don't know.")
+    b = corpus_wer([("I know.", "I don't know.")])
     assert (b.substitutions, b.insertions, b.deletions) == (0, 0, 1)
     assert b.wer == pytest.approx(1 / 3)
 
 
 def test_wer_sub_plus_deletion_example():
-    b = wer("I dunno.", "I don't know.")
+    b = corpus_wer([("I dunno.", "I don't know.")])
     assert b.edits == 2
     assert (b.substitutions, b.insertions, b.deletions) == (1, 0, 1)
     assert b.wer == pytest.approx(2 / 3)
 
 
 def test_wer_identity():
-    b = wer("Same text here.", "Same text here.")
+    b = corpus_wer([("Same text here.", "Same text here.")])
     assert b.edits == 0 and b.wer == 0.0
 
 
 def test_wer_invariant_under_prenormalization():
-    raw = wer("I DON'T know!", "Fine, we KNOW.")
-    pre = wer("i don't know", "fine we know")
+    raw = corpus_wer([("I DON'T know!", "Fine, we KNOW.")])
+    pre = corpus_wer([("i don't know", "fine we know")])
     assert raw == pre
 
 
 def test_wer_empty_reference_rejected():
     with pytest.raises(MetricsError, match="zero tokens"):
-        wer("hello", "...")
+        corpus_wer([("hello", "...")])
 
 
 def test_alignment_tie_break_prefers_fewer_substitutions():
@@ -155,7 +155,8 @@ def test_corpus_wer_names_the_pair_with_an_empty_reference():
 
 def test_corpus_wer_single_pair():
     pair = ("I know.", "I don't know.")
-    assert corpus_wer([pair]) == wer(*pair)
+    assert corpus_wer([pair]) == EditBreakdown(substitutions=0, insertions=0, deletions=1,
+                                               ref_words=3)
 
 
 def test_corpus_wer_duplication_invariance():

@@ -1,6 +1,7 @@
 """Source checks that need no import: every file parses as Python 3.10,
-every module-level import of the package is used, and the package imports no
-HTTP client library."""
+every module-level import of the package is used, the package imports no
+HTTP client library, and every public definition of the package is read by
+program code, not by tests alone."""
 
 from __future__ import annotations
 
@@ -102,3 +103,87 @@ def test_the_wire_import_check_finds_a_planted_import():
               "def post():\n    from urllib import request\n    import http.client as hc\n"
               "    import requests.adapters\n")
     assert _wire_imports(source) == ["urllib.request", "http.client", "requests.adapters"]
+
+
+# Public definitions that program code reaches only by name strings: the
+# benchmark's tracer wraps them, so they stay until it no longer does.
+TRACER_ONLY = {
+    "beam.beam_decode",  # bench/tracer.py LAYERS: ("beam", "beam_decode")
+    "fcm.expected_consistency",  # bench/tracer.py LAYERS: ("fcm", "expected_consistency")
+}
+
+
+def _package_reads(source: str, module: str | None, package: dict[str, str]) -> set[str]:
+    """The "module.name" of each package definition that a source reads.
+
+    ``module`` is the source's own package module (None for a script) and
+    ``package`` maps each package module to its source.  A read is a bare
+    name that the source's module defines or imports from a package module
+    (``from .corpus import Sample``, ``from fcmax.corpus import SynthConfig``),
+    or an attribute of an imported package module (``corpus_mod.load_corpus``).
+    Reads of a module-level definition's own name inside it do not count."""
+    tree = ast.parse(source)
+    names, aliases = {}, {}  # local name -> "module.name"; local name -> module
+    if module is not None:
+        names.update((node.name, f"{module}.{node.name}") for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    for node in ast.walk(tree):
+        dotted = getattr(node, "module", None) or ""
+        if not isinstance(node, ast.ImportFrom) or not (node.level or dotted.startswith("fcmax")):
+            continue
+        origin = dotted if node.level else dotted[len("fcmax."):]
+        for alias in node.names:
+            if not origin and alias.name in package:
+                aliases[alias.asname or alias.name] = alias.name
+            elif origin in package:
+                names[alias.asname or alias.name] = f"{origin}.{alias.name}"
+    read = set()
+    for top in tree.body:
+        in_top = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                in_top.add(names[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                in_top.add(f"{aliases[node.value.id]}.{node.attr}")
+        read |= in_top - {f"{module}.{getattr(top, 'name', '')}"}
+    return read
+
+
+def _test_only_definitions(package: dict[str, str], programs: list[str]) -> list[str]:
+    """The "module.name" of each public module-level def or class of the
+    package that no other part of the package and no program source reads."""
+    defined = sorted(f"{module}.{node.name}" for module, source in package.items()
+                     for node in ast.parse(source).body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_"))
+    read = set().union(*(_package_reads(source, module, package)
+                         for module, source in package.items()),
+                       *(_package_reads(source, None, package) for source in programs))
+    return [name for name in defined if name not in read]
+
+
+def test_every_public_definition_of_the_package_is_read_by_program_code():
+    """A public function or class that only tests call is API kept for the
+    tests' sake.  Program code is the package, ``__init__``'s re-exports
+    aside, ``scripts/`` and ``bench/`` (not its tests)."""
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "fcmax").glob("*.py"))
+               if path.name != "__init__.py"}
+    programs = [path.read_text(encoding="utf-8")
+                for folder in ("scripts", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    assert len(package) > 5 and len(programs) > 3
+    assert set(_test_only_definitions(package, programs)) == TRACER_ONLY
+
+
+def test_the_test_only_check_finds_a_planted_definition():
+    package = {
+        "a": ("def used():\n    return helper()\n\n\ndef helper():\n    pass\n\n\n"
+              "def planted(n):\n    return planted(n - 1) if n else None\n\n\n"
+              "class _Private:\n    pass\n\n\nclass Shown:\n    pass\n"),
+        "b": ("from . import a as mod\n\n\n"
+              "def _f(report):\n    return report.planted, mod.used\n"),
+    }
+    programs = ["import numpy as np\nfrom fcmax.a import Shown\n\nShown(np.planted)\n"]
+    assert _test_only_definitions(package, programs) == ["a.planted"]
+    assert _test_only_definitions(package, []) == ["a.Shown", "a.planted"]

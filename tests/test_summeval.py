@@ -11,10 +11,9 @@ from conftest import reference_evaluate_summaries
 from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus
 from fcmax.scorers import RemoteNetworkError, RemoteProtocolError, weighted_f1_scorer
 from fcmax.summeval import (
-    SessionChunk, SummarizerParams, SummEvalError, Utterance, build_prompt,
-    chunk_session, corpus_to_utterances, evaluate_summaries, format_speaker_attributed,
-    load_utterances, make_summarizer, mock_summarize, parse_speaker_attributed,
-    save_utterances, summarize,
+    SessionChunk, SummarizerParams, SummEvalError, Utterance, _chunk, _windows, build_prompt,
+    corpus_to_utterances, evaluate_summaries, format_speaker_attributed, load_utterances,
+    make_summarizer, mock_summarize, parse_speaker_attributed, save_utterances, summarize,
 )
 
 THREE_UTTS = [
@@ -26,41 +25,38 @@ THREE_LINES = "Speaker 1: Hello.\nSpeaker 2: Hi, how are you?\nSpeaker 1: I'm fi
 
 
 def test_single_chunk_when_all_start_early():
-    chunks = chunk_session(THREE_UTTS)
-    assert len(chunks) == 1
-    assert (chunks[0].start, chunks[0].end) == (0.0, 60.0)
-    assert len(chunks[0].utterances) == 3
+    windows = _windows(THREE_UTTS, 60.0)
+    assert list(windows) == [("", 0)]
+    chunk = _chunk(windows, ("", 0), 60.0)
+    assert (chunk.start, chunk.end) == (0.0, 60.0)
+    assert len(chunk.utterances) == 3
 
 
 def test_three_windows():
     utts = [Utterance(speaker=0, start_s=t, text=f"u{t}") for t in (10.0, 70.0, 130.0)]
-    chunks = chunk_session(utts)
+    windows = _windows(utts, 60.0)
+    assert windows == {("", 0): utts[:1], ("", 1): utts[1:2], ("", 2): utts[2:]}
+    chunks = [_chunk(windows, key, 60.0) for key in windows]
     assert [(c.start, c.end) for c in chunks] == [(0, 60), (60, 120), (120, 180)]
-    assert all(len(c.utterances) == 1 for c in chunks)
 
 
 def test_empty_utterance_list():
-    assert chunk_session([]) == []
+    assert _windows([], 60.0) == {}
 
 
 def test_empty_windows_omitted_and_partial_kept():
     utts = [Utterance(speaker=0, start_s=t, text="x") for t in (5.0, 125.0)]
-    chunks = chunk_session(utts)
-    assert [(c.start, c.end) for c in chunks] == [(0, 60), (120, 180)]
-
-
-def test_chunk_rejects_mixed_sessions():
-    utts = [Utterance(speaker=0, start_s=0, text="a", session="s1"),
-            Utterance(speaker=0, start_s=1, text="b", session="s2")]
-    with pytest.raises(SummEvalError, match="sessions"):
-        chunk_session(utts)
+    windows = _windows(utts, 60.0)
+    assert list(windows) == [("", 0), ("", 2)]
+    chunk = _chunk(windows, ("", 2), 60.0)
+    assert (chunk.start, chunk.end) == (120, 180)
 
 
 @pytest.mark.parametrize("chunk_seconds", [0.0, -60.0, float("nan"), float("inf")])
 def test_non_positive_window_is_refused(chunk_seconds):
     refs = [Utterance(speaker=0, start_s=1.0, text="Words.")]
     with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
-        chunk_session(refs, chunk_seconds)
+        _windows(refs, chunk_seconds)
     with pytest.raises(SummEvalError, match="chunk_seconds must be > 0"):
         evaluate_summaries(refs, refs, make_summarizer("mock"), weighted_f1_scorer(),
                            chunk_seconds)
@@ -70,9 +66,11 @@ def test_non_positive_window_is_refused(chunk_seconds):
                                                      (9244 * 0.7, 0.7)])
 def test_start_on_a_rounded_window_bound_joins_the_window_that_holds_it(start_s, chunk_seconds):
     """start // w floors to the window before the one whose float bounds
-    [k * w, (k + 1) * w) hold the start; both chunkers use the bounds."""
+    [k * w, (k + 1) * w) hold the start; the window grouping uses the bounds."""
     utts = [Utterance(speaker=0, start_s=start_s, text="We know the plan.")]
-    (chunk,) = chunk_session(utts, chunk_seconds)
+    windows = _windows(utts, chunk_seconds)
+    (key,) = windows
+    chunk = _chunk(windows, key, chunk_seconds)
     assert chunk.start <= start_s < chunk.end
     assert chunk.utterances == utts
     at_zero = [Utterance(speaker=0, start_s=0.0, text="We know the plan.")]
@@ -88,7 +86,7 @@ def test_utterance_refuses_a_start_time_that_is_not_finite_and_non_negative(star
 
 
 def test_formatting_matches_template():
-    chunk = chunk_session(THREE_UTTS)[0]
+    chunk = _chunk(_windows(THREE_UTTS, 60.0), ("", 0), 60.0)
     assert format_speaker_attributed(chunk) == THREE_LINES
 
 
@@ -124,7 +122,8 @@ def test_build_prompt_not_idempotent():
 ))
 def test_chunk_partitioning_property(raw):
     utts = [Utterance(speaker=s, start_s=t, text=txt) for s, t, txt in raw]
-    chunks = chunk_session(utts)
+    windows = _windows(utts, 60.0)
+    chunks = [_chunk(windows, key, 60.0) for key in sorted(windows)]
     assert sum(len(c.utterances) for c in chunks) == len(utts)
     spans = [(c.start, c.end) for c in chunks]
     assert all(b1 <= a2 for (_, b1), (a2, _) in zip(spans, spans[1:]))

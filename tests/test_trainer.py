@@ -53,7 +53,6 @@ def _toy_corpus(n_samples: int = 10, seed: int = 0) -> Corpus:
         reference = detokenize(vocab[t] for t in ids)
         samples.append(Sample(
             id=f"toy-{i}", input=tuple(ids), reference=reference,
-            ref_word_count=len(reference.split()),
         ))
     return Corpus(samples=samples, source_vocab_size=len(vocab), token_vocab=vocab)
 
@@ -316,8 +315,7 @@ def test_decode_failures_name_the_sample():
     limit = max(max(s.input) for s in corpus.samples if s is not bad) + 1
     assert limit < corpus.source_vocab_size
     samples = list(corpus.samples)
-    samples[3] = Sample(id=bad.id, input=bad.input + (limit,), reference=bad.reference,
-                        ref_word_count=bad.ref_word_count)
+    samples[3] = Sample(id=bad.id, input=bad.input + (limit,), reference=bad.reference)
     corpus = Corpus(samples, corpus.source_vocab_size, corpus.token_vocab)
     params = random_params(3, limit, len(corpus.token_vocab), seed=5)
     with pytest.raises(FcmError, match=f"{bad.id!r}.*out of range"):
@@ -327,8 +325,7 @@ def test_decode_failures_name_the_sample():
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}.*out of range"):
         train_fcm(params, corpus, weighted_f1_scorer(), schedule)
     # an id past int64 is named as well, after an in-range sample
-    huge = Sample(id=bad.id, input=(2**63,), reference=bad.reference,
-                  ref_word_count=bad.ref_word_count)
+    huge = Sample(id=bad.id, input=(2**63,), reference=bad.reference)
     with pytest.raises(FcmError, match=f"sample {bad.id!r}: .*outside int64"):
         decode_samples(params, corpus, [corpus.samples[0], huge], 2, 4)
 
@@ -339,15 +336,13 @@ def test_ce_failures_name_the_iteration_and_the_sample():
     corpus = _toy_corpus(6)
     bad = corpus.samples[4]
     samples = list(corpus.samples)
-    samples[4] = Sample(id=bad.id, input=bad.input + (8,), reference=bad.reference,
-                        ref_word_count=bad.ref_word_count)
+    samples[4] = Sample(id=bad.id, input=bad.input + (8,), reference=bad.reference)
     params = random_params(3, 8, len(corpus.token_vocab), seed=5)  # source ids 0..7
     schedule = _toy_schedule(total_iterations=3, batch_size=6)
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: source index out"):
         train_ce(params, Corpus(samples, 9, corpus.token_vocab), schedule)
     # token "." (id 7) ends every reference; a sample without it is the only one that fits
-    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."),
-                      ref_word_count=len(s.reference.rstrip(" .").split()))
+    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."))
                if s is not bad else s for s in corpus.samples]
     params = random_params(3, 8, 7, seed=5)  # target ids 0..6
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: target index out"):
@@ -361,8 +356,7 @@ def test_minibatch_failures_name_the_sample_that_owns_the_row():
     corpus = _toy_corpus(4)
     # token "." (id 7) ends every reference; only the sample keeping it fails
     bad_ref = corpus.samples[3]
-    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."),
-                      ref_word_count=len(s.reference.rstrip(" .").split()))
+    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."))
                if s is not bad_ref else s for s in corpus.samples]
     corpus = Corpus(samples, 8, corpus.token_vocab)
     params = random_params(3, 8, 7, seed=5)  # target ids 0..6
