@@ -24,6 +24,9 @@ from fcmax.trainer import (
     SafeguardConfig, TrainingSchedule, decode_corpus_top1, train_ce, train_fcm,
 )
 
+# the decoding of every dev check and test evaluation
+BEAM_SIZE, NBEST_SIZE, MAX_LEN = 4, 4, 24
+
 
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -50,6 +53,14 @@ def eval_system(label, texts, corpus, scorer):
     ratio = consistent_ratio(scores, 0.5)
     return {"label": label, "texts": texts, "breakdown": breakdown, "mean": mean,
             "ratio": ratio, "scores": scores}
+
+
+def write_log(path, log):
+    path.write_text("".join(json.dumps(e) + "\n" for e in log))
+
+
+def ttest_entry(result):
+    return None if result is None else {"t": result.t_statistic, "p": result.p_value_two_tailed}
 
 
 def paired_or_none(a, b):
@@ -94,40 +105,40 @@ def main():
 
     log("evaluating random-init model")
     with stage("test_eval"):
-        texts = decode_corpus_top1(random_model, test, 4, 24)
+        texts = decode_corpus_top1(random_model, test, BEAM_SIZE, MAX_LEN)
         systems.append(eval_system("random-init", texts, test, scorer))
 
     log(f"likelihood training: {args.ce_iters} iterations at lr {args.ce_lr}")
     ce_schedule = TrainingSchedule(
         total_iterations=args.ce_iters, initial_lr=args.ce_lr, batch_size=args.ce_batch,
-        beam_size=4, nbest_size=4, max_len=24, seed=args.seed,
+        beam_size=BEAM_SIZE, nbest_size=NBEST_SIZE, max_len=MAX_LEN, seed=args.seed,
         checkpoint_every=max(1, args.ce_iters // 4),
     )
     with stage("ce_train"):
         ce = train_ce(random_model, train, ce_schedule, dev=dev, scorer=scorer)
         save_checkpoint(ce.params, out / "ce.json")
+        write_log(out / "ce_metrics.jsonl", ce.log)
     log("evaluating likelihood model")
     with stage("test_eval"):
-        texts = decode_corpus_top1(ce.params, test, 4, 24)
+        texts = decode_corpus_top1(ce.params, test, BEAM_SIZE, MAX_LEN)
         systems.append(eval_system("ce", texts, test, scorer))
 
     log(f"consistency fine-tuning: {args.fcm_iters} iterations at lr {args.fcm_lr}")
     fcm_schedule = TrainingSchedule(
         total_iterations=args.fcm_iters, initial_lr=args.fcm_lr, batch_size=1,
-        beam_size=4, nbest_size=4, max_len=24, seed=args.seed + 1,
+        beam_size=BEAM_SIZE, nbest_size=NBEST_SIZE, max_len=MAX_LEN, seed=args.seed + 1,
     )
     safeguard = SafeguardConfig(max_fcm_iterations=args.fcm_iters,
                                 deletion_rate_limit=0.25, dev_check_every=50)
     with stage("fcm_train"):
         fcm = train_fcm(ce.params, train, scorer, fcm_schedule, safeguard, dev=dev)
         save_checkpoint(fcm.params, out / "fcm.json")
-        (out / "fcm_metrics.jsonl").write_text(
-            "".join(json.dumps(e) + "\n" for e in fcm.log))
+        write_log(out / "fcm_metrics.jsonl", fcm.log)
     if fcm.guard_tripped:
         log(f"NOTE: {fcm.guard_report}")
     log("evaluating fine-tuned model")
     with stage("test_eval"):
-        texts = decode_corpus_top1(fcm.params, test, 4, 24)
+        texts = decode_corpus_top1(fcm.params, test, BEAM_SIZE, MAX_LEN)
         systems.append(eval_system("fcm", texts, test, scorer))
 
     table = markdown_report([(s["label"], s["breakdown"], s["mean"], s["ratio"])
@@ -166,12 +177,12 @@ def main():
              "del_rate": s["breakdown"].deletion_rate, "mean_consistency": s["mean"],
              "consistent_ratio": s["ratio"]} for s in systems
         ],
-        "utt_ttest_fcm_vs_ce": None if ttest is None else {"t": ttest.t_statistic,
-                                                            "p": ttest.p_value_two_tailed},
+        "utt_ttest_fcm_vs_ce": ttest_entry(ttest),
         "wer_delta_points": wer_delta,
         "guard_tripped": fcm.guard_tripped,
         "summary_means": {label: mean for label, _, mean in sum_rows},
         "summary_mean_ground_truth": gt_mean,
+        "summary_ttest_fcm_vs_ce": ttest_entry(st),
         "runtime_s": time.time() - t0,
         "stage_s": dict(stage_s),
     }

@@ -18,12 +18,11 @@ from .model import (
 )
 from .scorers import (
     ConsistencyScorer, TokenWeights, exact_match_score, exact_match_scorer,
-    lcs_ratio, lcs_scorer, remote_score, remote_scorer, weighted_f1_scorer,
-    weighted_token_f1,
+    lcs_ratio, lcs_scorer, remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
 from .summeval import (
-    SessionChunk, SummarizerParams, Utterance, build_prompt, evaluate_summaries,
-    format_speaker_attributed, summarize,
+    SummarizerParams, Utterance, build_prompt, evaluate_summaries, format_speaker_attributed,
+    make_summarizer,
 )
 from .trainer import (
     SafeguardConfig, TrainingSchedule, TrainResult, deletion_guard,

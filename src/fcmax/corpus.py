@@ -114,8 +114,8 @@ class Sample:
         return len(self.reference.split())
 
     def validate(self, source_vocab_size: int) -> None:
-        if not self.reference.split():
-            raise CorpusError(f"sample {self.id!r}: reference has no words")
+        if not normalize_text(self.reference):  # WER divides by these tokens
+            raise CorpusError(f"sample {self.id!r}: reference has no words once normalized")
         if len(self.input) == 0:
             raise CorpusError(f"sample {self.id!r}: empty input sequence")
         for idx in self.input:

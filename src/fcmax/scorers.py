@@ -13,8 +13,8 @@ absent, and refuses a chunked one.  ``ssl`` loads only for an https
 endpoint, and the ``*_proxy`` environment variables are not read.  An
 unreachable service or a timeout is retried twice, after 0.05 s and then
 0.1 s; a malformed reply, a bad status or an out-of-range score is not.
-An endpoint that is not an http(s) URL with a host (and a numeric port, if
-it names one) is refused when its scorer is built.
+A client parses its endpoint once, when it is built, and refuses one that is
+not an http(s) URL with a host (and a numeric port, if it names one) there.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ def lcs_ratio(hyp: str, ref: str) -> float:
 
 @dataclass(frozen=True)
 class _Target:
-    """Where one URL's request goes: a connection address and a request line."""
+    """Where one URL's request goes (address and request line), and the URL itself."""
 
+    url: str
     tls: bool
     host: str
     port: int
@@ -154,31 +155,29 @@ class _Target:
     path: str
 
 
-def _target(url: str) -> _Target:
-    """The request target of an http(s) URL; ``ValueError`` names an unusable one."""
-    if not _URL_CHARS.fullmatch(url):
-        raise ValueError(f"endpoint {url!r} holds a space, control or non-ASCII character")
-    parts = urlsplit(url)
+def parse_target(endpoint: str, route: str) -> _Target:
+    """Where requests to {endpoint}/{route} go; ``ValueError`` names an
+    endpoint that is not an http(s) URL with a valid host name, and a numeric
+    port if it names one."""
+    if not _URL_CHARS.fullmatch(endpoint):
+        raise ValueError(f"endpoint {endpoint!r} holds a space, control or non-ASCII character")
+    parts = urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL with a host")
+        raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL with a host")
     try:
         port = parts.port
     except ValueError as exc:
-        raise ValueError(f"endpoint {url!r} has an invalid port: {exc}") from None
+        raise ValueError(f"endpoint {endpoint!r} has an invalid port: {exc}") from None
     try:
         parts.hostname.encode("idna")  # as the connect will
     except UnicodeError:
-        raise ValueError(f"endpoint {url!r} has an invalid host name") from None
+        raise ValueError(f"endpoint {endpoint!r} has an invalid host name") from None
     tls = parts.scheme == "https"
-    return _Target(tls, parts.hostname, (443 if tls else 80) if port is None else port,
+    url = endpoint.rstrip("/") + "/" + route
+    request = urlsplit(url)  # a path segment added at the end leaves the host as it is
+    return _Target(url, tls, parts.hostname, (443 if tls else 80) if port is None else port,
                    parts.netloc.rpartition("@")[2],
-                   (parts.path or "/") + (f"?{parts.query}" if parts.query else ""))
-
-
-def check_endpoint(endpoint: str) -> None:
-    """``ValueError`` naming ``endpoint`` unless it is an http(s) URL with a
-    valid host name, and a numeric port if it names one."""
-    _target(endpoint)
+                   (request.path or "/") + (f"?{request.query}" if request.query else ""))
 
 
 @functools.lru_cache(maxsize=1)
@@ -251,20 +250,21 @@ def _exchange(target: _Target, request: bytes, timeout: float) -> tuple[int, byt
         sock.close()
 
 
-def post_json(url: str, payload: dict, timeout: float) -> dict:
-    """POST a JSON document and return the parsed JSON response.
+def post_json(target: _Target, payload: dict, timeout: float) -> dict:
+    """POST a JSON document to ``target`` and return the parsed JSON response.
 
-    Shared by the scorer and summarizer clients; raises the distinct wire
-    errors this package reports, and ``ValueError`` for a URL that is not
-    http(s).  Each attempt is one HTTP/1.0 request on a new connection,
-    written with one send; the reply ends at its ``Content-Length``, or at
-    the close without one, and a chunked reply is refused.  ``ssl`` loads
-    only for an https URL, and ``*_proxy`` variables are not read.
-    ``timeout`` bounds each connect, send and receive.  A network error or
-    a timeout is retried after 0.05 s and then 0.1 s, three attempts in
-    all; a malformed reply or a bad status is not.
+    Shared by the scorer and summarizer clients, which parse their endpoint
+    once, when they are built (``parse_target``), and pass the target to
+    every call.  Raises the distinct wire errors this package reports, each
+    naming ``target.url``.  Each attempt is one HTTP/1.0 request on a new
+    connection, written with one send; the reply ends at its
+    ``Content-Length``, or at the close without one, and a chunked reply is
+    refused.  ``ssl`` loads only for an https target, and ``*_proxy``
+    variables are not read.  ``timeout`` bounds each connect, send and
+    receive.  A network error or a timeout is retried after 0.05 s and then
+    0.1 s, three attempts in all; a malformed reply or a bad status is not.
     """
-    target = _target(url)
+    url = target.url
     body = json.dumps(payload).encode("utf-8")
     request = (f"POST {target.path} HTTP/1.0\r\nHost: {target.host_header}\r\n"
                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
@@ -305,20 +305,6 @@ def _validate_score(raw, source: str) -> float:
     return min(1.0, max(0.0, float(raw)))
 
 
-def remote_score(endpoint: str, hyp: str, ref: str, timeout: float = 10.0) -> float:
-    """Score via the wire protocol: POST {endpoint}/score with raw texts.
-
-    The endpoint is the service base URL.  Values that stray outside [0, 1]
-    by at most 1e-9 are clamped (serialization noise); anything worse is an
-    error.
-    """
-    url = endpoint.rstrip("/") + "/score"
-    doc = post_json(url, {"hypothesis": hyp, "reference": ref}, timeout)
-    if "consistency" not in doc:
-        raise RemoteProtocolError(f"{url} response is missing the 'consistency' field")
-    return _validate_score(doc["consistency"], url)
-
-
 @dataclass(frozen=True)
 class ConsistencyScorer:
     """A named scoring function whose scores are checked to lie in [0, 1]."""
@@ -350,10 +336,16 @@ def lcs_scorer() -> ConsistencyScorer:
 
 
 def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:
-    """Scores from the service at ``endpoint``; ``ValueError`` names an endpoint
-    that is not an http(s) URL with a host."""
-    check_endpoint(endpoint)
-    return ConsistencyScorer(
-        name=f"remote({endpoint})",
-        fn=lambda hyp, ref: remote_score(endpoint, hyp, ref, timeout),
-    )
+    """Scores from the service at ``endpoint``: each call POSTs the raw texts
+    to {endpoint}/score.  ``ValueError`` names an endpoint that is not an
+    http(s) URL with a host.  Values that stray outside [0, 1] by at most
+    1e-9 are clamped (serialization noise); anything worse is an error."""
+    target = parse_target(endpoint, "score")
+
+    def score(hyp: str, ref: str) -> float:
+        doc = post_json(target, {"hypothesis": hyp, "reference": ref}, timeout)
+        if "consistency" not in doc:
+            raise RemoteProtocolError(f"{target.url} response is missing the 'consistency' field")
+        return _validate_score(doc["consistency"], target.url)
+
+    return ConsistencyScorer(name=f"remote({endpoint})", fn=score)

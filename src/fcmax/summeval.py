@@ -2,16 +2,17 @@
 
 Session recordings are cut into fixed non-overlapping windows (60 s by
 default) by utterance start time, and each side of a comparison is grouped
-by (session, window) once.  Each window's hypothesis utterances become
-"Speaker N: text" lines in start-time order, are wrapped in a summarization
-prompt and summarized, and the summary is scored for consistency against the
-window's ground-truth transcript formatted the same way.  The per-window
-score vector feeds paired significance tests between systems.
+by (session, window) once, into a list of utterances in transcript order
+(start time, then speaker).  Each window's hypothesis utterances become
+"Speaker N: text" lines, are wrapped in a summarization prompt and
+summarized, and the summary is scored for consistency against the window's
+ground-truth transcript formatted the same way.  The per-window score vector
+feeds paired significance tests between systems.
 
 A deterministic built-in mock summarizer (first sentence spoken by each
 speaker, in speaker order) keeps the whole pipeline offline and
 byte-reproducible; a real model is reached through the same HTTP interface
-as a remote summarizer.
+as a remote summarizer, whose endpoint is parsed once, when it is built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import NUMBER, Corpus, atomic_write_text, read_jsonl
-from .scorers import ConsistencyScorer, RemoteProtocolError, check_endpoint, post_json
+from . import scorers
 
 MOCK_SUMMARIZER = "mock"
 PROMPT_INSTRUCTION = "\nSummarize the conversation above.\n"
@@ -47,22 +48,6 @@ class Utterance:
             raise SummEvalError(f"speaker index must be >= 0, got {self.speaker}")
 
 
-@dataclass
-class SessionChunk:
-    session: str
-    start: float
-    end: float
-    utterances: list[Utterance]
-
-    def __post_init__(self) -> None:
-        for u in self.utterances:
-            if not self.start <= u.start_s < self.end:
-                raise SummEvalError(
-                    f"utterance at {u.start_s}s outside window [{self.start}, {self.end})"
-                )
-        self.utterances = sorted(self.utterances, key=lambda u: (u.start_s, u.speaker))
-
-
 @dataclass(frozen=True)
 class SummarizerParams:
     temperature: float = 0.0
@@ -79,11 +64,9 @@ class SummarizerParams:
 
 
 def _windows(utterances: Sequence[Utterance], chunk_seconds: float) -> dict[tuple[str, int], list]:
-    """Utterances grouped by (session, window index), each group in input order.
-
-    Window k is [k * w, (k + 1) * w) in floats, the bounds ``_chunk`` checks;
-    where start // w rounds to a neighbour, k steps to the one holding the start.
-    """
+    """Utterances grouped by (session, window index), each group stably sorted
+    by (start time, speaker).  Window k is [k * w, (k + 1) * w) in floats; where
+    start // w rounds to a neighbour, k steps to the one whose bounds hold it."""
     if not (math.isfinite(chunk_seconds) and chunk_seconds > 0):
         raise SummEvalError(f"chunk_seconds must be > 0 and finite, got {chunk_seconds}")
     windows: dict[tuple[str, int], list[Utterance]] = {}
@@ -91,17 +74,14 @@ def _windows(utterances: Sequence[Utterance], chunk_seconds: float) -> dict[tupl
         k = int(u.start_s // chunk_seconds)
         k += (u.start_s >= (k + 1) * chunk_seconds) - (u.start_s < k * chunk_seconds)
         windows.setdefault((u.session, k), []).append(u)
+    for group in windows.values():
+        group.sort(key=lambda u: (u.start_s, u.speaker))
     return windows
 
 
-def _chunk(windows: dict, key: tuple[str, int], chunk_seconds: float) -> SessionChunk:
-    session, k = key
-    return SessionChunk(session, k * chunk_seconds, (k + 1) * chunk_seconds, windows.get(key, []))
-
-
-def format_speaker_attributed(chunk: SessionChunk) -> str:
-    """Render "Speaker {index}: {text}" lines in start-time order."""
-    return "".join(f"Speaker {u.speaker}: {u.text}\n" for u in chunk.utterances)
+def format_speaker_attributed(utterances: Sequence[Utterance]) -> str:
+    """Render "Speaker {index}: {text}" lines in the order given."""
+    return "".join(f"Speaker {u.speaker}: {u.text}\n" for u in utterances)
 
 
 _SPEAKER_LINE_RE = re.compile(r"^Speaker (\d+): (.*)$")
@@ -139,48 +119,34 @@ def mock_summarize(prompt: str) -> str:
     return " ".join(firsts[s] for s in sorted(firsts))
 
 
-def summarize(
-    endpoint: str,
-    prompt: str,
-    params: SummarizerParams = SummarizerParams(),
-    timeout: float = 30.0,
-) -> str:
-    """Produce a summary via the wire protocol, or via the built-in mock.
-
-    The endpoint "mock" selects the offline backend; anything else is taken
-    as a service base URL and POSTed to {endpoint}/summarize.
-    """
+def make_summarizer(endpoint: str, params: SummarizerParams = SummarizerParams(),
+                    timeout: float = 30.0) -> Callable[[str], str]:
+    """The summarizer that ``endpoint`` names: ``mock_summarize`` for "mock",
+    else a client that POSTs each prompt to {endpoint}/summarize.
+    ``ValueError`` names an endpoint that is neither "mock" nor an http(s)
+    URL with a host."""
     if endpoint == MOCK_SUMMARIZER:
-        return mock_summarize(prompt)
-    url = endpoint.rstrip("/") + "/summarize"
-    doc = post_json(url, {
-        "prompt": prompt,
-        "temperature": params.temperature,
-        "top_p": params.top_p,
-        "max_tokens": params.max_tokens,
-    }, timeout)
-    if "summary" not in doc or not isinstance(doc["summary"], str):
-        raise RemoteProtocolError(f"{url} response is missing a string 'summary' field")
-    return doc["summary"]
+        return mock_summarize
+    target = scorers.parse_target(endpoint, "summarize")
 
+    def summarize(prompt: str) -> str:
+        # scorers.post_json is looked up per call, so a wrapper installed later sees it
+        doc = scorers.post_json(target, {"prompt": prompt, "temperature": params.temperature,
+                                         "top_p": params.top_p, "max_tokens": params.max_tokens},
+                                timeout)
+        if "summary" not in doc or not isinstance(doc["summary"], str):
+            raise scorers.RemoteProtocolError(
+                f"{target.url} response is missing a string 'summary' field")
+        return doc["summary"]
 
-def make_summarizer(
-    endpoint: str,
-    params: SummarizerParams = SummarizerParams(),
-    timeout: float = 30.0,
-) -> Callable[[str], str]:
-    """``summarize`` bound to ``endpoint``; ``ValueError`` names an endpoint that
-    is neither "mock" nor an http(s) URL with a host."""
-    if endpoint != MOCK_SUMMARIZER:
-        check_endpoint(endpoint)
-    return lambda prompt: summarize(endpoint, prompt, params, timeout)
+    return summarize
 
 
 def evaluate_summaries(
     reference_utterances: Sequence[Utterance],
     hypothesis_utterances: Sequence[Utterance],
     summarizer: Callable[[str], str],
-    scorer: ConsistencyScorer,
+    scorer: scorers.ConsistencyScorer,
     chunk_seconds: float = 60.0,
 ) -> tuple[list[float], float]:
     """Run the chunked pipeline and score summaries against the ground truth.
@@ -198,15 +164,15 @@ def evaluate_summaries(
     if extra:
         raise SummEvalError(f"hypothesis sessions {extra} have no reference side")
     for session, k in sorted(hyps, key=lambda key: key[0]):  # stable: input order in a session
-        if (session, k) not in refs:
+        if (session, k) not in refs:  # name the window's first utterance in input order
+            first = next(u for u in hypothesis_utterances if u in hyps[session, k])
             raise SummEvalError(f"session {session!r}: hypothesis utterance at "
-                                f"{hyps[session, k][0].start_s}s falls in window {k}, "
+                                f"{first.start_s}s falls in window {k}, "
                                 f"which has no reference chunk")
     scores: list[float] = []
     for key in sorted(refs):
-        hyp_text = format_speaker_attributed(_chunk(hyps, key, chunk_seconds))
-        summary = summarizer(build_prompt(hyp_text))
-        scores.append(scorer(summary, format_speaker_attributed(_chunk(refs, key, chunk_seconds))))
+        summary = summarizer(build_prompt(format_speaker_attributed(hyps.get(key, []))))
+        scores.append(scorer(summary, format_speaker_attributed(refs[key])))
     if not scores:
         raise SummEvalError("no chunks to evaluate")
     return scores, sum(scores) / len(scores)

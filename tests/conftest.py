@@ -35,9 +35,7 @@ from fcmax.model import (
     ForwardTrace, ModelParams, PaddedIds, _Decoder, _log_softmax, apply_update, backward,
     encode, forward_teacher, param_count, trajectory,
 )
-from fcmax.summeval import (
-    SessionChunk, SummEvalError, build_prompt, format_speaker_attributed,
-)
+from fcmax.summeval import SummEvalError, build_prompt, format_speaker_attributed
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -289,19 +287,19 @@ def _reference_window(start_s: float, chunk_seconds: float) -> int:
     return lo
 
 
-def _reference_chunk_session(utterances, chunk_seconds: float) -> dict[int, SessionChunk]:
-    """One session's chunks by window index, in index order."""
+def _in_transcript_order(utterances) -> list:
+    """Sorted by start time, then speaker; ties keep their order."""
+    return sorted(utterances, key=lambda u: (u.start_s, u.speaker))
+
+
+def _reference_chunk_session(utterances, chunk_seconds: float) -> dict[int, list]:
+    """One session's window utterance lists by window index, in index order."""
     if chunk_seconds <= 0:
         raise SummEvalError(f"chunk_seconds must be > 0, got {chunk_seconds}")
-    if not utterances:
-        return {}
-    session = utterances[0].session
     buckets: dict = {}
     for u in utterances:
         buckets.setdefault(_reference_window(u.start_s, chunk_seconds), []).append(u)
-    return {idx: SessionChunk(session=session, start=idx * chunk_seconds,
-                              end=(idx + 1) * chunk_seconds, utterances=buckets[idx])
-            for idx in sorted(buckets)}
+    return {idx: _in_transcript_order(buckets[idx]) for idx in sorted(buckets)}
 
 
 def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, summarizer,
@@ -332,8 +330,7 @@ def reference_evaluate_summaries(reference_utterances, hypothesis_utterances, su
                 )
             hyp_buckets[w].append(u)
         for w, ref_chunk in ref_chunks.items():
-            hyp_chunk = SessionChunk(session=session, start=ref_chunk.start,
-                                     end=ref_chunk.end, utterances=hyp_buckets[w])
+            hyp_chunk = _in_transcript_order(hyp_buckets[w])
             summary = summarizer(build_prompt(format_speaker_attributed(hyp_chunk)))
             scores.append(scorer(summary, format_speaker_attributed(ref_chunk)))
     if not scores:

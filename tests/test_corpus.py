@@ -233,11 +233,13 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": "0"}),
      "line 2: field 'start_s' has wrong type"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": " "}), "sample 'b': ref"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": "..."}), "sample 'b': ref"),
 ], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
         "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
         "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "utt-start-nan", "utt-start-inf",
         "utt-start-huge-int", "corpus-start-minus-inf", "corpus-start-huge-int",
-        "corpus-start-str", "corpus-reference-blank"])
+        "corpus-start-str", "corpus-reference-blank",
+        "corpus-reference-punctuation"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
     """The utterance, hypothesis and corpus readers share the corpus reader's
     line checks: each bad line raises the reader's error naming the line,

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # At 5 test utterances there is one summary window, and at 1 one utterance
 # pair too: a t-test with fewer than two pairs prints n/a and reports null.
+# The 20 CE iterations run a dev check every 5.
 @pytest.mark.parametrize("n_test", ["10", "5", "1"])
 def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     env = dict(os.environ)
@@ -29,7 +30,8 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {
         "systems", "utt_ttest_fcm_vs_ce", "wer_delta_points", "guard_tripped",
-        "summary_means", "summary_mean_ground_truth", "runtime_s", "stage_s",
+        "summary_means", "summary_mean_ground_truth", "summary_ttest_fcm_vs_ce", "runtime_s",
+        "stage_s",
     }
     assert set(report["stage_s"]) == {"corpus", "ce_train", "fcm_train", "test_eval",
                                       "summaries"}
@@ -42,3 +44,8 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     assert set(report["summary_means"]) == {"ce", "fcm"}
     assert ("summary fcm vs ce: n/a" in proc.stdout) == (n_test != "10")
     assert (report["utt_ttest_fcm_vs_ce"] is None) == (n_test == "1")
+    assert (report["summary_ttest_fcm_vs_ce"] is None) == (n_test != "10")
+    for key in ("utt_ttest_fcm_vs_ce", "summary_ttest_fcm_vs_ce"):
+        assert report[key] is None or set(report[key]) == {"t", "p"}
+    ce_log = (tmp_path / "ce_metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["iter"] for line in ce_log] == [5, 10, 15, 20]

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import RawReplyServer, reference_weighted_token_f1
+from fcmax import scorers
 from fcmax.scorers import (
     UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError, RemoteProtocolError,
     RemoteTimeoutError, ScoreRangeError, TokenWeights, exact_match_score, exact_match_scorer,
-    lcs_ratio, lcs_scorer, remote_score, remote_scorer, weighted_f1_scorer, weighted_token_f1,
+    lcs_ratio, lcs_scorer, remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
+from fcmax.summeval import SummarizerParams, make_summarizer
 
 texts = st.text(
     alphabet=st.characters(codec="ascii", categories=("L", "N", "P", "Z")),
@@ -120,19 +122,22 @@ def test_local_work_does_not_load_the_wire_client():
     # In a fresh interpreter: this process has http.server loaded by conftest.
     script = textwrap.dedent("""
         import sys
-        from fcmax import corpus_wer, evaluate_summaries, remote_score, weighted_f1_scorer
+        from fcmax import corpus_wer, evaluate_summaries, remote_scorer, weighted_f1_scorer
         from fcmax.scorers import RemoteNetworkError
         from fcmax.summeval import Utterance, make_summarizer
 
-        wire = ("http.client", "urllib.request", "email.parser", "ssl")
+        wire = ("http.client", "urllib.request", "email.parser", "ssl", "socket")
         scorer = weighted_f1_scorer()
         assert scorer("I know.", "I don't know.") > 0.0
         assert corpus_wer([("I know.", "I don't know.")]).deletions == 1
         utts = [Utterance(0, 0.0, "I know. It is late."), Utterance(1, 3.0, "We plan.")]
         evaluate_summaries(utts, utts, make_summarizer("mock"), scorer)
         print(sorted(m for m in wire if m in sys.modules))
+        remote_scorer("https://127.0.0.1:1")
+        make_summarizer("https://127.0.0.1:1")
+        print(sorted(m for m in wire if m in sys.modules))
         try:
-            remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)
+            remote_scorer("http://127.0.0.1:1", timeout=0.5)("h", "r")
         except RemoteNetworkError:
             pass
         print(sorted(m for m in wire if m in sys.modules))
@@ -143,8 +148,9 @@ def test_local_work_does_not_load_the_wire_client():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    # an http:// call loads none of them either: the client is a plain socket
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    # building an https:// client connects nothing, so it loads neither socket
+    # nor ssl; an http:// call loads the socket and no HTTP library
+    assert proc.stdout.splitlines() == ["[]", "[]", "['socket']"]
 
 
 def test_token_weights_validation():
@@ -202,7 +208,7 @@ def test_scorer_wrapper_validates_range():
 
 def test_remote_score_passthrough(wire_server):
     wire_server.respond({"consistency": 0.5})
-    assert remote_score(wire_server.url, "hyp text", "ref text") == 0.5
+    assert remote_scorer(wire_server.url)("hyp text", "ref text") == 0.5
     path, body = wire_server.requests[-1]
     assert path == "/score"
     assert body == {"hypothesis": "hyp text", "reference": "ref text"}
@@ -210,15 +216,15 @@ def test_remote_score_passthrough(wire_server):
 
 def test_remote_score_clamps_serialization_noise(wire_server):
     wire_server.respond({"consistency": 1.0 + 5e-10})
-    assert remote_score(wire_server.url, "h", "r") == 1.0
+    assert remote_scorer(wire_server.url)("h", "r") == 1.0
     wire_server.respond({"consistency": -5e-10})
-    assert remote_score(wire_server.url, "h", "r") == 0.0
+    assert remote_scorer(wire_server.url)("h", "r") == 0.0
 
 
 def test_remote_score_out_of_range(wire_server):
     wire_server.respond({"consistency": 1.2})
     with pytest.raises(ScoreRangeError):
-        remote_score(wire_server.url, "h", "r")
+        remote_scorer(wire_server.url)("h", "r")
     assert len(wire_server.requests) == 1, "an out-of-range score is not retried"
 
 
@@ -228,37 +234,37 @@ def test_remote_score_refuses_nan_and_huge_values(wire_server, value):
     # integers of any size, which must not overflow float()
     wire_server.respond_raw(b'{"consistency": ' + value + b"}")
     with pytest.raises(ScoreRangeError, match="out-of-range"):
-        remote_score(wire_server.url, "h", "r")
+        remote_scorer(wire_server.url)("h", "r")
 
 
 def test_remote_score_missing_field(wire_server):
     wire_server.respond({"score": 0.4})
     with pytest.raises(RemoteProtocolError, match="consistency"):
-        remote_score(wire_server.url, "h", "r")
+        remote_scorer(wire_server.url)("h", "r")
 
 
 def test_remote_score_invalid_json(wire_server):
     wire_server.respond_raw(b"this is not json")
     with pytest.raises(RemoteProtocolError, match="invalid JSON"):
-        remote_score(wire_server.url, "h", "r")
+        remote_scorer(wire_server.url)("h", "r")
 
 
 def test_remote_score_http_error(wire_server):
     wire_server.respond({"consistency": 0.4}, status=500)
     with pytest.raises(RemoteProtocolError, match="500"):
-        remote_score(wire_server.url, "h", "r")
+        remote_scorer(wire_server.url)("h", "r")
     assert len(wire_server.requests) == 1, "a bad status is not retried"
 
 
 def test_remote_score_timeout(wire_server):
     wire_server.respond({"consistency": 0.4}, delay=0.5)
     with pytest.raises(RemoteTimeoutError, match="timed out"):
-        remote_score(wire_server.url, "h", "r", timeout=0.1)
+        remote_scorer(wire_server.url, timeout=0.1)("h", "r")
 
 
 def test_remote_score_unreachable_names_endpoint():
     with pytest.raises(RemoteNetworkError, match="127.0.0.1:1"):
-        remote_score("http://127.0.0.1:1", "h", "r", timeout=0.5)
+        remote_scorer("http://127.0.0.1:1", timeout=0.5)("h", "r")
 
 
 OK_BODY = b'{"consistency": 0.5}'
@@ -278,7 +284,7 @@ def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 20
 def test_remote_score_refuses_a_malformed_reply(raw_server, reply, named):
     server = raw_server([reply])
     with pytest.raises(RemoteProtocolError, match=named):
-        remote_score(server.url, "h", "r", timeout=5.0)
+        remote_scorer(server.url, timeout=5.0)("h", "r")
     assert len(server.requests) == 1, "a malformed reply is not retried"
 
 
@@ -286,14 +292,14 @@ def test_remote_score_returns_at_the_content_length(raw_server):
     """The body ends at its Content-Length, not where the server closes."""
     server = raw_server([_reply(b"Content-Length: %d" % len(OK_BODY))], hold=True)
     start = time.perf_counter()
-    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    assert remote_scorer(server.url, timeout=5.0)("h", "r") == 0.5
     assert time.perf_counter() - start < 2.0
 
 
 def test_remote_score_parses_a_reply_sent_byte_by_byte(raw_server):
     reply = _reply(b"Content-Type: application/json")
     server = raw_server([reply[k:k + 1] for k in range(len(reply))])
-    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    assert remote_scorer(server.url, timeout=5.0)("h", "r") == 0.5
     head, _, body = server.requests[0].partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0] == b"POST /score HTTP/1.0"
     assert b"Content-Length: %d" % len(body) in head.split(b"\r\n")
@@ -301,19 +307,19 @@ def test_remote_score_parses_a_reply_sent_byte_by_byte(raw_server):
 
 def test_remote_score_posts_under_the_endpoint_path(wire_server):
     wire_server.respond({"consistency": 0.5})
-    assert remote_score(wire_server.url + "/api/", "h", "r") == 0.5
+    assert remote_scorer(wire_server.url + "/api/")("h", "r") == 0.5
     assert wire_server.requests[-1][0] == "/api/score"
 
 
 def test_remote_score_https_to_a_plain_http_server_names_it(wire_server):
     url = wire_server.url.replace("http://", "https://")
     with pytest.raises(RemoteNetworkError, match=re.escape(url)):
-        remote_score(url, "h", "r", timeout=2.0)
+        remote_scorer(url, timeout=2.0)("h", "r")
 
 
 def test_remote_score_retries_a_reset_connection(raw_server):
     server = raw_server(RawReplyServer.RESET, [_reply()])
-    assert remote_score(server.url, "h", "r", timeout=5.0) == 0.5
+    assert remote_scorer(server.url, timeout=5.0)("h", "r") == 0.5
     assert len(server.requests) == 2
 
 
@@ -322,7 +328,7 @@ def test_remote_score_gives_up_after_three_attempts(raw_server):
     start = time.perf_counter()
     with pytest.raises(RemoteNetworkError,
                        match=re.escape(f"{server.url}/score after 3 attempts")):
-        remote_score(server.url, "h", "r", timeout=5.0)
+        remote_scorer(server.url, timeout=5.0)("h", "r")
     assert len(server.requests) == 3
     assert time.perf_counter() - start >= 0.15, "backs off 0.05 s, then 0.1 s"
 
@@ -334,11 +340,35 @@ def test_remote_score_gives_up_after_three_attempts(raw_server):
 def test_an_unusable_endpoint_is_refused_before_any_request(endpoint):
     with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
         remote_scorer(endpoint)
-    with pytest.raises(ValueError, match=re.escape(endpoint)):
-        remote_score(endpoint, "h", "r")
+    with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+        make_summarizer(endpoint)
 
 
 def test_remote_scorer_passes_the_service_score_through(wire_server):
     wire_server.respond({"consistency": 0.25})
-    scorer = ConsistencyScorer(name="r", fn=lambda h, r: remote_score(wire_server.url, h, r))
+    scorer = remote_scorer(wire_server.url)
     assert scorer("a", "b") == 0.25
+    assert scorer.name == f"remote({wire_server.url})"
+
+
+def test_remote_clients_call_post_json_through_the_module(monkeypatch):
+    """Both clients parse their endpoint when built and look ``post_json`` up
+    per call, so a wrapper installed afterwards (the benchmark's tracer)
+    sees every request."""
+    scorer = remote_scorer("http://127.0.0.1:1/api/?k=v")
+    summarizer = make_summarizer("https://127.0.0.1:1", SummarizerParams(max_tokens=9), 3.0)
+    calls = []
+
+    def fake_post_json(target, payload, timeout):
+        calls.append((target.url, target.tls, target.path, payload, timeout))
+        return {"consistency": 0.75, "summary": "S."}
+
+    monkeypatch.setattr(scorers, "post_json", fake_post_json)
+    assert scorer("h", "r") == 0.75
+    assert summarizer("p") == "S."
+    assert calls == [
+        ("http://127.0.0.1:1/api/?k=v/score", False, "/api/?k=v/score",
+         {"hypothesis": "h", "reference": "r"}, 10.0),
+        ("https://127.0.0.1:1/summarize", True, "/summarize",
+         {"prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 9}, 3.0),
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +12,9 @@ from conftest import reference_evaluate_summaries
 from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus
 from fcmax.scorers import RemoteNetworkError, RemoteProtocolError, weighted_f1_scorer
 from fcmax.summeval import (
-    SessionChunk, SummarizerParams, SummEvalError, Utterance, _chunk, _windows, build_prompt,
-    corpus_to_utterances, evaluate_summaries, format_speaker_attributed, load_utterances,
-    make_summarizer, mock_summarize, parse_speaker_attributed, save_utterances, summarize,
+    SummarizerParams, SummEvalError, Utterance, _windows, build_prompt, corpus_to_utterances,
+    evaluate_summaries, format_speaker_attributed, load_utterances, make_summarizer,
+    mock_summarize, parse_speaker_attributed, save_utterances,
 )
 
 THREE_UTTS = [
@@ -25,19 +26,13 @@ THREE_LINES = "Speaker 1: Hello.\nSpeaker 2: Hi, how are you?\nSpeaker 1: I'm fi
 
 
 def test_single_chunk_when_all_start_early():
-    windows = _windows(THREE_UTTS, 60.0)
-    assert list(windows) == [("", 0)]
-    chunk = _chunk(windows, ("", 0), 60.0)
-    assert (chunk.start, chunk.end) == (0.0, 60.0)
-    assert len(chunk.utterances) == 3
+    assert _windows(THREE_UTTS, 60.0) == {("", 0): THREE_UTTS}
 
 
 def test_three_windows():
     utts = [Utterance(speaker=0, start_s=t, text=f"u{t}") for t in (10.0, 70.0, 130.0)]
     windows = _windows(utts, 60.0)
     assert windows == {("", 0): utts[:1], ("", 1): utts[1:2], ("", 2): utts[2:]}
-    chunks = [_chunk(windows, key, 60.0) for key in windows]
-    assert [(c.start, c.end) for c in chunks] == [(0, 60), (60, 120), (120, 180)]
 
 
 def test_empty_utterance_list():
@@ -47,9 +42,7 @@ def test_empty_utterance_list():
 def test_empty_windows_omitted_and_partial_kept():
     utts = [Utterance(speaker=0, start_s=t, text="x") for t in (5.0, 125.0)]
     windows = _windows(utts, 60.0)
-    assert list(windows) == [("", 0), ("", 2)]
-    chunk = _chunk(windows, ("", 2), 60.0)
-    assert (chunk.start, chunk.end) == (120, 180)
+    assert windows == {("", 0): utts[:1], ("", 2): utts[1:]}
 
 
 @pytest.mark.parametrize("chunk_seconds", [0.0, -60.0, float("nan"), float("inf")])
@@ -69,10 +62,9 @@ def test_start_on_a_rounded_window_bound_joins_the_window_that_holds_it(start_s,
     [k * w, (k + 1) * w) hold the start; the window grouping uses the bounds."""
     utts = [Utterance(speaker=0, start_s=start_s, text="We know the plan.")]
     windows = _windows(utts, chunk_seconds)
-    (key,) = windows
-    chunk = _chunk(windows, key, chunk_seconds)
-    assert chunk.start <= start_s < chunk.end
-    assert chunk.utterances == utts
+    (((_, k), group),) = windows.items()
+    assert k * chunk_seconds <= start_s < (k + 1) * chunk_seconds
+    assert group == utts
     at_zero = [Utterance(speaker=0, start_s=0.0, text="We know the plan.")]
     summarizer, scorer = make_summarizer("mock"), weighted_f1_scorer()
     assert (evaluate_summaries(utts, utts, summarizer, scorer, chunk_seconds)
@@ -86,19 +78,24 @@ def test_utterance_refuses_a_start_time_that_is_not_finite_and_non_negative(star
 
 
 def test_formatting_matches_template():
-    chunk = _chunk(_windows(THREE_UTTS, 60.0), ("", 0), 60.0)
-    assert format_speaker_attributed(chunk) == THREE_LINES
+    assert format_speaker_attributed(THREE_UTTS) == THREE_LINES
 
 
 def test_formatting_empty_and_single():
-    assert format_speaker_attributed(SessionChunk("", 0, 60, [])) == ""
-    one = SessionChunk("", 0, 60, [Utterance(speaker=3, start_s=2, text="Yes?")])
+    assert format_speaker_attributed([]) == ""
+    one = [Utterance(speaker=3, start_s=2, text="Yes?")]
     assert format_speaker_attributed(one) == "Speaker 3: Yes?\n"
 
 
 def test_format_sorts_by_start_time():
-    chunk = SessionChunk("", 0, 60, list(reversed(THREE_UTTS)))
-    assert format_speaker_attributed(chunk) == THREE_LINES
+    """A window's list is in start-time order, then speaker order; the sort is
+    stable, so utterances that tie on both keep their input order."""
+    (window,) = _windows(list(reversed(THREE_UTTS)), 60.0).values()
+    assert format_speaker_attributed(window) == THREE_LINES
+    ties = [Utterance(2, 4.0, "B."), Utterance(1, 4.0, "A."), Utterance(2, 4.0, "C."),
+            Utterance(0, 9.0, "D.")]
+    (window,) = _windows(ties, 60.0).values()
+    assert [u.text for u in window] == ["A.", "B.", "C.", "D."]
 
 
 def test_build_prompt_exact_bytes():
@@ -123,13 +120,10 @@ def test_build_prompt_not_idempotent():
 def test_chunk_partitioning_property(raw):
     utts = [Utterance(speaker=s, start_s=t, text=txt) for s, t, txt in raw]
     windows = _windows(utts, 60.0)
-    chunks = [_chunk(windows, key, 60.0) for key in sorted(windows)]
-    assert sum(len(c.utterances) for c in chunks) == len(utts)
-    spans = [(c.start, c.end) for c in chunks]
-    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(spans, spans[1:]))
-    for c in chunks:
-        for u in c.utterances:
-            assert c.start <= u.start_s < c.end
+    assert Counter(u for group in windows.values() for u in group) == Counter(utts)
+    for (_, k), group in windows.items():
+        assert all(k * 60.0 <= u.start_s < (k + 1) * 60.0 for u in group)
+        assert group == sorted(group, key=lambda u: (u.start_s, u.speaker))
 
 
 @given(st.lists(
@@ -140,9 +134,8 @@ def test_chunk_partitioning_property(raw):
 ))
 def test_format_parse_round_trip(raw):
     utts = [Utterance(speaker=s, start_s=float(i), text=t) for i, (s, t) in enumerate(raw)]
-    chunk = SessionChunk("", 0, max(60.0, len(raw) + 1), utts)
-    parsed = parse_speaker_attributed(format_speaker_attributed(chunk))
-    assert parsed == [(u.speaker, u.text) for u in chunk.utterances]
+    parsed = parse_speaker_attributed(format_speaker_attributed(utts))
+    assert parsed == [(u.speaker, u.text) for u in utts]
 
 
 def test_mock_summarizer_takes_first_sentences():
@@ -156,7 +149,7 @@ def test_mock_summarizer_truncates_to_first_sentence():
 
 
 def test_summarize_mock_endpoint():
-    assert summarize("mock", build_prompt(THREE_LINES)) == "Hello. Hi, how are you?"
+    assert make_summarizer("mock") is mock_summarize
 
 
 def test_make_summarizer_refuses_an_unusable_endpoint():
@@ -166,8 +159,7 @@ def test_make_summarizer_refuses_an_unusable_endpoint():
 
 def test_summarize_remote_passthrough(wire_server):
     wire_server.respond({"summary": "SUMMARY"})
-    params = SummarizerParams()
-    out = summarize(wire_server.url, "some prompt", params)
+    out = make_summarizer(wire_server.url, SummarizerParams())("some prompt")
     assert out == "SUMMARY"
     path, body = wire_server.requests[-1]
     assert path == "/summarize"
@@ -178,12 +170,12 @@ def test_summarize_remote_passthrough(wire_server):
 def test_summarize_remote_missing_field(wire_server):
     wire_server.respond({"text": "x"})
     with pytest.raises(RemoteProtocolError, match="summary"):
-        summarize(wire_server.url, "p")
+        make_summarizer(wire_server.url)("p")
 
 
 def test_summarize_unreachable_names_endpoint():
     with pytest.raises(RemoteNetworkError, match="127.0.0.1:1"):
-        summarize("http://127.0.0.1:1", "p", timeout=0.5)
+        make_summarizer("http://127.0.0.1:1", timeout=0.5)("p")
 
 
 def test_summarizer_params_validation():
@@ -249,13 +241,13 @@ def _same_error(refs, hyps, match: str) -> None:
 
 def test_evaluate_summaries_rejects_unmatched_windows():
     """The message names the first such session by name and, in it, the first
-    such utterance in input order."""
+    such utterance in input order, not the earliest of its window."""
     _same_error(_session_utts("s", {1.0: "Early words."}),
                 _session_utts("s", {100.0: "Late words."}), "window 1, which has no reference")
     refs = _session_utts("b", {1.0: "B."}) + _session_utts("a", {1.0: "A."})
     hyps = [Utterance(speaker=0, start_s=t, text="x", session=s)
-            for s, t in [("b", 300.0), ("a", 1.0), ("a", 200.0), ("a", 100.0)]]
-    _same_error(refs, hyps, "session 'a': hypothesis utterance at 200.0s falls in window 3")
+            for s, t in [("b", 300.0), ("a", 1.0), ("a", 230.0), ("a", 200.0), ("a", 100.0)]]
+    _same_error(refs, hyps, "session 'a': hypothesis utterance at 230.0s falls in window 3")
 
 
 def test_evaluate_summaries_rejects_unknown_session():
