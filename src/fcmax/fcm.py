@@ -20,7 +20,8 @@ The N-best lists of S samples are scored as one batch (``score_batch``) of
 (S, N) arrays, N the longest list: row s holds sample s's hypotheses in list
 order, then pads.  A pad's log probability is -inf, so its posterior, and
 with it its coefficient, is exactly 0.  One max/exp/sum normalizes every
-row; the scorer is called once per (hypothesis, reference) pair, row by row;
+row; every hypothesis is rendered, then all (hypothesis, reference) pairs go
+to one ``score_all`` of the scorer, and a row mask puts the scores in place;
 each row's expectation is the left-to-right sum of posterior * scaled score
 over its columns, and the coefficients are one array expression.  Every
 value is the one that scoring each list on its own gives, bit for bit.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .beam import Hypothesis, NBestList
 from .corpus import Sample, id_renderer
-from .scorers import ConsistencyScorer
+from .scorers import ConsistencyScorer, ScorerError
 
 
 class FcmError(ValueError):
@@ -121,17 +122,21 @@ def score_batch(
     except FcmError as exc:
         raise FcmError(f"sample {samples[exc.row].id!r}: {exc}") from exc
     render = id_renderer(tuple(token_vocab))
-    texts, rows, zeros = [], [], [0.0] * shape[1]
+    texts: list[str] = []
     for sample, hyps in zip(samples, nbests):
-        row = []
         try:
-            for h in hyps:
-                texts.append(render(h.tokens))
-                row.append(scorer(texts[-1], sample.reference))
+            texts.extend(render(h.tokens) for h in hyps)
         except Exception as exc:
             raise FcmError(f"sample {sample.id!r}: {exc}") from exc
-        rows.append(row + zeros[len(row):])
-    consistency = np.array(rows, dtype=np.float64).reshape(shape)
+    owners = np.repeat(np.arange(shape[0]), counts)
+    try:
+        scores = scorer.score_all([(text, samples[s].reference)
+                                   for text, s in zip(texts, owners.tolist())])
+    except ScorerError as exc:
+        raise FcmError(f"sample {samples[owners[exc.index]].id!r}: {exc.__cause__}") \
+            from exc.__cause__
+    consistency = np.zeros(shape)
+    consistency[np.arange(shape[1]) < np.array(counts)[:, None]] = scores
     words = np.array([s.ref_word_count for s in samples], dtype=np.float64)
     scaled = words[:, None] * consistency
     # each row's sum from the left, as one list's += fold adds it

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import normalize_text
+from .scorers import ConsistencyScorer, ScorerError
 
 
 class MetricsError(ValueError):
@@ -131,17 +132,17 @@ def corpus_wer(pairs: Sequence[tuple[str, str]]) -> EditBreakdown:
 
 def avg_consistency(
     pairs: Sequence[tuple[str, str]],
-    scorer: Callable[[str, str], float],
+    scorer: ConsistencyScorer,
 ) -> tuple[float, list[float]]:
-    """Mean consistency plus the per-pair vector for significance testing."""
+    """Mean consistency plus the per-pair vector for significance testing;
+    the pairs are scored with one ``scorer.score_all``."""
     if not pairs:
         raise MetricsError("avg_consistency needs at least one pair")
-    scores: list[float] = []
-    for idx, (hyp, ref) in enumerate(pairs):
-        try:
-            scores.append(scorer(hyp, ref))
-        except Exception as exc:
-            raise MetricsError(f"scorer failed on pair {idx}: {exc}") from exc
+    try:
+        scores = scorer.score_all(pairs)
+    except ScorerError as exc:
+        raise MetricsError(f"scorer failed on pair {exc.index}: {exc.__cause__}") \
+            from exc.__cause__
     return sum(scores) / len(scores), scores
 
 

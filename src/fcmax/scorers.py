@@ -14,25 +14,38 @@ endpoint, and the ``*_proxy`` environment variables are not read.  An
 unreachable service or a timeout is retried twice, after 0.05 s and then
 0.1 s; a malformed reply, a bad status or an out-of-range score is not.
 A client parses its endpoint once, when it is built, and refuses one that is
-not an http(s) URL with a host (and a numeric port, if it names one) there.
+not an http(s) URL with a host (and a numeric port, if it names one), or that
+has a fragment, there.  The route joins the endpoint's path, before its query.
+
+Callers score many pairs at once through ``ConsistencyScorer.score_all``.  A
+scorer with ``in_flight`` 1 (every local one) scores them one after another;
+a remote one keeps up to ``REMOTE_IN_FLIGHT`` calls open at once, on a thread
+pool kept per ``in_flight`` value and with a few more queued, so the service
+works on one request while the client sends the next.  Each call still goes
+through ``fn`` with one pair, so ``fn`` must be thread-safe when
+``in_flight`` > 1; the remote client's is, as it opens a new connection per
+call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import normalize_text
 
 SCORE_CLAMP_SLACK = 1e-9
 RETRY_PAUSES_S = (0.05, 0.1)  # the sleeps between a remote call's three attempts
+REMOTE_IN_FLIGHT = 3  # remote calls open at once in score_all
 _URL_CHARS = re.compile(r"[!-~]+")  # printable ASCII, no space
 _HEADER_END = re.compile(rb"\r?\n\r?\n")
 _MAX_HEADER_BYTES = 65536
@@ -40,7 +53,12 @@ _RECV_BYTES = 65536
 
 
 class ScorerError(Exception):
-    """Base class for scoring failures."""
+    """Base class for scoring failures; ``index`` is the failing pair of a
+    ``score_all`` call, or None outside one."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class RemoteProtocolError(ScorerError):
@@ -156,11 +174,14 @@ class _Target:
 
 
 def parse_target(endpoint: str, route: str) -> _Target:
-    """Where requests to {endpoint}/{route} go; ``ValueError`` names an
-    endpoint that is not an http(s) URL with a valid host name, and a numeric
-    port if it names one."""
+    """Where requests to {endpoint}/{route} go: the route joins the endpoint's
+    path, and its query, if any, follows.  ``ValueError`` names an endpoint
+    that is not an http(s) URL with a valid host name, and a numeric port if
+    it names one, or that has a fragment."""
     if not _URL_CHARS.fullmatch(endpoint):
         raise ValueError(f"endpoint {endpoint!r} holds a space, control or non-ASCII character")
+    if "#" in endpoint:
+        raise ValueError(f"endpoint {endpoint!r} has a fragment")
     parts = urlsplit(endpoint)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL with a host")
@@ -173,11 +194,12 @@ def parse_target(endpoint: str, route: str) -> _Target:
     except UnicodeError:
         raise ValueError(f"endpoint {endpoint!r} has an invalid host name") from None
     tls = parts.scheme == "https"
-    url = endpoint.rstrip("/") + "/" + route
-    request = urlsplit(url)  # a path segment added at the end leaves the host as it is
+    query = f"?{parts.query}" if parts.query else ""
+    # netloc ends at the first "/" or "?", so only the path loses trailing slashes
+    url = endpoint.partition("?")[0].rstrip("/") + "/" + route + query
     return _Target(url, tls, parts.hostname, (443 if tls else 80) if port is None else port,
                    parts.netloc.rpartition("@")[2],
-                   (request.path or "/") + (f"?{request.query}" if request.query else ""))
+                   parts.path.rstrip("/") + "/" + route + query)
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,6 +208,19 @@ def _tls_context():
     import ssl
 
     return ssl.create_default_context()
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int):
+    # Kept across calls: an FCM step may score too few pairs to pay for
+    # starting threads each time.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="fcmax-score")
+
+
+# A forked child inherits the pools but not their threads; it builds its own.
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 class _Malformed(Exception):
@@ -307,16 +342,64 @@ def _validate_score(raw, source: str) -> float:
 
 @dataclass(frozen=True)
 class ConsistencyScorer:
-    """A named scoring function whose scores are checked to lie in [0, 1]."""
+    """A named scoring function whose scores are checked to lie in [0, 1].
+
+    ``score_all`` keeps up to ``in_flight`` calls of ``fn`` open at once, so
+    ``fn`` must be thread-safe when it is above 1."""
 
     name: str
     fn: Callable[[str, str], float]
+    in_flight: int = 1
+
+    def __post_init__(self) -> None:
+        if type(self.in_flight) is not int or self.in_flight < 1:  # bool is no count
+            raise ValueError(f"in_flight must be an integer >= 1, got {self.in_flight!r}")
 
     def __call__(self, hyp: str, ref: str) -> float:
         score = self.fn(hyp, ref)
         if not 0.0 <= score <= 1.0:
             raise ScoreRangeError(f"scorer {self.name!r} produced {score}, outside [0, 1]")
         return score
+
+    def score_all(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """The score of each (hypothesis, reference) pair, in pair order.
+
+        With ``in_flight`` 1 the pairs are scored one after another; above 1,
+        up to ``in_flight`` at once.  A failure raises ScorerError whose
+        ``index`` is the first failing pair in pair order, chained from what
+        that pair raised; no call is still running when it is raised.
+        """
+        if self.in_flight == 1 or len(pairs) < 2:
+            results = (functools.partial(self, hyp, ref) for hyp, ref in pairs)
+        else:
+            results = self._submitted(pairs)
+        scores: list[float] = []
+        with contextlib.closing(results):  # on a failure, _submitted stops its calls first
+            for index, result in enumerate(results):
+                try:
+                    scores.append(result())
+                except Exception as exc:
+                    raise ScorerError(f"scorer {self.name!r} failed on pair {index}: {exc}",
+                                      index) from exc
+        return scores
+
+    def _submitted(self, pairs: Sequence[tuple[str, str]]):
+        """Each pair's ``Future.result`` in pair order, with at most twice
+        ``in_flight`` calls submitted and not yet handed out (a future costs
+        about 2 kB, and a dev check scores hundreds of pairs).  Closed early,
+        it cancels the calls that have not started and waits for the rest."""
+        pool, window = _pool(self.in_flight), deque()
+        try:
+            for hyp, ref in pairs:
+                window.append(pool.submit(self, hyp, ref))
+                if len(window) == 2 * self.in_flight:
+                    yield window.popleft().result
+            while window:
+                yield window.popleft().result
+        finally:
+            from concurrent.futures import wait
+
+            wait([future for future in window if not future.cancel()])
 
 
 def exact_match_scorer() -> ConsistencyScorer:
@@ -337,9 +420,10 @@ def lcs_scorer() -> ConsistencyScorer:
 
 def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:
     """Scores from the service at ``endpoint``: each call POSTs the raw texts
-    to {endpoint}/score.  ``ValueError`` names an endpoint that is not an
-    http(s) URL with a host.  Values that stray outside [0, 1] by at most
-    1e-9 are clamped (serialization noise); anything worse is an error."""
+    to {endpoint}/score, and ``score_all`` keeps ``REMOTE_IN_FLIGHT`` calls
+    open at once.  ``ValueError`` names an endpoint that is not an http(s)
+    URL with a host.  Values that stray outside [0, 1] by at most 1e-9 are
+    clamped (serialization noise); anything worse is an error."""
     target = parse_target(endpoint, "score")
 
     def score(hyp: str, ref: str) -> float:
@@ -348,4 +432,4 @@ def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:
             raise RemoteProtocolError(f"{target.url} response is missing the 'consistency' field")
         return _validate_score(doc["consistency"], target.url)
 
-    return ConsistencyScorer(name=f"remote({endpoint})", fn=score)
+    return ConsistencyScorer(name=f"remote({endpoint})", fn=score, in_flight=REMOTE_IN_FLIGHT)

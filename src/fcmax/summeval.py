@@ -154,9 +154,11 @@ def evaluate_summaries(
     Windows are derived from reference timings and shared with the hypothesis
     side; a hypothesis utterance falling into a window with no reference
     material is a chunk mismatch.  Windows whose hypothesis side is empty are
-    still summarized so that missing output cannot inflate the mean.
-    Returns the per-chunk score vector (chunk order: session, then window)
-    and its mean.
+    still summarized so that missing output cannot inflate the mean.  Every
+    window is summarized first, then all summaries are scored with one
+    ``scorer.score_all``, whose ScorerError names the failing chunk's
+    position.  Returns the per-chunk score vector (chunk order: session, then
+    window) and its mean.
     """
     refs = _windows(reference_utterances, chunk_seconds)
     hyps = _windows(hypothesis_utterances, chunk_seconds)
@@ -169,12 +171,12 @@ def evaluate_summaries(
             raise SummEvalError(f"session {session!r}: hypothesis utterance at "
                                 f"{first.start_s}s falls in window {k}, "
                                 f"which has no reference chunk")
-    scores: list[float] = []
-    for key in sorted(refs):
-        summary = summarizer(build_prompt(format_speaker_attributed(hyps.get(key, []))))
-        scores.append(scorer(summary, format_speaker_attributed(refs[key])))
-    if not scores:
+    if not refs:
         raise SummEvalError("no chunks to evaluate")
+    scores = scorer.score_all([
+        (summarizer(build_prompt(format_speaker_attributed(hyps.get(key, [])))),
+         format_speaker_attributed(refs[key]))
+        for key in sorted(refs)])
     return scores, sum(scores) / len(scores)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import zlib
 
 import numpy as np
@@ -359,7 +361,7 @@ def test_batch_scores_ragged_lists_as_the_per_list_oracle(counts, tie_rows):
     rng = np.random.default_rng(sum(counts))
     lists = _random_lists(rng, len(corpus.token_vocab), counts, tie_rows)
     for scorer in (weighted_f1_scorer(default_token_weights(SynthConfig(n_samples=0))),
-                   hash_scorer()):
+                   hash_scorer(), dataclasses.replace(hash_scorer(), in_flight=3)):
         batch = score_batch(lists, corpus.samples, scorer, corpus.token_vocab)
         _assert_rows_match_the_oracle(batch, lists, corpus.samples, scorer, corpus.token_vocab)
     assert batch.posteriors.shape == (len(counts), max(counts))
@@ -374,7 +376,8 @@ def test_normalize_is_the_per_list_softmax(logps):
 
 def test_batch_failures_name_the_sample():
     """A scorer that raises on one pair, one that returns a score outside
-    [0, 1], and a non-finite log probability each name their sample."""
+    [0, 1], and a non-finite log probability each name their sample, with
+    the scorer's calls one at a time or three in flight."""
     corpus = generate_synthetic_corpus(SynthConfig(n_samples=3, seed=4))
     lists = _random_lists(np.random.default_rng(0), len(corpus.token_vocab), [2, 3, 2])
     bad = corpus.samples[1]
@@ -385,10 +388,12 @@ def test_batch_failures_name_the_sample():
             raise RuntimeError("scorer down")
         return 0.5
 
-    for fn, cause in ((raising, RuntimeError),
-                      (lambda h, r: 1.5 if r == bad.reference else 0.5, ScoreRangeError)):
+    for (fn, cause), in_flight in itertools.product(
+            ((raising, RuntimeError),
+             (lambda h, r: 1.5 if r == bad.reference else 0.5, ScoreRangeError)), (1, 3)):
         with pytest.raises(FcmError, match=f"sample {bad.id!r}") as info:
-            score_batch(lists, corpus.samples, ConsistencyScorer("s", fn), corpus.token_vocab)
+            score_batch(lists, corpus.samples, ConsistencyScorer("s", fn, in_flight),
+                        corpus.token_vocab)
         assert isinstance(info.value.__cause__, cause)
     lists[2][1] = Hypothesis(lists[2][1].tokens, float("nan"))
     with pytest.raises(FcmError, match=f"sample {corpus.samples[2].id!r}: non-finite"):

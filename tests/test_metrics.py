@@ -16,7 +16,7 @@ from fcmax.metrics import (
     EditBreakdown, MetricsError, avg_consistency, consistent_ratio,
     corpus_wer, csv_report, markdown_report, paired_t_test, student_t_p_value,
 )
-from fcmax.scorers import exact_match_score, weighted_token_f1
+from fcmax.scorers import ConsistencyScorer, exact_match_score, weighted_token_f1
 
 
 def brute_force_edit_distance(hyp, ref) -> int:
@@ -178,13 +178,15 @@ def test_corpus_wer_empty_rejected():
 
 
 def test_avg_consistency_identical_pairs():
-    mean, scores = avg_consistency([("x", "x")] * 4, exact_match_score)
+    mean, scores = avg_consistency([("x", "x")] * 4,
+                                   ConsistencyScorer("exact", exact_match_score))
     assert mean == 1.0 and scores == [1.0] * 4
 
 
 def test_avg_consistency_mean():
     table = {"a": 0.2, "b": 0.9}
-    mean, scores = avg_consistency([("a", "r"), ("b", "r")], lambda h, r: table[h])
+    mean, scores = avg_consistency([("a", "r"), ("b", "r")],
+                                   ConsistencyScorer("table", lambda h, r: table[h]))
     assert mean == pytest.approx(0.55)
     assert scores == [0.2, 0.9]
 
@@ -198,14 +200,14 @@ def test_avg_consistency_matches_resummation():
          " ".join(rng.choice(["a", "b", "c"], size=3)))
         for _ in range(100)
     ]
-    mean, scores = avg_consistency(pairs, weighted_token_f1)
+    mean, scores = avg_consistency(pairs, ConsistencyScorer("f1", weighted_token_f1))
     assert abs(mean - sum(scores) / len(scores)) <= 1e-12
 
 
 def test_avg_consistency_reports_failing_pair():
     with pytest.raises(MetricsError, match="pair 1"):
         avg_consistency([("a", "a"), ("b", "b")],
-                        lambda h, r: 1.0 if h == "a" else 1 / 0)
+                        ConsistencyScorer("boom", lambda h, r: 1.0 if h == "a" else 1 / 0))
 
 
 def test_consistent_ratio_boundaries():

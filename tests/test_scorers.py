@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,9 +20,10 @@ from hypothesis import given, strategies as st
 from conftest import RawReplyServer, reference_weighted_token_f1
 from fcmax import scorers
 from fcmax.scorers import (
-    UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError, RemoteProtocolError,
-    RemoteTimeoutError, ScoreRangeError, TokenWeights, exact_match_score, exact_match_scorer,
-    lcs_ratio, lcs_scorer, remote_scorer, weighted_f1_scorer, weighted_token_f1,
+    REMOTE_IN_FLIGHT, UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError,
+    RemoteProtocolError, RemoteTimeoutError, ScoreRangeError, ScorerError, TokenWeights,
+    exact_match_score, exact_match_scorer, lcs_ratio, lcs_scorer, remote_scorer,
+    weighted_f1_scorer, weighted_token_f1,
 )
 from fcmax.summeval import SummarizerParams, make_summarizer
 
@@ -309,6 +313,8 @@ def test_remote_score_posts_under_the_endpoint_path(wire_server):
     wire_server.respond({"consistency": 0.5})
     assert remote_scorer(wire_server.url + "/api/")("h", "r") == 0.5
     assert wire_server.requests[-1][0] == "/api/score"
+    assert remote_scorer(wire_server.url + "/api?k=v")("h", "r") == 0.5
+    assert wire_server.requests[-1][0] == "/api/score?k=v"
 
 
 def test_remote_score_https_to_a_plain_http_server_names_it(wire_server):
@@ -335,7 +341,7 @@ def test_remote_score_gives_up_after_three_attempts(raw_server):
 
 @pytest.mark.parametrize("endpoint", [
     "localhost:8000", "ftp://127.0.0.1/x", "http://127.0.0.1:notaport", "http://:80",
-    "http://127.0.0.1:80/a b", "http://a..b:80",
+    "http://127.0.0.1:80/a b", "http://a..b:80", "http://127.0.0.1/api#x",
 ])
 def test_an_unusable_endpoint_is_refused_before_any_request(endpoint):
     with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
@@ -367,8 +373,150 @@ def test_remote_clients_call_post_json_through_the_module(monkeypatch):
     assert scorer("h", "r") == 0.75
     assert summarizer("p") == "S."
     assert calls == [
-        ("http://127.0.0.1:1/api/?k=v/score", False, "/api/?k=v/score",
+        ("http://127.0.0.1:1/api/score?k=v", False, "/api/score?k=v",
          {"hypothesis": "h", "reference": "r"}, 10.0),
         ("https://127.0.0.1:1/summarize", True, "/summarize",
          {"prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 9}, 3.0),
     ]
+
+
+class OverlapProbe:
+    """A thread-safe scorer fn that sleeps a random 0 to ``most_s`` seconds
+    per call and records how many calls were open at once.  ``fail`` maps a
+    hypothesis to the seconds after which its call raises instead of scoring."""
+
+    def __init__(self, seed: int = 0, fail: dict[str, float] | None = None,
+                 most_s: float = 0.004):
+        self.lock = threading.Lock()
+        self.rng = random.Random(seed)
+        self.fail, self.most_s = fail or {}, most_s
+        self.open = self.most_open = self.started = self.ended = 0
+        self.failed: list[str] = []  # hypotheses whose call raised, in time order
+
+    def __call__(self, hyp: str, ref: str) -> float:
+        with self.lock:
+            self.open += 1
+            self.started += 1
+            self.most_open = max(self.most_open, self.open)
+            pause = self.fail.get(hyp, self.rng.uniform(0.0, self.most_s))
+        try:
+            time.sleep(pause)
+            if hyp in self.fail:
+                with self.lock:
+                    self.failed.append(hyp)
+                raise RuntimeError(f"no score for {hyp}")
+            return weighted_token_f1(hyp, ref)
+        finally:
+            with self.lock:
+                self.open -= 1
+                self.ended += 1
+
+
+def _pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
+    rng = random.Random(seed)
+    words = ["we", "plan", "plant", "not", "the", "late", "know"]
+    return [(f"h{k} " + " ".join(rng.choices(words, k=4)), " ".join(rng.choices(words, k=5)))
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("in_flight", [2, 3])
+def test_score_all_keeps_pair_order_and_at_most_in_flight_calls_open(in_flight):
+    pairs = _pairs(40)
+    serial = ConsistencyScorer("f1", weighted_token_f1).score_all(pairs)
+    probe = OverlapProbe(seed=in_flight)
+    scores = ConsistencyScorer("probe", probe, in_flight=in_flight).score_all(pairs)
+    assert [x.hex() for x in scores] == [x.hex() for x in serial]
+    assert serial == [weighted_token_f1(h, r) for h, r in pairs]
+    assert probe.started == len(pairs)
+    assert 2 <= probe.most_open <= in_flight
+
+
+class ReadCountingPairs(list):
+    """A list of pairs that counts how many pairs its iterators handed out."""
+
+    read = 0
+
+    def __iter__(self):
+        for pair in super().__iter__():
+            self.read += 1
+            yield pair
+
+
+def test_score_all_submits_a_bounded_number_of_calls_ahead():
+    """A submitted call holds a future of about 2 kB, so score_all reads at
+    most 2 * in_flight pairs beyond those whose results it handed back."""
+    pairs = ReadCountingPairs(_pairs(60))
+    ahead = []
+
+    def fn(hyp, ref):
+        ahead.append(pairs.read - int(hyp.split()[0][1:]))  # pairs read past this one
+        return 0.5
+
+    assert ConsistencyScorer("s", fn, in_flight=3).score_all(pairs) == [0.5] * 60
+    assert len(ahead) == 60 and max(ahead) <= 2 * 3 + 1
+
+
+def test_score_all_names_the_first_failing_pair_in_pair_order():
+    pairs = _pairs(8)
+    late, early = pairs[2][0], pairs[4][0]  # pair 4 fails at once, pair 2 after 0.2 s
+    probe = OverlapProbe(fail={late: 0.2, early: 0.0})
+    with pytest.raises(ScorerError, match="'probe' failed on pair 2: no score for h2") as info:
+        ConsistencyScorer("probe", probe, in_flight=3).score_all(pairs)
+    assert info.value.index == 2
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert probe.failed == [early, late]
+
+
+def test_score_all_leaves_no_call_running_when_it_raises():
+    pairs = _pairs(30)
+    probe = OverlapProbe(fail={pairs[0][0]: 0.0}, most_s=0.05)
+    with pytest.raises(ScorerError, match="pair 0"):
+        ConsistencyScorer("probe", probe, in_flight=3).score_all(pairs)
+    with probe.lock:
+        assert probe.open == 0 and probe.ended == probe.started
+    assert probe.started < len(pairs), "calls that had not started are cancelled"
+
+
+def test_score_all_serial_path_names_the_failing_pair():
+    with pytest.raises(ScorerError, match="pair 1: scorer 'bad' produced 1.5") as info:
+        ConsistencyScorer("bad", lambda h, r: 1.5 if h == "b" else 0.5).score_all(
+            [("a", "r"), ("b", "r"), ("c", "r")])
+    assert info.value.index == 1
+    assert isinstance(info.value.__cause__, ScoreRangeError)
+
+
+def _score_in_child(pairs, expected):
+    assert ConsistencyScorer("probe", OverlapProbe(), in_flight=3).score_all(pairs) == expected
+
+
+def test_a_forked_child_scores_with_its_own_pool():
+    pairs = _pairs(12)
+    expected = [weighted_token_f1(h, r) for h, r in pairs]
+    # the parent's pool is running before the fork
+    assert ConsistencyScorer("probe", OverlapProbe(), in_flight=3).score_all(pairs) == expected
+    child = multiprocessing.get_context("fork").Process(target=_score_in_child,
+                                                        args=(pairs, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    child.close()
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, "3", True, None])
+def test_in_flight_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="in_flight must be an integer >= 1"):
+        ConsistencyScorer("s", exact_match_score, in_flight=bad)
+
+
+def test_remote_score_all_keeps_calls_in_flight_in_pair_order(wire_server):
+    wire_server.httpd.script = lambda path, body: (
+        200, {"consistency": float(json.loads(body)["hypothesis"])}, None)
+    scorer = remote_scorer(wire_server.url)
+    assert scorer.in_flight == REMOTE_IN_FLIGHT == 3
+    values = [k / 16 for k in range(16)]
+    random.Random(0).shuffle(values)
+    assert scorer.score_all([(repr(v), "r") for v in values]) == values
+    assert len(wire_server.requests) == len(values)
