@@ -111,7 +111,7 @@ class Sample:
 
     @property
     def ref_word_count(self) -> int:
-        return len(self.reference.split())
+        return len(normalize_text(self.reference))  # the words WER divides by
 
     def validate(self, source_vocab_size: int) -> None:
         if not normalize_text(self.reference):  # WER divides by these tokens
@@ -358,15 +358,12 @@ def _build_sentence(rng: np.random.Generator, target_words: int, negated: bool) 
     return toks
 
 
-def _pick_tables(confusion_table: dict[str, list[tuple[str, float]]],
-                 token_to_id: dict[str, int]) -> dict[str, tuple[list[float], list[int]]]:
-    """For each confusable word, the CDF that ``Generator.choice(p=...)``
-    builds from its weights (keep weight 1.0 first) and the token id each
-    pick emits."""
+def _pick_tables(token_to_id: dict[str, int]) -> dict[str, tuple[list[float], list[int]]]:
+    """For each word of ``DEFAULT_CONFUSION_TABLE``, the CDF that
+    ``Generator.choice(p=...)`` builds from its weights (keep weight 1.0
+    first) and the token id each pick emits."""
     tables = {}
-    for word, options in confusion_table.items():
-        if not options:
-            continue
+    for word, options in DEFAULT_CONFUSION_TABLE.items():
         weights = np.array([1.0] + [w for _, w in options])
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
@@ -412,7 +409,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     """
     config.validate()
     token_to_id = {tok: i for i, tok in enumerate(DEFAULT_TOKEN_VOCAB)}
-    picks = _pick_tables(DEFAULT_CONFUSION_TABLE, token_to_id)
+    picks = _pick_tables(token_to_id)
     rng = np.random.default_rng(np.uint64(config.seed))
     samples: list[Sample] = []
     for i in range(config.n_samples):

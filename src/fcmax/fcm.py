@@ -2,9 +2,10 @@
 
 Given an N-best list for a sample, the raw sequence posteriors are
 renormalized over the list, every hypothesis is scored against the sample's
-reference, and each score is scaled by the reference word count.  The
-expectation of the scaled scores under the renormalized posteriors is the
-per-sample objective.  Its derivative with respect to each hypothesis's
+reference, and each score is scaled by the reference word count, the
+words WER divides by (``Sample.ref_word_count``).  The expectation of the
+scaled scores under the renormalized posteriors is the per-sample
+objective.  Its derivative with respect to each hypothesis's
 per-step log outputs is a single coefficient
 
     posterior * (scaled_score - expectation)

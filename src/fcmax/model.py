@@ -2,13 +2,13 @@
 
 The decoder is a single tanh recurrence with bilinear attention over encoder
 states.  The forward pass exposes per-step log output distributions along
-token trajectories (see ``trajectory``); the backward pass takes one target
-token per step and one weight per trajectory and returns the gradient of
-the weighted sum of the targets' log probabilities.  Likelihood training
-puts a weight on each reference path and consistency training puts one
-coefficient on each N-best path, so sequence-level objectives are composed
-without knowing anything about the network internals.  All arithmetic is
-float64.
+token trajectories, each one id path (``trajectory``) whose step n consumes
+path[n] and is scored on path[n + 1]; the backward pass takes one weight
+per trajectory and returns the gradient of the weighted sum of the scored
+ids' log probabilities.  Likelihood training puts a weight on each
+reference path and consistency training puts one coefficient on each N-best
+path, so sequence-level objectives are composed without knowing anything
+about the network internals.  All arithmetic is float64.
 
 Teacher forcing and beam search share one decoder, ``_Decoder``: its
 ``recur`` is one recurrence step and its ``readout`` the attention, context
@@ -26,22 +26,23 @@ Shapes (d is the hidden width, row-vector convention):
     log outputs      L[n]   = log_softmax((s_n + c_n) @ out_proj + out_bias)
 
 ``forward_teacher`` and ``backward`` take a batch of U trajectories, each
-with its own input, conditioning tokens, targets and weight.  Inputs are
-padded at the end to the longest, T, and trajectories to the longest, N:
-input ids are (U, T), encoder states (U, T, d), log outputs (U, N, V),
-decoder states and contexts (U, N, d) and attention weights (U, N, T).
-Padding rule: padded source positions get a -inf attention score before the
-softmax, so they get exactly zero attention; padded steps get weight 0, so
+with its own input, id path and weight.  Inputs are padded at the end to the
+longest, T, and paths to the longest, N + 1 ids for N steps: input ids are
+(U, T), encoder states (U, T, d), log outputs (U, N, V), decoder states and
+contexts (U, N, d) and attention weights (U, N, T).  Padding rule: padded
+source positions get a -inf attention score before the softmax, so they get
+exactly zero attention; a path's last id conditions no step, so the trace's
+conditioning ids are 0 from its place on; padded steps get weight 0, so
 backward writes exact zeros for them.
 
-The model takes one batch form and one weight form.  Ids come padded, as a
-``PaddedIds`` (a (U, L) id array and the U lengths); weights are a (U,)
-float64 array, one weight per trajectory, which all its steps take.  A
-caller that draws batches from a fixed set of sequences, as likelihood
-training does from its corpus, pads them once and passes ``take(rows)`` of
-each batch; others pad each batch with ``PaddedIds.of``.  Ids are checked
-on every call, on the padded arrays, and a ``ModelError`` about one
-trajectory or input names its batch row.
+The model takes one batch form and one weight form.  Inputs and paths come
+padded, as a ``PaddedIds`` (a (U, L) id array and the U lengths); weights
+are a (U,) float64 array, one weight per trajectory, which all its steps
+take.  A caller that draws batches from a fixed set of sequences, as
+likelihood training does from its corpus, pads them once and passes
+``take(rows)`` of each batch; others pad each batch with ``PaddedIds.of``.
+Ids are checked on every call, on the padded arrays, and a ``ModelError``
+about one trajectory or input names its batch row.
 
 The parameters are one contiguous float64 vector, and ``ModelParams`` names
 the eight matrices above as views into it, in MATRIX_NAMES order.  Gradients
@@ -149,6 +150,7 @@ class ForwardTrace:
 
     log_probs: np.ndarray      # (U, N, V), rows are log-softmax outputs
     cond_tokens: np.ndarray    # (U, N), token that conditioned each step, 0 when padded
+    target_tokens: np.ndarray  # (U, N), token each step is scored on, 0 when padded
     lengths: np.ndarray        # (U,), the real steps of each trajectory
     input_ids: np.ndarray      # (U, T), 0 when padded
     enc_states: np.ndarray     # (U, T, d), exact zeros on padded source positions
@@ -157,19 +159,13 @@ class ForwardTrace:
     contexts: np.ndarray       # (U, N, d)
 
 
-def trajectory(tokens, finished: bool, bos_id: int, eos_id: int):
-    """The (conditioning, target) token pair sequences of a decoded path.
-
-    Step n consumes cond[n] and is scored on targets[n].  A finished path
-    ends with an EOS target; an unfinished one (cut at the length cap) has
-    no EOS step, so its last token conditions nothing.
+def trajectory(tokens, finished: bool, bos_id: int, eos_id: int) -> tuple[int, ...]:
+    """The id path of a decoded path: BOS, its tokens and, when it finished,
+    EOS.  Step n consumes path[n] and is scored on path[n + 1], so an
+    unfinished path (cut at the length cap) has no EOS step and its last
+    token conditions nothing.
     """
-    tokens = tuple(int(t) for t in tokens)
-    if finished:
-        return (bos_id,) + tokens, tokens + (eos_id,)
-    if not tokens:
-        raise ModelError("an unfinished trajectory needs at least one token")
-    return (bos_id,) + tokens[:-1], tokens
+    return (bos_id, *map(int, tokens)) + ((eos_id,) if finished else ())
 
 
 @dataclass(frozen=True)
@@ -324,38 +320,41 @@ class _Decoder:
         return _log_softmax(self.readout(s)[0]), s
 
 
-def forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
+def forward_teacher(params: ModelParams, input_ids, paths) -> ForwardTrace:
     """Teacher-forced forward pass of U trajectories at once.
 
-    input_ids holds the U inputs and target_ids the U conditioning sequences,
-    the conditioning halves of ``trajectory``, both padded.  Row n of
-    trajectory u is the log distribution produced after consuming
-    target_ids[u][n].  The recurrence runs step by step on time-major (U, d)
+    input_ids holds the U inputs and paths their U id paths (``trajectory``),
+    both padded; every path id must be in the target vocabulary and every
+    path needs a step, two ids.  Row n of trajectory u is the log
+    distribution produced after consuming paths[u][n].  The recurrence runs step by step on time-major (U, d)
     rows, and the whole batch is read out at once, by the decoder that beam
     search steps (see the padding rule above).
     """
     # one flat pair of id sequences is a batch of one: the benchmark's tracer test passes one
     if not isinstance(input_ids, PaddedIds) and all(map(np.isscalar, input_ids)):
-        input_ids, target_ids = PaddedIds.of([input_ids]), PaddedIds.of([target_ids])
+        input_ids, paths = PaddedIds.of([input_ids]), PaddedIds.of([paths])
     dec = _Decoder(params, input_ids)
-    cond = _checked(target_ids, params.target_vocab_size, "target")
-    if len(cond) != len(dec.values):
-        raise ModelError(f"{len(dec.values)} inputs for {len(cond)} trajectories")
-    if not len(cond):
+    paths = _checked(paths, params.target_vocab_size, "target")
+    if len(paths) != len(dec.values):
+        raise ModelError(f"{len(dec.values)} inputs for {len(paths)} trajectories")
+    if not len(paths):
         raise ModelError("no trajectories")
-    # argmin of lengths >= 0 is the first empty row
-    if not cond.lengths.all():
-        raise ModelError("empty conditioning sequence", int(cond.lengths.argmin()))
-    inputs = dec.inputs[cond.ids.T]
+    steps = paths.lengths - 1
+    if steps.min() < 1:
+        raise ModelError("a path needs a step, two ids", int((steps < 1).argmax()))
+    ids = paths.ids
+    cond = np.where(np.arange(ids.shape[1] - 1) < steps[:, None], ids[:, :-1], 0)
+    inputs = dec.inputs[cond.T]
     states = np.empty_like(inputs)
-    s = np.zeros((len(cond), params.d))
+    s = np.zeros((len(paths), params.d))
     for x, out in zip(inputs, states):
         s = dec.recur(s, x, out=out)
     states = states.swapaxes(0, 1)
     logits, alphas, contexts = dec.readout(states)
-    return ForwardTrace(log_probs=_log_softmax(logits), cond_tokens=cond.ids,
-                        lengths=cond.lengths, input_ids=input_ids.ids, enc_states=dec.values,
-                        states=states, attn_weights=alphas, contexts=contexts)
+    return ForwardTrace(log_probs=_log_softmax(logits), cond_tokens=cond,
+                        target_tokens=ids[:, 1:], lengths=steps, input_ids=input_ids.ids,
+                        enc_states=dec.values, states=states, attn_weights=alphas,
+                        contexts=contexts)
 
 
 def _id_sums(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
@@ -366,40 +365,31 @@ def _id_sums(ids: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return onehot @ rows.reshape(ids.size, -1)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
+def backward(params: ModelParams, trace: ForwardTrace, weights) -> ModelParams:
     """Gradients of F = sum over trajectories u and their steps n of
-    weights[u] * log_output[u, n, targets[u][n]], summed over the batch.
+    weights[u] * log_output[u, n, path[u][n + 1]], summed over the batch.
 
-    targets holds the U target sequences of the trace's trajectories, the
-    target halves of ``trajectory``, padded; weights is a (U,) float64 array,
-    one weight per trajectory.  Padded steps get weight 0.  At each step the
+    weights is a (U,) float64 array, one weight per trajectory of the trace,
+    which holds the scored ids.  Padded steps get weight 0.  At each step the
     log-softmax Jacobian gives dF/dz = w * (onehot - p).  The readout's
     gradients are formed over the whole batch at once; only the state
     gradient is carried back step by step through the recurrence, on (U, d)
     rows.
     """
-    n_traj, _, v = trace.log_probs.shape
-    tgt = _checked(targets, v, "target")
-    if len(tgt) != n_traj:
-        raise ModelError(f"{len(tgt)} target sequences for {n_traj} trajectories")
-    misfit = (tgt.lengths != trace.lengths).nonzero()[0]
-    if misfit.size:
-        row = int(misfit[0])
-        raise ModelError(f"{tgt.lengths[row]} targets for a trace of {trace.lengths[row]} steps",
-                         row)
+    n_traj, n_steps, v = trace.log_probs.shape
     if not (isinstance(weights, np.ndarray) and weights.dtype == np.float64
             and weights.shape == (n_traj,)):
         raise ModelError(f"weights must be a ({n_traj},) float64 array, one weight per "
                          "trajectory")
     if not np.isfinite(weights).all():
         raise ModelError("non-finite gradient weight")
-    w = np.where(np.arange(tgt.ids.shape[1]) < tgt.lengths[:, None], weights[:, None], 0.0)
+    w = np.where(np.arange(n_steps) < trace.lengths[:, None], weights[:, None], 0.0)
 
     d = params.d
     H, S, A = trace.enc_states, trace.states, trace.attn_weights
     dz = np.exp(trace.log_probs)
     dz *= -w[..., None]
-    dz.reshape(-1, v)[np.arange(w.size), tgt.ids.ravel()] += w.ravel()
+    dz.reshape(-1, v)[np.arange(w.size), trace.target_tokens.ravel()] += w.ravel()
     # readout: z = (s + c) @ out_proj + out_bias, c = alpha @ H, a_t = h_t @ attn @ s
     dc = dz @ params.out_proj.T
     dalpha = dc @ H.swapaxes(1, 2)

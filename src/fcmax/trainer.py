@@ -7,11 +7,11 @@ loop puts 1 / B on each of its B reference paths, and the consistency loop
 decodes the batch's samples together, scores their N-best lists as one
 batch (``fcm.score_batch``: (B, N) arrays of posteriors, scores and
 coefficients) and puts each hypothesis's coefficient on that hypothesis's
-path.  Either way an iteration's U trajectories go, padded and with (U,)
-weights, through one forward and one backward call
-(``_trajectory_gradient``).  The likelihood loop pads its corpus's
-reference trajectories once and takes each batch's rows; the consistency
-loop pads each batch's trajectories anew (``_minibatch_gradient``).  Dev
+path.  Either way an iteration's U trajectories, each one id path
+(``model.trajectory``), go padded and with (U,) weights through one forward
+and one backward call (``_trajectory_gradient``).  The likelihood loop pads
+its corpus's reference paths once and takes each batch's rows; the
+consistency loop pads each batch's paths anew (``_minibatch_gradient``).  Dev
 checks score the whole dev set's lists as one batch in the same way.  Two
 safeguards bound the consistency loop: a hard iteration cap (fine-tuning
 starts from a well-trained likelihood model and runs briefly) and a
@@ -124,16 +124,16 @@ def _batch_iterator(rng: np.random.Generator, n: int, batch_size: int):
         # a short final chunk is dropped; the next epoch reshuffles all n
 
 
-def _trajectory_gradient(params: ModelParams, it: int, owners, inputs, conds, targets,
+def _trajectory_gradient(params: ModelParams, it: int, owners, inputs, paths,
                          weights) -> ModelParams:
-    """The ascent gradient of U padded trajectories and their (U,) weights,
-    from one forward and one backward call; owners[u] is the sample of
-    trajectory u.  A failing batch row is mapped back to its sample."""
+    """The ascent gradient of U padded inputs and id paths and their (U,)
+    weights, from one forward and one backward call; owners[u] is the sample
+    of trajectory u.  A failing batch row is mapped back to its sample."""
     try:
-        trace = forward_teacher(params, inputs, conds)
+        trace = forward_teacher(params, inputs, paths)
         if not np.all(np.isfinite(trace.log_probs)):
             raise TrainerError(f"non-finite loss at iteration {it}")
-        return backward(params, trace, targets, weights)
+        return backward(params, trace, weights)
     except ModelError as exc:
         where = "" if exc.row is None else f", sample {owners[exc.row].id!r}"
         raise TrainerError(f"iteration {it}{where}: {exc}") from exc
@@ -154,7 +154,7 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, h
     """
     scale = 1.0 / len(samples)
     weights = ((1.0 - ce_weight) * coefficients * scale).tolist()
-    owners, refs, kept = [], [], []
+    owners, paths, kept = [], [], []
     for sample, hyps, coeffs, row in zip(samples, hypotheses, coefficients.tolist(), weights):
         weighted = [(h.tokens, h.finished, w) for h, c, w in zip(hyps, coeffs, row)
                     if c != 0.0]  # zero adds exact zeros
@@ -162,13 +162,12 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, h
             weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
         for tokens, finished, weight in weighted:
             owners.append(sample)
-            refs.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
+            paths.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
             kept.append(weight)
     if not owners:  # every coefficient was zero, as for N-best lists of one
         return params.zeros_like()
     return _trajectory_gradient(params, it, owners, PaddedIds.of(s.input for s in owners),
-                                PaddedIds.of(cond for cond, _ in refs),
-                                PaddedIds.of(target for _, target in refs), np.array(kept))
+                                PaddedIds.of(paths), np.array(kept))
 
 
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
@@ -249,7 +248,7 @@ def train_ce(
 ) -> TrainResult:
     """Teacher-forced likelihood training (gradient ascent on log likelihood).
 
-    Every sample's input and reference trajectory is padded once; an
+    Every sample's input and reference path is padded once; an
     iteration takes its B samples' rows, each a trajectory of weight 1 / B.
     Dev checks, every checkpoint_every iterations, score with scorer (no default).
     """
@@ -264,19 +263,16 @@ def train_ce(
     rng = np.random.default_rng(np.uint64(schedule.seed))
     batch_size = min(schedule.batch_size, len(corpus.samples))
     batches = _batch_iterator(rng, len(corpus.samples), batch_size)
-    refs = [trajectory(corpus.reference_ids(s), True, corpus.bos_id, corpus.eos_id)
-            for s in corpus.samples]
     inputs = PaddedIds.of(s.input for s in corpus.samples)
-    conds = PaddedIds.of(cond for cond, _ in refs)
-    targets = PaddedIds.of(target for _, target in refs)
+    paths = PaddedIds.of(trajectory(corpus.reference_ids(s), True, corpus.bos_id, corpus.eos_id)
+                         for s in corpus.samples)
     weights = np.full(batch_size, 1.0 / batch_size)
     log: list[dict] = []
     for it in range(schedule.total_iterations):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
         rows = next(batches)
         grad = _trajectory_gradient(params, it, [corpus.samples[i] for i in rows],
-                                    inputs.take(rows), conds.take(rows), targets.take(rows),
-                                    weights)
+                                    inputs.take(rows), paths.take(rows), weights)
         params = apply_update(params, grad, lr)
         if dev is not None and ((it + 1) % schedule.checkpoint_every == 0
                                 or it + 1 == schedule.total_iterations):

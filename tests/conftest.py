@@ -1,5 +1,6 @@
 """Shared fixtures: random models, batches in the model's one padded form
-(per-step weights as prefix trajectories), gradient-check harness, a fitted
+(per-step weights as prefix paths, per-cell weights as path pairs),
+gradient-check harness, a fitted
 two-way ambiguity fixture, a scriptable in-process HTTP server and a raw-reply
 TCP server for wire tests, and
 the reference helpers (parameter comparison, gradient accumulation, N-best
@@ -57,31 +58,31 @@ def batch_of_one(*seqs) -> list[PaddedIds]:
 
 
 def step_weighted_batch(rows):
-    """Rows of (input_ids, cond, targets, weights) in the one batch form the
-    model takes: (inputs, conds, targets) padded and one weight per
-    trajectory.  A row's weights are one float, or one per step,
-    w[0..n-1]; per-step weights become the row's n prefix trajectories,
-    prefix k (its first k steps) of weight w[k-1] - w[k], with w[n] = 0.  A
-    prefix's steps are those of the whole trajectory, so the prefixes'
-    weighted log-likelihoods sum to sum_n w[n] * log L[n, targets[n]], and
-    backward on them gives the per-step weighted gradient."""
+    """Rows of (input_ids, path, weights) in the one batch form the model
+    takes: (inputs, paths) padded and one weight per trajectory.  A row's
+    weights are one float, or one per step, w[0..n-1] for a path of n + 1
+    ids; per-step weights become the row's n prefix paths, prefix k (its
+    first k steps, path[:k + 1]) of weight w[k-1] - w[k], with w[n] = 0.  A
+    prefix's steps are those of the whole path, so the prefixes' weighted
+    log-likelihoods sum to sum_n w[n] * log L[n, path[n + 1]], and backward
+    on them gives the per-step weighted gradient."""
     batch = []
-    for inp, cond, tgt, w in rows:
+    for inp, path, w in rows:
         if np.ndim(w) == 0:
-            batch.append((inp, cond, tgt, float(w)))
+            batch.append((inp, path, float(w)))
             continue
         w = np.asarray(w, dtype=np.float64).tolist() + [0.0]
-        assert len(w) == len(cond) + 1 == len(tgt) + 1, "one weight per step"
-        batch += [(inp, cond[:k], tgt[:k], w[k - 1] - w[k]) for k in range(1, len(cond) + 1)]
-    inputs, conds, targets, weights = zip(*batch)
-    return PaddedIds.of(inputs), PaddedIds.of(conds), PaddedIds.of(targets), np.array(weights)
+        assert len(w) == len(path), "one weight per step"
+        batch += [(inp, path[:k + 1], w[k - 1] - w[k]) for k in range(1, len(path))]
+    inputs, paths, weights = zip(*batch)
+    return PaddedIds.of(inputs), PaddedIds.of(paths), np.array(weights)
 
 
 def step_weighted_gradient(params: ModelParams, rows) -> ModelParams:
     """backward over ``step_weighted_batch(rows)``: the gradient of the sum
-    over rows and steps of w[n] * log L[n, targets[n]]."""
-    inputs, conds, targets, weights = step_weighted_batch(rows)
-    return backward(params, forward_teacher(params, inputs, conds), targets, weights)
+    over rows and steps of w[n] * log L[n, path[n + 1]]."""
+    inputs, paths, weights = step_weighted_batch(rows)
+    return backward(params, forward_teacher(params, inputs, paths), weights)
 
 
 def params_allclose(a: ModelParams, b: ModelParams) -> bool:
@@ -157,7 +158,7 @@ def reference_minibatch_gradient(params: ModelParams, corpus: Corpus, samples, s
     (1 - ce_weight) * coefficient / B, then its reference, weight
     ce_weight / B, padded in that order."""
     scale = 1.0 / len(samples)
-    owners, refs, weights = [], [], []
+    owners, paths, weights = [], [], []
     for sample, one, hyps in zip(samples, scored, hypotheses):
         weighted = [(h.tokens, h.finished, (1.0 - ce_weight) * c * scale)
                     for h, c in zip(hyps, one.coefficients) if c != 0.0]
@@ -165,23 +166,21 @@ def reference_minibatch_gradient(params: ModelParams, corpus: Corpus, samples, s
             weighted.append((corpus.reference_ids(sample), True, ce_weight * scale))
         for tokens, finished, weight in weighted:
             owners.append(sample)
-            refs.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
+            paths.append(trajectory(tokens, finished, corpus.bos_id, corpus.eos_id))
             weights.append(weight)
     if not owners:
         return params.zeros_like()
-    trace = forward_teacher(params, PaddedIds.of(s.input for s in owners),
-                            PaddedIds.of(cond for cond, _ in refs))
-    return backward(params, trace, PaddedIds.of(target for _, target in refs),
-                    np.array(weights))
+    trace = forward_teacher(params, PaddedIds.of(s.input for s in owners), PaddedIds.of(paths))
+    return backward(params, trace, np.array(weights))
 
 
 def sequence_log_prob(params: ModelParams, input_ids, tokens, bos_id: int, eos_id: int,
                       include_eos: bool = True) -> float:
     """Raw log posterior of a token sequence, EOS step included by default:
     one teacher-forced forward pass."""
-    cond, targets = trajectory(tokens, include_eos, bos_id, eos_id)
-    trace = forward_teacher(params, PaddedIds.of([input_ids]), PaddedIds.of([cond]))
-    return float(trace.log_probs[0, np.arange(len(targets)), targets].sum())
+    path = trajectory(tokens, include_eos, bos_id, eos_id)
+    trace = forward_teacher(params, *batch_of_one(input_ids, path))
+    return float(trace.log_probs[0, np.arange(len(path) - 1), list(path[1:])].sum())
 
 
 def corpus_nll(params: ModelParams, corpus: Corpus) -> float:
@@ -405,13 +404,14 @@ def reference_padded_decode(params: ModelParams, input_ids, width: int, beam_siz
     return _decode_group(decoder, beam_size, max_len, bos_id, eos_id)[0]
 
 
-def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> ForwardTrace:
-    """Per-step teacher forcing of one trajectory: the recurrence and the
+def reference_forward_teacher(params: ModelParams, input_ids, path) -> ForwardTrace:
+    """Per-step teacher forcing of one id path: the recurrence and the
     readout of one 1-D state at a time, returned as a batch of one, with the
     model's input terms (rows of tgt_emb @ dec_in) and attention keys
     (H @ attn).  The oracle for each trajectory of the batched
     ``forward_teacher``."""
-    cond = np.asarray(target_ids, dtype=np.int64)
+    path = np.asarray(path, dtype=np.int64)
+    cond = path[:-1]
     enc = encode(params, PaddedIds.of([input_ids]))[0]
     inputs, keys = params.tgt_emb @ params.dec_in, enc @ params.attn
     n, d, v = cond.size, params.d, params.target_vocab_size
@@ -427,18 +427,19 @@ def reference_forward_teacher(params: ModelParams, input_ids, target_ids) -> For
         log_probs[step] = _log_softmax((s + context) @ params.out_proj + params.out_bias)
         states[step], alphas[step], contexts[step] = s, alpha, context
     return ForwardTrace(log_probs=log_probs[None], cond_tokens=cond[None],
-                        lengths=np.array([n]),
+                        target_tokens=path[None, 1:], lengths=np.array([n]),
                         input_ids=np.asarray(input_ids, dtype=np.int64)[None],
                         enc_states=enc[None], states=states[None],
                         attn_weights=alphas[None], contexts=contexts[None])
 
 
-def reference_backward(params: ModelParams, trace: ForwardTrace, targets, weights) -> ModelParams:
-    """Per-step backward of a one-trajectory trace: every gradient term
-    accumulated one step at a time, back to front.  The oracle for each
-    trajectory of the batched ``backward``."""
+def reference_backward(params: ModelParams, trace: ForwardTrace, weights) -> ModelParams:
+    """Per-step backward of a one-trajectory trace, with one weight or one per
+    step: every gradient term accumulated one step at a time, back to front.
+    The oracle for each trajectory of the batched ``backward``."""
     log_probs, states, contexts = trace.log_probs[0], trace.states[0], trace.contexts[0]
-    cond_tokens, input_ids = trace.cond_tokens[0], trace.input_ids[0]
+    cond_tokens, targets, input_ids = (trace.cond_tokens[0], trace.target_tokens[0],
+                                       trace.input_ids[0])
     n_steps = log_probs.shape[0]
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_steps,))
     g = params.zeros_like()
@@ -488,52 +489,60 @@ def reference_train_ce(params: ModelParams, corpus: Corpus, schedule) -> ModelPa
             order = perm[:n - n % batch_size]
         samples = [corpus.samples[i] for i in order[:batch_size]]
         order = order[batch_size:]
-        inputs, conds, targets = [], [], []
-        for sample in samples:
-            cond, target = trajectory(corpus.reference_ids(sample), True, corpus.bos_id,
-                                      corpus.eos_id)
-            inputs.append(sample.input)
-            conds.append(cond)
-            targets.append(target)
-        trace = forward_teacher(params, PaddedIds.of(inputs), PaddedIds.of(conds))
-        grad = backward(params, trace, PaddedIds.of(targets),
-                        np.array([1.0 / len(samples)] * len(samples)))
+        paths = [trajectory(corpus.reference_ids(s), True, corpus.bos_id, corpus.eos_id)
+                 for s in samples]
+        trace = forward_teacher(params, PaddedIds.of(s.input for s in samples),
+                                PaddedIds.of(paths))
+        grad = backward(params, trace, np.array([1.0 / len(samples)] * len(samples)))
         lr = schedule.initial_lr * (1.0 - it / schedule.total_iterations)
         params = apply_update(params, grad, lr)
     return params
 
 
-def cell_terms(n_steps: int, cells: dict[int, dict[int, float]]) -> list:
-    """Write {step: {token: weight}} as a sum of (targets, weights) terms.
-
-    backward takes one target per step, so the k-th cell of every step goes
-    into term k; a step with fewer cells gets weight 0 in the later terms.
-    """
-    per_step = [sorted(cells.get(n, {}).items()) for n in range(n_steps)]
-    terms = []
-    for k in range(max(map(len, per_step))):
-        picked = [cs[k] if k < len(cs) else (0, 0.0) for cs in per_step]
-        terms.append(([t for t, _ in picked], np.array([w for _, w in picked])))
-    return terms
+def step_cells(targets, weights) -> dict[int, dict[int, float]]:
+    """{step: {token: weight}} of one target per step, with one weight for
+    every step or one per step."""
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (len(targets),))
+    return {n: {int(t): float(w)} for n, (t, w) in enumerate(zip(targets, weights))}
 
 
-def terms_gradient(params: ModelParams, rows) -> ModelParams:
-    """One batched forward and backward over rows of (input_ids, cond_tokens,
-    terms): every (targets, weights) term is a step-weighted trajectory of
-    its row (``step_weighted_batch``)."""
-    return step_weighted_gradient(params, [
-        (input_ids, cond, term_targets, term_weights)
-        for input_ids, cond, terms in rows for term_targets, term_weights in terms])
+def cell_batch(rows):
+    """Rows of (input_ids, cond_tokens, cells) in the one batch form, cells
+    {step: {token: weight}}: each cell is the term w * log L[n, t] of the
+    trajectory that cond_tokens conditions, written as two paths.  The path
+    cond[:n + 1] + (t,), weight w, is scored on cond[1..n] and then on t; for
+    n >= 1 its prefix cond[:n + 1], weight -w, takes the first n steps'
+    terms away again.  Step k of a path consumes cond[k], as the trajectory
+    does, so backward on the batch gives the gradient of the cells' sum."""
+    batch = []
+    for inp, cond, cells in rows:
+        cond = list(cond)
+        for n, row in cells.items():
+            for t, w in row.items():
+                batch.append((inp, cond[:n + 1] + [t], w))
+                if n:
+                    batch.append((inp, cond[:n + 1], -w))
+    inputs, paths, weights = zip(*batch)
+    return PaddedIds.of(inputs), PaddedIds.of(paths), np.array(weights, dtype=np.float64)
 
 
-def terms_objective(trace, terms) -> float:
-    """The function terms_gradient differentiates, for a one-trajectory trace:
-    sum of w[n] * log L[n, t[n]]."""
-    return sum(
-        float(w) * trace.log_probs[0, n, t]
-        for targets, weights in terms
-        for n, (t, w) in enumerate(zip(targets, np.broadcast_to(weights, len(targets))))
-    )
+def cells_gradient(params: ModelParams, rows) -> ModelParams:
+    """One batched forward and backward over ``cell_batch(rows)``."""
+    inputs, paths, weights = cell_batch(rows)
+    return backward(params, forward_teacher(params, inputs, paths), weights)
+
+
+def conditioned_log_probs(params: ModelParams, inputs, conds) -> np.ndarray:
+    """The (U, N, V) log outputs of the trajectories that conds condition: each
+    padded as a path with one more id, which conditions no step."""
+    return forward_teacher(params, PaddedIds.of(inputs),
+                           PaddedIds.of([*cond, 0] for cond in conds)).log_probs
+
+
+def cells_objective(log_probs, cells) -> float:
+    """The function cells_gradient differentiates, for one trajectory's (N, V)
+    log outputs: sum of w * log L[n, t] over its cells."""
+    return sum(w * log_probs[n, t] for n, row in cells.items() for t, w in row.items())
 
 
 def central_difference_error(params: ModelParams, objective, analytic: ModelParams,
@@ -556,12 +565,12 @@ def central_difference_error(params: ModelParams, objective, analytic: ModelPara
 
 
 def finite_difference_check(params: ModelParams, input_ids, cond_tokens,
-                            terms, eps: float = 1e-5) -> float:
+                            cells, eps: float = 1e-5) -> float:
     """Max relative error between backward() and central differences."""
-    analytic = terms_gradient(params, [(input_ids, cond_tokens, terms)])
+    analytic = cells_gradient(params, [(input_ids, cond_tokens, cells)])
 
     def objective(p):
-        return terms_objective(forward_teacher(p, *batch_of_one(input_ids, cond_tokens)), terms)
+        return cells_objective(conditioned_log_probs(p, [input_ids], [cond_tokens])[0], cells)
 
     return central_difference_error(params, objective, analytic, eps)
 
@@ -572,12 +581,12 @@ def fit_step_targets(params: ModelParams, input_ids, target_rows,
 
     target_rows is a list of (cond_tokens, {step: {token: prob}}); each row's
     probabilities must sum to 1 so the fitted optimum is the target itself.
-    Each iteration is one batched forward and backward over every cell term
-    of every row.
+    Each iteration is one batched forward and backward over every cell of
+    every row.
     """
-    rows = [(input_ids, cond, cell_terms(len(cond), rowspec)) for cond, rowspec in target_rows]
+    rows = [(input_ids, cond, cells) for cond, cells in target_rows]
     for _ in range(iters):
-        params = apply_update(params, terms_gradient(params, rows), lr)
+        params = apply_update(params, cells_gradient(params, rows), lr)
     return params
 
 
@@ -629,11 +638,10 @@ def fcm_fixed_nbest_check(params, corpus, sample, scorer,
     scaled = scored.scaled[0, :n].tolist()
     hyps = [(h.tokens, h.finished) for h in nbest.hypotheses]
 
-    conds, targets = zip(*(trajectory(h.tokens, h.finished, corpus.bos_id, corpus.eos_id)
-                           for h in nbest.hypotheses))
-    trace = forward_teacher(params, PaddedIds.of([sample.input] * len(conds)),
-                            PaddedIds.of(conds))
-    analytic = backward(params, trace, PaddedIds.of(targets), fcm_coefficients(scored)[0, :n])
+    paths = [trajectory(h.tokens, h.finished, corpus.bos_id, corpus.eos_id)
+             for h in nbest.hypotheses]
+    trace = forward_teacher(params, PaddedIds.of([sample.input] * n), PaddedIds.of(paths))
+    analytic = backward(params, trace, fcm_coefficients(scored)[0, :n])
 
     def objective(p):
         logps = [

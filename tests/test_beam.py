@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    batch_of_one, random_params, reference_beam_decode, reference_padded_decode,
+    conditioned_log_probs, random_params, reference_beam_decode, reference_padded_decode,
     sequence_log_prob,
 )
 from fcmax.beam import (
@@ -16,7 +16,7 @@ from fcmax.beam import (
 )
 from fcmax.corpus import SynthConfig, generate_synthetic_corpus
 from fcmax.fcm import normalize_posteriors
-from fcmax.model import ModelError, forward_teacher, init_params
+from fcmax.model import ModelError, init_params
 from fcmax.trainer import TrainingSchedule, train_ce
 
 BOS_ID, EOS_ID = 0, 1
@@ -28,8 +28,7 @@ def greedy_decode(params, input_ids, max_len):
     tokens: list[int] = []
     log_prob = 0.0
     for _ in range(max_len):
-        trace = forward_teacher(params, *batch_of_one(input_ids, [BOS_ID] + tokens))
-        logp = trace.log_probs[0, -1].copy()
+        logp = conditioned_log_probs(params, [input_ids], [[BOS_ID] + tokens])[0, -1].copy()
         logp[BOS_ID] = -np.inf
         tok = int(np.argmax(logp))
         log_prob += float(logp[tok])
@@ -283,7 +282,7 @@ def test_sequence_log_prob_matches_manual_accumulation():
     tokens = [3, 5, 2]
     manual = 0.0
     for n, tok in enumerate(tokens + [EOS_ID]):
-        logp = forward_teacher(p, *batch_of_one([1, 4], [BOS_ID] + tokens[:n])).log_probs[0, -1]
+        logp = conditioned_log_probs(p, [[1, 4]], [[BOS_ID] + tokens[:n]])[0, -1]
         manual += float(logp[tok])
     assert sequence_log_prob(p, [1, 4], tokens, BOS_ID, EOS_ID) == pytest.approx(manual, abs=1e-12)
 

@@ -70,7 +70,8 @@ def test_references_are_cased_and_punctuated():
     for s in corpus.samples:
         assert s.reference[0].isupper()
         assert s.reference[-1] in ".?!"
-        assert s.ref_word_count == len(s.reference.split()) >= 1
+        assert s.ref_word_count == len(normalize_text(s.reference)) == len(s.reference.split())
+        assert s.ref_word_count >= 1
 
 
 def test_clean_channel_reproduces_reference_tokens():
@@ -142,13 +143,14 @@ def test_channel_matches_per_token_choice_oracle(seed, drop, custom, monkeypatch
         _reference_corpus(cfg))
 
 
-def test_pick_table_draws_what_choice_draws():
+def test_pick_table_draws_what_choice_draws(monkeypatch):
     weights_rng = np.random.default_rng(5)
     for seed in range(40):
         options = [(f"alt{j}", float(10.0 ** weights_rng.uniform(-6, 6)))
                    for j in range(1 + seed % 3)]
+        monkeypatch.setattr(corpus_module, "DEFAULT_CONFUSION_TABLE", {"w": options})
         (cdf, emits), = corpus_module._pick_tables(
-            {"w": options}, {"w": 0, "alt0": 1, "alt1": 2, "alt2": 3}).values()
+            {"w": 0, "alt0": 1, "alt1": 2, "alt2": 3}).values()
         weights = np.array([1.0] + [w for _, w in options])
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(50):
@@ -165,9 +167,10 @@ class _FixedUniform:
         return self.u
 
 
-def test_channel_draw_on_a_cdf_step_takes_the_next_pick():
+def test_channel_draw_on_a_cdf_step_takes_the_next_pick(monkeypatch):
     token_to_id = {"plan": 0, "plant": 1}
-    picks = corpus_module._pick_tables({"plan": [("plant", 1.0)]}, token_to_id)
+    monkeypatch.setattr(corpus_module, "DEFAULT_CONFUSION_TABLE", {"plan": [("plant", 1.0)]})
+    picks = corpus_module._pick_tables(token_to_id)
     assert picks["plan"] == ([0.5, 1.0], [0, 1])
     # searchsorted(side='right'), as Generator.choice uses, puts u == 0.5 past the step
     assert int(np.searchsorted([0.5, 1.0], 0.5, side="right")) == 1

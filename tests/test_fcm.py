@@ -22,6 +22,7 @@ from fcmax.fcm import (
     FcmError, ScoredBatch, expected_consistency, fcm_coefficients, fcm_corpus_objective,
     normalize_posteriors, score_batch,
 )
+from fcmax.metrics import corpus_wer
 from fcmax.model import init_params, trajectory
 from fcmax.scorers import (
     ConsistencyScorer, ScoreRangeError, exact_match_scorer, weighted_f1_scorer,
@@ -87,6 +88,16 @@ def test_constant_scorer_gives_ref_word_count():
     validate_scored(scored)
 
 
+def test_scale_counts_the_reference_words_wer_counts():
+    """A hyphen splits a word for WER, so it does for the consistency scale
+    too: "well-known" is two reference words in both."""
+    sample = Sample(id="s", input=(KNOW,), reference="A well-known (fact).")
+    assert sample.ref_word_count == corpus_wer([("", sample.reference)]).ref_words == 4
+    scored = expected_consistency(_two_way_nbest(), sample, constant_scorer(1.0), AMBIG_VOCAB)
+    assert scored.scaled[0].tolist() == [4.0, 4.0]
+    assert scored.expected[0] == pytest.approx(4.0, abs=1e-12)
+
+
 def test_single_hypothesis_expectation():
     nbest = NBestList([Hypothesis(tokens=(KNOW,), log_prob=-0.5)], beam_size=1)
     scored = expected_consistency(nbest, _sample(4), table_scorer({"know": 0.3}),
@@ -134,10 +145,8 @@ def test_gradient_cells_cover_trajectory_and_eos():
     finished, truncated = nbest.hypotheses
     # one coefficient per hypothesis, the weight on every step of its trajectory
     assert fcm_coefficients(scored).shape == (1, 2)
-    assert trajectory(finished.tokens, finished.finished, 0, 1) == (
-        (0, KNOW, DUNNO), (KNOW, DUNNO, 1))
-    assert trajectory(truncated.tokens, truncated.finished, 0, 1) == (
-        (0, DUNNO), (DUNNO, KNOW))
+    assert trajectory(finished.tokens, finished.finished, 0, 1) == (0, KNOW, DUNNO, 1)
+    assert trajectory(truncated.tokens, truncated.finished, 0, 1) == (0, DUNNO, KNOW)
 
 
 def _random_batch(rng) -> ScoredBatch:

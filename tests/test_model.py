@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import (
-    accumulate, batch_of_one, cell_terms, central_difference_error, finite_difference_check,
-    params_allclose, random_params, reference_backward, reference_forward_teacher,
-    step_weighted_batch, step_weighted_gradient, terms_objective,
+    accumulate, batch_of_one, cells_gradient, cells_objective, central_difference_error,
+    conditioned_log_probs, finite_difference_check, params_allclose, random_params,
+    reference_backward, reference_forward_teacher, step_cells, step_weighted_gradient,
 )
 from fcmax.model import (
     MATRIX_NAMES, ModelError, ModelParams, PaddedIds, _Decoder, apply_update, backward,
@@ -73,7 +73,7 @@ def _zero_params(d, sv, tv):
 
 def test_single_bos_row_normalized():
     p = random_params(4, 5, 6, seed=1)
-    trace = forward_teacher(p, PaddedIds.of([[1, 2]]), PaddedIds.of([[0]]))
+    trace = forward_teacher(p, PaddedIds.of([[1, 2]]), PaddedIds.of([[0, 3]]))
     assert trace.log_probs.shape == (1, 1, 6)
     assert abs(np.exp(trace.log_probs[0, 0]).sum() - 1.0) < 1e-12
 
@@ -93,10 +93,13 @@ def test_rows_normalized_random_models():
 
 
 def test_steps_match_conditioning_length():
+    """A path of n + 1 ids is n steps: each id but the last conditions one,
+    and each id but the first is one step's target."""
     p = random_params(4, 5, 6, seed=2)
-    trace = forward_teacher(p, *batch_of_one([1], [0, 3, 2, 1]))
+    trace = forward_teacher(p, *batch_of_one([1], [0, 3, 2, 1, 5]))
     assert trace.lengths.tolist() == [4]
     assert trace.cond_tokens.tolist() == [[0, 3, 2, 1]]
+    assert trace.target_tokens.tolist() == [[3, 2, 1, 5]]
 
 
 def test_out_of_range_token_rejected():
@@ -111,7 +114,7 @@ def test_forward_perturbation_is_first_order():
     p = random_params(4, 5, 6, seed=8)
     inp, cond = [1, 2, 0], [0, 3, 2]
     cell = (0, 1, 4)
-    analytic = step_weighted_gradient(p, [(inp, cond, [0, 4, 0], [0.0, 1.0, 0.0])]).dec_in[2, 1]
+    analytic = cells_gradient(p, [(inp, cond, {1: {4: 1.0}})]).dec_in[2, 1]
 
     def value(eps):
         q = p.copy()
@@ -127,7 +130,7 @@ def test_forward_perturbation_is_first_order():
 def test_step_replays_teacher_and_batches_rows():
     p = random_params(5, 6, 7, seed=3, scale=0.9)
     inp, cond = [2, 5, 0, 1], [0, 4, 6, 2, 3]
-    trace = forward_teacher(p, *batch_of_one(inp, cond))
+    trace = forward_teacher(p, *batch_of_one(inp, cond + [1]))
     decoder = _Decoder(p, PaddedIds.of([inp]))
     # a loop of one-row steps replays forward_teacher, up to gemm rounding
     s = np.zeros((1, 1, p.d))
@@ -205,25 +208,24 @@ def test_whole_trace_forward_and_backward_match_per_step_reference():
         d, sv, tv = int(rng.integers(1, 33)), int(rng.integers(1, 9)), int(rng.integers(2, 40))
         p = random_params(d, sv, tv, seed=case, scale=float(rng.uniform(0.05, 12.0)))
         inp = rng.integers(0, sv, size=int(rng.integers(1, 16)))
-        cond = rng.integers(0, tv, size=int(rng.integers(1, 15)))
-        targets = rng.integers(0, tv, size=cond.size)
+        path = rng.integers(0, tv, size=int(rng.integers(2, 16)))
         weight = float(rng.normal()) * (rng.random() < 0.7)
-        got = forward_teacher(p, *batch_of_one(inp, cond))
-        want = reference_forward_teacher(p, inp, cond)
+        got = forward_teacher(p, *batch_of_one(inp, path))
+        want = reference_forward_teacher(p, inp, path)
         assert np.array_equal(got.states, want.states), case
         lp_scale = max(1.0, np.max(np.abs(want.log_probs)))
         assert np.max(np.abs(got.log_probs - want.log_probs)) <= 1e-12 * lp_scale, case
-        g = backward(p, got, *batch_of_one(targets), np.array([weight]))
-        ref = reference_backward(p, want, targets, weight)
+        g = backward(p, got, np.array([weight]))
+        ref = reference_backward(p, want, weight)
         scale = max(np.max(np.abs(m)) for m in ref.matrices().values())
         for name, mat in g.matrices().items():
             assert np.max(np.abs(mat - getattr(ref, name))) <= 1e-12 * scale, (case, name)
 
 
 def _ragged_batch(rng, sv: int, tv: int, shared: bool):
-    """2-6 trajectories with 1-7 input symbols and 1-9 steps each, and
-    scalar, per-step or zero weights; with shared=True they share one input,
-    as the hypotheses of one FCM sample do."""
+    """2-6 trajectories with 1-7 input symbols and paths of 1-9 steps each,
+    and scalar, per-step or zero weights; with shared=True they share one
+    input, as the hypotheses of one FCM sample do."""
     n_traj = int(rng.integers(2, 7))
     one_input = rng.integers(0, sv, size=int(rng.integers(1, 8))).tolist()
     batch = []
@@ -232,8 +234,7 @@ def _ragged_batch(rng, sv: int, tv: int, shared: bool):
         n = int(rng.integers(1, 10))
         kind = rng.integers(3)
         weight = (float(rng.normal()), rng.normal(size=n), 0.0)[kind]
-        batch.append((inp, rng.integers(0, tv, size=n).tolist(),
-                      rng.integers(0, tv, size=n).tolist(), weight))
+        batch.append((inp, rng.integers(0, tv, size=n + 1).tolist(), weight))
     return batch
 
 
@@ -249,19 +250,19 @@ def test_batched_pass_matches_per_trajectory_oracles():
         batch = _ragged_batch(rng, sv, tv, shared=case % 3 == 0)
         if case % 10 == 0:
             batch = batch[:1]  # U = 1
-        inputs, conds, _, _ = zip(*batch)
-        got = forward_teacher(p, PaddedIds.of(inputs), PaddedIds.of(conds))
-        assert got.log_probs.shape == (len(batch), max(map(len, conds)), tv)
+        inputs, paths, _ = zip(*batch)
+        got = forward_teacher(p, PaddedIds.of(inputs), PaddedIds.of(paths))
+        assert got.log_probs.shape == (len(batch), max(map(len, paths)) - 1, tv)
         total = p.zeros_like()
-        for u, (inp, cond, tgt, w) in enumerate(batch):
-            want = reference_forward_teacher(p, inp, cond)
-            n = len(cond)
+        for u, (inp, path, w) in enumerate(batch):
+            want = reference_forward_teacher(p, inp, path)
+            n = len(path) - 1
             lp_scale = max(1.0, np.max(np.abs(want.log_probs)))
             assert np.max(np.abs(got.log_probs[u, :n] - want.log_probs[0])) <= 1e-12 * lp_scale
             assert np.max(np.abs(got.attn_weights[u, :n, :len(inp)]
                                  - want.attn_weights[0])) <= 1e-12
             assert not got.attn_weights[u, :, len(inp):].any(), (case, u)
-            accumulate(total, reference_backward(p, want, tgt, w))
+            accumulate(total, reference_backward(p, want, w))
         g = step_weighted_gradient(p, batch)
         scale = max(1e-300, max(np.max(np.abs(m)) for m in total.matrices().values()))
         for name, mat in g.matrices().items():
@@ -272,27 +273,27 @@ def test_padded_steps_and_zero_weights_give_exact_zeros():
     rng = np.random.default_rng(8)
     p = random_params(5, 6, 7, seed=3)
     batch = _ragged_batch(rng, 6, 7, shared=False)
-    inputs, conds, targets = (PaddedIds.of(seqs) for seqs in list(zip(*batch))[:3])
-    trace = forward_teacher(p, inputs, conds)
-    g = backward(p, trace, targets, np.zeros(len(batch)))
+    inputs, paths = (PaddedIds.of(seqs) for seqs in list(zip(*batch))[:2])
+    trace = forward_teacher(p, inputs, paths)
+    g = backward(p, trace, np.zeros(len(batch)))
     assert all(not mat.any() for mat in g.matrices().values())
     # the short trajectory alone, or padded next to a zero-weight long one
-    alone = backward(p, forward_teacher(p, *batch_of_one([1, 2], [0])), *batch_of_one([3]),
-                     np.array([1.0]))
+    alone = backward(p, forward_teacher(p, *batch_of_one([1, 2], [0, 3])), np.array([1.0]))
     padded = backward(p, forward_teacher(p, PaddedIds.of([[1, 2], [4, 0, 5]]),
-                                         PaddedIds.of([[0], [0, 3, 6, 2]])),
-                      PaddedIds.of([[3], [1, 1, 1, 1]]), np.array([1.0, 0.0]))
+                                         PaddedIds.of([[0, 3], [0, 3, 6, 2, 1]])),
+                      np.array([1.0, 0.0]))
     for name, mat in alone.matrices().items():
         assert np.max(np.abs(mat - getattr(padded, name))) <= 1e-12 * np.max(np.abs(mat))
 
 
 def test_flat_sequences_are_a_batch_of_one():
     """forward_teacher's one form besides padded ids: one flat pair of id
-    sequences, as the benchmark's tracer test passes it."""
+    sequences, an input and a path, as the benchmark's tracer test passes it."""
     p = random_params(4, 5, 6, seed=21)
     flat = forward_teacher(p, [1, 2, 4], [0, 3, 5])
     batched = forward_teacher(p, PaddedIds.of([(1, 2, 4)]), PaddedIds.of([(0, 3, 5)]))
-    for name in ("log_probs", "cond_tokens", "lengths", "input_ids", "states"):
+    assert flat.lengths.tolist() == [2]
+    for name in ("log_probs", "cond_tokens", "target_tokens", "lengths", "input_ids", "states"):
         assert np.array_equal(getattr(flat, name), getattr(batched, name)), name
 
 
@@ -319,13 +320,12 @@ def test_batched_backward_matches_finite_differences_on_a_ragged_batch():
     conds = [[0, 2, 4], [0], [0, 1]]
     targets = [[2, 4, 1], [3], [4, 2]]
     weights = [0.7, np.array([-1.3]), np.array([0.4, 1.1])]
-    analytic = step_weighted_gradient(p, list(zip(inputs, conds, targets, weights)))
+    cells = [step_cells(tgt, w) for tgt, w in zip(targets, weights)]
+    analytic = cells_gradient(p, list(zip(inputs, conds, cells)))
 
     def objective(q):
-        log_probs = forward_teacher(q, PaddedIds.of(inputs), PaddedIds.of(conds)).log_probs
-        return sum(float(w) * log_probs[u, n, t]
-                   for u, (tgt, ws) in enumerate(zip(targets, weights))
-                   for n, (t, w) in enumerate(zip(tgt, np.broadcast_to(ws, len(tgt)))))
+        log_probs = conditioned_log_probs(q, inputs, conds)
+        return sum(cells_objective(lp, row) for lp, row in zip(log_probs, cells))
 
     assert central_difference_error(p, objective, analytic) <= 1e-4
 
@@ -334,11 +334,11 @@ def test_batch_errors_name_the_mismatch():
     """Each batch error names what does not fit and, when one trajectory or
     input is at fault, its row: the first bad row of the padded arrays.  Ids
     come only as PaddedIds and weights only as a (U,) float64 array; any
-    other form is refused, naming the expected one."""
+    other form is refused, naming the expected one.  Every path id is
+    checked, the last one, which is only a target, too."""
     p = random_params(3, 4, 5, seed=9)
     P = PaddedIds.of
-    trace = forward_teacher(p, P([[1], [2], [3]]), P([[0], [0, 1], [2]]))
-    ones, targets = np.ones(3), P([[1], [1, 2], [3]])
+    trace = forward_teacher(p, P([[1], [2], [3]]), P([[0, 1], [0, 1, 2], [2, 3]]))
     padded_form = r"ids must be a PaddedIds \(PaddedIds.of pads a list of id sequences\)"
     weight_form = r"weights must be a \(3,\) float64 array, one weight per trajectory"
     cases = [
@@ -346,27 +346,26 @@ def test_batch_errors_name_the_mismatch():
          None),
         (lambda: forward_teacher(p, P([]), P([])), "no trajectories", None),
         (lambda: forward_teacher(p, P([[1], []]), P([[0], [0]])), "empty input", 1),
-        (lambda: forward_teacher(p, P([[1], [2]]), P([[0, 1], []])), "empty conditioning", 1),
+        (lambda: forward_teacher(p, P([[1], [2]]), P([[0, 1], []])), "a path needs a step", 1),
+        (lambda: forward_teacher(p, P([[1], [2]]), P([[0, 1], [0]])), "a path needs a step", 1),
+        (lambda: forward_teacher(p, P([[1], [2], [3]]), P([[0, 1], [0], []])),
+         "a path needs a step", 1),
         (lambda: forward_teacher(p, P([[1], [2, 4], [4]]), P([[0]] * 3)), "source index out", 1),
         (lambda: forward_teacher(p, P([[1], [2], [3]]), P([[0], [0], [-1, 5]])),
          "target index out", 2),
-        (lambda: backward(p, trace, P([[1]]), ones), "1 target sequences for 3 trajectories",
-         None),
-        (lambda: backward(p, trace, P([[1], [1], [1]]), ones),
-         "1 targets for a trace of 2 steps", 1),
-        (lambda: backward(p, trace, P([[1], [1, 5], [5]]), ones), "target index out", 1),
+        (lambda: forward_teacher(p, P([[1], [2], [3]]), P([[0, 1], [0, 2, 4], [0, 5]])),
+         "target index out", 2),
         (lambda: forward_teacher(p, [[1], [2], [3, 1]], P([[0]] * 3)), "source " + padded_form,
          None),
         (lambda: forward_teacher(p, P([[1]] * 3), [[0], [0, 1], [2]]), "target " + padded_form,
          None),
         (lambda: _Decoder(p, [[1], [2, 3]]), "source " + padded_form, None),
-        (lambda: backward(p, trace, [[1], [1, 2], [3]], ones), "target " + padded_form, None),
-        (lambda: backward(p, trace, targets, np.ones(1)), weight_form, None),
-        (lambda: backward(p, trace, targets, [1.0] * 3), weight_form, None),
-        (lambda: backward(p, trace, targets, 1.0), weight_form, None),
-        (lambda: backward(p, trace, targets, np.ones(3, dtype=np.int64)), weight_form, None),
-        (lambda: backward(p, trace, targets, [1.0, np.ones(2), 1.0]), weight_form, None),
-        (lambda: backward(p, trace, targets, np.ones((3, 2))), weight_form, None),
+        (lambda: backward(p, trace, np.ones(1)), weight_form, None),
+        (lambda: backward(p, trace, [1.0] * 3), weight_form, None),
+        (lambda: backward(p, trace, 1.0), weight_form, None),
+        (lambda: backward(p, trace, np.ones(3, dtype=np.int64)), weight_form, None),
+        (lambda: backward(p, trace, [1.0, np.ones(2), 1.0]), weight_form, None),
+        (lambda: backward(p, trace, np.ones((3, 2))), weight_form, None),
         (lambda: PaddedIds(np.zeros((2, 3), dtype=np.int64), np.array([1, 2])),
          "padded ids must be", None),
         (lambda: PaddedIds(np.zeros((1, 2), dtype=np.int32), np.array([2])),
@@ -411,23 +410,25 @@ def test_step_deterministic_and_uniform_for_zero_params():
 
 
 def test_trajectory_layout():
-    assert trajectory([5, 6], True, bos_id=0, eos_id=1) == ((0, 5, 6), (5, 6, 1))
-    assert trajectory((5, 6), False, bos_id=0, eos_id=1) == ((0, 5), (5, 6))
-    assert trajectory((), True, bos_id=0, eos_id=1) == ((0,), (1,))
-    with pytest.raises(ModelError, match="unfinished"):
-        trajectory((), False, bos_id=0, eos_id=1)
+    """BOS, the tokens and EOS when finished.  An unfinished path without
+    tokens has no step; forward_teacher refuses it, naming its row."""
+    assert trajectory([5, 6], True, bos_id=0, eos_id=1) == (0, 5, 6, 1)
+    assert trajectory((5, 6), False, bos_id=0, eos_id=1) == (0, 5, 6)
+    assert trajectory((), True, bos_id=0, eos_id=1) == (0, 1)
+    assert trajectory(np.array([5]), False, bos_id=0, eos_id=1) == (0, 5)
+    assert trajectory((), False, bos_id=0, eos_id=1) == (0,)
 
 
 def test_backward_empty_gradient_is_zero():
     p = random_params(4, 5, 6, seed=4)
-    trace = forward_teacher(p, *batch_of_one([1, 2], [0, 3]))
-    g = backward(p, trace, *batch_of_one([3, 2]), np.zeros(1))
+    trace = forward_teacher(p, *batch_of_one([1, 2], [0, 3, 2]))
+    g = backward(p, trace, np.zeros(1))
     assert all(not mat.any() for mat in g.matrices().values())
 
 
 def test_backward_single_cell_matches_finite_differences():
     p = random_params(4, 5, 6, seed=6)
-    assert finite_difference_check(p, [1, 2, 4], [0], [([3], 1.0)], eps=1e-5) <= 1e-4
+    assert finite_difference_check(p, [1, 2, 4], [0], {0: {3: 1.0}}, eps=1e-5) <= 1e-4
 
 
 def test_backward_is_linear_in_the_gradient():
@@ -436,11 +437,11 @@ def test_backward_is_linear_in_the_gradient():
     targets = [1, 4, 3]
     w1, w2 = np.array([0.7, 0.0, -0.2]), np.array([0.0, 1.1, 0.5])
     a, b = 2.0, 3.0
-    lhs = step_weighted_gradient(p, [(inp, cond, targets, a * w1 + b * w2)])
-    rhs = step_weighted_gradient(p, [(inp, cond, targets, w1)])
+    lhs = cells_gradient(p, [(inp, cond, step_cells(targets, a * w1 + b * w2))])
+    rhs = cells_gradient(p, [(inp, cond, step_cells(targets, w1))])
     for name, mat in rhs.matrices().items():
         mat *= a
-    accumulate(rhs, step_weighted_gradient(p, [(inp, cond, targets, w2)]), b)
+    accumulate(rhs, cells_gradient(p, [(inp, cond, step_cells(targets, w2))]), b)
     for name, mat in lhs.matrices().items():
         np.testing.assert_allclose(mat, getattr(rhs, name), atol=1e-8)
 
@@ -448,8 +449,8 @@ def test_backward_is_linear_in_the_gradient():
 def test_backward_doubled_gradient_doubles_exactly():
     p = random_params(3, 4, 5, seed=7)
     w = np.array([0.7, 0.0, -0.2])
-    doubled = step_weighted_gradient(p, [([1, 3], [0, 2, 4], [1, 4, 3], 2.0 * w)])
-    base = step_weighted_gradient(p, [([1, 3], [0, 2, 4], [1, 4, 3], w)])
+    doubled = cells_gradient(p, [([1, 3], [0, 2, 4], step_cells([1, 4, 3], 2.0 * w))])
+    base = cells_gradient(p, [([1, 3], [0, 2, 4], step_cells([1, 4, 3], w))])
     for name, mat in doubled.matrices().items():
         assert np.array_equal(mat, 2.0 * getattr(base, name))
 
@@ -470,26 +471,16 @@ def test_backward_random_models_match_finite_differences():
         rows: dict[int, dict[int, float]] = {}
         for n, i in cells:
             rows.setdefault(n, {})[i] = float(rng.normal())
-        assert finite_difference_check(p, inp, cond, cell_terms(len(cond), rows)) <= 1e-4
-
-
-def test_backward_rejects_out_of_trace_cells():
-    p = random_params(3, 4, 5, seed=9)
-    trace = forward_teacher(p, *batch_of_one([1], [0]))
-    with pytest.raises(ModelError, match="2 targets for a trace of 1 steps"):
-        backward(p, trace, *batch_of_one([0, 1]), np.ones(1))
-    with pytest.raises(ModelError, match="out of range"):
-        backward(p, trace, *batch_of_one([5]), np.ones(1))
+        assert finite_difference_check(p, inp, cond, rows) <= 1e-4
 
 
 def test_backward_rejects_nonfinite_weights():
     p = random_params(3, 4, 5, seed=9)
-    trace = forward_teacher(p, PaddedIds.of([[1], [1]]), PaddedIds.of([[0, 2], [0]]))
-    targets = PaddedIds.of([[2, 1], [3]])
+    trace = forward_teacher(p, PaddedIds.of([[1], [1]]), PaddedIds.of([[0, 2, 1], [0, 3]]))
     with pytest.raises(ModelError, match="non-finite"):
-        backward(p, trace, targets, np.array([1.0, np.nan]))
+        backward(p, trace, np.array([1.0, np.nan]))
     with pytest.raises(ModelError, match="non-finite"):
-        backward(p, trace, targets, np.array([np.inf, 1.0]))
+        backward(p, trace, np.array([np.inf, 1.0]))
 
 
 def test_apply_update_zero_lr_keeps_params():
@@ -510,14 +501,14 @@ def test_apply_update_unit_step():
 
 def test_ascent_step_increases_objective():
     p = random_params(4, 5, 6, seed=12)
-    inp, cond = [1, 2, 3], [0, 2, 4]
-    terms = [([2, 4, 1], 1.0)]
+    inp, path = [1, 2, 3], [0, 2, 4, 1]
+    cells = step_cells(path[1:], 1.0)
 
     def objective(params):
-        return terms_objective(forward_teacher(params, *batch_of_one(inp, cond)), terms)
+        return cells_objective(forward_teacher(params, *batch_of_one(inp, path)).log_probs[0],
+                               cells)
 
-    g = backward(p, forward_teacher(p, *batch_of_one(inp, cond)), *batch_of_one(terms[0][0]),
-                 np.array([terms[0][1]]))
+    g = backward(p, forward_teacher(p, *batch_of_one(inp, path)), np.array([1.0]))
     q = apply_update(p, g, 1e-3)
     assert objective(q) > objective(p)
 

@@ -352,7 +352,10 @@ def test_ce_failures_name_the_iteration_and_the_sample():
 def test_minibatch_failures_name_the_sample_that_owns_the_row():
     """An FCM minibatch with hypotheses and references of several samples: the
     padded batch row of a bad hypothesis or a bad reference is traced back to
-    its sample, past a zero-coefficient hypothesis that adds no row."""
+    its sample, past a zero-coefficient hypothesis that adds no row.  An
+    unfinished hypothesis without tokens is the path (BOS,), which has no
+    step; an unfinished one whose last token is outside the vocabulary ends
+    its path with an id that is only a target.  The model refuses both."""
     corpus = _toy_corpus(4)
     # token "." (id 7) ends every reference; only the sample keeping it fails
     bad_ref = corpus.samples[3]
@@ -363,17 +366,21 @@ def test_minibatch_failures_name_the_sample_that_owns_the_row():
     fine = [(Hypothesis((2, 3), -1.0), 0.5), (Hypothesis((4,), -2.0, finished=False), -0.5)]
     unused = [(Hypothesis((7,), -3.0), 0.0)]  # out of range, but a zero coefficient
     bad_hyp = [(Hypothesis((2, 7), -1.0), 0.5), (Hypothesis((4,), -2.0), -0.5)]
-    for paths, ce_weight, bad in (
-        ([unused + fine, fine, bad_hyp, fine], 0.0, samples[2]),
-        ([unused + fine, fine, fine, fine], 0.3, bad_ref),
+    no_step = fine + [(Hypothesis((), -3.0, finished=False), 0.25)]
+    bad_last = [(Hypothesis((2, 7), -1.0, finished=False), 0.5)] + fine
+    out_of_range = "target index out"
+    for paths, ce_weight, bad, match in (
+        ([unused + fine, fine, bad_hyp, fine], 0.0, samples[2], out_of_range),
+        ([unused + fine, fine, fine, fine], 0.3, bad_ref, out_of_range),
+        ([fine, no_step, fine, fine], 0.0, samples[1], "a path needs a step"),
+        ([fine, fine, bad_last, fine], 0.0, samples[2], out_of_range),
     ):
         # the coefficients padded to the longest row, as fcm_coefficients gives them
         coefficients = np.zeros((len(paths), max(map(len, paths))))
         for row, pairs in enumerate(paths):
             coefficients[row, :len(pairs)] = [c for _, c in pairs]
         hypotheses = [[h for h, _ in pairs] for pairs in paths]
-        with pytest.raises(TrainerError,
-                           match=f"iteration 7, sample {bad.id!r}: target index out"):
+        with pytest.raises(TrainerError, match=f"iteration 7, sample {bad.id!r}: {match}"):
             _minibatch_gradient(params, corpus, 7, samples, hypotheses, coefficients, ce_weight)
 
 
@@ -399,9 +406,9 @@ def test_fcm_step_with_ce_interpolation_is_the_per_trajectory_combination():
                  for h, c in zip(nbest.hypotheses, scored.coefficients)]
         paths.append((corpus.reference_ids(sample), True, 0.3 / 3))
         for tokens, finished, weight in paths:
-            cond, targets = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
-            trace = reference_forward_teacher(params, sample.input, cond)
-            accumulate(total, reference_backward(params, trace, targets, weight))
+            path = trajectory(tokens, finished, corpus.bos_id, corpus.eos_id)
+            trace = reference_forward_teacher(params, sample.input, path)
+            accumulate(total, reference_backward(params, trace, weight))
             n_paths += weight != 0.0
     assert n_paths > 3  # hypotheses with nonzero coefficients, not only references
     want = apply_update(params, total, 0.05)
