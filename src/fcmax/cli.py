@@ -153,7 +153,7 @@ def _cmd_train_fcm(args, opts: dict) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     dev = corpus_mod.load_corpus(args.dev) if args.dev else None
     params = model_mod.load_checkpoint(args.init)
-    safeguard = _from_options(SafeguardConfig, opts, max_fcm_iterations="max-fcm-iters",
+    safeguard = _from_options(SafeguardConfig, opts, max_fcm_iterations="iters",
                               ce_interpolation_weight="ce-weight")
     return _save_trained(args, train_fcm(params, corpus, scorer, _schedule(opts), safeguard,
                                          dev=dev))
@@ -320,7 +320,7 @@ COMMANDS: dict[str, Command] = {
     "train-fcm": Command(_cmd_train_fcm, "consistency fine-tuning",
                          {**_TRAIN_FILES, "init": True}, {
         "iters": 500, "lr": 1e-4, **_TRAINING, "batch-size": 1,
-        "max-fcm-iters": 500, "deletion-rate-limit": 0.25, "dev-check-every": 50,
+        "deletion-rate-limit": 0.25, "dev-check-every": 50,
         "ce-weight": 0.0, **_SCORING, "scorer": None,
     }),
     "decode": Command(_cmd_decode, "emit N-best hypotheses with posteriors", {

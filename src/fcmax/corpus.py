@@ -175,7 +175,11 @@ class Corpus:
         since training draws every sample many times."""
         ids = self._reference_ids.get(sample.reference)
         if ids is None:
-            ids = self._reference_ids[sample.reference] = tuple(self.encode_text(sample.reference))
+            try:
+                ids = tuple(self.encode_text(sample.reference))
+            except CorpusError as exc:
+                raise CorpusError(f"sample {sample.id!r}: {exc}") from None
+            self._reference_ids[sample.reference] = ids
         return list(ids)
 
     def split(self, *sizes: int) -> list["Corpus"]:

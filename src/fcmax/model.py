@@ -478,24 +478,27 @@ def load_checkpoint(path) -> ModelParams:
             raise ModelError(f"checkpoint field {field} must be an integer, got {value!r}")
     d, sv, tv = header.values()
     matrices = doc.get("matrices")
-    params = ModelParams(np.empty(param_count(d, sv, tv)), d, sv, tv)
-    for name, view in params.matrices().items():
+    size, views = _layout(d, sv, tv)
+    for name, start, stop, shape in views:  # check all before allocating what the header asks
         entry = matrices.get(name) if isinstance(matrices, dict) else None
         if not isinstance(entry, dict):
             raise ModelError(f"checkpoint has no matrix {name}")
-        want = _file_shape(view.shape)
+        want = _file_shape(shape)
         if entry.get("shape") != want:
             raise ModelError(f"matrix {name} has shape {entry.get('shape')!r}, but a header of "
                              f"d={d}, source={sv}, target={tv} needs {want}")
         data = entry.get("data")
-        if not isinstance(data, list) or len(data) != view.size:
-            raise ModelError(f"matrix {name} must have a data list of {view.size} entries")
+        if not isinstance(data, list) or len(data) != stop - start:
+            raise ModelError(f"matrix {name} must have a data list of {stop - start} entries")
         # a bool is an int to numpy, and an int past the float range would
         # overflow numpy's copy
         bad = next((i for i, v in enumerate(data) if not is_json_float(v)), None)
         if bad is not None:
             raise ModelError(f"matrix {name} entry {bad} must be a number in float range, "
                              f"got {data[bad]!r}")
-        view.reshape(-1)[:] = data
+    flat = np.empty(size)
+    for name, start, stop, _ in views:
+        flat[start:stop] = matrices[name]["data"]
+    params = ModelParams(flat, d, sv, tv)
     params.validate()
     return params

@@ -241,7 +241,9 @@ def _read_reply(sock) -> tuple[int, bytes]:
     status_line, *lines = buf[:end.start()].decode("latin-1").split("\n")
     version, _, rest = status_line.rstrip("\r").partition(" ")
     code = rest[:3]
-    if not (version.startswith("HTTP/1.") and code.isdigit() and rest[3:4] in ("", " ")):
+    # str.isdigit alone also takes a latin-1 '²', which int() refuses
+    if not (version.startswith("HTTP/1.") and code.isascii() and code.isdigit()
+            and rest[3:4] in ("", " ")):
         raise _Malformed(f"bad status line {status_line[:80]!r}")
     headers = {}
     for line in lines:
@@ -258,11 +260,11 @@ def _read_reply(sock) -> tuple[int, bytes]:
             chunks.append(chunk)
         return int(code), b"".join(chunks)
     length = headers["content-length"]
-    if not length.isdigit():
+    if not (length.isascii() and length.isdigit()):
         raise _Malformed(f"bad Content-Length {length[:80]!r}")
     want, chunks, have = int(length), [body], len(body)
     while have < want:
-        chunk = sock.recv(max(_RECV_BYTES, want - have))
+        chunk = sock.recv(_RECV_BYTES)  # not want - have, which a header may make huge
         if not chunk:
             raise _Malformed(f"the body ended after {have} of its {want} bytes")
         chunks.append(chunk)

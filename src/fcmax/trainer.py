@@ -12,12 +12,12 @@ path.  Either way an iteration's U trajectories, each one id path
 and one backward call (``_trajectory_gradient``).  The likelihood loop pads
 its corpus's reference paths once and takes each batch's rows; the
 consistency loop pads each batch's paths anew (``_minibatch_gradient``).  Dev
-checks score the whole dev set's lists as one batch in the same way.  Two
-safeguards bound the consistency loop: a hard iteration cap (fine-tuning
-starts from a well-trained likelihood model and runs briefly) and a
-deletion tripwire that halts the run if dev deletions grow past a limit,
-returning the best previously-passing checkpoint instead, or the starting
-model when no checkpoint ever passed.
+checks score the whole dev set's lists as one batch in the same way, and a
+dev check is its log row: ``evaluate_on``'s six ``dev_*`` metrics after
+``iter`` updates at rate ``lr``.  Two safeguards bound the consistency
+loop: a hard iteration cap and a deletion tripwire that reads each row's
+``dev_del_rate``.  A trip halts the run and returns the model of the best
+passing check, or the starting model when no check passed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .beam import Hypothesis, NBestList, beam_decode_batch
 from .corpus import Corpus
 from .fcm import FcmError, ScoredBatch, fcm_coefficients, fcm_corpus_objective, score_batch
-from .metrics import EditBreakdown, corpus_wer
+from .metrics import corpus_wer
 from .model import (
     ModelError, ModelParams, PaddedIds, apply_update, backward, forward_teacher, trajectory,
 )
@@ -73,7 +73,8 @@ class TrainingSchedule:
 @dataclass(frozen=True)
 class SafeguardConfig:
     """Bounds on consistency fine-tuning.  max_fcm_iterations caps the updates
-    but not the lr decay over total_iterations, so a lower cap never anneals."""
+    but not the lr decay over total_iterations, so a lower cap never anneals;
+    the CLI and the experiment script set it to the iteration count."""
 
     max_fcm_iterations: int = 500
     deletion_rate_limit: float = 0.25
@@ -221,22 +222,22 @@ def evaluate_on(params: ModelParams, corpus: Corpus, scorer: ConsistencyScorer,
         "dev_unfinished_top1": sum(not hyps[0].finished for hyps in hypotheses) / len(hypotheses),
         "dev_avg_consistency": sum(scores) / len(scores),
         "dev_fcm_objective": fcm_corpus_objective(batch),
-        "_breakdown": breakdown,
     }
 
 
-def _log_entry(iteration: int, lr: float, dev_metrics: dict | None) -> dict:
-    entry = {"iter": iteration, "lr": lr}
-    if dev_metrics is not None:
-        entry.update({k: v for k, v in dev_metrics.items() if not k.startswith("_")})
-    return entry
+def _dev_check(log: list[dict], params: ModelParams, dev: Corpus, scorer: ConsistencyScorer,
+               schedule: TrainingSchedule, iteration: int, lr: float) -> dict:
+    """Append the log row of a dev check after ``iteration`` updates, and return it."""
+    row = {"iter": iteration, "lr": lr, **evaluate_on(params, dev, scorer, schedule.beam_size,
+                                                      schedule.nbest_size, schedule.max_len)}
+    log.append(row)
+    return row
 
 
-def deletion_guard(dev_wer_breakdown: EditBreakdown, limit: float) -> bool:
-    """True means trip: dev deletions per reference word strictly exceed the limit."""
-    if dev_wer_breakdown.ref_words <= 0:
-        raise TrainerError("deletion guard needs a breakdown with reference words")
-    return dev_wer_breakdown.deletions / dev_wer_breakdown.ref_words > limit
+def deletion_guard(row: dict, limit: float) -> bool:
+    """True means trip: a dev row's deletions per reference word strictly
+    exceed the limit."""
+    return row["dev_del_rate"] > limit
 
 
 def train_ce(
@@ -276,9 +277,7 @@ def train_ce(
         params = apply_update(params, grad, lr)
         if dev is not None and ((it + 1) % schedule.checkpoint_every == 0
                                 or it + 1 == schedule.total_iterations):
-            metrics = evaluate_on(params, dev, scorer, schedule.beam_size,
-                                  schedule.nbest_size, schedule.max_len)
-            log.append(_log_entry(it + 1, lr, metrics))
+            _dev_check(log, params, dev, scorer, schedule, it + 1, lr)
     return TrainResult(params=params, log=log)
 
 
@@ -293,15 +292,13 @@ def train_fcm(
     """Consistency fine-tuning of an already likelihood-trained model.
 
     Runs at most min(total_iterations, max_fcm_iterations) updates, but the
-    learning rate decays linearly over total_iterations: a cap below it ends
-    the run before the rate anneals.  When a dev corpus is given, dev
-    metrics are logged every dev_check_every iterations and the deletion
-    tripwire is checked; a trip ends training and the result carries the
-    best passing checkpoint (highest dev objective) together with a report.
-    A tripped run never returns a checkpoint whose dev deletion rate was
-    above the limit, except when no checkpoint passed at all, the starting
-    model included: then the starting model is returned and the report says
-    so and gives its dev deletion rate.
+    learning rate decays linearly over total_iterations.  With a dev corpus,
+    a dev check logs its row before the first update, every dev_check_every
+    updates and after the last.  A row that trips ``deletion_guard`` ends
+    training with a report, and the result carries the model of the best
+    passing check (highest dev objective; the earlier one on a tie).  When
+    no check passed, not even the starting model's, it carries the starting
+    model, and the report gives that model's dev deletion rate (``log[0]``).
     """
     schedule.validate()
     safeguard.validate()
@@ -309,24 +306,18 @@ def train_fcm(
         raise TrainerError("training corpus is empty")
     if dev is not None and not dev.samples:
         raise TrainerError("dev corpus is empty")
-    params = params.copy()
+    start = current = params.copy()
     rng = np.random.default_rng(np.uint64(schedule.seed))
     batches = _batch_iterator(rng, len(corpus.samples), min(schedule.batch_size, len(corpus.samples)))
     log: list[dict] = []
     limit = safeguard.deletion_rate_limit
     total_iters = min(schedule.total_iterations, safeguard.max_fcm_iterations)
-
-    best_params: ModelParams | None = None
-    best_objective = -np.inf
+    best = None  # (row, model) of the best check that passed the guard
     if dev is not None:
-        metrics = evaluate_on(params, dev, scorer, schedule.beam_size,
-                              schedule.nbest_size, schedule.max_len)
-        log.append(_log_entry(0, schedule.initial_lr, metrics))
-        start_del_rate = metrics["dev_del_rate"]
-        if not deletion_guard(metrics["_breakdown"], limit):
-            best_params, best_objective = params.copy(), metrics["dev_fcm_objective"]
+        row = _dev_check(log, start, dev, scorer, schedule, 0, schedule.initial_lr)
+        if not deletion_guard(row, limit):
+            best = row, start
 
-    current = params
     for it in range(total_iters):
         lr = linear_decay_lr(it, schedule.total_iterations, schedule.initial_lr)
         samples = [corpus.samples[idx] for idx in next(batches)]
@@ -341,23 +332,16 @@ def train_fcm(
         current = apply_update(current, grad, lr)
         if dev is not None and ((it + 1) % safeguard.dev_check_every == 0
                                 or it + 1 == total_iters):
-            metrics = evaluate_on(current, dev, scorer, schedule.beam_size,
-                                  schedule.nbest_size, schedule.max_len)
-            log.append(_log_entry(it + 1, lr, metrics))
-            if deletion_guard(metrics["_breakdown"], limit):
-                if best_params is None:
-                    fallback, returning = params, (
-                        f"no checkpoint passed the guard; returning the starting model "
-                        f"(dev deletion rate {start_del_rate:.4f})")
-                else:
-                    fallback, returning = best_params, "returning best passing checkpoint"
-                report = (
-                    f"deletion guard tripped at iteration {it + 1}: dev deletion rate "
-                    f"{metrics['dev_del_rate']:.4f} > limit {limit:.4f}; {returning}"
-                )
+            row = _dev_check(log, current, dev, scorer, schedule, it + 1, lr)
+            if deletion_guard(row, limit):
+                fallback = best[1] if best else start
+                returning = ("returning best passing checkpoint" if best else
+                             f"no checkpoint passed the guard; returning the starting model "
+                             f"(dev deletion rate {log[0]['dev_del_rate']:.4f})")
+                report = (f"deletion guard tripped at iteration {it + 1}: dev deletion rate "
+                          f"{row['dev_del_rate']:.4f} > limit {limit:.4f}; {returning}")
                 return TrainResult(params=fallback, log=log, guard_tripped=True,
                                    guard_report=report)
-            if metrics["dev_fcm_objective"] > best_objective:
-                best_params = current.copy()
-                best_objective = metrics["dev_fcm_objective"]
+            if best is None or row["dev_fcm_objective"] > best[0]["dev_fcm_objective"]:
+                best = row, current
     return TrainResult(params=current, log=log)

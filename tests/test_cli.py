@@ -9,6 +9,8 @@ import pytest
 from conftest import reference_detokenize, reference_posteriors
 from fcmax.cli import run
 from fcmax.corpus import load_corpus, normalize_text
+from fcmax.model import init_params, save_checkpoint
+from fcmax.trainer import TrainResult
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -75,6 +77,27 @@ def test_train_fcm_requires_scorer(tmp_path, capsys):
     assert "--scorer" in err
 
 
+def test_train_fcm_caps_the_updates_at_its_iterations(tmp_path, capsys, monkeypatch):
+    """--iters is both the lr decay length and the update cap, so a run of
+    more than the old default cap of 500 updates finishes and anneals."""
+    corpus, init = str(tmp_path / "c.jsonl"), str(tmp_path / "init.json")
+    assert run(["gen-data", "--n", "4", "--out", corpus]) == 0
+    loaded = load_corpus(corpus)
+    params = init_params(3, loaded.source_vocab_size, len(loaded.token_vocab), seed=0)
+    save_checkpoint(params, init)
+    seen = {}
+
+    def fake_train_fcm(params, corpus, scorer, schedule, safeguard, dev=None):
+        seen.update(schedule=schedule, safeguard=safeguard)
+        return TrainResult(params=params)
+
+    monkeypatch.setattr("fcmax.cli.train_fcm", fake_train_fcm)
+    assert run(["train-fcm", "--corpus", corpus, "--init", init, "--scorer", "weighted-f1",
+                "--out", str(tmp_path / "out.json"), "--iters", "600"]) == 0
+    assert seen["schedule"].total_iterations == 600
+    assert seen["safeguard"].max_fcm_iterations == 600
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
 
@@ -105,6 +128,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         # train-fcm has no model size and no checkpoint interval
         (train_fcm, {"d": 12}),
         (train_fcm, {"checkpoint-every": 5}),
+        # nor an update cap apart from its iterations
+        (train_fcm, {"max-fcm-iters": 5}),
     ]
     cfg = tmp_path / "cfg.json"
     for argv, config in cases:

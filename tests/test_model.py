@@ -571,6 +571,11 @@ def _set_target(doc):
     doc["vocab_sizes"]["target"] = 99
 
 
+def _set_huge_sizes(doc):
+    """A header whose model would not fit in memory (36.4 TiB)."""
+    doc["d"] = doc["vocab_sizes"]["source"] = 10 ** 6
+
+
 def _as_array(doc):
     return [doc]
 
@@ -587,6 +592,8 @@ def _attn_entry(value):
     (_bias_as_matrix, r"matrix out_bias has shape \[2, 3\]"),
     (_set_d, "d=99"),
     (_set_target, "target=99"),
+    (_set_huge_sizes, r"matrix src_emb has shape \[5, 4\], but a header of d=1000000, "
+                      r"source=1000000, target=6 needs \[1000000, 1000000\]"),
     (_as_array, "JSON object"),
     (_attn_entry("x"), "matrix attn entry 5 must be a number in float range, got 'x'"),
     (_attn_entry([1.0]), r"matrix attn entry 5 .*, got \[1.0\]"),
@@ -594,7 +601,7 @@ def _attn_entry(value):
     (_attn_entry(None), "matrix attn entry 5 .*, got None"),
     (_attn_entry(10 ** 400), "matrix attn entry 5 .*, got 1000"),
 ], ids=["missing-matrix", "short-data", "bias-shape", "header-d", "header-target",
-        "json-array", "string-entry", "list-entry", "bool-entry", "null-entry", "huge-int-entry"])
+        "huge-header", "json-array", "string-entry", "list-entry", "bool-entry", "null-entry", "huge-int-entry"])
 def test_load_checkpoint_refuses_a_document_that_does_not_fit_its_header(
         tmp_path, corrupt, match):
     path = tmp_path / "model.json"

@@ -284,7 +284,14 @@ def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 20
     (_reply(b"Content-Length: 50"), "ended after 20 of its 50 bytes"),
     (_reply(b"Transfer-Encoding: chunked", body=b"14\r\n" + OK_BODY + b"\r\n0\r\n\r\n"),
      "Transfer-Encoding 'chunked'"),
-], ids=["bad-status-line", "empty", "short-body", "chunked"])
+    # a huge length is read in pieces, not allocated at once
+    (_reply(b"Content-Length: 10000000000000"),
+     "ended after 20 of its 10000000000000 bytes"),
+    # latin-1 digits that are not ASCII ones
+    (_reply(status="HTTP/1.0 \xb2\xb2\xb2 OK".encode("latin-1")), "bad status line"),
+    (_reply("Content-Length: \xb2".encode("latin-1")), "bad Content-Length"),
+], ids=["bad-status-line", "empty", "short-body", "chunked", "huge-length", "superscript-status",
+        "superscript-length"])
 def test_remote_score_refuses_a_malformed_reply(raw_server, reply, named):
     server = raw_server([reply])
     with pytest.raises(RemoteProtocolError, match=named):

@@ -10,13 +10,13 @@ from conftest import (
     reference_backward, reference_expected_consistency, reference_forward_teacher,
     reference_minibatch_gradient, reference_train_ce,
 )
+from fcmax import trainer
 from fcmax.beam import Hypothesis, beam_decode, beam_decode_batch
 from fcmax.corpus import (
-    BOS, EOS, Corpus, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
+    BOS, EOS, Corpus, CorpusError, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
     normalize_text,
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
-from fcmax.metrics import EditBreakdown
 from fcmax.model import apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
@@ -229,25 +229,77 @@ def test_exact_match_coefficient_positive_on_two_way_fixture(ambiguity_fixture):
 
 def test_evaluate_on_breakdown_pools_the_per_pair_oracle():
     """A seeded corpus of more than one decode group, decoded by a random
-    model into ragged top hypotheses: the dev breakdown is the pooled sum of
-    the per-pair oracle's counts."""
+    model into ragged top hypotheses: the dev rates are the pooled sums of
+    the per-pair oracle's counts over the pooled reference words."""
     corpus = generate_synthetic_corpus(SynthConfig(n_samples=40, seed=5))
     params = random_params(8, corpus.source_vocab_size, len(corpus.token_vocab), seed=2)
     tops = decode_corpus_top1(params, corpus, 2, 16)
     want = [reference_align_counts(normalize_text(top), normalize_text(s.reference))
             for top, s in zip(tops, corpus.samples)]
     assert len({len(normalize_text(top)) for top in tops}) > 3
-    got = evaluate_on(params, corpus, weighted_f1_scorer(), 2, 2, 16)["_breakdown"]
-    assert (got.substitutions, got.insertions, got.deletions) == tuple(map(sum, zip(*want)))
-    assert got.ref_words == sum(len(normalize_text(s.reference)) for s in corpus.samples)
+    subs, ins, dels = map(sum, zip(*want))
+    ref_words = sum(len(normalize_text(s.reference)) for s in corpus.samples)
+    row = evaluate_on(params, corpus, weighted_f1_scorer(), 2, 2, 16)
+    assert set(row) == LOG_KEYS - {"iter", "lr"}
+    assert row["dev_wer"] == (subs + ins + dels) / ref_words
+    assert row["dev_del_rate"] == dels / ref_words
+    assert row["dev_ins_rate"] == ins / ref_words
 
 
 def test_deletion_guard_examples():
-    assert not deletion_guard(EditBreakdown(0, 0, 0, 100), 0.01)
-    assert deletion_guard(EditBreakdown(0, 0, 30, 100), 0.2)
-    assert not deletion_guard(EditBreakdown(0, 0, 20, 100), 0.2)  # strict inequality
-    with pytest.raises(TrainerError):
-        deletion_guard(EditBreakdown(0, 0, 0, 0), 0.2)
+    assert not deletion_guard({"dev_del_rate": 0 / 100}, 0.01)
+    assert deletion_guard({"dev_del_rate": 30 / 100}, 0.2)
+    assert not deletion_guard({"dev_del_rate": 20 / 100}, 0.2)  # strict inequality
+
+
+def _script_dev_rows(monkeypatch, *rows: tuple[float, float]) -> None:
+    """Make each dev check return the next scripted (dev_del_rate,
+    dev_fcm_objective) as its row; the other metrics are zero."""
+    script = iter(rows)
+
+    def scripted(*args):
+        del_rate, objective = next(script)
+        return {"dev_wer": 0.0, "dev_del_rate": del_rate, "dev_ins_rate": 0.0,
+                "dev_unfinished_top1": 0.0, "dev_avg_consistency": 0.0,
+                "dev_fcm_objective": objective}
+
+    monkeypatch.setattr(trainer, "evaluate_on", scripted)
+
+
+def _fcm_after(params, corpus, schedule, updates: int):
+    """The model of an FCM run with no dev set that the cap stops after
+    ``updates`` updates."""
+    return train_fcm(params, corpus, weighted_f1_scorer(), schedule,
+                     SafeguardConfig(max_fcm_iterations=updates)).params
+
+
+@pytest.mark.parametrize("rows, returned, returning", [
+    # the start fails, check 1 passes, check 2 trips
+    ([(0.5, 0.0), (0.1, 0.2), (0.5, 0.9)], 2, "returning best passing checkpoint"),
+    # checks 1 and 2 pass with equal objectives, check 3 trips: the earlier wins
+    ([(0.1, 0.3), (0.1, 0.5), (0.1, 0.5), (0.5, 0.9)], 2, "returning best passing checkpoint"),
+    # check 1 beats check 2, which passes; check 3 trips
+    ([(0.1, 0.3), (0.1, 0.5), (0.1, 0.4), (0.5, 0.9)], 2, "returning best passing checkpoint"),
+    # no check passes
+    ([(0.5, 0.9), (0.5, 0.9)], 0,
+     "no checkpoint passed the guard; returning the starting model (dev deletion rate 0.5000)"),
+], ids=["start-fails", "tie-keeps-the-earlier", "best-not-last", "none-passes"])
+def test_guard_returns_the_model_of_the_best_passing_row(monkeypatch, rows, returned,
+                                                         returning):
+    corpus = _toy_corpus(6, seed=3)
+    params = init_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=6)
+    schedule = _toy_schedule(total_iterations=8, initial_lr=0.5, batch_size=1)
+    want = _fcm_after(params, corpus, schedule, returned) if returned else params
+    assert not np.array_equal(want.flat, _fcm_after(params, corpus, schedule, returned + 2).flat)
+    _script_dev_rows(monkeypatch, *rows)
+    result = train_fcm(params, corpus, weighted_f1_scorer(), schedule,
+                       SafeguardConfig(deletion_rate_limit=0.25, dev_check_every=2), dev=corpus)
+    assert result.guard_tripped
+    assert result.guard_report == (
+        f"deletion guard tripped at iteration {2 * len(rows) - 2}: dev deletion rate "
+        f"0.5000 > limit 0.2500; {returning}")
+    assert [row["iter"] for row in result.log] == list(range(0, 2 * len(rows), 2))
+    assert np.array_equal(result.params.flat, want.flat)
 
 
 def _shortness_scorer() -> ConsistencyScorer:
@@ -347,6 +399,21 @@ def test_ce_failures_name_the_iteration_and_the_sample():
     params = random_params(3, 8, 7, seed=5)  # target ids 0..6
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: target index out"):
         train_ce(params, Corpus(samples, 8, corpus.token_vocab), schedule)
+
+
+@pytest.mark.parametrize("train", [
+    lambda p, c, s: train_ce(p, c, s),
+    lambda p, c, s: train_fcm(p, c, weighted_f1_scorer(), s,
+                              SafeguardConfig(ce_interpolation_weight=0.3)),
+], ids=["ce", "fcm-with-ce-weight"])
+def test_out_of_vocabulary_reference_names_its_sample(train):
+    corpus = _toy_corpus(8)
+    bad = corpus.samples[7]
+    samples = [*corpus.samples[:7], Sample(id=bad.id, input=bad.input, reference="aa zebra .")]
+    corpus = Corpus(samples, corpus.source_vocab_size, corpus.token_vocab)
+    params = random_params(3, corpus.source_vocab_size, len(corpus.token_vocab), seed=5)
+    with pytest.raises(CorpusError, match=f"^sample {bad.id!r}: token 'zebra' not in vocabulary$"):
+        train(params, corpus, _toy_schedule(total_iterations=1, batch_size=8))
 
 
 def test_minibatch_failures_name_the_sample_that_owns_the_row():
