@@ -3,7 +3,8 @@
 fine-tuning, utterance-level evaluation and the chunked summarization
 comparison, with paired significance tests between the stages.
 
-Writes checkpoints, metrics logs, reports and score vectors into --out-dir.
+Writes checkpoints, metrics logs, reports and score vectors into --out-dir,
+each file atomically, so a killed run leaves no torn file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
-from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_corpus, save_corpus
+from fcmax.corpus import (
+    SynthConfig, atomic_write_text, default_token_weights, generate_synthetic_corpus, save_corpus,
+    write_jsonl,
+)
 from fcmax.metrics import corpus_wer, avg_consistency, consistent_ratio, markdown_report, paired_t_test
 from fcmax.model import init_params, save_checkpoint
 from fcmax.scorers import weighted_f1_scorer
@@ -53,10 +57,6 @@ def eval_system(label, texts, corpus, scorer):
     ratio = consistent_ratio(scores, 0.5)
     return {"label": label, "texts": texts, "breakdown": breakdown, "mean": mean,
             "ratio": ratio, "scores": scores}
-
-
-def write_log(path, log):
-    path.write_text("".join(json.dumps(e) + "\n" for e in log))
 
 
 def ttest_entry(result):
@@ -117,7 +117,7 @@ def main():
     with stage("ce_train"):
         ce = train_ce(random_model, train, ce_schedule, dev=dev, scorer=scorer)
         save_checkpoint(ce.params, out / "ce.json")
-        write_log(out / "ce_metrics.jsonl", ce.log)
+        write_jsonl(out / "ce_metrics.jsonl", ce.log)
     log("evaluating likelihood model")
     with stage("test_eval"):
         texts = decode_corpus_top1(ce.params, test, BEAM_SIZE, MAX_LEN)
@@ -133,7 +133,7 @@ def main():
     with stage("fcm_train"):
         fcm = train_fcm(ce.params, train, scorer, fcm_schedule, safeguard, dev=dev)
         save_checkpoint(fcm.params, out / "fcm.json")
-        write_log(out / "fcm_metrics.jsonl", fcm.log)
+        write_jsonl(out / "fcm_metrics.jsonl", fcm.log)
     if fcm.guard_tripped:
         log(f"NOTE: {fcm.guard_report}")
     log("evaluating fine-tuned model")
@@ -161,7 +161,7 @@ def main():
             texts = by_label[label]["texts"]
             hyp_utts = corpus_to_utterances(test, {s.id: t for s, t in zip(test.samples, texts)})
             scores, mean = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
-            (out / f"sum_scores_{label}.json").write_text(json.dumps(scores))
+            atomic_write_text(out / f"sum_scores_{label}.json", json.dumps(scores))
             sum_rows.append((label, scores, mean))
         gt_scores, gt_mean = evaluate_summaries(ref_utts, ref_utts, summarizer, scorer)
     print(f"summary consistency: ce={sum_rows[0][2]:.4f} fcm={sum_rows[1][2]:.4f} "
@@ -186,7 +186,7 @@ def main():
         "runtime_s": time.time() - t0,
         "stage_s": dict(stage_s),
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    atomic_write_text(out / "report.json", json.dumps(report, indent=2) + "\n")
     log("done")
 
 

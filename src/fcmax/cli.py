@@ -23,7 +23,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from . import summeval as summeval_mod
-from .corpus import SynthConfig, atomic_write_text, default_token_weights
+from .corpus import SynthConfig, atomic_write_text, default_token_weights, write_jsonl
 from .fcm import normalize_posteriors
 from .scorers import (
     ConsistencyScorer, exact_match_scorer, lcs_scorer, remote_scorer, weighted_f1_scorer,
@@ -117,7 +117,7 @@ def _scorer(opts: dict) -> ConsistencyScorer:
 def _save_trained(args, result: TrainResult) -> int:
     model_mod.save_checkpoint(result.params, args.out)
     if args.metrics_out:
-        atomic_write_text(args.metrics_out, "".join(json.dumps(row) + "\n" for row in result.log))
+        write_jsonl(args.metrics_out, result.log)
     if result.guard_tripped:
         print(result.guard_report)
     print(f"wrote checkpoint to {args.out}")
@@ -162,12 +162,11 @@ def _cmd_train_fcm(args, opts: dict) -> int:
 def _cmd_decode(args, opts: dict) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     params = model_mod.load_checkpoint(args.checkpoint)
-    lines = []
-    top1 = {}
+    entries = []
     nbests = decode_samples(params, corpus, corpus.samples, opts["beam-size"], opts["max-len"])
     for sample, nbest in zip(corpus.samples, nbests):
         posteriors = normalize_posteriors([h.log_prob for h in nbest.hypotheses])
-        entry = {
+        entries.append({
             "id": sample.id,
             "nbest": [
                 {
@@ -179,14 +178,13 @@ def _cmd_decode(args, opts: dict) -> int:
                 }
                 for h, p in zip(nbest.hypotheses, posteriors)
             ],
-        }
-        lines.append(json.dumps(entry))
-        top1[sample.id] = entry["nbest"][0]["text"]
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+        })
+    write_jsonl(args.out, entries)
     if args.utterances_out:
+        top1 = {entry["id"]: entry["nbest"][0]["text"] for entry in entries}
         summeval_mod.save_utterances(summeval_mod.corpus_to_utterances(corpus, top1),
                                      args.utterances_out)
-    print(f"decoded {len(lines)} samples to {args.out}")
+    print(f"decoded {len(entries)} samples to {args.out}")
     return 0
 
 

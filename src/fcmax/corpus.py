@@ -19,6 +19,11 @@ is inverted through the CDF that ``Generator.choice(p=...)`` would build from
 the word's weights, with the same right-side search, so it picks what
 ``choice`` would have picked.  Any change to a draw changes every seeded
 corpus, and with it every checkpoint and benchmark quality number.
+
+JSONL I/O: ``read_jsonl`` reads and type-checks every JSONL input, and
+``write_jsonl`` writes every JSONL output of the package and its script,
+one ``json.dumps`` line per row with non-ASCII text kept as UTF-8, through
+``atomic_write_text``, so a killed run leaves the old file or the new one.
 """
 
 from __future__ import annotations
@@ -116,6 +121,11 @@ class Sample:
     def validate(self, source_vocab_size: int) -> None:
         if not normalize_text(self.reference):  # WER divides by these tokens
             raise CorpusError(f"sample {self.id!r}: reference has no words once normalized")
+        if self.speaker < 0:
+            raise CorpusError(f"sample {self.id!r}: speaker must be >= 0, got {self.speaker}")
+        if not (math.isfinite(self.start_s) and self.start_s >= 0):  # summary windows need it
+            raise CorpusError(
+                f"sample {self.id!r}: start time must be finite and >= 0, got {self.start_s}")
         if len(self.input) == 0:
             raise CorpusError(f"sample {self.id!r}: empty input sequence")
         for idx in self.input:
@@ -134,7 +144,6 @@ class Corpus:
     source_vocab_size: int
     token_vocab: tuple[str, ...]
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
-    _reference_ids: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.token_vocab = tuple(self.token_vocab)
@@ -147,7 +156,6 @@ class Corpus:
             ids.add(s.id)
             s.validate(self.source_vocab_size)
         self._token_to_id = {tok: i for i, tok in enumerate(self.token_vocab)}
-        self._reference_ids = {}
 
     @property
     def bos_id(self) -> int:
@@ -157,30 +165,16 @@ class Corpus:
     def eos_id(self) -> int:
         return self._token_to_id[EOS]
 
-    def token_id(self, token: str) -> int:
-        try:
-            return self._token_to_id[token]
-        except KeyError:
-            raise CorpusError(f"token {token!r} not in vocabulary") from None
-
-    def encode_text(self, text: str) -> list[int]:
-        """Tokenize a surface string into vocabulary ids (no BOS/EOS added)."""
-        return [self.token_id(t) for t in surface_tokens(text)]
-
     def decode_ids(self, ids) -> str:
         return id_renderer(self.token_vocab)(ids)
 
     def reference_ids(self, sample: Sample) -> list[int]:
-        """The reference's token ids; each reference text is tokenized once,
-        since training draws every sample many times."""
-        ids = self._reference_ids.get(sample.reference)
-        if ids is None:
-            try:
-                ids = tuple(self.encode_text(sample.reference))
-            except CorpusError as exc:
-                raise CorpusError(f"sample {sample.id!r}: {exc}") from None
-            self._reference_ids[sample.reference] = ids
-        return list(ids)
+        """The reference's token ids, without BOS and EOS."""
+        try:
+            return [self._token_to_id[t] for t in surface_tokens(sample.reference)]
+        except KeyError as exc:
+            token = exc.args[0]
+            raise CorpusError(f"sample {sample.id!r}: token {token!r} not in vocabulary") from None
 
     def split(self, *sizes: int) -> list["Corpus"]:
         """Partition samples by position into consecutive sub-corpora."""
@@ -204,7 +198,7 @@ class SynthConfig:
     """Knobs for the synthetic noisy-transcription generator, whose confusions
     are the fixed ``DEFAULT_CONFUSION_TABLE``.  ``content_weight`` and
     ``filler_weight`` are not generator settings but the scorer weights that
-    ``default_token_weights`` reads."""
+    ``default_token_weights`` reads.  A config is checked when it is built."""
 
     n_samples: int
     seed: int = 0
@@ -214,7 +208,7 @@ class SynthConfig:
     content_weight: float = 3.0
     filler_weight: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_samples < 0:
             raise CorpusError(f"n_samples must be >= 0, got {self.n_samples}")
         if not 0.0 <= self.negation_drop_rate <= 1.0:
@@ -222,9 +216,7 @@ class SynthConfig:
                 f"negation_drop_rate must be in [0, 1], got {self.negation_drop_rate}"
             )
         if self.min_len > self.max_len:
-            raise CorpusError(
-                f"min_len {self.min_len} exceeds max_len {self.max_len}"
-            )
+            raise CorpusError(f"min_len {self.min_len} exceeds max_len {self.max_len}")
         if self.min_len < _MIN_SENTENCE_WORDS:
             raise CorpusError(
                 f"min_len must be >= {_MIN_SENTENCE_WORDS} (shortest grammar sentence), "
@@ -411,7 +403,6 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     every seeded corpus, and with it every checkpoint and benchmark quality
     number.
     """
-    config.validate()
     token_to_id = {tok: i for i, tok in enumerate(DEFAULT_TOKEN_VOCAB)}
     picks = _pick_tables(token_to_id)
     rng = np.random.default_rng(np.uint64(config.seed))
@@ -519,20 +510,6 @@ def load_corpus(path) -> Corpus:
                   token_vocab=DEFAULT_TOKEN_VOCAB)
 
 
-def corpus_to_jsonl(corpus: Corpus) -> str:
-    lines = []
-    for s in corpus.samples:
-        lines.append(json.dumps({
-            "id": s.id,
-            "input": list(s.input),
-            "reference": s.reference,
-            "speaker": s.speaker,
-            "start_s": s.start_s,
-            "session": s.session,
-        }, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
-
-
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file in the same directory plus rename."""
     path = Path(path)
@@ -547,6 +524,14 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def write_jsonl(path, rows) -> None:
+    """Write each row as one line of JSON (non-ASCII kept as UTF-8) through
+    ``atomic_write_text``: the one JSONL writer, beside ``read_jsonl``."""
+    atomic_write_text(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write the corpus as UTF-8 JSONL via a temp file and atomic rename."""
-    atomic_write_text(path, corpus_to_jsonl(corpus))
+    """Write the corpus in the JSONL form ``load_corpus`` reads."""
+    write_jsonl(path, ({"id": s.id, "input": list(s.input), "reference": s.reference,
+                        "speaker": s.speaker, "start_s": s.start_s, "session": s.session}
+                       for s in corpus.samples))

@@ -9,8 +9,9 @@ typically case and punctuation sensitive.
 The wire client sends each call as one HTTP/1.0 request on a new
 connection of the stdlib ``socket``, written with one send.  It reads the
 reply to its ``Content-Length``, or to the close when that header is
-absent, and refuses a chunked one.  ``ssl`` loads only for an https
-endpoint, and the ``*_proxy`` environment variables are not read.  An
+absent, and refuses a chunked one or a body over ``_MAX_BODY_BYTES``.
+``ssl`` loads only for an https endpoint, and the ``*_proxy`` environment
+variables are not read.  The timeout bounds each attempt as a whole.  An
 unreachable service or a timeout is retried twice, after 0.05 s and then
 0.1 s; a malformed reply, a bad status or an out-of-range score is not.
 A client parses its endpoint once, when it is built, and refuses one that is
@@ -49,6 +50,7 @@ REMOTE_IN_FLIGHT = 3  # remote calls open at once in score_all
 _URL_CHARS = re.compile(r"[!-~]+")  # printable ASCII, no space
 _HEADER_END = re.compile(rb"\r?\n\r?\n")
 _MAX_HEADER_BYTES = 65536
+_MAX_BODY_BYTES = 1 << 20  # far above any scorer or summarizer reply
 _RECV_BYTES = 65536
 
 
@@ -227,14 +229,25 @@ class _Malformed(Exception):
     """The reply breaks HTTP/1.x framing; post_json reports it with the URL."""
 
 
-def _read_reply(sock) -> tuple[int, bytes]:
-    """(status, body) of the HTTP/1.x reply on ``sock``: the body ends at its
-    ``Content-Length`` or, when the header is absent, where the server closes."""
+def _by(sock, deadline: float):
+    """``sock``, its timeout set to the time left before ``deadline`` (a
+    ``time.monotonic`` value); TimeoutError when none is left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the exchange did not end within the timeout")
+    sock.settimeout(left)
+    return sock
+
+
+def _read_reply(sock, deadline: float) -> tuple[int, bytes]:
+    """(status, body) of the HTTP/1.x reply on ``sock``, read by ``deadline``:
+    the body ends at its ``Content-Length`` or, when the header is absent,
+    where the server closes, and is at most ``_MAX_BODY_BYTES`` long."""
     buf = b""
     while (end := _HEADER_END.search(buf)) is None:
         if len(buf) > _MAX_HEADER_BYTES:
             raise _Malformed(f"header longer than {_MAX_HEADER_BYTES} bytes")
-        chunk = sock.recv(_RECV_BYTES)
+        chunk = _by(sock, deadline).recv(_RECV_BYTES)
         if not chunk:
             raise _Malformed("the reply ended inside its header" if buf else "empty reply")
         buf += chunk
@@ -253,36 +266,40 @@ def _read_reply(sock) -> tuple[int, bytes]:
         headers[name.strip().lower()] = value.strip()
     if headers.get("transfer-encoding", "identity").lower() != "identity":
         raise _Malformed(f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}")
-    body = buf[end.end():]
-    if "content-length" not in headers:
-        chunks = [body]
-        while chunk := sock.recv(_RECV_BYTES):
-            chunks.append(chunk)
-        return int(code), b"".join(chunks)
-    length = headers["content-length"]
-    if not (length.isascii() and length.isdigit()):
+    length = headers.get("content-length")
+    if length is not None and not (length.isascii() and length.isdigit()):
         raise _Malformed(f"bad Content-Length {length[:80]!r}")
-    want, chunks, have = int(length), [body], len(body)
-    while have < want:
-        chunk = sock.recv(_RECV_BYTES)  # not want - have, which a header may make huge
+    want = None if length is None else int(length)  # None: the body ends at the close
+    if want is not None and want > _MAX_BODY_BYTES:
+        raise _Malformed(f"Content-Length {want} is over the {_MAX_BODY_BYTES}-byte bound")
+    body = buf[end.end():]
+    chunks, have = [body], len(body)
+    while want is None or have < want:
+        chunk = _by(sock, deadline).recv(_RECV_BYTES)
         if not chunk:
+            if want is None:
+                break
             raise _Malformed(f"the body ended after {have} of its {want} bytes")
         chunks.append(chunk)
         have += len(chunk)
+        if have > _MAX_BODY_BYTES and want is None:
+            raise _Malformed(f"the body is longer than {_MAX_BODY_BYTES} bytes")
     return int(code), b"".join(chunks)[:want]
 
 
 def _exchange(target: _Target, request: bytes, timeout: float) -> tuple[int, bytes]:
-    """One connection: send ``request`` in one write and read the reply."""
+    """One connection: send ``request`` in one write and read the reply, all
+    within ``timeout`` seconds."""
     import socket  # here, so that a process that only scores locally never loads it
 
+    deadline = time.monotonic() + timeout
     sock = socket.create_connection((target.host, target.port), timeout=timeout)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if target.tls:
-            sock = _tls_context().wrap_socket(sock, server_hostname=target.host)
-        sock.sendall(request)
-        return _read_reply(sock)
+            sock = _tls_context().wrap_socket(_by(sock, deadline), server_hostname=target.host)
+        _by(sock, deadline).sendall(request)
+        return _read_reply(sock, deadline)
     finally:
         sock.close()
 
@@ -293,13 +310,12 @@ def post_json(target: _Target, payload: dict, timeout: float) -> dict:
     Shared by the scorer and summarizer clients, which parse their endpoint
     once, when they are built (``parse_target``), and pass the target to
     every call.  Raises the distinct wire errors this package reports, each
-    naming ``target.url``.  Each attempt is one HTTP/1.0 request on a new
-    connection, written with one send; the reply ends at its
-    ``Content-Length``, or at the close without one, and a chunked reply is
-    refused.  ``ssl`` loads only for an https target, and ``*_proxy``
-    variables are not read.  ``timeout`` bounds each connect, send and
-    receive.  A network error or a timeout is retried after 0.05 s and then
-    0.1 s, three attempts in all; a malformed reply or a bad status is not.
+    naming ``target.url``.  Each attempt is one request on a new connection,
+    in the wire form of the module docstring, and ``timeout`` bounds the
+    whole attempt: its connect, its send and its reply up to the last byte.
+    A network error or a timeout is retried after 0.05 s and then 0.1 s,
+    three attempts in all; a malformed reply (a chunked one, or a body over
+    ``_MAX_BODY_BYTES``, say) or a bad status is not.
     """
     url = target.url
     body = json.dumps(payload).encode("utf-8")

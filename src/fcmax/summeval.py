@@ -17,13 +17,12 @@ as a remote summarizer, whose endpoint is parsed once, when it is built.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .corpus import NUMBER, Corpus, atomic_write_text, read_jsonl
+from .corpus import NUMBER, Corpus, read_jsonl, write_jsonl
 from . import scorers
 
 MOCK_SUMMARIZER = "mock"
@@ -204,7 +203,5 @@ def load_utterances(path) -> list[Utterance]:
 
 
 def save_utterances(utterances: Sequence[Utterance], path) -> None:
-    atomic_write_text(path, "".join(
-        json.dumps({"speaker": u.speaker, "start_s": u.start_s, "session": u.session,
-                    "text": u.text}, ensure_ascii=False) + "\n"
-        for u in utterances))
+    write_jsonl(path, ({"speaker": u.speaker, "start_s": u.start_s, "session": u.session,
+                        "text": u.text} for u in utterances))

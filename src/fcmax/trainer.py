@@ -42,9 +42,9 @@ class TrainerError(ValueError):
 
 @dataclass(frozen=True)
 class TrainingSchedule:
-    """Iterations, learning rate, batch and decoding sizes of a training run.
-    checkpoint_every is the cadence of ``train_ce``'s dev checks;
-    ``train_fcm`` reads ``SafeguardConfig.dev_check_every`` instead."""
+    """Iterations, learning rate, batch and decoding sizes of a training run,
+    checked when built.  checkpoint_every is the cadence of ``train_ce``'s dev
+    checks; ``train_fcm`` reads ``SafeguardConfig.dev_check_every`` instead."""
 
     total_iterations: int
     initial_lr: float
@@ -55,7 +55,7 @@ class TrainingSchedule:
     seed: int = 0
     checkpoint_every: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.total_iterations < 0:
             raise TrainerError(f"total_iterations must be >= 0, got {self.total_iterations}")
         if not 0 < self.initial_lr < np.inf:
@@ -63,29 +63,26 @@ class TrainingSchedule:
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.nbest_size > self.beam_size:
-            raise TrainerError(
-                f"nbest_size {self.nbest_size} exceeds beam_size {self.beam_size}"
-            )
+            raise TrainerError(f"nbest_size {self.nbest_size} exceeds beam_size {self.beam_size}")
         if min(self.beam_size, self.nbest_size, self.max_len, self.checkpoint_every) < 1:
             raise TrainerError("beam_size, nbest_size, max_len, checkpoint_every must be >= 1")
 
 
 @dataclass(frozen=True)
 class SafeguardConfig:
-    """Bounds on consistency fine-tuning.  max_fcm_iterations caps the updates
-    but not the lr decay over total_iterations, so a lower cap never anneals;
-    the CLI and the experiment script set it to the iteration count."""
+    """Bounds on consistency fine-tuning, checked when the config is built.
+    max_fcm_iterations caps the updates but not the lr decay over
+    total_iterations, so a lower cap never anneals; the CLI and the
+    experiment script set it to the iteration count."""
 
     max_fcm_iterations: int = 500
     deletion_rate_limit: float = 0.25
     dev_check_every: int = 50
     ce_interpolation_weight: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_fcm_iterations < 1:
-            raise TrainerError(
-                f"max_fcm_iterations must be >= 1, got {self.max_fcm_iterations}"
-            )
+            raise TrainerError(f"max_fcm_iterations must be >= 1, got {self.max_fcm_iterations}")
         if not 0.0 < self.deletion_rate_limit <= 1.0:
             raise TrainerError(
                 f"deletion_rate_limit must be in (0, 1], got {self.deletion_rate_limit}"
@@ -253,7 +250,6 @@ def train_ce(
     iteration takes its B samples' rows, each a trajectory of weight 1 / B.
     Dev checks, every checkpoint_every iterations, score with scorer (no default).
     """
-    schedule.validate()
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
     if dev is not None and not dev.samples:
@@ -300,8 +296,6 @@ def train_fcm(
     no check passed, not even the starting model's, it carries the starting
     model, and the report gives that model's dev deletion rate (``log[0]``).
     """
-    schedule.validate()
-    safeguard.validate()
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
     if dev is not None and not dev.samples:

@@ -726,15 +726,16 @@ class RawReplyServer:
 
     ``actions`` holds one action per connection, the last one repeating: a
     list of byte segments, written one at a time after the request is read,
-    or ``RESET``, which closes the connection with a TCP reset instead.
-    With ``hold`` a connection stays open after its reply until the client
-    closes it.  ``requests`` holds the raw request of each connection.
+    ``pause`` seconds apart, or ``RESET``, which closes the connection with a
+    TCP reset instead.  With ``hold`` a connection stays open after its
+    reply until the client closes it.  ``requests`` holds the raw request of
+    each connection.
     """
 
     RESET = "reset"
 
-    def __init__(self, *actions, hold: bool = False):
-        self.actions, self.hold, self.requests = actions, hold, []
+    def __init__(self, *actions, hold: bool = False, pause: float = 0.001):
+        self.actions, self.hold, self.pause, self.requests = actions, hold, pause, []
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.sock.settimeout(0.05)  # so the accept loop sees close() within one poll
         self.stop = threading.Event()
@@ -772,10 +773,10 @@ class RawReplyServer:
         if action == self.RESET:
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             return
-        for segment in action:
+        for k, segment in enumerate(action):
+            if k:
+                time.sleep(self.pause)  # lets each segment leave on its own
             conn.sendall(segment)
-            if len(action) > 1:
-                time.sleep(0.001)  # lets each segment leave on its own
         while self.hold and conn.recv(65536):
             pass
 
@@ -797,8 +798,8 @@ def raw_server():
     """Builds ``RawReplyServer``s and closes each one after the test."""
     servers = []
 
-    def make(*actions, hold: bool = False) -> RawReplyServer:
-        servers.append(RawReplyServer(*actions, hold=hold))
+    def make(*actions, hold: bool = False, pause: float = 0.001) -> RawReplyServer:
+        servers.append(RawReplyServer(*actions, hold=hold, pause=pause))
         return servers[-1]
 
     yield make

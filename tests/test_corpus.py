@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from bisect import bisect_right
 
@@ -15,7 +16,7 @@ from fcmax.cli import _load_hyp_texts
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_CONFUSION_TABLE, DEFAULT_TOKEN_VOCAB, EOS,
     PUNCTUATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
-    corpus_to_jsonl, detokenize, generate_synthetic_corpus, id_renderer, load_corpus,
+    detokenize, generate_synthetic_corpus, id_renderer, load_corpus,
     normalize_text, save_corpus, surface_tokens,
 )
 from fcmax.summeval import SummEvalError, load_utterances
@@ -32,18 +33,28 @@ def test_same_seed_is_byte_identical():
     cfg = SynthConfig(n_samples=40, seed=123)
     a = generate_synthetic_corpus(cfg)
     b = generate_synthetic_corpus(cfg)
-    assert corpus_to_jsonl(a) == corpus_to_jsonl(b)
+    assert a.samples == b.samples
 
 
 def test_different_seeds_differ():
     a = generate_synthetic_corpus(SynthConfig(n_samples=1, seed=1))
     b = generate_synthetic_corpus(SynthConfig(n_samples=1, seed=2))
-    assert corpus_to_jsonl(a) != corpus_to_jsonl(b)
+    assert a.samples != b.samples
+
+
+def test_saved_corpus_bytes_are_pinned(tmp_path):
+    """The digest of the JSONL that save_corpus writes for a small seeded
+    corpus: a change to a draw, a field, the key order or the line format
+    moves it."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(SynthConfig(n_samples=50, seed=5)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "83e28a6af5000479c35c50c473398d5b4f205dcac40d763ccf8c12d75f29cc97")
 
 
 def _negation_drop_stats(corpus: Corpus) -> tuple[int, int]:
     """(samples with a negation in the reference, those whose input lost it)."""
-    neg_ids = {corpus.token_id(t) for t in NEGATION_TOKENS}
+    neg_ids = {corpus.token_vocab.index(t) for t in NEGATION_TOKENS}
     present = dropped = 0
     for s in corpus.samples:
         ref_ids = set(corpus.reference_ids(s))
@@ -101,10 +112,13 @@ def test_length_bounds_respected():
     (dict(n_samples=1, content_weight=0.0), "weights"),
     (dict(n_samples=1, content_weight=float("nan")), "weights"),
     (dict(n_samples=1, filler_weight=float("inf")), "weights"),
+    (dict(n_samples=1, max_len=16), "max_len must be <= 15"),
+    (dict(n_samples=1, min_len=4, max_len=4), "max_len must be >= 5"),
 ])
 def test_invalid_config_reports_bound(bad, message):
+    """A config is checked when it is built, before any generator sees it."""
     with pytest.raises(CorpusError, match=message):
-        generate_synthetic_corpus(SynthConfig(**bad))
+        SynthConfig(**bad)
 
 
 def _reference_corpus(cfg: SynthConfig) -> Corpus:
@@ -139,8 +153,7 @@ def test_channel_matches_per_token_choice_oracle(seed, drop, custom, monkeypatch
         monkeypatch.setattr(corpus_module, "DEFAULT_CONFUSION_TABLE", table)
         monkeypatch.setattr(corpus_module, "DEFAULT_TOKEN_VOCAB", (*DEFAULT_TOKEN_VOCAB, *alts))
     cfg = SynthConfig(n_samples=300, seed=seed, negation_drop_rate=drop)
-    assert corpus_to_jsonl(generate_synthetic_corpus(cfg)) == corpus_to_jsonl(
-        _reference_corpus(cfg))
+    assert generate_synthetic_corpus(cfg).samples == _reference_corpus(cfg).samples
 
 
 def test_pick_table_draws_what_choice_draws(monkeypatch):
@@ -237,12 +250,16 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
      "line 2: field 'start_s' has wrong type"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": " "}), "sample 'b': ref"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": "..."}), "sample 'b': ref"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "speaker": -1}),
+     "sample 'b': speaker must be >= 0, got -1"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": -5.0}),
+     "sample 'b': start time must be finite and >= 0, got -5.0"),
 ], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
         "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
         "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "utt-start-nan", "utt-start-inf",
         "utt-start-huge-int", "corpus-start-minus-inf", "corpus-start-huge-int",
         "corpus-start-str", "corpus-reference-blank",
-        "corpus-reference-punctuation"])
+        "corpus-reference-punctuation", "corpus-speaker-negative", "corpus-start-negative"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
     """The utterance, hypothesis and corpus readers share the corpus reader's
     line checks: each bad line raises the reader's error naming the line,
@@ -372,6 +389,20 @@ def test_sample_invariants_enforced():
             source_vocab_size=4,
             token_vocab=(BOS, EOS, "Hi", "."),
         )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("speaker", -1, "speaker must be >= 0, got -1"),
+    ("start_s", -0.5, "start time must be finite and >= 0, got -0.5"),
+    ("start_s", float("nan"), "start time must be finite and >= 0, got nan"),
+    ("start_s", float("inf"), "start time must be finite and >= 0, got inf"),
+])
+def test_sample_refuses_what_summary_windows_cannot_place(field, value, message):
+    """A speaker or a start time that an utterance would refuse is refused
+    when the corpus is built, naming the sample, not at summary evaluation."""
+    with pytest.raises(CorpusError, match=f"^sample 'x': {message}$"):
+        Corpus(samples=[Sample(id="x", input=(2,), reference="Hi.", **{field: value})],
+               source_vocab_size=4, token_vocab=(BOS, EOS, "Hi", "."))
 
 
 def test_vocab_needs_one_bos_one_eos():

@@ -284,9 +284,9 @@ def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 20
     (_reply(b"Content-Length: 50"), "ended after 20 of its 50 bytes"),
     (_reply(b"Transfer-Encoding: chunked", body=b"14\r\n" + OK_BODY + b"\r\n0\r\n\r\n"),
      "Transfer-Encoding 'chunked'"),
-    # a huge length is read in pieces, not allocated at once
+    # a huge length is refused before any of the body is read
     (_reply(b"Content-Length: 10000000000000"),
-     "ended after 20 of its 10000000000000 bytes"),
+     "Content-Length 10000000000000 is over the 1048576-byte bound"),
     # latin-1 digits that are not ASCII ones
     (_reply(status="HTTP/1.0 \xb2\xb2\xb2 OK".encode("latin-1")), "bad status line"),
     (_reply("Content-Length: \xb2".encode("latin-1")), "bad Content-Length"),
@@ -295,6 +295,27 @@ def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 20
 def test_remote_score_refuses_a_malformed_reply(raw_server, reply, named):
     server = raw_server([reply])
     with pytest.raises(RemoteProtocolError, match=named):
+        remote_scorer(server.url, timeout=5.0)("h", "r")
+    assert len(server.requests) == 1, "a malformed reply is not retried"
+
+
+def test_remote_score_times_out_on_a_trickled_reply(raw_server):
+    """The timeout bounds each attempt's whole reply, not each receive: a
+    60-byte body sent one byte every 0.1 s outlasts three 0.5 s attempts."""
+    body = b'{"consistency": 0.5' + b" " * 40 + b"}"
+    head = _reply(b"Content-Length: %d" % len(body), body=b"")
+    server = raw_server([head, *(body[k:k + 1] for k in range(len(body)))], pause=0.1)
+    start = time.perf_counter()
+    with pytest.raises(RemoteTimeoutError, match="timed out on all 3 attempts"):
+        remote_scorer(server.url, timeout=0.5)("h", "r")
+    assert time.perf_counter() - start < 2.5
+    assert len(server.requests) == 3
+
+
+def test_remote_score_refuses_an_overlong_body_without_a_length(raw_server):
+    """A body read to the close is cut off past 1 MiB, not read whole."""
+    server = raw_server([_reply(body=b""), *[b" " * 65536] * 256])  # 16 MiB
+    with pytest.raises(RemoteProtocolError, match="body is longer than 1048576 bytes"):
         remote_scorer(server.url, timeout=5.0)("h", "r")
     assert len(server.requests) == 1, "a malformed reply is not retried"
 

@@ -1,7 +1,8 @@
 """Source checks that need no import: every file parses as Python 3.10,
 every module-level import of the package is used, the package imports no
-HTTP client library, and every public definition of the package is read by
-program code, not by tests alone."""
+HTTP client library, program code writes files only through
+``corpus.atomic_write_text``, and every public definition of the package is
+read by program code, not by tests alone."""
 
 from __future__ import annotations
 
@@ -103,6 +104,63 @@ def test_the_wire_import_check_finds_a_planted_import():
               "def post():\n    from urllib import request\n    import http.client as hc\n"
               "    import requests.adapters\n")
     assert _wire_imports(source) == ["urllib.request", "http.client", "requests.adapters"]
+
+
+def _in_place_writes(source: str, exempt: str | None = None) -> list[str]:
+    """Each call of a source that writes a file in place, as "line N: call":
+    ``.write_text`` and ``.write_bytes``, and ``open``, ``Path.open`` or
+    ``os.fdopen`` with a mode that is not a constant read mode.  Calls
+    inside the module-level function named ``exempt`` are not counted."""
+    found = []
+    for top in ast.parse(source).body:
+        if exempt is not None and getattr(top, "name", None) == exempt:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            call = ast.unparse(node.func)
+            attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            if attr in ("write_text", "write_bytes"):
+                found.append(f"line {node.lineno}: {call}")
+            # os.open takes flags and returns a descriptor, which os.fdopen opens
+            elif call == "open" or attr == "fdopen" or (attr == "open" and call != "os.open"):
+                at = 0 if attr == "open" else 1  # Path.open(mode); open(file, mode)
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            node.args[at] if len(node.args) > at else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append(f"line {node.lineno}: {call}")
+    return found
+
+
+def test_program_code_writes_files_only_atomically():
+    """A file written in place is torn when the run is killed mid-write, and
+    a resumed run would read it; every output goes through a temp file and a
+    rename instead (``corpus.atomic_write_text``, the one exemption).  Program
+    code here is the package and ``scripts/``."""
+    sources = [*sorted((ROOT / "src" / "fcmax").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py"))]
+    assert len(sources) > 6
+    for path in sources:
+        exempt = "atomic_write_text" if path.name == "corpus.py" else None
+        assert _in_place_writes(path.read_text(encoding="utf-8"), exempt) == [], path.name
+
+
+def test_the_atomic_write_check_finds_planted_writes():
+    source = ("import os\nfrom pathlib import Path\n"
+              "def atomic_write_text(path, text):\n"
+              "    with os.fdopen(os.open(path, 1), 'w') as fh:\n        fh.write(text)\n"
+              "def reads(p):\n"
+              "    open(p).read(), open(p, 'rb'), Path(p).open(), p.open(mode='r')\n"
+              "    return os.fdopen(3, 'rb'), p.read_text()\n"
+              "def writes(p, mode):\n"
+              "    p.write_text('x')\n    Path(p).write_bytes(b'')\n    open(p, 'w')\n"
+              "    open(p, mode=mode)\n    p.open('a')\n    os.fdopen(3, 'r+')\n"
+              "    with open(p, 'x', encoding='utf-8') as fh:\n        fh.write('x')\n")
+    assert _in_place_writes(source, "atomic_write_text") == [
+        "line 10: p.write_text", "line 11: Path(p).write_bytes", "line 12: open",
+        "line 13: open", "line 14: p.open", "line 15: os.fdopen", "line 16: open"]
+    assert _in_place_writes(source)[0] == "line 4: os.fdopen"
 
 
 # Public definitions that program code reaches only by name strings: the

@@ -316,6 +316,19 @@ def test_utterance_round_trip(tmp_path):
     assert load_utterances(path) == utts
 
 
+def test_utterance_round_trip_keeps_non_ascii_text(tmp_path):
+    """The file holds the text as UTF-8, not as \\u escapes, and reads back."""
+    path = tmp_path / "utts.jsonl"
+    utts = [Utterance(speaker=1, start_s=0.25, text="Señor, 東京 — naïve “quote”.",
+                      session="sesión-1"),
+            Utterance(speaker=0, start_s=3.0, text="Plain.", session="sesión-1")]
+    save_utterances(utts, path)
+    assert load_utterances(path) == utts
+    raw = path.read_bytes()
+    assert "Señor, 東京 — naïve “quote”.".encode("utf-8") in raw and b"\\u" not in raw
+    assert raw.count(b"\n") == 2 and raw.endswith(b"\n")
+
+
 def test_load_utterances_missing_field(tmp_path):
     path = tmp_path / "utts.jsonl"
     path.write_text('{"speaker": 0, "start_s": 1.0, "session": "s"}\n')

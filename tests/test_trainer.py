@@ -146,13 +146,20 @@ def test_trainers_refuse_an_empty_dev_corpus_at_entry(trainer):
 
 
 def test_schedule_validation():
+    """Both configs are checked when they are built."""
     with pytest.raises(TrainerError, match="nbest_size"):
-        TrainingSchedule(total_iterations=1, initial_lr=0.1, beam_size=2, nbest_size=3).validate()
+        TrainingSchedule(total_iterations=1, initial_lr=0.1, beam_size=2, nbest_size=3)
     for lr in (0.0, float("nan"), float("inf")):
         with pytest.raises(TrainerError, match="initial_lr"):
-            TrainingSchedule(total_iterations=1, initial_lr=lr).validate()
-    with pytest.raises(TrainerError, match="ce_interpolation_weight"):
-        SafeguardConfig(ce_interpolation_weight=1.0).validate()
+            TrainingSchedule(total_iterations=1, initial_lr=lr)
+    with pytest.raises(TrainerError, match="checkpoint_every"):
+        TrainingSchedule(total_iterations=1, initial_lr=0.1, checkpoint_every=0)
+    for bad, message in [(dict(ce_interpolation_weight=1.0), "ce_interpolation_weight"),
+                         (dict(max_fcm_iterations=0), "max_fcm_iterations"),
+                         (dict(deletion_rate_limit=0.0), "deletion_rate_limit"),
+                         (dict(dev_check_every=0), "dev_check_every")]:
+        with pytest.raises(TrainerError, match=message):
+            SafeguardConfig(**bad)
 
 
 def test_fcm_single_effective_hypothesis_is_a_fixed_point(ambiguity_fixture):
