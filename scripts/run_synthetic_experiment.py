@@ -3,8 +3,12 @@
 fine-tuning, utterance-level evaluation and the chunked summarization
 comparison, with paired significance tests between the stages.
 
-Writes checkpoints, metrics logs, reports and score vectors into --out-dir,
-each file atomically, so a killed run leaves no torn file.
+It runs the ``fcmax`` CLI's pipeline at the CLI's defaults, which it
+reads from ``fcmax.cli.COMMANDS``; only the seed (FCM at seed + 1), the
+split sizes and the CE dev-check cadence (a quarter of the run) are the
+script's own.  Every config is checked before a file is written into
+--out-dir, and each file is written atomically, so a killed run leaves no
+torn file.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
+from fcmax.cli import COMMANDS
 from fcmax.corpus import (
     SynthConfig, atomic_write_text, default_token_weights, generate_synthetic_corpus, save_corpus,
     write_jsonl,
 )
-from fcmax.metrics import corpus_wer, avg_consistency, consistent_ratio, markdown_report, paired_t_test
+from fcmax.metrics import evaluate_utterances, markdown_report, paired_t_test
 from fcmax.model import init_params, save_checkpoint
 from fcmax.scorers import weighted_f1_scorer
 from fcmax.summeval import corpus_to_utterances, evaluate_summaries, make_summarizer
@@ -28,8 +33,8 @@ from fcmax.trainer import (
     SafeguardConfig, TrainingSchedule, decode_corpus_top1, train_ce, train_fcm,
 )
 
-# the decoding of every dev check and test evaluation
-BEAM_SIZE, NBEST_SIZE, MAX_LEN = 4, 4, 24
+DATA, CE, FCM, EVAL = (COMMANDS[name].options
+                       for name in ("gen-data", "train-ce", "train-fcm", "eval-utt"))
 
 
 def parse_args():
@@ -39,24 +44,15 @@ def parse_args():
     ap.add_argument("--n-train", type=int, default=1000)
     ap.add_argument("--n-dev", type=int, default=200)
     ap.add_argument("--n-test", type=int, default=200)
-    ap.add_argument("--d", type=int, default=32)
-    ap.add_argument("--ce-iters", type=int, default=2000)
-    ap.add_argument("--ce-lr", type=float, default=0.15)
-    ap.add_argument("--ce-batch", type=int, default=4)
-    ap.add_argument("--fcm-iters", type=int, default=500)
-    ap.add_argument("--fcm-lr", type=float, default=0.02)
-    ap.add_argument("--negation-drop-rate", type=float, default=0.3)
+    ap.add_argument("--d", type=int, default=CE["d"])
+    ap.add_argument("--ce-iters", type=int, default=CE["iters"])
+    ap.add_argument("--ce-lr", type=float, default=CE["lr"])
+    ap.add_argument("--ce-batch", type=int, default=CE["batch-size"])
+    ap.add_argument("--fcm-iters", type=int, default=FCM["iters"])
+    ap.add_argument("--fcm-lr", type=float, default=FCM["lr"])
+    ap.add_argument("--negation-drop-rate", type=float, default=DATA["negation-drop-rate"])
     ap.add_argument("--quiet", action="store_true")
     return ap.parse_args()
-
-
-def eval_system(label, texts, corpus, scorer):
-    pairs = [(t, s.reference) for t, s in zip(texts, corpus.samples)]
-    breakdown = corpus_wer(pairs)
-    mean, scores = avg_consistency(pairs, scorer)
-    ratio = consistent_ratio(scores, 0.5)
-    return {"label": label, "texts": texts, "breakdown": breakdown, "mean": mean,
-            "ratio": ratio, "scores": scores}
 
 
 def ttest_entry(result):
@@ -71,6 +67,21 @@ def paired_or_none(a, b):
 
 def main():
     args = parse_args()
+    cfg = SynthConfig(n_samples=args.n_train + args.n_dev + args.n_test, seed=args.seed,
+                      negation_drop_rate=args.negation_drop_rate)
+    decoding = {"beam_size": CE["beam-size"], "nbest_size": CE["nbest-size"],
+                "max_len": CE["max-len"]}
+    ce_schedule = TrainingSchedule(
+        total_iterations=args.ce_iters, initial_lr=args.ce_lr, batch_size=args.ce_batch,
+        seed=args.seed, checkpoint_every=max(1, args.ce_iters // 4), **decoding,
+    )
+    fcm_schedule = TrainingSchedule(
+        total_iterations=args.fcm_iters, initial_lr=args.fcm_lr, batch_size=FCM["batch-size"],
+        seed=args.seed + 1, **decoding,
+    )
+    safeguard = SafeguardConfig(max_fcm_iterations=args.fcm_iters,
+                                deletion_rate_limit=FCM["deletion-rate-limit"],
+                                dev_check_every=FCM["dev-check-every"])
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -82,11 +93,6 @@ def main():
         yield
         stage_s[name] += time.perf_counter() - start
 
-    cfg = SynthConfig(
-        n_samples=args.n_train + args.n_dev + args.n_test,
-        seed=args.seed,
-        negation_drop_rate=args.negation_drop_rate,
-    )
     with stage("corpus"):
         full = generate_synthetic_corpus(cfg)
         train, dev, test = full.split(args.n_train, args.n_dev, args.n_test)
@@ -99,88 +105,70 @@ def main():
         if not args.quiet:
             print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
 
+    systems, top1 = {}, {}  # label -> UtteranceRow, label -> test top-1 texts
+
+    def evaluate(label, params, name):
+        log(f"evaluating {name}")
+        with stage("test_eval"):
+            texts = top1[label] = decode_corpus_top1(params, test, CE["beam-size"], CE["max-len"])
+            pairs = [(t, s.reference) for t, s in zip(texts, test.samples)]
+            systems[label] = evaluate_utterances(pairs, scorer, EVAL["threshold"])
+
     random_model = init_params(args.d, train.source_vocab_size, len(train.token_vocab),
                                seed=args.seed)
-    systems = []
-
-    log("evaluating random-init model")
-    with stage("test_eval"):
-        texts = decode_corpus_top1(random_model, test, BEAM_SIZE, MAX_LEN)
-        systems.append(eval_system("random-init", texts, test, scorer))
+    evaluate("random-init", random_model, "random-init model")
 
     log(f"likelihood training: {args.ce_iters} iterations at lr {args.ce_lr}")
-    ce_schedule = TrainingSchedule(
-        total_iterations=args.ce_iters, initial_lr=args.ce_lr, batch_size=args.ce_batch,
-        beam_size=BEAM_SIZE, nbest_size=NBEST_SIZE, max_len=MAX_LEN, seed=args.seed,
-        checkpoint_every=max(1, args.ce_iters // 4),
-    )
     with stage("ce_train"):
         ce = train_ce(random_model, train, ce_schedule, dev=dev, scorer=scorer)
         save_checkpoint(ce.params, out / "ce.json")
         write_jsonl(out / "ce_metrics.jsonl", ce.log)
-    log("evaluating likelihood model")
-    with stage("test_eval"):
-        texts = decode_corpus_top1(ce.params, test, BEAM_SIZE, MAX_LEN)
-        systems.append(eval_system("ce", texts, test, scorer))
+    evaluate("ce", ce.params, "likelihood model")
 
     log(f"consistency fine-tuning: {args.fcm_iters} iterations at lr {args.fcm_lr}")
-    fcm_schedule = TrainingSchedule(
-        total_iterations=args.fcm_iters, initial_lr=args.fcm_lr, batch_size=1,
-        beam_size=BEAM_SIZE, nbest_size=NBEST_SIZE, max_len=MAX_LEN, seed=args.seed + 1,
-    )
-    safeguard = SafeguardConfig(max_fcm_iterations=args.fcm_iters,
-                                deletion_rate_limit=0.25, dev_check_every=50)
     with stage("fcm_train"):
         fcm = train_fcm(ce.params, train, scorer, fcm_schedule, safeguard, dev=dev)
         save_checkpoint(fcm.params, out / "fcm.json")
         write_jsonl(out / "fcm_metrics.jsonl", fcm.log)
     if fcm.guard_tripped:
         log(f"NOTE: {fcm.guard_report}")
-    log("evaluating fine-tuned model")
-    with stage("test_eval"):
-        texts = decode_corpus_top1(fcm.params, test, BEAM_SIZE, MAX_LEN)
-        systems.append(eval_system("fcm", texts, test, scorer))
+    evaluate("fcm", fcm.params, "fine-tuned model")
 
-    table = markdown_report([(s["label"], s["breakdown"], s["mean"], s["ratio"])
-                             for s in systems])
-    print(table)
-    by_label = {s["label"]: s for s in systems}
-    ttest = paired_or_none(by_label["fcm"]["scores"], by_label["ce"]["scores"])
+    print(markdown_report(list(systems.items())))
+    ttest = paired_or_none(systems["fcm"].scores, systems["ce"].scores)
     print("fcm vs ce consistency: " + ("n/a" if ttest is None else
           f"t={ttest.t_statistic:.3f} p={ttest.p_value_two_tailed:.5f} "
           f"significant={'yes' if ttest.significant_at_95 else 'no'}"))
-    wer_delta = 100.0 * (by_label["fcm"]["breakdown"].wer - by_label["ce"]["breakdown"].wer)
+    wer_delta = 100.0 * (systems["fcm"].breakdown.wer - systems["ce"].breakdown.wer)
     print(f"wer delta (fcm - ce): {wer_delta:+.2f} points")
 
     log("summarization comparison (mock summarizer)")
     with stage("summaries"):
         summarizer = make_summarizer("mock")
         ref_utts = corpus_to_utterances(test)
-        sum_rows = []
+        summaries = {}  # label -> (per-window scores, mean)
         for label in ("ce", "fcm"):
-            texts = by_label[label]["texts"]
+            texts = top1[label]
             hyp_utts = corpus_to_utterances(test, {s.id: t for s, t in zip(test.samples, texts)})
-            scores, mean = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
-            atomic_write_text(out / f"sum_scores_{label}.json", json.dumps(scores))
-            sum_rows.append((label, scores, mean))
+            summaries[label] = evaluate_summaries(ref_utts, hyp_utts, summarizer, scorer)
+            atomic_write_text(out / f"sum_scores_{label}.json", json.dumps(summaries[label][0]))
         gt_scores, gt_mean = evaluate_summaries(ref_utts, ref_utts, summarizer, scorer)
-    print(f"summary consistency: ce={sum_rows[0][2]:.4f} fcm={sum_rows[1][2]:.4f} "
+    print(f"summary consistency: ce={summaries['ce'][1]:.4f} fcm={summaries['fcm'][1]:.4f} "
           f"ground-truth={gt_mean:.4f} ({len(gt_scores)} chunks)")
-    st = paired_or_none(sum_rows[1][1], sum_rows[0][1])
+    st = paired_or_none(summaries["fcm"][0], summaries["ce"][0])
     print("summary fcm vs ce: " + ("n/a" if st is None else
           f"t={st.t_statistic:.3f} p={st.p_value_two_tailed:.5f}"))
 
     report = {
         "systems": [
-            {"label": s["label"], "wer": s["breakdown"].wer,
-             "ins_rate": s["breakdown"].insertion_rate,
-             "del_rate": s["breakdown"].deletion_rate, "mean_consistency": s["mean"],
-             "consistent_ratio": s["ratio"]} for s in systems
+            {"label": label, "wer": row.breakdown.wer, "ins_rate": row.breakdown.insertion_rate,
+             "del_rate": row.breakdown.deletion_rate, "mean_consistency": row.mean,
+             "consistent_ratio": row.ratio} for label, row in systems.items()
         ],
         "utt_ttest_fcm_vs_ce": ttest_entry(ttest),
         "wer_delta_points": wer_delta,
         "guard_tripped": fcm.guard_tripped,
-        "summary_means": {label: mean for label, _, mean in sum_rows},
+        "summary_means": {label: mean for label, (_, mean) in summaries.items()},
         "summary_mean_ground_truth": gt_mean,
         "summary_ttest_fcm_vs_ce": ttest_entry(st),
         "runtime_s": time.time() - t0,

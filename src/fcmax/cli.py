@@ -3,9 +3,11 @@
 Subcommands: gen-data, train-ce, train-fcm, decode, eval-utt, eval-sum,
 ttest.  Each is one ``COMMANDS`` entry: handler, help, file and label flags
 (required or not) and tunables with their defaults, from which
-``build_parser`` makes the flags.  Tunables may also come from a JSON config
-file (--config): flag beats config beats default, and a config key that is
-not a tunable of the subcommand is rejected.  A checkpoint is evaluated by
+``build_parser`` makes the flags.  The defaults are the synthetic
+experiment's, and ``scripts/run_synthetic_experiment.py`` reads those it
+shares with the CLI from this table.  Tunables may also come from a JSON
+config file (--config): flag beats config beats default, and a config key
+that is not a tunable of the subcommand is rejected.  A checkpoint is evaluated by
 ``decode`` then ``eval-utt --hyp``.  Outputs are written atomically.  Exit
 status: 0 success, 1 usage error, 2 runtime error.
 """
@@ -210,29 +212,27 @@ def _cmd_eval_utt(args, opts: dict) -> int:
     if missing:
         raise ValueError(f"hypothesis file lacks ids: {missing[:5]}")
     pairs = [(by_id[s.id], s.reference) for s in corpus.samples]
-    breakdown = metrics_mod.corpus_wer(pairs)
-    mean_c, scores = metrics_mod.avg_consistency(pairs, scorer)
-    ratio = metrics_mod.consistent_ratio(scores, opts["threshold"])
-    n = len(pairs)
+    row = metrics_mod.evaluate_utterances(pairs, scorer, opts["threshold"])
+    breakdown, n = row.breakdown, len(pairs)
     rows = [
         ("wer", breakdown.wer, n),
         ("substitutions", float(breakdown.substitutions), n),
         ("insertions", float(breakdown.insertions), n),
         ("deletions", float(breakdown.deletions), n),
-        ("avg_consistency", mean_c, n),
-        ("consistent_ratio", ratio, n),
+        ("avg_consistency", row.mean, n),
+        ("consistent_ratio", row.ratio, n),
     ]
     if args.out:
         atomic_write_text(args.out, metrics_mod.csv_report(rows))
     if args.scores_out:
-        atomic_write_text(args.scores_out, json.dumps(scores) + "\n")
-    print(metrics_mod.markdown_report([(args.label or args.hyp, breakdown, mean_c, ratio)]))
+        atomic_write_text(args.scores_out, json.dumps(row.scores) + "\n")
+    print(metrics_mod.markdown_report([(args.label or args.hyp, row)]))
     return 0
 
 
 def _cmd_eval_sum(args, opts: dict) -> int:
-    if not (args.ref_utts or args.ref_corpus):
-        raise UsageError("eval-sum needs --ref-utts or --ref-corpus")
+    if bool(args.ref_utts) == bool(args.ref_corpus):
+        raise UsageError("eval-sum needs exactly one of --ref-utts and --ref-corpus")
     endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
     scorer = _scorer(opts)
     params = _from_options(summeval_mod.SummarizerParams, opts)
@@ -313,11 +313,11 @@ COMMANDS: dict[str, Command] = {
     }),
     "train-ce": Command(_cmd_train_ce, "likelihood pretraining",
                         {**_TRAIN_FILES, "init": False}, {
-        "iters": 2000, "lr": 1e-3, **_TRAINING, "checkpoint-every": 200, "d": 32,
+        "iters": 2000, "lr": 0.15, **_TRAINING, "checkpoint-every": 200, "d": 32,
     }),
     "train-fcm": Command(_cmd_train_fcm, "consistency fine-tuning",
                          {**_TRAIN_FILES, "init": True}, {
-        "iters": 500, "lr": 1e-4, **_TRAINING, "batch-size": 1,
+        "iters": 500, "lr": 0.02, **_TRAINING, "batch-size": 1,
         "deletion-rate-limit": 0.25, "dev-check-every": 50,
         "ce-weight": 0.0, **_SCORING, "scorer": None,
     }),

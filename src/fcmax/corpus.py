@@ -33,8 +33,9 @@ import json
 import math
 import os
 import re
+import secrets
+import stat
 import sys
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -511,12 +512,18 @@ def load_corpus(path) -> Corpus:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory plus rename."""
+    """Write text to path via a temp file in the same directory plus rename.
+
+    A new file gets the mode ``open(path, "w")`` would give it, 0666 less the
+    umask, and an overwritten file keeps its mode."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,13 +146,31 @@ def avg_consistency(
     return sum(scores) / len(scores), scores
 
 
-def consistent_ratio(scores: Sequence[float], threshold: float = 0.5) -> float:
+def consistent_ratio(scores: Sequence[float], threshold: float) -> float:
     """Fraction of avg_consistency's per-pair scores that reach the threshold (inclusive)."""
     if not 0.0 <= threshold <= 1.0:
         raise MetricsError(f"threshold must be in [0, 1], got {threshold}")
     if not scores:
         raise MetricsError("consistent_ratio needs at least one score")
     return sum(1 for s in scores if s >= threshold) / len(scores)
+
+
+class UtteranceRow(NamedTuple):
+    """One system's utterance-level evaluation (``evaluate_utterances``)."""
+
+    breakdown: EditBreakdown
+    mean: float
+    ratio: float
+    scores: list[float]
+
+
+def evaluate_utterances(pairs: Sequence[tuple[str, str]], scorer: ConsistencyScorer,
+                        threshold: float) -> UtteranceRow:
+    """The pooled edit breakdown of (hypothesis, reference) pairs, their mean
+    consistency, the share that reach the threshold and the per-pair scores."""
+    breakdown = corpus_wer(pairs)
+    mean, scores = avg_consistency(pairs, scorer)
+    return UtteranceRow(breakdown, mean, consistent_ratio(scores, threshold), scores)
 
 
 @dataclass(frozen=True)
@@ -230,14 +248,14 @@ def csv_report(rows: Sequence[tuple[str, float, int]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def markdown_report(systems: Sequence[tuple[str, EditBreakdown, float, float]]) -> str:
+def markdown_report(systems: Sequence[tuple[str, UtteranceRow]]) -> str:
     """One table row per system: WER %, insertions per reference word %,
     mean consistency, consistent ratio."""
     lines = [
         "| System | WER (%) | Ins (%) | Avg consistency | Consistent ratio |",
         "| --- | --- | --- | --- | --- |",
     ]
-    for name, breakdown, avg, ratio in systems:
+    for name, (breakdown, avg, ratio, _) in systems:
         lines.append(
             f"| {name} | {100.0 * breakdown.wer:.1f} | {100.0 * breakdown.insertion_rate:.1f} "
             f"| {avg:.3f} | {ratio:.3f} |"

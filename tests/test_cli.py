@@ -341,6 +341,15 @@ def test_eval_sum_runs_mock_pipeline(workflow, capsys):
     assert scores and all(0.0 <= s <= 1.0 for s in scores)
 
 
+@pytest.mark.parametrize("refs", [[], ["--ref-utts", "u.jsonl", "--ref-corpus", "c.jsonl"]],
+                         ids=["neither", "both"])
+def test_eval_sum_needs_exactly_one_reference(capsys, refs):
+    """With both reference flags, one of them would be silently ignored."""
+    assert run(["eval-sum", *refs, "--hyp-utts", "h.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert "--ref-utts" in err and "--ref-corpus" in err
+
+
 def test_eval_sum_feeds_ttest(workflow, tmp_path, capsys):
     a = tmp_path / "sum_scores.json"
     code, _ = _run(capsys, "eval-sum", "--ref-corpus", str(workflow / "dev.jsonl"),

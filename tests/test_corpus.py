@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from bisect import bisect_right
 
 import numpy as np
@@ -297,6 +299,25 @@ def test_round_trip(tmp_path):
     assert loaded.samples == corpus.samples
     assert loaded.token_vocab == corpus.token_vocab
     assert loaded.source_vocab_size == corpus.source_vocab_size
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_atomic_write_gives_the_modes_open_would(tmp_path, umask, mode):
+    """A new file gets 0666 less the umask, as ``open(path, "w")`` gives it,
+    and an overwritten file keeps its mode; no temp file is left behind."""
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("x")
+    old.chmod(0o640)
+    saved = os.umask(umask)
+    try:
+        corpus_module.atomic_write_text(new, "a")
+        corpus_module.atomic_write_text(old, "b")
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(new.stat().st_mode) == mode
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640 and old.read_text() == "b"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["new.json", "old.json"]
 
 
 def test_word_count_recomputed_not_trusted(tmp_path):

@@ -13,8 +13,9 @@ from scipy import stats as scipy_stats
 from conftest import align_counts, reference_align_counts
 from fcmax import metrics
 from fcmax.metrics import (
-    EditBreakdown, MetricsError, avg_consistency, consistent_ratio,
-    corpus_wer, csv_report, markdown_report, paired_t_test, student_t_p_value,
+    EditBreakdown, MetricsError, UtteranceRow, avg_consistency, consistent_ratio,
+    corpus_wer, csv_report, evaluate_utterances, markdown_report, paired_t_test,
+    student_t_p_value,
 )
 from fcmax.scorers import ConsistencyScorer, exact_match_score, weighted_token_f1
 
@@ -210,6 +211,26 @@ def test_avg_consistency_reports_failing_pair():
                         ConsistencyScorer("boom", lambda h, r: 1.0 if h == "a" else 1 / 0))
 
 
+def test_evaluate_utterances_is_the_three_metrics_in_order(monkeypatch):
+    """The row is corpus_wer, then avg_consistency, then consistent_ratio of
+    the same pairs; the first two are looked up as module attributes, so a
+    wrapper set on the module (as the benchmark's tracer sets one) sees both."""
+    pairs = [("the cat sat", "the cat sat"), ("a dog", "the dog ran"), ("x", "y z")]
+    scorer = ConsistencyScorer("f1", weighted_token_f1)
+    calls = []
+    for name in ("corpus_wer", "avg_consistency"):
+        def wrapped(*args, _name=name, _fn=getattr(metrics, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(metrics, name, wrapped)
+    row = evaluate_utterances(pairs, scorer, 0.4)
+    assert calls == ["corpus_wer", "avg_consistency"]
+    mean, scores = avg_consistency(pairs, scorer)
+    assert row == UtteranceRow(corpus_wer(pairs), mean, consistent_ratio(scores, 0.4), scores)
+    with pytest.raises(MetricsError, match="threshold"):
+        evaluate_utterances(pairs, scorer, 1.5)
+
+
 def test_consistent_ratio_boundaries():
     scores = [0.4, 0.6, 0.9]
     assert consistent_ratio(scores, 0.0) == 1.0
@@ -313,8 +334,8 @@ def test_reports_render():
     csv = csv_report([("wer", b.wer, 2)])
     assert csv.startswith("metric,value,n\n")
     assert "wer,0.333333,2" in csv
-    table = markdown_report([("ce", b, 0.812, 0.9),
-                             ("fcm", EditBreakdown(0, 3, 0, 8), 0.5, 0.25)])
+    table = markdown_report([("ce", UtteranceRow(b, 0.812, 0.9, [])),
+                             ("fcm", UtteranceRow(EditBreakdown(0, 3, 0, 8), 0.5, 0.25, []))])
     assert table.startswith("| System | WER (%) | Ins (%) | Avg consistency |")
     assert "| ce | 33.3 | 0.0 | 0.812 | 0.900 |" in table
     assert "| fcm | 37.5 | 37.5 | 0.500 | 0.250 |" in table
