@@ -8,13 +8,15 @@ reads from ``fcmax.cli.COMMANDS``; only the seed (FCM at seed + 1), the
 split sizes and the CE dev-check cadence (a quarter of the run) are the
 script's own.  Every config is checked before a file is written into
 --out-dir, and each file is written atomically, so a killed run leaves no
-torn file.
+torn file.  A failure prints one ``error:`` line and exits with status 2,
+as the CLI does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from collections import defaultdict
 from contextlib import contextmanager
@@ -179,4 +181,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except Exception as exc:  # as ``fcmax.cli.run`` reports a runtime error
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -8,8 +8,9 @@ experiment's, and ``scripts/run_synthetic_experiment.py`` reads those it
 shares with the CLI from this table.  Tunables may also come from a JSON
 config file (--config): flag beats config beats default, and a config key
 that is not a tunable of the subcommand is rejected.  A checkpoint is evaluated by
-``decode`` then ``eval-utt --hyp``.  Outputs are written atomically.  Exit
-status: 0 success, 1 usage error, 2 runtime error.
+``decode``, then ``eval-utt --hyp`` and ``eval-sum --hyp`` on the same decode
+output, each with the ``--corpus`` it was decoded from.  Outputs are written
+atomically.  Exit status: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -182,36 +183,34 @@ def _cmd_decode(args, opts: dict) -> int:
             ],
         })
     write_jsonl(args.out, entries)
-    if args.utterances_out:
-        top1 = {entry["id"]: entry["nbest"][0]["text"] for entry in entries}
-        summeval_mod.save_utterances(summeval_mod.corpus_to_utterances(corpus, top1),
-                                     args.utterances_out)
     print(f"decoded {len(entries)} samples to {args.out}")
     return 0
 
 
-def _load_hyp_texts(path: str) -> dict[str, str]:
-    """Top-1 texts from a decode output file, keyed by sample id, which must not repeat."""
-    out = {}
-    for lineno, obj in corpus_mod.read_jsonl(path, {"id": str, "nbest": list}, ValueError):
-        if obj["id"] in out:
-            raise ValueError(f"{path}, line {lineno}: duplicate sample id {obj['id']!r}")
+def _load_decoded(corpus_path, hyp_path) -> tuple[corpus_mod.Corpus, dict[str, str]]:
+    """A corpus and the top-1 text of each of its samples, keyed by sample id,
+    from a decode output file.  A repeated id, an ``nbest`` that does not start
+    with a text, or a corpus id the file lacks is refused."""
+    corpus = corpus_mod.load_corpus(corpus_path)
+    texts = {}
+    for lineno, obj in corpus_mod.read_jsonl(hyp_path, {"id": str, "nbest": list}, ValueError):
+        if obj["id"] in texts:
+            raise ValueError(f"{hyp_path}, line {lineno}: duplicate sample id {obj['id']!r}")
         top = obj["nbest"][0] if obj["nbest"] else None
         if not isinstance(top, dict) or not isinstance(top.get("text"), str):
-            raise ValueError(f"{path}, line {lineno}: field 'nbest' must start with an "
+            raise ValueError(f"{hyp_path}, line {lineno}: field 'nbest' must start with an "
                              f"object holding a string 'text'")
-        out[obj["id"]] = top["text"]
-    return out
+        texts[obj["id"]] = top["text"]
+    missing = [s.id for s in corpus.samples if s.id not in texts]
+    if missing:
+        raise ValueError(f"hypothesis file lacks ids: {missing[:5]}")
+    return corpus, texts
 
 
 def _cmd_eval_utt(args, opts: dict) -> int:
     scorer = _scorer(opts)
-    corpus = corpus_mod.load_corpus(args.corpus)
-    by_id = _load_hyp_texts(args.hyp)
-    missing = [s.id for s in corpus.samples if s.id not in by_id]
-    if missing:
-        raise ValueError(f"hypothesis file lacks ids: {missing[:5]}")
-    pairs = [(by_id[s.id], s.reference) for s in corpus.samples]
+    corpus, texts = _load_decoded(args.corpus, args.hyp)
+    pairs = [(texts[s.id], s.reference) for s in corpus.samples]
     row = metrics_mod.evaluate_utterances(pairs, scorer, opts["threshold"])
     breakdown, n = row.breakdown, len(pairs)
     rows = [
@@ -231,8 +230,6 @@ def _cmd_eval_utt(args, opts: dict) -> int:
 
 
 def _cmd_eval_sum(args, opts: dict) -> int:
-    if bool(args.ref_utts) == bool(args.ref_corpus):
-        raise UsageError("eval-sum needs exactly one of --ref-utts and --ref-corpus")
     endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
     scorer = _scorer(opts)
     params = _from_options(summeval_mod.SummarizerParams, opts)
@@ -240,13 +237,10 @@ def _cmd_eval_sum(args, opts: dict) -> int:
         summarizer = summeval_mod.make_summarizer(endpoint, params)
     except ValueError as exc:
         raise UsageError(f"--summarizer: {exc}") from None
-    if args.ref_utts:
-        refs = summeval_mod.load_utterances(args.ref_utts)
-    else:
-        refs = summeval_mod.corpus_to_utterances(corpus_mod.load_corpus(args.ref_corpus))
-    hyps = summeval_mod.load_utterances(args.hyp_utts)
+    corpus, texts = _load_decoded(args.corpus, args.hyp)
     scores, mean = summeval_mod.evaluate_summaries(
-        refs, hyps, summarizer, scorer, chunk_seconds=opts["chunk-seconds"],
+        summeval_mod.corpus_to_utterances(corpus), summeval_mod.corpus_to_utterances(corpus, texts),
+        summarizer, scorer, chunk_seconds=opts["chunk-seconds"],
     )
     if args.scores_out:
         atomic_write_text(args.scores_out, json.dumps(scores) + "\n")
@@ -261,8 +255,6 @@ def _cmd_eval_sum(args, opts: dict) -> int:
 def _load_score_vector(path: str) -> list[float]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and "scores" in doc:
-        doc = doc["scores"]
     if not isinstance(doc, list):
         raise ValueError(f"{path} must hold a JSON array of scores")
     # paired_t_test refuses a non-finite float
@@ -322,15 +314,14 @@ COMMANDS: dict[str, Command] = {
         "ce-weight": 0.0, **_SCORING, "scorer": None,
     }),
     "decode": Command(_cmd_decode, "emit N-best hypotheses with posteriors", {
-        "corpus": True, "checkpoint": True, "out": True, "utterances-out": False,
+        "corpus": True, "checkpoint": True, "out": True,
     }, _DECODING),
     "eval-utt": Command(_cmd_eval_utt, "edit error and consistency tables", {
         "corpus": True, "hyp": True, "label": False, "out": False, "scores-out": False,
     }, {"threshold": 0.5, **_SCORING}),
     "eval-sum": Command(_cmd_eval_sum, 'chunked summarization consistency '
                         '(--summarizer: service base URL or "mock")', {
-        "ref-utts": False, "ref-corpus": False, "hyp-utts": True, "summarizer": False,
-        "out": False, "scores-out": False,
+        "corpus": True, "hyp": True, "summarizer": False, "out": False, "scores-out": False,
     }, {"chunk-seconds": 60.0, "temperature": 0.0, "top-p": 1.0, "max-tokens": 200,
         **_SCORING}),
     "ttest": Command(_cmd_ttest, "paired t-test between two score vectors",

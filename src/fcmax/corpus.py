@@ -240,21 +240,11 @@ class SynthConfig:
             )
 
 
-def detokenize(tokens) -> str:
-    """Render a token sequence as surface text.
-
-    Word tokens are joined by single spaces; punctuation tokens attach to the
-    preceding word without a space.
-    """
-    rest = iter(tokens)
-    first = next(rest, "")
-    return "".join([first, *[tok if tok in PUNCTUATION_TOKENS else " " + tok for tok in rest]])
-
-
 @functools.lru_cache(maxsize=8)  # a process uses one vocabulary or a few
 def id_renderer(token_vocab: tuple[str, ...]):
-    """``detokenize`` over a sequence of ids of one vocabulary, from a table
-    built once per vocabulary: each token's surface string after another
+    """The surface text of a sequence of ids of one vocabulary: words joined
+    by single spaces, punctuation attached to the word before it.  The table
+    is built once per vocabulary: each token's surface string after another
     token, with its joining space (none before punctuation), so a text is its
     first token and one join of table entries."""
     later = tuple(tok if tok in PUNCTUATION_TOKENS else " " + tok for tok in token_vocab)
@@ -266,7 +256,7 @@ def id_renderer(token_vocab: tuple[str, ...]):
 
 
 def surface_tokens(text: str) -> list[str]:
-    """Split surface text back into grammar tokens (inverse of detokenize)."""
+    """Split surface text back into grammar tokens (inverse of ``id_renderer``)."""
     toks: list[str] = []
     for word in text.split():
         suffix: list[str] = []
@@ -405,6 +395,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     number.
     """
     token_to_id = {tok: i for i, tok in enumerate(DEFAULT_TOKEN_VOCAB)}
+    render = id_renderer(DEFAULT_TOKEN_VOCAB)
     picks = _pick_tables(token_to_id)
     rng = np.random.default_rng(np.uint64(config.seed))
     samples: list[Sample] = []
@@ -414,7 +405,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
         if negated:
             target = max(target, _MIN_SENTENCE_WORDS + 1)
         tokens = _build_sentence(rng, target, negated)
-        reference = detokenize(tokens)
+        reference = render([token_to_id[tok] for tok in tokens])
         input_ids = _channel(rng, tokens, config.negation_drop_rate, picks, token_to_id)
         start = round(float(i % 50) * 4.0 + float(rng.random()) * 2.0, 3)
         samples.append(Sample(

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .corpus import NUMBER, Corpus, read_jsonl, write_jsonl
+from .corpus import Corpus
 from . import scorers
 
 MOCK_SUMMARIZER = "mock"
@@ -191,17 +191,3 @@ def corpus_to_utterances(corpus: Corpus, texts: dict[str, str] | None = None) ->
         out.append(Utterance(speaker=s.speaker, start_s=s.start_s, text=text, session=s.session))
     return out
 
-
-_UTTERANCE_FIELDS = {"speaker": int, "start_s": NUMBER, "session": str, "text": str}
-
-
-def load_utterances(path) -> list[Utterance]:
-    """Read the utterance JSONL (corpus schema plus a "text" field)."""
-    return [Utterance(speaker=obj["speaker"], start_s=float(obj["start_s"]), text=obj["text"],
-                      session=obj["session"])
-            for _, obj in read_jsonl(path, _UTTERANCE_FIELDS, SummEvalError)]
-
-
-def save_utterances(utterances: Sequence[Utterance], path) -> None:
-    write_jsonl(path, ({"speaker": u.speaker, "start_s": u.start_s, "session": u.session,
-                        "text": u.text} for u in utterances))

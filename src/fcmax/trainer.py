@@ -171,7 +171,12 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, h
 def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
                    max_len: int) -> list[NBestList]:
     """The N-best list of every sample, decoded together by one batched beam
-    search; an input that cannot be encoded raises FcmError naming its sample."""
+    search.  A model whose target vocabulary is not the corpus's, whose ids
+    would render as other tokens or as none, raises FcmError naming both
+    sizes; an input that cannot be encoded raises FcmError naming its sample."""
+    if params.target_vocab_size != len(corpus.token_vocab):
+        raise FcmError(f"the model's target vocabulary has {params.target_vocab_size} tokens, "
+                       f"the corpus's {len(corpus.token_vocab)}")
     try:
         return beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
                                  bos_id=corpus.bos_id, eos_id=corpus.eos_id)

@@ -261,7 +261,7 @@ def reference_weighted_token_f1(hyp: str, ref: str, weights) -> float:
 
 
 def reference_detokenize(tokens) -> str:
-    """Per-token appends: the oracle for ``corpus.detokenize``."""
+    """Per-token appends: the oracle for ``corpus.id_renderer``."""
     out: list[str] = []
     for tok in tokens:
         if tok in PUNCTUATION_TOKENS or not out:

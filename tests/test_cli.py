@@ -46,7 +46,8 @@ def test_ttest_equal_vectors(tmp_path, capsys):
     ("[null, 0.6, 0.7]", "entry 0 must be a number"),
     ("[0.5, 1e400, 0.7]", "vector a entry 1 is not finite"),
     ("[0.5, 0.6, 1" + "0" * 400 + "]", "entry 2 must be a number in float range"),
-], ids=["nan", "infinity", "bool", "string", "null", "float-overflow", "huge-int"])
+    ('{"scores": [0.5, 0.6, 0.7]}', "must hold a JSON array of scores"),
+], ids=["nan", "infinity", "bool", "string", "null", "float-overflow", "huge-int", "object"])
 def test_ttest_refuses_a_score_that_is_not_a_finite_number(tmp_path, capsys, scores, named):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -139,7 +140,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 _TRAIN_CE = ["train-ce", "--corpus", "x.jsonl", "--out", "y.json"]
-_EVAL_SUM = ["eval-sum", "--ref-utts", "r.jsonl", "--hyp-utts", "h.jsonl"]
+_EVAL_SUM = ["eval-sum", "--corpus", "c.jsonl", "--hyp", "h.jsonl"]
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -226,6 +227,42 @@ def test_eval_utt_refuses_a_repeated_hypothesis_id(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["eval-utt", "eval-sum"])
+def test_both_evaluations_refuse_a_decode_file_that_lacks_a_corpus_id(tmp_path, capsys,
+                                                                     command):
+    """eval-utt and eval-sum read the same corpus and decode file, and both
+    refuse a file without every corpus sample, before any scoring."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert run(["gen-data", "--seed", "3", "--n", "3", "--out", str(corpus)]) == 0
+    samples = [json.loads(line) for line in corpus.read_text().splitlines()]
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(json.dumps({"id": s["id"], "nbest": [{"text": s["reference"]}]})
+                           + "\n" for s in samples[1:]))
+    assert run([command, "--corpus", str(corpus), "--hyp", str(hyp)]) == 2
+    assert f"hypothesis file lacks ids: [{samples[0]['id']!r}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("decode", ["--checkpoint", "m.json", "--out", "out"]),
+    ("train-fcm", ["--dev", "corpus.jsonl", "--init", "m.json", "--out", "out",
+                   "--scorer", "weighted-f1"]),
+], ids=["decode", "train-fcm-dev"])
+def test_a_model_of_another_target_vocabulary_is_refused(tmp_path, capsys, monkeypatch,
+                                                         command, flags):
+    """A checkpoint whose output layer is larger than the corpus's vocabulary
+    emits ids that name no token; decoding refuses it once, naming both sizes."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-data", "--n", "20", "--seed", "1", "--out", "corpus.jsonl"]) == 0
+    params = init_params(8, 55, 95, seed=3)
+    params.out_bias[55:] = 5.0
+    save_checkpoint(params, "m.json")
+    capsys.readouterr()
+    assert run([command, "--corpus", "corpus.jsonl", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"{command}: error: the model's target vocabulary has 95 tokens, the corpus's 55\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
     """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below.
@@ -250,10 +287,8 @@ def workflow(tmp_path_factory):
                 "--init", str(ce), "--out", str(fcm), "--scorer", "weighted-f1",
                 "--iters", "10", "--lr", "0.02", "--dev-check-every", "5",
                 "--metrics-out", str(root / "fcm_metrics.jsonl")]) == 0
-    decoded = root / "decoded.jsonl"
-    utts = root / "hyp_utts.jsonl"
     assert run(["decode", "--corpus", str(dev), "--checkpoint", str(fcm),
-                "--out", str(decoded), "--utterances-out", str(utts)]) == 0
+                "--out", str(root / "decoded.jsonl")]) == 0
     return root
 
 
@@ -332,8 +367,8 @@ def test_eval_utt_reports(workflow, capsys):
 
 def test_eval_sum_runs_mock_pipeline(workflow, capsys):
     scores_path = workflow / "sum_scores.json"
-    code, out = _run(capsys, "eval-sum", "--ref-corpus", str(workflow / "dev.jsonl"),
-                     "--hyp-utts", str(workflow / "hyp_utts.jsonl"),
+    code, out = _run(capsys, "eval-sum", "--corpus", str(workflow / "dev.jsonl"),
+                     "--hyp", str(workflow / "decoded.jsonl"),
                      "--summarizer", "mock", "--scores-out", str(scores_path))
     assert code == 0
     assert "mean_consistency=" in out
@@ -341,19 +376,10 @@ def test_eval_sum_runs_mock_pipeline(workflow, capsys):
     assert scores and all(0.0 <= s <= 1.0 for s in scores)
 
 
-@pytest.mark.parametrize("refs", [[], ["--ref-utts", "u.jsonl", "--ref-corpus", "c.jsonl"]],
-                         ids=["neither", "both"])
-def test_eval_sum_needs_exactly_one_reference(capsys, refs):
-    """With both reference flags, one of them would be silently ignored."""
-    assert run(["eval-sum", *refs, "--hyp-utts", "h.jsonl"]) == 1
-    err = capsys.readouterr().err
-    assert "--ref-utts" in err and "--ref-corpus" in err
-
-
 def test_eval_sum_feeds_ttest(workflow, tmp_path, capsys):
     a = tmp_path / "sum_scores.json"
-    code, _ = _run(capsys, "eval-sum", "--ref-corpus", str(workflow / "dev.jsonl"),
-                   "--hyp-utts", str(workflow / "hyp_utts.jsonl"),
+    code, _ = _run(capsys, "eval-sum", "--corpus", str(workflow / "dev.jsonl"),
+                   "--hyp", str(workflow / "decoded.jsonl"),
                    "--summarizer", "mock", "--scores-out", str(a))
     assert code == 0
     code, out = _run(capsys, "ttest", "--a", str(a), "--b", str(a))

@@ -14,14 +14,12 @@ from hypothesis import given, strategies as st
 
 from conftest import reference_channel, reference_detokenize, reference_normalize_text
 from fcmax import corpus as corpus_module
-from fcmax.cli import _load_hyp_texts
+from fcmax.cli import _load_decoded
 from fcmax.corpus import (
     _NEGATIONS as NEGATION_TOKENS, BOS, DEFAULT_CONFUSION_TABLE, DEFAULT_TOKEN_VOCAB, EOS,
-    PUNCTUATION_TOKENS, Corpus, CorpusError, Sample, SynthConfig,
-    detokenize, generate_synthetic_corpus, id_renderer, load_corpus,
-    normalize_text, save_corpus, surface_tokens,
+    Corpus, CorpusError, Sample, SynthConfig, generate_synthetic_corpus, id_renderer,
+    load_corpus, normalize_text, save_corpus, surface_tokens,
 )
-from fcmax.summeval import SummEvalError, load_utterances
 
 
 def test_empty_corpus_has_populated_vocab():
@@ -216,7 +214,6 @@ def test_load_malformed_line_reports_line_number(tmp_path):
         load_corpus(path)
 
 
-_UTT = {"speaker": 1, "start_s": 0.5, "session": "s", "text": "Hi."}
 _HYP = {"id": "a", "nbest": [{"text": "hi"}]}
 _SAMPLE = {"id": "a", "input": [1], "reference": "Hi.", "speaker": 0, "start_s": 0.0,
            "session": "s"}
@@ -224,13 +221,6 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
 
 
 @pytest.mark.parametrize("reader, line, message", [
-    ("utterances", "5", "line 2: expected a JSON object"),
-    ("utterances", json.dumps({**_UTT, "speaker": "x"}), "line 2: field 'speaker' has wrong type"),
-    ("utterances", json.dumps({**_UTT, "speaker": True, "text": 7}),
-     "line 2: field 'speaker' has wrong type"),
-    ("utterances", json.dumps({**_UTT, "text": 7}), "line 2: field 'text' has wrong type"),
-    ("utterances", json.dumps({**_UTT, "start_s": "0"}), "line 2: field 'start_s' has wrong type"),
-    ("utterances", json.dumps({**_UTT, "session": None}), "line 2: field 'session' has wrong"),
     ("hyp", json.dumps({"id": "b"}), "line 2: missing field 'nbest'"),
     ("hyp", "[1]", "line 2: expected a JSON object"),
     ("hyp", json.dumps({"id": 2, "nbest": [{"text": "hi"}]}), "line 2: field 'id' has wrong"),
@@ -238,16 +228,23 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
     ("hyp", json.dumps({"id": "b", "nbest": []}), "line 2: field 'nbest' must start with"),
     ("hyp", json.dumps({"id": "b", "nbest": ["hi"]}), "line 2: field 'nbest' must start with"),
     ("hyp", json.dumps({"id": "b", "nbest": [{"text": 7}]}), "line 2: field 'nbest' must start"),
-    ("utterances", '{"speaker": 1, "start_s": NaN, "session": "s", "text": "Hi."}',
+    ("corpus", "5", "line 2: expected a JSON object"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "speaker": "x"}),
+     "line 2: field 'speaker' has wrong type"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "speaker": True, "session": 7}),
+     "line 2: field 'speaker' has wrong type"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": 7}),
+     "line 2: field 'reference' has wrong type"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b", "session": None}),
+     "line 2: field 'session' has wrong type"),
+    ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", "NaN"),
      "line 2: field 'start_s' must be a finite number in float range, got nan"),
-    ("utterances", '{"speaker": 1, "start_s": Infinity, "session": "s", "text": "Hi."}',
+    ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", "Infinity"),
      "line 2: field 'start_s' must be a finite number in float range, got inf"),
-    ("utterances", '{"speaker": 1, "start_s": ' + _HUGE + ', "session": "s", "text": "Hi."}',
-     "line 2: field 'start_s' must be a finite number in float range, got 1000"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", "-Infinity"),
      "line 2: field 'start_s' must be a finite number in float range, got -inf"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", _HUGE),
-     "line 2: field 'start_s' must be a finite number in float range"),
+     "line 2: field 'start_s' must be a finite number in float range, got 1000"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": "0"}),
      "line 2: field 'start_s' has wrong type"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "reference": " "}), "sample 'b': ref"),
@@ -256,19 +253,21 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
      "sample 'b': speaker must be >= 0, got -1"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": -5.0}),
      "sample 'b': start time must be finite and >= 0, got -5.0"),
-], ids=["utt-number", "utt-speaker-str", "utt-speaker-bool", "utt-text-int", "utt-start-str",
-        "utt-session-null", "hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
-        "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "utt-start-nan", "utt-start-inf",
-        "utt-start-huge-int", "corpus-start-minus-inf", "corpus-start-huge-int",
+], ids=["hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
+        "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "corpus-number", "corpus-speaker-str",
+        "corpus-speaker-bool", "corpus-reference-int", "corpus-session-null", "corpus-start-nan",
+        "corpus-start-inf", "corpus-start-minus-inf", "corpus-start-huge-int",
         "corpus-start-str", "corpus-reference-blank",
         "corpus-reference-punctuation", "corpus-speaker-negative", "corpus-start-negative"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
-    """The utterance, hypothesis and corpus readers share the corpus reader's
-    line checks: each bad line raises the reader's error naming the line,
-    instead of a bare TypeError, KeyError, OverflowError or a silently coerced
-    or non-finite value."""
-    load, good, error = {"utterances": (load_utterances, _UTT, SummEvalError),
-                         "hyp": (_load_hyp_texts, _HYP, ValueError),
+    """The decode output and corpus readers share the corpus reader's line
+    checks: each bad line raises the reader's error naming the line, instead
+    of a bare TypeError, KeyError, OverflowError or a silently coerced or
+    non-finite value.  The decode output is read against a corpus of sample
+    "a"."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(_SAMPLE) + "\n")
+    load, good, error = {"hyp": (lambda p: _load_decoded(corpus, p)[1], _HYP, ValueError),
                          "corpus": (lambda p: load_corpus(p).samples, _SAMPLE, CorpusError)}[reader]
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(good) + "\n" + line + "\n")
@@ -299,6 +298,19 @@ def test_round_trip(tmp_path):
     assert loaded.samples == corpus.samples
     assert loaded.token_vocab == corpus.token_vocab
     assert loaded.source_vocab_size == corpus.source_vocab_size
+
+
+def test_round_trip_keeps_non_ascii_text(tmp_path):
+    """The file holds the text as UTF-8, not as \\u escapes, and reads back."""
+    path = tmp_path / "corpus.jsonl"
+    samples = [Sample(id="ñ-1", input=(2,), reference="Señor, 東京 — naïve “quote”.",
+                      speaker=1, start_s=0.25, session="sesión-1"),
+               Sample(id="ñ-2", input=(3,), reference="Plain.", start_s=3.0, session="sesión-1")]
+    save_corpus(Corpus(samples, len(DEFAULT_TOKEN_VOCAB), DEFAULT_TOKEN_VOCAB), path)
+    assert load_corpus(path).samples == samples
+    raw = path.read_bytes()
+    assert "Señor, 東京 — naïve “quote”.".encode("utf-8") in raw and b"\\u" not in raw
+    assert raw.count(b"\n") == 2 and raw.endswith(b"\n")
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -366,18 +378,11 @@ def test_normalize_matches_the_two_pass_reference(text):
     assert normalize_text(text) == reference_normalize_text(text)
 
 
-@given(st.lists(st.one_of(st.sampled_from(["", "I", "know", "don't", *PUNCTUATION_TOKENS]),
-                          st.text(max_size=3)), max_size=12))
-def test_detokenize_matches_the_per_token_reference(tokens):
-    want = reference_detokenize(tokens)
-    assert detokenize(tokens) == want
-    assert detokenize(iter(tokens)) == want
-
-
 @given(st.lists(st.integers(0, len(DEFAULT_TOKEN_VOCAB) - 1), max_size=12))
 def test_id_renderer_is_detokenize_over_the_vocabulary(ids):
     """The per-vocabulary surface table renders an id sequence (tuple, list
-    or array, punctuation first or repeated, empty) as detokenize does."""
+    or array, punctuation first or repeated, empty) as the per-token
+    reference does."""
     want = reference_detokenize(DEFAULT_TOKEN_VOCAB[i] for i in ids)
     for form in (tuple(ids), list(ids), np.array(ids, dtype=np.int64)):
         assert id_renderer(DEFAULT_TOKEN_VOCAB)(form) == want
@@ -386,8 +391,7 @@ def test_id_renderer_is_detokenize_over_the_vocabulary(ids):
 def test_detokenize_surface_round_trip():
     corpus = generate_synthetic_corpus(SynthConfig(n_samples=60, seed=17))
     for s in corpus.samples:
-        toks = surface_tokens(s.reference)
-        assert detokenize(toks) == s.reference
+        assert reference_detokenize(surface_tokens(s.reference)) == s.reference
         assert corpus.decode_ids(corpus.reference_ids(s)) == s.reference
 
 

@@ -60,22 +60,28 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     assert [json.loads(line)["iter"] for line in ce_log] == [5, 10, 15, 20]
 
 
-@pytest.mark.parametrize("flag", ["--fcm-iters", "--fcm-lr", "--ce-batch"])
-def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag):
+@pytest.mark.parametrize("flag, setting", [("--fcm-iters", "max_fcm_iterations"),
+                                           ("--fcm-lr", "initial_lr"),
+                                           ("--ce-batch", "batch_size")],
+                         ids=["--fcm-iters", "--fcm-lr", "--ce-batch"])
+def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag, setting):
     """Each config is built before the corpus is generated, so a bad FCM
-    setting no longer surfaces only after CE training has written its files."""
+    setting no longer surfaces only after CE training has written its files.
+    As from the CLI, the failure is one error line and exit status 2."""
     out = tmp_path / "out"
     proc = _run_script(out, "--n-test", "10", flag, "0")
-    assert proc.returncode != 0
-    assert "TrainerError" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert setting in proc.stderr and "Traceback" not in proc.stderr
     assert list(out.glob("*")) == []
 
 
 def test_the_cli_at_its_defaults_is_the_scripts_experiment(tmp_path, capsys):
     """gen-data, a split by lines, train-ce and train-fcm, given only the
     sizes, iterations, model size and seeds, write the script's checkpoints;
-    decode and eval-utt then give the script's fcm row, bit for bit.  At 300
-    CE iterations and d 12 the start model passes the deletion guard, so the
+    decode, then eval-utt and eval-sum on the same corpus and decode file,
+    give the script's fcm row and summary scores, bit for bit.  At 300 CE
+    iterations and d 12 the start model passes the deletion guard, so the
     FCM updates are compared too."""
     seed, ce_iters, d = 7, "300", "12"
     script, cli = tmp_path / "script", tmp_path / "cli"
@@ -87,7 +93,7 @@ def test_the_cli_at_its_defaults_is_the_scripts_experiment(tmp_path, capsys):
     cli.mkdir()
     files = {name: str(cli / name) for name in (
         "full.jsonl", "train.jsonl", "dev.jsonl", "test.jsonl", "ce.json", "fcm.json",
-        "decoded.jsonl", "report.csv", "scores.json")}
+        "decoded.jsonl", "report.csv", "scores.json", "sum_scores.json")}
     assert run(["gen-data", "--n", "50", "--seed", str(seed), "--out", files["full.jsonl"]]) == 0
     lines = Path(files["full.jsonl"]).read_text().splitlines(keepends=True)
     for name, part in (("train.jsonl", lines[:30]), ("dev.jsonl", lines[30:40]),
@@ -120,3 +126,8 @@ def test_the_cli_at_its_defaults_is_the_scripts_experiment(tmp_path, capsys):
     assert fcm_row["label"] == "fcm"
     assert (edits / ref_words).hex() == fcm_row["wer"].hex()
     assert (sum(scores) / len(scores)).hex() == fcm_row["mean_consistency"].hex()
+    assert run(["eval-sum", "--corpus", files["test.jsonl"], "--hyp", files["decoded.jsonl"],
+                "--scores-out", files["sum_scores.json"]]) == 0
+    sum_scores = json.loads(Path(files["sum_scores.json"]).read_text())
+    want = json.loads((script / "sum_scores_fcm.json").read_text())
+    assert [x.hex() for x in sum_scores] == [x.hex() for x in want]

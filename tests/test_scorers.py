@@ -247,6 +247,17 @@ def test_remote_score_missing_field(wire_server):
         remote_scorer(wire_server.url)("h", "r")
 
 
+@pytest.mark.parametrize("reply, named", [
+    (b"[0.5]", "non-object JSON document"),
+    (b'{"consistency": "0.5"}', "non-numeric consistency value"),
+], ids=["array", "string-score"])
+def test_remote_score_refuses_a_reply_that_is_not_a_score_object(wire_server, reply, named):
+    wire_server.respond_raw(reply)
+    with pytest.raises(RemoteProtocolError, match=named):
+        remote_scorer(wire_server.url)("h", "r")
+    assert len(wire_server.requests) == 1, "a malformed reply is not retried"
+
+
 def test_remote_score_invalid_json(wire_server):
     wire_server.respond_raw(b"this is not json")
     with pytest.raises(RemoteProtocolError, match="invalid JSON"):
@@ -290,8 +301,11 @@ def _reply(*headers: bytes, body: bytes = OK_BODY, status: bytes = b"HTTP/1.0 20
     # latin-1 digits that are not ASCII ones
     (_reply(status="HTTP/1.0 \xb2\xb2\xb2 OK".encode("latin-1")), "bad status line"),
     (_reply("Content-Length: \xb2".encode("latin-1")), "bad Content-Length"),
+    (_reply(b"Content-Length 20"), "bad header line 'Content-Length 20'"),
+    # no blank line ends this header before the bound
+    (b"HTTP/1.0 200 OK\r\nX-Pad: " + b"a" * 70000, "header longer than 65536 bytes"),
 ], ids=["bad-status-line", "empty", "short-body", "chunked", "huge-length", "superscript-status",
-        "superscript-length"])
+        "superscript-length", "header-line-without-colon", "overlong-header"])
 def test_remote_score_refuses_a_malformed_reply(raw_server, reply, named):
     server = raw_server([reply])
     with pytest.raises(RemoteProtocolError, match=named):

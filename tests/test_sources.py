@@ -1,8 +1,8 @@
 """Source checks that need no import: every file parses as Python 3.10,
-every module-level import of the package and of ``scripts/`` is used, the
-package imports no HTTP client library, program code writes files only
-through ``corpus.atomic_write_text``, and every public definition of the
-package is read by program code, not by tests alone."""
+every module-level import of the package, ``scripts/`` and ``tests/`` is
+used, the package imports no HTTP client library, program code writes
+files only through ``corpus.atomic_write_text``, and every public
+definition of the package is read by program code, not by tests alone."""
 
 from __future__ import annotations
 
@@ -55,11 +55,12 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_every_module_level_import_of_the_package_is_used():
-    """The package's modules and ``scripts/``; ``__init__`` re-exports its
-    imports, so only it is exempt."""
+    """The package's modules, ``scripts/`` and ``tests/``; ``__init__``
+    re-exports its imports, so only it is exempt."""
     modules = [*sorted((ROOT / "src" / "fcmax").glob("*.py")),
-               *sorted((ROOT / "scripts").glob("*.py"))]
-    assert len(modules) > 6
+               *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "tests").glob("*.py"))]
+    assert len(modules) > 16
     for path in modules:
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

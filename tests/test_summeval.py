@@ -13,8 +13,8 @@ from fcmax.corpus import SynthConfig, default_token_weights, generate_synthetic_
 from fcmax.scorers import RemoteNetworkError, RemoteProtocolError, weighted_f1_scorer
 from fcmax.summeval import (
     SummarizerParams, SummEvalError, Utterance, _windows, build_prompt, corpus_to_utterances,
-    evaluate_summaries, format_speaker_attributed, load_utterances, make_summarizer,
-    mock_summarize, parse_speaker_attributed, save_utterances,
+    evaluate_summaries, format_speaker_attributed, make_summarizer, mock_summarize,
+    parse_speaker_attributed,
 )
 
 THREE_UTTS = [
@@ -307,30 +307,3 @@ def test_empty_hypothesis_chunk_still_summarized():
     scores, mean = evaluate_summaries(refs, [], make_summarizer("mock"),
                                       weighted_f1_scorer())
     assert scores == [0.0]  # empty summary scored against real transcript
-
-
-def test_utterance_round_trip(tmp_path):
-    path = tmp_path / "utts.jsonl"
-    utts = _session_utts("sess", {0.0: "One.", 61.0: "Two."}, speaker=2)
-    save_utterances(utts, path)
-    assert load_utterances(path) == utts
-
-
-def test_utterance_round_trip_keeps_non_ascii_text(tmp_path):
-    """The file holds the text as UTF-8, not as \\u escapes, and reads back."""
-    path = tmp_path / "utts.jsonl"
-    utts = [Utterance(speaker=1, start_s=0.25, text="Señor, 東京 — naïve “quote”.",
-                      session="sesión-1"),
-            Utterance(speaker=0, start_s=3.0, text="Plain.", session="sesión-1")]
-    save_utterances(utts, path)
-    assert load_utterances(path) == utts
-    raw = path.read_bytes()
-    assert "Señor, 東京 — naïve “quote”.".encode("utf-8") in raw and b"\\u" not in raw
-    assert raw.count(b"\n") == 2 and raw.endswith(b"\n")
-
-
-def test_load_utterances_missing_field(tmp_path):
-    path = tmp_path / "utts.jsonl"
-    path.write_text('{"speaker": 0, "start_s": 1.0, "session": "s"}\n')
-    with pytest.raises(SummEvalError, match="text"):
-        load_utterances(path)

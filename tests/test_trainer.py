@@ -13,7 +13,7 @@ from conftest import (
 from fcmax import trainer
 from fcmax.beam import Hypothesis, beam_decode, beam_decode_batch
 from fcmax.corpus import (
-    BOS, EOS, Corpus, CorpusError, Sample, SynthConfig, detokenize, generate_synthetic_corpus,
+    BOS, EOS, Corpus, CorpusError, Sample, SynthConfig, generate_synthetic_corpus, id_renderer,
     normalize_text,
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
@@ -50,7 +50,7 @@ def _toy_corpus(n_samples: int = 10, seed: int = 0) -> Corpus:
     for i in range(n_samples):
         k = int(rng.integers(2, 5))
         ids = [int(rng.integers(2, 7)) for _ in range(k)] + [7]
-        reference = detokenize(vocab[t] for t in ids)
+        reference = id_renderer(vocab)(ids)
         samples.append(Sample(
             id=f"toy-{i}", input=tuple(ids), reference=reference,
         ))
@@ -387,6 +387,17 @@ def test_decode_failures_name_the_sample():
     huge = Sample(id=bad.id, input=(2**63,), reference=bad.reference)
     with pytest.raises(FcmError, match=f"sample {bad.id!r}: .*outside int64"):
         decode_samples(params, corpus, [corpus.samples[0], huge], 2, 4)
+
+
+def test_decoding_refuses_a_model_of_another_target_vocabulary():
+    """Ids past the corpus's vocabulary name no token: decoding refuses the
+    model, naming both sizes, instead of raising an IndexError."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=20, seed=1))
+    params = init_params(8, 55, 95, seed=3)
+    params.out_bias[55:] = 5.0
+    with pytest.raises(FcmError, match="the model's target vocabulary has 95 tokens, the "
+                                       "corpus's 55"):
+        decode_corpus_top1(params, corpus, 4, 24)
 
 
 def test_ce_failures_name_the_iteration_and_the_sample():
