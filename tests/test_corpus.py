@@ -20,6 +20,7 @@ from fcmax.corpus import (
     Corpus, CorpusError, Sample, SynthConfig, generate_synthetic_corpus, id_renderer,
     load_corpus, normalize_text, save_corpus, surface_tokens,
 )
+from fcmax.summeval import corpus_to_utterances
 
 
 def test_empty_corpus_has_populated_vocab():
@@ -253,22 +254,33 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
      "sample 'b': speaker must be >= 0, got -1"),
     ("corpus", json.dumps({**_SAMPLE, "id": "b", "start_s": -5.0}),
      "sample 'b': start time must be finite and >= 0, got -5.0"),
+    ("utt", json.dumps({**_SAMPLE, "id": "b", "start_s": "0"}),
+     "line 2: field 'start_s' has wrong type"),
+    ("utt", json.dumps({**_SAMPLE, "id": "b"}).replace("0.0", _HUGE),
+     "line 2: field 'start_s' must be a finite number in float range, got 1000"),
 ], ids=["hyp-no-nbest", "hyp-array", "hyp-id-int", "hyp-nbest-object",
         "hyp-nbest-empty", "hyp-nbest-str", "hyp-text-int", "corpus-number", "corpus-speaker-str",
         "corpus-speaker-bool", "corpus-reference-int", "corpus-session-null", "corpus-start-nan",
         "corpus-start-inf", "corpus-start-minus-inf", "corpus-start-huge-int",
         "corpus-start-str", "corpus-reference-blank",
-        "corpus-reference-punctuation", "corpus-speaker-negative", "corpus-start-negative"])
+        "corpus-reference-punctuation", "corpus-speaker-negative", "corpus-start-negative",
+        "utt-start-str", "utt-start-huge-int"])
 def test_jsonl_readers_refuse_malformed_lines(tmp_path, reader, line, message):
     """The decode output and corpus readers share the corpus reader's line
     checks: each bad line raises the reader's error naming the line, instead
     of a bare TypeError, KeyError, OverflowError or a silently coerced or
     non-finite value.  The decode output is read against a corpus of sample
-    "a"."""
-    corpus = tmp_path / "corpus.jsonl"
+    "a"; the utterances the evaluations build are read from a corpus against
+    a decode output of samples "a" and "b", so a start time no summary window
+    can place is refused before any utterance is built."""
+    corpus, decoded = tmp_path / "corpus.jsonl", tmp_path / "decoded.jsonl"
     corpus.write_text(json.dumps(_SAMPLE) + "\n")
-    load, good, error = {"hyp": (lambda p: _load_decoded(corpus, p)[1], _HYP, ValueError),
-                         "corpus": (lambda p: load_corpus(p).samples, _SAMPLE, CorpusError)}[reader]
+    decoded.write_text(json.dumps(_HYP) + "\n" + json.dumps({**_HYP, "id": "b"}) + "\n")
+    load, good, error = {
+        "hyp": (lambda p: _load_decoded(corpus, p)[1], _HYP, ValueError),
+        "corpus": (lambda p: load_corpus(p).samples, _SAMPLE, CorpusError),
+        "utt": (lambda p: corpus_to_utterances(*_load_decoded(p, decoded)), _SAMPLE, CorpusError),
+    }[reader]
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(good) + "\n" + line + "\n")
     with pytest.raises(error, match=message):
