@@ -20,10 +20,11 @@ softmax, so every utterance attends to exactly its own states
 every utterance with one batched decoder step, giving (G, beam_size, V)
 candidate scores in which BOS and unused slots score -inf.  Per utterance,
 only candidates at or above its beam_size-th largest score (one
-np.partition along each utterance's row) can survive, so the exact
-(-score, tokens) sort runs over its finished hypotheses plus that
-shortlist.  The shortlist is widened to every candidate tied with the
-cut-off (a zero-parameter model ties them all), so order, tie-break and
+np.partition along each utterance's row) can survive.  The utterance's own
+list of finished hypotheses takes that shortlist, is sorted in place by
+(-score, tokens) and cut to beam_size, and its live survivors refill the
+utterance's slots.  The shortlist is widened to every candidate tied with
+the cut-off (a zero-parameter model ties them all), so order, tie-break and
 beam 1 = greedy are those of sorting every candidate.  An utterance whose
 prefixes have all finished leaves the group, so the arrays shrink as the
 group decodes."""
@@ -74,11 +75,8 @@ class NBestList:
                 f"N-best list holds {len(self.hypotheses)} hypotheses for beam size "
                 f"{self.beam_size}"
             )
-        seen = set()
-        for h in self.hypotheses:
-            if h.tokens in seen:
-                raise BeamError(f"duplicate hypothesis tokens {h.tokens}")
-            seen.add(h.tokens)
+        if len({h.tokens for h in self.hypotheses}) < len(self.hypotheses):
+            raise BeamError(f"duplicate hypothesis tokens in {[h.tokens for h in self.hypotheses]}")
 
 
 def beam_decode(
@@ -111,7 +109,9 @@ def beam_decode_batch(
     unfinished.  The inputs decode in groups of similar length (see the
     module docstring); an input that holds a non-id, is empty or holds an
     out-of-range id raises ``ModelError`` whose ``row`` is the position in
-    ``inputs`` of the first input at fault.
+    ``inputs`` of the first input at fault.  A model whose non-finite entries
+    leave an N-best list empty raises ``ModelParams.validate``'s ModelError,
+    which names the matrix; the check runs only then.
     """
     if beam_size < 1:
         raise BeamError(f"beam size must be >= 1, got {beam_size}")
@@ -124,8 +124,12 @@ def beam_decode_batch(
     for g in range(n_groups):
         rows = order[g * len(order) // n_groups:(g + 1) * len(order) // n_groups]
         decoder = _Decoder(params, padded.take(rows))
-        for row, nbest in zip(rows.tolist(), _decode_group(decoder, beam_size, max_len, bos_id,
-                                                          eos_id)):
+        try:
+            nbests = _decode_group(decoder, beam_size, max_len, bos_id, eos_id)
+        except BeamError:  # an empty list: a non-finite model scores no candidate
+            params.validate()
+            raise
+        for row, nbest in zip(rows.tolist(), nbests):
             out[row] = nbest
     return out
 
@@ -146,20 +150,21 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
                   eos_id: int) -> list[NBestList]:
     vocab, d = decoder.params.target_vocab_size, decoder.params.d
 
-    # Group row g decodes utterance owner[g] in `slots` slots (one for the
-    # empty prefix in the first round, beam_size after): slot
-    # r = g * slots + b holds prefix prefixes[r], state states[g, b], score
-    # log_probs[g, b] and last token last[g, b].  Unused slots score -inf.
-    owner = list(range(len(decoder.values)))
-    slots = 1
-    states = np.zeros((len(owner), 1, d))
-    log_probs = np.zeros((len(owner), 1, 1))  # trailing axis broadcasts over the vocabulary
-    last = np.zeros((len(owner), 1), dtype=np.int64) + bos_id
-    prefixes: list[tuple[int, ...]] = [()] * len(owner)
-    # Per utterance, the latest ranking of (-score, tokens, index into that
+    # Per utterance, its ranked hypotheses as (-score, tokens, index into that
     # round's scores, or -1 once finished): tuple order is the beam's order,
-    # best score first and ties by tokens.
-    ranking: list[list[tuple[float, tuple[int, ...], int]]] = [[] for _ in owner]
+    # best score first and ties by tokens.  Between rounds a list holds only
+    # its finished hypotheses, as the live ones are in the slots.
+    ranked: list[list[tuple[float, tuple[int, ...], int]]] = [[] for _ in decoder.values]
+    # Group row g decodes the utterance whose list is pools[g], in `slots`
+    # slots (one for the empty prefix in the first round, beam_size after):
+    # slot r = g * slots + b holds prefix prefixes[r], state states[g, b],
+    # score log_probs[g, b] and last token last[g, b].  Unused slots score -inf.
+    pools = list(ranked)
+    slots = 1
+    states = np.zeros((len(pools), 1, d))
+    log_probs = np.zeros((len(pools), 1, 1))  # trailing axis broadcasts over the vocabulary
+    last = np.zeros((len(pools), 1), dtype=np.int64) + bos_id
+    prefixes: tuple[tuple[int, ...], ...] = ((),) * len(pools)
 
     for round_ in range(max_len):
         scores, s_new = decoder.step(states, last)
@@ -167,37 +172,42 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
         scores[..., bos_id] = -np.inf  # BOS is never emitted
         # Per utterance, only scores at or above the beam_size-th best can
         # survive; >= keeps ties.
-        per_row = scores.reshape(len(owner), -1)
+        per_row = scores.reshape(len(pools), -1)
         kth = max(per_row.shape[1] - beam_size, 0)
         # a copy, as a view would keep the whole partitioned copy alive
         cut = np.partition(per_row, kth, axis=1)[:, kth].copy()
         shortlist = (per_row >= cut[:, None]).ravel().nonzero()[0]
-        candidates: list[list] = [[] for _ in owner]
         for lp, at in zip(scores.ravel()[shortlist].tolist(), shortlist.tolist()):
             if lp == -inf:  # BOS or an unused slot, let in by a -inf cut
                 continue
             slot, tok = divmod(at, vocab)
             if tok == eos_id:
-                candidates[slot // slots].append((-lp, prefixes[slot], -1))
+                pools[slot // slots].append((-lp, prefixes[slot], -1))
             else:
-                candidates[slot // slots].append((-lp, prefixes[slot] + (tok,), at))
-        keep, picked, prefixes = [], [], []
-        for g, u in enumerate(owner):
-            finished = [c for c in ranking[u] if c[2] < 0]
-            ranking[u] = sorted(finished + candidates[g])[:beam_size]
-            live = [c for c in ranking[u] if c[2] >= 0]
-            if live:
+                pools[slot // slots].append((-lp, prefixes[slot] + (tok,), at))
+        keep, alive = [], []
+        for g, hyps in enumerate(pools):
+            hyps.sort()
+            del hyps[beam_size:]
+            live = [c for c in hyps if c[2] >= 0]
+            if live and round_ < max_len - 1:
                 keep.append(g)
-                # an unused slot points at the BOS entry of slot 0, scored -inf
-                picked += [at for _, _, at in live] + [bos_id] * (beam_size - len(live))
-                prefixes += [toks for _, toks, _ in live] + [()] * (beam_size - len(live))
-        if not keep or round_ == max_len - 1:
+                alive += live
+                if len(live) < beam_size:
+                    # an unused slot points at the BOS entry of slot 0, scored -inf
+                    alive += [(inf, (), bos_id)] * (beam_size - len(live))
+                if len(live) < len(hyps):
+                    hyps[:] = [c for c in hyps if c[2] < 0]
+                else:
+                    hyps.clear()
+        if not keep:
             break
-        if len(keep) < len(owner):
-            owner = [owner[g] for g in keep]
+        if len(keep) < len(pools):
+            pools = [pools[g] for g in keep]
             decoder.select(keep)
         slots = beam_size
-        shape = (len(owner), slots)
+        shape = (len(pools), slots)
+        _, prefixes, picked = zip(*alive)
         picked = np.array(picked)
         log_probs = scores.ravel()[picked].reshape(shape + (1,))
         rows, tokens = np.divmod(picked, vocab)
@@ -205,8 +215,7 @@ def _decode_group(decoder: _Decoder, beam_size: int, max_len: int, bos_id: int,
         last = tokens.reshape(shape)
         del scores, per_row, s_new  # not held through the next step
 
-    # the last ranking is in order; its live entries were cut at max_len
+    # the lists are in order; live entries left in them were cut at max_len
     return [NBestList([Hypothesis(tokens=toks, log_prob=-cost, finished=at < 0)
                        for cost, toks, at in hyps], beam_size=beam_size)
-            for hyps in ranking]
-
+            for hyps in ranked]

@@ -60,7 +60,9 @@ _CONFIG_TYPES = {  # a tunable's type -> (what its config value must be, the tes
 
 def _options(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolve tunables: flag beats config beats default.  A config key that
-    is not a tunable, or whose JSON type does not fit it, is refused."""
+    is not a tunable, or whose JSON type does not fit it, is refused.  A
+    config value is also set on ``args``, where only given tunables are not
+    None, so a handler can tell a given value from a default."""
     config = {}
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -75,11 +77,12 @@ def _options(args: argparse.Namespace, defaults: dict) -> dict:
             want, fits = _CONFIG_TYPES[str if default is None else type(default)]
             if not (fits(value) or (value is None and default is None)):
                 raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
-    opts = {}
+    opts, given = {}, vars(args)
     for key, default in defaults.items():
-        value = getattr(args, key.replace("-", "_"))
-        if value is None:
-            value = config.get(key, default)
+        attr = key.replace("-", "_")
+        if given[attr] is None:
+            given[attr] = config.get(key)
+        value = default if given[attr] is None else given[attr]
         opts[key] = value if value is None or default is None else type(default)(value)
     return opts
 
@@ -143,6 +146,9 @@ def _cmd_train_ce(args, opts: dict) -> int:
     dev = corpus_mod.load_corpus(args.dev) if args.dev else None
     if args.init:
         params = model_mod.load_checkpoint(args.init)
+        if args.d is not None and opts["d"] != params.d:
+            raise UsageError(f"d {opts['d']} differs from the d {params.d} of the --init "
+                             f"checkpoint {args.init}")
     else:
         params = model_mod.init_params(
             opts["d"], corpus.source_vocab_size, len(corpus.token_vocab), seed=opts["seed"],

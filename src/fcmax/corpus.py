@@ -180,9 +180,7 @@ class Corpus:
     def split(self, *sizes: int) -> list["Corpus"]:
         """Partition samples by position into consecutive sub-corpora."""
         if sum(sizes) > len(self.samples):
-            raise CorpusError(
-                f"cannot split {len(self.samples)} samples into parts of {sizes}"
-            )
+            raise CorpusError(f"cannot split {len(self.samples)} samples into parts of {sizes}")
         out, at = [], 0
         for n in sizes:
             out.append(Corpus(self.samples[at:at + n], self.source_vocab_size, self.token_vocab))
@@ -213,31 +211,22 @@ class SynthConfig:
         if self.n_samples < 0:
             raise CorpusError(f"n_samples must be >= 0, got {self.n_samples}")
         if not 0.0 <= self.negation_drop_rate <= 1.0:
-            raise CorpusError(
-                f"negation_drop_rate must be in [0, 1], got {self.negation_drop_rate}"
-            )
+            raise CorpusError(f"negation_drop_rate must be in [0, 1], got "
+                              f"{self.negation_drop_rate}")
         if self.min_len > self.max_len:
             raise CorpusError(f"min_len {self.min_len} exceeds max_len {self.max_len}")
         if self.min_len < _MIN_SENTENCE_WORDS:
-            raise CorpusError(
-                f"min_len must be >= {_MIN_SENTENCE_WORDS} (shortest grammar sentence), "
-                f"got {self.min_len}"
-            )
+            raise CorpusError(f"min_len must be >= {_MIN_SENTENCE_WORDS} (shortest grammar "
+                              f"sentence), got {self.min_len}")
         if self.max_len > _MAX_SENTENCE_WORDS:
-            raise CorpusError(
-                f"max_len must be <= {_MAX_SENTENCE_WORDS} (longest grammar sentence), "
-                f"got {self.max_len}"
-            )
+            raise CorpusError(f"max_len must be <= {_MAX_SENTENCE_WORDS} (longest grammar "
+                              f"sentence), got {self.max_len}")
         if self.max_len < _MIN_SENTENCE_WORDS + 1:
-            raise CorpusError(
-                f"max_len must be >= {_MIN_SENTENCE_WORDS + 1} so negated sentences fit, "
-                f"got {self.max_len}"
-            )
+            raise CorpusError(f"max_len must be >= {_MIN_SENTENCE_WORDS + 1} so negated "
+                              f"sentences fit, got {self.max_len}")
         if not (_positive_finite(self.content_weight) and _positive_finite(self.filler_weight)):
-            raise CorpusError(
-                f"token weights must be finite and > 0, got content={self.content_weight} "
-                f"filler={self.filler_weight}"
-            )
+            raise CorpusError(f"token weights must be finite and > 0, got "
+                              f"content={self.content_weight} filler={self.filler_weight}")
 
 
 @functools.lru_cache(maxsize=8)  # a process uses one vocabulary or a few
@@ -315,10 +304,7 @@ def _build_clause(rng, subject: str, negation: str | None, n_adverbs: int) -> li
     if negation is not None:
         toks.append(negation)
     toks.extend(_choose_distinct(rng, _ADVERBS, n_adverbs))
-    toks.append(_choose(rng, _VERBS))
-    toks.append(_choose(rng, _DETERMINERS))
-    toks.append(_choose(rng, _NOUNS))
-    return toks
+    return toks + [_choose(rng, _VERBS), _choose(rng, _DETERMINERS), _choose(rng, _NOUNS)]
 
 
 def _build_sentence(rng: np.random.Generator, target_words: int, negated: bool) -> list[str]:
@@ -335,8 +321,7 @@ def _build_sentence(rng: np.random.Generator, target_words: int, negated: bool) 
         c2_adv = 0
     toks = _build_clause(rng, _choose(rng, _SUBJECTS), negation, c1_adv)
     if use_second:
-        toks.append(",")
-        toks.append(_CONJUNCTION)
+        toks += [",", _CONJUNCTION]
         toks.extend(_build_clause(rng, _choose(rng, _SUBJECTS_CLAUSE2), None, c2_adv))
     if tail:
         toks.append(_choose(rng, _TAILS))

@@ -233,19 +233,14 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
         t = math.inf if mean > 0 else -math.inf
         return TTestResult(t_statistic=t, degrees_of_freedom=df, p_value_two_tailed=0.0)
     t = mean / math.sqrt(var / n)
-    return TTestResult(
-        t_statistic=t,
-        degrees_of_freedom=df,
-        p_value_two_tailed=student_t_p_value(t, df),
-    )
+    return TTestResult(t_statistic=t, degrees_of_freedom=df,
+                       p_value_two_tailed=student_t_p_value(t, df))
 
 
 def csv_report(rows: Sequence[tuple[str, float, int]]) -> str:
     """metric,value,n lines for machine consumption."""
-    out = ["metric,value,n"]
-    for metric, value, n in rows:
-        out.append(f"{metric},{value:.6f},{n}")
-    return "\n".join(out) + "\n"
+    return "".join(["metric,value,n\n", *(f"{metric},{value:.6f},{n}\n"
+                                           for metric, value, n in rows)])
 
 
 def markdown_report(systems: Sequence[tuple[str, UtteranceRow]]) -> str:

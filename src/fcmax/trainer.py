@@ -173,7 +173,8 @@ def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
     """The N-best list of every sample, decoded together by one batched beam
     search.  A model whose target vocabulary is not the corpus's, whose ids
     would render as other tokens or as none, raises FcmError naming both
-    sizes; an input that cannot be encoded raises FcmError naming its sample."""
+    sizes; an input that cannot be encoded raises FcmError naming its sample,
+    and a ModelError about the model itself (no ``row``) passes on as it is."""
     if params.target_vocab_size != len(corpus.token_vocab):
         raise FcmError(f"the model's target vocabulary has {params.target_vocab_size} tokens, "
                        f"the corpus's {len(corpus.token_vocab)}")
@@ -181,6 +182,8 @@ def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
         return beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
                                  bos_id=corpus.bos_id, eos_id=corpus.eos_id)
     except ModelError as exc:
+        if exc.row is None:
+            raise
         raise FcmError(f"sample {samples[exc.row].id!r}: {exc}") from exc
 
 

@@ -200,6 +200,24 @@ def test_decode_groups_keep_the_bits_of_each_input_alone(bench_start_model, beam
                                        (split.samples[0].id, beam))
 
 
+@pytest.mark.parametrize("beam", [1, 4, 8])
+def test_batch_decoding_of_the_trained_model_matches_per_prefix_reference(bench_start_model,
+                                                                            beam):
+    """The first 40 seed-7 dev inputs, decoded together by the trained start
+    model, against the per-prefix oracle decoding each input alone: the same
+    tokens and finished flags, and log-probs within 1e-12."""
+    params, dev, _ = bench_start_model
+    samples = dev.samples[:40]
+    got = beam_decode_batch(params, [s.input for s in samples], beam, 24, dev.bos_id,
+                            dev.eos_id)
+    for nbest, sample in zip(got, samples):
+        want = reference_beam_decode(params, sample.input, beam, 24, dev.bos_id, dev.eos_id)
+        assert [(h.tokens, h.finished) for h in nbest.hypotheses] == \
+            [(h.tokens, h.finished) for h in want.hypotheses], (sample.id, beam)
+        for g, w in zip(nbest.hypotheses, want.hypotheses):
+            assert abs(g.log_prob - w.log_prob) <= 1e-12, (sample.id, beam)
+
+
 @pytest.mark.parametrize("n_inputs, longest", [
     (GROUP_PREFIXES // 8 + 1, 9),    # one input more than a group holds at beam 8
     (100, 14),                       # groups of many widths at beams 4 and 8
@@ -245,6 +263,21 @@ def test_batch_decoding_reports_the_input_that_cannot_be_encoded():
         with pytest.raises(ModelError, match=match) as err:
             beam_decode_batch(p, bad, 8, 3, bos_id=BOS_ID, eos_id=EOS_ID)
         assert err.value.row == first, (first, second)
+
+
+@pytest.mark.parametrize("matrix", ["out_bias", "dec_state", "attn"])
+def test_a_non_finite_model_is_named_by_its_matrix(matrix):
+    """A NaN in a matrix every step reads leaves every N-best list empty; the
+    decode raises the model's ModelError naming the matrix, not a BeamError
+    about an empty list, while the same model without the NaN decodes."""
+    p = random_params(4, 5, 6, seed=3)
+    inputs = [[1, 2], [3], [4, 0, 2]]
+    assert len(beam_decode_batch(p, inputs, 4, 5, bos_id=BOS_ID, eos_id=EOS_ID)) == 3
+    getattr(p, matrix).flat[2] = np.nan
+    for beam in (1, 4):
+        with pytest.raises(ModelError, match=f"non-finite entries in matrix {matrix}$") as err:
+            beam_decode_batch(p, inputs, beam, 5, bos_id=BOS_ID, eos_id=EOS_ID)
+        assert err.value.row is None
 
 
 def test_posterior_fixture_ranks_dominant_first(ambiguity_fixture):

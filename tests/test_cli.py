@@ -99,6 +99,29 @@ def test_train_fcm_caps_the_updates_at_its_iterations(tmp_path, capsys, monkeypa
     assert seen["safeguard"].max_fcm_iterations == 600
 
 
+def test_train_ce_refuses_a_model_size_that_is_not_the_checkpoints(tmp_path, capsys):
+    """With --init the checkpoint fixes d: a d from the flag or the config
+    that differs is a usage error naming both, and no d, or the same d, trains."""
+    corpus, init, out = (str(tmp_path / name) for name in ("c.jsonl", "a.json", "b.json"))
+    assert run(["gen-data", "--n", "4", "--out", corpus]) == 0
+    loaded = load_corpus(corpus)
+    save_checkpoint(init_params(8, loaded.source_vocab_size, len(loaded.token_vocab), seed=0),
+                    init)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 99}))
+    train = ["train-ce", "--corpus", corpus, "--init", init, "--out", out, "--iters", "2"]
+    capsys.readouterr()
+    for given, d in ((["--d", "99"], 99), (["--config", str(cfg)], 99),
+                     (["--config", str(cfg), "--d", "32"], 32)):  # the flag beats the config
+        assert run(train + given) == 1, given
+        assert f"d {d} differs from the d 8 of the --init checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+    for given in ([], ["--d", "8"]):
+        assert run(train + given) == 0, given
+        assert json.loads((tmp_path / "b.json").read_text())["d"] == 8
+        (tmp_path / "b.json").unlink()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
 

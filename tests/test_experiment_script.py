@@ -15,7 +15,9 @@ from fcmax.cli import run
 from fcmax.corpus import load_corpus, normalize_text
 
 ROOT = Path(__file__).resolve().parent.parent
-TINY = ["--n-train", "30", "--n-dev", "10", "--d", "8", "--ce-iters", "20", "--fcm-iters", "4",
+# At 300 CE iterations and d 12 the start model passes the deletion guard, so
+# the FCM updates run.
+TINY = ["--n-train", "30", "--n-dev", "10", "--d", "12", "--ce-iters", "300", "--fcm-iters", "4",
         "--quiet"]
 
 
@@ -31,7 +33,7 @@ def _run_script(out_dir: Path, *argv: str) -> subprocess.CompletedProcess:
 
 # At 5 test utterances there is one summary window, and at 1 one utterance
 # pair too: a t-test with fewer than two pairs prints n/a and reports null.
-# The 20 CE iterations run a dev check every 5.
+# The 300 CE iterations run a dev check every 75.
 @pytest.mark.parametrize("n_test", ["10", "5", "1"])
 def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     proc = _run_script(tmp_path, "--n-test", n_test)
@@ -57,7 +59,9 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     for key in ("utt_ttest_fcm_vs_ce", "summary_ttest_fcm_vs_ce"):
         assert report[key] is None or set(report[key]) == {"t", "p"}
     ce_log = (tmp_path / "ce_metrics.jsonl").read_text().splitlines()
-    assert [json.loads(line)["iter"] for line in ce_log] == [5, 10, 15, 20]
+    assert [json.loads(line)["iter"] for line in ce_log] == [75, 150, 225, 300]
+    assert not report["guard_tripped"]
+    assert (tmp_path / "fcm.json").read_bytes() != (tmp_path / "ce.json").read_bytes()
 
 
 @pytest.mark.parametrize("flag, setting", [("--fcm-iters", "max_fcm_iterations"),
@@ -80,13 +84,12 @@ def test_the_cli_at_its_defaults_is_the_scripts_experiment(tmp_path, capsys):
     """gen-data, a split by lines, train-ce and train-fcm, given only the
     sizes, iterations, model size and seeds, write the script's checkpoints;
     decode, then eval-utt and eval-sum on the same corpus and decode file,
-    give the script's fcm row and summary scores, bit for bit.  At 300 CE
-    iterations and d 12 the start model passes the deletion guard, so the
-    FCM updates are compared too."""
-    seed, ce_iters, d = 7, "300", "12"
+    give the script's fcm row and summary scores, bit for bit.  The start
+    model passes the deletion guard, so the FCM updates are compared too."""
+    seed = 7
+    ce_iters, d = (TINY[TINY.index(flag) + 1] for flag in ("--ce-iters", "--d"))
     script, cli = tmp_path / "script", tmp_path / "cli"
-    proc = _run_script(script, "--n-test", "10", "--seed", str(seed), "--ce-iters", ce_iters,
-                       "--d", d)
+    proc = _run_script(script, "--n-test", "10", "--seed", str(seed))
     assert proc.returncode == 0, proc.stderr
     assert not json.loads((script / "report.json").read_text())["guard_tripped"]
     assert (script / "fcm.json").read_bytes() != (script / "ce.json").read_bytes()

@@ -17,7 +17,7 @@ from fcmax.corpus import (
     normalize_text,
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
-from fcmax.model import apply_update, init_params, trajectory
+from fcmax.model import ModelError, apply_update, init_params, trajectory
 from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
 from fcmax.trainer import (
     SafeguardConfig, TrainerError, TrainingSchedule, _batch_iterator, _minibatch_gradient,
@@ -387,6 +387,18 @@ def test_decode_failures_name_the_sample():
     huge = Sample(id=bad.id, input=(2**63,), reference=bad.reference)
     with pytest.raises(FcmError, match=f"sample {bad.id!r}: .*outside int64"):
         decode_samples(params, corpus, [corpus.samples[0], huge], 2, 4)
+
+
+@pytest.mark.parametrize("matrix", ["out_bias", "dec_state", "attn"])
+def test_decoding_a_non_finite_model_names_the_matrix_and_no_sample(matrix):
+    """A NaN in a matrix every step reads scores no candidate: the decode
+    passes on the model's ModelError, which names the matrix and no sample."""
+    corpus = _toy_corpus(4)
+    params = random_params(4, corpus.source_vocab_size, len(corpus.token_vocab), seed=2)
+    getattr(params, matrix).flat[1] = np.nan
+    with pytest.raises(ModelError, match=f"non-finite entries in matrix {matrix}$") as err:
+        decode_samples(params, corpus, corpus.samples, 4, 6)
+    assert err.value.row is None
 
 
 def test_decoding_refuses_a_model_of_another_target_vocabulary():
