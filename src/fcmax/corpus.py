@@ -179,6 +179,8 @@ class Corpus:
 
     def split(self, *sizes: int) -> list["Corpus"]:
         """Partition samples by position into consecutive sub-corpora."""
+        if sizes and min(sizes) < 0:
+            raise CorpusError(f"a split size must be >= 0, got {min(sizes)}")
         if sum(sizes) > len(self.samples):
             raise CorpusError(f"cannot split {len(self.samples)} samples into parts of {sizes}")
         out, at = [], 0

@@ -146,10 +146,14 @@ def avg_consistency(
     return sum(scores) / len(scores), scores
 
 
-def consistent_ratio(scores: Sequence[float], threshold: float) -> float:
-    """Fraction of avg_consistency's per-pair scores that reach the threshold (inclusive)."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
         raise MetricsError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def consistent_ratio(scores: Sequence[float], threshold: float) -> float:
+    """Fraction of avg_consistency's per-pair scores that reach the threshold (inclusive)."""
+    _check_threshold(threshold)
     if not scores:
         raise MetricsError("consistent_ratio needs at least one score")
     return sum(1 for s in scores if s >= threshold) / len(scores)
@@ -167,7 +171,9 @@ class UtteranceRow(NamedTuple):
 def evaluate_utterances(pairs: Sequence[tuple[str, str]], scorer: ConsistencyScorer,
                         threshold: float) -> UtteranceRow:
     """The pooled edit breakdown of (hypothesis, reference) pairs, their mean
-    consistency, the share that reach the threshold and the per-pair scores."""
+    consistency, the share that reach the threshold and the per-pair scores.
+    A threshold outside [0, 1] is refused before any pair is scored."""
+    _check_threshold(threshold)
     breakdown = corpus_wer(pairs)
     mean, scores = avg_consistency(pairs, scorer)
     return UtteranceRow(breakdown, mean, consistent_ratio(scores, threshold), scores)

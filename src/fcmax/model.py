@@ -468,7 +468,7 @@ def load_checkpoint(path) -> ModelParams:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ModelError(f"checkpoint must be a JSON object, got a JSON {type(doc).__name__}")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
         raise ModelError(f"unsupported checkpoint version {doc.get('version')!r}")
     vocab = doc["vocab_sizes"] if isinstance(doc.get("vocab_sizes"), dict) else {}
     header = {"d": doc.get("d"), "vocab_sizes.source": vocab.get("source"),

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import reference_detokenize, reference_posteriors
-from fcmax.cli import run
+from fcmax.cli import COMMANDS, run
 from fcmax.corpus import load_corpus, normalize_text
 from fcmax.model import init_params, save_checkpoint
 from fcmax.trainer import TrainResult
@@ -59,14 +59,11 @@ def test_ttest_refuses_a_score_that_is_not_a_finite_number(tmp_path, capsys, sco
 
 def test_gen_data_has_no_scorer_weights(tmp_path, capsys):
     """The content and filler weights belong to the weighted-F1 scorer; the
-    corpus generator never reads them, so gen-data refuses both forms."""
+    corpus generator never reads them, so gen-data refuses both flags."""
     out = str(tmp_path / "c.jsonl")
-    assert run(["gen-data", "--out", out, "--content-weight", "9"]) == 1
-    assert "--content-weight" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"filler-weight": 0.1}))
-    assert run(["gen-data", "--out", out, "--config", str(cfg)]) == 1
-    assert "filler-weight" in capsys.readouterr().err
+    for flag in ("--content-weight", "--filler-weight"):
+        assert run(["gen-data", "--out", out, flag, "9"]) == 1
+        assert flag in capsys.readouterr().err
     assert not (tmp_path / "c.jsonl").exists()
 
 
@@ -100,22 +97,18 @@ def test_train_fcm_caps_the_updates_at_its_iterations(tmp_path, capsys, monkeypa
 
 
 def test_train_ce_refuses_a_model_size_that_is_not_the_checkpoints(tmp_path, capsys):
-    """With --init the checkpoint fixes d: a d from the flag or the config
-    that differs is a usage error naming both, and no d, or the same d, trains."""
+    """With --init the checkpoint fixes d: a --d that differs is a usage
+    error naming both, and no d, or the same d, trains."""
     corpus, init, out = (str(tmp_path / name) for name in ("c.jsonl", "a.json", "b.json"))
     assert run(["gen-data", "--n", "4", "--out", corpus]) == 0
     loaded = load_corpus(corpus)
     save_checkpoint(init_params(8, loaded.source_vocab_size, len(loaded.token_vocab), seed=0),
                     init)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"d": 99}))
     train = ["train-ce", "--corpus", corpus, "--init", init, "--out", out, "--iters", "2"]
     capsys.readouterr()
-    for given, d in ((["--d", "99"], 99), (["--config", str(cfg)], 99),
-                     (["--config", str(cfg), "--d", "32"], 32)):  # the flag beats the config
-        assert run(train + given) == 1, given
-        assert f"d {d} differs from the d 8 of the --init checkpoint" in capsys.readouterr().err
-        assert not (tmp_path / "b.json").exists()
+    assert run(train + ["--d", "99"]) == 1
+    assert "d 99 differs from the d 8 of the --init checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
     for given in ([], ["--d", "8"]):
         assert run(train + given) == 0, given
         assert json.loads((tmp_path / "b.json").read_text())["d"] == 8
@@ -134,75 +127,28 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 10, "seed": 3, "negation-drop-rate": 1}))  # int for a float
-    out = tmp_path / "c.jsonl"
-    code, _ = _run(capsys, "gen-data", "--config", str(cfg), "--out", str(out),
-                   "--n", "4")
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 4  # flag beat the config
+@pytest.mark.parametrize("command", ["gen-data", "train-ce", "train-fcm", "decode", "eval-utt",
+                                     "eval-sum"])
+def test_config_is_not_an_option(tmp_path, capsys, command):
+    """A tunable is set only by its flag: --config is refused by argparse on
+    every subcommand with tunables, given its required files, before any
+    file is read or written."""
+    required = [arg for flag, needed in COMMANDS[command].files.items() if needed
+                for arg in (f"--{flag}", str(tmp_path / flag))]
+    assert run([command, *required, "--config", str(tmp_path / "x.json")]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    train_fcm = ["train-fcm", "--corpus", "x.jsonl", "--out", "y.json", "--init", "z.json",
-                 "--scorer", "weighted-f1"]
-    cases = [
-        (["gen-data", "--out", str(tmp_path / "c.jsonl")], {"wat": 1}),
-        # train-fcm has no model size and no checkpoint interval
-        (train_fcm, {"d": 12}),
-        (train_fcm, {"checkpoint-every": 5}),
-        # nor an update cap apart from its iterations
-        (train_fcm, {"max-fcm-iters": 5}),
-    ]
-    cfg = tmp_path / "cfg.json"
-    for argv, config in cases:
-        cfg.write_text(json.dumps(config))
-        assert run([*argv, "--config", str(cfg)]) == 1, config
-        assert "unknown config keys" in capsys.readouterr().err, config
-
-
-_TRAIN_CE = ["train-ce", "--corpus", "x.jsonl", "--out", "y.json"]
-_EVAL_SUM = ["eval-sum", "--corpus", "c.jsonl", "--hyp", "h.jsonl"]
-
-
-@pytest.mark.parametrize("argv, config, named", [
-    (_TRAIN_CE, {"iters": 2.7}, "config key 'iters' must be an integer, got 2.7"),
-    (_TRAIN_CE, {"iters": 2.0}, "config key 'iters' must be an integer, got 2.0"),
-    (_TRAIN_CE, {"d": True}, "config key 'd' must be an integer, got true"),
-    (_TRAIN_CE, {"seed": "3"}, "config key 'seed' must be an integer, got \"3\""),
-    (_TRAIN_CE, {"batch-size": None}, "config key 'batch-size' must be an integer, got null"),
-    (_TRAIN_CE, {"lr": "0.1"}, "config key 'lr' must be a number in float range, got \"0.1\""),
-    (_TRAIN_CE, {"lr": False}, "config key 'lr' must be a number in float range, got false"),
-    (_TRAIN_CE, {"lr": 10 ** 400}, "config key 'lr' must be a number in float range, got 1000"),
-    (_EVAL_SUM, {"chunk-seconds": [60]}, "config key 'chunk-seconds' must be a number"),
-    (_EVAL_SUM, {"scorer-url": 5}, "config key 'scorer-url' must be a string, got 5"),
-], ids=["int-gets-float", "int-gets-integral-float", "int-gets-bool", "int-gets-string",
-        "int-gets-null", "float-gets-string", "float-gets-bool", "float-gets-huge-int",
-        "float-gets-list", "string-gets-int"])
-def test_config_value_must_fit_the_tunable_type(tmp_path, capsys, argv, config, named):
-    """A config value is checked as its flag form is, never coerced: a bool is
-    never a number, an int tunable takes only an int, a float tunable an int
-    or a float, a string tunable only a string (or null when it has no
-    default).  The refusal comes before any file is read."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run([*argv, "--config", str(cfg)]) == 1
-    assert named in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("config, flags, named", [
-    ({"scorer": "bogus"}, [], "bogus"),
-    ({}, ["--scorer", "remote"], "FCM_SCORER_URL"),
-    ({}, ["--scorer", "remote", "--scorer-url", "localhost:8000"],
+@pytest.mark.parametrize("flags, named", [
+    (["--scorer", "bogus"], "bogus"),
+    (["--scorer", "remote"], "FCM_SCORER_URL"),
+    (["--scorer", "remote", "--scorer-url", "localhost:8000"],
      "--scorer-url: endpoint 'localhost:8000' is not an http:// or https:// URL"),
 ], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url"])
-def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, flags, named):
+def test_eval_utt_scorer_usage_errors(capsys, monkeypatch, flags, named):
     monkeypatch.delenv("FCM_SCORER_URL", raising=False)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl",
-                "--config", str(cfg), *flags])
+    code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl", *flags])
     assert code == 1
     assert named in capsys.readouterr().err
 
@@ -211,7 +157,8 @@ def test_eval_utt_scorer_usage_errors(tmp_path, capsys, monkeypatch, config, fla
     (["train-fcm", "--corpus", "x.jsonl", "--init", "m.json", "--out", "y.json",
       "--scorer", "remote", "--scorer-url", "ftp://127.0.0.1/s"],
      "--scorer-url: endpoint 'ftp://127.0.0.1/s'"),
-    ([*_EVAL_SUM, "--summarizer", "http://127.0.0.1:notaport"],
+    (["eval-sum", "--corpus", "c.jsonl", "--hyp", "h.jsonl",
+      "--summarizer", "http://127.0.0.1:notaport"],
      "--summarizer: endpoint 'http://127.0.0.1:notaport' has an invalid port"),
 ], ids=["train-fcm-scorer-url", "eval-sum-summarizer"])
 def test_an_unusable_endpoint_is_a_usage_error(capsys, argv, named):
@@ -233,6 +180,23 @@ def test_eval_utt_remote_scores_each_pair_once(tmp_path, capsys, wire_server):
     assert code == 0 and "| 0.750 | 1.000 |" in out
     assert "| Ins (%) |" in out
     assert [path for path, _ in wire_server.requests] == ["/score"] * 6
+
+
+def test_eval_utt_refuses_a_threshold_outside_the_unit_interval_before_scoring(
+        tmp_path, capsys, wire_server):
+    """The threshold is checked before the first scorer call, so a remote
+    scorer sees no request and the error names the threshold."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert run(["gen-data", "--seed", "3", "--n", "3", "--out", str(corpus)]) == 0
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("".join(
+        json.dumps({"id": json.loads(line)["id"], "nbest": [{"text": "a b"}]}) + "\n"
+        for line in corpus.read_text().splitlines()))
+    capsys.readouterr()
+    assert run(["eval-utt", "--corpus", str(corpus), "--hyp", str(hyp), "--threshold", "1.5",
+                "--scorer", "remote", "--scorer-url", wire_server.url]) == 2
+    assert capsys.readouterr().err == "eval-utt: error: threshold must be in [0, 1], got 1.5\n"
+    assert wire_server.requests == []
 
 
 def test_eval_utt_refuses_a_repeated_hypothesis_id(tmp_path, capsys):
@@ -354,11 +318,9 @@ def test_metrics_log_schema(workflow):
     assert json.loads(lines[-1])["iter"] == 10
 
 
-def test_decode_reads_config(workflow, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"beam-size": 1}))
+def test_decode_beam_size_sets_the_nbest_length(workflow, tmp_path, capsys):
     out = tmp_path / "decoded.jsonl"
-    code, _ = _run(capsys, "decode", "--config", str(cfg), "--corpus", str(workflow / "dev.jsonl"),
+    code, _ = _run(capsys, "decode", "--beam-size", "1", "--corpus", str(workflow / "dev.jsonl"),
                    "--checkpoint", str(workflow / "fcm.json"), "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()

@@ -452,3 +452,15 @@ def test_split_partitions_in_order():
     a, b = corpus.split(7, 3)
     assert [s.id for s in a.samples] + [s.id for s in b.samples] == \
         [s.id for s in corpus.samples]
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ((-2, 5, 4), "a split size must be >= 0, got -2"),
+    ((7, 4), r"cannot split 10 samples into parts of \(7, 4\)"),
+], ids=["negative-size", "over-size"])
+def test_split_refuses_a_negative_or_too_large_size(sizes, match):
+    """A negative size would return a short part whose successor overlaps an
+    earlier part; a sum past the corpus would return short parts."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=10, seed=2))
+    with pytest.raises(CorpusError, match=f"^{match}$"):
+        corpus.split(*sizes)

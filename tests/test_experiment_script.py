@@ -64,16 +64,19 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     assert (tmp_path / "fcm.json").read_bytes() != (tmp_path / "ce.json").read_bytes()
 
 
-@pytest.mark.parametrize("flag, setting", [("--fcm-iters", "max_fcm_iterations"),
-                                           ("--fcm-lr", "initial_lr"),
-                                           ("--ce-batch", "batch_size")],
-                         ids=["--fcm-iters", "--fcm-lr", "--ce-batch"])
-def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag, setting):
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--fcm-iters", "0", "max_fcm_iterations"),
+    ("--fcm-lr", "0", "initial_lr"),
+    ("--ce-batch", "0", "batch_size"),
+    ("--n-train", "-20", "a split size must be >= 0, got -20"),
+], ids=["--fcm-iters", "--fcm-lr", "--ce-batch", "--n-train"])
+def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag, value, setting):
     """Each config is built before the corpus is generated, so a bad FCM
-    setting no longer surfaces only after CE training has written its files.
-    As from the CLI, the failure is one error line and exit status 2."""
+    setting no longer surfaces only after CE training has written its files,
+    and the split sizes are checked before any corpus file is written.  As
+    from the CLI, the failure is one error line and exit status 2."""
     out = tmp_path / "out"
-    proc = _run_script(out, "--n-test", "10", flag, "0")
+    proc = _run_script(out, "--n-test", "10", flag, value)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert setting in proc.stderr and "Traceback" not in proc.stderr

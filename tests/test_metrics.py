@@ -231,6 +231,18 @@ def test_evaluate_utterances_is_the_three_metrics_in_order(monkeypatch):
         evaluate_utterances(pairs, scorer, 1.5)
 
 
+def test_evaluate_utterances_refuses_the_threshold_before_scoring():
+    calls = []
+
+    def counting(hyp, ref):
+        calls.append((hyp, ref))
+        return 1.0
+
+    with pytest.raises(MetricsError, match=r"^threshold must be in \[0, 1\], got 1\.5$"):
+        evaluate_utterances([("a b", "a b"), ("c", "d")], ConsistencyScorer("count", counting), 1.5)
+    assert calls == []
+
+
 def test_consistent_ratio_boundaries():
     scores = [0.4, 0.6, 0.9]
     assert consistent_ratio(scores, 0.0) == 1.0

@@ -580,6 +580,12 @@ def _as_array(doc):
     return [doc]
 
 
+def _version(value):
+    def corrupt(doc):
+        doc["version"] = value
+    return corrupt
+
+
 def _attn_entry(value):
     def corrupt(doc):
         doc["matrices"]["attn"]["data"][5] = value
@@ -600,8 +606,11 @@ def _attn_entry(value):
     (_attn_entry(True), "matrix attn entry 5 .*, got True"),
     (_attn_entry(None), "matrix attn entry 5 .*, got None"),
     (_attn_entry(10 ** 400), "matrix attn entry 5 .*, got 1000"),
+    (_version(True), "^unsupported checkpoint version True$"),  # True == 1 in Python
+    (_version(1.0), r"^unsupported checkpoint version 1\.0$"),
 ], ids=["missing-matrix", "short-data", "bias-shape", "header-d", "header-target",
-        "huge-header", "json-array", "string-entry", "list-entry", "bool-entry", "null-entry", "huge-int-entry"])
+        "huge-header", "json-array", "string-entry", "list-entry", "bool-entry", "null-entry",
+        "huge-int-entry", "version-true", "version-float"])
 def test_load_checkpoint_refuses_a_document_that_does_not_fit_its_header(
         tmp_path, corrupt, match):
     path = tmp_path / "model.json"
