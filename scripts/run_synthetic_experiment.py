@@ -35,8 +35,7 @@ from fcmax.trainer import (
     SafeguardConfig, TrainingSchedule, decode_corpus_top1, train_ce, train_fcm,
 )
 
-DATA, CE, FCM, EVAL = (COMMANDS[name].options
-                       for name in ("gen-data", "train-ce", "train-fcm", "eval-utt"))
+DATA, CE, FCM = (COMMANDS[name].options for name in ("gen-data", "train-ce", "train-fcm"))
 
 
 def parse_args():
@@ -114,7 +113,7 @@ def main():
         with stage("test_eval"):
             texts = top1[label] = decode_corpus_top1(params, test, CE["beam-size"], CE["max-len"])
             pairs = [(t, s.reference) for t, s in zip(texts, test.samples)]
-            systems[label] = evaluate_utterances(pairs, scorer, EVAL["threshold"])
+            systems[label] = evaluate_utterances(pairs, scorer)
 
     random_model = init_params(args.d, train.source_vocab_size, len(train.token_vocab),
                                seed=args.seed)

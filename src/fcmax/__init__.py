@@ -21,8 +21,7 @@ from .scorers import (
     lcs_ratio, lcs_scorer, remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
 from .summeval import (
-    SummarizerParams, Utterance, build_prompt, evaluate_summaries, format_speaker_attributed,
-    make_summarizer,
+    Utterance, build_prompt, evaluate_summaries, format_speaker_attributed, make_summarizer,
 )
 from .trainer import (
     SafeguardConfig, TrainingSchedule, TrainResult, deletion_guard,

@@ -6,7 +6,10 @@ ttest.  Each is one ``COMMANDS`` entry: handler, help, file and label flags
 ``build_parser`` makes the flags.  The defaults are the synthetic
 experiment's, and ``scripts/run_synthetic_experiment.py`` reads those it
 shares with the CLI from this table.  A tunable is its flag, or its
-default when the flag is absent.  A checkpoint is evaluated by
+default when the flag is absent.  Evaluation settings that no program varies
+are constants, not flags: ``metrics.CONSISTENT_AT``, ``summeval.CHUNK_SECONDS``,
+``summeval.SUMMARIZER_SAMPLING`` and the scorer weights of
+``default_token_weights``.  A checkpoint is evaluated by
 ``decode``, then ``eval-utt --hyp`` and ``eval-sum --hyp`` on the same decode
 output, each with the ``--corpus`` it was decoded from.  Outputs are written
 atomically.  Exit status: 0 success, 1 usage error, 2 runtime error.
@@ -80,13 +83,11 @@ def _scorer(opts: dict) -> ConsistencyScorer:
             return remote_scorer(endpoint)
         except ValueError as exc:
             raise UsageError(f"--scorer-url: {exc}") from None
+    if opts.get("scorer-url"):
+        raise UsageError(f"--scorer-url is only read with --scorer remote, not --scorer {name}")
     if name != "weighted-f1":
         return {"exact": exact_match_scorer, "lcs": lcs_scorer}[name]()
-    return weighted_f1_scorer(default_token_weights(SynthConfig(
-        n_samples=0,
-        content_weight=opts["content-weight"],
-        filler_weight=opts["filler-weight"],
-    )))
+    return weighted_f1_scorer(default_token_weights(SynthConfig(n_samples=0)))
 
 
 def _save_trained(args, result: TrainResult) -> int:
@@ -186,7 +187,7 @@ def _cmd_eval_utt(args, opts: dict) -> int:
     scorer = _scorer(opts)
     corpus, texts = _load_decoded(args.corpus, args.hyp)
     pairs = [(texts[s.id], s.reference) for s in corpus.samples]
-    row = metrics_mod.evaluate_utterances(pairs, scorer, opts["threshold"])
+    row = metrics_mod.evaluate_utterances(pairs, scorer)
     breakdown, n = row.breakdown, len(pairs)
     rows = [
         ("wer", breakdown.wer, n),
@@ -207,16 +208,14 @@ def _cmd_eval_utt(args, opts: dict) -> int:
 def _cmd_eval_sum(args, opts: dict) -> int:
     endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
     scorer = _scorer(opts)
-    params = _from_options(summeval_mod.SummarizerParams, opts)
     try:
-        summarizer = summeval_mod.make_summarizer(endpoint, params)
+        summarizer = summeval_mod.make_summarizer(endpoint)
     except ValueError as exc:
         raise UsageError(f"--summarizer: {exc}") from None
     corpus, texts = _load_decoded(args.corpus, args.hyp)
     scores, mean = summeval_mod.evaluate_summaries(
         summeval_mod.corpus_to_utterances(corpus), summeval_mod.corpus_to_utterances(corpus, texts),
-        summarizer, scorer, chunk_seconds=opts["chunk-seconds"],
-    )
+        summarizer, scorer)
     if args.scores_out:
         atomic_write_text(args.scores_out, json.dumps(scores) + "\n")
     if args.out:
@@ -228,8 +227,7 @@ def _cmd_eval_sum(args, opts: dict) -> int:
 
 
 def _load_score_vector(path: str) -> list[float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = corpus_mod.read_json(path, ValueError)
     if not isinstance(doc, list):
         raise ValueError(f"{path} must hold a JSON array of scores")
     # paired_t_test refuses a non-finite float
@@ -267,10 +265,9 @@ class Command(NamedTuple):
     options: dict[str, object]
 
 
-_WEIGHTS = {"content-weight": 3.0, "filler-weight": 0.5}  # weighted-F1 scorer weights
-_SCORING = {"scorer": "weighted-f1", "scorer-url": None, **_WEIGHTS}
+_SCORING = {"scorer": "weighted-f1", "scorer-url": None}
 _DECODING = {"beam-size": 4, "max-len": 24}
-_TRAINING = {"batch-size": 4, "nbest-size": 4, **_DECODING, "seed": 0, **_WEIGHTS}
+_TRAINING = {"batch-size": 4, "nbest-size": 4, **_DECODING, "seed": 0}
 _TRAIN_FILES = {"corpus": True, "dev": False, "out": True, "metrics-out": False}
 
 COMMANDS: dict[str, Command] = {
@@ -293,12 +290,11 @@ COMMANDS: dict[str, Command] = {
     }, _DECODING),
     "eval-utt": Command(_cmd_eval_utt, "edit error and consistency tables", {
         "corpus": True, "hyp": True, "label": False, "out": False, "scores-out": False,
-    }, {"threshold": 0.5, **_SCORING}),
+    }, _SCORING),
     "eval-sum": Command(_cmd_eval_sum, 'chunked summarization consistency '
                         '(--summarizer: service base URL or "mock")', {
         "corpus": True, "hyp": True, "summarizer": False, "out": False, "scores-out": False,
-    }, {"chunk-seconds": 60.0, "temperature": 0.0, "top-p": 1.0, "max-tokens": 200,
-        **_SCORING}),
+    }, _SCORING),
     "ttest": Command(_cmd_ttest, "paired t-test between two score vectors",
                      {"a": True, "b": True, "out": False}, {}),
 }

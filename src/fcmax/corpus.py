@@ -434,6 +434,14 @@ _SAMPLE_FIELDS = {
 }
 
 
+def read_json(path, error: type[Exception]):
+    """The JSON document in a file; invalid JSON raises ``error`` naming the file and line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}, line {exc.lineno}: invalid JSON ({exc.msg})") from exc
+
+
 def read_jsonl(path, fields: dict, error: type[Exception]):
     """Yield (line number, object) for each non-blank line of a JSONL file.
 

@@ -13,7 +13,8 @@ needs m + n < 2**21 (ALIGN_TOKEN_LIMIT), so no field carries into the next,
 and a longer pair is refused.  The paired t-test's two-tailed p-value is
 one minus the finite cos^2 series of Student's t for integer df, accurate
 to about 1e-13 absolute; a p-value below about 1e-15, the rounding floor of
-that one minus, comes out as exactly 0.
+that one minus, comes out as exactly 0.  A pair is consistent from a score
+of ``CONSISTENT_AT`` (0.5) up.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import numpy as np
 
 from .corpus import normalize_text
 from .scorers import ConsistencyScorer, ScorerError
+
+
+CONSISTENT_AT = 0.5
 
 
 class MetricsError(ValueError):
@@ -146,17 +150,11 @@ def avg_consistency(
     return sum(scores) / len(scores), scores
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise MetricsError(f"threshold must be in [0, 1], got {threshold}")
-
-
-def consistent_ratio(scores: Sequence[float], threshold: float) -> float:
-    """Fraction of avg_consistency's per-pair scores that reach the threshold (inclusive)."""
-    _check_threshold(threshold)
+def consistent_ratio(scores: Sequence[float]) -> float:
+    """Fraction of avg_consistency's per-pair scores that reach ``CONSISTENT_AT`` (inclusive)."""
     if not scores:
         raise MetricsError("consistent_ratio needs at least one score")
-    return sum(1 for s in scores if s >= threshold) / len(scores)
+    return sum(1 for s in scores if s >= CONSISTENT_AT) / len(scores)
 
 
 class UtteranceRow(NamedTuple):
@@ -168,15 +166,13 @@ class UtteranceRow(NamedTuple):
     scores: list[float]
 
 
-def evaluate_utterances(pairs: Sequence[tuple[str, str]], scorer: ConsistencyScorer,
-                        threshold: float) -> UtteranceRow:
+def evaluate_utterances(pairs: Sequence[tuple[str, str]],
+                        scorer: ConsistencyScorer) -> UtteranceRow:
     """The pooled edit breakdown of (hypothesis, reference) pairs, their mean
-    consistency, the share that reach the threshold and the per-pair scores.
-    A threshold outside [0, 1] is refused before any pair is scored."""
-    _check_threshold(threshold)
+    consistency, the share that reach ``CONSISTENT_AT`` and the per-pair scores."""
     breakdown = corpus_wer(pairs)
     mean, scores = avg_consistency(pairs, scorer)
-    return UtteranceRow(breakdown, mean, consistent_ratio(scores, threshold), scores)
+    return UtteranceRow(breakdown, mean, consistent_ratio(scores), scores)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import atomic_write_text, is_json_float
+from .corpus import atomic_write_text, is_json_float, read_json
 
 MATRIX_NAMES = (
     "src_emb", "tgt_emb", "enc_proj", "dec_in", "dec_state",
@@ -464,8 +464,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Parameters from a checkpoint whose header (d and the vocabulary sizes)
     fixes every matrix's shape; a mismatch raises ModelError naming the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, ModelError)
     if not isinstance(doc, dict):
         raise ModelError(f"checkpoint must be a JSON object, got a JSON {type(doc).__name__}")
     if type(doc.get("version")) is not int or doc["version"] != 1:  # not true, not 1.0
@@ -484,7 +483,7 @@ def load_checkpoint(path) -> ModelParams:
         if not isinstance(entry, dict):
             raise ModelError(f"checkpoint has no matrix {name}")
         want = _file_shape(shape)
-        if entry.get("shape") != want:
+        if entry.get("shape") != want or any(type(n) is not int for n in entry["shape"]):
             raise ModelError(f"matrix {name} has shape {entry.get('shape')!r}, but a header of "
                              f"d={d}, source={sv}, target={tv} needs {want}")
         data = entry.get("data")

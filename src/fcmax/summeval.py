@@ -1,7 +1,7 @@
 """Chunked summarization evaluation over speaker-attributed transcripts.
 
-Session recordings are cut into fixed non-overlapping windows (60 s by
-default) by utterance start time, and each side of a comparison is grouped
+Session recordings are cut into non-overlapping ``CHUNK_SECONDS`` (60 s)
+windows by utterance start time, and each side of a comparison is grouped
 by (session, window) once, into a list of utterances in transcript order
 (start time, then speaker).  Each window's hypothesis utterances become
 "Speaker N: text" lines, are wrapped in a summarization prompt and
@@ -12,7 +12,8 @@ feeds paired significance tests between systems.
 A deterministic built-in mock summarizer (first sentence spoken by each
 speaker, in speaker order) keeps the whole pipeline offline and
 byte-reproducible; a real model is reached through the same HTTP interface
-as a remote summarizer, whose endpoint is parsed once, when it is built.
+as a remote summarizer, whose endpoint is parsed once, when it is built,
+and each request carries the fixed ``SUMMARIZER_SAMPLING`` settings.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .corpus import Corpus
 from . import scorers
 
 MOCK_SUMMARIZER = "mock"
+CHUNK_SECONDS = 60.0
+SUMMARIZER_SAMPLING = {"temperature": 0.0, "top_p": 1.0, "max_tokens": 200}
 PROMPT_INSTRUCTION = "\nSummarize the conversation above.\n"
 
 
@@ -47,31 +50,15 @@ class Utterance:
             raise SummEvalError(f"speaker index must be >= 0, got {self.speaker}")
 
 
-@dataclass(frozen=True)
-class SummarizerParams:
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_tokens: int = 200
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise SummEvalError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise SummEvalError(f"top_p must be in (0, 1], got {self.top_p}")
-        if not (isinstance(self.max_tokens, int) and self.max_tokens >= 1):
-            raise SummEvalError(f"max_tokens must be an integer >= 1, got {self.max_tokens}")
-
-
-def _windows(utterances: Sequence[Utterance], chunk_seconds: float) -> dict[tuple[str, int], list]:
+def _windows(utterances: Sequence[Utterance], seconds: float) -> dict[tuple[str, int], list]:
     """Utterances grouped by (session, window index), each group stably sorted
-    by (start time, speaker).  Window k is [k * w, (k + 1) * w) in floats; where
-    start // w rounds to a neighbour, k steps to the one whose bounds hold it."""
-    if not (math.isfinite(chunk_seconds) and chunk_seconds > 0):
-        raise SummEvalError(f"chunk_seconds must be > 0 and finite, got {chunk_seconds}")
+    by (start time, speaker).  Window k is [k * w, (k + 1) * w) in floats, w =
+    ``seconds``; where start // w rounds to a neighbour, k steps to the one
+    whose bounds hold it."""
     windows: dict[tuple[str, int], list[Utterance]] = {}
     for u in utterances:
-        k = int(u.start_s // chunk_seconds)
-        k += (u.start_s >= (k + 1) * chunk_seconds) - (u.start_s < k * chunk_seconds)
+        k = int(u.start_s // seconds)
+        k += (u.start_s >= (k + 1) * seconds) - (u.start_s < k * seconds)
         windows.setdefault((u.session, k), []).append(u)
     for group in windows.values():
         group.sort(key=lambda u: (u.start_s, u.speaker))
@@ -118,8 +105,7 @@ def mock_summarize(prompt: str) -> str:
     return " ".join(firsts[s] for s in sorted(firsts))
 
 
-def make_summarizer(endpoint: str, params: SummarizerParams = SummarizerParams(),
-                    timeout: float = 30.0) -> Callable[[str], str]:
+def make_summarizer(endpoint: str, timeout: float = 30.0) -> Callable[[str], str]:
     """The summarizer that ``endpoint`` names: ``mock_summarize`` for "mock",
     else a client that POSTs each prompt to {endpoint}/summarize.
     ``ValueError`` names an endpoint that is neither "mock" nor an http(s)
@@ -130,9 +116,7 @@ def make_summarizer(endpoint: str, params: SummarizerParams = SummarizerParams()
 
     def summarize(prompt: str) -> str:
         # scorers.post_json is looked up per call, so a wrapper installed later sees it
-        doc = scorers.post_json(target, {"prompt": prompt, "temperature": params.temperature,
-                                         "top_p": params.top_p, "max_tokens": params.max_tokens},
-                                timeout)
+        doc = scorers.post_json(target, {"prompt": prompt, **SUMMARIZER_SAMPLING}, timeout)
         if "summary" not in doc or not isinstance(doc["summary"], str):
             raise scorers.RemoteProtocolError(
                 f"{target.url} response is missing a string 'summary' field")
@@ -146,11 +130,10 @@ def evaluate_summaries(
     hypothesis_utterances: Sequence[Utterance],
     summarizer: Callable[[str], str],
     scorer: scorers.ConsistencyScorer,
-    chunk_seconds: float = 60.0,
 ) -> tuple[list[float], float]:
     """Run the chunked pipeline and score summaries against the ground truth.
 
-    Windows are derived from reference timings and shared with the hypothesis
+    Windows of ``CHUNK_SECONDS`` are derived from reference timings and shared with the hypothesis
     side; a hypothesis utterance falling into a window with no reference
     material is a chunk mismatch.  Windows whose hypothesis side is empty are
     still summarized so that missing output cannot inflate the mean.  Every
@@ -159,8 +142,8 @@ def evaluate_summaries(
     position.  Returns the per-chunk score vector (chunk order: session, then
     window) and its mean.
     """
-    refs = _windows(reference_utterances, chunk_seconds)
-    hyps = _windows(hypothesis_utterances, chunk_seconds)
+    refs = _windows(reference_utterances, CHUNK_SECONDS)
+    hyps = _windows(hypothesis_utterances, CHUNK_SECONDS)
     extra = sorted({session for session, _ in hyps} - {session for session, _ in refs})
     if extra:
         raise SummEvalError(f"hypothesis sessions {extra} have no reference side")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -47,7 +49,9 @@ def test_ttest_equal_vectors(tmp_path, capsys):
     ("[0.5, 1e400, 0.7]", "vector a entry 1 is not finite"),
     ("[0.5, 0.6, 1" + "0" * 400 + "]", "entry 2 must be a number in float range"),
     ('{"scores": [0.5, 0.6, 0.7]}', "must hold a JSON array of scores"),
-], ids=["nan", "infinity", "bool", "string", "null", "float-overflow", "huge-int", "object"])
+    ("[0.5 0.6]", "a.json, line 1: invalid JSON (Expecting ',' delimiter)"),
+], ids=["nan", "infinity", "bool", "string", "null", "float-overflow", "huge-int", "object",
+        "not-json"])
 def test_ttest_refuses_a_score_that_is_not_a_finite_number(tmp_path, capsys, scores, named):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -55,16 +59,6 @@ def test_ttest_refuses_a_score_that_is_not_a_finite_number(tmp_path, capsys, sco
     b.write_text(json.dumps([0.5, 0.6, 0.7]))
     assert run(["ttest", "--a", str(a), "--b", str(b)]) == 2
     assert named in capsys.readouterr().err
-
-
-def test_gen_data_has_no_scorer_weights(tmp_path, capsys):
-    """The content and filler weights belong to the weighted-F1 scorer; the
-    corpus generator never reads them, so gen-data refuses both flags."""
-    out = str(tmp_path / "c.jsonl")
-    for flag in ("--content-weight", "--filler-weight"):
-        assert run(["gen-data", "--out", out, flag, "9"]) == 1
-        assert flag in capsys.readouterr().err
-    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_train_fcm_requires_scorer(tmp_path, capsys):
@@ -127,17 +121,61 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train-ce", "train-fcm", "decode", "eval-utt",
-                                     "eval-sum"])
-def test_config_is_not_an_option(tmp_path, capsys, command):
-    """A tunable is set only by its flag: --config is refused by argparse on
-    every subcommand with tunables, given its required files, before any
+def test_decode_names_a_checkpoint_that_is_not_json(tmp_path, capsys):
+    corpus, checkpoint = tmp_path / "c.jsonl", tmp_path / "broken.json"
+    assert run(["gen-data", "--n", "3", "--out", str(corpus)]) == 0
+    checkpoint.write_text("")
+    capsys.readouterr()
+    assert run(["decode", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"decode: error: {checkpoint}, line 1: invalid JSON (Expecting value)\n")
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+_WEIGHT_FLAGS = ["--content-weight", "--filler-weight"]
+_NOT_OPTIONS = [
+    *((command, "--config") for command in ("gen-data", "train-ce", "train-fcm", "decode",
+                                            "eval-utt", "eval-sum")),
+    *((command, flag) for command in ("gen-data", "train-ce", "train-fcm")
+      for flag in _WEIGHT_FLAGS),
+    *(("eval-utt", flag) for flag in ["--threshold", *_WEIGHT_FLAGS]),
+    *(("eval-sum", flag) for flag in ["--chunk-seconds", "--temperature", "--top-p",
+                                      "--max-tokens", *_WEIGHT_FLAGS]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _NOT_OPTIONS, ids=[
+    command if flag == "--config" else command + flag for command, flag in _NOT_OPTIONS])
+def test_config_is_not_an_option(tmp_path, capsys, command, flag):
+    """Neither a config file nor a fixed setting is a flag.  A tunable is set
+    only by its flag, so --config is refused on every subcommand with
+    tunables.  The scorer weights, the consistent-ratio threshold, the summary
+    window and the summarizer's sampling are constants, so their flags are
+    refused too.  argparse refuses each, given the required files, before any
     file is read or written."""
-    required = [arg for flag, needed in COMMANDS[command].files.items() if needed
-                for arg in (f"--{flag}", str(tmp_path / flag))]
-    assert run([command, *required, "--config", str(tmp_path / "x.json")]) == 1
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    required = [arg for name, needed in COMMANDS[command].files.items() if needed
+                for arg in (f"--{name}", str(tmp_path / name))]
+    assert run([command, *required, flag, "1"]) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_console_entry_point_exits_with_the_cli_status(tmp_path):
+    """``python -m fcmax.cli``, what the installed ``fcmax`` script calls:
+    0 on success, 1 for a usage error, 2 for a runtime error."""
+    def fcmax(*argv):
+        return subprocess.run([sys.executable, "-m", "fcmax.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+
+    corpus = tmp_path / "c.jsonl"
+    done = fcmax("gen-data", "--n", "3", "--out", str(corpus))
+    assert (done.returncode, done.stdout) == (0, f"wrote 3 samples to {corpus}\n")
+    done = fcmax("eval-utt", "--corpus", str(corpus), "--hyp", str(corpus), "--threshold", "0.5")
+    assert done.returncode == 1 and "unrecognized arguments: --threshold" in done.stderr
+    done = fcmax("decode", "--corpus", str(tmp_path / "missing.jsonl"),
+                 "--checkpoint", "m.json", "--out", str(tmp_path / "d.jsonl"))
+    assert done.returncode == 2 and "missing.jsonl" in done.stderr
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -145,7 +183,10 @@ def test_config_is_not_an_option(tmp_path, capsys, command):
     (["--scorer", "remote"], "FCM_SCORER_URL"),
     (["--scorer", "remote", "--scorer-url", "localhost:8000"],
      "--scorer-url: endpoint 'localhost:8000' is not an http:// or https:// URL"),
-], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url"])
+    (["--scorer", "exact", "--scorer-url", "http://x"],
+     "--scorer-url is only read with --scorer remote, not --scorer exact"),
+], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url",
+        "url-with-local-scorer"])
 def test_eval_utt_scorer_usage_errors(capsys, monkeypatch, flags, named):
     monkeypatch.delenv("FCM_SCORER_URL", raising=False)
     code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl", *flags])
@@ -180,23 +221,6 @@ def test_eval_utt_remote_scores_each_pair_once(tmp_path, capsys, wire_server):
     assert code == 0 and "| 0.750 | 1.000 |" in out
     assert "| Ins (%) |" in out
     assert [path for path, _ in wire_server.requests] == ["/score"] * 6
-
-
-def test_eval_utt_refuses_a_threshold_outside_the_unit_interval_before_scoring(
-        tmp_path, capsys, wire_server):
-    """The threshold is checked before the first scorer call, so a remote
-    scorer sees no request and the error names the threshold."""
-    corpus = tmp_path / "corpus.jsonl"
-    assert run(["gen-data", "--seed", "3", "--n", "3", "--out", str(corpus)]) == 0
-    hyp = tmp_path / "hyp.jsonl"
-    hyp.write_text("".join(
-        json.dumps({"id": json.loads(line)["id"], "nbest": [{"text": "a b"}]}) + "\n"
-        for line in corpus.read_text().splitlines()))
-    capsys.readouterr()
-    assert run(["eval-utt", "--corpus", str(corpus), "--hyp", str(hyp), "--threshold", "1.5",
-                "--scorer", "remote", "--scorer-url", wire_server.url]) == 2
-    assert capsys.readouterr().err == "eval-utt: error: threshold must be in [0, 1], got 1.5\n"
-    assert wire_server.requests == []
 
 
 def test_eval_utt_refuses_a_repeated_hypothesis_id(tmp_path, capsys):

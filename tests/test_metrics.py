@@ -13,7 +13,7 @@ from scipy import stats as scipy_stats
 from conftest import align_counts, reference_align_counts
 from fcmax import metrics
 from fcmax.metrics import (
-    EditBreakdown, MetricsError, UtteranceRow, avg_consistency, consistent_ratio,
+    CONSISTENT_AT, EditBreakdown, MetricsError, UtteranceRow, avg_consistency, consistent_ratio,
     corpus_wer, csv_report, evaluate_utterances, markdown_report, paired_t_test,
     student_t_p_value,
 )
@@ -223,36 +223,19 @@ def test_evaluate_utterances_is_the_three_metrics_in_order(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(metrics, name, wrapped)
-    row = evaluate_utterances(pairs, scorer, 0.4)
+    row = evaluate_utterances(pairs, scorer)
     assert calls == ["corpus_wer", "avg_consistency"]
     mean, scores = avg_consistency(pairs, scorer)
-    assert row == UtteranceRow(corpus_wer(pairs), mean, consistent_ratio(scores, 0.4), scores)
-    with pytest.raises(MetricsError, match="threshold"):
-        evaluate_utterances(pairs, scorer, 1.5)
-
-
-def test_evaluate_utterances_refuses_the_threshold_before_scoring():
-    calls = []
-
-    def counting(hyp, ref):
-        calls.append((hyp, ref))
-        return 1.0
-
-    with pytest.raises(MetricsError, match=r"^threshold must be in \[0, 1\], got 1\.5$"):
-        evaluate_utterances([("a b", "a b"), ("c", "d")], ConsistencyScorer("count", counting), 1.5)
-    assert calls == []
+    assert row == UtteranceRow(corpus_wer(pairs), mean, consistent_ratio(scores), scores)
 
 
 def test_consistent_ratio_boundaries():
-    scores = [0.4, 0.6, 0.9]
-    assert consistent_ratio(scores, 0.0) == 1.0
-    assert consistent_ratio(scores, 1.0) < 1.0
-    assert consistent_ratio(scores, 0.5) == pytest.approx(2 / 3)
-    assert consistent_ratio(scores, 0.6) == pytest.approx(2 / 3)  # inclusive
+    """A score counts from CONSISTENT_AT (0.5) up, so exactly 0.5 counts."""
+    assert CONSISTENT_AT == 0.5
+    assert consistent_ratio([0.4, 0.6, 0.9]) == 2 / 3
+    assert consistent_ratio([0.5, math.nextafter(0.5, 0.0)]) == 0.5  # inclusive
     with pytest.raises(MetricsError):
-        consistent_ratio(scores, 1.5)
-    with pytest.raises(MetricsError):
-        consistent_ratio([], 0.5)
+        consistent_ratio([])
 
 
 def test_t_test_identical_vectors():

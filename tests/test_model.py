@@ -576,6 +576,12 @@ def _set_huge_sizes(doc):
     doc["d"] = doc["vocab_sizes"]["source"] = 10 ** 6
 
 
+def _shape(name, shape):
+    def corrupt(doc):
+        doc["matrices"][name]["shape"] = shape
+    return corrupt
+
+
 def _as_array(doc):
     return [doc]
 
@@ -608,9 +614,11 @@ def _attn_entry(value):
     (_attn_entry(10 ** 400), "matrix attn entry 5 .*, got 1000"),
     (_version(True), "^unsupported checkpoint version True$"),  # True == 1 in Python
     (_version(1.0), r"^unsupported checkpoint version 1\.0$"),
+    (_shape("out_bias", [True, 6]), r"matrix out_bias has shape \[True, 6\]"),  # True == 1
+    (_shape("enc_proj", [4.0, 4]), r"matrix enc_proj has shape \[4\.0, 4\]"),  # 4.0 == 4
 ], ids=["missing-matrix", "short-data", "bias-shape", "header-d", "header-target",
         "huge-header", "json-array", "string-entry", "list-entry", "bool-entry", "null-entry",
-        "huge-int-entry", "version-true", "version-float"])
+        "huge-int-entry", "version-true", "version-float", "shape-true", "shape-float"])
 def test_load_checkpoint_refuses_a_document_that_does_not_fit_its_header(
         tmp_path, corrupt, match):
     path = tmp_path / "model.json"

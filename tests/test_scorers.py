@@ -25,7 +25,7 @@ from fcmax.scorers import (
     exact_match_score, exact_match_scorer, lcs_ratio, lcs_scorer, remote_scorer,
     weighted_f1_scorer, weighted_token_f1,
 )
-from fcmax.summeval import SummarizerParams, make_summarizer
+from fcmax.summeval import make_summarizer
 
 texts = st.text(
     alphabet=st.characters(codec="ascii", categories=("L", "N", "P", "Z")),
@@ -404,7 +404,7 @@ def test_remote_clients_call_post_json_through_the_module(monkeypatch):
     per call, so a wrapper installed afterwards (the benchmark's tracer)
     sees every request."""
     scorer = remote_scorer("http://127.0.0.1:1/api/?k=v")
-    summarizer = make_summarizer("https://127.0.0.1:1", SummarizerParams(max_tokens=9), 3.0)
+    summarizer = make_summarizer("https://127.0.0.1:1", 3.0)
     calls = []
 
     def fake_post_json(target, payload, timeout):
@@ -418,7 +418,7 @@ def test_remote_clients_call_post_json_through_the_module(monkeypatch):
         ("http://127.0.0.1:1/api/score?k=v", False, "/api/score?k=v",
          {"hypothesis": "h", "reference": "r"}, 10.0),
         ("https://127.0.0.1:1/summarize", True, "/summarize",
-         {"prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 9}, 3.0),
+         {"prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 200}, 3.0),
     ]
 
 
