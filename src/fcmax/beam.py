@@ -11,23 +11,24 @@ deterministic across platforms.
 so an input that cannot be decoded fails the batch with a ModelError naming
 the first such input; ``beam_decode`` is its call on one input.  The inputs
 are then sorted by length and cut into near-equal groups of at most
-GROUP_PREFIXES // beam_size, and the N-best lists come back in input order.
-A group is padded to its longest input, and that width alone fixes an
-utterance's bits; its padded positions get -inf attention scores before the
-softmax, so every utterance attends to exactly its own states
-(``model._Decoder``).  Each utterance owns beam_size slots of the group's
-(G, beam_size, d) state array, and each round advances every live prefix of
-every utterance with one batched decoder step, giving (G, beam_size, V)
-candidate scores in which BOS and unused slots score -inf.  Per utterance,
-only candidates at or above its beam_size-th largest score (one
-np.partition along each utterance's row) can survive.  The utterance's own
-list of finished hypotheses takes that shortlist, is sorted in place by
-(-score, tokens) and cut to beam_size, and its live survivors refill the
-utterance's slots.  The shortlist is widened to every candidate tied with
-the cut-off (a zero-parameter model ties them all), so order, tie-break and
-beam 1 = greedy are those of sorting every candidate.  An utterance whose
-prefixes have all finished leaves the group, so the arrays shrink as the
-group decodes."""
+GROUP_PREFIXES // beam_size, a cap that bounds the rows of each round's
+arrays, and the N-best lists come back in input order.  A group is padded
+to its longest input, and that width alone fixes an utterance's bits; its
+padded positions get -inf attention scores before the softmax, so every
+utterance attends to exactly its own states (``model._Decoder``).  Each
+utterance owns beam_size slots of the group's (G, beam_size, d) state
+array, and each round advances every live prefix of every utterance with
+one batched decoder step, giving (G, beam_size, V) candidate scores in
+which BOS and unused slots score -inf.  Per utterance, only candidates at
+or above its beam_size-th largest score (one np.partition along each
+utterance's row) can survive.  The utterance's own list of finished
+hypotheses takes that shortlist, is sorted in place by (-score, tokens) and
+cut to beam_size, and its live survivors refill the utterance's slots.  The
+shortlist is widened to every candidate tied with the cut-off (a
+zero-parameter model ties them all), so order, tie-break and beam 1 =
+greedy are those of sorting every candidate.  An utterance whose prefixes
+have all finished leaves the group, so the arrays shrink as the group
+decodes."""
 
 from __future__ import annotations
 
@@ -42,12 +43,11 @@ from .model import ModelError, ModelParams, PaddedIds, _checked, _Decoder
 from .model import forward_teacher  # noqa: F401
 
 
-# Live prefixes of one decode group.  The per-round arrays hold this many
-# rows, so peak memory grows with it, while a round's numpy calls cost about
-# 50 us whatever the group's size, so larger groups take fewer rounds.  A
-# group holds GROUP_PREFIXES // beam_size inputs (72 at beam 4), and at least
-# one.  Its padded width fixes its utterances' bits, so another cap can
-# change log-prob bits.
+# Live prefixes of one decode group: a group holds GROUP_PREFIXES // beam_size
+# inputs (72 at beam 4), and at least one.  The cap bounds the rows of each
+# round's arrays, and with them peak memory.  A group is padded to its longest
+# input, and that width fixes its utterances' bits, so another cap can change
+# log-prob bits.
 GROUP_PREFIXES = 288
 
 

@@ -272,8 +272,7 @@ _TRAIN_FILES = {"corpus": True, "dev": False, "out": True, "metrics-out": False}
 
 COMMANDS: dict[str, Command] = {
     "gen-data": Command(_cmd_gen_data, "generate a synthetic corpus", {"out": True}, {
-        "n": 1000, "seed": 0, "min-len": 5, "max-len": 12,
-        "negation-drop-rate": 0.3,
+        "n": 1000, "seed": 0, "negation-drop-rate": 0.3,
     }),
     "train-ce": Command(_cmd_train_ce, "likelihood pretraining",
                         {**_TRAIN_FILES, "init": False}, {

@@ -20,10 +20,12 @@ the word's weights, with the same right-side search, so it picks what
 ``choice`` would have picked.  Any change to a draw changes every seeded
 corpus, and with it every checkpoint and benchmark quality number.
 
-JSONL I/O: ``read_jsonl`` reads and type-checks every JSONL input, and
-``write_jsonl`` writes every JSONL output of the package and its script,
-one ``json.dumps`` line per row with non-ASCII text kept as UTF-8, through
-``atomic_write_text``, so a killed run leaves the old file or the new one.
+JSON I/O: ``read_json`` and ``read_jsonl`` are where program code reads
+files; they name the file and line of bytes that are not UTF-8 or text that
+is not JSON.  ``write_jsonl`` writes every JSONL output of the package and
+its script, one ``json.dumps`` line per row with non-ASCII text kept as
+UTF-8, through ``atomic_write_text``, so a killed run leaves the old file or
+the new one.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ _CONFUSABLES = frozenset(alt for options in DEFAULT_CONFUSION_TABLE.values() for
 # much as a dropped one.
 _CONTENT_TOKENS = frozenset(_NEGATIONS) | frozenset(_VERBS) | frozenset(_NOUNS) | _CONFUSABLES
 
-_MIN_SENTENCE_WORDS = 4
-_MAX_SENTENCE_WORDS = 15
+# Every sentence has 5 to 12 words, drawn uniformly.
+_MIN_WORDS = 5
+_MAX_WORDS = 12
 
 
 class CorpusError(ValueError):
@@ -203,8 +206,6 @@ class SynthConfig:
 
     n_samples: int
     seed: int = 0
-    min_len: int = 5
-    max_len: int = 12
     negation_drop_rate: float = 0.3
     content_weight: float = 3.0
     filler_weight: float = 0.5
@@ -215,17 +216,6 @@ class SynthConfig:
         if not 0.0 <= self.negation_drop_rate <= 1.0:
             raise CorpusError(f"negation_drop_rate must be in [0, 1], got "
                               f"{self.negation_drop_rate}")
-        if self.min_len > self.max_len:
-            raise CorpusError(f"min_len {self.min_len} exceeds max_len {self.max_len}")
-        if self.min_len < _MIN_SENTENCE_WORDS:
-            raise CorpusError(f"min_len must be >= {_MIN_SENTENCE_WORDS} (shortest grammar "
-                              f"sentence), got {self.min_len}")
-        if self.max_len > _MAX_SENTENCE_WORDS:
-            raise CorpusError(f"max_len must be <= {_MAX_SENTENCE_WORDS} (longest grammar "
-                              f"sentence), got {self.max_len}")
-        if self.max_len < _MIN_SENTENCE_WORDS + 1:
-            raise CorpusError(f"max_len must be >= {_MIN_SENTENCE_WORDS + 1} so negated "
-                              f"sentences fit, got {self.max_len}")
         if not (_positive_finite(self.content_weight) and _positive_finite(self.filler_weight)):
             raise CorpusError(f"token weights must be finite and > 0, got "
                               f"content={self.content_weight} filler={self.filler_weight}")
@@ -388,9 +378,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> Corpus:
     samples: list[Sample] = []
     for i in range(config.n_samples):
         negated = (i % 10 == 0) or rng.random() < 0.45
-        target = int(rng.integers(config.min_len, config.max_len + 1))
-        if negated:
-            target = max(target, _MIN_SENTENCE_WORDS + 1)
+        target = int(rng.integers(_MIN_WORDS, _MAX_WORDS + 1))
         tokens = _build_sentence(rng, target, negated)
         reference = render([token_to_id[tok] for tok in tokens])
         input_ids = _channel(rng, tokens, config.negation_drop_rate, picks, token_to_id)
@@ -434,10 +422,25 @@ _SAMPLE_FIELDS = {
 }
 
 
-def read_json(path, error: type[Exception]):
-    """The JSON document in a file; invalid JSON raises ``error`` naming the file and line."""
+def _decoded(path, data: bytes, error: type[Exception]) -> str:
+    """A file's bytes as text-mode reading returns them: UTF-8, with each CR
+    LF pair or lone CR read as one LF.  Bytes that are not UTF-8 raise
+    ``error`` naming the file and the line of the first bad byte."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")  # the bytes up to the bad one decode
+        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise error(f"{path}, line {lineno}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON document in a file; text that is not UTF-8 or not JSON raises
+    ``error`` naming the file and line."""
+    try:
+        return json.loads(_decoded(path, Path(path).read_bytes(), error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}, line {exc.lineno}: invalid JSON ({exc.msg})") from exc
 
@@ -447,32 +450,32 @@ def read_jsonl(path, fields: dict, error: type[Exception]):
 
     Each line must be a JSON object holding every field of ``fields`` with a
     value of that field's type or types, where a bool is never a number and
-    a ``NUMBER`` is finite and in float range.  A missing file or a bad line
-    raises ``error`` naming the file and the line.
+    a ``NUMBER`` is finite and in float range.  A missing file, bytes that
+    are not UTF-8 or a bad line raise ``error`` naming the file and the line.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise error(f"{path}, line {lineno}: expected a JSON object")
-            for name, typ in fields.items():
-                if name not in obj:
-                    raise error(f"{path}, line {lineno}: missing field {name!r}")
-                value = obj[name]
-                if not isinstance(value, typ) or isinstance(value, bool):
-                    raise error(f"{path}, line {lineno}: field {name!r} has wrong type")
-                if typ is NUMBER and not (is_json_float(value) and math.isfinite(value)):
-                    raise error(f"{path}, line {lineno}: field {name!r} must be a finite "
-                                f"number in float range, got {value!r}")
-            yield lineno, obj
+    lines = _decoded(path, path.read_bytes(), error).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise error(f"{path}, line {lineno}: expected a JSON object")
+        for name, typ in fields.items():
+            if name not in obj:
+                raise error(f"{path}, line {lineno}: missing field {name!r}")
+            value = obj[name]
+            if not isinstance(value, typ) or isinstance(value, bool):
+                raise error(f"{path}, line {lineno}: field {name!r} has wrong type")
+            if typ is NUMBER and not (is_json_float(value) and math.isfinite(value)):
+                raise error(f"{path}, line {lineno}: field {name!r} must be a finite "
+                            f"number in float range, got {value!r}")
+        yield lineno, obj
 
 
 def load_corpus(path) -> Corpus:

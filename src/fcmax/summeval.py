@@ -48,6 +48,8 @@ class Utterance:
             raise SummEvalError(f"utterance start time must be finite and >= 0, got {self.start_s}")
         if self.speaker < 0:
             raise SummEvalError(f"speaker index must be >= 0, got {self.speaker}")
+        if "\n" in self.text or "\r" in self.text:  # a transcript holds one line per utterance
+            raise SummEvalError(f"utterance text must hold no line break, got {self.text!r}")
 
 
 def _windows(utterances: Sequence[Utterance], seconds: float) -> dict[tuple[str, int], list]:
@@ -166,11 +168,16 @@ def corpus_to_utterances(corpus: Corpus, texts: dict[str, str] | None = None) ->
     """View corpus samples as utterances; texts override the references.
 
     With texts=None the result is the ground-truth side of the pipeline; pass
-    a sample-id to decoded-text mapping to build the hypothesis side.
+    a sample-id to decoded-text mapping to build the hypothesis side.  A text
+    that an utterance refuses raises SummEvalError naming its sample.
     """
     out = []
     for s in corpus.samples:
         text = s.reference if texts is None else texts[s.id]
-        out.append(Utterance(speaker=s.speaker, start_s=s.start_s, text=text, session=s.session))
+        try:
+            out.append(Utterance(speaker=s.speaker, start_s=s.start_s, text=text,
+                                 session=s.session))
+        except SummEvalError as exc:
+            raise SummEvalError(f"sample {s.id!r}: {exc}") from None
     return out
 

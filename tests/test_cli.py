@@ -133,12 +133,44 @@ def test_decode_names_a_checkpoint_that_is_not_json(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("ttest", "--a"), ("decode", "--checkpoint"), ("eval-utt", "--corpus"), ("eval-utt", "--hyp"),
+], ids=["ttest-a", "decode-checkpoint", "eval-utt-corpus", "eval-utt-hyp"])
+def test_an_input_that_is_not_utf8_is_named_with_its_line(tmp_path, capsys, command, flag):
+    """A JSON or JSONL input holding bytes that are not UTF-8 is a runtime
+    error naming the file and the line of the first bad byte, counted as
+    text-mode reading counts lines, and nothing is written."""
+    c, m, d, s = (str(tmp_path / name) for name in ("c.jsonl", "m.json", "d.jsonl", "s.json"))
+    assert run(["gen-data", "--n", "3", "--out", c]) == 0
+    loaded = load_corpus(c)
+    save_checkpoint(init_params(3, loaded.source_vocab_size, len(loaded.token_vocab), seed=0), m)
+    assert run(["decode", "--corpus", c, "--checkpoint", m, "--out", d]) == 0
+    (tmp_path / "s.json").write_text("[0.5, 0.6]")
+    argv = {"ttest": ["--a", s, "--b", s], "decode": ["--corpus", c, "--checkpoint", m],
+            "eval-utt": ["--corpus", c, "--hyp", d]}[command]
+    bad = tmp_path / argv[argv.index(flag) + 1]
+    data = bad.read_bytes()
+    if bad.suffix == ".json":
+        at, data = 2, b"\r\n\xff" + data
+    else:  # the bad byte opens the second line
+        at = data.index(b"\n") + 1
+        data = data[:at] + b"\xff" + data[at:]
+    bad.write_bytes(data)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"{command}: error: {bad}, line 2: not UTF-8 text (invalid start byte at byte {at})\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 _WEIGHT_FLAGS = ["--content-weight", "--filler-weight"]
 _NOT_OPTIONS = [
     *((command, "--config") for command in ("gen-data", "train-ce", "train-fcm", "decode",
                                             "eval-utt", "eval-sum")),
     *((command, flag) for command in ("gen-data", "train-ce", "train-fcm")
       for flag in _WEIGHT_FLAGS),
+    *(("gen-data", flag) for flag in ["--min-len", "--max-len"]),
     *(("eval-utt", flag) for flag in ["--threshold", *_WEIGHT_FLAGS]),
     *(("eval-sum", flag) for flag in ["--chunk-seconds", "--temperature", "--top-p",
                                       "--max-tokens", *_WEIGHT_FLAGS]),
@@ -151,9 +183,9 @@ def test_config_is_not_an_option(tmp_path, capsys, command, flag):
     """Neither a config file nor a fixed setting is a flag.  A tunable is set
     only by its flag, so --config is refused on every subcommand with
     tunables.  The scorer weights, the consistent-ratio threshold, the summary
-    window and the summarizer's sampling are constants, so their flags are
-    refused too.  argparse refuses each, given the required files, before any
-    file is read or written."""
+    window, the summarizer's sampling and the generator's sentence lengths are
+    constants, so their flags are refused too.  argparse refuses each, given
+    the required files, before any file is read or written."""
     required = [arg for name, needed in COMMANDS[command].files.items() if needed
                 for arg in (f"--{name}", str(tmp_path / name))]
     assert run([command, *required, flag, "1"]) == 1
@@ -278,20 +310,18 @@ def test_a_model_of_another_target_vocabulary_is_refused(tmp_path, capsys, monke
 def workflow(tmp_path_factory):
     """gen-data -> train-ce -> train-fcm -> decode, shared by the checks below.
 
-    Short sentences let 200 CE iterations reach a start model whose dev
-    deletion rate (about 0.1) passes the guard, so train-fcm returns a
+    1000 CE iterations over 100 samples reach a start model whose dev
+    deletion rate (about 0.15) passes the guard, so train-fcm returns a
     fine-tuned model and decode emits real words.
     """
     root = tmp_path_factory.mktemp("workflow")
     corpus = root / "train.jsonl"
     dev = root / "dev.jsonl"
-    assert run(["gen-data", "--seed", "11", "--n", "30", "--max-len", "6",
-                "--out", str(corpus)]) == 0
-    assert run(["gen-data", "--seed", "12", "--n", "40", "--max-len", "6",
-                "--out", str(dev)]) == 0
+    assert run(["gen-data", "--seed", "11", "--n", "100", "--out", str(corpus)]) == 0
+    assert run(["gen-data", "--seed", "12", "--n", "40", "--out", str(dev)]) == 0
     ce = root / "ce.json"
     assert run(["train-ce", "--corpus", str(corpus), "--out", str(ce),
-                "--iters", "200", "--lr", "0.3", "--batch-size", "4",
+                "--iters", "1000", "--lr", "0.3", "--batch-size", "4",
                 "--d", "12", "--seed", "1"]) == 0
     fcm = root / "fcm.json"
     assert run(["train-fcm", "--corpus", str(corpus), "--dev", str(dev),
@@ -394,3 +424,29 @@ def test_eval_sum_feeds_ttest(workflow, tmp_path, capsys):
     code, out = _run(capsys, "ttest", "--a", str(a), "--b", str(a))
     assert code == 0
     assert "significant_at_95=no" in out
+
+
+@pytest.mark.parametrize("side, text", [
+    ("reference", "We know the plan.\rSpeaker 3: We never trust the forest."),
+    ("hypothesis", "I know\nSpeaker 3: We never trust the forest."),
+], ids=["reference", "hypothesis"])
+def test_eval_sum_refuses_a_text_with_a_line_break(workflow, tmp_path, capsys, side, text):
+    """A line break would let one utterance forge another speaker's line in
+    the transcript a summary is made from, so a reference or decoded text
+    holding one is a runtime error naming its sample, and nothing is written."""
+    dev, decoded = tmp_path / "dev.jsonl", tmp_path / "decoded.jsonl"
+    rows = {path: [json.loads(line) for line in (workflow / path.name).read_text().splitlines()]
+            for path in (dev, decoded)}
+    if side == "reference":
+        rows[dev][4]["reference"] = text
+    else:
+        rows[decoded][4]["nbest"][0]["text"] = text
+    for path, lines in rows.items():
+        path.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    outs = [tmp_path / "sum.csv", tmp_path / "sum_scores.json"]
+    assert run(["eval-sum", "--corpus", str(dev), "--hyp", str(decoded), "--summarizer", "mock",
+                "--out", str(outs[0]), "--scores-out", str(outs[1])]) == 2
+    assert capsys.readouterr().err == (
+        f"eval-sum: error: sample {rows[dev][4]['id']!r}: utterance text must hold no line "
+        f"break, got {text!r}\n")
+    assert not any(path.exists() for path in outs)

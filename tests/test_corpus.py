@@ -100,21 +100,19 @@ def test_clean_channel_reproduces_reference_tokens():
 
 
 def test_length_bounds_respected():
-    corpus = generate_synthetic_corpus(SynthConfig(n_samples=200, seed=5, min_len=6, max_len=9))
-    for s in corpus.samples:
-        assert 6 <= s.ref_word_count <= 9
+    """Every sentence has 5 to 12 words, and 200 samples reach both bounds."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_samples=200, seed=5))
+    counts = {s.ref_word_count for s in corpus.samples}
+    assert min(counts) == corpus_module._MIN_WORDS == 5
+    assert max(counts) == corpus_module._MAX_WORDS == 12
 
 
 @pytest.mark.parametrize("bad, message", [
     (dict(n_samples=-1), "n_samples"),
     (dict(n_samples=1, negation_drop_rate=1.5), "negation_drop_rate"),
-    (dict(n_samples=1, min_len=9, max_len=8), "min_len"),
-    (dict(n_samples=1, min_len=2, max_len=8), "min_len"),
     (dict(n_samples=1, content_weight=0.0), "weights"),
     (dict(n_samples=1, content_weight=float("nan")), "weights"),
     (dict(n_samples=1, filler_weight=float("inf")), "weights"),
-    (dict(n_samples=1, max_len=16), "max_len must be <= 15"),
-    (dict(n_samples=1, min_len=4, max_len=4), "max_len must be >= 5"),
 ])
 def test_invalid_config_reports_bound(bad, message):
     """A config is checked when it is built, before any generator sees it."""
@@ -212,6 +210,18 @@ def test_load_malformed_line_reports_line_number(tmp_path):
     good = '{"id": "a", "input": [1], "reference": "Hi.", "speaker": 0, "start_s": 0.0, "session": "s"}'
     path.write_text(good + "\n{not json\n")
     with pytest.raises(CorpusError, match="line 2"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    """Lines are counted as text-mode reading counts them: a CR, LF or CRLF
+    ends one."""
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(_SAMPLE).encode() + newline.encode()
+    path.write_bytes(good + good + b'{"id": "\xe9"}\n')
+    with pytest.raises(CorpusError, match=r"bad.jsonl, line 3: not UTF-8 text \(invalid "
+                                          rf"continuation byte at byte {2 * len(good) + 8}\)"):
         load_corpus(path)
 
 

@@ -1,7 +1,8 @@
 """Source checks that need no import: every file parses as Python 3.10,
 every module-level import of the package, ``scripts/`` and ``tests/`` is
 used, the package imports no HTTP client library, program code writes
-files only through ``corpus.atomic_write_text``, and every public
+files only through ``corpus.atomic_write_text`` and reads them only
+through ``corpus.read_json`` and ``corpus.read_jsonl``, and every public
 definition of the package is read by program code, not by tests alone."""
 
 from __future__ import annotations
@@ -109,31 +110,54 @@ def test_the_wire_import_check_finds_a_planted_import():
     assert _wire_imports(source) == ["urllib.request", "http.client", "requests.adapters"]
 
 
-def _in_place_writes(source: str, exempt: str | None = None) -> list[str]:
-    """Each call of a source that writes a file in place, as "line N: call":
-    ``.write_text`` and ``.write_bytes``, and ``open``, ``Path.open`` or
-    ``os.fdopen`` with a mode that is not a constant read mode.  Calls
-    inside the module-level function named ``exempt`` are not counted."""
-    found = []
+def _file_calls(source: str, exempt: tuple[str, ...]):
+    """Each call of a source, with the mode it opens a file in where it is
+    ``open``, ``Path.open`` or ``os.fdopen`` (a constant "r" where it gives
+    none) and None otherwise.  ``os.open`` takes flags and returns a
+    descriptor, which ``os.fdopen`` opens.  Calls inside the module-level
+    functions named in ``exempt`` are left out."""
     for top in ast.parse(source).body:
-        if exempt is not None and getattr(top, "name", None) == exempt:
+        if getattr(top, "name", None) in exempt:
             continue
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
             call = ast.unparse(node.func)
             attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
-            if attr in ("write_text", "write_bytes"):
-                found.append(f"line {node.lineno}: {call}")
-            # os.open takes flags and returns a descriptor, which os.fdopen opens
-            elif call == "open" or attr == "fdopen" or (attr == "open" and call != "os.open"):
+            mode = None
+            if call == "open" or attr == "fdopen" or (attr == "open" and call != "os.open"):
                 at = 0 if attr == "open" else 1  # Path.open(mode); open(file, mode)
                 mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
                             node.args[at] if len(node.args) > at else ast.Constant("r"))
-                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                        and not set(mode.value) & set("wax+")):
-                    found.append(f"line {node.lineno}: {call}")
-    return found
+            yield node, call, attr, mode
+
+
+def _constant_mode_without(mode: ast.expr, letters: str) -> bool:
+    return (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            and not set(mode.value) & set(letters))
+
+
+def _in_place_writes(source: str, exempt: tuple[str, ...] = ()) -> list[str]:
+    """Each call of a source that writes a file in place, as "line N: call":
+    ``.write_text`` and ``.write_bytes``, and ``open``, ``Path.open`` or
+    ``os.fdopen`` with a mode that is not a constant read mode.  Calls
+    inside the module-level functions named in ``exempt`` are not counted."""
+    return [f"line {node.lineno}: {call}"
+            for node, call, attr, mode in _file_calls(source, exempt)
+            if attr in ("write_text", "write_bytes")
+            or (mode is not None and not _constant_mode_without(mode, "wax+"))]
+
+
+def _file_reads(source: str, exempt: tuple[str, ...] = ()) -> list[str]:
+    """Each call of a source that reads a file, as "line N: call":
+    ``.read_text`` and ``.read_bytes``, and ``open``, ``Path.open`` or
+    ``os.fdopen`` with a mode that is not a constant write-only mode.
+    Calls inside the module-level functions named in ``exempt`` are not
+    counted."""
+    return [f"line {node.lineno}: {call}"
+            for node, call, attr, mode in _file_calls(source, exempt)
+            if attr in ("read_text", "read_bytes")
+            or (mode is not None and not _constant_mode_without(mode, "r+"))]
 
 
 def test_program_code_writes_files_only_atomically():
@@ -145,7 +169,7 @@ def test_program_code_writes_files_only_atomically():
                *sorted((ROOT / "scripts").glob("*.py"))]
     assert len(sources) > 6
     for path in sources:
-        exempt = "atomic_write_text" if path.name == "corpus.py" else None
+        exempt = ("atomic_write_text",) if path.name == "corpus.py" else ()
         assert _in_place_writes(path.read_text(encoding="utf-8"), exempt) == [], path.name
 
 
@@ -160,10 +184,40 @@ def test_the_atomic_write_check_finds_planted_writes():
               "    p.write_text('x')\n    Path(p).write_bytes(b'')\n    open(p, 'w')\n"
               "    open(p, mode=mode)\n    p.open('a')\n    os.fdopen(3, 'r+')\n"
               "    with open(p, 'x', encoding='utf-8') as fh:\n        fh.write('x')\n")
-    assert _in_place_writes(source, "atomic_write_text") == [
+    assert _in_place_writes(source, ("atomic_write_text",)) == [
         "line 10: p.write_text", "line 11: Path(p).write_bytes", "line 12: open",
         "line 13: open", "line 14: p.open", "line 15: os.fdopen", "line 16: open"]
     assert _in_place_writes(source)[0] == "line 4: os.fdopen"
+
+
+def test_program_code_reads_files_only_through_the_json_readers():
+    """Every input is JSON or JSONL, and ``corpus.read_json`` and
+    ``corpus.read_jsonl`` are where a file is read: they refuse bytes that
+    are not UTF-8 and text that is not JSON with an error naming the file
+    and the line.  Program code here is the package and ``scripts/``."""
+    sources = [*sorted((ROOT / "src" / "fcmax").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py"))]
+    assert len(sources) > 6
+    for path in sources:
+        exempt = ("read_json", "read_jsonl") if path.name == "corpus.py" else ()
+        assert _file_reads(path.read_text(encoding="utf-8"), exempt) == [], path.name
+
+
+def test_the_read_check_finds_planted_reads():
+    source = ("import json, os\nfrom pathlib import Path\n"
+              "def read_json(p):\n    return json.loads(Path(p).read_text())\n"
+              "def read_jsonl(p):\n    with open(p) as fh:\n        return fh.read()\n"
+              "def writes(p):\n    open(p, 'w'), p.open('ab'), os.fdopen(os.open(p, 0), 'x')\n"
+              "def reads(p, mode):\n"
+              "    open(p, 'rb'), Path(p).open(), p.open(mode='r'), os.fdopen(3, 'w+')\n"
+              "    open(p, mode), p.read_text(), Path(p).read_bytes()\n"
+              "    return json.load(open(p))\n"
+              "SETTINGS = Path('s.json').read_text()\n")
+    assert _file_reads(source, ("read_json", "read_jsonl")) == [
+        "line 11: open", "line 11: Path(p).open", "line 11: p.open", "line 11: os.fdopen",
+        "line 12: open", "line 12: p.read_text", "line 12: Path(p).read_bytes",
+        "line 13: open", "line 14: Path('s.json').read_text"]
+    assert _file_reads(source)[:2] == ["line 4: Path(p).read_text", "line 6: open"]
 
 
 # Public definitions that program code reaches only by name strings: the
