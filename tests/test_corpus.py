@@ -107,13 +107,15 @@ def test_length_bounds_respected():
     assert max(counts) == corpus_module._MAX_WORDS == 12
 
 
+# Case ids are fixed, so a case keeps its name when others are added or removed.
 @pytest.mark.parametrize("bad, message", [
     (dict(n_samples=-1), "n_samples"),
     (dict(n_samples=1, negation_drop_rate=1.5), "negation_drop_rate"),
     (dict(n_samples=1, content_weight=0.0), "weights"),
     (dict(n_samples=1, content_weight=float("nan")), "weights"),
     (dict(n_samples=1, filler_weight=float("inf")), "weights"),
-])
+], ids=["bad0-n_samples", "bad1-negation_drop_rate", "bad4-weights", "bad5-weights",
+        "bad6-weights"])
 def test_invalid_config_reports_bound(bad, message):
     """A config is checked when it is built, before any generator sees it."""
     with pytest.raises(CorpusError, match=message):
