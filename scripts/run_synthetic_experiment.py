@@ -68,6 +68,10 @@ def paired_or_none(a, b):
 
 def main():
     args = parse_args()
+    for flag, size in (("--n-train", args.n_train), ("--n-dev", args.n_dev),
+                       ("--n-test", args.n_test)):
+        if size < 1:  # an empty split would fail only after the corpus files are written
+            raise ValueError(f"{flag} must be >= 1, got {size}")
     cfg = SynthConfig(n_samples=args.n_train + args.n_dev + args.n_test, seed=args.seed,
                       negation_drop_rate=args.negation_drop_rate)
     decoding = {"beam_size": CE["beam-size"], "nbest_size": CE["nbest-size"],

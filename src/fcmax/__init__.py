@@ -17,8 +17,7 @@ from .model import (
     load_checkpoint, save_checkpoint, trajectory,
 )
 from .scorers import (
-    ConsistencyScorer, TokenWeights, exact_match_score, exact_match_scorer,
-    lcs_ratio, lcs_scorer, remote_scorer, weighted_f1_scorer, weighted_token_f1,
+    ConsistencyScorer, TokenWeights, remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
 from .summeval import (
     Utterance, build_prompt, evaluate_summaries, format_speaker_attributed, make_summarizer,

@@ -30,16 +30,14 @@ from . import model as model_mod
 from . import summeval as summeval_mod
 from .corpus import SynthConfig, atomic_write_text, default_token_weights, write_jsonl
 from .fcm import normalize_posteriors
-from .scorers import (
-    ConsistencyScorer, exact_match_scorer, lcs_scorer, remote_scorer, weighted_f1_scorer,
-)
+from .scorers import ConsistencyScorer, remote_scorer, weighted_f1_scorer
 from .trainer import (
     SafeguardConfig, TrainingSchedule, TrainResult, decode_samples, train_ce, train_fcm,
 )
 
 SCORER_URL_ENV = "FCM_SCORER_URL"
 SUMMARIZER_URL_ENV = "FCM_SUMMARIZER_URL"
-SCORERS = ("exact", "weighted-f1", "lcs", "remote")
+SCORERS = ("weighted-f1", "remote")
 
 
 class UsageError(Exception):
@@ -85,8 +83,6 @@ def _scorer(opts: dict) -> ConsistencyScorer:
             raise UsageError(f"--scorer-url: {exc}") from None
     if opts.get("scorer-url"):
         raise UsageError(f"--scorer-url is only read with --scorer remote, not --scorer {name}")
-    if name != "weighted-f1":
-        return {"exact": exact_match_scorer, "lcs": lcs_scorer}[name]()
     return weighted_f1_scorer(default_token_weights(SynthConfig(n_samples=0)))
 
 
@@ -112,6 +108,7 @@ def _schedule(opts: dict) -> TrainingSchedule:
 
 
 def _cmd_train_ce(args, opts: dict) -> int:
+    schedule = _schedule(opts)  # checks the seed before init_params reads it
     corpus = corpus_mod.load_corpus(args.corpus)
     dev = corpus_mod.load_corpus(args.dev) if args.dev else None
     if args.init:
@@ -123,7 +120,7 @@ def _cmd_train_ce(args, opts: dict) -> int:
         params = model_mod.init_params(
             opts["d"], corpus.source_vocab_size, len(corpus.token_vocab), seed=opts["seed"],
         )
-    return _save_trained(args, train_ce(params, corpus, _schedule(opts), dev=dev,
+    return _save_trained(args, train_ce(params, corpus, schedule, dev=dev,
                                         scorer=_scorer(opts)))
 
 

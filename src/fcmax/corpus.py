@@ -213,6 +213,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 0:
             raise CorpusError(f"n_samples must be >= 0, got {self.n_samples}")
+        if not 0 <= self.seed < 2**64:  # the range of the np.uint64 the generator takes
+            raise CorpusError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.negation_drop_rate <= 1.0:
             raise CorpusError(f"negation_drop_rate must be in [0, 1], got "
                               f"{self.negation_drop_rate}")
@@ -257,8 +259,8 @@ _STRIP_RE = re.compile(r"[.,?!;:\"()\-]|(?<!\w)'|'(?!\w)")
 
 
 def normalize_text(text: str) -> list[str]:
-    """Lowercased token list used for edit-error scoring and by the proxy
-    consistency scorers (weighted token F1, LCS ratio).
+    """Lowercased token list used for edit-error scoring and by the weighted
+    token F1 consistency scorer.
 
     Lowercases, deletes underscores inside words, replaces the punctuation
     characters . , ? ! ; : " ( ) and hyphens with spaces, drops apostrophes

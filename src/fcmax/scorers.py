@@ -1,10 +1,10 @@
 """Pluggable consistency scoring: (hypothesis, reference) -> score in [0, 1].
 
-Deterministic proxy scorers keep training and tests hermetic; a small HTTP
-client lets a real learned evaluator be plugged in behind the same
-interface.  The proxies normalize text before scoring; the remote scorer
-sends the raw cased, punctuated strings because learned evaluators are
-typically case and punctuation sensitive.
+A deterministic proxy, the weighted token F1, keeps training and tests
+hermetic; a small HTTP client lets a real learned evaluator be plugged in
+behind the same interface.  The proxy normalizes text before scoring; the
+remote scorer sends the raw cased, punctuated strings because learned
+evaluators are typically case and punctuation sensitive.
 
 The wire client sends each call as one HTTP/1.0 request on a new
 connection of the stdlib ``socket``, written with one send.  It reads the
@@ -97,11 +97,6 @@ class TokenWeights:
 UNIFORM_WEIGHTS = TokenWeights()
 
 
-def exact_match_score(hyp: str, ref: str) -> float:
-    """1.0 iff the strings are byte-identical. A degenerate scorer for tests."""
-    return 1.0 if hyp == ref else 0.0
-
-
 def weighted_token_f1(hyp: str, ref: str, weights: TokenWeights = UNIFORM_WEIGHTS) -> float:
     """Weighted bag-of-tokens F1 with per-token multiset clipping.
 
@@ -144,23 +139,6 @@ def _f1_against(hyp: str, reference: tuple[Counter, float], weights: TokenWeight
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def lcs_ratio(hyp: str, ref: str) -> float:
-    """Order-sensitive proxy: 2 * LCS length / (|hyp| + |ref|) over tokens."""
-    a = normalize_text(hyp)
-    b = normalize_text(ref)
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return 2.0 * prev[len(b)] / (len(a) + len(b))
 
 
 @dataclass(frozen=True)
@@ -420,20 +398,12 @@ class ConsistencyScorer:
             wait([future for future in window if not future.cancel()])
 
 
-def exact_match_scorer() -> ConsistencyScorer:
-    return ConsistencyScorer(name="exact-match", fn=exact_match_score)
-
-
 def weighted_f1_scorer(weights: TokenWeights = UNIFORM_WEIGHTS) -> ConsistencyScorer:
     """weighted_token_f1 that keeps its last reference's counts and total weight:
     the hypotheses of an N-best list are scored one after another against one."""
     reference_side = functools.lru_cache(maxsize=1)(lambda ref: _reference_side(ref, weights))
     return ConsistencyScorer(name="weighted-f1",
                              fn=lambda hyp, ref: _f1_against(hyp, reference_side(ref), weights))
-
-
-def lcs_scorer() -> ConsistencyScorer:
-    return ConsistencyScorer(name="lcs", fn=lcs_ratio)
 
 
 def remote_scorer(endpoint: str, timeout: float = 10.0) -> ConsistencyScorer:

@@ -62,6 +62,8 @@ class TrainingSchedule:
             raise TrainerError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.seed < 2**64:  # the range of the np.uint64 the generators take
+            raise TrainerError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.nbest_size > self.beam_size:
             raise TrainerError(f"nbest_size {self.nbest_size} exceeds beam_size {self.beam_size}")
         if min(self.beam_size, self.nbest_size, self.max_len, self.checkpoint_every) < 1:
@@ -168,16 +170,22 @@ def _minibatch_gradient(params: ModelParams, corpus: Corpus, it: int, samples, h
                                 PaddedIds.of(paths), np.array(kept))
 
 
-def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
-                   max_len: int) -> list[NBestList]:
-    """The N-best list of every sample, decoded together by one batched beam
-    search.  A model whose target vocabulary is not the corpus's, whose ids
-    would render as other tokens or as none, raises FcmError naming both
-    sizes; an input that cannot be encoded raises FcmError naming its sample,
-    and a ModelError about the model itself (no ``row``) passes on as it is."""
+def _check_target_vocab(params: ModelParams, corpus: Corpus) -> None:
+    """FcmError naming both sizes when the model's target vocabulary is not
+    the corpus's: its ids would render as other tokens or as none."""
     if params.target_vocab_size != len(corpus.token_vocab):
         raise FcmError(f"the model's target vocabulary has {params.target_vocab_size} tokens, "
                        f"the corpus's {len(corpus.token_vocab)}")
+
+
+def decode_samples(params: ModelParams, corpus: Corpus, samples, beam_size: int,
+                   max_len: int) -> list[NBestList]:
+    """The N-best list of every sample, decoded together by one batched beam
+    search.  A model of another target vocabulary is refused
+    (``_check_target_vocab``); an input that cannot be encoded raises
+    FcmError naming its sample, and a ModelError about the model itself (no
+    ``row``) passes on as it is."""
+    _check_target_vocab(params, corpus)
     try:
         return beam_decode_batch(params, [s.input for s in samples], beam_size, max_len,
                                  bos_id=corpus.bos_id, eos_id=corpus.eos_id)
@@ -257,6 +265,8 @@ def train_ce(
     Every sample's input and reference path is padded once; an
     iteration takes its B samples' rows, each a trajectory of weight 1 / B.
     Dev checks, every checkpoint_every iterations, score with scorer (no default).
+    A model of another target vocabulary is refused before any update, as
+    decoding refuses it.
     """
     if not corpus.samples:
         raise TrainerError("training corpus is empty")
@@ -264,6 +274,7 @@ def train_ce(
         raise TrainerError("dev corpus is empty")
     if dev is not None and scorer is None:
         raise TrainerError("a dev corpus needs a scorer for its dev checks")
+    _check_target_vocab(params, corpus)
     params = params.copy()
     rng = np.random.default_rng(np.uint64(schedule.seed))
     batch_size = min(schedule.batch_size, len(corpus.samples))

@@ -9,7 +9,8 @@ log-probabilities and corpus NLL, per-pair alignment, per-prefix and
 padded one-input beam search,
 per-trajectory per-step teacher forcing and backward, per-iteration padded
 likelihood training, per-token confusion channel, two-pass text normalization, three-sum weighted F1, per-token
-detokenization, per-session summary evaluation) that only tests use."""
+detokenization, per-session summary evaluation) and an exact-match scorer
+that only tests use."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from fcmax.model import (
     ForwardTrace, ModelParams, PaddedIds, _Decoder, _log_softmax, apply_update, backward,
     encode, forward_teacher, param_count, trajectory,
 )
+from fcmax.scorers import ConsistencyScorer
 from fcmax.summeval import SummEvalError, build_prompt, format_speaker_attributed
 
 settings.register_profile(
@@ -258,6 +260,15 @@ def reference_weighted_token_f1(hyp: str, ref: str, weights) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def exact_match_score(hyp: str, ref: str) -> float:
+    """1.0 iff the strings are byte-identical: a degenerate scorer for tests."""
+    return 1.0 if hyp == ref else 0.0
+
+
+def exact_match_scorer() -> ConsistencyScorer:
+    return ConsistencyScorer(name="exact-match", fn=exact_match_score)
 
 
 def reference_detokenize(tokens) -> str:

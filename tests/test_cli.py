@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import reference_detokenize, reference_posteriors
-from fcmax.cli import COMMANDS, run
+from fcmax.cli import COMMANDS, SCORERS, _options, _scorer, build_parser, run
 from fcmax.corpus import load_corpus, normalize_text
 from fcmax.model import init_params, save_checkpoint
 from fcmax.trainer import TrainResult
@@ -210,20 +210,61 @@ def test_the_console_entry_point_exits_with_the_cli_status(tmp_path):
     assert done.returncode == 2 and "missing.jsonl" in done.stderr
 
 
+# Case ids are fixed, so a case keeps its name when others are added or removed.
 @pytest.mark.parametrize("flags, named", [
     (["--scorer", "bogus"], "bogus"),
     (["--scorer", "remote"], "FCM_SCORER_URL"),
     (["--scorer", "remote", "--scorer-url", "localhost:8000"],
      "--scorer-url: endpoint 'localhost:8000' is not an http:// or https:// URL"),
-    (["--scorer", "exact", "--scorer-url", "http://x"],
-     "--scorer-url is only read with --scorer remote, not --scorer exact"),
+    (["--scorer", "weighted-f1", "--scorer-url", "http://x"],
+     "--scorer-url is only read with --scorer remote, not --scorer weighted-f1"),
+    (["--scorer", "lcs"], "argument --scorer: invalid choice: 'lcs'"),
+    (["--scorer", "exact"], "argument --scorer: invalid choice: 'exact'"),
 ], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url",
-        "url-with-local-scorer"])
+        "url-with-local-scorer", "lcs", "exact"])
 def test_eval_utt_scorer_usage_errors(capsys, monkeypatch, flags, named):
     monkeypatch.delenv("FCM_SCORER_URL", raising=False)
     code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl", *flags])
     assert code == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-fcm", "eval-utt", "eval-sum"])
+@pytest.mark.parametrize("choice", SCORERS)
+def test_each_scorer_choice_builds_the_scorer_of_its_name(tmp_path, command, choice):
+    """The --scorer choices and the builder agree: on every subcommand that
+    takes --scorer, each choice builds the scorer of that name."""
+    required = [arg for name, needed in COMMANDS[command].files.items() if needed
+                for arg in (f"--{name}", str(tmp_path / name))]
+    url = ["--scorer-url", "http://127.0.0.1:1"] if choice == "remote" else []
+    args = build_parser().parse_args([command, *required, "--scorer", choice, *url])
+    scorer = _scorer(_options(args, COMMANDS[command].options))
+    assert scorer.name.partition("(")[0] == choice
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["gen-data", "--out", "c2.jsonl", "--seed", "-1"], -1),
+    (["gen-data", "--out", "c2.jsonl", "--seed", str(2**64)], 2**64),
+    (["train-ce", "--corpus", "c.jsonl", "--out", "m.json", "--seed", "-1"], -1),
+    (["train-fcm", "--corpus", "c.jsonl", "--init", "m0.json", "--out", "m.json",
+      "--scorer", "weighted-f1", "--seed", str(2**64)], 2**64),
+], ids=["gen-data-negative", "gen-data-past-uint64", "train-ce-negative",
+        "train-fcm-past-uint64"])
+def test_a_seed_outside_the_generators_range_is_refused(tmp_path, capsys, monkeypatch,
+                                                        argv, seed):
+    """The random generators take a seed as an np.uint64, so a seed outside
+    [0, 2**64) is refused, naming the seed, when its config is built: before
+    any model is made and any file written."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-data", "--n", "4", "--out", "c.jsonl"]) == 0
+    loaded = load_corpus("c.jsonl")
+    save_checkpoint(init_params(3, loaded.source_vocab_size, len(loaded.token_vocab), seed=0),
+                    "m0.json")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"{argv[0]}: error: seed must be in [0, 2**64), got {seed}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -289,11 +330,14 @@ def test_both_evaluations_refuse_a_decode_file_that_lacks_a_corpus_id(tmp_path, 
     ("decode", ["--checkpoint", "m.json", "--out", "out"]),
     ("train-fcm", ["--dev", "corpus.jsonl", "--init", "m.json", "--out", "out",
                    "--scorer", "weighted-f1"]),
-], ids=["decode", "train-fcm-dev"])
+    ("train-ce", ["--init", "m.json", "--out", "out", "--iters", "3"]),
+], ids=["decode", "train-fcm-dev", "train-ce-init"])
 def test_a_model_of_another_target_vocabulary_is_refused(tmp_path, capsys, monkeypatch,
                                                          command, flags):
     """A checkpoint whose output layer is larger than the corpus's vocabulary
-    emits ids that name no token; decoding refuses it once, naming both sizes."""
+    emits ids that name no token; decoding refuses it once, naming both sizes,
+    and likelihood training refuses it before it writes a checkpoint that
+    decoding would refuse."""
     monkeypatch.chdir(tmp_path)
     assert run(["gen-data", "--n", "20", "--seed", "1", "--out", "corpus.jsonl"]) == 0
     params = init_params(8, 55, 95, seed=3)

@@ -114,8 +114,10 @@ def test_length_bounds_respected():
     (dict(n_samples=1, content_weight=0.0), "weights"),
     (dict(n_samples=1, content_weight=float("nan")), "weights"),
     (dict(n_samples=1, filler_weight=float("inf")), "weights"),
+    (dict(n_samples=1, seed=-1), r"seed must be in \[0, 2\*\*64\), got -1$"),
+    (dict(n_samples=1, seed=2**64), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
 ], ids=["bad0-n_samples", "bad1-negation_drop_rate", "bad4-weights", "bad5-weights",
-        "bad6-weights"])
+        "bad6-weights", "seed-negative", "seed-past-uint64"])
 def test_invalid_config_reports_bound(bad, message):
     """A config is checked when it is built, before any generator sees it."""
     with pytest.raises(CorpusError, match=message):

@@ -64,16 +64,23 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     assert (tmp_path / "fcm.json").read_bytes() != (tmp_path / "ce.json").read_bytes()
 
 
+# Case ids are fixed, so a case keeps its name when others are added or removed.
 @pytest.mark.parametrize("flag, value, setting", [
     ("--fcm-iters", "0", "max_fcm_iterations"),
     ("--fcm-lr", "0", "initial_lr"),
     ("--ce-batch", "0", "batch_size"),
-    ("--n-train", "-20", "a split size must be >= 0, got -20"),
-], ids=["--fcm-iters", "--fcm-lr", "--ce-batch", "--n-train"])
+    ("--n-train", "-20", "--n-train must be >= 1, got -20"),
+    ("--n-train", "0", "--n-train must be >= 1, got 0"),
+    ("--n-dev", "0", "--n-dev must be >= 1, got 0"),
+    ("--n-test", "0", "--n-test must be >= 1, got 0"),
+    ("--seed", str(2**64 - 1), f"seed must be in [0, 2**64), got {2**64}"),
+], ids=["--fcm-iters", "--fcm-lr", "--ce-batch", "--n-train", "--n-train-zero", "--n-dev-zero",
+        "--n-test-zero", "--seed-fcm-past-uint64"])
 def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag, value, setting):
     """Each config is built before the corpus is generated, so a bad FCM
-    setting no longer surfaces only after CE training has written its files,
-    and the split sizes are checked before any corpus file is written.  As
+    setting (FCM's seed is the script's plus one) no longer surfaces only
+    after CE training has written its files, and an empty or negative split
+    size is refused, naming its flag, before any corpus file is written.  As
     from the CLI, the failure is one error line and exit status 2."""
     out = tmp_path / "out"
     proc = _run_script(out, "--n-test", "10", flag, value)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    AMBIG_VOCAB, DUNNO, KNOW, fcm_fixed_nbest_check, random_params,
+    AMBIG_VOCAB, DUNNO, KNOW, exact_match_scorer, fcm_fixed_nbest_check, random_params,
     reference_expected_consistency, reference_posteriors, validate_scored,
 )
 from fcmax.beam import Hypothesis, NBestList, beam_decode_batch
@@ -24,9 +24,7 @@ from fcmax.fcm import (
 )
 from fcmax.metrics import corpus_wer
 from fcmax.model import init_params, trajectory
-from fcmax.scorers import (
-    ConsistencyScorer, ScoreRangeError, exact_match_scorer, weighted_f1_scorer,
-)
+from fcmax.scorers import ConsistencyScorer, ScoreRangeError, weighted_f1_scorer
 from fcmax.trainer import TrainingSchedule, evaluate_on, train_ce
 
 

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import align_counts, reference_align_counts
+from conftest import align_counts, exact_match_score, reference_align_counts
 from fcmax import metrics
 from fcmax.metrics import (
     CONSISTENT_AT, EditBreakdown, MetricsError, UtteranceRow, avg_consistency, consistent_ratio,
     corpus_wer, csv_report, evaluate_utterances, markdown_report, paired_t_test,
     student_t_p_value,
 )
-from fcmax.scorers import ConsistencyScorer, exact_match_score, weighted_token_f1
+from fcmax.scorers import ConsistencyScorer, weighted_token_f1
 
 
 def brute_force_edit_distance(hyp, ref) -> int:

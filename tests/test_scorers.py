@@ -17,13 +17,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RawReplyServer, reference_weighted_token_f1
+from conftest import (
+    RawReplyServer, exact_match_score, exact_match_scorer, reference_weighted_token_f1,
+)
 from fcmax import scorers
 from fcmax.scorers import (
     REMOTE_IN_FLIGHT, UNIFORM_WEIGHTS, ConsistencyScorer, RemoteNetworkError,
     RemoteProtocolError, RemoteTimeoutError, ScoreRangeError, ScorerError, TokenWeights,
-    exact_match_score, exact_match_scorer, lcs_ratio, lcs_scorer, remote_scorer,
-    weighted_f1_scorer, weighted_token_f1,
+    remote_scorer, weighted_f1_scorer, weighted_token_f1,
 )
 from fcmax.summeval import make_summarizer
 
@@ -169,33 +170,21 @@ def test_token_weights_validation():
             TokenWeights(default=bad)
 
 
-def test_lcs_examples():
-    assert lcs_ratio("a b c", "a b c") == 1.0
-    assert lcs_ratio("a b c", "c b a") == pytest.approx(2 * 1 / 6)
-    assert lcs_ratio("", "a b") == 0.0
-    assert lcs_ratio("", "") == 1.0
-
-
-def test_lcs_order_sensitivity():
-    assert lcs_ratio("a b c d", "a c b d") == pytest.approx(2 * 3 / 8)
-
-
 @given(texts, texts)
 def test_scorers_stay_in_range(hyp, ref):
-    for fn in (exact_match_score, weighted_token_f1, lcs_ratio):
+    for fn in (exact_match_score, weighted_token_f1):
         assert 0.0 <= fn(hyp, ref) <= 1.0
 
 
 @given(texts)
 def test_pure_scorers_identity(text):
-    for scorer in (exact_match_scorer(), weighted_f1_scorer(), lcs_scorer()):
+    for scorer in (exact_match_scorer(), weighted_f1_scorer()):
         assert scorer(text, text) == 1.0
 
 
 @given(texts, texts)
 def test_symmetry_under_uniform_weights(a, b):
     assert weighted_token_f1(a, b) == pytest.approx(weighted_token_f1(b, a))
-    assert lcs_ratio(a, b) == pytest.approx(lcs_ratio(b, a))
 
 
 @given(st.sampled_from(["plan", "budget", "know", "word"]),

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import (
-    accumulate, corpus_nll, params_allclose, random_params, reference_align_counts,
-    reference_backward, reference_expected_consistency, reference_forward_teacher,
-    reference_minibatch_gradient, reference_train_ce,
+    accumulate, corpus_nll, exact_match_scorer, params_allclose, random_params,
+    reference_align_counts, reference_backward, reference_expected_consistency,
+    reference_forward_teacher, reference_minibatch_gradient, reference_train_ce,
 )
 from fcmax import trainer
 from fcmax.beam import Hypothesis, beam_decode, beam_decode_batch
@@ -18,7 +18,7 @@ from fcmax.corpus import (
 )
 from fcmax.fcm import FcmError, expected_consistency, fcm_coefficients, normalize_posteriors
 from fcmax.model import ModelError, apply_update, init_params, trajectory
-from fcmax.scorers import ConsistencyScorer, exact_match_scorer, weighted_f1_scorer
+from fcmax.scorers import ConsistencyScorer, weighted_f1_scorer
 from fcmax.trainer import (
     SafeguardConfig, TrainerError, TrainingSchedule, _batch_iterator, _minibatch_gradient,
     decode_corpus_top1, decode_samples, deletion_guard, evaluate_on, linear_decay_lr, train_ce,
@@ -154,6 +154,10 @@ def test_schedule_validation():
             TrainingSchedule(total_iterations=1, initial_lr=lr)
     with pytest.raises(TrainerError, match="checkpoint_every"):
         TrainingSchedule(total_iterations=1, initial_lr=0.1, checkpoint_every=0)
+    for seed in (-1, 2**64):  # outside the np.uint64 the generators take
+        with pytest.raises(TrainerError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            TrainingSchedule(total_iterations=1, initial_lr=0.1, seed=seed)
+    assert TrainingSchedule(total_iterations=1, initial_lr=0.1, seed=2**64 - 1).seed == 2**64 - 1
     for bad, message in [(dict(ce_interpolation_weight=1.0), "ce_interpolation_weight"),
                          (dict(max_fcm_iterations=0), "max_fcm_iterations"),
                          (dict(deletion_rate_limit=0.0), "deletion_rate_limit"),
@@ -413,8 +417,11 @@ def test_decoding_refuses_a_model_of_another_target_vocabulary():
 
 
 def test_ce_failures_name_the_iteration_and_the_sample():
-    """An input symbol or a reference token the model does not have: train_ce
-    names the iteration and the sample before the batched pass runs."""
+    """An input symbol the model does not have: train_ce names the iteration
+    and the sample before the batched pass runs.  A reference token the model
+    does not have cannot reach that pass, since a model of another target
+    vocabulary is refused before any update, naming both sizes, as decoding
+    refuses it."""
     corpus = _toy_corpus(6)
     bad = corpus.samples[4]
     samples = list(corpus.samples)
@@ -423,12 +430,11 @@ def test_ce_failures_name_the_iteration_and_the_sample():
     schedule = _toy_schedule(total_iterations=3, batch_size=6)
     with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: source index out"):
         train_ce(params, Corpus(samples, 9, corpus.token_vocab), schedule)
-    # token "." (id 7) ends every reference; a sample without it is the only one that fits
-    samples = [Sample(id=s.id, input=s.input, reference=s.reference.rstrip(" ."))
-               if s is not bad else s for s in corpus.samples]
-    params = random_params(3, 8, 7, seed=5)  # target ids 0..6
-    with pytest.raises(TrainerError, match=f"iteration 0, sample {bad.id!r}: target index out"):
-        train_ce(params, Corpus(samples, 8, corpus.token_vocab), schedule)
+    n = len(corpus.token_vocab)
+    for size in (n - 1, n + 1):
+        with pytest.raises(FcmError, match=f"^the model's target vocabulary has {size} tokens, "
+                                           f"the corpus's {n}$"):
+            train_ce(random_params(3, 8, size, seed=5), corpus, schedule)
 
 
 @pytest.mark.parametrize("train", [
