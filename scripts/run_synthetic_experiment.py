@@ -72,6 +72,8 @@ def main():
                        ("--n-test", args.n_test)):
         if size < 1:  # an empty split would fail only after the corpus files are written
             raise ValueError(f"{flag} must be >= 1, got {size}")
+    if not 0 <= args.seed < 2**64 - 1:  # FCM runs at seed + 1, a np.uint64 too
+        raise ValueError(f"--seed must be in [0, 2**64 - 1), got {args.seed}")
     cfg = SynthConfig(n_samples=args.n_train + args.n_dev + args.n_test, seed=args.seed,
                       negation_drop_rate=args.negation_drop_rate)
     decoding = {"beam_size": CE["beam-size"], "nbest_size": CE["nbest-size"],

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from typing import Callable, NamedTuple
@@ -35,8 +34,6 @@ from .trainer import (
     SafeguardConfig, TrainingSchedule, TrainResult, decode_samples, train_ce, train_fcm,
 )
 
-SCORER_URL_ENV = "FCM_SCORER_URL"
-SUMMARIZER_URL_ENV = "FCM_SUMMARIZER_URL"
 SCORERS = ("weighted-f1", "remote")
 
 
@@ -74,11 +71,10 @@ def _scorer(opts: dict) -> ConsistencyScorer:
     if name is None:
         raise UsageError(f"a --scorer is required, one of {'|'.join(SCORERS)}")
     if name == "remote":
-        endpoint = opts["scorer-url"] or os.environ.get(SCORER_URL_ENV)
-        if not endpoint:
-            raise UsageError(f"--scorer remote needs --scorer-url or ${SCORER_URL_ENV}")
+        if not opts["scorer-url"]:
+            raise UsageError("--scorer remote needs --scorer-url")
         try:
-            return remote_scorer(endpoint)
+            return remote_scorer(opts["scorer-url"])
         except ValueError as exc:
             raise UsageError(f"--scorer-url: {exc}") from None
     if opts.get("scorer-url"):
@@ -108,7 +104,7 @@ def _schedule(opts: dict) -> TrainingSchedule:
 
 
 def _cmd_train_ce(args, opts: dict) -> int:
-    schedule = _schedule(opts)  # checks the seed before init_params reads it
+    schedule = _schedule(opts)
     corpus = corpus_mod.load_corpus(args.corpus)
     dev = corpus_mod.load_corpus(args.dev) if args.dev else None
     if args.init:
@@ -203,10 +199,9 @@ def _cmd_eval_utt(args, opts: dict) -> int:
 
 
 def _cmd_eval_sum(args, opts: dict) -> int:
-    endpoint = args.summarizer or os.environ.get(SUMMARIZER_URL_ENV) or summeval_mod.MOCK_SUMMARIZER
     scorer = _scorer(opts)
     try:
-        summarizer = summeval_mod.make_summarizer(endpoint)
+        summarizer = summeval_mod.make_summarizer(args.summarizer or summeval_mod.MOCK_SUMMARIZER)
     except ValueError as exc:
         raise UsageError(f"--summarizer: {exc}") from None
     corpus, texts = _load_decoded(args.corpus, args.hyp)

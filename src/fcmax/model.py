@@ -137,6 +137,8 @@ class ModelParams:
 
 def init_params(d: int, source_vocab_size: int, target_vocab_size: int, seed: int) -> ModelParams:
     """Uniform init in [-0.08, 0.08], deterministic in the seed."""
+    if not 0 <= seed < 2**64:  # the range of the np.uint64 the generator takes
+        raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     size = param_count(d, source_vocab_size, target_vocab_size)
     return ModelParams(rng.uniform(-0.08, 0.08, size=size), d, source_vocab_size,

@@ -213,7 +213,7 @@ def test_the_console_entry_point_exits_with_the_cli_status(tmp_path):
 # Case ids are fixed, so a case keeps its name when others are added or removed.
 @pytest.mark.parametrize("flags, named", [
     (["--scorer", "bogus"], "bogus"),
-    (["--scorer", "remote"], "FCM_SCORER_URL"),
+    (["--scorer", "remote"], "--scorer remote needs --scorer-url\n"),
     (["--scorer", "remote", "--scorer-url", "localhost:8000"],
      "--scorer-url: endpoint 'localhost:8000' is not an http:// or https:// URL"),
     (["--scorer", "weighted-f1", "--scorer-url", "http://x"],
@@ -222,8 +222,7 @@ def test_the_console_entry_point_exits_with_the_cli_status(tmp_path):
     (["--scorer", "exact"], "argument --scorer: invalid choice: 'exact'"),
 ], ids=["scorer-outside-choices", "remote-without-url", "remote-unusable-url",
         "url-with-local-scorer", "lcs", "exact"])
-def test_eval_utt_scorer_usage_errors(capsys, monkeypatch, flags, named):
-    monkeypatch.delenv("FCM_SCORER_URL", raising=False)
+def test_eval_utt_scorer_usage_errors(capsys, flags, named):
     code = run(["eval-utt", "--corpus", "x.jsonl", "--hyp", "y.jsonl", *flags])
     assert code == 1
     assert named in capsys.readouterr().err
@@ -457,6 +456,22 @@ def test_eval_sum_runs_mock_pipeline(workflow, capsys):
     assert "mean_consistency=" in out
     scores = json.loads(scores_path.read_text())
     assert scores and all(0.0 <= s <= 1.0 for s in scores)
+
+
+def test_the_environment_chooses_no_endpoint(workflow, tmp_path, capsys, monkeypatch):
+    """An endpoint is only ever its flag: eval-sum without --summarizer is the
+    mock summarizer, and --scorer remote without --scorer-url is a usage error,
+    whatever URL variables the shell holds."""
+    for name in ("FCM_SCORER_URL", "FCM_SUMMARIZER_URL"):
+        monkeypatch.setenv(name, "http://127.0.0.1:1")
+    inputs = ["--corpus", str(workflow / "dev.jsonl"), "--hyp", str(workflow / "decoded.jsonl")]
+    mock, unset = tmp_path / "mock.json", tmp_path / "unset.json"
+    expected = _run(capsys, "eval-sum", *inputs, "--summarizer", "mock", "--scores-out", str(mock))
+    assert expected[0] == 0
+    assert _run(capsys, "eval-sum", *inputs, "--scores-out", str(unset)) == expected
+    assert unset.read_bytes() == mock.read_bytes()
+    assert run(["eval-utt", *inputs, "--scorer", "remote"]) == 1
+    assert "--scorer-url" in capsys.readouterr().err
 
 
 def test_eval_sum_feeds_ttest(workflow, tmp_path, capsys):

@@ -73,15 +73,17 @@ def test_tiny_experiment_writes_its_report(tmp_path, n_test):
     ("--n-train", "0", "--n-train must be >= 1, got 0"),
     ("--n-dev", "0", "--n-dev must be >= 1, got 0"),
     ("--n-test", "0", "--n-test must be >= 1, got 0"),
-    ("--seed", str(2**64 - 1), f"seed must be in [0, 2**64), got {2**64}"),
+    ("--seed", str(2**64 - 1), f"--seed must be in [0, 2**64 - 1), got {2**64 - 1}"),
+    ("--seed", "-1", "--seed must be in [0, 2**64 - 1), got -1"),
 ], ids=["--fcm-iters", "--fcm-lr", "--ce-batch", "--n-train", "--n-train-zero", "--n-dev-zero",
-        "--n-test-zero", "--seed-fcm-past-uint64"])
+        "--n-test-zero", "--seed-fcm-past-uint64", "--seed-negative"])
 def test_a_bad_config_fails_before_any_file_is_written(tmp_path, flag, value, setting):
     """Each config is built before the corpus is generated, so a bad FCM
     setting (FCM's seed is the script's plus one) no longer surfaces only
     after CE training has written its files, and an empty or negative split
-    size is refused, naming its flag, before any corpus file is written.  As
-    from the CLI, the failure is one error line and exit status 2."""
+    size, or a seed that leaves FCM's outside the np.uint64 range, is refused,
+    naming its flag, before any corpus file is written.  As from the CLI, the
+    failure is one error line and exit status 2."""
     out = tmp_path / "out"
     proc = _run_script(out, "--n-test", "10", flag, value)
     assert proc.returncode == 2

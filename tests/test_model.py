@@ -67,6 +67,13 @@ def test_init_range_and_errors():
         init_params(4, 0, 4, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-uint64"])
+def test_init_refuses_a_seed_outside_uint64(seed):
+    """numpy's own error for such a seed names no parameter."""
+    with pytest.raises(ModelError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        init_params(3, 5, 5, seed=seed)
+
+
 def _zero_params(d, sv, tv):
     return init_params(d, sv, tv, seed=0).zeros_like()
 

@@ -123,13 +123,36 @@ def test_weighted_f1_scorer_shared_by_threads_matches_fresh_calls():
     assert wrong == []
 
 
+def _fresh_python(script: str) -> list[str]:
+    """The stdout lines of ``script`` run in a fresh interpreter on ``src/``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_the_scorer_service_imports_stay_light():
+    """What the benchmark's scorer service imports loads no training,
+    decoding or evaluation module."""
+    loaded = set(_fresh_python("""
+        import sys
+        import fcmax.corpus, fcmax.scorers
+        print(" ".join(m for m in sys.modules if m.startswith("fcmax.")))
+    """)[0].split())
+    heavy = {f"fcmax.{name}" for name in ("trainer", "beam", "fcm", "metrics", "summeval")}
+    assert {"fcmax.corpus", "fcmax.scorers"} <= loaded and heavy.isdisjoint(loaded)
+
+
 def test_local_work_does_not_load_the_wire_client():
     # In a fresh interpreter: this process has http.server loaded by conftest.
-    script = textwrap.dedent("""
+    lines = _fresh_python("""
         import sys
-        from fcmax import corpus_wer, evaluate_summaries, remote_scorer, weighted_f1_scorer
-        from fcmax.scorers import RemoteNetworkError
-        from fcmax.summeval import Utterance, make_summarizer
+        from fcmax.metrics import corpus_wer
+        from fcmax.scorers import RemoteNetworkError, remote_scorer, weighted_f1_scorer
+        from fcmax.summeval import Utterance, evaluate_summaries, make_summarizer
 
         wire = ("http.client", "urllib.request", "email.parser", "ssl", "socket")
         scorer = weighted_f1_scorer()
@@ -147,15 +170,9 @@ def test_local_work_does_not_load_the_wire_client():
             pass
         print(sorted(m for m in wire if m in sys.modules))
     """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
     # building an https:// client connects nothing, so it loads neither socket
     # nor ssl; an http:// call loads the socket and no HTTP library
-    assert proc.stdout.splitlines() == ["[]", "[]", "['socket']"]
+    assert lines == ["[]", "[]", "['socket']"]
 
 
 def test_token_weights_validation():
